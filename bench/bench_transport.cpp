@@ -21,14 +21,15 @@
 // before, plus batched >= 2x unbatched rounds/sec over Unix sockets,
 // syscalls/round reduced >= 4x by batching, a warmed send()+flush() of a
 // 16-entry TransferBatch performing ZERO heap allocations (global operator
-// new is instrumented below), the PR 9 session layer (sequencing +
-// replay-ring retention) costing <= 10% rounds/sec on a fault-free volley
-// versus the same run with reconnect_max_attempts = 0, and the PR 10
-// in-node parallelism: on a message-heavy volley whose shards spread across
-// the node's WorkerPool, workers=4 holds >= 0.9x the workers=1 rounds/sec
-// (scaling assertion self-skips on a single-core host, where four threads
-// on one core can only contend) and a warmed single-node parallel run keeps
-// steady-state rounds allocation-free.
+// new is instrumented below), likewise a warmed idle recv() poll, the
+// session layer (sequencing + replay-ring retention) costing <= 10%
+// rounds/sec on a fault-free volley versus the same run with
+// reconnect_max_attempts = 0, and the in-node parallelism: on a
+// message-heavy volley whose shards spread across the node's WorkerPool,
+// workers=4 holds >= 0.9x the workers=1 rounds/sec (scaling assertion
+// self-skips on a single-core host, where four threads on one core can only
+// contend) and a warmed single-node parallel run keeps steady-state rounds
+// allocation-free.
 //
 // Emits bench_transport.json (argv[1] overrides) for the CI artifact trend.
 #include <sys/socket.h>
@@ -328,8 +329,8 @@ Measurement run_pair(
 
 /// Two nodes over loopback on the multi-shard ParVolleyWorld, `workers`
 /// continuations per node: the node-parallel half of the PR 10 gate. Every
-/// round each node deals `lanes` shard rounds to its pool while the run
-/// thread pumps the hub.
+/// round each node deals `lanes` shard rounds to its pool, the run thread
+/// helping to drain them.
 Measurement run_par_pair(int lanes, std::uint64_t rounds, int workers) {
   auto hub = std::make_shared<estelle::LoopbackHub>(2);
   std::vector<RunReport> reports(2);
@@ -408,10 +409,14 @@ ParAllocProbe probe_parallel_allocations(int lanes, std::uint64_t rounds) {
 /// window: the pooled encode buffer and the segment chain must make the
 /// steady-state send path exactly zero-alloc (the receive side is drained
 /// outside the window — decode hands out owned Interaction state by design).
+/// A second window counts idle recv(…, 0) polls on the drained pair — the
+/// runner's final pump of every round — which must allocate nothing either.
 struct SendAllocProbe {
   bool ok = false;
   unsigned long long allocs = 0;
   unsigned long long iterations = 0;
+  unsigned long long idle_allocs = 0;
+  unsigned long long idle_iterations = 0;
 };
 
 SendAllocProbe probe_send_allocations() {
@@ -453,6 +458,14 @@ SendAllocProbe probe_send_allocations() {
     probe.allocs += g_allocs.load(std::memory_order_relaxed) - before;
     ++probe.iterations;
     drain();  // off the clock: keep the socketpair buffer empty
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const unsigned long long before =
+        g_allocs.load(std::memory_order_relaxed);
+    const auto got = receiver->recv(&from, &in, 0, &err);
+    probe.idle_allocs += g_allocs.load(std::memory_order_relaxed) - before;
+    ++probe.idle_iterations;
+    if (got != estelle::MailboxTransport::RecvOutcome::kIdle) return probe;
   }
   probe.ok = true;
   return probe;
@@ -639,6 +652,7 @@ int main(int argc, char** argv) {
 
   const SendAllocProbe probe = probe_send_allocations();
   const bool meets_send_alloc = probe.ok && probe.allocs == 0;
+  const bool meets_idle_alloc = probe.ok && probe.idle_allocs == 0;
 
   // Node-parallel gates. The scaling ratio only means something when the
   // host can actually run two shard continuations at once: on a single
@@ -674,6 +688,11 @@ int main(int argc, char** argv) {
       "(%llu allocations / %llu sends)\n",
       meets_send_alloc ? "meets" : "MISSES", probe.allocs, probe.iterations);
   std::printf(
+      "acceptance: warmed idle recv() poll %s zero-alloc "
+      "(%llu allocations / %llu polls)\n",
+      meets_idle_alloc ? "meets" : "MISSES", probe.idle_allocs,
+      probe.idle_iterations);
+  std::printf(
       "acceptance: session layer %s >= 0.9x no-session rounds/sec on the "
       "fault-free volley (%.2fx; reconnects=%llu replayed=%llu)\n",
       meets_session ? "meets" : "MISSES", session_ratio, session_on.reconnects,
@@ -708,7 +727,8 @@ int main(int argc, char** argv) {
         "    \"ratio\": %s, \"steady_alloc_rounds\": %llu},\n"
         "  \"pair\": [\n%s  ],\n"
         "  \"batching\": {\"speedup\": %s, \"syscall_reduction\": %s,\n"
-        "    \"send_allocs\": %llu, \"send_iterations\": %llu},\n"
+        "    \"send_allocs\": %llu, \"send_iterations\": %llu,\n"
+        "    \"idle_recv_allocs\": %llu, \"idle_recv_iterations\": %llu},\n"
         "  \"session\": {\"ratio\": %s, \"rounds_per_sec_on\": %s,\n"
         "    \"rounds_per_sec_off\": %s, \"reconnects\": %llu, "
         "\"frames_replayed\": %llu},\n"
@@ -722,7 +742,7 @@ int main(int argc, char** argv) {
         "\"steady_state_zero_alloc\": %s,\n"
         "    \"batched_at_least_2x\": %s, "
         "\"syscalls_reduced_at_least_4x\": %s, "
-        "\"send_path_zero_alloc\": %s, "
+        "\"send_path_zero_alloc\": %s, \"idle_recv_zero_alloc\": %s, "
         "\"session_overhead_within_10pct\": %s,\n"
         "    \"node_parallel_at_least_0_9x\": %s, "
         "\"node_parallel_zero_alloc\": %s}\n}\n",
@@ -731,7 +751,8 @@ int main(int argc, char** argv) {
         num(ratio).c_str(),
         static_cast<unsigned long long>(neutral.steady_alloc_rounds),
         json_rows.c_str(), num(speedup).c_str(), num(syscall_cut).c_str(),
-        probe.allocs, probe.iterations, num(session_ratio).c_str(),
+        probe.allocs, probe.iterations, probe.idle_allocs,
+        probe.idle_iterations, num(session_ratio).c_str(),
         num(session_on.rounds_per_sec).c_str(),
         num(session_off.rounds_per_sec).c_str(), session_on.reconnects,
         session_on.frames_replayed, hw, kParLanes,
@@ -741,8 +762,8 @@ int main(int argc, char** argv) {
         par_gate_skipped ? "true" : "false", meets_ratio ? "true" : "false",
         meets_alloc ? "true" : "false", meets_speedup ? "true" : "false",
         meets_syscalls ? "true" : "false", meets_send_alloc ? "true" : "false",
-        meets_session ? "true" : "false", meets_par_ratio ? "true" : "false",
-        meets_par_alloc ? "true" : "false");
+        meets_idle_alloc ? "true" : "false", meets_session ? "true" : "false",
+        meets_par_ratio ? "true" : "false", meets_par_alloc ? "true" : "false");
     std::fclose(f);
     std::printf("wrote %s\n", json_path);
   } else {
@@ -750,8 +771,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return meets_ratio && meets_alloc && meets_speedup && meets_syscalls &&
-                 meets_send_alloc && meets_session && meets_par_ratio &&
-                 meets_par_alloc
+                 meets_send_alloc && meets_idle_alloc && meets_session &&
+                 meets_par_ratio && meets_par_alloc
              ? 0
              : 1;
 }

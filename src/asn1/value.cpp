@@ -11,14 +11,15 @@ Bytes encode_twos_complement(std::int64_t v) {
   // Minimal-length two's complement per BER: strip redundant leading octets.
   Bytes out;
   bool more = true;
-  // Build little-endian then reverse.
-  std::uint64_t u = static_cast<std::uint64_t>(v);
+  // Build little-endian then reverse. `rest` shifts one octet per step (an
+  // arithmetic shift, so it settles at 0 or -1): a single shift by the
+  // whole consumed width would be undefined at 64 bits.
+  std::int64_t rest = v;
   for (int i = 0; i < 8 && more; ++i) {
-    out.push_back(static_cast<std::uint8_t>(u & 0xff));
-    const std::int64_t rest = v >> ((i + 1) * 8);
+    out.push_back(static_cast<std::uint8_t>(rest & 0xff));
+    rest >>= 8;
     const bool sign_bit = (out.back() & 0x80) != 0;
     more = !((rest == 0 && !sign_bit) || (rest == -1 && sign_bit));
-    u >>= 8;
   }
   std::reverse(out.begin(), out.end());
   return out;

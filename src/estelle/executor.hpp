@@ -306,9 +306,10 @@ struct FreeRunningStats {
 /// still parallelizes): node_workers is the node's effective worker width
 /// (resolved DistOptions::worker_count, capped at the local shard count);
 /// parallel_shard_rounds counts node rounds executed as WorkerPool
-/// continuation tasks (width >= 2) instead of the sequential per-node loop;
-/// io_overlap_polls counts transport pump calls completed while shard tasks
-/// were in flight — the compute/I-O overlap the dispatch buys.
+/// continuation tasks (width >= 2) instead of the sequential per-node loop.
+/// io_overlap_polls is always 0: nothing pumps the transport while shard
+/// tasks run (frames wait for the pump between rounds). The field stays for
+/// readers that still report it.
 struct TransportStats {
   std::uint64_t frames_sent = 0;
   std::uint64_t frames_received = 0;

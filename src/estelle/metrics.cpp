@@ -135,11 +135,9 @@ std::string MetricsObserver::to_string(std::size_t top) const {
   // transport frames but still reports its in-node dispatch.
   if (transport_.node_workers != 0)
     out += common::strf(
-        "  parallel: %llu workers/node, %llu node-parallel rounds, %llu "
-        "overlapped transport polls\n",
+        "  parallel: %llu workers/node, %llu node-parallel rounds\n",
         static_cast<unsigned long long>(transport_.node_workers),
-        static_cast<unsigned long long>(transport_.parallel_shard_rounds),
-        static_cast<unsigned long long>(transport_.io_overlap_polls));
+        static_cast<unsigned long long>(transport_.parallel_shard_rounds));
   out += "  firing-gap histogram (us, log2 buckets):\n";
   for (std::size_t b = 0; b < histogram_.size(); ++b) {
     if (histogram_[b] == 0) continue;

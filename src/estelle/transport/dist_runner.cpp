@@ -4,7 +4,6 @@
 #include <any>
 #include <chrono>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "estelle/ready_set.hpp"
@@ -349,18 +348,9 @@ void DistributedRunner::on_frame(int from, Frame& f) {
       if (f.round > p->last_round) p->last_round = f.round;
       p->quiescent = f.quiescent;
       return;
-    case FrameType::Probe: {
-      if (in_parallel_round_) {
-        // Mid-parallel-round the quiescence verdict is incoherent: the
-        // overlapped pump may have drained fresh transfers into mailboxes
-        // while last_quiescent_ still describes the previous round. Answer
-        // after this round's frames are out (flush_deferred_probes).
-        deferred_probes_.push_back({from, f.epoch});
-        return;
-      }
+    case FrameType::Probe:
       answer_probe(from, f.epoch);
       return;
-    }
     case FrameType::ProbeAck:
       p->ack_epoch = f.epoch;
       p->ack_quiescent = f.quiescent;
@@ -541,47 +531,24 @@ void DistributedRunner::parallel_shard_task(std::size_t pos) noexcept {
     std::lock_guard<std::mutex> lock(parallel_mu_);
     if (!parallel_error_) parallel_error_ = std::current_exception();
   }
-  pending_shards_.fetch_sub(1, std::memory_order_release);
 }
 
 void DistributedRunner::run_shards_parallel(std::uint64_t r, int width) {
   WorkerPool& pool = ensure_pool_width(width);
   parallel_round_ = r;
-  pending_shards_.store(static_cast<int>(local_shards_.size()),
-                        std::memory_order_relaxed);
   for (std::size_t pos = 0; pos < local_shards_.size(); ++pos) {
     // The 16-byte [this, pos] capture fits std::function's inline storage:
     // dealing a round allocates nothing (round/announce travel as members
-    // written above, published by launch()'s release edge).
+    // written above, published by the pool's release edge).
     pool.submit(static_cast<int>(pos) % width,
                 [this, pos](int) { parallel_shard_task(pos); });
   }
-  in_parallel_round_ = true;
-  pool.launch();
-  // I/O overlap: while the shard tasks run, this thread keeps servicing the
-  // transport — inbound transfers park in the (striped-mutex, thread-safe)
-  // mailboxes, Advertise/RoundDone bounds advance, heartbeats go out. The
-  // gate proof makes this safe: every transfer stamped <= r-1 arrived
-  // before the Advertise that released gate(r-1), so anything arriving now
-  // is stamped >= r and the workers' <= r-1 drains never touch it. Probe
-  // frames are the one exception — answering one mid-round could combine a
-  // stale quiescence verdict with freshly drained mailboxes — so on_frame
-  // defers them until the round's frames are out (flush_deferred_probes).
-  bool pump_ok = transport_ != nullptr;
-  while (pending_shards_.load(std::memory_order_acquire) > 0) {
-    if (!pump_ok) {
-      if (transport_ == nullptr) break;  // nothing to overlap — park below
-      std::this_thread::yield();  // pump failed: just await the tasks
-      continue;
-    }
-    maybe_heartbeat();
-    if (pump(1) == Pump::kFailed)
-      pump_ok = false;
-    else
-      ++io_overlap_polls_;
-  }
-  pool.wait_idle();  // happens-before edge for every worker-side write
-  in_parallel_round_ = false;
+  // The Sharded epoch's dispatch: the run thread drains shard rounds beside
+  // the workers, then blocks on the pool barrier (a happens-before edge for
+  // every worker-side write). It does not touch the transport mid-round —
+  // frames arriving now wait in the medium until step()'s pump(0) drain
+  // takes them in before the next round, exactly as at width 1.
+  pool.run_epoch_helping();
   ++parallel_rounds_;
 }
 
@@ -891,20 +858,6 @@ void DistributedRunner::answer_probe(int from, std::uint64_t epoch) {
   if (send_frame(from, ack)) transport_->flush();
 }
 
-bool DistributedRunner::flush_deferred_probes() {
-  // Index loop on purpose: answer_probe pumps on back-pressure, and a probe
-  // arriving during the flush is answered inline (in_parallel_round_ is
-  // false) rather than appended, so the vector cannot grow under us — but
-  // iterators could still be a latent hazard if that ever changes.
-  for (std::size_t i = 0; i < deferred_probes_.size(); ++i) {
-    const DeferredProbe p = deferred_probes_[i];
-    answer_probe(p.from, p.epoch);
-    if (!error_.empty()) return false;
-  }
-  deferred_probes_.clear();
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // The step loop
 
@@ -935,7 +888,6 @@ bool DistributedRunner::step() {
   if (!export_transfers(r)) return false;
   last_quiescent_ = !worked && !transfers_pending();
   if (!send_round_frames(r, last_quiescent_)) return false;
-  if (!flush_deferred_probes()) return false;
   round_ = r;
   ran_any_round_ = true;
   std::uint64_t burst = 1;
@@ -978,7 +930,6 @@ void DistributedRunner::decorate_report(RunReport& report) {
   // survive (and are reported) even for a transportless single-node world.
   report.transport.node_workers = node_workers_;
   report.transport.parallel_shard_rounds = parallel_rounds_;
-  report.transport.io_overlap_polls = io_overlap_polls_;
   if (!error_.empty()) {
     report.reason = StopReason::Aborted;
     report.error = error_;

@@ -14,11 +14,13 @@
 // shards execute round r together — sequentially on the run thread at
 // worker width 1, or as continuation tasks on the node's persistent
 // WorkerPool at width >= 2 (DistOptions::worker_count), with the run thread
-// pumping the transport while they run so shard compute overlaps network
-// I/O. Announcements replay on the run thread afterwards in shard id order,
-// so the trace composition is identical either way. Across nodes, only
-// channel-coupled shards synchronize, through the three PR-5 primitives as
-// explicit frames:
+// running shard tasks beside the workers up to the pool barrier (the Sharded
+// epoch's dispatch). Either way the transport is serviced only between
+// rounds: frames that arrive mid-round wait in the medium for the pump that
+// precedes the next round. Announcements replay on the run thread
+// afterwards in shard id order, so the trace composition is identical at
+// every width. Across nodes, only channel-coupled shards synchronize,
+// through the three PR-5 primitives as explicit frames:
 //
 //   * gate     — a node enters round r only when every REMOTE shard that
 //                shares a channel with a local shard has advertised r-1
@@ -67,7 +69,6 @@
 //   * one run() per process group: run end broadcasts Bye.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <exception>
@@ -130,9 +131,9 @@ struct DistOptions {
   bool batch_transfers = true;
   /// Worker threads for the node-local shard group. With width >= 2 (and at
   /// least two local shards) a node executes each round's shards as
-  /// continuation tasks on its persistent WorkerPool while the run thread
-  /// keeps servicing the transport — overlapping shard compute with network
-  /// I/O instead of alternating them. 0 ⇒ hardware_concurrency(); 1 keeps
+  /// continuation tasks on its persistent WorkerPool, the run thread helping
+  /// drain them up to the pool barrier; the transport is pumped between
+  /// rounds, as at width 1. 0 ⇒ hardware_concurrency(); 1 keeps
   /// the sequential per-node loop (the FreeRunning → Sharded fallback rule;
   /// conflicted specifications are refused outright, so width never races
   /// an unproven spec). Capped at the local shard count;
@@ -229,9 +230,8 @@ class DistributedRunner final : public ShardedExecutor {
 
   /// Execute node round `r` over the local shards; returns true when any
   /// shard fired or leapt a delay (the round did local work). Width >= 2
-  /// deals the shards to the WorkerPool and overlaps the round with
-  /// transport pumping; width 1 (or a single local shard) runs the
-  /// sequential per-node loop. Either way announcements (observer +
+  /// deals the shards to the WorkerPool; width 1 (or a single local shard)
+  /// runs the sequential per-node loop. Either way announcements (observer +
   /// trace_hook) replay on the run thread afterwards, in shard id order.
   bool run_round(std::uint64_t r);
   /// This round's effective worker width: resolved DistOptions::worker_count
@@ -241,14 +241,11 @@ class DistributedRunner final : public ShardedExecutor {
   /// shard_worked_[pos] and (when announcing) the shard's fired_log. Worker
   /// context under run_shards_parallel, run-thread context inline.
   void run_one_shard(std::size_t pos, std::uint64_t r, bool announce);
-  /// Deal every local shard to the pool, pump the transport while they run
-  /// (deferring Probe answers), then quiesce the pool.
+  /// Deal every local shard to the pool and help run them up to the
+  /// epoch barrier (WorkerPool::run_epoch_helping).
   void run_shards_parallel(std::uint64_t r, int width);
   void parallel_shard_task(std::size_t pos) noexcept;
   void answer_probe(int from, std::uint64_t epoch);
-  /// Answer Probe frames that arrived during a parallel round (after
-  /// send_round_frames, so the verdict reflects the completed round).
-  bool flush_deferred_probes();
   /// Ship every transfer parked on remote replica endpoints: coalesced into
   /// one TransferBatch per peer (batch_transfers, the default) or as one
   /// Transfer frame each; pumps through transport back-pressure.
@@ -321,24 +318,15 @@ class DistributedRunner final : public ShardedExecutor {
   std::vector<PeerBatch> peer_batches_;
 
   // Node-parallel round state. parallel_round_/parallel_announce_ are
-  // written on the run thread before launch() and read by workers through
-  // the pool's release edge; pending_shards_ lets the overlap loop poll for
-  // completion without touching the pool.
+  // written on the run thread before the epoch is released and read by
+  // workers through the pool's release edge.
   std::vector<ContinuationDelta> shard_deltas_;  // per local shard
-  std::atomic<int> pending_shards_{0};
   std::uint64_t parallel_round_ = 0;
   bool parallel_announce_ = false;
-  bool in_parallel_round_ = false;  // run thread only: defer Probe answers
   std::mutex parallel_mu_;          // guards parallel_error_
   std::exception_ptr parallel_error_;
-  struct DeferredProbe {
-    int from = 0;
-    std::uint64_t epoch = 0;
-  };
-  std::vector<DeferredProbe> deferred_probes_;
   std::uint64_t node_workers_ = 0;       // latest round's effective width
   std::uint64_t parallel_rounds_ = 0;    // rounds run on the pool
-  std::uint64_t io_overlap_polls_ = 0;   // pumps completed mid-round
 };
 
 }  // namespace mcam::estelle

@@ -155,7 +155,8 @@ Result<MeshSetup> build_mesh(
 
 }  // namespace
 
-StreamSocketTransport::StreamSocketTransport(std::vector<PeerFd> peers) {
+StreamSocketTransport::StreamSocketTransport(std::vector<PeerFd> peers)
+    : pfds_(peers.size() + 1) {  // one slot per peer plus the listener
   conns_.reserve(peers.size());
   for (const PeerFd& p : peers) {
     set_nonblocking(p.fd);
@@ -914,7 +915,6 @@ MailboxTransport::RecvOutcome StreamSocketTransport::recv(int* from,
                                                           std::string* error) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
-  std::vector<pollfd> pfds(conns_.size() + 1);
   for (;;) {
     service_reconnects(true);
     // Frames salvaged across a reconnect outrank everything on the new
@@ -1044,8 +1044,10 @@ MailboxTransport::RecvOutcome StreamSocketTransport::recv(int* from,
     // too, not only kAckIntervalFrames-sized bursts.
     for (Conn& c : conns_) maybe_ack(c, /*idle=*/true);
     const auto now = std::chrono::steady_clock::now();
+    // Round the remaining budget UP: truncating would turn a sub-millisecond
+    // remainder into poll(0) and end every wait up to 1 ms early.
     const auto left =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
+        std::chrono::ceil<std::chrono::milliseconds>(deadline - now);
     const int budget_wait = timeout_ms <= 0 ? 0
                             : left.count() > 0 ? static_cast<int>(left.count())
                                                : 0;
@@ -1077,34 +1079,34 @@ MailboxTransport::RecvOutcome StreamSocketTransport::recv(int* from,
     std::size_t n = 0;
     for (Conn& c : conns_) {
       if (dead(c) || c.fd < 0) continue;
-      pfds[n].fd = c.fd;
-      pfds[n].events = static_cast<short>(
+      pfds_[n].fd = c.fd;
+      pfds_[n].events = static_cast<short>(
           (c.rx_eof ? 0 : POLLIN) |
           (!c.closed && tx_backlog(c) > 0 ? POLLOUT : 0));
-      pfds[n].revents = 0;
+      pfds_[n].revents = 0;
       ++n;
     }
     std::size_t listener_at = SIZE_MAX;
     if (listener_fd_ >= 0 && session_.reconnect_max_attempts > 0) {
-      pfds[n].fd = listener_fd_;
-      pfds[n].events = POLLIN;
-      pfds[n].revents = 0;
+      pfds_[n].fd = listener_fd_;
+      pfds_[n].events = POLLIN;
+      pfds_[n].revents = 0;
       listener_at = n;
       ++n;
     }
-    const int ready = ::poll(pfds.data(), n, wait);
+    const int ready = ::poll(pfds_.data(), n, wait);
     bool got_bytes = false;
     if (ready > 0) {
       std::size_t k = 0;
       for (Conn& c : conns_) {
         if (dead(c) || c.fd < 0) continue;
-        const short rev = pfds[k++].revents;
+        const short rev = pfds_[k++].revents;
         if ((rev & POLLOUT) && c.fd >= 0) try_flush(c);
         if (c.fd >= 0 && !c.rx_eof && (rev & (POLLIN | POLLHUP | POLLERR)) &&
             drain_fd(c))
           got_bytes = true;
       }
-      if (listener_at != SIZE_MAX && (pfds[listener_at].revents & POLLIN)) {
+      if (listener_at != SIZE_MAX && (pfds_[listener_at].revents & POLLIN)) {
         accept_pending();
         got_bytes = true;  // a resume may have queued salvage/replay work
       }

@@ -73,6 +73,8 @@
 //     configure_session() is accepted but a loss surfaces kClosed.
 #pragma once
 
+#include <poll.h>
+
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -255,6 +257,7 @@ class StreamSocketTransport final : public MailboxTransport {
   std::function<int(int peer)> dial_;  // mesh redial; empty for from_fds
   common::Bytes ctrl_buf_;             // control-frame encode scratch
   std::vector<common::Bytes> spare_;   // recycled replay-ring buffers
+  std::vector<pollfd> pfds_;  // recv()'s poll set: every conn + listener
 };
 
 }  // namespace mcam::estelle

@@ -18,17 +18,19 @@
 //   * the null-message machinery actually runs: an idle pipeline stage
 //     services provably-empty rounds and the transport counts them;
 //   * in-node parallelism is invisible: dealing a node's shards to a
-//     WorkerPool (DistOptions::worker_count) while the run thread pumps the
-//     transport produces the identical merged trace, worlds and fired
-//     counts at every width — with and without injected wire faults, in
-//     threads and in forked processes.
+//     WorkerPool (DistOptions::worker_count), the run thread helping, produces
+//     the identical merged trace, worlds and fired counts at every width —
+//     with and without injected wire faults, in threads and in forked
+//     processes — and a node-parallel round never sits in a transport wait.
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -396,8 +398,8 @@ TEST(DistRunner, TwoNodeLoopbackMergedTraceMatchesSequential) {
 TEST(DistRunner, NodeParallelLoopbackSweepMatchesSequential) {
   // The loopback sweep again, at every in-node width: worker_count 1 is the
   // sequential per-node loop, 2 and 4 deal the node's shards to a
-  // WorkerPool while the run thread pumps the transport. The merged trace
-  // must not move by a single event at any width.
+  // WorkerPool that the run thread helps drain. The merged trace must not
+  // move by a single event at any width.
   const int n = spec_count();
   int swept = 0;
   std::uint64_t parallel_rounds = 0;
@@ -535,7 +537,7 @@ TEST(DistRunner, TwoNodeUnixSocketDifferential) {
 
 TEST(DistRunner, NodeParallelUnixSocketDifferential) {
   // Node-parallel rounds over the real BER wire (threads, TSan-covered):
-  // the overlapped pump drains socket frames while the pool runs shards.
+  // socket frames arriving mid-round wait for the next between-rounds pump.
   const int n = spec_count();
   int swept = 0;
   for (std::uint64_t seed = 1;
@@ -575,6 +577,182 @@ TEST(DistRunner, NodeParallelUnixSocketDifferential) {
     if (HasFatalFailure()) return;
   }
   EXPECT_GE(swept, 1);
+}
+
+/// Forwards everything to `inner`, counting the waits its user sat out:
+/// recv() calls with a positive timeout that came back kIdle.
+class IdleWaitCounter final : public MailboxTransport {
+ public:
+  explicit IdleWaitCounter(std::shared_ptr<MailboxTransport> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] const std::vector<int>& peers() const noexcept override {
+    return inner_->peers();
+  }
+  common::Status send(int peer, Frame& f) override {
+    return inner_->send(peer, f);
+  }
+  void flush() override { inner_->flush(); }
+  RecvOutcome recv(int* from, Frame* out, int timeout_ms,
+                   std::string* error) override {
+    const RecvOutcome got = inner_->recv(from, out, timeout_ms, error);
+    if (timeout_ms > 0 && got == RecvOutcome::kIdle) ++idle_waits_;
+    return got;
+  }
+  void configure_session(const SessionOptions& so) override {
+    inner_->configure_session(so);
+  }
+  bool sever(int peer) override { return inner_->sever(peer); }
+  [[nodiscard]] const TransportStats& stats() const noexcept override {
+    return inner_->stats();
+  }
+  [[nodiscard]] TransportStats& mutable_stats() noexcept override {
+    return inner_->mutable_stats();
+  }
+
+  [[nodiscard]] std::uint64_t idle_waits() const noexcept {
+    return idle_waits_;
+  }
+
+ private:
+  std::shared_ptr<MailboxTransport> inner_;
+  std::uint64_t idle_waits_ = 0;
+};
+
+/// kLanes ping-pong lanes with every endpoint in its own system module:
+/// lane i's left module is shard 2i (node 0), its right module shard 2i+1
+/// (node 1), so each node owns kLanes shards and deals them to its pool
+/// every round. A ball in each direction keeps every lane firing each
+/// round; runs are bounded by max_steps.
+struct LaneWorld {
+  static constexpr int kLanes = 4;
+  Specification spec{"lanes"};
+
+  LaneWorld() {
+    std::vector<Module*> ends;
+    for (int lane = 0; lane < kLanes; ++lane) {
+      auto& left =
+          spec.root()
+              .create_child<Module>("l" + std::to_string(lane),
+                                    Attribute::SystemProcess)
+              .create_child<Module>("w", Attribute::Process);
+      auto& right =
+          spec.root()
+              .create_child<Module>("r" + std::to_string(lane),
+                                    Attribute::SystemProcess)
+              .create_child<Module>("w", Attribute::Process);
+      connect(left.ip("out"), right.ip("in"));
+      connect(right.ip("out"), left.ip("in"));
+      for (Module* m : {&left, &right}) {
+        InteractionPoint* out = &m->ip("out");
+        m->trans("hit").when(m->ip("in")).cost(SimTime::from_us(5)).action(
+            [out](Module& mm, const Interaction* msg) {
+              out->output(Interaction(1, msg->value));
+              mm.set_state(mm.state() + 1);
+            });
+        ends.push_back(m);
+      }
+    }
+    spec.initialize();
+    for (std::size_t i = 0; i < ends.size(); ++i)
+      ends[i]->ip("out").output(
+          Interaction(1, asn1::Value::integer(static_cast<std::int64_t>(i))));
+  }
+};
+
+TEST(DistRunner, NodeParallelRoundsDoNotWaitOnTheTransport) {
+  // Regression: a node-parallel round once polled the transport with a 1 ms
+  // timeout until its shard tasks finished — waiting out the whole
+  // millisecond on loopback, spinning on zero-timeout polls over sockets.
+  // The run thread now helps run the shard tasks and pumps only between
+  // rounds, so a positive-timeout recv that comes back empty is left to
+  // the rare gate or handshake wait that outlasts its timeout.
+  constexpr std::uint64_t kRounds = 200;
+  for (const bool sockets : {false, true}) {
+    for (const int workers : {2, 4}) {
+      SCOPED_TRACE(std::string(sockets ? "unix" : "loopback") + " workers " +
+                   std::to_string(workers));
+      LoopbackHub hub(2);
+      std::vector<std::shared_ptr<MailboxTransport>> loopback;
+      for (int node = 0; node < 2; ++node)
+        loopback.push_back(
+            std::shared_ptr<MailboxTransport>(hub.endpoint(node)));
+      const std::string dir = sockets ? make_temp_dir() : std::string();
+      if (sockets) {
+        ASSERT_FALSE(dir.empty());
+      }
+      std::vector<std::shared_ptr<IdleWaitCounter>> counters(2);
+      std::vector<RunReport> reports(2);
+      std::vector<std::string> mesh_errors(2);
+      std::vector<std::thread> threads;
+      for (int node = 0; node < 2; ++node)
+        threads.emplace_back([&, node] {
+          const auto at = static_cast<std::size_t>(node);
+          std::shared_ptr<MailboxTransport> inner = loopback[at];
+          if (sockets) {
+            auto mesh = StreamSocketTransport::unix_mesh(node, 2, dir);
+            if (!mesh.ok()) {
+              mesh_errors[at] = mesh.error().message;
+              return;
+            }
+            inner = std::shared_ptr<MailboxTransport>(std::move(mesh.value()));
+          }
+          counters[at] = std::make_shared<IdleWaitCounter>(std::move(inner));
+          LaneWorld world;
+          DistOptions opts;
+          opts.node = node;
+          opts.nodes = 2;
+          opts.transport = counters[at];
+          opts.gate_timeout_ms = 20000;
+          opts.worker_count = workers;
+          ExecutorConfig cfg;
+          cfg.kind = ExecutorKind::Distributed;
+          cfg.backend_options = opts;
+          auto executor = make_executor(world.spec, cfg);
+          reports[at] = executor->run(
+              {.stop = {StopCondition::max_steps(kRounds)}, .observers = {}});
+        });
+      for (std::thread& t : threads) t.join();
+      if (sockets) std::filesystem::remove_all(dir);
+      for (int node = 0; node < 2; ++node) {
+        SCOPED_TRACE("node " + std::to_string(node));
+        const auto at = static_cast<std::size_t>(node);
+        ASSERT_TRUE(mesh_errors[at].empty()) << mesh_errors[at];
+        const RunReport& r = reports[at];
+        ASSERT_EQ(r.reason, StopReason::StepLimit) << r.error;
+        ASSERT_EQ(r.steps, kRounds);
+        // Vacuity guard: every round really ran on the pool.
+        EXPECT_EQ(r.transport.node_workers,
+                  static_cast<std::uint64_t>(workers));
+        EXPECT_EQ(r.transport.parallel_shard_rounds, kRounds);
+        EXPECT_LT(counters[at]->idle_waits() * 10, kRounds)
+            << counters[at]->idle_waits() << " idle transport waits in "
+            << kRounds << " rounds";
+      }
+    }
+  }
+}
+
+TEST(SocketTransport, IdleRecvWaitsOutItsWholeTimeout) {
+  // The remaining budget rounds up, never down: an idle recv(…, 5) sleeps
+  // at least 5 ms instead of ending up to 1 ms early in zero-timeout polls.
+  // Only the lower bound is checked, so a loaded host cannot make it flaky.
+  int sv[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  auto t = StreamSocketTransport::from_fds({{1, sv[0]}});
+  for (const int timeout_ms : {1, 5}) {
+    SCOPED_TRACE("timeout " + std::to_string(timeout_ms) + " ms");
+    int from = -1;
+    Frame f;
+    std::string why;
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(t->recv(&from, &f, timeout_ms, &why),
+              MailboxTransport::RecvOutcome::kIdle)
+        << why;
+    EXPECT_GE(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(timeout_ms));
+  }
+  ::close(sv[1]);  // EOF lets the transport's graceful close end at once
 }
 
 // ---------------------------------------------------------------------------
@@ -895,7 +1073,7 @@ TEST(DistRunner, MultiProcessUnixSocketDifferential) {
     ASSERT_FALSE(dir.empty());
     // Cycle the in-node width across the sweep: real processes must be
     // differential-identical whether their shards run sequentially or on a
-    // WorkerPool overlapped with the socket pump.
+    // WorkerPool.
     const int workers = seed % 3 == 0 ? 1 : seed % 3 == 1 ? 2 : 4;
     SCOPED_TRACE("workers " + std::to_string(workers));
 
@@ -965,7 +1143,7 @@ TEST(DistRunner, WireFaultRecoveryPreservesUnixDifferential) {
   for (std::uint64_t fs = 1; fs <= 6; ++fs) {
     SCOPED_TRACE("fault seed " + std::to_string(fs));
     // Faults × node-parallel widths under TSan: the width cycle proves
-    // recovery replay and the overlapped pump compose at every width.
+    // recovery replay and node-parallel rounds compose at every width.
     const int workers = fs % 3 == 0 ? 1 : fs % 3 == 1 ? 2 : 4;
     SCOPED_TRACE("workers " + std::to_string(workers));
     const std::string dir = make_temp_dir();
