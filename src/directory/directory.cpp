@@ -1,6 +1,8 @@
 #include "directory/directory.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <set>
 
 #include "common/strf.hpp"
@@ -48,37 +50,66 @@ std::optional<std::string> MovieEntry::attribute(
   return std::nullopt;
 }
 
+namespace {
+
+// The lowest accepted frame rate: attribute("fps") prints three decimals,
+// so a lower rate would read back as a value the setter rejects. It also
+// keeps the frame interval (1e9 / fps ns) inside the int64 clock.
+constexpr double kMinFps = 0.001;
+
+// The whole string as a T, or nullopt: no whitespace, no trailing
+// characters and, for unsigned T, no sign.
+template <typename T>
+std::optional<T> parse_number(const std::string& text) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return v;
+}
+
+Error no_entry(std::uint64_t id) {
+  return Error::make(kNoSuchEntry, "no entry " + std::to_string(id));
+}
+
+Error duplicate_title(const std::string& title) {
+  return Error::make(kDuplicateTitle, "title already present: " + title);
+}
+
+}  // namespace
+
 Status MovieEntry::set_attribute(const std::string& name,
                                  const std::string& value) {
-  try {
-    if (name == "title") {
-      title = value;
-    } else if (name == "format") {
-      auto f = format_from(value);
-      if (!f) return Error::make(kBadAttribute, "unknown format " + value);
-      format = *f;
-    } else if (name == "width") {
-      width = std::stoi(value);
-    } else if (name == "height") {
-      height = std::stoi(value);
-    } else if (name == "fps") {
-      fps = std::stod(value);
-    } else if (name == "duration") {
-      duration_frames = std::stoull(value);
-    } else if (name == "location-host") {
-      location_host = value;
-    } else if (name == "location-path") {
-      location_path = value;
-    } else if (name == "rights") {
-      rights = value;
-    } else if (name == "size") {
-      size_bytes = std::stoull(value);
-    } else {
-      return Error::make(kBadAttribute, "unknown attribute " + name);
-    }
-  } catch (const std::exception&) {
+  const auto bad_value = [&] {
     return Error::make(kBadAttribute,
                        "bad value '" + value + "' for attribute " + name);
+  };
+  if (name == "title") {
+    title = value;
+  } else if (name == "format") {
+    auto f = format_from(value);
+    if (!f) return Error::make(kBadAttribute, "unknown format " + value);
+    format = *f;
+  } else if (name == "width" || name == "height") {
+    auto v = parse_number<int>(value);
+    if (!v || *v <= 0) return bad_value();
+    (name == "width" ? width : height) = *v;
+  } else if (name == "fps") {
+    auto v = parse_number<double>(value);
+    if (!v || !std::isfinite(*v) || *v < kMinFps) return bad_value();
+    fps = *v;
+  } else if (name == "duration" || name == "size") {
+    auto v = parse_number<std::uint64_t>(value);
+    if (!v) return bad_value();
+    (name == "duration" ? duration_frames : size_bytes) = *v;
+  } else if (name == "location-host") {
+    location_host = value;
+  } else if (name == "location-path") {
+    location_path = value;
+  } else if (name == "rights") {
+    rights = value;
+  } else {
+    return Error::make(kBadAttribute, "unknown attribute " + name);
   }
   return Status{};
 }
@@ -196,11 +227,23 @@ std::string Filter::to_string() const {
 
 Dsa::Dsa(std::string domain) : domain_(std::move(domain)) {}
 
+const MovieEntry* Dsa::titled(const std::string& title) const {
+  auto hit = by_title_.find(title);
+  return hit == by_title_.end() ? nullptr : &entries_.at(hit->second);
+}
+
+Status Dsa::retitle(Entries::iterator it, const std::string& title) {
+  if (title == it->second.title) return Status{};
+  if (!by_title_.try_emplace(title, it->first).second)
+    return duplicate_title(title);
+  by_title_.erase(it->second.title);
+  it->second.title = title;
+  return Status{};
+}
+
 Result<std::uint64_t> Dsa::add(MovieEntry entry) {
-  for (const auto& [id, existing] : entries_)
-    if (existing.title == entry.title)
-      return Error::make(kDuplicateTitle,
-                         "title already present: " + entry.title);
+  if (!by_title_.try_emplace(entry.title, next_id_).second)
+    return duplicate_title(entry.title);
   entry.id = next_id_++;
   const std::uint64_t id = entry.id;
   entries_.emplace(id, std::move(entry));
@@ -208,34 +251,47 @@ Result<std::uint64_t> Dsa::add(MovieEntry entry) {
 }
 
 Status Dsa::remove(std::uint64_t id) {
-  if (entries_.erase(id) == 0)
-    return Error::make(kNoSuchEntry, "no entry " + std::to_string(id));
+  auto it = entries_.find(id);
+  if (it == entries_.end()) return no_entry(id);
+  by_title_.erase(it->second.title);
+  entries_.erase(it);
   return Status{};
 }
 
 Result<MovieEntry> Dsa::read(std::uint64_t id) const {
   auto it = entries_.find(id);
-  if (it == entries_.end())
-    return Error::make(kNoSuchEntry, "no entry " + std::to_string(id));
+  if (it == entries_.end()) return no_entry(id);
   return it->second;
 }
 
 Result<MovieEntry> Dsa::find_by_title(const std::string& title) const {
-  for (const auto& [id, entry] : entries_)
-    if (entry.title == title) return entry;
+  if (const MovieEntry* entry = titled(title)) return *entry;
   return Error::make(kNoSuchEntry, "no movie titled '" + title + "'");
 }
 
 Status Dsa::modify(std::uint64_t id, const std::string& attr,
                    const std::string& value) {
   auto it = entries_.find(id);
-  if (it == entries_.end())
-    return Error::make(kNoSuchEntry, "no entry " + std::to_string(id));
+  if (it == entries_.end()) return no_entry(id);
+  if (attr == "title") return retitle(it, value);
   return it->second.set_attribute(attr, value);
+}
+
+Status Dsa::update(MovieEntry entry) {
+  auto it = entries_.find(entry.id);
+  if (it == entries_.end()) return no_entry(entry.id);
+  if (auto st = retitle(it, entry.title); !st.ok()) return st;
+  it->second = std::move(entry);
+  return Status{};
 }
 
 std::vector<MovieEntry> Dsa::search(const Filter& filter) const {
   std::vector<MovieEntry> out;
+  if (filter.op() == Filter::Op::Equal && filter.attr() == "title") {
+    if (const MovieEntry* entry = titled(filter.value()))
+      out.push_back(*entry);
+    return out;
+  }
   for (const auto& [id, entry] : entries_)
     if (filter.matches(entry)) out.push_back(entry);
   return out;

@@ -7,6 +7,11 @@
 // X.500-style filters (presence/equality/substring with and/or/not), and
 // chained operation between DSAs (a query not answerable locally is
 // forwarded to peer DSAs, hop-limited).
+//
+// Titles are unique within one DSA, so each DSA keeps a title index beside
+// its id-ordered entries: title lookup, the duplicate-title check and
+// searches for one exact title cost the same at any catalogue size. Every
+// other filter scans the entries in id order.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -46,6 +52,11 @@ struct MovieEntry {
   /// fps, duration, location-host, location-path, rights, size.
   [[nodiscard]] std::optional<std::string> attribute(
       const std::string& name) const;
+  /// Parses `value` (it arrives in MCAM PDUs) and sets the attribute, or
+  /// fails with kBadAttribute and leaves the entry unchanged. Numbers are
+  /// plain decimal, with nothing before or after: width and height are
+  /// positive, duration and size unsigned, and fps a finite rate of at
+  /// least 0.001, the precision attribute("fps") prints.
   common::Status set_attribute(const std::string& name,
                                const std::string& value);
   /// All attributes as (name, value) pairs, stable order.
@@ -96,20 +107,35 @@ enum DirectoryError : int {
 /// Directory System Agent: one per administrative domain (server host).
 /// Peers form the distributed directory; search_chained consults them when
 /// the local base has no match.
+///
+/// Invariant: no two entries share a title. add, modify and update reject a
+/// title another entry holds with kDuplicateTitle; setting an entry's title
+/// to its current title succeeds. The title index (title → id) follows
+/// every add, remove, modify and update. find_by_title, the duplicate check
+/// and a search whose top-level filter is Filter::equal("title", ...) read
+/// the index; every other search scans the entries in id order.
 class Dsa {
  public:
   explicit Dsa(std::string domain);
 
   [[nodiscard]] const std::string& domain() const noexcept { return domain_; }
 
-  /// Add an entry (id assigned). Titles are unique per DSA.
+  /// Add an entry (id assigned); fails if another entry has its title.
   common::Result<std::uint64_t> add(MovieEntry entry);
   common::Status remove(std::uint64_t id);
   [[nodiscard]] common::Result<MovieEntry> read(std::uint64_t id) const;
+  /// Index lookup.
   common::Result<MovieEntry> find_by_title(const std::string& title) const;
+  /// Set one attribute (MovieEntry::set_attribute); a title change must not
+  /// collide with another entry's title.
   common::Status modify(std::uint64_t id, const std::string& attr,
                         const std::string& value);
+  /// Replace the entry whose id is `entry.id` with `entry` in one step, so
+  /// several attribute changes land together or not at all. Fails with
+  /// kNoSuchEntry, or kDuplicateTitle if another entry has the title.
+  common::Status update(MovieEntry entry);
 
+  /// Matches in id order (at most one for an exact-title filter).
   [[nodiscard]] std::vector<MovieEntry> search(const Filter& filter) const;
   /// Chained search: local base plus peer DSAs, breadth-first, hop-limited,
   /// duplicate-free (by (domain, id)).
@@ -120,9 +146,15 @@ class Dsa {
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
  private:
+  using Entries = std::map<std::uint64_t, MovieEntry>;
+
+  [[nodiscard]] const MovieEntry* titled(const std::string& title) const;
+  common::Status retitle(Entries::iterator it, const std::string& title);
+
   std::string domain_;
   std::uint64_t next_id_ = 1;
-  std::map<std::uint64_t, MovieEntry> entries_;
+  Entries entries_;
+  std::unordered_map<std::string, std::uint64_t> by_title_;
   std::vector<Dsa*> peers_;
 };
 

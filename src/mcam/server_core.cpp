@@ -161,13 +161,16 @@ Pdu McamServerCore::handle_in_session(Session& s, const Pdu& request) {
         } else if constexpr (std::is_same_v<T, AttrModifyReq>) {
           auto movie = dsa_.read(req.movie_id);
           if (!movie.ok()) return AttrModifyResp{ResultCode::NoSuchMovie};
-          if (movie.value().rights != "public" &&
-              movie.value().rights != s.user)
+          MovieEntry& e = movie.value();
+          if (e.rights != "public" && e.rights != s.user)
             return AttrModifyResp{ResultCode::AccessDenied};
+          // All or nothing: edit the copy, then commit it in one step.
           for (const Attr& a : req.attrs) {
-            if (auto st = dsa_.modify(req.movie_id, a.name, a.value); !st.ok())
+            if (auto st = e.set_attribute(a.name, a.value); !st.ok())
               return AttrModifyResp{ResultCode::BadAttribute};
           }
+          if (!dsa_.update(std::move(e)).ok())
+            return AttrModifyResp{ResultCode::DuplicateMovie};
           return AttrModifyResp{ResultCode::Success};
         }
 

@@ -97,6 +97,24 @@ TEST_P(StackParamTest, CreateModifyDeleteLifecycle) {
   rights = client.query_attributes(movie, {"rights"});
   EXPECT_EQ(rights.value().attrs[0].value, "public");
 
+  // A modify is all or nothing: one bad attribute, or a rename onto another
+  // movie's title, leaves every attribute of the request unapplied.
+  ASSERT_TRUE(
+      client.modify_attributes(movie, {{"location-path", "/old"}}).ok());
+  auto partial = client.modify_attributes(
+      movie, {{"location-path", "/new"}, {"width", "bogus"}});
+  ASSERT_TRUE(partial.ok());
+  EXPECT_EQ(partial.value().result, ResultCode::BadAttribute);
+  ASSERT_TRUE(client.create_movie("other-video").ok());
+  auto clash = client.modify_attributes(
+      movie, {{"location-path", "/new"}, {"title", "other-video"}});
+  ASSERT_TRUE(clash.ok());
+  EXPECT_EQ(clash.value().result, ResultCode::DuplicateMovie);
+  auto kept = client.query_attributes(movie, {"title", "location-path"});
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept.value().attrs[0].value, "home-video");
+  EXPECT_EQ(kept.value().attrs[1].value, "/old");
+
   auto deleted = client.delete_movie(movie);
   ASSERT_TRUE(deleted.ok());
   EXPECT_EQ(deleted.value().result, ResultCode::Success);
