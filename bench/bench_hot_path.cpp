@@ -1,5 +1,5 @@
 // Sparse-activity hot-path bench: event-driven dirty-set scheduling vs the
-// legacy full-tree scan (ExecutorConfig::full_scan).
+// full-tree scan it replaced.
 //
 // The workload models a real protocol stack's steady state: N protocol
 // entities exist, K ≪ N are active. Idle entities are consumers parked on
@@ -8,13 +8,17 @@
 // pairs exchanging a token every round, so every round fires K transitions
 // forever. Sweeping N at fixed K shows the point of the PR:
 //
-//   * full scan — guards examined per firing grows linearly with N;
-//   * dirty set — it stays flat (only the modules something happened to are
-//     examined), rounds/sec stops degrading with idle population, and a
-//     steady-state round performs zero heap allocations
-//     (RunReport::rounds_with_allocation, counter-verified here).
+//   * full scan — guards examined per firing grows linearly with N. Each
+//     baseline round is the round the ready set replaced: one
+//     collect_firing_set over the system module, then every candidate that
+//     still revalidates fires. It is timed bare, with no executor around it.
+//   * dirty set — the Sequential executor. Guards per firing stay flat (only
+//     the modules something happened to are examined), rounds/sec stops
+//     degrading with idle population, and a steady-state round performs
+//     zero heap allocations (RunReport::rounds_with_allocation,
+//     counter-verified here).
 //
-// Acceptance (ISSUE 4): at N=1024, K=8 the guards-examined-per-firing ratio
+// Acceptance: at N=1024, K=8 the guards-examined-per-firing ratio
 // full/dirty must be >= 10x, and the warmed second run must report zero
 // allocating rounds.
 //
@@ -28,12 +32,12 @@
 
 #include "estelle/executor.hpp"
 #include "estelle/module.hpp"
+#include "estelle/sched.hpp"
 
 using namespace mcam;
 using common::SimTime;
 using estelle::Attribute;
-using estelle::ExecutorConfig;
-using estelle::ExecutorKind;
+using estelle::FiringCandidate;
 using estelle::Interaction;
 using estelle::Module;
 using estelle::RunReport;
@@ -90,26 +94,60 @@ struct Measurement {
   unsigned long long steady_alloc_rounds = 0;  // second (warmed) run
 };
 
-Measurement run_once(int entities, int active, std::uint64_t rounds,
-                     bool full_scan) {
+double elapsed_ms(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// The baseline: `rounds` tree-scan rounds after a warm-up tenth.
+Measurement run_scan(int entities, int active, std::uint64_t rounds) {
   SparseWorld world(entities, active);
-  ExecutorConfig cfg;
-  cfg.full_scan = full_scan;
-  auto executor = estelle::make_executor(*world.spec, cfg);
-  // Warm-up run sizes every persistent buffer; the measured run is the
-  // steady state the counters certify.
+  Module& sys = *world.spec->system_modules().front();
+  const SimTime now{};  // no delay clauses: the clock does not matter
+  std::uint64_t guards = 0;
+  std::uint64_t fired = 0;
+  const auto round = [&] {
+    int effort = 0;
+    for (const FiringCandidate& c :
+         estelle::collect_firing_set(sys, now, &effort)) {
+      if (!estelle::is_fireable(*c.transition, *c.module, now)) continue;
+      estelle::fire(c, now);
+      ++fired;
+    }
+    guards += static_cast<std::uint64_t>(effort);
+  };
+  for (std::uint64_t r = 0; r < rounds / 10 + 1; ++r) round();
+  guards = 0;
+  fired = 0;
+
+  const auto start = std::chrono::steady_clock::now();
+  for (std::uint64_t r = 0; r < rounds; ++r) round();
+  Measurement m;
+  m.wall_ms = elapsed_ms(start);
+  m.rounds_per_sec =
+      m.wall_ms > 0 ? static_cast<double>(rounds) / (m.wall_ms / 1e3) : 0;
+  m.fired = fired;
+  m.guards_per_firing =
+      fired > 0 ? static_cast<double>(guards) / static_cast<double>(fired) : 0;
+  return m;
+}
+
+/// The dirty set: the Sequential executor, `rounds` rounds after a warm-up
+/// run that sizes every persistent buffer; the measured run is the steady
+/// state the counters certify.
+Measurement run_dirty(int entities, int active, std::uint64_t rounds) {
+  SparseWorld world(entities, active);
+  auto executor = estelle::make_executor(*world.spec);
   executor->run({.stop = {StopCondition::max_steps(rounds / 10 + 1)}});
 
   const auto start = std::chrono::steady_clock::now();
   const RunReport r =
       executor->run({.stop = {StopCondition::max_steps(rounds)}});
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
   Measurement m;
-  m.wall_ms = wall_ms;
+  m.wall_ms = elapsed_ms(start);
   m.rounds_per_sec =
-      wall_ms > 0 ? static_cast<double>(r.steps) / (wall_ms / 1e3) : 0;
+      m.wall_ms > 0 ? static_cast<double>(r.steps) / (m.wall_ms / 1e3) : 0;
   m.fired = r.fired;
   m.guards_per_firing =
       r.fired > 0 ? static_cast<double>(r.guards_examined) /
@@ -119,11 +157,11 @@ Measurement run_once(int entities, int active, std::uint64_t rounds,
   return m;
 }
 
-Measurement best_of(int entities, int active, std::uint64_t rounds,
-                    bool full_scan, int reps = 3) {
-  Measurement best = run_once(entities, active, rounds, full_scan);
+template <typename Run>
+Measurement best_of(Run run, int reps = 3) {
+  Measurement best = run();
   for (int i = 1; i < reps; ++i) {
-    Measurement m = run_once(entities, active, rounds, full_scan);
+    Measurement m = run();
     if (m.wall_ms < best.wall_ms) best = m;
   }
   return best;
@@ -155,9 +193,10 @@ int main(int argc, char** argv) {
   bool meets_alloc = false;
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const int n = sweep[i];
-    const Measurement full = best_of(n, kActive, kRounds, /*full_scan=*/true);
+    const Measurement full =
+        best_of([&] { return run_scan(n, kActive, kRounds); });
     const Measurement dirty =
-        best_of(n, kActive, kRounds, /*full_scan=*/false);
+        best_of([&] { return run_dirty(n, kActive, kRounds); });
     const double speedup =
         dirty.wall_ms > 0 ? full.wall_ms / dirty.wall_ms : 0;
     const double ratio = dirty.guards_per_firing > 0

@@ -56,6 +56,10 @@ namespace {
 // so a lower rate would read back as a value the setter rejects. It also
 // keeps the frame interval (1e9 / fps ns) inside the int64 clock.
 constexpr double kMinFps = 0.001;
+// The highest accepted frame rate: one frame per nanosecond. Above it the
+// frame interval truncates to 0 ns, and a stream sender would emit every
+// remaining frame of the movie in one step.
+constexpr double kMaxFps = 1e9;
 
 // The whole string as a T, or nullopt: no whitespace, no trailing
 // characters and, for unsigned T, no sign.
@@ -96,7 +100,8 @@ Status MovieEntry::set_attribute(const std::string& name,
     (name == "width" ? width : height) = *v;
   } else if (name == "fps") {
     auto v = parse_number<double>(value);
-    if (!v || !std::isfinite(*v) || *v < kMinFps) return bad_value();
+    if (!v || !std::isfinite(*v) || *v < kMinFps || *v > kMaxFps)
+      return bad_value();
     fps = *v;
   } else if (name == "duration" || name == "size") {
     auto v = parse_number<std::uint64_t>(value);

@@ -55,8 +55,8 @@ struct MovieEntry {
   /// Parses `value` (it arrives in MCAM PDUs) and sets the attribute, or
   /// fails with kBadAttribute and leaves the entry unchanged. Numbers are
   /// plain decimal, with nothing before or after: width and height are
-  /// positive, duration and size unsigned, and fps a finite rate of at
-  /// least 0.001, the precision attribute("fps") prints.
+  /// positive, duration and size unsigned, and fps a rate from 0.001 (the
+  /// precision attribute("fps") prints) to 1e9 (a 1 ns frame interval).
   common::Status set_attribute(const std::string& name,
                                const std::string& value);
   /// All attributes as (name, value) pairs, stable order.

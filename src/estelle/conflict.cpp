@@ -6,18 +6,6 @@
 
 namespace mcam::estelle {
 
-namespace {
-
-/// Canonical id of the channel attached to `ip`: the lower endpoint address.
-/// Both endpoints agree on it, so signature intersection detects sharing.
-std::uintptr_t channel_id(const InteractionPoint& ip) noexcept {
-  const auto self = reinterpret_cast<std::uintptr_t>(&ip);
-  const auto peer = reinterpret_cast<std::uintptr_t>(ip.peer());
-  return self < peer ? self : peer;
-}
-
-}  // namespace
-
 const char* conflict_kind_name(ChannelConflict::Kind k) noexcept {
   switch (k) {
     case ChannelConflict::Kind::GuardedCrossShardQueue:
@@ -49,7 +37,6 @@ void ConflictAnalysis::rebuild() {
   shards_.clear();
   cross_channels_.clear();
   conflicts_.clear();
-  signatures_.clear();
 
   // Shard assignment: one shard per system module, document order. Stamp the
   // id on every module of the subtree (including modules outside any system
@@ -67,7 +54,7 @@ void ConflictAnalysis::rebuild() {
     shards_.push_back(std::move(shard));
   }
 
-  // One pass over every IP: cross-shard channels, conflicts, signatures.
+  // One pass over every IP: cross-shard channels and conflicts.
   // Loss Rngs are collected per shard so a shared instance is detected by
   // pointer identity.
   struct RngUse {
@@ -77,14 +64,10 @@ void ConflictAnalysis::rebuild() {
   };
   std::vector<RngUse> rng_uses;
   spec_.root().for_each([&](Module& m) {
-    std::vector<std::uintptr_t>& sig = signatures_[&m];
     for (const auto& ip : m.ips()) {
-      if (ip->loss_rng() != nullptr && ip->loss_probability() > 0.0) {
+      if (ip->loss_rng() != nullptr && ip->loss_probability() > 0.0)
         rng_uses.push_back({ip->loss_rng(), ip.get(), m.shard()});
-        sig.push_back(reinterpret_cast<std::uintptr_t>(ip->loss_rng()));
-      }
       if (!ip->connected()) continue;
-      sig.push_back(channel_id(*ip));
       InteractionPoint* peer = ip->peer();
       const int here = m.shard();
       const int there = peer->owner().shard();
@@ -110,8 +93,6 @@ void ConflictAnalysis::rebuild() {
         }
       }
     }
-    std::sort(sig.begin(), sig.end());
-    sig.erase(std::unique(sig.begin(), sig.end()), sig.end());
   });
 
   // Shared loss Rng across shards: the sender mutates the Rng at output()
@@ -133,27 +114,6 @@ void ConflictAnalysis::rebuild() {
       }
     }
   }
-}
-
-bool ConflictAnalysis::modules_conflict(const Module& a,
-                                        const Module& b) const noexcept {
-  if (&a == &b) return true;
-  const auto ita = signatures_.find(&a);
-  const auto itb = signatures_.find(&b);
-  // A module the analysis has not seen conflicts with everything.
-  if (ita == signatures_.end() || itb == signatures_.end()) return true;
-  const std::vector<std::uintptr_t>& sa = ita->second;
-  const std::vector<std::uintptr_t>& sb = itb->second;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < sa.size() && j < sb.size()) {
-    if (sa[i] == sb[j]) return true;
-    if (sa[i] < sb[j])
-      ++i;
-    else
-      ++j;
-  }
-  return false;
 }
 
 std::string ConflictAnalysis::to_string() const {

@@ -26,23 +26,16 @@
 //     backend announces after revalidation — see shard_executor.hpp — so its
 //     announced trace matches even on specs that are ill-formed *within* one
 //     shard.)
-//   * per-transition conflict sets at channel/Rng granularity, collapsed to
-//     a per-module signature. ThreadedScheduler uses them to decide which
-//     same-round candidates may fire concurrently: candidates of modules
-//     that share a channel (or a loss Rng) are serialized on the
-//     coordinating thread with revalidation, which is what finally makes
-//     ill-formed specifications run safely (and identically to the
-//     sequential scheduler) under real threads.
 //
-// The analysis sees channels, not captured C++ state: modules that share
-// mutable state must also share a channel for the runtime to serialize
-// them. That is the Estelle contract anyway — modules communicate through
-// interaction points only.
+// The real-thread backends never split a shard: all of one system module's
+// firings run serially on one thread, so whatever its modules share —
+// channels or captured C++ state — needs no analysis. Only coupling ACROSS
+// system modules must go through channels, which is §4's "mutually
+// independent and asynchronous" made checkable.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "estelle/module.hpp"
@@ -123,14 +116,6 @@ class ConflictAnalysis {
     return conflicts_.empty();
   }
 
-  /// True when candidates of these two modules must not fire concurrently in
-  /// one round: the modules share at least one channel (either direction) or
-  /// a loss Rng. Conservative at module granularity — a module's action may
-  /// touch any of its own IPs. A module unknown to the analysis (created
-  /// since the last refresh) conflicts with everything.
-  [[nodiscard]] bool modules_conflict(const Module& a,
-                                      const Module& b) const noexcept;
-
   /// Human-readable summary (shards, cross-shard channels, conflicts) for
   /// diagnostics and benches.
   [[nodiscard]] std::string to_string() const;
@@ -143,9 +128,6 @@ class ConflictAnalysis {
   std::vector<ShardInfo> shards_;
   std::vector<CrossShardChannel> cross_channels_;
   std::vector<ChannelConflict> conflicts_;
-  /// Per-module conflict signature: sorted ids of every channel (canonical
-  /// endpoint pointer) and loss Rng the module's transitions may touch.
-  std::unordered_map<const Module*, std::vector<std::uintptr_t>> signatures_;
 };
 
 }  // namespace mcam::estelle

@@ -17,32 +17,6 @@
 
 namespace mcam::estelle {
 
-namespace {
-
-/// Earliest time at which a delay transition blocked at candidate-collection
-/// time can fire (state and guard permitting); kNeverTime if none. A deadline
-/// already reached — the clock moved past it after collection, e.g. by the
-/// sequential backend's scan-cost charge — wakes immediately (`now`): the
-/// world is not quiescent, the next round's collection will see the matured
-/// transition. (Skipping those used to silently drop firings when a large
-/// idle scan jumped the clock over a maturation point.)
-SimTime next_delay_wakeup(Specification& spec, SimTime now) {
-  SimTime best = kNeverTime;
-  spec.root().for_each([&](Module& m) {
-    for (const Transition& t : m.transitions()) {
-      if (t.ip != nullptr || t.delay.ns == 0) continue;
-      if (t.from_state != kAnyState && t.from_state != m.state()) continue;
-      if (t.provided && !t.provided(m, nullptr)) continue;
-      const SimTime ready = m.state_entered_at() + t.delay;
-      const SimTime wake = ready > now ? ready : now;
-      if (wake < best) best = wake;
-    }
-  });
-  return best;
-}
-
-}  // namespace
-
 const char* mapping_name(Mapping m) noexcept {
   switch (m) {
     case Mapping::ThreadPerModule:
@@ -67,8 +41,6 @@ const char* builtin_kind_name(ExecutorKind k) noexcept {
       return "sequential";
     case ExecutorKind::ParallelSim:
       return "parallel-sim";
-    case ExecutorKind::Threaded:
-      return "threaded";
     case ExecutorKind::Sharded:
       return "sharded";
     case ExecutorKind::FreeRunning:
@@ -343,29 +315,6 @@ RunReport ExecutorBase::run(const RunOptions& opts) {
   return report;
 }
 
-std::vector<FiringCandidate> ExecutorBase::collect_candidates(
-    int* scan_effort) {
-  std::vector<FiringCandidate> candidates;
-  int effort = 0;
-  for (Module* sm : spec_.system_modules()) {
-    auto v = collect_firing_set(*sm, now_, &effort);
-    candidates.insert(candidates.end(), v.begin(), v.end());
-  }
-  if (scan_effort != nullptr) *scan_effort += effort;
-  stats_.guards_examined += static_cast<std::uint64_t>(effort);
-  stats_.candidates_considered += candidates.size();
-  // The legacy path allocates fresh buffers every round by design.
-  ++stats_.rounds_with_allocation;
-  return candidates;
-}
-
-bool ExecutorBase::advance_to_wakeup() {
-  const SimTime wake = next_delay_wakeup(spec_, now_);
-  if (wake == kNeverTime) return false;
-  advance_clock_toward(wake);
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Factory
 
@@ -384,11 +333,6 @@ ExecutorFactory::ExecutorFactory() {
       ExecutorKind::ParallelSim, builtin_kind_name(ExecutorKind::ParallelSim),
       [](Specification& spec, const ExecutorConfig& cfg) {
         return std::make_unique<ParallelSimScheduler>(spec, cfg);
-      });
-  register_backend(
-      ExecutorKind::Threaded, builtin_kind_name(ExecutorKind::Threaded),
-      [](Specification& spec, const ExecutorConfig& cfg) {
-        return std::make_unique<ThreadedScheduler>(spec, cfg);
       });
   register_backend(
       ExecutorKind::Sharded, builtin_kind_name(ExecutorKind::Sharded),

@@ -20,11 +20,11 @@
 //                   run, and the executor-lifetime SchedulerStats.
 //
 // Observer contract: all RunObserver callbacks are invoked on the thread that
-// called run(), even under the real-thread backends — Threaded announces a
-// round's firing set before its workers execute it; Sharded replays each
+// called run(), even under the real-thread backends — Sharded replays each
 // epoch's revalidated firings after the epoch barrier
-// (announce-after-revalidation, see shard_executor.hpp). Observers therefore
-// need no internal locking.
+// (announce-after-revalidation, see shard_executor.hpp), and FreeRunning
+// merges its shards' firing logs on the run thread. Observers therefore need
+// no internal locking.
 #pragma once
 
 #include <any>
@@ -102,12 +102,12 @@ struct SchedulerStats {
 // ---------------------------------------------------------------------------
 // Run vocabulary
 
-/// The available runtimes. Values are stable; future backends extend this
-/// enum and register with ExecutorFactory.
+/// The available runtimes. The numeric values are not stable (nothing
+/// persists them); future backends extend this enum and register with
+/// ExecutorFactory.
 enum class ExecutorKind {
   Sequential,   // single processor, virtual time — the speedup baseline
   ParallelSim,  // simulated multiprocessor (the KSR1 experiments, §5)
-  Threaded,     // real std::thread execution, deterministic commit order
   Sharded,      // work-stealing real threads, one shard per system module
   FreeRunning,  // barrier-free continuation shards firing from ready sets
   Distributed,  // one shard group per process over a MailboxTransport
@@ -120,8 +120,8 @@ enum class ExecutorKind {
 /// a blind sweep over it would not honor the every-spec contract the
 /// conformance suites assert over this list.
 inline constexpr ExecutorKind kAllExecutorKinds[] = {
-    ExecutorKind::Sequential, ExecutorKind::ParallelSim,
-    ExecutorKind::Threaded, ExecutorKind::Sharded, ExecutorKind::FreeRunning};
+    ExecutorKind::Sequential, ExecutorKind::ParallelSim, ExecutorKind::Sharded,
+    ExecutorKind::FreeRunning};
 
 /// Name of a kind — built-in or registered with ExecutorFactory.
 [[nodiscard]] const char* executor_kind_name(ExecutorKind k) noexcept;
@@ -202,11 +202,11 @@ class RunObserver {
  public:
   virtual ~RunObserver() = default;
   virtual void on_run_begin(Executor& /*executor*/) {}
-  /// Announced before the transition's action executes under every backend
-  /// except Sharded, so `module.state()` is normally still the from-state
-  /// (the sharded backend replays firings after its epoch barrier — the
+  /// Announced before the transition's action executes under Sequential and
+  /// ParallelSim, so `module.state()` is still the from-state there. The
+  /// shard-based backends replay firings after executing them — the
   /// transition/timestamp arguments are exact, but the module may already
-  /// show the post-round state). Do not reentrantly run() the executor from
+  /// show the post-round state. Do not reentrantly run() the executor from
   /// here — the announced firing is still in flight; reentry is safe only
   /// from between-round hooks (stop predicates, on_round_end).
   virtual void on_fire(const Module& /*module*/,
@@ -231,7 +231,7 @@ struct RunOptions {
   /// run() call.
   std::vector<RunObserver*> observers;
   /// Worker-thread count for this run under the real-thread backends
-  /// (Threaded, Sharded). 0 ⇒ keep the executor's configured count
+  /// (Sharded, FreeRunning). 0 ⇒ keep the executor's configured count
   /// (ExecutorConfig::threads, itself defaulting to hardware_concurrency()).
   /// The backends keep one persistent WorkerPool across run() calls and
   /// resize it only when this asks for a different width; backends without
@@ -268,8 +268,7 @@ struct FreeRunningStats {
   /// Max occupancy any per-shard firing log (SPSC ring) ever reached.
   std::uint64_t log_high_water = 0;
   /// Rounds served by the epoch-based sharded path instead (specification
-  /// not proven conflict-free, legacy full_scan mode, or a pool narrower
-  /// than the shard count).
+  /// not proven conflict-free, or a pool narrower than the shard count).
   std::uint64_t fallback_rounds = 0;
 };
 
@@ -416,9 +415,9 @@ class Executor {
 
 /// Shared skeleton for executors: owns the virtual clock, the cumulative
 /// stats, the run loop (stop-condition checks, observer lifecycle, the
-/// config round backstop) and the firing-set/wakeup helpers all current
-/// backends share. A new backend implements step() — one round, false when
-/// quiescent — and optionally finalize_stats().
+/// config round backstop) and the deadline-clamped idle wakeup. A new
+/// backend implements step() — one round, false when quiescent — and
+/// optionally finalize_stats().
 class ExecutorBase : public Executor {
  public:
   RunReport run(const RunOptions& opts) override;
@@ -443,16 +442,6 @@ class ExecutorBase : public Executor {
   /// observers see the report.
   virtual void decorate_report(RunReport& /*report*/) {}
 
-  /// Firing set across all system modules at now(), parent precedence and
-  /// process/activity semantics applied; adds guard-scan count to
-  /// *scan_effort if given.
-  [[nodiscard]] std::vector<FiringCandidate> collect_candidates(
-      int* scan_effort = nullptr);
-  /// Advance the clock to the earliest delay-transition wakeup — clamped to
-  /// the active run's earliest deadline so an idle jump never overshoots a
-  /// requested StopCondition::deadline(); false if there is no wakeup (the
-  /// world is quiescent).
-  bool advance_to_wakeup();
   /// Clamped idle-wakeup jump shared by every backend: advance the clock to
   /// min(wake, the active run's deadline), never backwards. A wake at or
   /// before now_ legitimately leaves the clock in place — the next
@@ -484,8 +473,8 @@ class ExecutorBase : public Executor {
   SchedulerStats stats_;
   std::uint64_t step_limit_;
   /// Earliest StopCondition::deadline() of the active run (SimTime max when
-  /// none); bounds idle clock jumps — both advance_to_wakeup()'s tree scan
-  /// and the backends' deadline-heap jumps clamp against it.
+  /// none); bounds idle clock jumps — ParallelSim's tree-scan wakeup and the
+  /// other backends' deadline-heap jumps clamp against it.
   SimTime run_deadline_{std::numeric_limits<std::int64_t>::max()};
   /// Global rounds the last step() call completed, consumed (and reset to 1)
   /// by the run loop: `steps += last_step_rounds_`. Every epoch/round-based
@@ -536,22 +525,17 @@ struct ExecutorConfig {
   Mapping mapping = Mapping::ThreadPerModule;
   sim::CostModel costs{};
 
-  // Real-thread backends (Threaded, Sharded): worker count of the
+  // Real-thread backends (Sharded, FreeRunning): worker count of the
   // persistent pool. 0 ⇒ hardware_concurrency() (see resolve_worker_count).
   // The sharded backend caps its pool at the shard count (stealing whole
   // shards, extra workers could never be busy). RunOptions::worker_count
   // overrides this per run.
   int threads = 0;
 
-  /// Restore the legacy full-tree candidate scan (and tree-walk wakeup) in
-  /// the Sequential/Threaded/Sharded backends instead of event-driven
-  /// dirty-set scheduling (ready_set.hpp). The O(modules) baseline every
-  /// hot-path speedup is measured against; also a semantic escape hatch.
-  bool full_scan = false;
   /// Debug cross-check: after every dirty-set candidate collection, run the
   /// reference full scan too and throw std::logic_error on any divergence.
   /// The differential suites run with this on; it defeats the speedup, so
-  /// keep it off in production. Ignored when full_scan is set.
+  /// keep it off in production.
   bool verify_ready_set = false;
 
   /// Escape hatch for backends registered out of tree: their creator reads
@@ -560,7 +544,7 @@ struct ExecutorConfig {
   std::any backend_options;
 };
 
-/// Registry mapping ExecutorKind to a constructor. The three paper runtimes
+/// Registry mapping ExecutorKind to a constructor. The built-in runtimes
 /// are pre-registered; out-of-tree backends add themselves with
 /// register_backend() and immediately work at every make_executor call site.
 class ExecutorFactory {

@@ -15,12 +15,10 @@ FreeRunningExecutor::FreeRunningExecutor(Specification& spec,
 FreeRunningExecutor::~FreeRunningExecutor() { end_session(); }
 
 bool FreeRunningExecutor::free_runnable() const noexcept {
-  // full_scan is inherently epoch-based (there is no ready set to fire
-  // from), and an unproven spec may couple shards outside the mailbox
-  // discipline — both take the epoch path. The pool must also host one
-  // continuation per shard, or the neighbor gates could wait on a shard
-  // whose task never got a worker.
-  if (full_scan_) return false;
+  // An unproven spec may couple shards outside the mailbox discipline, so
+  // it takes the epoch path. The pool must also host one continuation per
+  // shard, or the neighbor gates could wait on a shard whose task never got
+  // a worker.
   if (analysis_ == nullptr || !analysis_->conflict_free()) return false;
   return effective_worker_width(workers_) >= analysis_->shard_count();
 }

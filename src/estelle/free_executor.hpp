@@ -55,11 +55,10 @@
 //
 // Fallback: free-running dispatch requires the specification to be PROVEN
 // conflict-free by ConflictAnalysis (guards on cross-shard queues or shared
-// loss Rngs make un-barriered rounds unsound), a pool wide enough for one
-// continuation slot per shard, and dirty-set mode (full_scan is inherently
-// epoch-based). Anything else falls back to the epoch-based Sharded step —
-// same shards, same mailboxes, same announced trace, counted in
-// FreeRunningStats::fallback_rounds.
+// loss Rngs make un-barriered rounds unsound) and a pool wide enough for one
+// continuation slot per shard. Anything else falls back to the epoch-based
+// Sharded step — same shards, same mailboxes, same announced trace, counted
+// in FreeRunningStats::fallback_rounds.
 #pragma once
 
 #include <atomic>

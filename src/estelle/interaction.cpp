@@ -15,7 +15,6 @@ InteractionPoint::~InteractionPoint() { disconnect(*this); }
 
 namespace {
 
-thread_local OutputCapture* t_capture = nullptr;
 thread_local int t_shard = kNoShard;
 thread_local SimTime t_shard_now{};
 thread_local std::uint64_t t_shard_round = 0;
@@ -35,28 +34,6 @@ std::mutex& stripe_of(const InteractionPoint* ip) {
 
 }  // namespace
 
-OutputCapture::~OutputCapture() {
-  if (t_capture == this) t_capture = nullptr;
-}
-
-void OutputCapture::begin() {
-  if (t_capture != nullptr)
-    throw std::logic_error("nested OutputCapture on one thread");
-  t_capture = this;
-}
-
-void OutputCapture::end() noexcept {
-  if (t_capture == this) t_capture = nullptr;
-}
-
-void OutputCapture::commit() {
-  // deliver() re-routes each item; with no capture installed and no shard
-  // scope active (commit runs on the coordinating thread) this lands in the
-  // destination inboxes directly.
-  for (auto& [ip, msg] : items_) ip->deliver(std::move(msg));
-  items_.clear();
-}
-
 ShardExecutionScope::ShardExecutionScope(int shard, SimTime now,
                                          std::uint64_t round)
     : prev_shard_(t_shard), prev_now_(t_shard_now), prev_round_(t_shard_round) {
@@ -74,10 +51,6 @@ ShardExecutionScope::~ShardExecutionScope() {
 int ShardExecutionScope::current_shard() noexcept { return t_shard; }
 
 void InteractionPoint::deliver(Interaction msg) {
-  if (t_capture != nullptr) {
-    t_capture->items_.emplace_back(this, std::move(msg));
-    return;
-  }
   if (t_shard != kNoShard && owner_.shard() != t_shard) {
     // Two-phase cross-shard handoff: park in the transfer mailbox, stamped
     // with the sender shard's clock and round; the owning shard drains at

@@ -12,13 +12,11 @@
 //
 // Delivery is *channel policy*, decided inside deliver() rather than by each
 // backend: an interaction entering an IP is routed to exactly one of
-//   1. the thread's active OutputCapture (two-phase commit per firing
-//      candidate — the real-thread executor's mechanism),
-//   2. the IP's cross-shard transfer mailbox, when a shard execution scope is
+//   1. the IP's cross-shard transfer mailbox, when a shard execution scope is
 //      active on the calling thread and the destination belongs to a
-//      different shard (two-phase commit per shard epoch — the sharded
-//      executor's mechanism), or
-//   3. the plain inbox deque (same-shard / unsharded / main-thread case).
+//      different shard (two-phase commit per shard round — the sharded,
+//      free-running and distributed executors' mechanism), or
+//   2. the plain inbox deque (same-shard / unsharded / main-thread case).
 // Because every backend funnels through the same routing point, race-free
 // commit semantics are a property of the channel, not of any one scheduler.
 #pragma once
@@ -133,9 +131,9 @@ class InteractionPoint {
   // Used by connect()/disconnect() free functions.
   void attach_peer(InteractionPoint* peer) noexcept { peer_ = peer; }
   /// Route one interaction into this IP (see the routing policy in the
-  /// header comment). Only the direct-inbox and capture paths may be used
-  /// outside a shard execution scope; the transfer path takes a striped lock
-  /// and is safe from any thread.
+  /// header comment). Outside a shard execution scope only the direct-inbox
+  /// path is taken; the transfer path takes a striped lock and is safe from
+  /// any thread.
   void deliver(Interaction msg);
 
   // ---- two-phase cross-shard mailbox ----
@@ -220,44 +218,6 @@ void connect(InteractionPoint& a, InteractionPoint& b);
 
 /// Tear down the channel between `ip` and its peer (idempotent).
 void disconnect(InteractionPoint& ip) noexcept;
-
-/// While alive on a thread, every deliver() on that thread records the
-/// interaction instead of enqueuing it; commit() hands the recorded batch to
-/// the destination inboxes. The real-thread executor (ExecutorKind::Threaded)
-/// uses one capture per firing candidate and commits in deterministic
-/// candidate order after the parallel join, making real-thread execution
-/// race-free and bit-identical to sequential execution.
-class OutputCapture {
- public:
-  OutputCapture() = default;
-  ~OutputCapture();
-  OutputCapture(const OutputCapture&) = delete;
-  OutputCapture& operator=(const OutputCapture&) = delete;
-  /// Movable so executors can pool captures in growable containers between
-  /// rounds; moving an *active* capture (between begin() and end()) is
-  /// forbidden — the thread-local registration would keep pointing at the
-  /// old address.
-  OutputCapture(OutputCapture&&) noexcept = default;
-  OutputCapture& operator=(OutputCapture&&) noexcept = default;
-
-  /// Install on the calling thread; outputs are recorded until end().
-  void begin();
-  void end() noexcept;
-
-  /// Deliver all captured interactions, in output order. Call after end(),
-  /// from a single thread.
-  void commit();
-
-  [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
-  /// Reserved item slots (allocation accounting for the reuse pools).
-  [[nodiscard]] std::size_t capacity() const noexcept {
-    return items_.capacity();
-  }
-
- private:
-  friend class InteractionPoint;
-  std::vector<std::pair<InteractionPoint*, Interaction>> items_;
-};
 
 /// While alive on a thread, marks that thread as executing shard `shard` at
 /// shard-local time `now` in global round `round`: deliveries to IPs of

@@ -22,8 +22,8 @@ bool is_fireable(const Transition& t, Module& m, common::SimTime now,
   } else if (t.delay.ns > 0) {
     if (now - m.state_entered_at() < t.delay) {
       if (probe != nullptr) {
-        // An immature delay defines the module's next wakeup — but, like the
-        // legacy full-tree wakeup scan, only while its guard passes. The
+        // An immature delay defines the module's next wakeup — but, like
+        // ParallelSim's tree-scan wakeup, only while its guard passes. The
         // guard evaluation itself makes the module sticky (guard_invoked),
         // so a later guard flip is caught by the per-round re-evaluation.
         bool pass = true;

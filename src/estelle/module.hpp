@@ -149,7 +149,7 @@ class ReadyScope;
 ///
 ///   next_deadline — earliest future time an immature delay clause scanned
 ///     on the way to (and including) the selected transition could mature.
-///     Mirrors the legacy full-tree wakeup scan: a guarded delay contributes
+///     Mirrors ParallelSim's tree-scan wakeup: a guarded delay contributes
 ///     only while its guard currently passes (guard flips are caught by the
 ///     guard_invoked rule below).
 ///   guard_invoked — a `provided` guard was actually evaluated. Guards are
@@ -379,8 +379,8 @@ class Module {
 
   // ---- event-driven scheduling state (see ready_set.hpp) -----------------
   // Owned logically by the one ReadyScope currently driving this module
-  // (whole-spec scope under Sequential/Threaded, the module's shard scope
-  // under Sharded); scope handoffs reset everything via a full reseed.
+  // (whole-spec scope under Sequential, the module's shard scope under the
+  // shard-based backends); scope handoffs reset everything via a full reseed.
   std::atomic<bool> ledger_marked_{false};  // queued in the spec ReadyLedger
   bool scope_ready_ = false;                // member of a scope's ready list
   const Transition* cached_fireable_ = nullptr;  // last evaluation's result

@@ -1,11 +1,12 @@
 // Event-driven dirty-set scheduling (the allocation-free round hot path).
 //
-// The legacy round loop recursively walked the entire module tree and called
-// select_fireable on every module — O(modules × transitions) per round even
-// when one module is active, plus a fresh candidate vector per round. On the
-// sparse-activity workloads typical of real protocol stacks (most entities
-// idle, few active) that evaluation cost dominates everything the worker
-// pool already optimized. This header replaces it:
+// A full tree scan (collect_firing_set, sched.hpp) walks the entire module
+// tree and calls select_fireable on every module — O(modules × transitions)
+// per round even when one module is active, plus a fresh candidate vector
+// per round. On the sparse-activity workloads typical of real protocol
+// stacks (most entities idle, few active) that evaluation cost dominates
+// everything the worker pool already optimized. Every backend except
+// ParallelSim (whose engine is the scan) collects from this header instead:
 //
 //   * ReadyLedger (module.hpp) — modules enqueue themselves when something
 //     that can change their fireability happens: a delivery creating a new
@@ -16,8 +17,8 @@
 //     (modules to re-evaluate), the fireable cache F (modules whose last
 //     evaluation selected a transition), a min-heap of delay deadlines
 //     (state_entered_at + delay), and the reusable candidate buffer. One
-//     scope spans the whole specification under Sequential/Threaded; the
-//     sharded backend keeps one per shard (ready sets and heaps live in
+//     scope spans the whole specification under Sequential; the shard-based
+//     backends keep one per shard (ready sets and heaps live in
 //     ShardState, so they survive shard stealing).
 //   * collect(now) — pops matured deadlines, re-evaluates exactly the ready
 //     modules, then rebuilds the round's candidates from F alone: sort by
@@ -35,12 +36,11 @@
 //     runtime cannot hook, e.g. a budget shared across modules in the
 //     deliberately ill-formed differential specs);
 //   * deadline mirroring — an immature delay contributes a heap entry only
-//     while its guard passes, matching the legacy wakeup scan; guard flips
-//     are caught by stickiness.
-// ExecutorConfig::verify_ready_set cross-checks the equality against a
+//     while its guard passes, matching ParallelSim's tree-scan wakeup;
+//     guard flips are caught by stickiness.
+// ExecutorConfig::verify_ready_set cross-checks the equality against the
 // reference full scan every round (differential tests run with it on), and
-// ExecutorConfig::full_scan restores the legacy path entirely (the bench
-// baseline).
+// bench_hot_path times that scan as its baseline.
 #pragma once
 
 #include <cstdint>
@@ -53,9 +53,9 @@
 namespace mcam::estelle {
 
 /// Persistent per-domain scheduling state; see the header comment. Not
-/// thread-safe: one thread drives a scope at a time (the coordinating thread
-/// under Sequential/Threaded; the worker owning the shard merely *reads* the
-/// candidate buffer).
+/// thread-safe: one thread drives a scope at a time (the run thread under
+/// Sequential; under the shard-based backends, whichever thread currently
+/// runs the shard).
 class ReadyScope {
  public:
   /// Enqueue `m` for re-evaluation at the next collect (idempotent).
@@ -142,12 +142,12 @@ class ReadyScope {
   bool round_allocated_ = false;
 };
 
-/// Whole-specification ready-set driver shared by the Sequential and
-/// Threaded backends: one scope spanning every system module, plus the
-/// reseed policy — the scope is rebuilt from a full tree walk whenever the
-/// topology version moved (modules or channels added/removed: new
-/// transitions must not be skipped, destroyed modules must not be touched)
-/// or another consumer drained the ledger since we last did.
+/// Whole-specification ready-set driver of the Sequential backend: one scope
+/// spanning every system module, plus the reseed policy — the scope is
+/// rebuilt from a full tree walk whenever the topology version moved
+/// (modules or channels added/removed: new transitions must not be skipped,
+/// destroyed modules must not be touched) or another consumer drained the
+/// ledger since we last did.
 class SpecReadySet {
  public:
   explicit SpecReadySet(Specification& spec) : spec_(spec) {}
@@ -178,7 +178,7 @@ class SpecReadySet {
 };
 
 /// Reference cross-check for ExecutorConfig::verify_ready_set: recompute the
-/// firing set of `system_modules` at `now` with the legacy full-tree scan
+/// firing set of `system_modules` at `now` with the full tree scan
 /// and throw std::logic_error if it differs from `got` (starting at
 /// `got[offset]`, consuming exactly the reference's length unless the sizes
 /// already disagree). Debug-only path; allocates freely.

@@ -44,6 +44,25 @@ void collect(Module& m, SimTime now, std::vector<FiringCandidate>& out,
   }
 }
 
+/// Earliest time at which a delay transition blocked at candidate-collection
+/// time can fire (state and guard permitting); kNeverTime if none. A deadline
+/// already reached wakes immediately (`now`): the world is not quiescent, and
+/// the next round's collection sees the matured transition.
+SimTime next_delay_wakeup(Specification& spec, SimTime now) {
+  SimTime best = kNeverTime;
+  spec.root().for_each([&](Module& m) {
+    for (const Transition& t : m.transitions()) {
+      if (t.ip != nullptr || t.delay.ns == 0) continue;
+      if (t.from_state != kAnyState && t.from_state != m.state()) continue;
+      if (t.provided && !t.provided(m, nullptr)) continue;
+      const SimTime ready = m.state_entered_at() + t.delay;
+      const SimTime wake = ready > now ? ready : now;
+      if (wake < best) best = wake;
+    }
+  });
+  return best;
+}
+
 }  // namespace
 
 std::vector<FiringCandidate> collect_firing_set(Module& system_module,
@@ -82,48 +101,36 @@ SequentialScheduler::SequentialScheduler(Specification& spec,
       sched_per_transition_(cfg.sched_per_transition),
       scan_per_guard_(cfg.scan_per_guard),
       ready_(spec),
-      full_scan_(cfg.full_scan),
       verify_(cfg.verify_ready_set) {}
 
 bool SequentialScheduler::step() {
-  // Candidate collection: the event-driven ready set by default (guards are
-  // examined only for modules something happened to), the legacy full tree
-  // scan under ExecutorConfig::full_scan. The virtual scan cost charges
-  // whatever was actually examined, so dirty-set scheduling shrinks modelled
-  // scheduler overhead exactly like it shrinks real overhead.
-  int effort = 0;
-  std::vector<FiringCandidate> legacy;
-  const std::vector<FiringCandidate>* candidates;
-  if (full_scan_) {
-    legacy = collect_candidates(&effort);
-    candidates = &legacy;
-  } else {
-    candidates = &ready_.collect(now_);
-    if (verify_)
-      verify_against_full_scan(spec_.system_modules(), now_, *candidates);
-    effort = static_cast<int>(ready_.round_guards());
-    stats_.guards_examined += ready_.round_guards();
-    stats_.candidates_considered += candidates->size();
-    if (ready_.round_allocated()) ++stats_.rounds_with_allocation;
-    if (candidates->empty()) {
-      // Dirty-set empty rounds charge no scan cost — the sharded backend's
-      // idle epochs don't either, and firing-trace identity on delay specs
-      // needs both clocks to leap to the same absolute deadlines. O(log n)
-      // wakeup: straight to the earliest queued delay deadline, clamped by
-      // the run's deadline, never backwards.
-      const SimTime wake = ready_.next_wakeup();
-      if (wake == kNeverTime) return false;
-      advance_clock_toward(wake);
-      return true;
-    }
+  // Candidate collection from the event-driven ready set: guards are
+  // examined only for modules something happened to. The virtual scan cost
+  // charges whatever was actually examined, so dirty-set scheduling shrinks
+  // modelled scheduler overhead exactly like it shrinks real overhead.
+  const std::vector<FiringCandidate>& candidates = ready_.collect(now_);
+  if (verify_)
+    verify_against_full_scan(spec_.system_modules(), now_, candidates);
+  stats_.guards_examined += ready_.round_guards();
+  stats_.candidates_considered += candidates.size();
+  if (ready_.round_allocated()) ++stats_.rounds_with_allocation;
+  if (candidates.empty()) {
+    // Empty rounds charge no scan cost — the sharded backend's idle epochs
+    // don't either, and firing-trace identity on delay specs needs both
+    // clocks to leap to the same absolute deadlines. O(log n) wakeup:
+    // straight to the earliest queued delay deadline, clamped by the run's
+    // deadline, never backwards.
+    const SimTime wake = ready_.next_wakeup();
+    if (wake == kNeverTime) return false;
+    advance_clock_toward(wake);
+    return true;
   }
-  const SimTime scan_cost{scan_per_guard_.ns * effort};
+  const SimTime scan_cost{scan_per_guard_.ns *
+                          static_cast<std::int64_t>(ready_.round_guards())};
   now_ += scan_cost;
   stats_.sched_time += scan_cost;
 
-  if (candidates->empty()) return advance_to_wakeup();  // full_scan_ only
-
-  for (const FiringCandidate& c : *candidates) {
+  for (const FiringCandidate& c : candidates) {
     // Revalidate: an earlier firing in this round may have consumed state.
     if (!is_fireable(*c.transition, *c.module, now_)) continue;
     now_ += sched_per_transition_;
@@ -237,152 +244,25 @@ void ParallelSimScheduler::finalize_stats() {
   stats_.msg_time = s.msg_time;
 }
 
-// ---------------------------------------------------------------------------
-// ThreadedScheduler
-
-ThreadedScheduler::ThreadedScheduler(Specification& spec,
-                                     const ExecutorConfig& cfg)
-    : ExecutorBase(spec, cfg.max_steps),
-      threads_(cfg.threads),
-      ready_(spec),
-      full_scan_(cfg.full_scan),
-      verify_(cfg.verify_ready_set) {}
-
-int ThreadedScheduler::unit_count() const noexcept {
-  return pool_ ? pool_->worker_count() : resolve_worker_count(threads_);
-}
-
-WorkerPool& ThreadedScheduler::ensure_pool() {
-  const int want = effective_worker_width(threads_);
-  if (!pool_ || pool_->worker_count() != want)
-    pool_ = std::make_unique<WorkerPool>(want);
-  return *pool_;
-}
-
-bool ThreadedScheduler::step() {
-  if (!analysis_)
-    analysis_ = std::make_unique<ConflictAnalysis>(spec_);
-  else
-    analysis_->refresh();
-
-  if (full_scan_) {
-    std::vector<FiringCandidate> candidates = collect_candidates();
-    if (candidates.empty()) return advance_to_wakeup();
-    run_round(candidates);
-  } else {
-    const std::vector<FiringCandidate>& candidates = ready_.collect(now_);
-    if (verify_)
-      verify_against_full_scan(spec_.system_modules(), now_, candidates);
-    stats_.guards_examined += ready_.round_guards();
-    stats_.candidates_considered += candidates.size();
-    const bool scope_grew = ready_.round_allocated();
-    if (candidates.empty()) {
-      if (scope_grew) ++stats_.rounds_with_allocation;
-      const SimTime wake = ready_.next_wakeup();
-      if (wake == kNeverTime) return false;
-      advance_clock_toward(wake);
-      return true;
-    }
-    const std::size_t scratch_before = round_footprint();
-    run_round(candidates);
-    if (scope_grew || round_footprint() != scratch_before)
-      ++stats_.rounds_with_allocation;
+std::vector<FiringCandidate> ParallelSimScheduler::collect_candidates() {
+  std::vector<FiringCandidate> candidates;
+  int effort = 0;
+  for (Module* sm : spec_.system_modules()) {
+    auto v = collect_firing_set(*sm, now_, &effort);
+    candidates.insert(candidates.end(), v.begin(), v.end());
   }
+  stats_.guards_examined += static_cast<std::uint64_t>(effort);
+  stats_.candidates_considered += candidates.size();
+  // The tree scan allocates fresh buffers every round by design.
+  ++stats_.rounds_with_allocation;
+  return candidates;
+}
 
-  ++stats_.rounds;
-  now_ += SimTime::from_us(1);  // nominal round tick so delay clauses advance
+bool ParallelSimScheduler::advance_to_wakeup() {
+  const SimTime wake = next_delay_wakeup(spec_, now_);
+  if (wake == kNeverTime) return false;
+  advance_clock_toward(wake);
   return true;
-}
-
-std::size_t ThreadedScheduler::round_footprint() const noexcept {
-  std::size_t f = conflicting_.capacity() + parallel_.capacity() +
-                  captures_.capacity();
-  for (const OutputCapture& c : captures_) f += c.capacity();
-  return f;
-}
-
-void ThreadedScheduler::run_round(
-    const std::vector<FiringCandidate>& candidates) {
-  const std::size_t n = candidates.size();
-  const SimTime fire_time = now_;
-
-  // Split the round: a candidate conflicts when its module shares a channel
-  // (or loss Rng) with another member of the round. O(n²) pair checks over
-  // precomputed per-module signatures; rounds are small.
-  conflicting_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (analysis_->modules_conflict(*candidates[i].module,
-                                      *candidates[j].module)) {
-        conflicting_[i] = 1;
-        conflicting_[j] = 1;
-      }
-    }
-  }
-
-  // Single pass in candidate order, on this thread: conflicting candidates
-  // revalidate and fire immediately (the sequential discipline — an earlier
-  // conflicting firing may have disabled them, and their deliveries must be
-  // visible to the next revalidation); independent candidates are announced
-  // in place and deferred to the worker pool. Announcement order therefore
-  // equals the sequential scheduler's firing order exactly. Independent and
-  // conflicting candidates touch disjoint channels by construction, so the
-  // phase separation cannot reorder anything observable.
-  RunObserver* obs = observer();
-  parallel_.clear();
-  std::uint64_t fired = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!conflicting_[i]) {
-      if (obs != nullptr)
-        obs->on_fire(*candidates[i].module, *candidates[i].transition,
-                     fire_time);
-      parallel_.push_back(i);
-      continue;
-    }
-    if (!is_fireable(*candidates[i].transition, *candidates[i].module,
-                     fire_time))
-      continue;
-    fire(candidates[i], fire_time, obs);
-    ++fired;
-  }
-
-  // Execute the independent candidates on the persistent pool (no thread
-  // construction here — workers are parked between rounds); outputs captured
-  // per candidate and committed after the epoch barrier in candidate order
-  // (deterministic). At width 1 (or a single candidate) the round runs
-  // inline instead: with one executor there is nothing to race with, and
-  // independent candidates touch disjoint channels, so immediate delivery
-  // is indistinguishable from capture-and-commit — and the park/unpark
-  // round-trip matters on small hosts where the default width resolves
-  // to 1. The capture pool and index buffer persist across rounds (high-
-  // water sized), and the submitted lambdas capture 16 bytes so they fit
-  // std::function's inline storage: a steady-state round allocates nothing.
-  const std::size_t p = parallel_.size();
-  if (p > 0) {
-    if (p == 1 || effective_worker_width(threads_) < 2) {
-      for (std::size_t k : parallel_) fire(candidates[k], fire_time);
-    } else {
-      if (captures_.size() < p) captures_.resize(p);
-      round_ctx_ = {candidates.data(), parallel_.data(), captures_.data(),
-                    fire_time};
-      WorkerPool& pool = ensure_pool();
-      const int nworkers = pool.worker_count();
-      for (std::size_t k = 0; k < p; ++k) {
-        pool.submit(static_cast<int>(k % static_cast<std::size_t>(nworkers)),
-                    [this, k](int) {
-                      const RoundCtx& ctx = round_ctx_;
-                      ctx.captures[k].begin();
-                      fire(ctx.candidates[ctx.parallel[k]], ctx.fire_time);
-                      ctx.captures[k].end();
-                    });
-      }
-      pool.run_epoch();
-      for (std::size_t k = 0; k < p; ++k) captures_[k].commit();
-    }
-    fired += p;
-  }
-
-  stats_.fired += fired;
 }
 
 }  // namespace mcam::estelle

@@ -1,4 +1,4 @@
-// The three built-in Executor backends.
+// The two virtual-time Executor backends.
 //
 // All honor the Estelle scheduling semantics of §4 of the paper:
 //
@@ -19,22 +19,22 @@
 //   ParallelSimScheduler  — ExecutorKind::ParallelSim. Maps modules to units
 //                           (OSF/1 threads) and units to simulated processors
 //                           via sim::Engine; reproduces the KSR1 experiments
-//                           (§5.1, §5.2).
-//   ThreadedScheduler     — ExecutorKind::Threaded. Real std::thread
-//                           execution with deterministic output commit order;
-//                           proves the runtime is actually parallel-safe.
+//                           (§5.1, §5.2). Its engine is the full tree scan
+//                           below.
+//
+// The real-thread backends are ShardedExecutor (shard_executor.hpp),
+// FreeRunningExecutor (free_executor.hpp) and DistributedRunner
+// (transport/dist_runner.hpp). Outside ParallelSim, the tree scan serves only
+// as the verify_ready_set oracle (ready_set.hpp).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "estelle/conflict.hpp"
 #include "estelle/executor.hpp"
 #include "estelle/module.hpp"
 #include "estelle/ready_set.hpp"
-#include "estelle/worker_pool.hpp"
 #include "sim/engine.hpp"
 
 namespace mcam::estelle {
@@ -55,9 +55,8 @@ void fire(const FiringCandidate& c, SimTime now,
 
 /// Single-processor executor with virtual time. Models the classic
 /// centralized Estelle scheduler: each step evaluates the dirty-set ready
-/// modules (cost scan_per_guard per examined guard; ExecutorConfig::full_scan
-/// restores the tree-walking legacy behavior) and executes one firing set
-/// member at a time.
+/// modules (cost scan_per_guard per examined guard) and executes one firing
+/// set member at a time.
 class SequentialScheduler : public ExecutorBase {
  public:
   /// Backends configure themselves straight from ExecutorConfig (the single
@@ -76,7 +75,6 @@ class SequentialScheduler : public ExecutorBase {
   SimTime sched_per_transition_;
   SimTime scan_per_guard_;
   SpecReadySet ready_;
-  bool full_scan_;
   bool verify_;
 };
 
@@ -85,7 +83,9 @@ class SequentialScheduler : public ExecutorBase {
 /// members execute on their units in parallel (subject to processor
 /// availability, context-switch and message costs). The per-round barrier is
 /// a conservative approximation of free-running OSF/1 threads; it slightly
-/// understates overlap, so measured speedups are lower bounds.
+/// understates overlap, so measured speedups are lower bounds. Each round's
+/// firing set comes from a full tree scan (collect_firing_set per system
+/// module) — the scan is this backend's engine, not an optimization target.
 class ParallelSimScheduler : public ExecutorBase {
  public:
   explicit ParallelSimScheduler(Specification& spec,
@@ -102,80 +102,19 @@ class ParallelSimScheduler : public ExecutorBase {
   int unit_of(Module& m);
   bool step() override;
   void finalize_stats() override;
+  /// Firing set across all system modules at now(), parent precedence and
+  /// process/activity semantics applied.
+  [[nodiscard]] std::vector<FiringCandidate> collect_candidates();
+  /// Advance the clock to the earliest delay-transition wakeup — clamped to
+  /// the active run's earliest deadline so an idle jump never overshoots a
+  /// requested StopCondition::deadline(); false if there is no wakeup (the
+  /// world is quiescent).
+  bool advance_to_wakeup();
 
   int processors_;
   Mapping mapping_;
   sim::Engine engine_;
   std::unordered_map<std::uint64_t, int> unit_by_module_;
-};
-
-/// Real-thread executor (correctness vehicle). Each round, the firing set is
-/// split by ConflictAnalysis into *conflicting* candidates — modules that
-/// share a channel (or loss Rng) with another member of the round — and
-/// *independent* ones. Conflicting candidates execute on the coordinating
-/// thread, in candidate order, each revalidated with is_fireable() and
-/// delivered immediately: exactly the sequential scheduler's discipline, so
-/// ill-formed (conflicting) specifications no longer race or diverge.
-/// Independent candidates execute on a persistent WorkerPool (worker_pool.hpp
-/// — no std::thread construction in the round hot loop) with outputs
-/// captured per candidate and committed in candidate order after the epoch
-/// barrier. Observers see every firing in candidate order, announced on the
-/// coordinating thread before the action executes (see the observer contract
-/// in executor.hpp).
-///
-/// The pool width is ExecutorConfig::threads (0 ⇒ hardware_concurrency()),
-/// overridable per run with RunOptions::worker_count; the pool is built on
-/// the first parallel round and reused across rounds and run() calls,
-/// resizing only when a run asks for a different width.
-class ThreadedScheduler : public ExecutorBase {
- public:
-  explicit ThreadedScheduler(Specification& spec,
-                             const ExecutorConfig& cfg = {});
-
-  [[nodiscard]] ExecutorKind kind() const noexcept override {
-    return ExecutorKind::Threaded;
-  }
-  [[nodiscard]] int unit_count() const noexcept override;
-
-  /// The persistent pool (null until the first parallel round).
-  [[nodiscard]] const WorkerPool* pool() const noexcept { return pool_.get(); }
-
- private:
-  bool step() override;
-  /// Execute one collected round (shared by the ready-set and full-scan
-  /// paths). `candidates` must stay valid across the call.
-  void run_round(const std::vector<FiringCandidate>& candidates);
-  /// Total reserved capacity of the persistent round scratch (allocation
-  /// accounting: a steady-state round must not move this).
-  [[nodiscard]] std::size_t round_footprint() const noexcept;
-  /// The pool at this round's effective width (RunOptions::worker_count when
-  /// set, else the configured count).
-  WorkerPool& ensure_pool();
-
-  int threads_;  // configured width; 0 ⇒ hardware_concurrency()
-  std::unique_ptr<WorkerPool> pool_;
-  /// Built lazily on the first round (the constructor may precede
-  /// Specification::initialize() in principle; rounds cannot).
-  std::unique_ptr<ConflictAnalysis> analysis_;
-  SpecReadySet ready_;
-  bool full_scan_;
-  bool verify_;
-  // Persistent round scratch (high-water sized; steady-state rounds never
-  // allocate): the conflict split, the deferred-candidate indices, and the
-  // per-candidate output-capture pool the workers write into.
-  std::vector<char> conflicting_;
-  std::vector<std::size_t> parallel_;
-  std::vector<OutputCapture> captures_;
-  /// What the ≤16-byte worker lambdas ([this, k] — small enough for
-  /// std::function's inline storage, so submitting tasks does not allocate)
-  /// read instead of capturing it.
-  struct RoundCtx {
-    const FiringCandidate* candidates = nullptr;
-    const std::size_t* parallel = nullptr;
-    OutputCapture* captures = nullptr;
-    SimTime fire_time{};
-  };
-  RoundCtx round_ctx_;
 };
 
 }  // namespace mcam::estelle

@@ -12,7 +12,6 @@ ShardedExecutor::ShardedExecutor(Specification& spec,
       workers_(cfg.threads),
       sched_per_transition_(cfg.sched_per_transition),
       scan_per_guard_(cfg.scan_per_guard),
-      full_scan_(cfg.full_scan),
       verify_(cfg.verify_ready_set) {}
 
 int ShardedExecutor::unit_count() const noexcept {
@@ -105,10 +104,9 @@ std::size_t ShardedExecutor::collect_epoch() {
     shard.epoch_sched = SimTime{};
     shard.epoch_fired = 0;
     shard.scan_effort = 0;
-    shard.round_candidates = nullptr;
   }
 
-  if (!full_scan_) route_ready_ledger();
+  route_ready_ledger();
 
   std::size_t active = 0;
   bool allocated =
@@ -117,42 +115,28 @@ std::size_t ShardedExecutor::collect_epoch() {
   std::uint64_t considered = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     ShardState& shard = shards_[s];
-    const ShardInfo& info = analysis_->shards()[s];
-    if (full_scan_) {
-      shard.legacy_candidates = collect_firing_set(
-          *info.system_module, shard.clock, &shard.scan_effort);
-      if (shard.legacy_candidates.empty() && shard.clock < now_) {
-        // An idle shard stops advancing its own clock, but other shards
-        // keep running; pull it up to the executor clock every epoch
-        // (system modules are asynchronous, so this is always legal) so its
-        // delay clauses mature interleaved with the busy shards' work
-        // rather than only at global quiescence.
-        shard.clock = now_;
-        shard.legacy_candidates = collect_firing_set(
-            *info.system_module, shard.clock, &shard.scan_effort);
-      }
-      shard.round_candidates = &shard.legacy_candidates;
-      allocated = true;  // the legacy path allocates per epoch by design
-    } else {
-      const std::vector<FiringCandidate>* cands =
-          &shard.ready.collect(shard.clock);
+    shard.ready.collect(shard.clock);
+    shard.scan_effort += static_cast<int>(shard.ready.round_guards());
+    allocated = allocated || shard.ready.round_allocated();
+    if (shard.ready.candidates().empty() && shard.clock < now_) {
+      // An idle shard stops advancing its own clock, but other shards keep
+      // running; pull it up to the executor clock every epoch (system
+      // modules are asynchronous, so this is always legal) so its delay
+      // clauses mature interleaved with the busy shards' work rather than
+      // only at global quiescence. Re-collecting pops the delay deadlines
+      // the jump matured.
+      shard.clock = now_;
+      shard.ready.collect(shard.clock);
       shard.scan_effort += static_cast<int>(shard.ready.round_guards());
       allocated = allocated || shard.ready.round_allocated();
-      if (cands->empty() && shard.clock < now_) {
-        // Same idle-shard clock pull-up as above; re-collecting pops the
-        // delay deadlines the jump matured.
-        shard.clock = now_;
-        cands = &shard.ready.collect(shard.clock);
-        shard.scan_effort += static_cast<int>(shard.ready.round_guards());
-        allocated = allocated || shard.ready.round_allocated();
-      }
-      if (verify_)
-        verify_against_full_scan({info.system_module}, shard.clock, *cands);
-      shard.round_candidates = cands;
     }
+    const std::vector<FiringCandidate>& cands = shard.ready.candidates();
+    if (verify_)
+      verify_against_full_scan({analysis_->shards()[s].system_module},
+                               shard.clock, cands);
     stats_.guards_examined += static_cast<std::uint64_t>(shard.scan_effort);
-    considered += shard.round_candidates->size();
-    if (!shard.round_candidates->empty()) ++active;
+    considered += cands.size();
+    if (!cands.empty()) ++active;
   }
   stats_.candidates_considered += considered;
   if (allocated) ++stats_.rounds_with_allocation;
@@ -168,7 +152,7 @@ void ShardedExecutor::run_shard_round(ShardState& shard, int shard_id) {
   shard.clock += scan_cost;
   shard.epoch_sched += scan_cost;
 
-  for (const FiringCandidate& c : *shard.round_candidates) {
+  for (const FiringCandidate& c : shard.ready.candidates()) {
     // Same revalidation discipline as the sequential scheduler: an earlier
     // firing of this round (same shard, same thread) may have consumed the
     // state this candidate depends on.
@@ -186,10 +170,6 @@ void ShardedExecutor::run_shard_round(ShardState& shard, int shard_id) {
   }
   ++shard.rounds;
   shard.fired += shard.epoch_fired;
-  // The dirty-set buffer belongs to the shard's ReadyScope (overwritten at
-  // the next collect); only the legacy full-scan buffer needs clearing.
-  shard.legacy_candidates.clear();
-  shard.round_candidates = nullptr;
 }
 
 bool ShardedExecutor::step() {
@@ -200,25 +180,20 @@ bool ShardedExecutor::step() {
   announce_ = observer() != nullptr;
 
   // collect_epoch keeps idle shards synced to now_, so when nothing is
-  // active every state-entry stamp is <= now_ and the wakeup machinery
-  // below (per-shard deadline heaps, or the legacy tree scan) sees every
-  // pending delay.
+  // active every state-entry stamp is <= now_ and the per-shard deadline
+  // heaps below see every pending delay.
   const std::size_t active = collect_epoch();
   if (active == 0) {
-    if (full_scan_) {
-      if (!advance_to_wakeup()) return false;  // quiescent
-    } else {
-      // O(log n) wakeup: leap to the earliest deadline queued in any
-      // shard's heap, clamped by the run's deadline; the next epoch's
-      // per-shard collects pop whatever the jump matured.
-      SimTime wake = kNeverTime;
-      for (const ShardState& shard : shards_) {
-        const SimTime d = shard.ready.next_deadline();
-        if (d < wake) wake = d;
-      }
-      if (wake == kNeverTime) return false;  // quiescent
-      advance_clock_toward(wake);
+    // O(log n) wakeup: leap to the earliest deadline queued in any shard's
+    // heap, clamped by the run's deadline; the next epoch's per-shard
+    // collects pop whatever the jump matured.
+    SimTime wake = kNeverTime;
+    for (const ShardState& shard : shards_) {
+      const SimTime d = shard.ready.next_deadline();
+      if (d < wake) wake = d;
     }
+    if (wake == kNeverTime) return false;  // quiescent
+    advance_clock_toward(wake);
     for (ShardState& shard : shards_)
       if (shard.clock < now_) shard.clock = now_;
     return true;
@@ -232,8 +207,7 @@ bool ShardedExecutor::step() {
   // race-free whatever the spec does.
   active_ids_.clear();
   for (std::size_t s = 0; s < shards_.size(); ++s)
-    if (shards_[s].round_candidates != nullptr &&
-        !shards_[s].round_candidates->empty())
+    if (!shards_[s].ready.candidates().empty())
       active_ids_.push_back(static_cast<int>(s));
 
   // A width-1 epoch runs inline: a single worker adds nothing but a

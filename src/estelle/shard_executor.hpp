@@ -119,14 +119,9 @@ class ShardedExecutor : public ExecutorBase {
     /// fireable cache, delay-deadline heap, candidate buffer. It lives here
     /// (not on any worker), so whole-shard stealing moves it implicitly and
     /// intact. Written in phase 1 on the run thread; the owning worker only
-    /// reads the collected candidate buffer.
+    /// reads the collected candidate buffer (this epoch's firing set).
     ReadyScope ready;
-    /// This epoch's firing set: points at `ready`'s buffer (dirty-set mode)
-    /// or at `legacy_candidates` (ExecutorConfig::full_scan). Null when the
-    /// shard is idle this epoch.
-    const std::vector<FiringCandidate>* round_candidates = nullptr;
     // Per-epoch scratch, written in phase 1 / by the owning worker only:
-    std::vector<FiringCandidate> legacy_candidates;
     std::vector<FiredEvent> fired_log;
     int scan_effort = 0;
     SimTime epoch_busy{};
@@ -189,7 +184,6 @@ class ShardedExecutor : public ExecutorBase {
   bool announce_ = false;
   SimTime sched_per_transition_;
   SimTime scan_per_guard_;
-  bool full_scan_;
   bool verify_;
   std::unique_ptr<ConflictAnalysis> analysis_;
   std::unique_ptr<WorkerPool> pool_;

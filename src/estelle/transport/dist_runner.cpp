@@ -360,6 +360,11 @@ void DistributedRunner::on_frame(int from, Frame& f) {
     case FrameType::Bye:
       p->departed = true;
       return;
+    case FrameType::HelloResume:
+    case FrameType::SessionAck:
+      // Session-layer control frames: the socket transport consumes both in
+      // on_control and never hands them up, so there is nothing to do here.
+      return;
   }
 }
 

@@ -2,8 +2,8 @@
 //
 // The paper's wall-clock claim (§5) is that parallel transition firing beats
 // the sequential scheduler in real time, not just in modelled virtual time.
-// Before this subsystem existed the Threaded and Sharded backends spawned
-// fresh std::threads every round/epoch, so on small rounds the measured
+// Before this subsystem existed the real-thread backends spawned fresh
+// std::threads every round/epoch, so on small rounds the measured
 // real-time "speedup" was dominated by thread construction. A WorkerPool is
 // a fixed set of long-lived workers that an executor owns for its whole
 // lifetime and re-arms every epoch:

@@ -23,7 +23,7 @@ Result<std::uint64_t> McamServerCore::associate(const AssociateReq& req) {
     return Error::make(static_cast<int>(ResultCode::ProtocolError),
                        "unsupported MCAM version");
   const std::uint64_t id = next_session_++;
-  sessions_.emplace(id, Session{req.user, {}, {}, {}});
+  sessions_.emplace(id, Session{req.user, {}, {}, {}, {}});
   return id;
 }
 

@@ -7,10 +7,9 @@
 //     shared across shards; the Fig. 2 testbed configuration is
 //     conflict-free;
 //   * the two-phase transfer mailbox itself;
-//   * ThreadedScheduler conflict-set revalidation: a deliberately
-//     ill-formed spec no longer produces traces divergent from the
-//     sequential scheduler, and channel-sharing modules with shared opaque
-//     state are serialized (the property the CI ThreadSanitizer job pins).
+//   * revalidation inside a shard's serial round: a deliberately ill-formed
+//     spec no longer produces traces divergent from the sequential
+//     scheduler under the sharded backends.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -70,7 +69,6 @@ TEST(ConflictAnalysisTest, RefreshTracksDynamicMembership) {
   // ...and refresh() folds the new module into the shard table.
   analysis.refresh();
   EXPECT_EQ(analysis.shards()[0].modules.size(), 2u);
-  EXPECT_FALSE(analysis.modules_conflict(sys, child));  // no shared channel
 }
 
 TEST(ConflictAnalysisTest, PlainCrossShardChannelIsMediatedNotConflicting) {
@@ -91,9 +89,6 @@ TEST(ConflictAnalysisTest, PlainCrossShardChannelIsMediatedNotConflicting) {
   // The channel crosses shards but nothing observes it outside the mailbox
   // discipline: legal, conflict-free.
   EXPECT_TRUE(analysis.conflict_free());
-  // Round-level granularity stays conservative: candidates of the two
-  // endpoint owners are serialized by the threaded backend.
-  EXPECT_TRUE(analysis.modules_conflict(a, b));
 }
 
 TEST(ConflictAnalysisTest, SystemModulesSharingGuardedChannelConflict) {
@@ -137,7 +132,6 @@ TEST(ConflictAnalysisTest, LossRngSharedAcrossShardsConflicts) {
   ASSERT_FALSE(analysis.conflict_free());
   EXPECT_EQ(analysis.conflicts()[0].kind,
             ChannelConflict::Kind::SharedLossRng);
-  EXPECT_TRUE(analysis.modules_conflict(a, b));
 }
 
 TEST(ConflictAnalysisTest, Fig2TestbedConfigurationIsConflictFree) {
@@ -201,9 +195,9 @@ TEST(TransferMailboxTest, CrossShardDeliveryIsTwoPhase) {
 
 /// Deliberately ill-formed world: a producer streams tokens while the
 /// consumer's guards observe the queue length, so a same-round producer
-/// firing flips which consumer transition is fireable. Without conflict-set
-/// revalidation the threaded backend fires both candidates against the
-/// round-start snapshot and diverges from the sequential scheduler.
+/// firing flips which consumer transition is fireable. A backend that fired
+/// both candidates against the round-start snapshot, without revalidation,
+/// would diverge from the sequential scheduler.
 struct IllFormed {
   Specification spec{"illformed"};
   Module* producer = nullptr;
@@ -250,7 +244,7 @@ struct IllFormed {
   }
 };
 
-TEST(ThreadedConflictRevalidation, IllFormedSpecNoLongerDiverges) {
+TEST(ShardRevalidation, IllFormedSpecNoLongerDiverges) {
   const auto run_kind = [](ExecutorKind kind) {
     IllFormed world;
     TraceRecorder trace;
@@ -263,58 +257,12 @@ TEST(ThreadedConflictRevalidation, IllFormedSpecNoLongerDiverges) {
   const auto seq = run_kind(ExecutorKind::Sequential);
   ASSERT_FALSE(std::get<0>(seq).empty());
   EXPECT_GT(std::get<2>(seq), 0);  // the pair path is actually exercised
-  // The producer and consumer share a channel, so the threaded backend
-  // serializes them with revalidation and immediate delivery — the
-  // sequential discipline, hence the identical trace.
-  EXPECT_EQ(run_kind(ExecutorKind::Threaded), seq);
-  // The sharded backend applies the same revalidation inside the shard's
-  // serial round, so the world ends in the identical state; its *announced*
-  // trace may include candidates revalidation then skipped (announcement
-  // precedes worker execution), so only the outcome is compared.
-  const auto shd = run_kind(ExecutorKind::Sharded);
-  EXPECT_EQ(std::get<1>(shd), std::get<1>(seq));
-  EXPECT_EQ(std::get<2>(shd), std::get<2>(seq));
-}
-
-TEST(ThreadedConflictRevalidation, ChannelSharingModulesAreSerialized) {
-  // Two modules share a channel AND mutate one unprotected counter from
-  // their actions. Because they share the channel, the conflict sets
-  // intersect and the threaded backend never runs them concurrently: the
-  // counter ends exactly at the sequential value (and the CI TSan job sees
-  // no race). This is the Estelle contract in miniature — modules that
-  // share state must share a channel for the runtime to serialize them.
-  const auto run_kind = [](ExecutorKind kind) {
-    Specification spec("racy");
-    auto& sys =
-        spec.root().create_child<Module>("sys", Attribute::SystemProcess);
-    auto& a = sys.create_child<Module>("a", Attribute::Process);
-    auto& b = sys.create_child<Module>("b", Attribute::Process);
-    connect(a.ip("x"), b.ip("x"));
-    auto counter = std::make_shared<long>(0);
-    const auto bump = [counter](Module&, const Interaction*) {
-      *counter = *counter + 1;  // unprotected read-modify-write
-    };
-    int rounds_a = 0;
-    int rounds_b = 0;
-    a.trans("a").provided([&rounds_a](Module&, const Interaction*) {
-       return rounds_a < 400;
-     }).action([&, bump](Module& m, const Interaction* i) {
-      ++rounds_a;
-      bump(m, i);
-    });
-    b.trans("b").provided([&rounds_b](Module&, const Interaction*) {
-       return rounds_b < 400;
-     }).action([&, bump](Module& m, const Interaction* i) {
-      ++rounds_b;
-      bump(m, i);
-    });
-    spec.initialize();
-    make_executor(spec, {.kind = kind, .threads = 4})->run();
-    return *counter;
-  };
-
-  EXPECT_EQ(run_kind(ExecutorKind::Sequential), 800);
-  EXPECT_EQ(run_kind(ExecutorKind::Threaded), 800);
+  // The producer and consumer share one shard. Its round runs serially,
+  // revalidating each candidate with immediate delivery — the sequential
+  // discipline — and announces only what actually fired, so both shard
+  // backends reproduce the trace and the outcome.
+  EXPECT_EQ(run_kind(ExecutorKind::Sharded), seq);
+  EXPECT_EQ(run_kind(ExecutorKind::FreeRunning), seq);
 }
 
 TEST(ShardedDelayClauses, IdleShardTimerFiresWhileOtherShardIsBusy) {

@@ -125,10 +125,11 @@ TEST_P(EquivalenceProperty, AllExecutorsAgreeOnRandomGraphs) {
                         << " seed=" << seed;
   }
 
-  const GraphResult thr = run_random_graph(seed, [](Specification& s) {
-    make_executor(s, {.kind = ExecutorKind::Threaded, .threads = 4})->run();
+  const GraphResult fr = run_random_graph(seed, [](Specification& s) {
+    make_executor(s, {.kind = ExecutorKind::FreeRunning, .threads = 4})
+        ->run();
   });
-  EXPECT_EQ(thr, seq) << "threaded, seed=" << seed;
+  EXPECT_EQ(fr, seq) << "free-running, seed=" << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceProperty,

@@ -1,7 +1,7 @@
 // Estelle runtime tests: the structural rules of §4 of the paper, scheduling
 // semantics (parent precedence, process/activity parallelism), transition
 // dispatch, delay clauses, dynamic module creation, and scheduler
-// equivalence (sequential ≡ simulated-parallel ≡ threaded outcomes).
+// equivalence (sequential ≡ simulated-parallel ≡ free-running outcomes).
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -480,19 +480,20 @@ std::pair<std::vector<int>, std::int64_t> run_pingpong(RunFn&& run) {
   return {*log, pong.total};
 }
 
-TEST(SchedulerEquivalence, SequentialVsParallelSimVsThreaded) {
+TEST(SchedulerEquivalence, SequentialVsParallelSimVsFreeRunning) {
   auto seq = run_pingpong(
       [](Specification& s) { make_executor(s)->run(); });
   auto par = run_pingpong([](Specification& s) {
     make_executor(s, {.kind = ExecutorKind::ParallelSim, .processors = 4})
         ->run();
   });
-  auto thr = run_pingpong([](Specification& s) {
-    make_executor(s, {.kind = ExecutorKind::Threaded, .threads = 4})->run();
+  auto fr = run_pingpong([](Specification& s) {
+    make_executor(s, {.kind = ExecutorKind::FreeRunning, .threads = 4})
+        ->run();
   });
   EXPECT_EQ(seq.second, 55);  // 1+2+...+10
   EXPECT_EQ(seq, par);
-  EXPECT_EQ(seq, thr);
+  EXPECT_EQ(seq, fr);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@
 //
 // The identical-trace contract is stated for conflict-free specifications
 // (see estelle/conflict.hpp). Ill-formed (conflicting) specs are exercised
-// separately in conflict_test.cpp: the threaded backend serializes
-// conflicting candidates with revalidation, so even those no longer diverge.
+// separately in conflict_test.cpp: the sharded backend revalidates every
+// candidate inside its shard's serial round, so even those no longer
+// diverge.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -327,8 +328,8 @@ TEST(ExecutorConformance, CrossShardSpecTraceEquivalence) {
 
   const auto seq = run_kind(ExecutorKind::Sequential);
   ASSERT_EQ(seq.size(), 12u);  // 6 sends + 6 echoes
-  EXPECT_EQ(run_kind(ExecutorKind::Threaded), seq);
   EXPECT_EQ(run_kind(ExecutorKind::Sharded), seq);
+  EXPECT_EQ(run_kind(ExecutorKind::FreeRunning), seq);
 }
 
 TEST(ExecutorConformance, ShardedReportCarriesPerShardStats) {

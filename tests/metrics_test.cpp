@@ -90,35 +90,6 @@ TEST(MetricsObserverTest, PersistentAttachmentAggregatesAcrossRuns) {
   EXPECT_EQ(metrics.total_fired(), 0u);
 }
 
-TEST(MetricsObserverTest, ThreadedBackendHonorsWorkerCountOptions) {
-  // The Threaded backend used to spawn a hard-coded number of threads per
-  // round; it now sizes a persistent pool from ExecutorConfig::threads
-  // (0 ⇒ hardware_concurrency()) with RunOptions::worker_count overriding
-  // per run — and the metrics must be identical whatever the width, because
-  // announcements stay on the run thread.
-  TickWorld world;
-  auto executor =
-      make_executor(world.spec, {.kind = ExecutorKind::Threaded});
-  EXPECT_EQ(executor->unit_count(), resolve_worker_count(0));
-
-  MetricsObserver metrics;
-  executor->run({.observers = {&metrics}, .worker_count = 3});
-  EXPECT_EQ(executor->unit_count(), 3);  // pool resized for this run
-  EXPECT_EQ(metrics.total_fired(), 11u);
-  EXPECT_EQ(metrics.fired_by("spec:ticks.sys.fast"), 8u);
-  EXPECT_EQ(metrics.fired_by("spec:ticks.sys.slow"), 3u);
-
-  // Explicit config width; a run without an override restores it.
-  TickWorld world2;
-  auto executor2 = make_executor(
-      world2.spec, {.kind = ExecutorKind::Threaded, .threads = 2});
-  EXPECT_EQ(executor2->unit_count(), 2);
-  MetricsObserver metrics2;
-  executor2->run({.observers = {&metrics2}});
-  EXPECT_EQ(executor2->unit_count(), 2);
-  EXPECT_EQ(metrics2.total_fired(), 11u);
-}
-
 TEST(MetricsObserverTest, ReportsEmptyWithoutObserver) {
   TickWorld world;
   const RunReport report = make_executor(world.spec)->run();

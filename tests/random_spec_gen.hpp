@@ -12,8 +12,8 @@
 //
 // Decidability invariants the differential contracts rely on: guards read
 // only their own module's state or the offered head interaction (the
-// ill-formed flavors deliberately break this in ways the conflict-
-// serializing backends handle), every out-IP is written by exactly one
+// ill-formed flavors deliberately break this in ways the serial-shard
+// backends handle), every out-IP is written by exactly one
 // transition, and all activity is budget-bounded so every spec quiesces.
 #pragma once
 
@@ -34,7 +34,8 @@ struct GeneratedWorld {
   int nsys = 0;
   bool has_delay = false;
   /// False on specs whose semantics depend on candidate order in ways only
-  /// the conflict-serializing backends preserve (see header comment).
+  /// the serial-shard backends preserve (see the differential suite's header
+  /// comment).
   bool parallelsim_ok = true;
   /// True when the spec contains the shared-budget pair that forces a
   /// same-round revalidation skip (the announce-after-revalidation probe).
@@ -265,10 +266,10 @@ inline GeneratedWorld generate(std::uint64_t seed) {
     // Two channel-linked siblings racing a shared captured budget: in the
     // final round both are candidates and the first firing zeroes the
     // budget, so the second must be revalidated away. Sequential announces
-    // only the real firing; so must every conflict-serializing backend
-    // (this is the announce-after-revalidation probe). The channel is what
-    // makes ConflictAnalysis serialize the pair under Threaded; the engine
-    // order of ParallelSim legally splits the budget differently.
+    // only the real firing; so must every shard backend (this is the
+    // announce-after-revalidation probe). Both grabbers live in one shard,
+    // whose round runs serially with revalidation; the engine order of
+    // ParallelSim legally splits the budget differently.
     Module& host = *sys_modules[0][0];
     auto& x = host.create_child<Module>("grab_x", Attribute::Process);
     auto& y = host.create_child<Module>("grab_y", Attribute::Process);

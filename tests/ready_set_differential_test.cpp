@@ -1,25 +1,22 @@
 // Dirty-set vs full-scan differential testing (ready_set.hpp).
 //
 // The event-driven schedulers owe one thing above all: the ready-set
-// candidate collection must equal the legacy full-tree scan, every round, on
-// every specification — including the deliberately ill-formed flavors whose
-// guards read state no dirty hook can see (the guard-stickiness rule exists
-// for exactly those). Three layers of checking:
+// candidate collection must equal the reference full-tree scan, every round,
+// on every specification — including the deliberately ill-formed flavors
+// whose guards read state no dirty hook can see (the guard-stickiness rule
+// exists for exactly those). Two layers of checking:
 //
 //   * ExecutorConfig::verify_ready_set — the scheduler itself recomputes the
 //     reference full scan after every dirty-set collection and throws on the
 //     first divergence; the sweep here runs the shared random-spec generator
-//     through Sequential/Threaded/Sharded with the flag on.
-//   * mode differential — full runs under {full_scan, dirty-set} must agree
-//     on the world snapshot and fired count always, and on the exact trace
-//     whenever the spec has no delay clauses (the two modes charge different
-//     virtual scan costs, so delay maturation may legally reorder rounds;
-//     same exemption the threaded backend gets in the backend differential).
+//     through Sequential/Sharded/FreeRunning with the flag on. Whole runs
+//     against the tree scan are compared in random_spec_differential_test,
+//     whose ParallelSim leg collects with it.
 //   * hot-path assertions — on a sparse world (N idle, K active) the
 //     dirty-set scheduler must examine an order of magnitude fewer guards
-//     per firing than the full scan, and steady-state rounds must not grow
-//     any scheduler buffer (rounds_with_allocation == 0 on a warmed
-//     executor).
+//     per firing than one full-scan collection does per candidate, and
+//     steady-state rounds must not grow any scheduler buffer
+//     (rounds_with_allocation == 0 on a warmed executor).
 //
 // Also pinned here: topology changes (new module) and dynamically registered
 // transitions invalidate the ready state — a reused executor must not skip
@@ -33,6 +30,7 @@
 #include "estelle/executor.hpp"
 #include "estelle/metrics.hpp"
 #include "estelle/module.hpp"
+#include "estelle/sched.hpp"
 #include "estelle/trace.hpp"
 #include "random_spec_gen.hpp"
 
@@ -47,35 +45,15 @@ int spec_count() {
   return 50;
 }
 
-struct Outcome {
-  std::vector<std::string> trace;
-  std::string world;
-  StopReason reason{};
-  std::uint64_t fired = 0;
-  RunReport report;
-};
-
-Outcome run_mode(std::uint64_t seed, ExecutorKind kind, bool full_scan,
-                 bool verify) {
+RunReport run_verified(std::uint64_t seed, ExecutorKind kind) {
   specgen::GeneratedWorld g = specgen::generate(seed);
   ExecutorConfig cfg;
   cfg.kind = kind;
   cfg.processors = 4;
   cfg.threads = 4;
-  cfg.full_scan = full_scan;
-  cfg.verify_ready_set = verify;
-  auto executor = make_executor(*g.spec, cfg);
-
-  TraceRecorder trace;
-  Outcome out;
-  out.report = executor->run({.observers = {&trace}});
-  out.reason = out.report.reason;
-  out.fired = out.report.fired;
-  out.trace.reserve(trace.events().size());
-  for (const TraceEvent& e : trace.events())
-    out.trace.push_back(e.module_path + "/" + e.transition);
-  out.world = specgen::world_snapshot(*g.spec);
-  return out;
+  cfg.verify_ready_set = true;
+  TraceRecorder trace;  // observed runs take the announcement paths too
+  return make_executor(*g.spec, cfg)->run({.observers = {&trace}});
 }
 
 TEST(ReadySetDifferential, VerifiedAgainstFullScanEveryRound) {
@@ -87,39 +65,12 @@ TEST(ReadySetDifferential, VerifiedAgainstFullScanEveryRound) {
   const int n = spec_count();
   for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(n); ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    for (ExecutorKind kind :
-         {ExecutorKind::Sequential, ExecutorKind::Threaded,
-          ExecutorKind::Sharded, ExecutorKind::FreeRunning}) {
+    for (ExecutorKind kind : {ExecutorKind::Sequential, ExecutorKind::Sharded,
+                              ExecutorKind::FreeRunning}) {
       SCOPED_TRACE(executor_kind_name(kind));
-      const Outcome out = run_mode(seed, kind, /*full_scan=*/false,
-                                   /*verify=*/true);
-      EXPECT_EQ(out.reason, StopReason::Quiescent);
-      EXPECT_GT(out.fired, 0u);
-    }
-  }
-}
-
-TEST(ReadySetDifferential, ReadyAndFullScanModesAgree) {
-  const int n = spec_count();
-  for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(n); ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const specgen::GeneratedWorld probe = specgen::generate(seed);
-    for (ExecutorKind kind :
-         {ExecutorKind::Sequential, ExecutorKind::Threaded,
-          ExecutorKind::Sharded, ExecutorKind::FreeRunning}) {
-      SCOPED_TRACE(executor_kind_name(kind));
-      const Outcome full = run_mode(seed, kind, /*full_scan=*/true, false);
-      const Outcome ready = run_mode(seed, kind, /*full_scan=*/false, false);
-      EXPECT_EQ(ready.world, full.world) << "world diverged across modes";
-      EXPECT_EQ(ready.fired, full.fired);
-      EXPECT_EQ(ready.reason, full.reason);
-      if (!probe.has_delay) {
-        // Without delay clauses both modes produce identical rounds, so the
-        // trace must match exactly; with delays the differing virtual scan
-        // costs legally reschedule maturation (compare as multisets via the
-        // world+fired equality above).
-        EXPECT_EQ(ready.trace, full.trace) << "trace diverged across modes";
-      }
+      const RunReport r = run_verified(seed, kind);
+      EXPECT_EQ(r.reason, StopReason::Quiescent);
+      EXPECT_GT(r.fired, 0u);
     }
   }
 }
@@ -170,22 +121,26 @@ TEST(ReadySetDifferential, SparseWorldExaminesOnlyActiveGuards) {
   constexpr int kPairs = 4;
   constexpr std::uint64_t kRounds = 200;
 
-  const auto guards_per_firing = [](bool full_scan) {
-    SparseWorld world(kIdle, kPairs);
-    auto executor = make_executor(world.spec, {.full_scan = full_scan});
-    const RunReport r =
-        executor->run({.stop = {StopCondition::max_steps(kRounds)}});
-    EXPECT_EQ(r.reason, StopReason::StepLimit);
-    EXPECT_GT(r.fired, 0u);
-    return static_cast<double>(r.guards_examined) /
-           static_cast<double>(r.fired);
-  };
+  // One full-scan collection prices a round of the tree scan: every guard in
+  // the tree, for that round's candidates (each of which then fires).
+  SparseWorld probe(kIdle, kPairs);
+  int effort = 0;
+  const std::size_t candidates =
+      collect_firing_set(*probe.sys, SimTime{}, &effort).size();
+  ASSERT_EQ(candidates, static_cast<std::size_t>(kPairs));
+  const double full =
+      static_cast<double>(effort) / static_cast<double>(candidates);
 
-  const double full = guards_per_firing(true);
-  const double ready = guards_per_firing(false);
+  SparseWorld measured(kIdle, kPairs);
+  const RunReport r = make_executor(measured.spec)->run(
+      {.stop = {StopCondition::max_steps(kRounds)}});
+  EXPECT_EQ(r.reason, StopReason::StepLimit);
+  ASSERT_GT(r.fired, 0u);
+  const double ready =
+      static_cast<double>(r.guards_examined) / static_cast<double>(r.fired);
   // K active modules among N idle: the full scan pays for every idle guard
   // every round; the dirty set examines only what moved. The 10x bar is the
-  // PR's acceptance line; at 512/4 the real ratio is far larger.
+  // acceptance line; at 512/4 the real ratio is far larger.
   EXPECT_GE(full / ready, 10.0)
       << "full=" << full << " guards/firing, ready=" << ready;
 
@@ -204,9 +159,8 @@ TEST(ReadySetDifferential, SparseWorldExaminesOnlyActiveGuards) {
 }
 
 TEST(ReadySetDifferential, TopologyMutationInvalidatesReadyState) {
-  for (ExecutorKind kind :
-       {ExecutorKind::Sequential, ExecutorKind::Threaded,
-        ExecutorKind::Sharded, ExecutorKind::FreeRunning}) {
+  for (ExecutorKind kind : {ExecutorKind::Sequential, ExecutorKind::Sharded,
+                            ExecutorKind::FreeRunning}) {
     SCOPED_TRACE(executor_kind_name(kind));
     Specification spec("mutate");
     auto& sys =

@@ -1,6 +1,6 @@
 // Scheduler stress and edge-case tests: determinism of the parallel
-// executors, uniprocessor-host mapping, dynamic module destruction, output
-// capture, and misc runtime invariants not covered by estelle_test.
+// executors, uniprocessor-host mapping, dynamic module destruction, and misc
+// runtime invariants not covered by estelle_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -76,8 +76,9 @@ TEST(SchedStress, LongChainAllSchedulersAgree) {
     make_executor(s, {.kind = ExecutorKind::ParallelSim, .processors = 8})
         ->run();
   });
-  const auto thr = run_chain(kCells, kTokens, [](Specification& s) {
-    make_executor(s, {.kind = ExecutorKind::Threaded, .threads = 8})->run();
+  const auto fr = run_chain(kCells, kTokens, [](Specification& s) {
+    make_executor(s, {.kind = ExecutorKind::FreeRunning, .threads = 8})
+        ->run();
   });
   const auto shd = run_chain(kCells, kTokens, [](Specification& s) {
     make_executor(s, {.kind = ExecutorKind::Sharded, .threads = 8})->run();
@@ -85,7 +86,7 @@ TEST(SchedStress, LongChainAllSchedulersAgree) {
   EXPECT_EQ(seq.first, kCells - 1);  // token incremented at every hop
   EXPECT_EQ(seq.second, kCells * kTokens);
   EXPECT_EQ(seq, par);
-  EXPECT_EQ(seq, thr);
+  EXPECT_EQ(seq, fr);
   EXPECT_EQ(seq, shd);
 }
 
@@ -115,8 +116,8 @@ TEST(SchedStress, SoakChainDifferentialAcrossAllBackends) {
     EXPECT_EQ(seq.first, cells - 1) << "iteration " << i;
     EXPECT_EQ(seq.second, cells * tokens) << "iteration " << i;
     for (ExecutorKind kind :
-         {ExecutorKind::ParallelSim, ExecutorKind::Threaded,
-          ExecutorKind::Sharded}) {
+         {ExecutorKind::ParallelSim, ExecutorKind::Sharded,
+          ExecutorKind::FreeRunning}) {
       EXPECT_EQ(twice(kind), seq)
           << "iteration " << i << ", backend " << executor_kind_name(kind);
     }
@@ -230,40 +231,6 @@ TEST(SchedStress, DynamicReleaseDuringRun) {
   make_executor(spec, {.max_steps = 2000})->run();
   EXPECT_EQ(sup.children().size(), 0u);
   EXPECT_EQ(sup.state(), 2);
-}
-
-TEST(OutputCaptureTest, CapturesAndCommitsInOrder) {
-  Specification spec("cap");
-  auto& sys =
-      spec.root().create_child<Module>("sys", Attribute::SystemProcess);
-  auto& a = sys.create_child<Module>("a", Attribute::Process);
-  auto& b = sys.create_child<Module>("b", Attribute::Process);
-  connect(a.ip("x"), b.ip("x"));
-
-  OutputCapture capture;
-  capture.begin();
-  a.ip("x").output(Interaction(1));
-  a.ip("x").output(Interaction(2));
-  capture.end();
-  EXPECT_EQ(capture.size(), 2u);
-  EXPECT_FALSE(b.ip("x").has_input());  // nothing delivered yet
-
-  a.ip("x").output(Interaction(3));  // outside capture: immediate
-  EXPECT_EQ(b.ip("x").queue_length(), 1u);
-
-  capture.commit();
-  ASSERT_EQ(b.ip("x").queue_length(), 3u);
-  EXPECT_EQ(b.ip("x").pop().kind, 3);  // immediate one arrived first
-  EXPECT_EQ(b.ip("x").pop().kind, 1);
-  EXPECT_EQ(b.ip("x").pop().kind, 2);
-}
-
-TEST(OutputCaptureTest, NestedCaptureRejected) {
-  OutputCapture outer;
-  outer.begin();
-  OutputCapture inner;
-  EXPECT_THROW(inner.begin(), std::logic_error);
-  outer.end();
 }
 
 TEST(SpecificationTest, DoubleInitializeThrows) {

@@ -1,8 +1,8 @@
 // WorkerPool unit tests: the epoch barrier under contention, stealing and
 // its fairness counters, graceful shutdown with queued tasks, reuse across
 // epochs and across Executor::run() calls, and oversubscription (more
-// workers than tasks/shards). The pool is the substrate of the Threaded and
-// Sharded backends, so these tests run under the TSan CI job.
+// workers than tasks/shards). The pool is the substrate of the real-thread
+// backends, so these tests run under the TSan CI job.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +14,6 @@
 
 #include "estelle/executor.hpp"
 #include "estelle/module.hpp"
-#include "estelle/sched.hpp"
 #include "estelle/shard_executor.hpp"
 #include "estelle/worker_pool.hpp"
 
@@ -229,17 +228,16 @@ TEST(WorkerPoolTest, OversubscriptionMoreWorkersThanTasks) {
 // ---------------------------------------------------------------------------
 // Pool reuse through the executors.
 
-/// Two independent workers inside one system module: every round has two
-/// conflict-free candidates, so the Threaded backend uses its pool each
-/// round.
-struct ParallelWorld {
-  Specification spec{"pw"};
-  explicit ParallelWorld(int limit = 6) {
-    auto& sys =
-        spec.root().create_child<Module>("sys", Attribute::SystemProcess);
-    for (int i = 0; i < 2; ++i) {
-      auto& w = sys.create_child<Module>("w" + std::to_string(i),
-                                         Attribute::Process);
+/// `shards` independent system modules, each holding one worker that ticks
+/// `limit` times: every epoch has one candidate per shard, so the sharded
+/// backend deals them to its pool.
+struct ShardWorld {
+  Specification spec{"shards"};
+  ShardWorld(int shards, int limit) {
+    for (int i = 0; i < shards; ++i) {
+      auto& sys = spec.root().create_child<Module>("sys" + std::to_string(i),
+                                                   Attribute::SystemProcess);
+      auto& w = sys.create_child<Module>("w", Attribute::Process);
       w.trans("tick")
           .provided([limit](Module& m, const Interaction*) {
             return m.state() < limit;
@@ -251,62 +249,35 @@ struct ParallelWorld {
     spec.initialize();
   }
   void rearm() {
-    for (auto& child : spec.root().children()[0]->children())
-      child->set_state(0);
+    for (Module* sm : spec.system_modules()) sm->children()[0]->set_state(0);
   }
 };
 
-TEST(WorkerPoolTest, ThreadedSchedulerReusesOnePoolAcrossRuns) {
-  ParallelWorld world;
-  ThreadedScheduler sched(world.spec, {.threads = 3});
-  sched.run();
-  ASSERT_NE(sched.pool(), nullptr);
-  const WorkerPool* pool = sched.pool();
-  const std::uint64_t epochs_after_first = pool->epochs();
-  EXPECT_GT(epochs_after_first, 0u);
-
-  // Second run: same pool object, more epochs — no teardown/respawn.
-  world.rearm();
-  sched.run();
-  EXPECT_EQ(sched.pool(), pool);
-  EXPECT_GT(pool->epochs(), epochs_after_first);
-}
-
 TEST(WorkerPoolTest, RunOptionsWorkerCountResizesThePool) {
-  ParallelWorld world;
-  ThreadedScheduler sched(world.spec, {.threads = 2});
-  sched.run();
-  EXPECT_EQ(sched.pool()->worker_count(), 2);
-  EXPECT_EQ(sched.unit_count(), 2);
+  // Six shards keep every width this test asks for under the shard-count
+  // cap.
+  ShardWorld world(6, 4);
+  ShardedExecutor ex(world.spec, {.threads = 2});
+  ex.run();
+  ASSERT_NE(ex.pool(), nullptr);
+  EXPECT_EQ(ex.pool()->worker_count(), 2);
+  EXPECT_EQ(ex.unit_count(), 2);
 
   world.rearm();
-  sched.run({.worker_count = 5});
-  EXPECT_EQ(sched.pool()->worker_count(), 5);
+  ex.run({.worker_count = 5});
+  EXPECT_EQ(ex.pool()->worker_count(), 5);
 
-  // Width sticks for later runs that don't override it? No — the configured
-  // width is restored once a run stops asking for a different one.
+  // The configured width is restored once a run stops asking for another.
   world.rearm();
-  sched.run();
-  EXPECT_EQ(sched.pool()->worker_count(), 2);
+  ex.run();
+  EXPECT_EQ(ex.pool()->worker_count(), 2);
 }
 
 TEST(WorkerPoolTest, ShardedExecutorReusesOnePoolAndCapsAtShardCount) {
-  // Two independent system modules = two shards; ask for 8 workers and the
-  // pool must cap at 2 (whole-shard stealing can't use more).
-  Specification spec("two-shards");
-  for (int i = 0; i < 2; ++i) {
-    auto& sys = spec.root().create_child<Module>("sys" + std::to_string(i),
-                                                 Attribute::SystemProcess);
-    auto& w = sys.create_child<Module>("w", Attribute::Process);
-    w.trans("tick")
-        .provided([](Module& m, const Interaction*) { return m.state() < 9; })
-        .action([](Module& m, const Interaction*) {
-          m.set_state(m.state() + 1);
-        });
-  }
-  spec.initialize();
-
-  ShardedExecutor ex(spec, {.threads = 8});
+  // Two shards; ask for 8 workers and the pool must cap at 2 (whole-shard
+  // stealing can't use more).
+  ShardWorld world(2, 9);
+  ShardedExecutor ex(world.spec, {.threads = 8});
   const RunReport report = ex.run();
   EXPECT_EQ(report.fired, 18u);
   ASSERT_NE(ex.pool(), nullptr);
@@ -315,8 +286,7 @@ TEST(WorkerPoolTest, ShardedExecutorReusesOnePoolAndCapsAtShardCount) {
 
   const WorkerPool* pool = ex.pool();
   const std::uint64_t epochs = pool->epochs();
-  for (Module* sm : spec.system_modules())
-    sm->children()[0]->set_state(0);
+  world.rearm();
   ex.run();
   EXPECT_EQ(ex.pool(), pool);  // reused, not respawned
   EXPECT_GT(pool->epochs(), epochs);
