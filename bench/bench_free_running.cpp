@@ -1,15 +1,16 @@
-// Epochs vs free-running continuation dispatch (ExecutorKind::Sharded vs
-// ExecutorKind::FreeRunning) on the sparse-activity hot-path workload.
+// Barrier rounds vs free-running continuation dispatch (ExecutorKind::Sharded
+// vs ExecutorKind::FreeRunning) on the sparse-activity hot-path workload.
 //
-// The sharded backend pays a coordinator epoch per round: a transfer-drain
-// sweep over every interaction point, a ledger drain, candidate collection
-// on the run thread, stats aggregation, and (on observed runs) the
-// announcement replay — all global, all once per round. The free-running
-// backend runs each shard as a continuation that loops fire-from-ready-set
-// rounds locally and syncs only through round-stamped mailboxes, so its
-// per-round overhead is independent of the idle population. Sweeping N idle
-// entities at fixed K active shows exactly that: Sharded rounds/sec decays
-// with N (the epoch sweep is O(N)), FreeRunning stays flat.
+// The sharded backend pays a coordinator barrier per round: a drain of its
+// shards' cross-shard endpoints, a ledger drain, candidate collection on the
+// run thread, stats aggregation, and (on observed runs) the announcement
+// replay — all once per round. The free-running backend runs each shard as a
+// continuation that loops the same per-shard rounds locally and syncs only
+// through round-stamped mailboxes. Neither sweeps every interaction point
+// per round (both drain only cross-shard endpoints), so both per-round costs
+// are independent of the idle population: sweeping N idle entities at fixed
+// K active keeps both flat, and the gate below compares two engines of equal
+// per-round cost, FreeRunning saving only the barrier.
 //
 // Acceptance (ISSUE 5): at N=1024, K=8 FreeRunning must reach >= 1x Sharded
 // rounds/sec, and the warmed FreeRunning run must report zero allocating

@@ -243,7 +243,7 @@ RunReport ExecutorBase::run(const RunOptions& opts) {
                    prev_has_predicate};
 
   // Per-run worker-count override (saved/restored for reentrancy; backends
-  // read it via requested_worker_count() when sizing their pool).
+  // read it via effective_worker_width() when sizing their pool).
   const int prev_workers = run_worker_count_;
   run_worker_count_ = opts.worker_count;
   struct WorkerScope {

@@ -21,7 +21,7 @@
 //
 // Observer contract: all RunObserver callbacks are invoked on the thread that
 // called run(), even under the real-thread backends — Sharded replays each
-// epoch's revalidated firings after the epoch barrier
+// round's revalidated firings after the round's barrier
 // (announce-after-revalidation, see shard_executor.hpp), and FreeRunning
 // merges its shards' firing logs on the run thread. Observers therefore need
 // no internal locking.
@@ -267,8 +267,8 @@ struct FreeRunningStats {
   std::uint64_t wakes = 0;
   /// Max occupancy any per-shard firing log (SPSC ring) ever reached.
   std::uint64_t log_high_water = 0;
-  /// Rounds served by the epoch-based sharded path instead (specification
-  /// not proven conflict-free, or a pool narrower than the shard count).
+  /// Rounds served by Sharded barrier rounds instead (specification not
+  /// proven conflict-free, or a pool narrower than the shard count).
   std::uint64_t fallback_rounds = 0;
 };
 
@@ -304,8 +304,9 @@ struct FreeRunningStats {
 /// by the runner even when the node has no transport — a single-node group
 /// still parallelizes): node_workers is the node's effective worker width
 /// (resolved DistOptions::worker_count, capped at the local shard count);
-/// parallel_shard_rounds counts node rounds executed as WorkerPool
-/// continuation tasks (width >= 2) instead of the sequential per-node loop.
+/// parallel_shard_rounds counts node rounds in which two or more local
+/// shards fired and ran as WorkerPool tasks (width >= 2); every other round
+/// runs inline on the run thread.
 /// io_overlap_polls is always 0: nothing pumps the transport while shard
 /// tasks run (frames wait for the pump between rounds). The field stays for
 /// readers that still report it.
@@ -455,11 +456,6 @@ class ExecutorBase : public Executor {
   /// the active run has no observers at all, so backends can skip
   /// announcement bookkeeping entirely on unobserved runs.
   [[nodiscard]] RunObserver* observer() noexcept { return chain_; }
-  /// RunOptions::worker_count of the active run (0 when unset / outside a
-  /// run). Real-thread backends consult this when sizing their pool.
-  [[nodiscard]] int requested_worker_count() const noexcept {
-    return run_worker_count_;
-  }
   /// The pool width a real-thread backend should use right now: the active
   /// run's worker_count override if set, else the backend's configured
   /// width resolved through resolve_worker_count().
@@ -477,7 +473,7 @@ class ExecutorBase : public Executor {
   /// other backends' deadline-heap jumps clamp against it.
   SimTime run_deadline_{std::numeric_limits<std::int64_t>::max()};
   /// Global rounds the last step() call completed, consumed (and reset to 1)
-  /// by the run loop: `steps += last_step_rounds_`. Every epoch/round-based
+  /// by the run loop: `steps += last_step_rounds_`. Every round-based
   /// backend leaves it at 1; the free-running backend executes whole bursts
   /// of rounds inside one step() and reports the burst size here so
   /// RunReport::steps and the StepLimit accounting keep meaning "global
@@ -501,7 +497,8 @@ class ExecutorBase : public Executor {
   /// Firings contributed by reentrant inner run() calls during the active
   /// run — subtracted so RunReport::fired stays "fired in THIS run".
   std::uint64_t nested_fired_ = 0;
-  /// RunOptions::worker_count of the active run (see requested_worker_count).
+  /// RunOptions::worker_count of the active run (0 when unset / outside a
+  /// run); see effective_worker_width.
   int run_worker_count_ = 0;
 };
 

@@ -16,7 +16,7 @@ FreeRunningExecutor::~FreeRunningExecutor() { end_session(); }
 
 bool FreeRunningExecutor::free_runnable() const noexcept {
   // An unproven spec may couple shards outside the mailbox discipline, so
-  // it takes the epoch path. The pool must also host one continuation per
+  // it takes the barrier path. The pool must also host one continuation per
   // shard, or the neighbor gates could wait on a shard whose task never got
   // a worker.
   if (analysis_ == nullptr || !analysis_->conflict_free()) return false;
@@ -39,17 +39,15 @@ void FreeRunningExecutor::start_session() {
   const std::size_t nshards = shards_.size();
   ensure_pool_width(std::max<int>(1, static_cast<int>(nshards)));
 
-  // Same reseed / ledger-ownership / routing policy as the epoch path.
+  // Same reseed / ledger-ownership / routing policy as the barrier path.
   route_ready_ledger();
 
   // Absorb transfers left parked by a stopped previous run: their round
   // stamps belong to a dead numbering, and this session starts from a clean
   // mailbox state (the watermark rule still raises the receiving clock).
-  for (std::size_t s = 0; s < nshards; ++s) {
-    ShardState& shard = shards_[s];
+  for (ShardState& shard : shards_) {
     SimTime wm = shard.clock;
-    for (Module* m : analysis_->shards()[s].modules)
-      for (const auto& ip : m->ips()) ip->drain_transfers(&wm);
+    for (InteractionPoint* ip : shard.boundary) ip->drain_transfers(&wm);
     if (wm > shard.clock) shard.clock = wm;
   }
 
@@ -68,7 +66,6 @@ void FreeRunningExecutor::start_session() {
     slot.gate_need = 0;
     slot.wake_pending = false;
     slot.neighbors.clear();
-    slot.boundary.clear();
     // A full ring must always hold a drainable prefix of completed rounds,
     // so capacity strictly exceeds any single round's firing set (bounded
     // by the shard's module count).
@@ -85,12 +82,10 @@ void FreeRunningExecutor::start_session() {
     if (std::find(b.neighbors.begin(), b.neighbors.end(), ch.shard_a) ==
         b.neighbors.end())
       b.neighbors.push_back(ch.shard_a);
-    a.boundary.push_back(ch.a);
-    b.boundary.push_back(ch.b);
   }
-  for (const auto& slot : slots_) {
-    footprint += slot->log.capacity() + slot->neighbors.capacity() +
-                 slot->boundary.capacity();
+  for (std::size_t s = 0; s < nshards; ++s) {
+    footprint += slots_[s]->log.capacity() + slots_[s]->neighbors.capacity() +
+                 shards_[s].boundary.capacity();
   }
   if (footprint != slot_footprint_seen_) {
     slot_footprint_seen_ = footprint;
@@ -133,6 +128,10 @@ std::uint64_t FreeRunningExecutor::end_session() {
     merge_logs(lock, /*session_end=*/true);
     progressed = fold_locked();
   }
+  // Transfers still parked carry session round stamps, at most the highest
+  // round a shard completed: a later barrier round must drain all of them
+  // at once, ahead of anything it sends itself.
+  barrier_rounds_ = std::max(barrier_rounds_, session_base_rounds_);
   session_active_ = false;
   stop_ = false;
   stop_flag_.store(false, std::memory_order_release);
@@ -558,7 +557,7 @@ bool FreeRunningExecutor::park_until(Slot& slot, SlotState why, Pred ready) {
   return !stop_;
 }
 
-bool FreeRunningExecutor::passive_park(Slot& slot) {
+bool FreeRunningExecutor::passive_park(Slot& slot, const ShardState& shard) {
   std::unique_lock<std::mutex> lock(smu_);
   if (stop_) return false;
   if (slot.wake_pending) {
@@ -568,7 +567,7 @@ bool FreeRunningExecutor::passive_park(Slot& slot) {
   // Last-instant recheck under the session lock: a delivery that raced the
   // drain has already published its mailbox count (the hook runs after the
   // store), so an empty check here really means nothing is pending.
-  for (InteractionPoint* ip : slot.boundary)
+  for (InteractionPoint* ip : shard.boundary)
     if (ip->has_pending_transfers()) return true;
   slot.state = SlotState::Passive;
   ++slot.parks;
@@ -620,8 +619,32 @@ void FreeRunningExecutor::log_push(Slot& slot, const FiredEntry& entry) {
   }
 }
 
-void FreeRunningExecutor::shard_loop(int s, Slot& slot, ShardState& shard,
-                                     const ShardInfo& info) {
+bool FreeRunningExecutor::continuation_round(int s, Slot& slot,
+                                             std::uint64_t r,
+                                             std::uint64_t* min_future) {
+  ShardState& shard = shards_[static_cast<std::size_t>(s)];
+  if (begin_round(s, r, shard.clock, min_future)) {
+    fire_round(s, r, free_announce_.load(std::memory_order_relaxed),
+               [this, &slot, r](const FiringCandidate& c, SimTime at) {
+                 log_push(slot, {c, at, r});
+               });
+    return true;
+  }
+  // Nothing fireable: leap to the shard's next delay deadline, clamped to
+  // the run deadline — an empty round, counted like the sequential
+  // scheduler's idle round. No deadline, or one the clamp truncates to the
+  // current clock (the shard is pinned at the run deadline), means there is
+  // nothing to do.
+  const SimTime wake = shard.ready.next_deadline();
+  if (wake == kNeverTime) return false;
+  const SimTime cap{session_deadline_ns_.load(std::memory_order_relaxed)};
+  const SimTime target = std::min(wake, cap);
+  if (target <= shard.clock) return false;
+  shard.clock = target;
+  return true;
+}
+
+void FreeRunningExecutor::shard_loop(int s, Slot& slot, ShardState& shard) {
   for (;;) {
     if (stop_flag_.load(std::memory_order_acquire)) return;
     const std::uint64_t r = slot.completed + 1;
@@ -659,20 +682,13 @@ void FreeRunningExecutor::shard_loop(int s, Slot& slot, ShardState& shard,
     }
     if (stopped) return;
 
-    // The shared continuation engine (shard_round.hpp): drain <= r-1,
-    // collect / leap / park, fire with revalidation, log announcements into
-    // this slot's SPSC ring. min_future remembers the earliest later-stamped
-    // parked arrival so an idle shard can leap to it below.
+    // The shared round engine (shard_round.hpp): drain <= r-1, collect,
+    // fire with revalidation (logging announcements into this slot's SPSC
+    // ring) or leap. min_future remembers the earliest later-stamped parked
+    // arrival so an idle shard can leap to it below.
     std::uint64_t min_future = kAllRounds;
-    ContinuationDelta delta;
-    const ReadyScope::RoundAction action = continuation_round(
-        s, shard, slot.boundary, r,
-        SimTime{session_deadline_ns_.load(std::memory_order_relaxed)},
-        info.system_module, free_announce_.load(std::memory_order_relaxed),
-        delta, &min_future,
-        [this, &slot, r](const FiringCandidate& c, SimTime at) {
-          log_push(slot, {c, at, r});
-        });
+    const bool completed = continuation_round(s, slot, r, &min_future);
+    const RoundDelta& delta = shard.delta;
     slot.rounds += delta.rounds;
     slot.fired += delta.fired;
     slot.guards += delta.guards;
@@ -681,35 +697,24 @@ void FreeRunningExecutor::shard_loop(int s, Slot& slot, ShardState& shard,
     slot.busy += delta.busy;
     slot.sched += delta.sched;
 
-    switch (action) {
-      case ReadyScope::RoundAction::Fire:
-        complete_round(slot, r);
-        break;
-      case ReadyScope::RoundAction::Advance:
-        // Empty round leaping to the next delay deadline — counts as a
-        // global round (the sequential scheduler's idle round).
-        complete_round(slot, r);
-        break;
-      case ReadyScope::RoundAction::Park: {
-        if (min_future != kAllRounds) {
-          // Nothing now, but a future-stamped arrival is parked: skip the
-          // empty rounds (sequential spent them on other shards) and resume
-          // at the arrival round — clamped to the release limit AND to every
-          // neighbor's progress (a shard at round a can still send stamps as
-          // low as a+1, and those must be consumed at a+2, so skipping past
-          // a+1 would replay them late).
-          std::uint64_t jump = std::min(
-              min_future, round_limit_.load(std::memory_order_relaxed));
-          for (int nb : slot.neighbors)
-            jump = std::min(
-                jump,
-                slots_[static_cast<std::size_t>(nb)]->advertised.load() + 1);
-          if (jump > slot.completed) complete_round(slot, jump);
-          continue;
-        }
-        if (!passive_park(slot)) return;
-        break;
-      }
+    if (completed) {
+      complete_round(slot, r);
+    } else if (min_future != kAllRounds) {
+      // Nothing now, but a future-stamped arrival is parked: skip the empty
+      // rounds (sequential spent them on other shards) and resume at the
+      // arrival round — clamped to the release limit AND to every
+      // neighbor's progress (a shard at round a can still send stamps as
+      // low as a+1, and those must be consumed at a+2, so skipping past a+1
+      // would replay them late).
+      std::uint64_t jump =
+          std::min(min_future, round_limit_.load(std::memory_order_relaxed));
+      for (int nb : slot.neighbors)
+        jump = std::min(
+            jump, slots_[static_cast<std::size_t>(nb)]->advertised.load() + 1);
+      if (jump > slot.completed) complete_round(slot, jump);
+      continue;
+    } else if (!passive_park(slot, shard)) {
+      return;
     }
 
     // Structural changes (a firing created modules or channels) invalidate
@@ -729,12 +734,11 @@ void FreeRunningExecutor::shard_loop(int s, Slot& slot, ShardState& shard,
 void FreeRunningExecutor::shard_main(int s) {
   Slot& slot = *slots_[static_cast<std::size_t>(s)];
   ShardState& shard = shards_[static_cast<std::size_t>(s)];
-  const ShardInfo& info = analysis_->shards()[static_cast<std::size_t>(s)];
   // Route every dirty mark this thread produces straight into the shard's
   // own ready scope — the lock-free dirty tracking of the round hot path.
   LocalReadyScopeBinding binding(shard.ready, s);
   try {
-    shard_loop(s, slot, shard, info);
+    shard_loop(s, slot, shard);
   } catch (...) {
     // Surface worker-side failures (verify_ready_set divergence, a throwing
     // action) through the run thread instead of terminating the process.

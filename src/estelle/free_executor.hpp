@@ -3,22 +3,22 @@
 //
 // The paper's scaling argument (§3–§5) is that system modules are mutually
 // independent and asynchronous, so a multiprocessor server should let each
-// module subtree run at its own pace. The epoch-based Sharded backend
+// module subtree run at its own pace. The Sharded backend
 // (shard_executor.hpp) still funnels every round through a coordinator
 // barrier — announcement replay and stop-condition checks re-park the pool
-// once per epoch, capping throughput at the slowest shard. This backend
+// once per round, capping throughput at the slowest shard. This backend
 // removes that last global synchronization point:
 //
 //   * each shard becomes ONE long-lived continuation task on the persistent
-//     WorkerPool. The task loops fire-from-ready-set rounds locally
-//     (ReadyScope::next_round — collect, fire, or leap to the next delay
-//     deadline), with its dirty tracking bound to the executing thread
-//     (LocalReadyScopeBinding), so a steady-state round touches no lock, no
-//     ledger and no other thread.
+//     WorkerPool. The task loops rounds locally (continuation_round: the
+//     shared begin_round / fire_round halves at the shard's own clock, or a
+//     leap to the shard's next delay deadline), with its dirty tracking
+//     bound to the executing thread (LocalReadyScopeBinding), so a
+//     steady-state round touches no lock, no ledger and no other thread.
 //   * shards communicate only through the round-stamped transfer mailboxes.
 //     A message output during global round k becomes visible to its
 //     destination at round k+1 (InteractionPoint::drain_transfers_until) —
-//     the epoch barrier's visibility rule enforced per message. A
+//     the barrier round's visibility rule enforced per message. A
 //     conservative neighbor gate (a shard enters round r only once every
 //     shard it shares a channel with has completed round r-1) keeps round
 //     composition — and therefore the firing trace — identical to the
@@ -32,7 +32,7 @@
 //     is queued and no inbound transfer is pending; the cross-shard wake
 //     hook (CrossShardWakeSink, fired from InteractionPoint::deliver)
 //     unparks it the moment a foreign shard sends to it — no coordinator
-//     epoch in between.
+//     round in between.
 //   * observer announcements move off the barrier onto a bounded per-shard
 //     firing log (SPSC ring). The run thread merges the logs in global
 //     (round, shard id) order up to the watermark round that every
@@ -56,9 +56,18 @@
 // Fallback: free-running dispatch requires the specification to be PROVEN
 // conflict-free by ConflictAnalysis (guards on cross-shard queues or shared
 // loss Rngs make un-barriered rounds unsound) and a pool wide enough for one
-// continuation slot per shard. Anything else falls back to the epoch-based
-// Sharded step — same shards, same mailboxes, same announced trace, counted
-// in FreeRunningStats::fallback_rounds.
+// continuation slot per shard. Anything else falls back to the Sharded step,
+// one barrier round over every shard — same shards, same mailboxes, same
+// round engine, same announced trace, counted in
+// FreeRunningStats::fallback_rounds. Ending a session lifts the barrier
+// round counter past the session's rounds, so the transfers it left parked
+// drain in the first barrier round, in their send order.
+//
+// Known gap: an idle free-running shard leaps to its OWN next delay
+// deadline, while the barrier round only leaps the whole group when no
+// shard fires (shard_executor.hpp). On a conflict-free spec whose timers
+// race another shard's work, a timer can therefore fire here that the
+// sequential scheduler never fires.
 #pragma once
 
 #include <atomic>
@@ -149,8 +158,7 @@ class FreeRunningExecutor final : public ShardedExecutor,
     std::vector<FiredEntry> log_overflow;
 
     // Session wiring (run thread writes while no task is live):
-    std::vector<int> neighbors;                  // shards sharing a channel
-    std::vector<InteractionPoint*> boundary;     // IPs receiving transfers
+    std::vector<int> neighbors;  // shards sharing a channel
 
     // Coordination (guarded by smu_):
     SlotState state = SlotState::Running;
@@ -193,11 +201,18 @@ class FreeRunningExecutor final : public ShardedExecutor,
 
   // Worker-side (shard continuation):
   void shard_main(int s);
-  void shard_loop(int s, Slot& slot, ShardState& shard, const ShardInfo& info);
+  void shard_loop(int s, Slot& slot, ShardState& shard);
+  /// One free-running round r of shard `s`: begin_round at the shard's own
+  /// clock and fire_round when it fires; else leap the shard to its next
+  /// delay deadline, clamped to the run deadline. Returns true when the
+  /// round completed (fired or leapt), false when the shard has nothing to
+  /// do. `min_future` as in begin_round.
+  bool continuation_round(int s, Slot& slot, std::uint64_t r,
+                          std::uint64_t* min_future);
   void complete_round(Slot& slot, std::uint64_t round);
   void log_push(Slot& slot, const FiredEntry& entry);
   bool gate_wait(Slot& slot, Slot& target, int target_id, std::uint64_t need);
-  bool passive_park(Slot& slot);
+  bool passive_park(Slot& slot, const ShardState& shard);
   template <typename Pred>
   bool park_until(Slot& slot, SlotState why, Pred ready);
 

@@ -54,10 +54,9 @@ void InteractionPoint::deliver(Interaction msg) {
   if (t_shard != kNoShard && owner_.shard() != t_shard) {
     // Two-phase cross-shard handoff: park in the transfer mailbox, stamped
     // with the sender shard's clock and round; the owning shard drains at
-    // its next epoch boundary or free-running round (the drain is what marks
-    // the owner ready). The wake sink fires after the store is published so
-    // a passive free-running shard can be unparked instead of waiting for a
-    // coordinator epoch.
+    // its next round (the drain is what marks the owner ready). The wake
+    // sink fires after the store is published so a passive free-running
+    // shard can be unparked instead of waiting for a coordinator round.
     inject_transfer(std::move(msg), t_shard_now, t_shard_round);
     return;
   }
@@ -72,7 +71,7 @@ std::size_t InteractionPoint::drain_transfers_until(
     std::uint64_t max_round, SimTime* watermark,
     std::uint64_t* min_remaining) {
   // Empty-mailbox fast path, lock-free: drains are separated from foreign
-  // deliveries by the pool join (epoch backends) or the sender-progress gate
+  // deliveries by the pool join (barrier rounds) or the sender-progress gate
   // (free-running), so a zero count really means empty-for-our-round.
   if (transfer_count_.load(std::memory_order_acquire) == 0) return 0;
   std::lock_guard<std::mutex> lock(stripe_of(this));

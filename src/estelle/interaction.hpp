@@ -73,11 +73,11 @@ inline constexpr std::uint64_t kAllRounds =
 /// Cross-shard wake signal for continuation-style executors. A sink
 /// registered on the Specification is invoked after deliver() parks an
 /// interaction in a foreign shard's transfer mailbox: `shard` is the
-/// destination shard, `sender_round` the sending shard's in-flight global
-/// round (0 under the epoch-based backends). Invoked from whatever worker
+/// destination shard, `sender_round` the sending shard's in-flight round
+/// (its ShardExecutionScope stamp). Invoked from whatever worker
 /// thread executed the output, after the mailbox store is published — the
 /// free-running executor uses it to unpark a passive destination shard
-/// instead of waiting for a coordinator epoch.
+/// instead of waiting for a coordinator round.
 class CrossShardWakeSink {
  public:
   virtual ~CrossShardWakeSink() = default;
@@ -139,18 +139,18 @@ class InteractionPoint {
   // ---- two-phase cross-shard mailbox ----
   /// Move every cross-shard arrival into the inbox, in transfer order.
   /// Single-consumer: only the worker currently stepping the owning shard
-  /// (or the run thread between epochs) may call this. Returns the number of
+  /// (or the run thread between rounds) may call this. Returns the number of
   /// interactions moved; `watermark` (if given) is raised to the latest
   /// sender-side timestamp seen, which the sharded executor uses to keep the
   /// receiving shard's clock ahead of every message it has accepted.
   std::size_t drain_transfers(SimTime* watermark = nullptr) {
     return drain_transfers_until(kAllRounds, watermark, nullptr);
   }
-  /// Round-bounded drain for the free-running executor: accept only arrivals
-  /// whose sender round stamp is <= `max_round` (a shard collecting its
-  /// global round r passes r-1, so a message sent during round k becomes
-  /// visible in round k+1 — exactly the epoch barrier's visibility rule,
-  /// enforced per message instead of globally). Later-stamped arrivals stay
+  /// Round-bounded drain of every shard round (begin_round): accept only
+  /// arrivals whose sender round stamp is <= `max_round` (a shard collecting
+  /// its global round r passes r-1, so a message sent during round k becomes
+  /// visible in round k+1 — a barrier's visibility rule, enforced per
+  /// message, which is what lets free-running shards drop the barrier). Later-stamped arrivals stay
   /// parked; `min_remaining` (if given) is lowered to the smallest round
   /// stamp left behind, which an idle shard uses to leap its round counter
   /// to the next arrival instead of spinning through empty rounds.
@@ -199,12 +199,11 @@ class InteractionPoint {
   std::string name_;
   InteractionPoint* peer_ = nullptr;
   std::deque<Interaction> inbox_;
-  /// Cross-shard arrivals parked until the owning shard's next epoch
-  /// boundary (or free-running drain), stamped with the sender shard's clock
-  /// and round. Guarded by a striped mutex pool (see interaction.cpp), not a
-  /// per-IP mutex, so idle IPs cost nothing; `transfer_count_` mirrors the
-  /// size so the per-epoch drain sweep can skip empty mailboxes without
-  /// touching a lock.
+  /// Cross-shard arrivals parked until the owning shard's next round drains
+  /// them, stamped with the sender shard's clock and round. Guarded by a
+  /// striped mutex pool (see interaction.cpp), not a per-IP mutex, so idle
+  /// IPs cost nothing; `transfer_count_` mirrors the size so the per-round
+  /// drain sweep can skip empty mailboxes without touching a lock.
   std::vector<Transfer> transfers_;
   std::atomic<std::size_t> transfer_count_{0};
   double loss_probability_ = 0.0;
@@ -222,13 +221,13 @@ void disconnect(InteractionPoint& ip) noexcept;
 /// While alive on a thread, marks that thread as executing shard `shard` at
 /// shard-local time `now` in global round `round`: deliveries to IPs of
 /// other shards detour into their transfer mailboxes (stamped with `now` and
-/// `round`) instead of touching the foreign inbox. The sharded executor
-/// installs one scope per shard round (round stamp 0 — its epoch barrier
-/// makes per-message rounds redundant); the free-running executor stamps its
-/// shard-local global round so receivers can enforce round-exact visibility.
+/// `round`) instead of touching the foreign inbox. Every shard round
+/// (fire_round, shard_round.hpp) installs one, stamped with its round number
+/// — the barrier round's, or the free-running shard's own — so receivers
+/// accept a message only from the round after the one that sent it.
 class ShardExecutionScope {
  public:
-  ShardExecutionScope(int shard, SimTime now, std::uint64_t round = 0);
+  ShardExecutionScope(int shard, SimTime now, std::uint64_t round);
   ~ShardExecutionScope();
   ShardExecutionScope(const ShardExecutionScope&) = delete;
   ShardExecutionScope& operator=(const ShardExecutionScope&) = delete;

@@ -38,19 +38,6 @@ common::SimTime ReadyScope::next_deadline() const noexcept {
   return heap_.empty() ? kNeverTime : heap_.front().at;
 }
 
-ReadyScope::RoundAction ReadyScope::next_round(common::SimTime* now,
-                                               common::SimTime deadline_cap) {
-  if (!collect(*now).empty()) return RoundAction::Fire;
-  const common::SimTime wake = next_deadline();
-  if (wake == kNeverTime) return RoundAction::Park;
-  // collect() popped every matured entry, so wake > *now; a leap that the
-  // cap truncates to <= *now means the shard is pinned at the run deadline.
-  const common::SimTime target = wake < deadline_cap ? wake : deadline_cap;
-  if (target <= *now) return RoundAction::Park;
-  *now = target;
-  return RoundAction::Advance;
-}
-
 void ReadyScope::pop_matured(common::SimTime now) {
   const auto later = [](const Deadline& a, const Deadline& b) {
     return a.at > b.at;  // min-heap on deadline

@@ -66,26 +66,6 @@ class ReadyScope {
   /// the scope and valid until the next collect.
   const std::vector<FiringCandidate>& collect(common::SimTime now);
 
-  /// What a free-running shard should do next (the drain-until-parked loop
-  /// API): the outcome of one scheduling decision at the scope's level.
-  enum class RoundAction {
-    Fire,     ///< candidates() is non-empty — execute the round
-    Advance,  ///< nothing fireable now, but a delay deadline is queued:
-              ///< *now was leapt toward it (clamped to the cap); re-decide
-    Park,     ///< nothing fireable and no queued deadline — park until an
-              ///< external event (mailbox wake / topology change)
-  };
-
-  /// One iteration of a continuation executor's fire-from-ready-set loop:
-  /// collect at *now; if empty, leap *now toward the earliest queued delay
-  /// deadline, clamped to `deadline_cap` (the run's stop deadline), and
-  /// report Advance so the caller counts the idle round exactly like the
-  /// sequential scheduler's empty round; Park when there is no deadline
-  /// either (clamping the leap to the cap also parks — the shard has reached
-  /// the run's deadline and only a new run can release it). Never leaps
-  /// backwards.
-  RoundAction next_round(common::SimTime* now, common::SimTime deadline_cap);
-
   [[nodiscard]] const std::vector<FiringCandidate>& candidates()
       const noexcept {
     return candidates_;

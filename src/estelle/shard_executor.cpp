@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "estelle/sched.hpp"
+#include "estelle/shard_round.hpp"
 
 namespace mcam::estelle {
 
@@ -28,8 +29,10 @@ void ShardedExecutor::ensure_analysis() {
     // The system-module population is frozen (R6), so the shard vector is
     // sized exactly once; refreshes change subtree membership only.
     shards_.resize(static_cast<std::size_t>(analysis_->shard_count()));
-    for (std::size_t s = 0; s < shards_.size(); ++s)
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
       shards_[s].owner = static_cast<int>(s);
+      shard_ids_.push_back(static_cast<int>(s));
+    }
   } else {
     analysis_->refresh();
   }
@@ -56,7 +59,7 @@ WorkerPool& ShardedExecutor::ensure_pool_width(int want) {
 void ShardedExecutor::route_ready_ledger() {
   // Route dirty modules to their shards' ready sets, reseeding wholesale
   // when the topology moved, another consumer drained the ledger before us,
-  // or this is the first use. Shared by the epoch path (every epoch) and
+  // or this is the first use. Shared by the barrier round (every round) and
   // the free-running path (every session start), so the invalidation rules
   // cannot diverge between them.
   ReadyLedger& ledger = spec_.ready_ledger();
@@ -83,189 +86,171 @@ void ShardedExecutor::reseed_ready() {
       [&](Module& m) { ReadyScope::reset_module(m, preorder++); });
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s].ready.clear();
+    shards_[s].boundary.clear();
     for (Module* m : analysis_->shards()[s].modules) shards_[s].ready.mark(*m);
   }
+  for (const CrossShardChannel& ch : analysis_->cross_shard_channels()) {
+    shards_[static_cast<std::size_t>(ch.shard_a)].boundary.push_back(ch.a);
+    shards_[static_cast<std::size_t>(ch.shard_b)].boundary.push_back(ch.b);
+  }
 }
 
-std::size_t ShardedExecutor::collect_epoch() {
-  // Phase 1 of the two-phase mailbox, for every shard first: accept
-  // everything other shards sent since its last round, raising the clock to
-  // the watermark so no message is processed "before" it was sent. Each
-  // accepted arrival marks its module in the ready ledger, so the drain
-  // below routes it into the owning shard's ready set this same epoch.
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    ShardState& shard = shards_[s];
-    const ShardInfo& info = analysis_->shards()[s];
-    SimTime watermark = shard.clock;
-    for (Module* m : info.modules)
-      for (const auto& ip : m->ips()) ip->drain_transfers(&watermark);
-    if (watermark > shard.clock) shard.clock = watermark;
-    shard.epoch_busy = SimTime{};
-    shard.epoch_sched = SimTime{};
-    shard.epoch_fired = 0;
-    shard.scan_effort = 0;
-  }
+bool ShardedExecutor::begin_round(int s, std::uint64_t r, SimTime floor,
+                                  std::uint64_t* min_future) {
+  ShardState& shard = shards_[static_cast<std::size_t>(s)];
+  shard.delta = RoundDelta{};
+  shard.fired_log.clear();
+  // Accept everything sent before this round; later-stamped arrivals stay
+  // parked. A message sent at sender-time t is never processed at
+  // receiver-time < t: the watermark raises the clock first.
+  SimTime wm = shard.clock;
+  for (InteractionPoint* ip : shard.boundary)
+    ip->drain_transfers_until(r - 1, &wm, min_future);
+  if (wm > shard.clock) shard.clock = wm;
 
-  route_ready_ledger();
-
-  std::size_t active = 0;
-  bool allocated =
-      spec_.ready_ledger().capacity() != ledger_capacity_seen_;
-  ledger_capacity_seen_ = spec_.ready_ledger().capacity();
-  std::uint64_t considered = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    ShardState& shard = shards_[s];
+  bool allocated = false;
+  const auto collect = [&] {
     shard.ready.collect(shard.clock);
-    shard.scan_effort += static_cast<int>(shard.ready.round_guards());
+    shard.delta.guards += shard.ready.round_guards();
     allocated = allocated || shard.ready.round_allocated();
-    if (shard.ready.candidates().empty() && shard.clock < now_) {
-      // An idle shard stops advancing its own clock, but other shards keep
-      // running; pull it up to the executor clock every epoch (system
-      // modules are asynchronous, so this is always legal) so its delay
-      // clauses mature interleaved with the busy shards' work rather than
-      // only at global quiescence. Re-collecting pops the delay deadlines
-      // the jump matured.
-      shard.clock = now_;
-      shard.ready.collect(shard.clock);
-      shard.scan_effort += static_cast<int>(shard.ready.round_guards());
-      allocated = allocated || shard.ready.round_allocated();
-    }
-    const std::vector<FiringCandidate>& cands = shard.ready.candidates();
-    if (verify_)
-      verify_against_full_scan({analysis_->shards()[s].system_module},
-                               shard.clock, cands);
-    stats_.guards_examined += static_cast<std::uint64_t>(shard.scan_effort);
-    considered += cands.size();
-    if (!cands.empty()) ++active;
+  };
+  collect();
+  if (shard.ready.candidates().empty() && shard.clock < floor) {
+    // An idle shard follows the group clock (system modules are
+    // asynchronous, so advancing an idle one is always legal); collecting
+    // again pops the delay deadlines the raise matured.
+    shard.clock = floor;
+    collect();
   }
-  stats_.candidates_considered += considered;
-  if (allocated) ++stats_.rounds_with_allocation;
-  return active;
+  if (allocated) ++shard.delta.alloc_rounds;
+  const std::vector<FiringCandidate>& cands = shard.ready.candidates();
+  if (verify_)
+    verify_against_full_scan(
+        {analysis_->shards()[static_cast<std::size_t>(s)].system_module},
+        shard.clock, cands);
+  return !cands.empty();
 }
 
-void ShardedExecutor::run_shard_round(ShardState& shard, int shard_id) {
-  // Everything this round outputs to a foreign shard detours into that
-  // shard's transfer mailbox, stamped with our round-start clock.
-  ShardExecutionScope scope(shard_id, shard.clock);
+bool ShardedExecutor::barrier_round(std::uint64_t r,
+                                    const std::vector<int>& ids, int width,
+                                    const FiringTap& tap) {
+  route_ready_ledger();
+  RunObserver* const obs = observer();
+  const bool announce = obs != nullptr || static_cast<bool>(tap);
+  ReadyLedger& ledger = spec_.ready_ledger();
+  bool allocated = ledger.capacity() != ledger_capacity_seen_;
+  ledger_capacity_seen_ = ledger.capacity();
 
-  const SimTime scan_cost{scan_per_guard_.ns * shard.scan_effort};
-  shard.clock += scan_cost;
-  shard.epoch_sched += scan_cost;
-
-  for (const FiringCandidate& c : shard.ready.candidates()) {
-    // Same revalidation discipline as the sequential scheduler: an earlier
-    // firing of this round (same shard, same thread) may have consumed the
-    // state this candidate depends on.
-    if (!is_fireable(*c.transition, *c.module, shard.clock)) continue;
-    shard.clock += sched_per_transition_;
-    shard.epoch_sched += sched_per_transition_;
-    shard.clock += c.transition->cost;
-    shard.epoch_busy += c.transition->cost;
-    // Log what actually fires, at its actual fire time; the coordinating
-    // thread replays the log to observers after the epoch barrier
-    // (announce-after-revalidation). Unobserved runs skip the bookkeeping.
-    if (announce_) shard.fired_log.push_back({c, shard.clock});
-    fire(c, shard.clock, nullptr);
-    ++shard.epoch_fired;
+  // Every shard drains and collects before any fires, on this thread, with
+  // the group clock as the idle shards' floor.
+  std::size_t firing = 0;
+  for (const int s : ids) {
+    LocalReadyScopeBinding binding(shards_[static_cast<std::size_t>(s)].ready,
+                                   s);
+    if (begin_round(s, r, now_, nullptr)) ++firing;
   }
-  ++shard.rounds;
-  shard.fired += shard.epoch_fired;
+  const auto fires = [this](int s) {
+    return !shards_[static_cast<std::size_t>(s)].ready.candidates().empty();
+  };
+  const auto fire_shard = [this, r, announce](int s) {
+    ShardState& shard = shards_[static_cast<std::size_t>(s)];
+    LocalReadyScopeBinding binding(shard.ready, s);
+    fire_round(s, r, announce, [&shard](const FiringCandidate& c, SimTime at) {
+      shard.fired_log.push_back({c, at});
+    });
+  };
+
+  // Fewer than two firing shards, a width-1 pool (a single worker adds only
+  // a park/unpark round trip) or an unproven spec run inline: still sharded
+  // and mailbox-routed, but serialized, hence race-free whatever the spec
+  // does.
+  if (firing < 2 || width < 2 || !analysis_->conflict_free()) {
+    for (const int s : ids)
+      if (fires(s)) fire_shard(s);
+  } else {
+    WorkerPool& pool = ensure_pool_width(width);
+    const int nworkers = pool.worker_count();
+    const auto task = [this, &fire_shard, nworkers](int s, int w) noexcept {
+      ShardState& shard = shards_[static_cast<std::size_t>(s)];
+      // The helping coordinator (pseudo-worker id == worker_count()) is not
+      // a steal and does not re-home the shard: steals stays "a worker took
+      // it from another's queue", and affinity survives coordinator-heavy
+      // rounds on low-core hosts.
+      if (w < nworkers) {
+        if (w != shard.home) ++shard.steals;
+        shard.owner = w;  // ownership follows the thief across rounds
+      }
+      // Pool tasks must not throw: the error surfaces on this thread below.
+      try {
+        fire_shard(s);
+      } catch (...) {
+        shard.error = std::current_exception();
+      }
+    };
+    for (const int s : ids) {
+      if (!fires(s)) continue;
+      ShardState& shard = shards_[static_cast<std::size_t>(s)];
+      shard.home = shard.owner % nworkers;
+      // The 16-byte [&task, s] capture fits std::function's inline storage:
+      // dealing a round allocates nothing.
+      pool.submit(shard.home, [&task, s](int w) { task(s, w); });
+    }
+    // The run thread drains shard rounds beside the workers, then blocks on
+    // the pool barrier (a happens-before edge for every worker-side write).
+    pool.run_epoch_helping();
+    ++pooled_rounds_;
+  }
+
+  // Announce-after-revalidation: replay each shard's log of *actual*
+  // firings, on this thread, in shard id order then firing order, at their
+  // true shard-clock times; then fold the deltas. The executor clock is the
+  // virtual makespan over shard clocks.
+  std::exception_ptr error;
+  for (const int s : ids) {
+    ShardState& shard = shards_[static_cast<std::size_t>(s)];
+    for (const FiredEvent& e : shard.fired_log) {
+      if (tap) tap(r, s, *e.candidate.module, *e.candidate.transition, e.at);
+      if (obs != nullptr)
+        obs->on_fire(*e.candidate.module, *e.candidate.transition, e.at);
+    }
+    const RoundDelta& d = shard.delta;
+    stats_.guards_examined += d.guards;
+    stats_.candidates_considered += d.cands;
+    stats_.fired += d.fired;
+    stats_.busy += d.busy;
+    stats_.sched_time += d.sched;
+    allocated = allocated || d.alloc_rounds != 0;
+    if (shard.clock > now_) now_ = shard.clock;
+    if (!error) error = shard.error;
+    shard.error = nullptr;
+  }
+  if (allocated) ++stats_.rounds_with_allocation;
+  if (error) std::rethrow_exception(error);
+  if (firing > 0) {
+    ++stats_.rounds;
+    return true;
+  }
+
+  // Nothing fired: the group leaps to its earliest queued delay deadline,
+  // clamped by the run's deadline; the next round's collects pop whatever
+  // the jump matured. This is the only leap to a deadline: an idle shard
+  // never runs ahead to one of its own while another shard is busy.
+  SimTime wake = kNeverTime;
+  for (const int s : ids)
+    wake = std::min(
+        wake, shards_[static_cast<std::size_t>(s)].ready.next_deadline());
+  if (wake == kNeverTime) return false;  // quiescent
+  advance_clock_toward(wake);
+  for (const int s : ids) {
+    ShardState& shard = shards_[static_cast<std::size_t>(s)];
+    if (shard.clock < now_) shard.clock = now_;
+  }
+  return true;
 }
 
 bool ShardedExecutor::step() {
   ensure_analysis();
-  // Whether this epoch's rounds must log their firings for the post-barrier
-  // replay (written here on the run thread, read by workers after the pool
-  // mutex's happens-before edge).
-  announce_ = observer() != nullptr;
-
-  // collect_epoch keeps idle shards synced to now_, so when nothing is
-  // active every state-entry stamp is <= now_ and the per-shard deadline
-  // heaps below see every pending delay.
-  const std::size_t active = collect_epoch();
-  if (active == 0) {
-    // O(log n) wakeup: leap to the earliest deadline queued in any shard's
-    // heap, clamped by the run's deadline; the next epoch's per-shard
-    // collects pop whatever the jump matured.
-    SimTime wake = kNeverTime;
-    for (const ShardState& shard : shards_) {
-      const SimTime d = shard.ready.next_deadline();
-      if (d < wake) wake = d;
-    }
-    if (wake == kNeverTime) return false;  // quiescent
-    advance_clock_toward(wake);
-    for (ShardState& shard : shards_)
-      if (shard.clock < now_) shard.clock = now_;
-    return true;
-  }
-
-  // Deal active shards to the persistent pool by current ownership, then
-  // release the epoch (no thread construction here — the pool's workers are
-  // parked between epochs). A specification with statically detected
-  // conflicts, or an epoch with a single active shard, runs inline on this
-  // thread: still sharded and mailbox-routed, but serialized, hence
-  // race-free whatever the spec does.
-  active_ids_.clear();
-  for (std::size_t s = 0; s < shards_.size(); ++s)
-    if (!shards_[s].ready.candidates().empty())
-      active_ids_.push_back(static_cast<int>(s));
-
-  // A width-1 epoch runs inline: a single worker adds nothing but a
-  // park/unpark round-trip per epoch (it matters on small hosts, where the
-  // default width resolves to 1).
-  if (!analysis_->conflict_free() || active < 2 ||
-      effective_workers() < 2) {
-    for (int s : active_ids_)
-      run_shard_round(shards_[static_cast<std::size_t>(s)], s);
-  } else {
-    WorkerPool& pool = ensure_pool();
-    const int nworkers = pool.worker_count();
-    for (int s : active_ids_) {
-      ShardState& shard = shards_[static_cast<std::size_t>(s)];
-      shard.home = shard.owner % nworkers;
-      // The 16-byte [this, s] capture fits std::function's inline storage:
-      // dealing an epoch allocates nothing.
-      pool.submit(shard.home, [this, s](int w) {
-        ShardState& sh = shards_[static_cast<std::size_t>(s)];
-        // The helping coordinator (pseudo-worker id == worker_count()) is
-        // not a steal and does not re-home the shard: steals stays "a
-        // worker took it from another's queue", and affinity survives
-        // coordinator-heavy epochs on low-core hosts.
-        if (w < pool_->worker_count()) {
-          if (w != sh.home) ++sh.steals;
-          sh.owner = w;  // ownership follows the thief across epochs
-        }
-        run_shard_round(sh, s);
-      });
-    }
-    // Coordinator participation: the run thread drains shard rounds
-    // alongside the workers instead of parking across the epoch barrier.
-    pool.run_epoch_helping();
-  }
-
-  // Announce-after-revalidation: replay each shard's log of *actual*
-  // firings to observers, on this thread, in shard id order then firing
-  // order. Only revalidated firings are announced (at their true shard-clock
-  // times), so the announced trace matches the sequential scheduler even on
-  // specifications that are ill-formed within one shard. See the header
-  // comment for the on_fire timing caveat this introduces.
-  if (RunObserver* obs = observer()) {
-    for (const ShardState& shard : shards_)
-      for (const FiredEvent& e : shard.fired_log)
-        obs->on_fire(*e.candidate.module, *e.candidate.transition, e.at);
-  }
-  for (ShardState& shard : shards_) shard.fired_log.clear();
-
-  // Aggregate the epoch into the executor-lifetime counters; the executor
-  // clock is the virtual makespan over shard clocks.
-  for (const ShardState& shard : shards_) {
-    stats_.fired += shard.epoch_fired;
-    stats_.busy += shard.epoch_busy;
-    stats_.sched_time += shard.epoch_sched;
-    if (shard.clock > now_) now_ = shard.clock;
-  }
-  ++stats_.rounds;
-  return true;
+  return barrier_round(++barrier_rounds_, shard_ids_, effective_workers(), {});
 }
 
 void ShardedExecutor::decorate_report(RunReport& report) {

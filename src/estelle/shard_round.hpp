@@ -1,24 +1,30 @@
-// continuation_round — the shared shard-continuation dispatch engine.
+// fire_round — the second half of the one per-shard round engine.
 //
-// PR 5's free-running executor and the distributed runner's node-parallel
-// rounds execute the exact same per-shard round: accept every transfer
-// stamped <= r-1 (raising the clock to the arrival watermark), ask the
-// persistent ReadyScope for the round action (collect / delay-leap / park),
-// and on Fire run the revalidated firing set under a round-stamped
-// ShardExecutionScope with the sequential cost arithmetic. Keeping one
-// definition here — a member template of ShardedExecutor, instantiated by
-// free_executor.cpp and dist_runner.cpp — is what guarantees the two
-// dispatch styles cannot drift apart: any divergence would instantly break
-// the differential suites that pin both against the sequential scheduler.
+// Every shard-based backend runs the same round, split in two halves
+// (ShardedExecutor, shard_executor.hpp):
+//   * begin_round: accept every transfer stamped <= r-1 (raising the clock
+//     to the arrival watermark) and collect the firing set from the
+//     persistent ReadyScope; an idle shard below a given floor is raised to
+//     it and collects again;
+//   * fire_round (here): run the revalidated firing set under a
+//     round-stamped ShardExecutionScope with the sequential cost arithmetic.
+// barrier_round runs both halves for a group of shards under one barrier —
+// the Sharded step, FreeRunning's fallback and every DistributedRunner node
+// round. FreeRunning's shard loop (free_executor.cpp) runs them at the
+// shard's own clock and leaps an idle shard to its own next delay deadline.
+// One definition is what guarantees the dispatch styles cannot drift apart:
+// any divergence would instantly break the differential suites that pin
+// them all against the sequential scheduler.
 //
-// Thread contract: the caller owns `shard` for the duration of the call
-// (free-running: the shard's continuation task; distributed: the worker the
-// round was dealt to, or the run thread inline). The boundary mailboxes are
-// striped-mutex thread-safe, so concurrent inject_transfer from other
-// threads (a sibling shard, the distributed run thread's transport pump) is
-// fine — the <= r-1 drain filter keeps later-stamped arrivals parked. The
-// executing thread should hold a LocalReadyScopeBinding for the shard so
-// dirty marks produced by firings route lock-free into its own scope.
+// Thread contract: the caller owns shard `s` for the duration of the call
+// (barrier rounds: the thread the round was dealt to, or the run thread
+// inline; free-running: the shard's continuation task). The boundary
+// mailboxes are striped-mutex thread-safe, so concurrent inject_transfer
+// from other threads (a sibling shard, the distributed run thread's
+// transport pump) is fine — the <= r-1 drain filter keeps later-stamped
+// arrivals parked. The executing thread should hold a
+// LocalReadyScopeBinding for the shard so dirty marks produced by firings
+// route lock-free into its own scope.
 //
 // Announcement contract: `log` fires only when `announce`, in firing order,
 // with the actual (revalidated) candidate and its actual shard-clock fire
@@ -32,76 +38,44 @@
 
 #include "estelle/interaction.hpp"
 #include "estelle/ready_set.hpp"
+#include "estelle/sched.hpp"
 #include "estelle/shard_executor.hpp"
 
 namespace mcam::estelle {
 
 template <typename LogFn>
-ReadyScope::RoundAction ShardedExecutor::continuation_round(
-    int shard_id, ShardState& shard,
-    const std::vector<InteractionPoint*>& boundary, std::uint64_t r,
-    SimTime deadline_cap, Module* system_module, bool announce,
-    ContinuationDelta& delta, std::uint64_t* min_future, LogFn&& log) {
-  // Accept everything sent before this round; later-stamped arrivals stay
-  // parked (min_future remembers the earliest so an idle caller can leap to
-  // it). A message sent at sender-time t is never processed at
-  // receiver-time < t: the watermark raises the clock first.
-  SimTime wm = shard.clock;
-  for (InteractionPoint* ip : boundary)
-    ip->drain_transfers_until(r - 1, &wm, min_future);
-  if (wm > shard.clock) shard.clock = wm;
-
-  SimTime clock = shard.clock;
-  const ReadyScope::RoundAction action =
-      shard.ready.next_round(&clock, deadline_cap);
-  delta.guards += shard.ready.round_guards();
-  if (shard.ready.round_allocated()) ++delta.alloc_rounds;
-  switch (action) {
-    case ReadyScope::RoundAction::Fire: {
-      if (verify_)
-        verify_against_full_scan({system_module}, shard.clock,
-                                 shard.ready.candidates());
-      // Same virtual-cost arithmetic as the sequential scheduler: scan cost
-      // for the guards this round's collection examined, then per-firing
-      // scheduling and execution costs. Outputs to foreign shards detour
-      // into their mailboxes, stamped with this round's number.
-      ShardExecutionScope scope(shard_id, shard.clock, r);
-      const std::vector<FiringCandidate>& cands = shard.ready.candidates();
-      const SimTime scan_cost{
-          scan_per_guard_.ns *
-          static_cast<std::int64_t>(shard.ready.round_guards())};
-      shard.clock += scan_cost;
-      delta.sched += scan_cost;
-      delta.cands += cands.size();
-      std::uint64_t fired_now = 0;
-      for (const FiringCandidate& c : cands) {
-        // The sequential revalidation discipline: an earlier firing of this
-        // round (same shard, same thread) may have consumed the state.
-        if (!is_fireable(*c.transition, *c.module, shard.clock)) continue;
-        shard.clock += sched_per_transition_;
-        delta.sched += sched_per_transition_;
-        shard.clock += c.transition->cost;
-        delta.busy += c.transition->cost;
-        if (announce) log(c, shard.clock);
-        fire(c, shard.clock, nullptr);
-        ++fired_now;
-      }
-      delta.fired += fired_now;
-      ++delta.rounds;
-      shard.fired += fired_now;
-      ++shard.rounds;
-      break;
-    }
-    case ReadyScope::RoundAction::Advance:
-      // Empty round leaping to the next delay deadline — charges no scan
-      // cost, fires nothing; the caller decides whether it completes a
-      // global round.
-      shard.clock = clock;
-      break;
-    case ReadyScope::RoundAction::Park:
-      break;
+void ShardedExecutor::fire_round(int s, std::uint64_t r, bool announce,
+                                 LogFn&& log) {
+  ShardState& shard = shards_[static_cast<std::size_t>(s)];
+  RoundDelta& delta = shard.delta;
+  // Outputs to foreign shards detour into their mailboxes, stamped with
+  // this round's number and start clock.
+  ShardExecutionScope scope(s, shard.clock, r);
+  // Same virtual-cost arithmetic as the sequential scheduler: scan cost for
+  // every guard this round's collects examined (both of them when the shard
+  // was raised to the group clock), then per-firing scheduling and
+  // execution costs.
+  const std::vector<FiringCandidate>& cands = shard.ready.candidates();
+  const SimTime scan_cost{scan_per_guard_.ns *
+                          static_cast<std::int64_t>(delta.guards)};
+  shard.clock += scan_cost;
+  delta.sched += scan_cost;
+  delta.cands += cands.size();
+  for (const FiringCandidate& c : cands) {
+    // The sequential revalidation discipline: an earlier firing of this
+    // round (same shard, same thread) may have consumed the state.
+    if (!is_fireable(*c.transition, *c.module, shard.clock)) continue;
+    shard.clock += sched_per_transition_;
+    delta.sched += sched_per_transition_;
+    shard.clock += c.transition->cost;
+    delta.busy += c.transition->cost;
+    if (announce) log(c, shard.clock);
+    fire(c, shard.clock, nullptr);
+    ++delta.fired;
   }
-  return action;
+  delta.rounds = 1;
+  shard.fired += delta.fired;
+  ++shard.rounds;
 }
 
 }  // namespace mcam::estelle

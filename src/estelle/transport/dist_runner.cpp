@@ -6,10 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "estelle/ready_set.hpp"
-#include "estelle/sched.hpp"
-#include "estelle/shard_round.hpp"
-
 namespace mcam::estelle {
 
 using common::SimTime;
@@ -164,9 +160,7 @@ void DistributedRunner::build_tables() {
   local_shards_.clear();
   for (int s = 0; s < nshards; ++s)
     if (is_local(s)) local_shards_.push_back(s);
-  boundary_.assign(local_shards_.size(), {});
   advertise_peers_.assign(local_shards_.size(), {});
-  shard_worked_.assign(local_shards_.size(), 0);
   gate_shards_.clear();
   wire_channels_.clear();
   neighbor_peers_.clear();
@@ -183,8 +177,6 @@ void DistributedRunner::build_tables() {
     const CrossShardChannel& cc = cross[i];
     const bool a_local = is_local(cc.shard_a);
     const bool b_local = is_local(cc.shard_b);
-    if (a_local) boundary_[local_pos(cc.shard_a)].push_back(cc.a);
-    if (b_local) boundary_[local_pos(cc.shard_b)].push_back(cc.b);
     if (a_local == b_local) continue;  // both local (in-process) / both remote
     WireChannel wc;
     wc.index = static_cast<std::uint32_t>(i);
@@ -506,111 +498,13 @@ int DistributedRunner::node_parallel_width() const noexcept {
   return std::min(effective_worker_width(opts_.worker_count), shards);
 }
 
-void DistributedRunner::run_one_shard(std::size_t pos, std::uint64_t r,
-                                      bool announce) {
-  const int s = local_shards_[pos];
-  ShardState& shard = shards_[static_cast<std::size_t>(s)];
-  shard_worked_[pos] = 0;
-  shard_deltas_[pos] = ContinuationDelta{};
-  // Marks produced while this shard drains/collects/fires route into its
-  // own scope, exactly like a free-running shard thread.
-  LocalReadyScopeBinding binding(shard.ready, s);
-  const ReadyScope::RoundAction action = continuation_round(
-      s, shard, boundary_[pos], r, run_deadline_,
-      analysis_->shards()[static_cast<std::size_t>(s)].system_module, announce,
-      shard_deltas_[pos], nullptr,
-      [&shard](const FiringCandidate& c, SimTime at) {
-        shard.fired_log.push_back({c, at});
-      });
-  // Fire and Advance (delay leap) both count as local work — an empty
-  // round, but not an idle node.
-  if (action != ReadyScope::RoundAction::Park) shard_worked_[pos] = 1;
-}
-
-void DistributedRunner::parallel_shard_task(std::size_t pos) noexcept {
-  // Pool tasks must not throw: surface worker-side failures (verify
-  // divergence, a throwing action) through the run thread instead.
-  try {
-    run_one_shard(pos, parallel_round_, parallel_announce_);
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(parallel_mu_);
-    if (!parallel_error_) parallel_error_ = std::current_exception();
-  }
-}
-
-void DistributedRunner::run_shards_parallel(std::uint64_t r, int width) {
-  WorkerPool& pool = ensure_pool_width(width);
-  parallel_round_ = r;
-  for (std::size_t pos = 0; pos < local_shards_.size(); ++pos) {
-    // The 16-byte [this, pos] capture fits std::function's inline storage:
-    // dealing a round allocates nothing (round/announce travel as members
-    // written above, published by the pool's release edge).
-    pool.submit(static_cast<int>(pos) % width,
-                [this, pos](int) { parallel_shard_task(pos); });
-  }
-  // The Sharded epoch's dispatch: the run thread drains shard rounds beside
-  // the workers, then blocks on the pool barrier (a happens-before edge for
-  // every worker-side write). It does not touch the transport mid-round —
-  // frames arriving now wait in the medium until step()'s pump(0) drain
-  // takes them in before the next round, exactly as at width 1.
-  pool.run_epoch_helping();
-  ++parallel_rounds_;
-}
-
 bool DistributedRunner::run_round(std::uint64_t r) {
-  route_ready_ledger();
-  const bool announce =
-      observer() != nullptr || static_cast<bool>(opts_.trace_hook);
   const int width = node_parallel_width();
   node_workers_ = static_cast<std::uint64_t>(width);
-  if (shard_deltas_.size() != local_shards_.size())
-    shard_deltas_.resize(local_shards_.size());
-  if (width >= 2) {
-    parallel_announce_ = announce;
-    run_shards_parallel(r, width);
-  } else {
-    for (std::size_t pos = 0; pos < local_shards_.size(); ++pos)
-      run_one_shard(pos, r, announce);
-  }
-  if (parallel_error_) {
-    std::exception_ptr error = parallel_error_;
-    parallel_error_ = nullptr;
-    std::rethrow_exception(error);
-  }
-  // Announce-after-revalidation on the run thread, in shard id order then
-  // firing order. Every entry carries round r, so this is exactly the
-  // (round, shard) order the cross-node trace merge sorts by — identical
-  // for every worker width.
-  if (announce) {
-    RunObserver* obs = observer();
-    for (std::size_t pos = 0; pos < local_shards_.size(); ++pos) {
-      const int s = local_shards_[pos];
-      ShardState& shard = shards_[static_cast<std::size_t>(s)];
-      for (const FiredEvent& e : shard.fired_log) {
-        if (opts_.trace_hook)
-          opts_.trace_hook(r, s, *e.candidate.module, *e.candidate.transition,
-                           e.at);
-        if (obs != nullptr)
-          obs->on_fire(*e.candidate.module, *e.candidate.transition, e.at);
-      }
-      shard.fired_log.clear();
-    }
-  }
-  bool any_work = false;
-  bool any_fired = false;
-  for (std::size_t pos = 0; pos < local_shards_.size(); ++pos) {
-    const ContinuationDelta& d = shard_deltas_[pos];
-    stats_.guards_examined += d.guards;
-    stats_.candidates_considered += d.cands;
-    stats_.rounds_with_allocation += d.alloc_rounds;
-    stats_.fired += d.fired;
-    stats_.busy += d.busy;
-    stats_.sched_time += d.sched;
-    if (shard_worked_[pos] != 0) any_work = true;
-    if (d.rounds != 0) any_fired = true;
-  }
-  if (any_fired) ++stats_.rounds;
-  return any_work;
+  // Every announcement carries round r, so the barrier's shard-id-order
+  // replay is exactly the (round, shard) order the cross-node trace merge
+  // sorts by — identical for every worker width.
+  return barrier_round(r, local_shards_, width, opts_.trace_hook);
 }
 
 bool DistributedRunner::export_transfers(std::uint64_t r) {
@@ -677,13 +571,16 @@ bool DistributedRunner::export_transfers(std::uint64_t r) {
 
 bool DistributedRunner::send_round_frames(std::uint64_t r, bool quiescent) {
   // Transfers left first (export_transfers); FIFO per peer then makes every
-  // round-r stamp visible before the round-r Advertise releases a gate.
+  // round-r stamp visible before the round-r Advertise releases a gate. A
+  // shard that fired nothing this round advertises a null round.
   for (std::size_t pos = 0; pos < local_shards_.size(); ++pos) {
     if (advertise_peers_[pos].empty()) continue;
+    const int s = local_shards_[pos];
     Frame f;
-    f.type = shard_worked_[pos] != 0 ? FrameType::Advertise
-                                     : FrameType::NullRound;
-    f.shard = static_cast<std::uint32_t>(local_shards_[pos]);
+    f.type = shards_[static_cast<std::size_t>(s)].delta.rounds != 0
+                 ? FrameType::Advertise
+                 : FrameType::NullRound;
+    f.shard = static_cast<std::uint32_t>(s);
     f.round = r;
     for (const int peer : advertise_peers_[pos])
       if (!send_frame(peer, f)) return false;
@@ -734,8 +631,9 @@ void DistributedRunner::maybe_heartbeat() {
 // Quiescence
 
 bool DistributedRunner::transfers_pending() const noexcept {
-  for (const auto& list : boundary_)
-    for (const InteractionPoint* ip : list)
+  for (const int s : local_shards_)
+    for (const InteractionPoint* ip :
+         shards_[static_cast<std::size_t>(s)].boundary)
       if (ip->has_pending_transfers()) return true;
   return false;
 }
@@ -915,10 +813,6 @@ bool DistributedRunner::step() {
       ++burst;
     }
   }
-  for (const int s : local_shards_) {
-    const SimTime c = shards_[static_cast<std::size_t>(s)].clock;
-    if (c > now_) now_ = c;
-  }
   last_step_rounds_ = burst;
   // A single-node group discovering quiescence reports it immediately and
   // does not count the empty round (the sequential scheduler's behavior).
@@ -934,7 +828,7 @@ void DistributedRunner::decorate_report(RunReport& report) {
   // Node-parallel counters live on the runner, not the transport, so they
   // survive (and are reported) even for a transportless single-node world.
   report.transport.node_workers = node_workers_;
-  report.transport.parallel_shard_rounds = parallel_rounds_;
+  report.transport.parallel_shard_rounds = pooled_rounds_;
   if (!error_.empty()) {
     report.reason = StopReason::Aborted;
     report.error = error_;

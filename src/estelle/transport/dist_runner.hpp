@@ -11,16 +11,21 @@
 // the wire bridge (InteractionPoint::take_transfers / inject_transfer).
 //
 // Round protocol. Each node advances a round cursor r; all of a node's local
-// shards execute round r together — sequentially on the run thread at
-// worker width 1, or as continuation tasks on the node's persistent
-// WorkerPool at width >= 2 (DistOptions::worker_count), with the run thread
-// running shard tasks beside the workers up to the pool barrier (the Sharded
-// epoch's dispatch). Either way the transport is serviced only between
-// rounds: frames that arrive mid-round wait in the medium for the pump that
-// precedes the next round. Announcements replay on the run thread
-// afterwards in shard id order, so the trace composition is identical at
-// every width. Across nodes, only channel-coupled shards synchronize,
-// through the three PR-5 primitives as explicit frames:
+// shards execute round r together as one Sharded barrier round
+// (ShardedExecutor::barrier_round): every local shard drains and collects on
+// the run thread, an idle one following the node's group clock, and the
+// shards that fire run inline — or, at width >= 2 (DistOptions::worker_count)
+// with two or more firing, on the node's persistent WorkerPool, the run
+// thread running shard tasks beside the workers up to the pool barrier.
+// Either way the transport is serviced only between rounds: frames that
+// arrive mid-round wait in the medium for the pump that precedes the next
+// round. Announcements replay on the run thread afterwards in shard id
+// order, so the trace composition is identical at every width. A node whose
+// shards fire nothing leaps its group clock to its earliest delay deadline,
+// so a single-node group runs exactly the Sharded step's rounds and clocks;
+// across nodes the group clocks are node-local, and a node can still leap to
+// a timer while a peer's shard is busy. Across nodes, only channel-coupled
+// shards synchronize, through the three PR-5 primitives as explicit frames:
 //
 //   * gate     — a node enters round r only when every REMOTE shard that
 //                shares a channel with a local shard has advertised r-1
@@ -38,7 +43,7 @@
 // sender's round-k Advertise on the same FIFO stream. The receiver's gate
 // for round k+1 waits for that Advertise, so by the time round k+1 collects,
 // the transfer is already parked and the <= k drain accepts it — message
-// visibility lands on exactly the round boundary the epoch barrier would
+// visibility lands on exactly the round boundary a barrier round would
 // have put it on. Channel-coupled nodes therefore stay within one round of
 // each other while unrelated nodes never wait at all (an idle node advances
 // through provably-empty rounds — the null message — only while a neighbor
@@ -71,10 +76,8 @@
 
 #include <chrono>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -130,13 +133,13 @@ struct DistOptions {
   /// bench and the differential sweep compare against.
   bool batch_transfers = true;
   /// Worker threads for the node-local shard group. With width >= 2 (and at
-  /// least two local shards) a node executes each round's shards as
-  /// continuation tasks on its persistent WorkerPool, the run thread helping
-  /// drain them up to the pool barrier; the transport is pumped between
-  /// rounds, as at width 1. 0 ⇒ hardware_concurrency(); 1 keeps
-  /// the sequential per-node loop (the FreeRunning → Sharded fallback rule;
-  /// conflicted specifications are refused outright, so width never races
-  /// an unproven spec). Capped at the local shard count;
+  /// least two local shards) a round in which two or more local shards fire
+  /// runs them as tasks on the node's persistent WorkerPool, the run thread
+  /// helping drain them up to the pool barrier; the transport is pumped
+  /// between rounds, as at width 1. 0 ⇒ hardware_concurrency(); 1 runs
+  /// every round inline on the run thread (conflicted specifications are
+  /// refused outright, so width never races an unproven spec). Capped at the
+  /// local shard count;
   /// RunOptions::worker_count overrides per run. The worker count never
   /// changes the merged trace: rounds still compose per shard in
   /// (round, shard) order and transfer export still strictly precedes the
@@ -228,23 +231,14 @@ class DistributedRunner final : public ShardedExecutor {
   void on_frame(int from, Frame& f);
   void on_hello(int from, const Frame& f);
 
-  /// Execute node round `r` over the local shards; returns true when any
-  /// shard fired or leapt a delay (the round did local work). Width >= 2
-  /// deals the shards to the WorkerPool; width 1 (or a single local shard)
-  /// runs the sequential per-node loop. Either way announcements (observer +
-  /// trace_hook) replay on the run thread afterwards, in shard id order.
+  /// Execute node round `r`: one barrier round over the local shards at
+  /// node_parallel_width(), announcing to the observers and trace_hook.
+  /// Returns true when the round did local work (a shard fired, or the node
+  /// leapt to a delay deadline).
   bool run_round(std::uint64_t r);
   /// This round's effective worker width: resolved DistOptions::worker_count
   /// (RunOptions::worker_count overrides), capped at the local shard count.
   [[nodiscard]] int node_parallel_width() const noexcept;
-  /// One local shard's continuation round; fills shard_deltas_[pos],
-  /// shard_worked_[pos] and (when announcing) the shard's fired_log. Worker
-  /// context under run_shards_parallel, run-thread context inline.
-  void run_one_shard(std::size_t pos, std::uint64_t r, bool announce);
-  /// Deal every local shard to the pool and help run them up to the
-  /// epoch barrier (WorkerPool::run_epoch_helping).
-  void run_shards_parallel(std::uint64_t r, int width);
-  void parallel_shard_task(std::size_t pos) noexcept;
   void answer_probe(int from, std::uint64_t epoch);
   /// Ship every transfer parked on remote replica endpoints: coalesced into
   /// one TransferBatch per peer (batch_transfers, the default) or as one
@@ -289,7 +283,6 @@ class DistributedRunner final : public ShardedExecutor {
 
   std::vector<int> assignment_;          // shard -> node
   std::vector<int> local_shards_;        // ascending ids
-  std::vector<std::vector<InteractionPoint*>> boundary_;  // per local shard
   std::vector<int> gate_shards_;         // remote shards we gate on
   std::vector<std::uint64_t> remote_advertised_;  // per shard (remote only)
   std::vector<WireChannel> wire_channels_;
@@ -297,7 +290,6 @@ class DistributedRunner final : public ShardedExecutor {
   /// Per local shard: peers owning a remote neighbor (they gate on this
   /// shard, so it advertises to them every round).
   std::vector<std::vector<int>> advertise_peers_;
-  std::vector<char> shard_worked_;       // per local shard, this round
   std::vector<int> neighbor_peers_;      // peers owning a gate shard
   std::vector<PeerState> peers_;
   std::uint64_t id_spec_hash_ = 0;       // what our Hello carries
@@ -316,17 +308,7 @@ class DistributedRunner final : public ShardedExecutor {
     Frame frame;
   };
   std::vector<PeerBatch> peer_batches_;
-
-  // Node-parallel round state. parallel_round_/parallel_announce_ are
-  // written on the run thread before the epoch is released and read by
-  // workers through the pool's release edge.
-  std::vector<ContinuationDelta> shard_deltas_;  // per local shard
-  std::uint64_t parallel_round_ = 0;
-  bool parallel_announce_ = false;
-  std::mutex parallel_mu_;          // guards parallel_error_
-  std::exception_ptr parallel_error_;
-  std::uint64_t node_workers_ = 0;       // latest round's effective width
-  std::uint64_t parallel_rounds_ = 0;    // rounds run on the pool
+  std::uint64_t node_workers_ = 0;  // latest round's effective width
 };
 
 }  // namespace mcam::estelle

@@ -92,14 +92,6 @@ void WorkerPool::wait_idle() {
   done_cv_.wait(lock, [&] { return outstanding_ == 0; });
 }
 
-std::size_t WorkerPool::run_epoch() {
-  std::unique_lock<std::mutex> lock(mu_);
-  const std::size_t queued = launch_locked();
-  if (queued == 0) return 0;
-  done_cv_.wait(lock, [&] { return outstanding_ == 0; });
-  return queued;
-}
-
 std::size_t WorkerPool::run_epoch_helping() {
   std::unique_lock<std::mutex> lock(mu_);
   const std::size_t queued = launch_locked();

@@ -6,32 +6,33 @@
 // std::threads every round/epoch, so on small rounds the measured
 // real-time "speedup" was dominated by thread construction. A WorkerPool is
 // a fixed set of long-lived workers that an executor owns for its whole
-// lifetime and re-arms every epoch:
+// lifetime and re-arms every epoch (one release of queued tasks — a barrier
+// round's firing shards, or a free-running session's continuations):
 //
 //   * one task queue per worker, a fixed-slot FIFO ring. The epoch's tasks
 //     are dealt to the rings by the coordinating thread (submit), then
-//     released at once (launch / run_epoch) — tasks never start while the
-//     coordinator is still preparing the epoch, which is what keeps observer
-//     announcements and shard bookkeeping race-free without any locking of
-//     their own. Ring slots are allocated once at pool construction; only a
-//     burst deeper than the ring spills into a per-worker overflow vector
-//     (counted by spills(), so executors can fold queue growth into their
-//     rounds_with_allocation accounting). A steady-state epoch allocates
-//     nothing anywhere in the pool.
+//     released at once (launch / run_epoch_helping) — tasks never start
+//     while the coordinator is still preparing the epoch, which is what keeps
+//     observer announcements and shard bookkeeping race-free without any
+//     locking of their own. Ring slots are allocated once at pool
+//     construction; only a burst deeper than the ring spills into a
+//     per-worker overflow vector (counted by spills(), so executors can fold
+//     queue growth into their rounds_with_allocation accounting). A
+//     steady-state epoch allocates nothing anywhere in the pool.
 //   * work stealing: a worker pops its own queue from the front; when empty
 //     it steals from the back of the fullest victim (classic owner-LIFO /
 //     thief-FIFO discipline at whole-task granularity). The executing
 //     worker's id is passed to the task so callers can track ownership
 //     migration (the sharded backend's per-shard steal counters).
-//   * epoch barrier: run_epoch blocks the caller until every task of the
-//     epoch has completed. run_epoch_helping additionally makes the caller
-//     participate — the coordinating thread drains queued tasks alongside
-//     the workers (as pseudo-worker id worker_count()) instead of parking
-//     across the barrier, shaving the park/wake round-trip on low-core
-//     hosts. launch() releases without blocking and wait_idle() is the
-//     pool-wide quiesce point — together they host long-running continuation
-//     tasks (the free-running executor's shard loops) that park and unpark
-//     on their own synchronization without ever ending a pool epoch.
+//   * epoch barrier: run_epoch_helping blocks the caller until every task
+//     of the epoch has completed, the caller participating meanwhile — the
+//     coordinating thread drains queued tasks alongside the workers (as
+//     pseudo-worker id worker_count()) instead of parking across the
+//     barrier, shaving the park/wake round-trip on low-core hosts. launch()
+//     releases without blocking and wait_idle() is the pool-wide quiesce
+//     point — together they host long-running continuation tasks (the
+//     free-running executor's shard loops) that park and unpark on their own
+//     synchronization without ever ending a pool epoch.
 //   * workers park on a condition variable between epochs (the portable
 //     equivalent of futex parking) — an idle pool costs no CPU, and waking
 //     it is microseconds instead of the ~100µs-per-thread spawn cost it
@@ -43,7 +44,7 @@
 //     resizing the pool, or the join would wait on them forever.
 //
 // Memory model: everything a task writes is visible to the coordinating
-// thread after run_epoch / wait_idle returns (the barrier is a full
+// thread after run_epoch_helping / wait_idle returns (the barrier is a full
 // happens-before edge through the pool mutex), so executors read worker
 // results without further synchronization.
 //
@@ -84,18 +85,15 @@ class WorkerPool {
   }
 
   /// Queue a task on worker `worker % worker_count()`'s ring. The task does
-  /// not run until the next launch()/run_epoch().
+  /// not run until the next launch()/run_epoch_helping().
   void submit(int worker, Task task);
 
-  /// Release every queued task to the workers and block until all complete.
-  /// Returns the number of tasks executed this epoch (0 ⇒ nothing queued,
-  /// workers were not woken).
-  std::size_t run_epoch();
-
-  /// Like run_epoch(), but the calling thread helps drain the queues instead
-  /// of parking across the barrier (it executes tasks as pseudo-worker id
-  /// worker_count(), whose counters are the extra trailing entry of
-  /// worker_stats()).
+  /// Release every queued task to the workers and block until all complete,
+  /// the calling thread helping drain the queues instead of parking across
+  /// the barrier (it executes tasks as pseudo-worker id worker_count(), whose
+  /// counters are the extra trailing entry of worker_stats()). Returns the
+  /// number of tasks executed this epoch (0 ⇒ nothing queued, workers were
+  /// not woken).
   std::size_t run_epoch_helping();
 
   /// Release every queued task and return immediately; the caller regains

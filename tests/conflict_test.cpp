@@ -168,7 +168,7 @@ TEST(TransferMailboxTest, CrossShardDeliveryIsTwoPhase) {
   {
     // Outputs from shard 0's execution context to shard 1 park in the
     // transfer mailbox instead of the inbox.
-    ShardExecutionScope scope(0, SimTime::from_us(42));
+    ShardExecutionScope scope(0, SimTime::from_us(42), 1);
     a.ip("x").output(Interaction(1));
     a.ip("x").output(Interaction(2));
     EXPECT_EQ(b.ip("x").queue_length(), 0u);
@@ -268,7 +268,7 @@ TEST(ShardRevalidation, IllFormedSpecNoLongerDiverges) {
 TEST(ShardedDelayClauses, IdleShardTimerFiresWhileOtherShardIsBusy) {
   // Shard A holds only a delay transition; shard B grinds through a long
   // spontaneous workload. A's clock must be pulled up to the executor clock
-  // every epoch so the timer matures interleaved with B's work — not only
+  // every round so the timer matures interleaved with B's work — not only
   // at global quiescence.
   Specification spec("timer");
   auto& a = spec.root().create_child<Module>("a", Attribute::SystemProcess);
@@ -298,6 +298,53 @@ TEST(ShardedDelayClauses, IdleShardTimerFiresWhileOtherShardIsBusy) {
   // busy — far before B's ~2000us workload completes.
   EXPECT_LT(executor->now(), SimTime::from_us(1000));
   EXPECT_LT(busy_rounds, 40);
+}
+
+TEST(ShardedDelayClauses, RaisedShardPaysScanCostForBothCollects) {
+  // The world above plus a sticky-guard sibling in shard A (a `provided`
+  // guard that never passes, no `when`), so every collect of shard A
+  // examines guards. Idle below the group clock, shard A collects twice in
+  // a round — at its own clock, then raised to the group clock — and the
+  // round that fires the timer pays scan cost for the guards of both
+  // collects. The exact fire time pins that price.
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Specification spec("raised");
+    auto& a = spec.root().create_child<Module>("a", Attribute::SystemProcess);
+    auto& b = spec.root().create_child<Module>("b", Attribute::SystemProcess);
+    bool timer_fired = false;
+    a.trans("timeout")
+        .from(0)
+        .to(1)
+        .delay(SimTime::from_us(100))
+        .action([&timer_fired](Module&, const Interaction*) {
+          timer_fired = true;
+        });
+    auto& sibling = a.create_child<Module>("sibling", Attribute::Process);
+    sibling.trans("never")
+        .provided([](Module&, const Interaction*) { return false; })
+        .action([](Module&, const Interaction*) {});
+    int busy_rounds = 0;
+    b.trans("grind")
+        .cost(SimTime::from_us(50))
+        .provided([&busy_rounds](Module&, const Interaction*) {
+          return busy_rounds < 40;
+        })
+        .action(
+            [&busy_rounds](Module&, const Interaction*) { ++busy_rounds; });
+    spec.initialize();
+
+    auto executor = make_executor(
+        spec, {.kind = ExecutorKind::Sharded, .threads = threads});
+    TraceRecorder trace;
+    executor->run({.stop = {StopCondition::when([&] { return timer_fired; })},
+                   .observers = {&trace}});
+    ASSERT_TRUE(timer_fired);
+    SimTime fired_at = kNeverTime;
+    for (const TraceEvent& e : trace.events())
+      if (e.transition == "timeout") fired_at = e.when;
+    EXPECT_EQ(fired_at, SimTime::from_us(124));
+  }
 }
 
 TEST(ShardedOnConflictingSpec, DegradesToSerialButStaysCorrect) {

@@ -39,6 +39,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -489,6 +490,142 @@ TEST(DistRunner, SingleNodeParallelMatchesSequential) {
   if (n >= 50) {
     EXPECT_GE(swept, 10);
     EXPECT_GT(parallel_rounds, 0u) << "the pool path never engaged";
+  }
+}
+
+/// A client system module and a server system module trading `requests`
+/// request/reply pairs. In state 1 the client declares a 500 µs
+/// retransmission timeout (`rto`, giving up to state 2, where `late` drains
+/// the reply) before its `ack`, so the timer wins whenever it has matured by
+/// the time the reply is collected. Under Sequential every reply is back
+/// within tens of µs: the timer never fires.
+struct RtoWorld {
+  Specification spec{"rto"};
+  std::shared_ptr<int> sent = std::make_shared<int>(0);
+
+  explicit RtoWorld(int requests) {
+    auto& client =
+        spec.root().create_child<Module>("client", Attribute::SystemProcess);
+    auto& server =
+        spec.root().create_child<Module>("server", Attribute::SystemProcess);
+    connect(client.ip("net"), server.ip("net"));
+    InteractionPoint* to_server = &client.ip("net");
+    InteractionPoint* to_client = &server.ip("net");
+    client.trans("req")
+        .from(0)
+        .to(1)
+        .cost(SimTime::from_us(5))
+        .provided([sent = sent, requests](Module&, const Interaction*) {
+          return *sent < requests;
+        })
+        .action([sent = sent, to_server](Module&, const Interaction*) {
+          ++*sent;
+          to_server->output(Interaction(1));
+        });
+    client.trans("rto")
+        .from(1)
+        .to(2)
+        .delay(SimTime::from_us(500))
+        .action([](Module&, const Interaction*) {});
+    client.trans("ack")
+        .from(1)
+        .to(0)
+        .when(client.ip("net"))
+        .cost(SimTime::from_us(5))
+        .action([](Module&, const Interaction*) {});
+    client.trans("late")
+        .from(2)
+        .to(0)
+        .when(client.ip("net"))
+        .cost(SimTime::from_us(5))
+        .action([](Module&, const Interaction*) {});
+    server.trans("serve")
+        .when(server.ip("net"))
+        .cost(SimTime::from_us(20))
+        .action([to_client](Module&, const Interaction*) {
+          to_client->output(Interaction(2));
+        });
+    spec.initialize();
+  }
+};
+
+TEST(DistRunner, BarrierRoundsFireTimersOnlyWhenSequentialDoes) {
+  // Regression: a node round used to leap each idle local shard to its own
+  // next delay deadline while the other shard was still busy, so the client
+  // fired `rto` before every reply was collected (120 firings against
+  // Sequential's 90). A barrier round leaps the node's group clock only when
+  // no shard fires, like the Sharded step and FreeRunning's fallback.
+  constexpr int kRequests = 30;
+  struct Outcome {
+    std::vector<std::string> trace;
+    RunReport report;
+  };
+  const auto run = [](const ExecutorConfig& cfg) {
+    RtoWorld world(kRequests);
+    auto executor = make_executor(world.spec, cfg);
+    TraceRecorder trace;
+    Outcome out;
+    out.report = executor->run({.observers = {&trace}});
+    for (const TraceEvent& e : trace.events())
+      out.trace.push_back(e.module_path + "/" + e.transition);
+    return out;
+  };
+  const Outcome seq = run({});
+  ASSERT_EQ(seq.report.fired, 3u * kRequests);
+  for (const std::string& label : seq.trace)
+    ASSERT_EQ(label.find("/rto"), std::string::npos) << label;
+
+  const Outcome sharded = run({.kind = ExecutorKind::Sharded, .threads = 2});
+  const Outcome fallback =
+      run({.kind = ExecutorKind::FreeRunning, .threads = 1});
+  EXPECT_GT(fallback.report.free_running.fallback_rounds, 0u);
+  for (const Outcome* o : {&sharded, &fallback}) {
+    SCOPED_TRACE(executor_kind_name(o->report.kind));
+    EXPECT_EQ(o->report.reason, StopReason::Quiescent);
+    EXPECT_EQ(o->report.fired, seq.report.fired);
+    EXPECT_EQ(o->trace, seq.trace);
+  }
+  for (const int workers : {1, 2}) {
+    SCOPED_TRACE("distributed workers " + std::to_string(workers));
+    DistOptions opts;
+    opts.worker_count = workers;
+    const Outcome dist = run(
+        {.kind = ExecutorKind::Distributed, .backend_options = opts});
+    EXPECT_EQ(dist.report.reason, StopReason::Quiescent) << dist.report.error;
+    EXPECT_EQ(dist.report.fired, seq.report.fired);
+    EXPECT_EQ(dist.trace, seq.trace);
+    EXPECT_EQ(dist.report.time, sharded.report.time);
+  }
+}
+
+TEST(DistRunner, PooledRoundThrowSurfacesOnTheRunThread) {
+  // Two shards fire every round, so at width 2 each round runs on the pool;
+  // an action throwing on a worker must come back out of run() on the
+  // calling thread (pool tasks may not throw), under the Sharded step and a
+  // Distributed node round alike.
+  for (const bool distributed : {false, true}) {
+    SCOPED_TRACE(distributed ? "distributed" : "sharded");
+    Specification spec("throw");
+    for (int i = 0; i < 2; ++i) {
+      auto& w = spec.root()
+                    .create_child<Module>("sys" + std::to_string(i),
+                                          Attribute::SystemProcess)
+                    .create_child<Module>("w", Attribute::Process);
+      w.trans("tick").action([i](Module& m, const Interaction*) {
+        if (i == 1 && m.state() == 5) throw std::runtime_error("tick failed");
+        m.set_state(m.state() + 1);
+      });
+    }
+    spec.initialize();
+    ExecutorConfig cfg;
+    cfg.kind = distributed ? ExecutorKind::Distributed : ExecutorKind::Sharded;
+    cfg.threads = 2;
+    DistOptions opts;
+    opts.worker_count = 2;
+    cfg.backend_options = opts;
+    auto executor = make_executor(spec, cfg);
+    EXPECT_THROW(executor->run({.stop = {StopCondition::max_steps(50)}}),
+                 std::runtime_error);
   }
 }
 

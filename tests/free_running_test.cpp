@@ -4,7 +4,7 @@
 // The backend's contract, pinned here:
 //   * announced trace identical to Sequential on every generated spec —
 //     free-running dispatch owes it on conflict-free specs (round-stamped
-//     mailboxes + neighbor gates), and the epoch fallback owes it on
+//     mailboxes + neighbor gates), and the barrier fallback owes it on
 //     conflicted ones (announce-after-revalidation), so the sweep asserts
 //     exact equality unconditionally, world snapshot and fired count
 //     included;
@@ -16,7 +16,9 @@
 //   * park/wake lifecycle: shards park passive at quiescence, mailbox wakes
 //     resume them, the firing-log high-water is bounded and observed;
 //   * the pool-quiesce-then-resize path: a reentrant run with a narrower
-//     worker_count while continuations are parked must not strand them.
+//     worker_count while continuations are parked must not strand them;
+//   * the session → barrier handoff: transfers a stopped session left
+//     parked drain in the first barrier round, in send order.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -91,14 +93,14 @@ TEST(FreeRunning, MatchesSequentialExactlyOnGeneratedSpecs) {
     // Conflict-freedom decides the dispatch style; both must be exercised.
     if (analysis.conflict_free()) {
       EXPECT_EQ(fr.report.free_running.fallback_rounds, 0u)
-          << "proven conflict-free spec took the epoch fallback";
+          << "proven conflict-free spec took the barrier fallback";
       ++free_dispatched;
       if (probe.nsys > 1) ++multi_shard_free;
       EXPECT_GT(fr.report.free_running.parks, 0u)
           << "a free session must park at least at quiescence";
     } else {
       EXPECT_GT(fr.report.free_running.fallback_rounds, 0u)
-          << "conflicted spec must fall back to the epoch path";
+          << "conflicted spec must fall back to barrier rounds";
       ++fell_back;
     }
   }
@@ -228,6 +230,54 @@ TEST(FreeRunning, MailboxWakeDrivesAPassiveConsumerShard) {
   EXPECT_EQ(seen_recvs, 40);
 }
 
+TEST(FreeRunning, SessionTransfersDrainInOrderIntoBarrierRounds) {
+  // A free session stops at max_steps with transfers still parked under its
+  // own round stamps; the next run is too narrow for free dispatch, so it
+  // continues in barrier rounds. Those must drain the session's leftovers
+  // first, in send order: the consumer sees 1..40 exactly as under
+  // Sequential.
+  const auto received = [](ExecutorKind kind) {
+    Specification spec("handoff");
+    auto& prod = spec.root()
+                     .create_child<Module>("p", Attribute::SystemProcess)
+                     .create_child<Module>("prod", Attribute::Process);
+    auto& cons = spec.root()
+                     .create_child<Module>("c", Attribute::SystemProcess)
+                     .create_child<Module>("cons", Attribute::Process);
+    connect(prod.ip("out"), cons.ip("in"));
+    int sent = 0;
+    prod.trans("send")
+        .cost(SimTime::from_us(3))
+        .provided([&sent](Module&, const Interaction*) { return sent < 40; })
+        .action([&sent, &prod](Module&, const Interaction*) {
+          ++sent;
+          prod.ip("out").output(Interaction(1, asn1::Value::integer(sent)));
+        });
+    std::vector<long long> got;
+    cons.trans("recv").when(cons.ip("in")).cost(SimTime::from_us(2)).action(
+        [&got](Module&, const Interaction* msg) {
+          got.push_back(msg->value.as_int().value_or(0));
+        });
+    spec.initialize();
+
+    auto executor = make_executor(spec, {.kind = kind, .threads = 4});
+    const RunReport first =
+        executor->run({.stop = {StopCondition::max_steps(17)}});
+    EXPECT_EQ(first.reason, StopReason::StepLimit);
+    const RunReport rest = executor->run({.worker_count = 1});
+    EXPECT_EQ(rest.reason, StopReason::Quiescent);
+    if (kind == ExecutorKind::FreeRunning) {
+      EXPECT_EQ(first.free_running.fallback_rounds, 0u);
+      EXPECT_GT(rest.free_running.fallback_rounds, 0u);
+    }
+    return got;
+  };
+  std::vector<long long> in_order(40);
+  for (int i = 0; i < 40; ++i) in_order[static_cast<std::size_t>(i)] = i + 1;
+  EXPECT_EQ(received(ExecutorKind::Sequential), in_order);
+  EXPECT_EQ(received(ExecutorKind::FreeRunning), in_order);
+}
+
 TEST(FreeRunning, MetricsAndHotPathCountersAreWired) {
   TwinTickers world;
   auto executor = make_executor(
@@ -265,7 +315,7 @@ TEST(FreeRunning, ReentrantNarrowerRunDoesNotStrandParkedContinuations) {
   // The outer FreeRunning run (2 shards, width 2) evaluates a stop predicate
   // while its shard continuations are parked at the burst rendezvous. The
   // predicate reentrantly runs the SAME executor with worker_count=1 — too
-  // narrow for free dispatch, so the inner run falls back to the epoch path
+  // narrow for free dispatch, so the inner run falls back to barrier rounds
   // and resizes the pool. Without the quiesce-before-resize hook the old
   // pool's destructor would join forever on the parked continuations.
   TwinTickers world;

@@ -40,8 +40,9 @@ TEST(WorkerPoolTest, EpochBarrierCompletesEveryTaskBeforeReturning) {
   for (int e = 1; e <= kEpochs; ++e) {
     for (int k = 0; k < kTasks; ++k)
       pool.submit(k, [&done](int) { done.fetch_add(1); });
-    EXPECT_EQ(pool.run_epoch(), static_cast<std::size_t>(kTasks));
-    // The barrier: by the time run_epoch returns, every task of the epoch
+    EXPECT_EQ(pool.launch(), static_cast<std::size_t>(kTasks));
+    pool.wait_idle();
+    // The barrier: by the time wait_idle returns, every task of the epoch
     // has finished — no stragglers, under repeated contention.
     EXPECT_EQ(done.load(), e * kTasks);
     EXPECT_EQ(pool.pending(), 0u);
@@ -57,7 +58,8 @@ TEST(WorkerPoolTest, EpochResultsAreVisibleWithoutExtraSynchronization) {
   std::vector<int> results(128, 0);
   for (int k = 0; k < 128; ++k)
     pool.submit(k, [&results, k](int) { results[static_cast<std::size_t>(k)] = k * k; });
-  pool.run_epoch();
+  pool.launch();
+  pool.wait_idle();
   for (int k = 0; k < 128; ++k)
     ASSERT_EQ(results[static_cast<std::size_t>(k)], k * k);
 }
@@ -74,7 +76,8 @@ TEST(WorkerPoolTest, IdleWorkersStealFromLoadedDeques) {
       while (running.load() < kWorkers) std::this_thread::yield();
     });
   }
-  pool.run_epoch();
+  pool.launch();
+  pool.wait_idle();
 
   const auto stats = pool.worker_stats();
   EXPECT_EQ(total_executed(pool), static_cast<std::uint64_t>(kWorkers));
@@ -100,7 +103,8 @@ TEST(WorkerPoolTest, ExecutingWorkerIdIsReportedToTheTask) {
       while (running.load() < kWorkers) std::this_thread::yield();
     });
   }
-  pool.run_epoch();
+  pool.launch();
+  pool.wait_idle();
   // Every worker id in range, all distinct (one task each by rendezvous).
   std::vector<int> seen(kWorkers, 0);
   for (int w : ran_on) {
@@ -117,7 +121,7 @@ TEST(WorkerPoolTest, ShutdownWithQueuedTasksIsGracefulAndDropsThem) {
     WorkerPool pool(3);
     for (int k = 0; k < 10; ++k) pool.submit(k, [&ran](int) { ran.fetch_add(1); });
     EXPECT_EQ(pool.pending(), 10u);
-    // No run_epoch: destruction must join the parked workers without running
+    // No launch: destruction must join the parked workers without running
     // (or leaking) the queued tasks.
   }
   EXPECT_EQ(ran.load(), 0);
@@ -128,14 +132,16 @@ TEST(WorkerPoolTest, ShutdownImmediatelyAfterEpochIsGraceful) {
   {
     WorkerPool pool(2);
     for (int k = 0; k < 8; ++k) pool.submit(k, [&ran](int) { ran.fetch_add(1); });
-    pool.run_epoch();
+    pool.launch();
+    pool.wait_idle();
   }
   EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(WorkerPoolTest, EmptyEpochDoesNotWakeWorkers) {
   WorkerPool pool(2);
-  EXPECT_EQ(pool.run_epoch(), 0u);
+  EXPECT_EQ(pool.launch(), 0u);
+  pool.wait_idle();
   EXPECT_EQ(pool.epochs(), 0u);
   EXPECT_EQ(total_executed(pool), 0u);
 }
@@ -148,7 +154,8 @@ TEST(WorkerPoolTest, FixedRingHoldsSteadyEpochsWithoutSpilling) {
   for (int e = 0; e < 20; ++e) {
     for (int k = 0; k < static_cast<int>(WorkerPool::kRingSlots); ++k)
       pool.submit(k % 2, [&done](int) { done.fetch_add(1); });
-    pool.run_epoch();
+    pool.launch();
+    pool.wait_idle();
   }
   EXPECT_EQ(done.load(), 20 * static_cast<int>(WorkerPool::kRingSlots));
   EXPECT_EQ(pool.spills(), 0u);
@@ -162,13 +169,15 @@ TEST(WorkerPoolTest, RingSpillsPastHighWaterAndPreservesFifo) {
   std::vector<int> order;
   for (int k = 0; k < kTasks; ++k)
     pool.submit(0, [&order, k](int) { order.push_back(k); });
-  EXPECT_EQ(pool.run_epoch(), static_cast<std::size_t>(kTasks));
+  EXPECT_EQ(pool.launch(), static_cast<std::size_t>(kTasks));
+  pool.wait_idle();
   EXPECT_EQ(pool.spills(), 20u);
   ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
   for (int k = 0; k < kTasks; ++k) EXPECT_EQ(order[static_cast<std::size_t>(k)], k);
   // Back under high water: no further spills.
   pool.submit(0, [](int) {});
-  pool.run_epoch();
+  pool.launch();
+  pool.wait_idle();
   EXPECT_EQ(pool.spills(), 20u);
 }
 
@@ -219,7 +228,8 @@ TEST(WorkerPoolTest, OversubscriptionMoreWorkersThanTasks) {
   for (int e = 0; e < 20; ++e) {
     pool.submit(0, [&done](int) { done.fetch_add(1); });
     pool.submit(5, [&done](int) { done.fetch_add(1); });
-    EXPECT_EQ(pool.run_epoch(), 2u);
+    EXPECT_EQ(pool.launch(), 2u);
+    pool.wait_idle();
   }
   EXPECT_EQ(done.load(), 40);
   EXPECT_EQ(total_executed(pool), 40u);
@@ -229,7 +239,7 @@ TEST(WorkerPoolTest, OversubscriptionMoreWorkersThanTasks) {
 // Pool reuse through the executors.
 
 /// `shards` independent system modules, each holding one worker that ticks
-/// `limit` times: every epoch has one candidate per shard, so the sharded
+/// `limit` times: every round has one candidate per shard, so the sharded
 /// backend deals them to its pool.
 struct ShardWorld {
   Specification spec{"shards"};
