@@ -24,12 +24,8 @@
 // new is instrumented below), likewise a warmed idle recv() poll, the
 // session layer (sequencing + replay-ring retention) costing <= 10%
 // rounds/sec on a fault-free volley versus the same run with
-// reconnect_max_attempts = 0, and the in-node parallelism: on a
-// message-heavy volley whose shards spread across the node's WorkerPool,
-// workers=4 holds >= 0.9x the workers=1 rounds/sec (scaling assertion
-// self-skips on a single-core host, where four threads on one core can only
-// contend) and a warmed single-node parallel run keeps steady-state rounds
-// allocation-free.
+// reconnect_max_attempts = 0, and a warmed single-node run of many local
+// shards keeping its steady-state rounds allocation-free.
 //
 // Emits bench_transport.json (argv[1] overrides) for the CI artifact trend.
 #include <sys/socket.h>
@@ -172,11 +168,9 @@ struct VolleyWorld {
 };
 
 /// VolleyWorld with every lane module in its OWN system module: lane i's
-/// left endpoint becomes shard 2i (node 0 of a two-node group), its right
-/// endpoint shard 2i+1 (node 1) — so each node owns `lanes` shards and the
-/// in-node WorkerPool actually has work to deal. The single-system-module
-/// VolleyWorld above can never engage node-parallel dispatch (one local
-/// shard per node is the documented sequential fallback).
+/// left endpoint becomes shard 2i, its right endpoint shard 2i+1 — so one
+/// node round runs many shards, where the single-system-module VolleyWorld
+/// above runs one.
 struct ParVolleyWorld {
   estelle::Specification spec{"par_volley"};
 
@@ -224,8 +218,6 @@ struct Measurement {
   unsigned long long steady_alloc_rounds = 0;
   unsigned long long reconnects = 0;
   unsigned long long frames_replayed = 0;
-  unsigned long long node_workers = 0;
-  unsigned long long parallel_rounds = 0;
 };
 
 double wall_since(std::chrono::steady_clock::time_point start) {
@@ -241,11 +233,6 @@ Measurement run_single(int entities, int active, std::uint64_t rounds,
   ExecutorConfig cfg;
   cfg.kind = distributed ? ExecutorKind::Distributed : ExecutorKind::FreeRunning;
   cfg.threads = 1;  // one shard — measure dispatch overhead, not parallelism
-  if (distributed) {
-    DistOptions opts;
-    opts.worker_count = 1;  // pin the sequential per-node loop explicitly
-    cfg.backend_options = opts;
-  }
   auto executor = estelle::make_executor(*world.spec, cfg);
   executor->run({.stop = {StopCondition::max_steps(rounds / 10 + 1)}});
 
@@ -327,68 +314,22 @@ Measurement run_pair(
   return m;
 }
 
-/// Two nodes over loopback on the multi-shard ParVolleyWorld, `workers`
-/// continuations per node: the node-parallel half of the PR 10 gate. Every
-/// round each node deals `lanes` shard rounds to its pool, the run thread
-/// helping to drain them.
-Measurement run_par_pair(int lanes, std::uint64_t rounds, int workers) {
-  auto hub = std::make_shared<estelle::LoopbackHub>(2);
-  std::vector<RunReport> reports(2);
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  for (int node = 0; node < 2; ++node)
-    threads.emplace_back([&, node] {
-      ParVolleyWorld world(lanes);
-      DistOptions opts;
-      opts.node = node;
-      opts.nodes = 2;
-      opts.transport =
-          std::shared_ptr<MailboxTransport>(hub->endpoint(node));
-      opts.worker_count = workers;
-      ExecutorConfig cfg;
-      cfg.kind = ExecutorKind::Distributed;
-      cfg.backend_options = opts;
-      auto executor = estelle::make_executor(world.spec, cfg);
-      reports[static_cast<std::size_t>(node)] =
-          executor->run({.stop = {StopCondition::max_steps(rounds)}});
-    });
-  for (std::thread& t : threads) t.join();
-  Measurement m;
-  m.wall_ms = wall_since(start);
-  for (const RunReport& r : reports)
-    if (!r.error.empty())
-      std::fprintf(stderr, "par pair aborted: %s\n", r.error.c_str());
-  for (const RunReport& r : reports) {
-    m.fired += r.fired;
-    m.parallel_rounds += r.transport.parallel_shard_rounds;
-  }
-  m.node_workers = reports[0].transport.node_workers;
-  const double secs = m.wall_ms / 1e3;
-  if (secs > 0)
-    m.rounds_per_sec = static_cast<double>(reports[0].steps) / secs;
-  return m;
-}
-
-/// Warmed single-node parallel run: after a warmup run on the same executor
-/// (pool built, ready scopes and mailboxes at steady state), a measured run
-/// at width 4 must report ZERO rounds with allocation — dealing a round to
-/// the pool costs no heap (the submit capture fits std::function's inline
-/// storage, deltas are preallocated per shard).
+/// Warmed single-node multi-shard run: after a warmup run on the same
+/// executor (ready scopes, mailboxes and per-shard logs at steady state), a
+/// measured run must report ZERO rounds with allocation — a node round over
+/// many firing shards costs no heap (deltas and firing logs are per-shard
+/// and high-water sized).
 struct ParAllocProbe {
   bool ok = false;
   unsigned long long steady_alloc_rounds = 0;
-  unsigned long long parallel_rounds = 0;
-  unsigned long long node_workers = 0;
+  unsigned long long fired = 0;
 };
 
 ParAllocProbe probe_parallel_allocations(int lanes, std::uint64_t rounds) {
   ParAllocProbe probe;
   ParVolleyWorld world(lanes);
-  DistOptions opts;
-  opts.worker_count = 4;  // single node, no transport: pure in-node pool
   ExecutorConfig cfg;
-  cfg.kind = ExecutorKind::Distributed;
-  cfg.backend_options = opts;
+  cfg.kind = ExecutorKind::Distributed;  // single node, no transport
   auto executor = estelle::make_executor(world.spec, cfg);
   executor->run({.stop = {StopCondition::max_steps(rounds / 10 + 1)}});
   const RunReport r =
@@ -399,8 +340,7 @@ ParAllocProbe probe_parallel_allocations(int lanes, std::uint64_t rounds) {
   }
   probe.ok = true;
   probe.steady_alloc_rounds = r.rounds_with_allocation;
-  probe.parallel_rounds = r.transport.parallel_shard_rounds;
-  probe.node_workers = r.transport.node_workers;
+  probe.fired = r.fired;
   return probe;
 }
 
@@ -497,7 +437,7 @@ int main(int argc, char** argv) {
   constexpr int kLanes = 16;       // transfers per round per peer (syscall gate)
   constexpr int kHeavyLanes = 64;  // message-heavy volley (throughput gate)
   constexpr std::uint64_t kPairRounds = 1500;
-  constexpr int kParLanes = 16;    // shards per node in the node-parallel sweep
+  constexpr int kParLanes = 16;    // lanes of the multi-shard alloc probe
   constexpr std::uint64_t kParRounds = 1000;
 
   // ---- gate: single-node Distributed vs direct FreeRunning ---------------
@@ -592,16 +532,6 @@ int main(int argc, char** argv) {
                     });
                   })});
 
-  // ---- node-parallel: in-node WorkerPool vs the sequential per-node loop --
-  // Appended AFTER the positional rows the batching/session gates index.
-  const unsigned hw = std::thread::hardware_concurrency();
-  const Measurement par_seq = best_of(
-      3, [&] { return run_par_pair(kParLanes, kParRounds, 1); });
-  const Measurement par_wide = best_of(
-      3, [&] { return run_par_pair(kParLanes, kParRounds, 4); });
-  rows.push_back({"par workers=1", kParLanes, par_seq});
-  rows.push_back({"par workers=4", kParLanes, par_wide});
-
   std::string json_rows;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
@@ -654,22 +584,13 @@ int main(int argc, char** argv) {
   const bool meets_send_alloc = probe.ok && probe.allocs == 0;
   const bool meets_idle_alloc = probe.ok && probe.idle_allocs == 0;
 
-  // Node-parallel gates. The scaling ratio only means something when the
-  // host can actually run two shard continuations at once: on a single
-  // hardware thread, four workers time-slice one core and the comparison
-  // measures contention, not dispatch — self-skip, like the PR 3 precedent.
-  const double par_ratio = par_seq.rounds_per_sec > 0
-                               ? par_wide.rounds_per_sec /
-                                     par_seq.rounds_per_sec
-                               : 0;
-  const bool par_gate_skipped = hw <= 1;
-  const bool meets_par_ratio =
-      par_gate_skipped || (par_ratio >= 0.9 && par_wide.parallel_rounds > 0);
+  // A node round over many firing shards must stay allocation-free once
+  // warm; a probe that fired nothing would prove nothing.
   const ParAllocProbe par_alloc =
       probe_parallel_allocations(kParLanes, kParRounds);
   const bool meets_par_alloc = par_alloc.ok &&
                                par_alloc.steady_alloc_rounds == 0 &&
-                               par_alloc.parallel_rounds > 0;
+                               par_alloc.fired > 0;
 
   std::printf(
       "\nacceptance @ N=%d: 1-node distributed %s >= 0.9x free-running "
@@ -697,23 +618,11 @@ int main(int argc, char** argv) {
       "fault-free volley (%.2fx; reconnects=%llu replayed=%llu)\n",
       meets_session ? "meets" : "MISSES", session_ratio, session_on.reconnects,
       session_on.frames_replayed);
-  if (par_gate_skipped)
-    std::printf(
-        "acceptance: node-parallel scaling gate SKIPPED "
-        "(hardware_concurrency=%u; four workers on one core measure "
-        "contention, not dispatch)\n",
-        hw);
-  else
-    std::printf(
-        "acceptance: node-parallel workers=4 %s >= 0.9x workers=1 rounds/sec "
-        "(%.2fx at %d shards/node, hw=%u, %llu parallel rounds)\n",
-        meets_par_ratio ? "meets" : "MISSES", par_ratio, kParLanes, hw,
-        par_wide.parallel_rounds);
   std::printf(
-      "acceptance: warmed single-node parallel run %s zero-alloc "
-      "(%llu alloc rounds / %llu parallel rounds at width %llu)\n",
-      meets_par_alloc ? "meets" : "MISSES", par_alloc.steady_alloc_rounds,
-      par_alloc.parallel_rounds, par_alloc.node_workers);
+      "acceptance: warmed single-node %d-shard run %s zero-alloc "
+      "(%llu alloc rounds, %llu firings)\n",
+      2 * kParLanes, meets_par_alloc ? "meets" : "MISSES",
+      par_alloc.steady_alloc_rounds, par_alloc.fired);
 
   const char* json_path = argc > 1 ? argv[1] : "bench_transport.json";
   if (std::FILE* f = std::fopen(json_path, "w")) {
@@ -732,20 +641,15 @@ int main(int argc, char** argv) {
         "  \"session\": {\"ratio\": %s, \"rounds_per_sec_on\": %s,\n"
         "    \"rounds_per_sec_off\": %s, \"reconnects\": %llu, "
         "\"frames_replayed\": %llu},\n"
-        "  \"node_parallel\": {\"hardware_concurrency\": %u, "
-        "\"shards_per_node\": %d,\n"
-        "    \"workers_1_rounds_per_sec\": %s, "
-        "\"workers_4_rounds_per_sec\": %s, \"ratio\": %s,\n"
-        "    \"parallel_rounds\": %llu, \"steady_alloc_rounds\": %llu, "
-        "\"scaling_gate_skipped\": %s},\n"
+        "  \"node_parallel\": {\"shards_per_node\": %d, "
+        "\"steady_alloc_rounds\": %llu, \"fired\": %llu},\n"
         "  \"acceptance\": {\"loopback_at_least_0_9x\": %s, "
         "\"steady_state_zero_alloc\": %s,\n"
         "    \"batched_at_least_2x\": %s, "
         "\"syscalls_reduced_at_least_4x\": %s, "
         "\"send_path_zero_alloc\": %s, \"idle_recv_zero_alloc\": %s, "
         "\"session_overhead_within_10pct\": %s,\n"
-        "    \"node_parallel_at_least_0_9x\": %s, "
-        "\"node_parallel_zero_alloc\": %s}\n}\n",
+        "    \"node_parallel_zero_alloc\": %s}\n}\n",
         kEntities, kActive, static_cast<unsigned long long>(kSingleRounds),
         num(direct.rounds_per_sec).c_str(), num(neutral.rounds_per_sec).c_str(),
         num(ratio).c_str(),
@@ -755,15 +659,13 @@ int main(int argc, char** argv) {
         probe.idle_iterations, num(session_ratio).c_str(),
         num(session_on.rounds_per_sec).c_str(),
         num(session_off.rounds_per_sec).c_str(), session_on.reconnects,
-        session_on.frames_replayed, hw, kParLanes,
-        num(par_seq.rounds_per_sec).c_str(),
-        num(par_wide.rounds_per_sec).c_str(), num(par_ratio).c_str(),
-        par_wide.parallel_rounds, par_alloc.steady_alloc_rounds,
-        par_gate_skipped ? "true" : "false", meets_ratio ? "true" : "false",
+        session_on.frames_replayed, 2 * kParLanes,
+        par_alloc.steady_alloc_rounds, par_alloc.fired,
+        meets_ratio ? "true" : "false",
         meets_alloc ? "true" : "false", meets_speedup ? "true" : "false",
         meets_syscalls ? "true" : "false", meets_send_alloc ? "true" : "false",
         meets_idle_alloc ? "true" : "false", meets_session ? "true" : "false",
-        meets_par_ratio ? "true" : "false", meets_par_alloc ? "true" : "false");
+        meets_par_alloc ? "true" : "false");
     std::fclose(f);
     std::printf("wrote %s\n", json_path);
   } else {
@@ -772,7 +674,7 @@ int main(int argc, char** argv) {
   }
   return meets_ratio && meets_alloc && meets_speedup && meets_syscalls &&
                  meets_send_alloc && meets_idle_alloc && meets_session &&
-                 meets_par_ratio && meets_par_alloc
+                 meets_par_alloc
              ? 0
              : 1;
 }

@@ -54,9 +54,6 @@ struct Args {
   int port = 47310;
   int systems = 4;
   int tokens = 64;
-  /// In-node parallelism: shard continuations per process. 0 lets the
-  /// runner size to hardware_concurrency; 1 forces the sequential loop.
-  int workers = 0;
   /// --hosts h0,h1[:port],... — one entry per node for a TCP mesh that
   /// spans machines. Empty keeps the single-machine loopback default.
   std::vector<std::string> hosts;
@@ -135,7 +132,6 @@ int run_node(const Args& args, int node,
     opts.backoff_initial_ms = args.backoff_initial_ms;
   if (args.backoff_cap_ms >= 0) opts.backoff_cap_ms = args.backoff_cap_ms;
   if (args.heartbeat_ms >= 0) opts.heartbeat_interval_ms = args.heartbeat_ms;
-  opts.worker_count = args.workers;
   estelle::ExecutorConfig cfg;
   cfg.kind = estelle::ExecutorKind::Distributed;
   cfg.backend_options = opts;
@@ -150,12 +146,11 @@ int run_node(const Args& args, int node,
   }
   std::printf(
       "node %d: quiescent at t=%.1f us — %llu firings, %llu rounds, "
-      "%d tokens seeded, %d full laps, %llu workers/node\n",
+      "%d tokens seeded, %d full laps\n",
       node, executor->now().micros(),
       static_cast<unsigned long long>(r.fired),
       static_cast<unsigned long long>(r.stats.rounds), *world.seeded,
-      *world.laps,
-      static_cast<unsigned long long>(r.transport.node_workers));
+      *world.laps);
   std::printf("%s", metrics.to_string(3).c_str());
   return 0;
 }
@@ -165,8 +160,7 @@ int usage(const char* argv0) {
                "usage: %s [--nodes N] [--node I] [--transport "
                "loopback|unix|tcp]\n          [--dir PATH] [--port P] "
                "[--hosts h0,h1[:port],...] [--systems K] [--tokens T]\n"
-               "          [--workers W] [--reconnect-attempts A] "
-               "[--backoff-initial-ms B]\n"
+               "          [--reconnect-attempts A] [--backoff-initial-ms B]\n"
                "          [--backoff-cap-ms C] [--heartbeat-ms H]\n",
                argv0);
   return 2;
@@ -195,7 +189,6 @@ int main(int argc, char** argv) {
     }
     else if (want("--systems")) args.systems = std::atoi(argv[++i]);
     else if (want("--tokens")) args.tokens = std::atoi(argv[++i]);
-    else if (want("--workers")) args.workers = std::atoi(argv[++i]);
     else if (want("--reconnect-attempts"))
       args.reconnect_attempts = std::atoi(argv[++i]);
     else if (want("--backoff-initial-ms"))
@@ -205,7 +198,7 @@ int main(int argc, char** argv) {
     else return usage(argv[0]);
   }
   if (args.nodes < 1 || args.node < 0 || args.node >= args.nodes ||
-      args.systems < 2 || args.workers < 0)
+      args.systems < 2)
     return usage(argv[0]);
 
   std::printf("token ring: %d system modules, %d tokens, %d node%s (%s)\n",

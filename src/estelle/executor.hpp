@@ -6,8 +6,8 @@
 // that claim as an interface: every runtime is an `Executor` constructed
 // through `make_executor(spec, config)` and driven through
 // `run(RunOptions) -> RunReport`. Call sites select a backend by value
-// (`ExecutorKind`), never by concrete type; new backends (sharded, work
-// stealing, distributed) register with `ExecutorFactory` and every existing
+// (`ExecutorKind`), never by concrete type; new backends (sharded, free-
+// running, distributed) register with `ExecutorFactory` and every existing
 // consumer can use them unchanged.
 //
 // Vocabulary:
@@ -20,11 +20,11 @@
 //                   run, and the executor-lifetime SchedulerStats.
 //
 // Observer contract: all RunObserver callbacks are invoked on the thread that
-// called run(), even under the real-thread backends — Sharded replays each
-// round's revalidated firings after the round's barrier
-// (announce-after-revalidation, see shard_executor.hpp), and FreeRunning
-// merges its shards' firing logs on the run thread. Observers therefore need
-// no internal locking.
+// called run(). Sharded and Distributed run their rounds on that thread and
+// replay each round's revalidated firings once the round's shards have run
+// (announce-after-revalidation, see shard_executor.hpp); FreeRunning, whose
+// shards run on threads of their own, merges their firing logs on the run
+// thread. Observers therefore need no internal locking.
 #pragma once
 
 #include <any>
@@ -108,7 +108,7 @@ struct SchedulerStats {
 enum class ExecutorKind {
   Sequential,   // single processor, virtual time — the speedup baseline
   ParallelSim,  // simulated multiprocessor (the KSR1 experiments, §5)
-  Sharded,      // work-stealing real threads, one shard per system module
+  Sharded,      // one shard per system module, barrier rounds on one thread
   FreeRunning,  // barrier-free continuation shards firing from ready sets
   Distributed,  // one shard group per process over a MailboxTransport
 };
@@ -230,12 +230,12 @@ struct RunOptions {
   /// Observers for this run, notified in order. Not owned; must outlive the
   /// run() call.
   std::vector<RunObserver*> observers;
-  /// Worker-thread count for this run under the real-thread backends
-  /// (Sharded, FreeRunning). 0 ⇒ keep the executor's configured count
-  /// (ExecutorConfig::threads, itself defaulting to hardware_concurrency()).
-  /// The backends keep one persistent WorkerPool across run() calls and
-  /// resize it only when this asks for a different width; backends without
-  /// real threads ignore the field.
+  /// Worker-thread width for this run under FreeRunning. 0 ⇒ keep the
+  /// executor's configured count (ExecutorConfig::threads, itself defaulting
+  /// to hardware_concurrency()). A width below the shard count makes the run
+  /// take barrier rounds on the calling thread; the continuation pool itself
+  /// is always one thread per shard and is never resized. Every other
+  /// backend ignores the field.
   int worker_count = 0;
 };
 
@@ -244,17 +244,16 @@ struct RunOptions {
 /// interpretation of ExecutorConfig::threads and RunOptions::worker_count.
 [[nodiscard]] int resolve_worker_count(int requested) noexcept;
 
-/// Per-shard execution statistics, reported by ExecutorKind::Sharded
-/// (empty under other backends). Counters are executor-lifetime, like
-/// SchedulerStats.
+/// Per-shard execution statistics, reported by the shard-based backends
+/// (Sharded, FreeRunning, Distributed; empty under the others). Counters are
+/// executor-lifetime, like SchedulerStats.
 struct ShardRunStats {
   int shard = 0;
   std::string system_module;  // path of the shard's system module
   bool uniprocessor_host = false;
   std::uint64_t fired = 0;
   std::uint64_t rounds = 0;
-  std::uint64_t steals = 0;  // times an idle worker stole this shard
-  SimTime clock{};           // shard-local virtual clock
+  SimTime clock{};  // shard-local virtual clock
 };
 
 /// Continuation-dispatch statistics, reported by ExecutorKind::FreeRunning
@@ -268,7 +267,7 @@ struct FreeRunningStats {
   /// Max occupancy any per-shard firing log (SPSC ring) ever reached.
   std::uint64_t log_high_water = 0;
   /// Rounds served by Sharded barrier rounds instead (specification not
-  /// proven conflict-free, or a pool narrower than the shard count).
+  /// proven conflict-free, or a worker width below the shard count).
   std::uint64_t fallback_rounds = 0;
 };
 
@@ -300,16 +299,10 @@ struct FreeRunningStats {
 /// while waiting on a gate; faults_injected counts frames a fault plan
 /// dropped/duplicated/delayed/closed on purpose.
 ///
-/// The node-parallel counters quantify the PR 10 in-node dispatch (filled
-/// by the runner even when the node has no transport — a single-node group
-/// still parallelizes): node_workers is the node's effective worker width
-/// (resolved DistOptions::worker_count, capped at the local shard count);
-/// parallel_shard_rounds counts node rounds in which two or more local
-/// shards fired and ran as WorkerPool tasks (width >= 2); every other round
-/// runs inline on the run thread.
-/// io_overlap_polls is always 0: nothing pumps the transport while shard
-/// tasks run (frames wait for the pump between rounds). The field stays for
-/// readers that still report it.
+/// parallel_shard_rounds and io_overlap_polls are always 0: node rounds run
+/// on the run thread, and nothing pumps the transport while a round runs.
+/// Both fields stay only because the end-to-end benchmark still reads them;
+/// the next change allowed to touch that benchmark deletes them.
 struct TransportStats {
   std::uint64_t frames_sent = 0;
   std::uint64_t frames_received = 0;
@@ -328,7 +321,6 @@ struct TransportStats {
   std::uint64_t dup_frames_dropped = 0;
   std::uint64_t heartbeats = 0;
   std::uint64_t faults_injected = 0;
-  std::uint64_t node_workers = 0;
   std::uint64_t parallel_shard_rounds = 0;
   std::uint64_t io_overlap_polls = 0;
 };
@@ -456,7 +448,7 @@ class ExecutorBase : public Executor {
   /// the active run has no observers at all, so backends can skip
   /// announcement bookkeeping entirely on unobserved runs.
   [[nodiscard]] RunObserver* observer() noexcept { return chain_; }
-  /// The pool width a real-thread backend should use right now: the active
+  /// The worker width a real-thread backend may use right now: the active
   /// run's worker_count override if set, else the backend's configured
   /// width resolved through resolve_worker_count().
   [[nodiscard]] int effective_worker_width(int configured) const noexcept {
@@ -522,11 +514,12 @@ struct ExecutorConfig {
   Mapping mapping = Mapping::ThreadPerModule;
   sim::CostModel costs{};
 
-  // Real-thread backends (Sharded, FreeRunning): worker count of the
-  // persistent pool. 0 ⇒ hardware_concurrency() (see resolve_worker_count).
-  // The sharded backend caps its pool at the shard count (stealing whole
-  // shards, extra workers could never be busy). RunOptions::worker_count
-  // overrides this per run.
+  // FreeRunning: the worker width it may use. 0 ⇒ hardware_concurrency()
+  // (see resolve_worker_count). At or above the shard count the shards run
+  // as continuations on a pool of exactly one thread per shard; below it
+  // every round is a barrier round on the calling thread.
+  // RunOptions::worker_count overrides this per run. Other backends ignore
+  // it.
   int threads = 0;
 
   /// Debug cross-check: after every dirty-set candidate collection, run the

@@ -10,20 +10,21 @@ namespace mcam::estelle {
 
 FreeRunningExecutor::FreeRunningExecutor(Specification& spec,
                                          const ExecutorConfig& cfg)
-    : ShardedExecutor(spec, cfg) {}
+    : ShardedExecutor(spec, cfg), workers_(cfg.threads) {}
 
 FreeRunningExecutor::~FreeRunningExecutor() { end_session(); }
 
+int FreeRunningExecutor::unit_count() const noexcept {
+  return pool_ ? pool_->worker_count() : 1;
+}
+
 bool FreeRunningExecutor::free_runnable() const noexcept {
   // An unproven spec may couple shards outside the mailbox discipline, so
-  // it takes the barrier path. The pool must also host one continuation per
-  // shard, or the neighbor gates could wait on a shard whose task never got
-  // a worker.
+  // it takes the barrier path. The run must also ask for one thread per
+  // shard: the neighbor gates wait on every shard's continuation.
   if (analysis_ == nullptr || !analysis_->conflict_free()) return false;
   return effective_worker_width(workers_) >= analysis_->shard_count();
 }
-
-void FreeRunningExecutor::before_pool_resize() { end_session(); }
 
 void FreeRunningExecutor::finalize_stats() { end_session(); }
 
@@ -37,7 +38,9 @@ void FreeRunningExecutor::decorate_report(RunReport& report) {
 
 void FreeRunningExecutor::start_session() {
   const std::size_t nshards = shards_.size();
-  ensure_pool_width(std::max<int>(1, static_cast<int>(nshards)));
+  // The shard population is frozen (R6), so one worker per shard, built
+  // once, hosts every session.
+  if (!pool_) pool_ = std::make_unique<WorkerPool>(static_cast<int>(nshards));
 
   // Same reseed / ledger-ownership / routing policy as the barrier path.
   route_ready_ledger();
@@ -103,13 +106,10 @@ void FreeRunningExecutor::start_session() {
   free_announce_.store(observer() != nullptr, std::memory_order_release);
   spec_.set_cross_shard_wake_sink(this);
 
-  for (std::size_t s = 0; s < nshards; ++s) {
-    // [this, s] fits std::function's inline storage: no allocation.
-    const int id = static_cast<int>(s);
-    pool_->submit(id, [this, id](int) { shard_main(id); });
-  }
   session_active_ = true;
-  pool_->launch();
+  // Worker s runs shard s. [this] fits std::function's inline storage: no
+  // allocation.
+  pool_->launch([this](int s) { shard_main(s); });
 }
 
 std::uint64_t FreeRunningExecutor::end_session() {
@@ -689,6 +689,8 @@ void FreeRunningExecutor::shard_loop(int s, Slot& slot, ShardState& shard) {
     std::uint64_t min_future = kAllRounds;
     const bool completed = continuation_round(s, slot, r, &min_future);
     const RoundDelta& delta = shard.delta;
+    shard.fired += delta.fired;
+    shard.rounds += delta.rounds;
     slot.rounds += delta.rounds;
     slot.fired += delta.fired;
     slot.guards += delta.guards;

@@ -4,17 +4,19 @@
 // The paper's scaling argument (§3–§5) is that system modules are mutually
 // independent and asynchronous, so a multiprocessor server should let each
 // module subtree run at its own pace. The Sharded backend
-// (shard_executor.hpp) still funnels every round through a coordinator
-// barrier — announcement replay and stop-condition checks re-park the pool
-// once per round, capping throughput at the slowest shard. This backend
-// removes that last global synchronization point:
+// (shard_executor.hpp) runs every round of every shard on the calling
+// thread under one barrier. This backend is the one that runs shards on
+// threads of their own, and it removes that global synchronization point:
 //
-//   * each shard becomes ONE long-lived continuation task on the persistent
-//     WorkerPool. The task loops rounds locally (continuation_round: the
-//     shared begin_round / fire_round halves at the shard's own clock, or a
-//     leap to the shard's next delay deadline), with its dirty tracking
-//     bound to the executing thread (LocalReadyScopeBinding), so a
-//     steady-state round touches no lock, no ledger and no other thread.
+//   * each shard becomes ONE long-lived continuation task on its own worker
+//     of the executor's WorkerPool (worker_pool.hpp), which is built once,
+//     one thread per shard, at the first session and re-armed at every
+//     later one (the shard population is frozen, so it is never resized).
+//     The task loops rounds locally (continuation_round: the shared
+//     begin_round / fire_round halves at the shard's own clock, or a leap
+//     to the shard's next delay deadline), with its dirty tracking bound to
+//     the executing thread (LocalReadyScopeBinding), so a steady-state round
+//     touches no lock, no ledger and no other thread.
 //   * shards communicate only through the round-stamped transfer mailboxes.
 //     A message output during global round k becomes visible to its
 //     destination at round k+1 (InteractionPoint::drain_transfers_until) —
@@ -55,13 +57,16 @@
 //
 // Fallback: free-running dispatch requires the specification to be PROVEN
 // conflict-free by ConflictAnalysis (guards on cross-shard queues or shared
-// loss Rngs make un-barriered rounds unsound) and a pool wide enough for one
-// continuation slot per shard. Anything else falls back to the Sharded step,
-// one barrier round over every shard — same shards, same mailboxes, same
-// round engine, same announced trace, counted in
-// FreeRunningStats::fallback_rounds. Ending a session lifts the barrier
-// round counter past the session's rounds, so the transfers it left parked
-// drain in the first barrier round, in their send order.
+// loss Rngs make un-barriered rounds unsound) and a worker width
+// (ExecutorConfig::threads, or RunOptions::worker_count for one run) of at
+// least one thread per shard. Anything else falls back to the Sharded step,
+// one barrier round over every shard on the run thread — same shards, same
+// mailboxes, same round engine, same announced trace, counted in
+// FreeRunningStats::fallback_rounds. A fallback round first ends any live
+// session (the continuations return to their parked workers), so a
+// reentrant narrower run strands nothing. Ending a session lifts the
+// barrier round counter past the session's rounds, so the transfers it left
+// parked drain in the first barrier round, in their send order.
 //
 // Known gap: an idle free-running shard leaps to its OWN next delay
 // deadline, while the barrier round only leaps the whole group when no
@@ -80,6 +85,7 @@
 
 #include "estelle/interaction.hpp"
 #include "estelle/shard_executor.hpp"
+#include "estelle/worker_pool.hpp"
 
 namespace mcam::estelle {
 
@@ -93,6 +99,11 @@ class FreeRunningExecutor final : public ShardedExecutor,
   [[nodiscard]] ExecutorKind kind() const noexcept override {
     return ExecutorKind::FreeRunning;
   }
+  /// The continuation threads: the pool's width once the first session has
+  /// built it (one per shard), 1 before that.
+  [[nodiscard]] int unit_count() const noexcept override;
+  /// The continuation pool (null until the first session).
+  [[nodiscard]] const WorkerPool* pool() const noexcept { return pool_.get(); }
 
   /// Lifetime continuation-dispatch counters (also published through
   /// RunReport::free_running).
@@ -107,7 +118,6 @@ class FreeRunningExecutor final : public ShardedExecutor,
   bool step() override;
   void finalize_stats() override;
   void decorate_report(RunReport& report) override;
-  void before_pool_resize() override;
 
  private:
   /// "No such round" sentinel for watermark/bound computations. A shard's
@@ -185,8 +195,8 @@ class FreeRunningExecutor final : public ShardedExecutor,
                                std::uint64_t sender_round) noexcept override;
 
   /// Free-running dispatch is sound and deadlock-free only when the spec is
-  /// proven conflict-free, dirty-set mode is on, and the pool can host one
-  /// continuation per shard.
+  /// proven conflict-free and the run's worker width covers one continuation
+  /// per shard.
   [[nodiscard]] bool free_runnable() const noexcept;
 
   void start_session();
@@ -233,6 +243,8 @@ class FreeRunningExecutor final : public ShardedExecutor,
   std::uint64_t fold_locked();
   void wake_everyone_locked();
 
+  int workers_;  // configured width; 0 ⇒ hardware_concurrency()
+  std::unique_ptr<WorkerPool> pool_;  // one worker per shard, built once
   std::mutex smu_;                    // session coordination
   std::condition_variable run_cv_;    // run thread parks here
   std::condition_variable gate_cv_;   // neighbor-gate waiters park here

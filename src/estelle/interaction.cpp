@@ -71,8 +71,9 @@ std::size_t InteractionPoint::drain_transfers_until(
     std::uint64_t max_round, SimTime* watermark,
     std::uint64_t* min_remaining) {
   // Empty-mailbox fast path, lock-free: drains are separated from foreign
-  // deliveries by the pool join (barrier rounds) or the sender-progress gate
-  // (free-running), so a zero count really means empty-for-our-round.
+  // deliveries by program order (barrier rounds run on one thread) or the
+  // sender-progress gate (free-running), so a zero count really means
+  // empty-for-our-round.
   if (transfer_count_.load(std::memory_order_acquire) == 0) return 0;
   std::lock_guard<std::mutex> lock(stripe_of(this));
   std::size_t moved = 0;

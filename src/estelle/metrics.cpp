@@ -46,8 +46,7 @@ void MetricsObserver::on_report(Executor&, RunReport& report) {
   rounds_with_allocation_ += report.rounds_with_allocation;
   if (report.transport.frames_sent != 0 ||
       report.transport.frames_received != 0 ||
-      report.transport.handshake_retries != 0 ||
-      report.transport.node_workers != 0)
+      report.transport.handshake_retries != 0)
     transport_ = report.transport;
 }
 
@@ -131,13 +130,6 @@ std::string MetricsObserver::to_string(std::size_t top) const {
           static_cast<unsigned long long>(transport_.heartbeats),
           static_cast<unsigned long long>(transport_.faults_injected));
   }
-  // Outside the transport block: a single-node parallel world has no
-  // transport frames but still reports its in-node dispatch.
-  if (transport_.node_workers != 0)
-    out += common::strf(
-        "  parallel: %llu workers/node, %llu node-parallel rounds\n",
-        static_cast<unsigned long long>(transport_.node_workers),
-        static_cast<unsigned long long>(transport_.parallel_shard_rounds));
   out += "  firing-gap histogram (us, log2 buckets):\n";
   for (std::size_t b = 0; b < histogram_.size(); ++b) {
     if (histogram_[b] == 0) continue;

@@ -316,7 +316,8 @@ void Module::mark_ready() noexcept {
 
 void ReadyLedger::mark(Module& m) {
   // The exchange dedups; the happens-before between a worker-thread mark and
-  // the boundary-time drain comes from the worker pool's epoch barrier, not
+  // the boundary-time drain comes from the free-running session's lock and
+  // the pool's wait_idle (barrier rounds mark and drain on one thread), not
   // from this flag.
   if (m.ledger_marked_.exchange(true, std::memory_order_acq_rel)) return;
   std::lock_guard<std::mutex> lock(mu_);

@@ -5,7 +5,7 @@
 // per round even when one module is active, plus a fresh candidate vector
 // per round. On the sparse-activity workloads typical of real protocol
 // stacks (most entities idle, few active) that evaluation cost dominates
-// everything the worker pool already optimized. Every backend except
+// everything else in the round. Every backend except
 // ParallelSim (whose engine is the scan) collects from this header instead:
 //
 //   * ReadyLedger (module.hpp) — modules enqueue themselves when something
@@ -19,7 +19,7 @@
 //     (state_entered_at + delay), and the reusable candidate buffer. One
 //     scope spans the whole specification under Sequential; the shard-based
 //     backends keep one per shard (ready sets and heaps live in
-//     ShardState, so they survive shard stealing).
+//     ShardState).
 //   * collect(now) — pops matured deadlines, re-evaluates exactly the ready
 //     modules, then rebuilds the round's candidates from F alone: sort by
 //     document-order DFS index, drop candidates with a fireable ancestor

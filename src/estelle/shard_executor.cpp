@@ -1,6 +1,7 @@
 #include "estelle/shard_executor.hpp"
 
 #include <algorithm>
+#include <exception>
 
 #include "estelle/sched.hpp"
 #include "estelle/shard_round.hpp"
@@ -10,18 +11,9 @@ namespace mcam::estelle {
 ShardedExecutor::ShardedExecutor(Specification& spec,
                                  const ExecutorConfig& cfg)
     : ExecutorBase(spec, cfg.max_steps),
-      workers_(cfg.threads),
       sched_per_transition_(cfg.sched_per_transition),
       scan_per_guard_(cfg.scan_per_guard),
       verify_(cfg.verify_ready_set) {}
-
-int ShardedExecutor::unit_count() const noexcept {
-  if (pool_) return pool_->worker_count();
-  // Apply the shard-count cap as soon as the analysis exists, so the value
-  // is stable from the first round on (before any analysis it can only
-  // report the uncapped width).
-  return analysis_ ? effective_workers() : resolve_worker_count(workers_);
-}
 
 void ShardedExecutor::ensure_analysis() {
   if (!analysis_) {
@@ -29,31 +21,11 @@ void ShardedExecutor::ensure_analysis() {
     // The system-module population is frozen (R6), so the shard vector is
     // sized exactly once; refreshes change subtree membership only.
     shards_.resize(static_cast<std::size_t>(analysis_->shard_count()));
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      shards_[s].owner = static_cast<int>(s);
+    for (std::size_t s = 0; s < shards_.size(); ++s)
       shard_ids_.push_back(static_cast<int>(s));
-    }
   } else {
     analysis_->refresh();
   }
-}
-
-int ShardedExecutor::effective_workers() const noexcept {
-  // Stealing moves whole shards, so workers beyond the shard count could
-  // never be busy — cap the width there.
-  return std::clamp(effective_worker_width(workers_), 1,
-                    std::max(1, analysis_->shard_count()));
-}
-
-WorkerPool& ShardedExecutor::ensure_pool_width(int want) {
-  if (!pool_ || pool_->worker_count() != want) {
-    // Quiesce first: a free-running session still has continuation tasks
-    // parked inside the old pool, and destroying it would join on them
-    // forever (the stranded-continuation bug this hook fixes).
-    before_pool_resize();
-    pool_ = std::make_unique<WorkerPool>(want);
-  }
-  return *pool_;
 }
 
 void ShardedExecutor::route_ready_ledger() {
@@ -132,7 +104,7 @@ bool ShardedExecutor::begin_round(int s, std::uint64_t r, SimTime floor,
 }
 
 bool ShardedExecutor::barrier_round(std::uint64_t r,
-                                    const std::vector<int>& ids, int width,
+                                    const std::vector<int>& ids,
                                     const FiringTap& tap) {
   route_ready_ledger();
   RunObserver* const obs = observer();
@@ -141,71 +113,37 @@ bool ShardedExecutor::barrier_round(std::uint64_t r,
   bool allocated = ledger.capacity() != ledger_capacity_seen_;
   ledger_capacity_seen_ = ledger.capacity();
 
-  // Every shard drains and collects before any fires, on this thread, with
-  // the group clock as the idle shards' floor.
+  // Every shard drains and collects before any fires, with the group clock
+  // as the idle shards' floor.
   std::size_t firing = 0;
   for (const int s : ids) {
     LocalReadyScopeBinding binding(shards_[static_cast<std::size_t>(s)].ready,
                                    s);
     if (begin_round(s, r, now_, nullptr)) ++firing;
   }
-  const auto fires = [this](int s) {
-    return !shards_[static_cast<std::size_t>(s)].ready.candidates().empty();
-  };
-  const auto fire_shard = [this, r, announce](int s) {
-    ShardState& shard = shards_[static_cast<std::size_t>(s)];
-    LocalReadyScopeBinding binding(shard.ready, s);
-    fire_round(s, r, announce, [&shard](const FiringCandidate& c, SimTime at) {
-      shard.fired_log.push_back({c, at});
-    });
-  };
 
-  // Fewer than two firing shards, a width-1 pool (a single worker adds only
-  // a park/unpark round trip) or an unproven spec run inline: still sharded
-  // and mailbox-routed, but serialized, hence race-free whatever the spec
-  // does.
-  if (firing < 2 || width < 2 || !analysis_->conflict_free()) {
-    for (const int s : ids)
-      if (fires(s)) fire_shard(s);
-  } else {
-    WorkerPool& pool = ensure_pool_width(width);
-    const int nworkers = pool.worker_count();
-    const auto task = [this, &fire_shard, nworkers](int s, int w) noexcept {
-      ShardState& shard = shards_[static_cast<std::size_t>(s)];
-      // The helping coordinator (pseudo-worker id == worker_count()) is not
-      // a steal and does not re-home the shard: steals stays "a worker took
-      // it from another's queue", and affinity survives coordinator-heavy
-      // rounds on low-core hosts.
-      if (w < nworkers) {
-        if (w != shard.home) ++shard.steals;
-        shard.owner = w;  // ownership follows the thief across rounds
-      }
-      // Pool tasks must not throw: the error surfaces on this thread below.
-      try {
-        fire_shard(s);
-      } catch (...) {
-        shard.error = std::current_exception();
-      }
-    };
-    for (const int s : ids) {
-      if (!fires(s)) continue;
-      ShardState& shard = shards_[static_cast<std::size_t>(s)];
-      shard.home = shard.owner % nworkers;
-      // The 16-byte [&task, s] capture fits std::function's inline storage:
-      // dealing a round allocates nothing.
-      pool.submit(shard.home, [&task, s](int w) { task(s, w); });
+  // The firing shards run in id order. A throwing action stops the round
+  // there, as it stops a sequential one: later shards do not fire.
+  std::exception_ptr error;
+  for (const int s : ids) {
+    ShardState& shard = shards_[static_cast<std::size_t>(s)];
+    if (shard.ready.candidates().empty()) continue;
+    LocalReadyScopeBinding binding(shard.ready, s);
+    try {
+      fire_round(s, r, announce,
+                 [&shard](const FiringCandidate& c, SimTime at) {
+                   shard.fired_log.push_back({c, at});
+                 });
+    } catch (...) {
+      error = std::current_exception();
+      break;
     }
-    // The run thread drains shard rounds beside the workers, then blocks on
-    // the pool barrier (a happens-before edge for every worker-side write).
-    pool.run_epoch_helping();
-    ++pooled_rounds_;
   }
 
   // Announce-after-revalidation: replay each shard's log of *actual*
-  // firings, on this thread, in shard id order then firing order, at their
-  // true shard-clock times; then fold the deltas. The executor clock is the
-  // virtual makespan over shard clocks.
-  std::exception_ptr error;
+  // firings in shard id order then firing order, at their true shard-clock
+  // times; then fold the deltas. The executor clock is the virtual makespan
+  // over shard clocks.
   for (const int s : ids) {
     ShardState& shard = shards_[static_cast<std::size_t>(s)];
     for (const FiredEvent& e : shard.fired_log) {
@@ -214,6 +152,8 @@ bool ShardedExecutor::barrier_round(std::uint64_t r,
         obs->on_fire(*e.candidate.module, *e.candidate.transition, e.at);
     }
     const RoundDelta& d = shard.delta;
+    shard.fired += d.fired;
+    shard.rounds += d.rounds;
     stats_.guards_examined += d.guards;
     stats_.candidates_considered += d.cands;
     stats_.fired += d.fired;
@@ -221,8 +161,6 @@ bool ShardedExecutor::barrier_round(std::uint64_t r,
     stats_.sched_time += d.sched;
     allocated = allocated || d.alloc_rounds != 0;
     if (shard.clock > now_) now_ = shard.clock;
-    if (!error) error = shard.error;
-    shard.error = nullptr;
   }
   if (allocated) ++stats_.rounds_with_allocation;
   if (error) std::rethrow_exception(error);
@@ -250,7 +188,7 @@ bool ShardedExecutor::barrier_round(std::uint64_t r,
 
 bool ShardedExecutor::step() {
   ensure_analysis();
-  return barrier_round(++barrier_rounds_, shard_ids_, effective_workers(), {});
+  return barrier_round(++barrier_rounds_, shard_ids_, {});
 }
 
 void ShardedExecutor::decorate_report(RunReport& report) {
@@ -264,7 +202,6 @@ void ShardedExecutor::decorate_report(RunReport& report) {
     out.uniprocessor_host = info.uniprocessor_host;
     out.fired = shards_[s].fired;
     out.rounds = shards_[s].rounds;
-    out.steals = shards_[s].steals;
     out.clock = shards_[s].clock;
     report.shards.push_back(std::move(out));
   }

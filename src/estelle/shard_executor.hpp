@@ -1,52 +1,46 @@
-// ExecutorKind::Sharded — the work-stealing sharded runtime.
+// ExecutorKind::Sharded — the sharded runtime.
 //
 // The paper's scaling argument (§3, §5): an Estelle server spreads over a
 // multiprocessor because its *system modules* are mutually independent and
 // asynchronous (§4). This backend makes that structural: ConflictAnalysis
 // assigns one shard per system-module subtree, and each shard executes its
 // own rounds with its own virtual clock, synchronizing with other shards
-// only through the two-phase transfer mailboxes (interaction.hpp). There is
-// no global barrier over candidates — the per-round barrier keeps observer
-// announcements and stop-condition checks on the coordinating thread, and
-// gives idle shards a group clock to follow.
+// only through the two-phase transfer mailboxes (interaction.hpp). The
+// per-round barrier keeps observer announcements and stop-condition checks
+// in one place and gives idle shards a group clock to follow. Real threads
+// come from FreeRunning (free_executor.hpp), which runs the same shards
+// without the barrier, and processes from Distributed
+// (transport/dist_runner.hpp).
 //
 // One step() = one *barrier round* r (barrier_round; the round counter is
 // monotone across runs, so a transfer's stamp always names the round that
-// sent it):
-//   1. every shard, on the coordinating thread, drains its cross-shard
-//      mailboxes up to round r-1 (raising its clock to the arrival
-//      watermark: a message sent at sender-time t is never processed at
-//      receiver-time < t) and collects its firing set (begin_round). An idle
-//      shard follows the group clock: below it, the shard is raised to it and
-//      collects again, so its delay clauses mature interleaved with the busy
-//      shards' work;
-//   2. the shards that fire run their rounds (fire_round) — inline, or dealt
-//      to the persistent WorkerPool (worker_pool.hpp) when two or more fire.
-//      Workers own shards; an idle worker steals a whole shard from the back
-//      of a victim's deque. Stealing whole shards preserves per-module
-//      transition order by construction: a shard's round is always executed
-//      by exactly one thread, serially. The pool is built once (capped at
-//      the shard count) and reused across rounds and run() calls — no
-//      thread is constructed inside step();
+// sent it), all on the calling thread:
+//   1. every shard drains its cross-shard mailboxes up to round r-1
+//      (raising its clock to the arrival watermark: a message sent at
+//      sender-time t is never processed at receiver-time < t) and collects
+//      its firing set (begin_round). An idle shard follows the group clock:
+//      below it, the shard is raised to it and collects again, so its delay
+//      clauses mature interleaved with the busy shards' work;
+//   2. the shards that fire run their rounds (fire_round) in shard id order;
 //   3. each shard's round revalidates every candidate with is_fireable()
 //      (the sequential discipline: an earlier same-round firing may have
 //      consumed state) and logs what actually fired, at its actual
 //      shard-clock fire time; outputs to other shards park in their
 //      mailboxes stamped r, visible from round r+1 on;
-//   4. after the barrier, the *revalidated* firings are announced to
-//      observers on the coordinating thread, in shard id order then firing
-//      order (announce-after-revalidation). The announced trace therefore
-//      matches the sequential scheduler even on specifications that are
-//      ill-formed within one shard. The price: under this backend on_fire is
-//      delivered after the round executed, so Module::state() seen from the
-//      hook is the post-round state, not the from-state (trace recorders
-//      that only read the transition and timestamp are unaffected);
+//   4. the *revalidated* firings are then announced to observers in shard
+//      id order then firing order (announce-after-revalidation). The
+//      announced trace therefore matches the sequential scheduler even on
+//      specifications that are ill-formed within one shard. The price: under
+//      this backend on_fire is delivered after the round executed, so
+//      Module::state() seen from the hook is the post-round state, not the
+//      from-state (trace recorders that only read the transition and
+//      timestamp are unaffected);
 //   5. aggregate stats; the executor clock becomes the max shard clock
 //      (virtual makespan).
 //
-// Firing traces are deterministic and independent of both the worker count
-// and steal timing: stealing moves a shard between threads, never reorders
-// within a shard, and round membership is decided before workers start.
+// An action that throws ends the round the way it ends a sequential one:
+// no later shard fires, the firings that ran (the throwing one included)
+// are announced and counted, and the exception leaves run().
 //
 // Delay clauses use shard-local time under the safe-time rule of
 // conservative simulation (Chandy & Misra 1979): the group leaps to its
@@ -55,10 +49,9 @@
 // a deadline of its own. Quiescence is a round with nothing to fire and no
 // deadline queued.
 //
-// On a specification that ConflictAnalysis does NOT prove conflict-free
-// every round runs inline: still sharded, still mailbox-routed, but
-// race-free by serialization. RunReport::shards carries per-shard fired /
-// rounds / steals / clock.
+// A specification that ConflictAnalysis does NOT prove conflict-free runs
+// exactly the same way: sharded, mailbox-routed, serialized.
+// RunReport::shards carries per-shard fired / rounds / clock.
 //
 // The same barrier round runs FreeRunning's fallback and each
 // DistributedRunner node round; FreeRunning's own shard loop runs the two
@@ -66,7 +59,6 @@
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -75,34 +67,28 @@
 #include "estelle/executor.hpp"
 #include "estelle/module.hpp"
 #include "estelle/ready_set.hpp"
-#include "estelle/worker_pool.hpp"
 
 namespace mcam::estelle {
 
 class ShardedExecutor : public ExecutorBase {
  public:
-  /// Reads ExecutorConfig::threads (pool width, 0 ⇒ hardware_concurrency(),
-  /// capped at the shard count; RunOptions::worker_count overrides per run),
-  /// sched_per_transition and scan_per_guard (the shard-local cost model,
-  /// same vocabulary as the sequential backend so virtual speedups are
-  /// comparable), and max_steps.
+  /// Reads sched_per_transition and scan_per_guard (the shard-local cost
+  /// model, same vocabulary as the sequential backend so virtual speedups
+  /// are comparable), verify_ready_set and max_steps.
   explicit ShardedExecutor(Specification& spec, const ExecutorConfig& cfg = {});
 
   [[nodiscard]] ExecutorKind kind() const noexcept override {
     return ExecutorKind::Sharded;
   }
-  [[nodiscard]] int unit_count() const noexcept override;
 
   /// The analysis driving shard assignment (built on first use).
   [[nodiscard]] const ConflictAnalysis* analysis() const noexcept {
     return analysis_.get();
   }
-  /// The persistent pool (null until the first pooled round).
-  [[nodiscard]] const WorkerPool* pool() const noexcept { return pool_.get(); }
 
  protected:
-  /// One revalidated firing of a shard round, logged by the executing thread
-  /// and replayed to observers on the coordinating thread after the barrier
+  /// One revalidated firing of a shard round, logged while the round runs
+  /// and replayed to observers once every firing shard has run
   /// (announce-after-revalidation).
   struct FiredEvent {
     FiringCandidate candidate;
@@ -111,8 +97,8 @@ class ShardedExecutor : public ExecutorBase {
 
   /// Stat deltas of one shard round. Written only by the thread running the
   /// round, with no shared-counter writes; the caller folds them into
-  /// SchedulerStats / its slot counters at a point where it owns them (after
-  /// the barrier, or inline).
+  /// SchedulerStats / its slot counters and the shard's own fired / rounds
+  /// at a point where it owns them.
   struct RoundDelta {
     std::uint64_t rounds = 0;  // 1 when the round fired (stats_.rounds)
     std::uint64_t fired = 0;
@@ -127,13 +113,8 @@ class ShardedExecutor : public ExecutorBase {
     SimTime clock{};
     std::uint64_t fired = 0;
     std::uint64_t rounds = 0;
-    std::uint64_t steals = 0;
-    int owner = 0;  // worker that ran the shard last (steals move it)
-    int home = 0;   // pool slot the shard was dealt to this round
     /// The shard's event-driven scheduling state — persistent ready set,
-    /// fireable cache, delay-deadline heap, candidate buffer. It lives here
-    /// (not on any worker), so whole-shard stealing moves it implicitly and
-    /// intact.
+    /// fireable cache, delay-deadline heap, candidate buffer.
     ReadyScope ready;
     /// The shard's endpoints of cross-shard channels: the only interaction
     /// points a transfer can park on. Rebuilt with every reseed.
@@ -141,7 +122,6 @@ class ShardedExecutor : public ExecutorBase {
     // Per-round scratch, written by whichever thread runs the round:
     RoundDelta delta;
     std::vector<FiredEvent> fired_log;
-    std::exception_ptr error;  // a throw out of a pooled fire_round
   };
 
   /// Per-firing tap with the (round, shard) coordinates that
@@ -165,17 +145,20 @@ class ShardedExecutor : public ExecutorBase {
   /// arithmetic — scan cost for every guard the round's collects examined,
   /// then per-firing scheduling and execution costs — revalidating each
   /// candidate. When `announce`, `log(candidate, fire_time)` is called for
-  /// every actual firing. Defined in shard_round.hpp.
+  /// every actual firing, before its action runs. shard.delta counts what
+  /// fired; the caller folds it into the shard's fired / rounds. Defined in
+  /// shard_round.hpp.
   template <typename LogFn>
   void fire_round(int s, std::uint64_t r, bool announce, LogFn&& log);
-  /// One barrier round r over the shards `ids` (ascending): begin_round for
-  /// each on this thread with the group clock as floor, fire_round for those
-  /// that fire (dealt to a `width`-wide pool when two or more fire on a
-  /// conflict-free spec), then the firings replay in shard id order to
-  /// `tap` and the run's observers, and the deltas fold into stats_. When
+  /// One barrier round r over the shards `ids` (ascending), on this thread:
+  /// begin_round for each with the group clock as floor, then fire_round
+  /// for those that fire, in id order; the firings replay in shard id order
+  /// to `tap` and the run's observers, and the deltas fold into stats_. When
   /// nothing fires, the group leaps to its earliest delay deadline. Returns
-  /// false when quiescent: nothing fired and no deadline is queued.
-  bool barrier_round(std::uint64_t r, const std::vector<int>& ids, int width,
+  /// false when quiescent: nothing fired and no deadline is queued. An
+  /// action that throws stops the firing; what ran is replayed and folded
+  /// before the exception propagates.
+  bool barrier_round(std::uint64_t r, const std::vector<int>& ids,
                      const FiringTap& tap);
 
   bool step() override;
@@ -190,30 +173,16 @@ class ShardedExecutor : public ExecutorBase {
   /// Full reseed of every shard's ready scope and boundary list (first
   /// round, topology change, or ledger-consumer handoff).
   void reseed_ready();
-  /// This run's effective pool width: RunOptions::worker_count when set,
-  /// else the configured count, capped at the shard count (min 1).
-  [[nodiscard]] int effective_workers() const noexcept;
-  /// The pool at exactly `want` workers, quiescing any in-flight
-  /// long-running work first (before_pool_resize) so a mid-run width change
-  /// never strands a continuation inside the old pool's join.
-  WorkerPool& ensure_pool_width(int want);
-  /// Hook called before the persistent pool is torn down for a resize. The
-  /// free-running subclass ends its continuation session here; a barrier
-  /// round has nothing in flight between steps.
-  virtual void before_pool_resize() {}
 
-  int workers_;  // configured width; 0 ⇒ hardware_concurrency()
   SimTime sched_per_transition_;
   SimTime scan_per_guard_;
   bool verify_;
   std::unique_ptr<ConflictAnalysis> analysis_;
-  std::unique_ptr<WorkerPool> pool_;
   std::vector<ShardState> shards_;
   std::vector<int> shard_ids_;  // 0..n-1: step()'s round membership
   /// Last round step() ran. FreeRunning lifts it past a session's rounds, so
   /// transfers a session left parked drain in the next barrier round.
   std::uint64_t barrier_rounds_ = 0;
-  std::uint64_t pooled_rounds_ = 0;  // barrier rounds dealt to the pool
   std::uint64_t seen_version_ = ~0ull;
   bool seeded_ = false;
   std::size_t ledger_capacity_seen_ = 0;  // allocation accounting

@@ -17,20 +17,22 @@
 // them all against the sequential scheduler.
 //
 // Thread contract: the caller owns shard `s` for the duration of the call
-// (barrier rounds: the thread the round was dealt to, or the run thread
-// inline; free-running: the shard's continuation task). The boundary
-// mailboxes are striped-mutex thread-safe, so concurrent inject_transfer
-// from other threads (a sibling shard, the distributed run thread's
-// transport pump) is fine — the <= r-1 drain filter keeps later-stamped
+// (barrier rounds: the run thread; free-running: the shard's continuation
+// task on its own worker thread). The boundary mailboxes are striped-mutex
+// thread-safe, so concurrent inject_transfer from other threads (a sibling
+// free-running shard) is fine — the <= r-1 drain filter keeps later-stamped
 // arrivals parked. The executing thread should hold a
 // LocalReadyScopeBinding for the shard so dirty marks produced by firings
 // route lock-free into its own scope.
 //
 // Announcement contract: `log` fires only when `announce`, in firing order,
 // with the actual (revalidated) candidate and its actual shard-clock fire
-// time; fire() itself runs with a null observer. Callers replay their logs
-// to observers later, in global (round, shard id) order — the
-// announce-after-revalidation discipline shared by every parallel backend.
+// time, before the action runs; fire() itself runs with a null observer.
+// Callers replay their logs to observers later, in global (round, shard id)
+// order — the announce-after-revalidation discipline shared by every
+// shard-based backend. A throwing action leaves its firing logged but not
+// counted in shard.delta, as the sequential scheduler announces it but does
+// not count it.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +76,6 @@ void ShardedExecutor::fire_round(int s, std::uint64_t r, bool announce,
     ++delta.fired;
   }
   delta.rounds = 1;
-  shard.fired += delta.fired;
-  ++shard.rounds;
 }
 
 }  // namespace mcam::estelle

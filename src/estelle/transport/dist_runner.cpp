@@ -492,19 +492,11 @@ bool DistributedRunner::gate(std::uint64_t need) {
   }
 }
 
-int DistributedRunner::node_parallel_width() const noexcept {
-  const int shards = static_cast<int>(local_shards_.size());
-  if (shards <= 1) return 1;
-  return std::min(effective_worker_width(opts_.worker_count), shards);
-}
-
 bool DistributedRunner::run_round(std::uint64_t r) {
-  const int width = node_parallel_width();
-  node_workers_ = static_cast<std::uint64_t>(width);
   // Every announcement carries round r, so the barrier's shard-id-order
   // replay is exactly the (round, shard) order the cross-node trace merge
-  // sorts by — identical for every worker width.
-  return barrier_round(r, local_shards_, width, opts_.trace_hook);
+  // sorts by.
+  return barrier_round(r, local_shards_, opts_.trace_hook);
 }
 
 bool DistributedRunner::export_transfers(std::uint64_t r) {
@@ -825,10 +817,6 @@ bool DistributedRunner::step() {
 void DistributedRunner::decorate_report(RunReport& report) {
   ShardedExecutor::decorate_report(report);
   if (transport_ != nullptr) report.transport = transport_->stats();
-  // Node-parallel counters live on the runner, not the transport, so they
-  // survive (and are reported) even for a transportless single-node world.
-  report.transport.node_workers = node_workers_;
-  report.transport.parallel_shard_rounds = pooled_rounds_;
   if (!error_.empty()) {
     report.reason = StopReason::Aborted;
     report.error = error_;

@@ -12,19 +12,16 @@
 //
 // Round protocol. Each node advances a round cursor r; all of a node's local
 // shards execute round r together as one Sharded barrier round
-// (ShardedExecutor::barrier_round): every local shard drains and collects on
-// the run thread, an idle one following the node's group clock, and the
-// shards that fire run inline — or, at width >= 2 (DistOptions::worker_count)
-// with two or more firing, on the node's persistent WorkerPool, the run
-// thread running shard tasks beside the workers up to the pool barrier.
-// Either way the transport is serviced only between rounds: frames that
-// arrive mid-round wait in the medium for the pump that precedes the next
-// round. Announcements replay on the run thread afterwards in shard id
-// order, so the trace composition is identical at every width. A node whose
-// shards fire nothing leaps its group clock to its earliest delay deadline,
-// so a single-node group runs exactly the Sharded step's rounds and clocks;
-// across nodes the group clocks are node-local, and a node can still leap to
-// a timer while a peer's shard is busy. Across nodes, only channel-coupled
+// (ShardedExecutor::barrier_round) on the node's run thread: every local
+// shard drains and collects, an idle one following the node's group clock,
+// then the shards that fire run in shard id order. The transport is
+// serviced only between rounds: frames that arrive mid-round wait in the
+// medium for the pump that precedes the next round. Announcements replay
+// afterwards in shard id order. A node whose shards fire nothing leaps its
+// group clock to its earliest delay deadline, so a single-node group runs
+// exactly the Sharded step's rounds and clocks; across nodes the group
+// clocks are node-local, and a node can still leap to a timer while a
+// peer's shard is busy. Across nodes, only channel-coupled
 // shards synchronize, through the three PR-5 primitives as explicit frames:
 //
 //   * gate     — a node enters round r only when every REMOTE shard that
@@ -132,18 +129,10 @@ struct DistOptions {
   /// Transfer frame. Off reproduces the one-frame-one-syscall baseline the
   /// bench and the differential sweep compare against.
   bool batch_transfers = true;
-  /// Worker threads for the node-local shard group. With width >= 2 (and at
-  /// least two local shards) a round in which two or more local shards fire
-  /// runs them as tasks on the node's persistent WorkerPool, the run thread
-  /// helping drain them up to the pool barrier; the transport is pumped
-  /// between rounds, as at width 1. 0 ⇒ hardware_concurrency(); 1 runs
-  /// every round inline on the run thread (conflicted specifications are
-  /// refused outright, so width never races an unproven spec). Capped at the
-  /// local shard count;
-  /// RunOptions::worker_count overrides per run. The worker count never
-  /// changes the merged trace: rounds still compose per shard in
-  /// (round, shard) order and transfer export still strictly precedes the
-  /// round's Advertise.
+  /// Inert: node rounds always run on the run thread, whatever the value.
+  /// Kept only because the end-to-end benchmark still sets it; the next
+  /// change allowed to touch that benchmark deletes the field and that
+  /// assignment.
   int worker_count = 0;
   /// Per-node "host" / "host:port" list for multi-machine TCP meshes,
   /// carried here so one options object fully describes a run. Consumed by
@@ -152,10 +141,10 @@ struct DistOptions {
   /// Per-firing tap with the (round, shard) coordinates the cross-node
   /// trace merge needs (RunObserver::on_fire does not carry them). Replayed
   /// on the run thread after the round executed, in shard id order then
-  /// firing order (announce-after-revalidation, identical for every
-  /// worker_count) — so Module::state() seen from the hook is the
-  /// post-round state; read the transition and timestamp arguments, not
-  /// live world state (the sharded backends' on_fire caveat).
+  /// firing order (announce-after-revalidation) — so Module::state() seen
+  /// from the hook is the post-round state; read the transition and
+  /// timestamp arguments, not live world state (the sharded backends'
+  /// on_fire caveat).
   std::function<void(std::uint64_t round, int shard, Module& m,
                      const Transition& t, SimTime at)>
       trace_hook;
@@ -231,14 +220,10 @@ class DistributedRunner final : public ShardedExecutor {
   void on_frame(int from, Frame& f);
   void on_hello(int from, const Frame& f);
 
-  /// Execute node round `r`: one barrier round over the local shards at
-  /// node_parallel_width(), announcing to the observers and trace_hook.
-  /// Returns true when the round did local work (a shard fired, or the node
-  /// leapt to a delay deadline).
+  /// Execute node round `r`: one barrier round over the local shards,
+  /// announcing to the observers and trace_hook. Returns true when the round
+  /// did local work (a shard fired, or the node leapt to a delay deadline).
   bool run_round(std::uint64_t r);
-  /// This round's effective worker width: resolved DistOptions::worker_count
-  /// (RunOptions::worker_count overrides), capped at the local shard count.
-  [[nodiscard]] int node_parallel_width() const noexcept;
   void answer_probe(int from, std::uint64_t epoch);
   /// Ship every transfer parked on remote replica endpoints: coalesced into
   /// one TransferBatch per peer (batch_transfers, the default) or as one
@@ -308,7 +293,6 @@ class DistributedRunner final : public ShardedExecutor {
     Frame frame;
   };
   std::vector<PeerBatch> peer_batches_;
-  std::uint64_t node_workers_ = 0;  // latest round's effective width
 };
 
 }  // namespace mcam::estelle

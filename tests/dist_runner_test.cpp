@@ -17,11 +17,8 @@
 //     no std::terminate;
 //   * the null-message machinery actually runs: an idle pipeline stage
 //     services provably-empty rounds and the transport counts them;
-//   * in-node parallelism is invisible: dealing a node's shards to a
-//     WorkerPool (DistOptions::worker_count), the run thread helping, produces
-//     the identical merged trace, worlds and fired counts at every width —
-//     with and without injected wire faults, in threads and in forked
-//     processes — and a node-parallel round never sits in a transport wait.
+//   * a node round over many local shards never sits in a transport wait,
+//     and an action that throws ends it the way it ends a sequential round.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -30,6 +27,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -393,106 +391,6 @@ TEST(DistRunner, TwoNodeLoopbackMergedTraceMatchesSequential) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Node-parallel dispatch: WorkerPool rounds inside each node are invisible
-
-TEST(DistRunner, NodeParallelLoopbackSweepMatchesSequential) {
-  // The loopback sweep again, at every in-node width: worker_count 1 is the
-  // sequential per-node loop, 2 and 4 deal the node's shards to a
-  // WorkerPool that the run thread helps drain. The merged trace must not
-  // move by a single event at any width.
-  const int n = spec_count();
-  int swept = 0;
-  std::uint64_t parallel_rounds = 0;
-  for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(n); ++seed) {
-    if (!eligible_for_two_nodes(seed)) continue;
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const SeqBaseline seq = sequential_baseline(seed);
-    for (const int workers : {1, 2, 4}) {
-      SCOPED_TRACE("workers " + std::to_string(workers));
-      LoopbackHub hub(2);
-      std::vector<std::shared_ptr<MailboxTransport>> transports;
-      for (int node = 0; node < 2; ++node)
-        transports.push_back(
-            std::shared_ptr<MailboxTransport>(hub.endpoint(node)));
-      std::vector<NodeOutcome> nodes(2);
-      std::vector<std::thread> threads;
-      for (int node = 0; node < 2; ++node)
-        threads.emplace_back([&, node] {
-          nodes[static_cast<std::size_t>(node)] = run_generated_node(
-              seed, node, 2, transports[static_cast<std::size_t>(node)], true,
-              [workers](DistOptions& o) { o.worker_count = workers; });
-        });
-      for (std::thread& t : threads) t.join();
-      expect_matches_baseline(seq, nodes);
-      for (const NodeOutcome& node : nodes) {
-        parallel_rounds += node.report.transport.parallel_shard_rounds;
-        if (workers == 1)
-          EXPECT_EQ(node.report.transport.parallel_shard_rounds, 0u)
-              << "worker_count 1 must keep the sequential loop";
-      }
-      if (HasFatalFailure()) return;
-    }
-    ++swept;
-  }
-  if (n >= 50) {
-    EXPECT_GE(swept, 10);
-    // Vacuity guard: seeds with >= 2 shards on one node must exist, and on
-    // those the pool path (not the single-local-shard fallback) must run.
-    EXPECT_GT(parallel_rounds, 0u) << "no node ever dealt a parallel round";
-  }
-}
-
-TEST(DistRunner, SingleNodeParallelMatchesSequential) {
-  // A transportless single-node group at width >= 2: pure in-node
-  // parallelism, burst path included. The announced trace (replayed on the
-  // run thread in (round, shard) order) and the final world must equal
-  // Sequential verbatim.
-  const int n = spec_count();
-  int swept = 0;
-  std::uint64_t parallel_rounds = 0;
-  for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(n); ++seed) {
-    if (!eligible_for_two_nodes(seed)) continue;  // >= 2 shards, no conflicts
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const SeqBaseline seq = sequential_baseline(seed);
-    for (const int workers : {2, 4}) {
-      SCOPED_TRACE("workers " + std::to_string(workers));
-      specgen::GeneratedWorld g = specgen::generate(seed);
-      DistOptions opts;
-      opts.worker_count = workers;
-      ExecutorConfig cfg;
-      cfg.kind = ExecutorKind::Distributed;
-      cfg.backend_options = opts;
-      auto executor = make_executor(*g.spec, cfg);
-      TraceRecorder trace;
-      const RunReport r = executor->run({.observers = {&trace}});
-      EXPECT_EQ(r.reason, StopReason::Quiescent) << r.error;
-      EXPECT_EQ(r.fired, seq.fired);
-      std::vector<std::string> labels;
-      for (const TraceEvent& e : trace.events())
-        labels.push_back(e.module_path + "/" + e.transition);
-      EXPECT_EQ(labels, seq.trace) << "announced trace diverged";
-      EXPECT_EQ(specgen::world_snapshot(*g.spec), seq.world_str)
-          << "single-node parallel world diverged";
-      // Width is capped at the node's shard count; >= 2 shards guaranteed
-      // by eligibility, so width 2 always engages the pool.
-      ConflictAnalysis analysis(*g.spec);
-      EXPECT_EQ(r.transport.node_workers,
-                std::min<std::uint64_t>(
-                    static_cast<std::uint64_t>(workers),
-                    static_cast<std::uint64_t>(analysis.shard_count())));
-      EXPECT_GT(r.transport.parallel_shard_rounds, 0u);
-      parallel_rounds += r.transport.parallel_shard_rounds;
-      if (HasFatalFailure()) return;
-    }
-    ++swept;
-  }
-  if (n >= 50) {
-    EXPECT_GE(swept, 10);
-    EXPECT_GT(parallel_rounds, 0u) << "the pool path never engaged";
-  }
-}
-
 /// A client system module and a server system module trading `requests`
 /// request/reply pairs. In state 1 the client declares a 500 µs
 /// retransmission timeout (`rto`, giving up to state 2, where `late` drains
@@ -575,7 +473,7 @@ TEST(DistRunner, BarrierRoundsFireTimersOnlyWhenSequentialDoes) {
   for (const std::string& label : seq.trace)
     ASSERT_EQ(label.find("/rto"), std::string::npos) << label;
 
-  const Outcome sharded = run({.kind = ExecutorKind::Sharded, .threads = 2});
+  const Outcome sharded = run({.kind = ExecutorKind::Sharded});
   const Outcome fallback =
       run({.kind = ExecutorKind::FreeRunning, .threads = 1});
   EXPECT_GT(fallback.report.free_running.fallback_rounds, 0u);
@@ -585,28 +483,32 @@ TEST(DistRunner, BarrierRoundsFireTimersOnlyWhenSequentialDoes) {
     EXPECT_EQ(o->report.fired, seq.report.fired);
     EXPECT_EQ(o->trace, seq.trace);
   }
-  for (const int workers : {1, 2}) {
-    SCOPED_TRACE("distributed workers " + std::to_string(workers));
-    DistOptions opts;
-    opts.worker_count = workers;
-    const Outcome dist = run(
-        {.kind = ExecutorKind::Distributed, .backend_options = opts});
-    EXPECT_EQ(dist.report.reason, StopReason::Quiescent) << dist.report.error;
-    EXPECT_EQ(dist.report.fired, seq.report.fired);
-    EXPECT_EQ(dist.trace, seq.trace);
-    EXPECT_EQ(dist.report.time, sharded.report.time);
-  }
+  const Outcome dist = run({.kind = ExecutorKind::Distributed});
+  EXPECT_EQ(dist.report.reason, StopReason::Quiescent) << dist.report.error;
+  EXPECT_EQ(dist.report.fired, seq.report.fired);
+  EXPECT_EQ(dist.trace, seq.trace);
+  EXPECT_EQ(dist.report.time, sharded.report.time);
 }
 
-TEST(DistRunner, PooledRoundThrowSurfacesOnTheRunThread) {
-  // Two shards fire every round, so at width 2 each round runs on the pool;
-  // an action throwing on a worker must come back out of run() on the
-  // calling thread (pool tasks may not throw), under the Sharded step and a
-  // Distributed node round alike.
-  for (const bool distributed : {false, true}) {
-    SCOPED_TRACE(distributed ? "distributed" : "sharded");
+TEST(DistRunner, ThrowingActionEndsTheBarrierRoundLikeSequential) {
+  // Three independent ticking shards; sys1's tick throws at state 5, in the
+  // sixth round. Sequential announces the throwing firing, fires nothing
+  // after it and does not count it: 17 announced, 16 fired. A barrier round
+  // must end the same way — stop firing at the throw, then replay and fold
+  // what ran before the exception leaves run() — under the Sharded step,
+  // FreeRunning's fallback and a single-node Distributed round, with the
+  // per-shard fired counters summing to the executor's.
+  struct ReportKeeper final : RunObserver {
+    RunReport report;
+    void on_run_end(Executor&, const RunReport& r) override { report = r; }
+  };
+  struct Outcome {
+    std::vector<std::string> trace;
+    RunReport report;
+  };
+  const auto run = [](const ExecutorConfig& cfg) {
     Specification spec("throw");
-    for (int i = 0; i < 2; ++i) {
+    for (int i = 0; i < 3; ++i) {
       auto& w = spec.root()
                     .create_child<Module>("sys" + std::to_string(i),
                                           Attribute::SystemProcess)
@@ -617,15 +519,45 @@ TEST(DistRunner, PooledRoundThrowSurfacesOnTheRunThread) {
       });
     }
     spec.initialize();
-    ExecutorConfig cfg;
-    cfg.kind = distributed ? ExecutorKind::Distributed : ExecutorKind::Sharded;
-    cfg.threads = 2;
-    DistOptions opts;
-    opts.worker_count = 2;
-    cfg.backend_options = opts;
     auto executor = make_executor(spec, cfg);
-    EXPECT_THROW(executor->run({.stop = {StopCondition::max_steps(50)}}),
+    TraceRecorder trace;
+    ReportKeeper keeper;
+    EXPECT_THROW(executor->run({.stop = {StopCondition::max_steps(50)},
+                                .observers = {&trace, &keeper}}),
                  std::runtime_error);
+    Outcome out;
+    out.report = keeper.report;
+    for (const TraceEvent& e : trace.events())
+      out.trace.push_back(e.module_path + "/" + e.transition);
+    return out;
+  };
+  const Outcome seq = run({});
+  ASSERT_EQ(seq.report.reason, StopReason::Aborted);
+  ASSERT_EQ(seq.trace.size(), 17u);
+  ASSERT_EQ(seq.report.fired, 16u);
+
+  struct Leg {
+    const char* name;
+    ExecutorConfig cfg;
+  };
+  const Leg legs[] = {
+      {"sharded threads 1", {.kind = ExecutorKind::Sharded, .threads = 1}},
+      {"sharded threads 3", {.kind = ExecutorKind::Sharded, .threads = 3}},
+      {"free-running threads 1",
+       {.kind = ExecutorKind::FreeRunning, .threads = 1}},
+      {"distributed", {.kind = ExecutorKind::Distributed}},
+  };
+  for (const Leg& leg : legs) {
+    SCOPED_TRACE(leg.name);
+    const Outcome o = run(leg.cfg);
+    EXPECT_EQ(o.report.reason, StopReason::Aborted);
+    EXPECT_EQ(o.trace, seq.trace);
+    EXPECT_EQ(o.report.fired, seq.report.fired);
+    std::uint64_t shard_fired = 0;
+    for (const ShardRunStats& shard : o.report.shards)
+      shard_fired += shard.fired;
+    EXPECT_EQ(o.report.shards.size(), 3u);
+    EXPECT_EQ(shard_fired, o.report.stats.fired);
   }
 }
 
@@ -672,62 +604,27 @@ TEST(DistRunner, TwoNodeUnixSocketDifferential) {
   EXPECT_GE(swept, 1);
 }
 
-TEST(DistRunner, NodeParallelUnixSocketDifferential) {
-  // Node-parallel rounds over the real BER wire (threads, TSan-covered):
-  // socket frames arriving mid-round wait for the next between-rounds pump.
-  const int n = spec_count();
-  int swept = 0;
-  for (std::uint64_t seed = 1;
-       seed <= static_cast<std::uint64_t>(n) && swept < 4; ++seed) {
-    if (!eligible_for_two_nodes(seed)) continue;
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const SeqBaseline seq = sequential_baseline(seed);
-    const int workers = (swept % 2 == 0) ? 2 : 4;
-    SCOPED_TRACE("workers " + std::to_string(workers));
-    const std::string dir = make_temp_dir();
-    ASSERT_FALSE(dir.empty());
-
-    std::vector<NodeOutcome> nodes(2);
-    std::vector<std::string> mesh_errors(2);
-    std::vector<std::thread> threads;
-    for (int node = 0; node < 2; ++node)
-      threads.emplace_back([&, node] {
-        auto mesh = StreamSocketTransport::unix_mesh(node, 2, dir);
-        if (!mesh.ok()) {
-          mesh_errors[static_cast<std::size_t>(node)] = mesh.error().message;
-          return;
-        }
-        nodes[static_cast<std::size_t>(node)] = run_generated_node(
-            seed, node, 2,
-            std::shared_ptr<MailboxTransport>(std::move(mesh.value())), true,
-            [workers](DistOptions& o) { o.worker_count = workers; });
-      });
-    for (std::thread& t : threads) t.join();
-    std::filesystem::remove_all(dir);
-    ASSERT_TRUE(mesh_errors[0].empty()) << mesh_errors[0];
-    ASSERT_TRUE(mesh_errors[1].empty()) << mesh_errors[1];
-
-    expect_matches_baseline(seq, nodes);
-    EXPECT_GT(nodes[0].report.transport.bytes_sent, 0u);
-    EXPECT_GT(nodes[1].report.transport.bytes_sent, 0u);
-    ++swept;
-    if (HasFatalFailure()) return;
-  }
-  EXPECT_GE(swept, 1);
-}
-
-/// Forwards everything to `inner`, counting the waits its user sat out:
-/// recv() calls with a positive timeout that came back kIdle.
-class IdleWaitCounter final : public MailboxTransport {
+/// Forwards everything to `inner`, counting what its user did: the frames
+/// it sent, by FrameType, and the waits it sat out — recv() calls with a
+/// positive timeout that came back kIdle.
+class CountingTransport final : public MailboxTransport {
  public:
-  explicit IdleWaitCounter(std::shared_ptr<MailboxTransport> inner)
+  /// Frames sent, indexed by FrameType value.
+  using FrameCounts =
+      std::array<std::uint64_t,
+                 static_cast<std::size_t>(FrameType::SessionAck) + 1>;
+
+  explicit CountingTransport(std::shared_ptr<MailboxTransport> inner)
       : inner_(std::move(inner)) {}
 
   [[nodiscard]] const std::vector<int>& peers() const noexcept override {
     return inner_->peers();
   }
   common::Status send(int peer, Frame& f) override {
-    return inner_->send(peer, f);
+    const FrameType type = f.type;  // a successful send may move `f`
+    common::Status st = inner_->send(peer, f);
+    if (st.ok()) ++sent_[static_cast<std::size_t>(type)];
+    return st;
   }
   void flush() override { inner_->flush(); }
   RecvOutcome recv(int* from, Frame* out, int timeout_ms,
@@ -750,17 +647,19 @@ class IdleWaitCounter final : public MailboxTransport {
   [[nodiscard]] std::uint64_t idle_waits() const noexcept {
     return idle_waits_;
   }
+  [[nodiscard]] const FrameCounts& sent() const noexcept { return sent_; }
 
  private:
   std::shared_ptr<MailboxTransport> inner_;
   std::uint64_t idle_waits_ = 0;
+  FrameCounts sent_{};
 };
 
 /// kLanes ping-pong lanes with every endpoint in its own system module:
 /// lane i's left module is shard 2i (node 0), its right module shard 2i+1
-/// (node 1), so each node owns kLanes shards and deals them to its pool
-/// every round. A ball in each direction keeps every lane firing each
-/// round; runs are bounded by max_steps.
+/// (node 1), so each node round runs kLanes firing shards. A ball in each
+/// direction keeps every lane firing each round; runs are bounded by
+/// max_steps.
 struct LaneWorld {
   static constexpr int kLanes = 4;
   Specification spec{"lanes"};
@@ -798,74 +697,66 @@ struct LaneWorld {
 };
 
 TEST(DistRunner, NodeParallelRoundsDoNotWaitOnTheTransport) {
-  // Regression: a node-parallel round once polled the transport with a 1 ms
-  // timeout until its shard tasks finished — waiting out the whole
-  // millisecond on loopback, spinning on zero-timeout polls over sockets.
-  // The run thread now helps run the shard tasks and pumps only between
-  // rounds, so a positive-timeout recv that comes back empty is left to
-  // the rare gate or handshake wait that outlasts its timeout.
+  // Regression: a node round over many shards once polled the transport
+  // with a 1 ms timeout until its shard tasks finished — waiting out the
+  // whole millisecond on loopback, spinning on zero-timeout polls over
+  // sockets. A node round now runs on the run thread, which pumps only
+  // between rounds, so a positive-timeout recv that comes back empty is
+  // left to the rare gate or handshake wait that outlasts its timeout.
   constexpr std::uint64_t kRounds = 200;
   for (const bool sockets : {false, true}) {
-    for (const int workers : {2, 4}) {
-      SCOPED_TRACE(std::string(sockets ? "unix" : "loopback") + " workers " +
-                   std::to_string(workers));
-      LoopbackHub hub(2);
-      std::vector<std::shared_ptr<MailboxTransport>> loopback;
-      for (int node = 0; node < 2; ++node)
-        loopback.push_back(
-            std::shared_ptr<MailboxTransport>(hub.endpoint(node)));
-      const std::string dir = sockets ? make_temp_dir() : std::string();
-      if (sockets) {
-        ASSERT_FALSE(dir.empty());
-      }
-      std::vector<std::shared_ptr<IdleWaitCounter>> counters(2);
-      std::vector<RunReport> reports(2);
-      std::vector<std::string> mesh_errors(2);
-      std::vector<std::thread> threads;
-      for (int node = 0; node < 2; ++node)
-        threads.emplace_back([&, node] {
-          const auto at = static_cast<std::size_t>(node);
-          std::shared_ptr<MailboxTransport> inner = loopback[at];
-          if (sockets) {
-            auto mesh = StreamSocketTransport::unix_mesh(node, 2, dir);
-            if (!mesh.ok()) {
-              mesh_errors[at] = mesh.error().message;
-              return;
-            }
-            inner = std::shared_ptr<MailboxTransport>(std::move(mesh.value()));
-          }
-          counters[at] = std::make_shared<IdleWaitCounter>(std::move(inner));
-          LaneWorld world;
-          DistOptions opts;
-          opts.node = node;
-          opts.nodes = 2;
-          opts.transport = counters[at];
-          opts.gate_timeout_ms = 20000;
-          opts.worker_count = workers;
-          ExecutorConfig cfg;
-          cfg.kind = ExecutorKind::Distributed;
-          cfg.backend_options = opts;
-          auto executor = make_executor(world.spec, cfg);
-          reports[at] = executor->run(
-              {.stop = {StopCondition::max_steps(kRounds)}, .observers = {}});
-        });
-      for (std::thread& t : threads) t.join();
-      if (sockets) std::filesystem::remove_all(dir);
-      for (int node = 0; node < 2; ++node) {
-        SCOPED_TRACE("node " + std::to_string(node));
+    SCOPED_TRACE(sockets ? "unix" : "loopback");
+    LoopbackHub hub(2);
+    std::vector<std::shared_ptr<MailboxTransport>> loopback;
+    for (int node = 0; node < 2; ++node)
+      loopback.push_back(
+          std::shared_ptr<MailboxTransport>(hub.endpoint(node)));
+    const std::string dir = sockets ? make_temp_dir() : std::string();
+    if (sockets) {
+      ASSERT_FALSE(dir.empty());
+    }
+    std::vector<std::shared_ptr<CountingTransport>> counters(2);
+    std::vector<RunReport> reports(2);
+    std::vector<std::string> mesh_errors(2);
+    std::vector<std::thread> threads;
+    for (int node = 0; node < 2; ++node)
+      threads.emplace_back([&, node] {
         const auto at = static_cast<std::size_t>(node);
-        ASSERT_TRUE(mesh_errors[at].empty()) << mesh_errors[at];
-        const RunReport& r = reports[at];
-        ASSERT_EQ(r.reason, StopReason::StepLimit) << r.error;
-        ASSERT_EQ(r.steps, kRounds);
-        // Vacuity guard: every round really ran on the pool.
-        EXPECT_EQ(r.transport.node_workers,
-                  static_cast<std::uint64_t>(workers));
-        EXPECT_EQ(r.transport.parallel_shard_rounds, kRounds);
-        EXPECT_LT(counters[at]->idle_waits() * 10, kRounds)
-            << counters[at]->idle_waits() << " idle transport waits in "
-            << kRounds << " rounds";
-      }
+        std::shared_ptr<MailboxTransport> inner = loopback[at];
+        if (sockets) {
+          auto mesh = StreamSocketTransport::unix_mesh(node, 2, dir);
+          if (!mesh.ok()) {
+            mesh_errors[at] = mesh.error().message;
+            return;
+          }
+          inner = std::shared_ptr<MailboxTransport>(std::move(mesh.value()));
+        }
+        counters[at] = std::make_shared<CountingTransport>(std::move(inner));
+        LaneWorld world;
+        DistOptions opts;
+        opts.node = node;
+        opts.nodes = 2;
+        opts.transport = counters[at];
+        opts.gate_timeout_ms = 20000;
+        ExecutorConfig cfg;
+        cfg.kind = ExecutorKind::Distributed;
+        cfg.backend_options = opts;
+        auto executor = make_executor(world.spec, cfg);
+        reports[at] = executor->run(
+            {.stop = {StopCondition::max_steps(kRounds)}, .observers = {}});
+      });
+    for (std::thread& t : threads) t.join();
+    if (sockets) std::filesystem::remove_all(dir);
+    for (int node = 0; node < 2; ++node) {
+      SCOPED_TRACE("node " + std::to_string(node));
+      const auto at = static_cast<std::size_t>(node);
+      ASSERT_TRUE(mesh_errors[at].empty()) << mesh_errors[at];
+      const RunReport& r = reports[at];
+      ASSERT_EQ(r.reason, StopReason::StepLimit) << r.error;
+      ASSERT_EQ(r.steps, kRounds);
+      EXPECT_LT(counters[at]->idle_waits() * 10, kRounds)
+          << counters[at]->idle_waits() << " idle transport waits in "
+          << kRounds << " rounds";
     }
   }
 }
@@ -901,7 +792,8 @@ TEST(DistRunner, BatchedAndUnbatchedTransfersMatchSequential) {
   // not move a single event in the merged trace.
   const int n = spec_count();
   int swept = 0;
-  std::uint64_t batched_frames = 0, unbatched_frames = 0;
+  // Loopback frames sent, by type, per mode (index 1 = batched).
+  std::array<CountingTransport::FrameCounts, 2> sent{};
   for (std::uint64_t seed = 1;
        seed <= static_cast<std::uint64_t>(n) && swept < 4; ++seed) {
     if (!eligible_for_two_nodes(seed)) continue;
@@ -912,10 +804,10 @@ TEST(DistRunner, BatchedAndUnbatchedTransfersMatchSequential) {
       {
         SCOPED_TRACE("loopback");
         LoopbackHub hub(2);
-        std::vector<std::shared_ptr<MailboxTransport>> transports;
+        std::vector<std::shared_ptr<CountingTransport>> transports;
         for (int node = 0; node < 2; ++node)
-          transports.push_back(
-              std::shared_ptr<MailboxTransport>(hub.endpoint(node)));
+          transports.push_back(std::make_shared<CountingTransport>(
+              std::shared_ptr<MailboxTransport>(hub.endpoint(node))));
         std::vector<NodeOutcome> nodes(2);
         std::vector<std::thread> threads;
         for (int node = 0; node < 2; ++node)
@@ -926,10 +818,11 @@ TEST(DistRunner, BatchedAndUnbatchedTransfersMatchSequential) {
           });
         for (std::thread& t : threads) t.join();
         expect_matches_baseline(seq, nodes);
-        for (const NodeOutcome& node : nodes) {
-          (batch ? batched_frames : unbatched_frames) +=
-              node.report.transport.frames_sent;
-          if (!batch)
+        for (const auto& t : transports)
+          for (std::size_t type = 0; type < t->sent().size(); ++type)
+            sent[batch ? 1 : 0][type] += t->sent()[type];
+        if (!batch) {
+          for (const NodeOutcome& node : nodes)
             EXPECT_EQ(node.report.transport.frames_batched, 0u)
                 << "unbatched mode must not emit TransferBatch frames";
         }
@@ -965,8 +858,27 @@ TEST(DistRunner, BatchedAndUnbatchedTransfersMatchSequential) {
     ++swept;
   }
   EXPECT_GE(swept, 1);
-  // Coalescing never sends MORE frames than one-frame-per-transfer.
-  EXPECT_LE(batched_frames, unbatched_frames);
+  // Coalescing never sends MORE transfer-carrying frames than
+  // one-frame-per-transfer. Only those frames are compared: the spec's
+  // rounds fix how many there are, while the count of heartbeats and
+  // re-sent termination probes depends on wall-clock timing.
+  const auto transfer_frames = [](const CountingTransport::FrameCounts& c) {
+    return c[static_cast<std::size_t>(FrameType::Transfer)] +
+           c[static_cast<std::size_t>(FrameType::TransferBatch)];
+  };
+  const auto totals = [&sent] {
+    std::string out;
+    for (const std::size_t mode : {1u, 0u}) {
+      out += mode == 1 ? "batched:" : "\nunbatched:";
+      for (std::size_t type = 0; type < sent[mode].size(); ++type)
+        if (sent[mode][type] != 0)
+          out += std::string(" ") +
+                 frame_type_name(static_cast<FrameType>(type)) + "=" +
+                 std::to_string(sent[mode][type]);
+    }
+    return out;
+  };
+  EXPECT_LE(transfer_frames(sent[1]), transfer_frames(sent[0])) << totals();
 }
 
 TEST(DistRunner, BatchingCoalescesFanOutRounds) {
@@ -1029,7 +941,7 @@ TEST(DistRunner, BatchingCoalescesFanOutRounds) {
 /// checking happens in the parent — a child failure surfaces as a bad exit
 /// status or a non-quiescent result line, never a lost gtest assertion.
 void run_child_node(std::uint64_t seed, int node, const std::string& dir,
-                    const std::string& out_path, int workers) {
+                    const std::string& out_path) {
   specgen::GeneratedWorld g = specgen::generate(seed);
   auto mesh = StreamSocketTransport::unix_mesh(node, 2, dir);
   if (!mesh.ok()) {
@@ -1044,7 +956,6 @@ void run_child_node(std::uint64_t seed, int node, const std::string& dir,
   opts.nodes = 2;
   opts.transport = std::shared_ptr<MailboxTransport>(std::move(mesh.value()));
   opts.gate_timeout_ms = 20000;
-  opts.worker_count = workers;
   opts.trace_hook = [&events](std::uint64_t r, int s, Module& m,
                               const Transition& t, SimTime) {
     events.push_back({r, s, m.path() + "/" + t.name});
@@ -1138,7 +1049,7 @@ FaultPlan sweep_plan(std::uint64_t fault_seed, int node) {
 /// actually ran.
 void run_fault_child_node(std::uint64_t seed, std::uint64_t fault_seed,
                           int node, const std::string& dir,
-                          const std::string& out_path, int workers) {
+                          const std::string& out_path) {
   specgen::GeneratedWorld g = specgen::generate(seed);
   auto mesh = StreamSocketTransport::unix_mesh(node, 2, dir);
   if (!mesh.ok()) {
@@ -1154,7 +1065,6 @@ void run_fault_child_node(std::uint64_t seed, std::uint64_t fault_seed,
   opts.nodes = 2;
   opts.transport = std::shared_ptr<MailboxTransport>(std::move(mesh.value()));
   opts.gate_timeout_ms = 20000;
-  opts.worker_count = workers;
   fast_session(opts);
   opts.trace_hook = [&events](std::uint64_t r, int s, Module& m,
                               const Transition& t, SimTime) {
@@ -1208,11 +1118,6 @@ TEST(DistRunner, MultiProcessUnixSocketDifferential) {
     const SeqBaseline seq = sequential_baseline(seed);
     const std::string dir = make_temp_dir();
     ASSERT_FALSE(dir.empty());
-    // Cycle the in-node width across the sweep: real processes must be
-    // differential-identical whether their shards run sequentially or on a
-    // WorkerPool.
-    const int workers = seed % 3 == 0 ? 1 : seed % 3 == 1 ? 2 : 4;
-    SCOPED_TRACE("workers " + std::to_string(workers));
 
     std::vector<pid_t> pids;
     for (int node = 0; node < 2; ++node) {
@@ -1220,7 +1125,7 @@ TEST(DistRunner, MultiProcessUnixSocketDifferential) {
       ASSERT_GE(pid, 0);
       if (pid == 0) {
         run_child_node(seed, node, dir,
-                       dir + "/result" + std::to_string(node), workers);
+                       dir + "/result" + std::to_string(node));
         ::_exit(4);  // unreachable
       }
       pids.push_back(pid);
@@ -1279,10 +1184,6 @@ TEST(DistRunner, WireFaultRecoveryPreservesUnixDifferential) {
   std::uint64_t faults = 0, reconnects = 0, replayed = 0;
   for (std::uint64_t fs = 1; fs <= 6; ++fs) {
     SCOPED_TRACE("fault seed " + std::to_string(fs));
-    // Faults × node-parallel widths under TSan: the width cycle proves
-    // recovery replay and node-parallel rounds compose at every width.
-    const int workers = fs % 3 == 0 ? 1 : fs % 3 == 1 ? 2 : 4;
-    SCOPED_TRACE("workers " + std::to_string(workers));
     const std::string dir = make_temp_dir();
     ASSERT_FALSE(dir.empty());
     std::vector<NodeOutcome> nodes(2);
@@ -1299,10 +1200,7 @@ TEST(DistRunner, WireFaultRecoveryPreservesUnixDifferential) {
         nodes[static_cast<std::size_t>(node)] = run_generated_node(
             world_seed, node, 2,
             std::shared_ptr<MailboxTransport>(std::move(mesh.value())), true,
-            [workers](DistOptions& o) {
-              fast_session(o);
-              o.worker_count = workers;
-            });
+            fast_session);
       });
     for (std::thread& t : threads) t.join();
     std::filesystem::remove_all(dir);
@@ -1397,10 +1295,6 @@ TEST(DistRunner, ForkedSeededFaultDifferentialSweep) {
     SCOPED_TRACE("fault seed " + std::to_string(fs));
     const std::string dir = make_temp_dir();
     ASSERT_FALSE(dir.empty());
-    // Faults × in-node parallelism: recovery must preserve the differential
-    // at every width, so the sweep cycles 1/2/4 workers per fault seed.
-    const int workers = fs % 3 == 0 ? 1 : fs % 3 == 1 ? 2 : 4;
-    SCOPED_TRACE("workers " + std::to_string(workers));
 
     std::vector<pid_t> pids;
     for (int node = 0; node < 2; ++node) {
@@ -1408,7 +1302,7 @@ TEST(DistRunner, ForkedSeededFaultDifferentialSweep) {
       ASSERT_GE(pid, 0);
       if (pid == 0) {
         run_fault_child_node(world_seed, fs, node, dir,
-                             dir + "/result" + std::to_string(node), workers);
+                             dir + "/result" + std::to_string(node));
         ::_exit(4);  // unreachable
       }
       pids.push_back(pid);
