@@ -1,11 +1,13 @@
-// Distributed shard runtime — one FreeRunning shard group per process.
+// Distributed shard runtime — one shard group per process.
 //
 // The paper's §4 observation (system modules are mutually independent,
 // asynchronous units placeable on separate processors) run end to end: a
 // token ring of `--systems` system modules is cut into shards, every process
-// owns the shards assigned to its node id, and the three free-running
-// synchronization primitives travel between processes as BER frames over a
-// pluggable MailboxTransport.
+// owns the shards assigned to its node id, and the nodes advance in lockstep
+// rounds over a pluggable MailboxTransport: each round's cross-node
+// transfers travel as BER frames, followed by a RoundDone frame that every
+// peer waits on before its next round. A round in which every node reports
+// quiescent ends every node's run.
 //
 // Single-process demo (N nodes as threads over the loopback transport):
 //   ./example_dist_shards --nodes 3

@@ -274,11 +274,12 @@ struct FreeRunningStats {
 /// Cross-process transport counters, reported by ExecutorKind::Distributed
 /// (all-zero under other backends). frames/bytes are what the node's
 /// MailboxTransport moved (bytes stay 0 under the zero-copy loopback);
-/// null_rounds_serviced counts NullRound frames accepted from peers — the
-/// conservative-simulation null messages that advance a provably-idle remote
-/// shard's round; handshake_retries counts connection attempts beyond the
-/// first during mesh setup; send_queue_high_water is the largest backlog (in
-/// bytes, frames under loopback) any peer's bounded outbound queue reached.
+/// null_rounds_serviced counts the first copy of each peer RoundDone that
+/// reports a quiescent round — the lockstep protocol's null message, which
+/// lets this node's gate pass a round in which that peer did nothing;
+/// handshake_retries counts connection attempts beyond the first during
+/// mesh setup; send_queue_high_water is the largest backlog (in bytes,
+/// frames under loopback) any peer's bounded outbound queue reached.
 ///
 /// The batching counters quantify the PR 7 hot path: syscalls counts data
 /// I/O system calls issued (sendmsg/read — polls excluded, they are

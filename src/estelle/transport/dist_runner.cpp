@@ -160,19 +160,11 @@ void DistributedRunner::build_tables() {
   local_shards_.clear();
   for (int s = 0; s < nshards; ++s)
     if (is_local(s)) local_shards_.push_back(s);
-  advertise_peers_.assign(local_shards_.size(), {});
-  gate_shards_.clear();
   wire_channels_.clear();
-  neighbor_peers_.clear();
-  remote_advertised_.assign(static_cast<std::size_t>(nshards), 0);
+  std::vector<int> neighbor_peers;  // peers owning a channel neighbor
 
   const auto& cross = analysis_->cross_shard_channels();
   wire_by_index_.assign(cross.size(), -1);
-  const auto local_pos = [this](int s) {
-    return static_cast<std::size_t>(
-        std::lower_bound(local_shards_.begin(), local_shards_.end(), s) -
-        local_shards_.begin());
-  };
   for (std::size_t i = 0; i < cross.size(); ++i) {
     const CrossShardChannel& cc = cross[i];
     const bool a_local = is_local(cc.shard_a);
@@ -186,30 +178,23 @@ void DistributedRunner::build_tables() {
       wc.dir_to_remote = 1;  // Frame::dir 1 delivers into endpoint b
       wc.dir_to_local = 0;
       wc.peer_node = assignment_[static_cast<std::size_t>(cc.shard_b)];
-      gate_shards_.push_back(cc.shard_b);
-      advertise_peers_[local_pos(cc.shard_a)].push_back(wc.peer_node);
     } else {
       wc.local_ep = cc.b;
       wc.remote_ep = cc.a;
       wc.dir_to_remote = 0;
       wc.dir_to_local = 1;
       wc.peer_node = assignment_[static_cast<std::size_t>(cc.shard_a)];
-      gate_shards_.push_back(cc.shard_a);
-      advertise_peers_[local_pos(cc.shard_b)].push_back(wc.peer_node);
     }
     wire_by_index_[i] = static_cast<int>(wire_channels_.size());
     wire_channels_.push_back(wc);
-    neighbor_peers_.push_back(wc.peer_node);
+    neighbor_peers.push_back(wc.peer_node);
   }
-  const auto dedupe = [](std::vector<int>& v) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-  };
-  dedupe(gate_shards_);
-  dedupe(neighbor_peers_);
-  for (auto& v : advertise_peers_) dedupe(v);
+  std::sort(neighbor_peers.begin(), neighbor_peers.end());
+  neighbor_peers.erase(
+      std::unique(neighbor_peers.begin(), neighbor_peers.end()),
+      neighbor_peers.end());
   peer_batches_.clear();
-  for (const int p : neighbor_peers_) {
+  for (const int p : neighbor_peers) {
     PeerBatch b;
     b.peer = p;
     b.frame.type = FrameType::TransferBatch;
@@ -323,32 +308,15 @@ void DistributedRunner::on_frame(int from, Frame& f) {
           return;
       return;
     }
-    case FrameType::Advertise:
-    case FrameType::NullRound: {
-      const std::size_t s = f.shard;
-      if (s >= remote_advertised_.size() || is_local(static_cast<int>(s)))
-        return;  // bogus shard id — ignore, the gate would hang on nothing
-      if (f.round > remote_advertised_[s]) {
-        remote_advertised_[s] = f.round;
-        if (f.type == FrameType::NullRound)
-          ++transport_->mutable_stats().null_rounds_serviced;
-      }
+    case FrameType::RoundDone: {
+      // A re-sent copy (a heartbeat) never overwrites a later round. The
+      // first copy of a quiescent round is the protocol's null message.
+      PeerState::Done& done = p->done[f.round % 2];
+      if (f.round <= done.round) return;
+      done = {f.round, f.quiescent};
+      if (f.quiescent) ++transport_->mutable_stats().null_rounds_serviced;
       return;
     }
-    case FrameType::RoundDone:
-      p->round_seen = true;
-      if (f.round > p->last_round) p->last_round = f.round;
-      p->quiescent = f.quiescent;
-      return;
-    case FrameType::Probe:
-      answer_probe(from, f.epoch);
-      return;
-    case FrameType::ProbeAck:
-      p->ack_epoch = f.epoch;
-      p->ack_quiescent = f.quiescent;
-      p->ack_sent = f.sent;
-      p->ack_recv = f.recv;
-      return;
     case FrameType::Bye:
       p->departed = true;
       return;
@@ -446,65 +414,18 @@ bool DistributedRunner::accept_transfer(int from, std::uint32_t channel,
     return false;
   }
   wc.local_ep->inject_transfer(std::move(msg), SimTime{sent_at_ns}, round);
-  ++transfers_recv_;
   return true;
 }
 
 // ---------------------------------------------------------------------------
 // Round protocol
 
-bool DistributedRunner::gate(std::uint64_t need) {
-  if (need == 0 || gate_shards_.empty()) return true;
-  const auto watchdog = std::chrono::milliseconds(opts_.gate_timeout_ms);
-  auto deadline = SteadyClock::now() + watchdog;
-  for (;;) {
-    maybe_heartbeat();
-    int lagging = -1;
-    for (const int gs : gate_shards_)
-      if (remote_advertised_[static_cast<std::size_t>(gs)] < need) {
-        lagging = gs;
-        break;
-      }
-    if (lagging < 0) return true;
-    const int owner = assignment_[static_cast<std::size_t>(lagging)];
-    const PeerState* p = peer_state(owner);
-    if (p != nullptr && p->departed) {
-      fail("distributed: node " + std::to_string(owner) +
-           " left the run while shard " + std::to_string(lagging) +
-           " still gates round " + std::to_string(need + 1));
-      return false;
-    }
-    if (SteadyClock::now() > deadline) {
-      fail("distributed: gate timed out waiting for shard " +
-           std::to_string(lagging) + " (node " + std::to_string(owner) +
-           ") to advertise round " + std::to_string(need));
-      return false;
-    }
-    switch (pump(10)) {
-      case Pump::kFailed:
-        return false;
-      case Pump::kFrame:
-        deadline = SteadyClock::now() + watchdog;
-        break;
-      case Pump::kIdle:
-        break;
-    }
-  }
-}
-
-bool DistributedRunner::run_round(std::uint64_t r) {
-  // Every announcement carries round r, so the barrier's shard-id-order
-  // replay is exactly the (round, shard) order the cross-node trace merge
-  // sorts by.
-  return barrier_round(r, local_shards_, opts_.trace_hook);
-}
-
 bool DistributedRunner::export_transfers(std::uint64_t r) {
-  // Coalesce this round's transfers into one TransferBatch per peer: the
-  // flush in send_round_frames() still precedes the round's Advertise on the
-  // same FIFO stream, so gate release continues to imply transfer arrival.
-  // Transfers stamped for another round (delay leaps) take the legacy
-  // per-frame path — correct either way, they just never share a stamp.
+  // Coalesce this round's transfers into one TransferBatch per peer: they
+  // still precede the round's RoundDone on the same FIFO stream, so gate
+  // release continues to imply transfer arrival. Transfers stamped for
+  // another round (delay leaps) take the legacy per-frame path — correct
+  // either way, they just never share a stamp.
   bool any_batched = false;
   for (const WireChannel& wc : wire_channels_) {
     if (!wc.remote_ep->has_pending_transfers()) continue;
@@ -530,15 +451,13 @@ bool DistributedRunner::export_transfers(std::uint64_t r) {
         if (!send_frame(wc.peer_node, f)) return false;
         if (!opts_.batch_transfers && transport_ != nullptr)
           transport_->flush();  // baseline mode: one syscall per frame
-        ++transfers_sent_;
       }
     }
   }
   if (!any_batched) return true;
   for (PeerBatch& b : peer_batches_) {
     if (b.frame.entries.empty()) continue;
-    const std::size_t n = b.frame.entries.size();
-    if (n == 1) {
+    if (b.frame.entries.size() == 1) {
       // Single-transfer round: the small Transfer frame costs fewer wire
       // bytes than a one-entry batch.
       TransferEntry& e = b.frame.entries.front();
@@ -555,209 +474,90 @@ bool DistributedRunner::export_transfers(std::uint64_t r) {
       b.frame.round = r;
       if (!send_frame(b.peer, b.frame)) return false;
     }
-    transfers_sent_ += n;
     b.frame.entries.clear();
   }
   return true;
 }
 
-bool DistributedRunner::send_round_frames(std::uint64_t r, bool quiescent) {
+bool DistributedRunner::send_round_done(std::uint64_t r, bool quiescent) {
   // Transfers left first (export_transfers); FIFO per peer then makes every
-  // round-r stamp visible before the round-r Advertise releases a gate. A
-  // shard that fired nothing this round advertises a null round.
-  for (std::size_t pos = 0; pos < local_shards_.size(); ++pos) {
-    if (advertise_peers_[pos].empty()) continue;
-    const int s = local_shards_[pos];
-    Frame f;
-    f.type = shards_[static_cast<std::size_t>(s)].delta.rounds != 0
-                 ? FrameType::Advertise
-                 : FrameType::NullRound;
-    f.shard = static_cast<std::uint32_t>(s);
-    f.round = r;
-    for (const int peer : advertise_peers_[pos])
-      if (!send_frame(peer, f)) return false;
-  }
-  Frame done;
-  done.type = FrameType::RoundDone;
-  done.node = static_cast<std::uint32_t>(opts_.node);
-  done.round = r;
-  done.quiescent = quiescent;
+  // round-r stamp visible before RoundDone(r) releases the peer's gate.
+  round_done_.type = FrameType::RoundDone;
+  round_done_.node = static_cast<std::uint32_t>(opts_.node);
+  round_done_.round = r;
+  round_done_.quiescent = quiescent;
   for (const PeerState& p : peers_) {
     if (p.departed) continue;
-    if (!send_frame(p.node, done)) return false;
+    if (!send_frame(p.node, round_done_)) return false;
   }
-  // Round boundary: push the whole backlog — transfers, then advertises,
-  // then RoundDone — in one scatter-gather syscall per peer.
+  // Round boundary: push the whole backlog — transfers, then RoundDone — in
+  // one scatter-gather syscall per peer.
   if (transport_ != nullptr) transport_->flush();
   return true;
 }
 
+bool DistributedRunner::gate(std::uint64_t r) {
+  const auto watchdog = std::chrono::milliseconds(opts_.gate_timeout_ms);
+  auto deadline = SteadyClock::now() + watchdog;
+  for (;;) {
+    const PeerState* lagging = nullptr;
+    for (const PeerState& p : peers_)
+      if (p.done[r % 2].round != r) {
+        lagging = &p;
+        break;
+      }
+    if (lagging == nullptr) return true;
+    // Frames arrive in order, so a Bye seen here came after every RoundDone
+    // the peer will ever send.
+    if (lagging->departed) {
+      fail("distributed: node " + std::to_string(lagging->node) +
+           " left the run while round " + std::to_string(r) +
+           " still waits on it");
+      return false;
+    }
+    if (SteadyClock::now() > deadline) {
+      fail("distributed: gate timed out waiting for node " +
+           std::to_string(lagging->node) + " to finish round " +
+           std::to_string(r));
+      return false;
+    }
+    maybe_heartbeat();
+    switch (pump(10)) {
+      case Pump::kFailed:
+        return false;
+      case Pump::kFrame:
+        deadline = SteadyClock::now() + watchdog;
+        break;
+      case Pump::kIdle:
+        break;
+    }
+  }
+}
+
 void DistributedRunner::maybe_heartbeat() {
-  // Piggyback liveness on the protocol's own idle-peer frame: re-sending
-  // the latest RoundDone is idempotent for the receiver (its round bound
-  // only moves forward) but counts as a received frame, so the receiver's
-  // watchdog resets. Waiting peers thus distinguish "slow" (heartbeats keep
+  // Piggyback liveness on the protocol's own frame: re-sending the last
+  // RoundDone is idempotent for the receiver (a copy never overwrites a
+  // later round) but counts as a received frame, so the receiver's watchdog
+  // resets. Waiting peers thus distinguish "slow" (heartbeats keep
   // arriving — wait on) from "dead" (silence; the transport's reconnect
   // budget expires and surfaces a structured kClosed abort).
-  if (transport_ == nullptr || opts_.heartbeat_interval_ms <= 0 ||
-      !ran_any_round_ || peers_.empty())
-    return;
+  if (opts_.heartbeat_interval_ms <= 0) return;
   const auto now = SteadyClock::now();
   if (now < next_heartbeat_) return;
   next_heartbeat_ =
       now + std::chrono::milliseconds(opts_.heartbeat_interval_ms);
-  Frame hb;
-  hb.type = FrameType::RoundDone;
-  hb.node = static_cast<std::uint32_t>(opts_.node);
-  hb.round = round_;
-  hb.quiescent = last_quiescent_;
-  for (const PeerState& p : peers_) {
-    if (p.departed) continue;
-    (void)transport_->send(p.node, hb);  // best-effort; losses surface later
-  }
+  // Best-effort: a lost heartbeat surfaces later through the transport.
+  for (const PeerState& p : peers_)
+    if (!p.departed) (void)transport_->send(p.node, round_done_);
   transport_->flush();
   ++transport_->mutable_stats().heartbeats;
-}
-
-// ---------------------------------------------------------------------------
-// Quiescence
-
-bool DistributedRunner::transfers_pending() const noexcept {
-  for (const int s : local_shards_)
-    for (const InteractionPoint* ip :
-         shards_[static_cast<std::size_t>(s)].boundary)
-      if (ip->has_pending_transfers()) return true;
-  return false;
-}
-
-bool DistributedRunner::neighbors_active() const noexcept {
-  // A channel neighbor that completed a round past our cursor will gate on
-  // our advertisements: we must keep null-advancing. This is transitive —
-  // our null rounds raise our RoundDone, which can in turn wake OUR idle
-  // neighbors — so quiescent regions between active ones stay permeable.
-  for (const int n : neighbor_peers_)
-    for (const PeerState& p : peers_)
-      if (p.node == n && !p.departed && p.round_seen &&
-          p.last_round > round_)
-        return true;
-  return false;
-}
-
-bool DistributedRunner::await_termination() {
-  const auto watchdog = std::chrono::milliseconds(opts_.gate_timeout_ms);
-  auto deadline = SteadyClock::now() + watchdog;
-  const bool coordinator = opts_.node == 0;
-  bool probe_stale = false;  // last probe failed: wait for news to re-probe
-  for (;;) {
-    maybe_heartbeat();
-    if (!error_.empty()) return true;
-    for (const PeerState& p : peers_)
-      if (p.departed) {
-        // A Bye ends the group: coordinator-confirmed global quiescence in
-        // the healthy path, an early leaver otherwise — either way no more
-        // frames are coming from it and we are locally done.
-        finished_ = true;
-        return true;
-      }
-    if (transfers_pending()) return false;  // new work arrived — resume
-    if (neighbors_active()) return false;   // a neighbor needs null rounds
-    if (coordinator && !probe_stale) {
-      bool hints_ok = true;
-      for (const PeerState& p : peers_)
-        if (p.round_seen && !p.quiescent) {
-          hints_ok = false;
-          break;
-        }
-      if (hints_ok) {
-        ++probe_epoch_;
-        Frame probe;
-        probe.type = FrameType::Probe;
-        probe.node = static_cast<std::uint32_t>(opts_.node);
-        probe.epoch = probe_epoch_;
-        for (PeerState& p : peers_)
-          if (!send_frame(p.node, probe)) return true;
-        transport_->flush();
-        for (;;) {  // collect this epoch's acks
-          maybe_heartbeat();
-          if (!error_.empty()) return true;
-          for (const PeerState& p : peers_)
-            if (p.departed) {
-              finished_ = true;
-              return true;
-            }
-          if (transfers_pending()) return false;
-          bool all = true;
-          for (const PeerState& p : peers_)
-            if (p.ack_epoch != probe_epoch_) {
-              all = false;
-              break;
-            }
-          if (all) break;
-          if (SteadyClock::now() > deadline) {
-            fail("distributed: termination probe " +
-                 std::to_string(probe_epoch_) + " timed out");
-            return true;
-          }
-          const Pump got = pump(20);
-          if (got == Pump::kFailed) return true;
-          if (got == Pump::kFrame) deadline = SteadyClock::now() + watchdog;
-        }
-        // Flow conservation across the whole group: everyone quiescent AND
-        // every Transfer frame ever sent was received ⇒ nothing in flight
-        // that could wake anyone ⇒ global quiescence (messages are the only
-        // cross-node wake source).
-        std::uint64_t sent = transfers_sent_;
-        std::uint64_t recv = transfers_recv_;
-        bool all_quiescent = last_quiescent_ && !transfers_pending();
-        for (const PeerState& p : peers_) {
-          all_quiescent = all_quiescent && p.ack_quiescent;
-          sent += p.ack_sent;
-          recv += p.ack_recv;
-        }
-        if (all_quiescent && sent == recv) {
-          Frame bye;
-          bye.type = FrameType::Bye;
-          bye.node = static_cast<std::uint32_t>(opts_.node);
-          for (const PeerState& p : peers_)
-            if (!p.departed) (void)transport_->send(p.node, bye);
-          transport_->flush();
-          bye_sent_ = true;
-          finished_ = true;
-          return true;
-        }
-        probe_stale = true;
-      }
-    }
-    if (SteadyClock::now() > deadline) {
-      fail("distributed: termination wait starved for " +
-           std::to_string(opts_.gate_timeout_ms) + " ms");
-      return true;
-    }
-    const Pump got = pump(50);
-    if (got == Pump::kFailed) return true;
-    if (got == Pump::kFrame) {
-      deadline = SteadyClock::now() + watchdog;
-      probe_stale = false;
-    }
-  }
-}
-
-void DistributedRunner::answer_probe(int from, std::uint64_t epoch) {
-  Frame ack;
-  ack.type = FrameType::ProbeAck;
-  ack.node = static_cast<std::uint32_t>(opts_.node);
-  ack.epoch = epoch;
-  ack.quiescent = ran_any_round_ && last_quiescent_ && !transfers_pending();
-  ack.sent = transfers_sent_;
-  ack.recv = transfers_recv_;
-  if (send_frame(from, ack)) transport_->flush();
 }
 
 // ---------------------------------------------------------------------------
 // The step loop
 
 bool DistributedRunner::step() {
-  if (!error_.empty() || finished_) return false;
+  if (!error_.empty()) return false;
   if (!wired_) {
     wire();
     if (!error_.empty()) return false;
@@ -768,49 +568,40 @@ bool DistributedRunner::step() {
          "; dynamic module creation does not span processes");
     return false;
   }
-  if (ran_any_round_ && last_quiescent_ && !transfers_pending()) {
-    if (peers_.empty()) return false;
-    if (await_termination()) return false;
-    if (!error_.empty()) return false;
-    // Resumed: an active neighbor needs null rounds / a transfer arrived.
-  }
+  // Every announcement carries round r, so the barrier's shard-id-order
+  // replay is exactly the (round, shard) order the cross-node trace merge
+  // sorts by.
   const std::uint64_t r = round_ + 1;
-  if (!gate(r - 1)) return false;
-  while (pump(0) == Pump::kFrame) {  // ingest whatever already arrived
-  }
-  if (!error_.empty()) return false;
-  const bool worked = run_round(r);
-  if (!export_transfers(r)) return false;
-  last_quiescent_ = !worked && !transfers_pending();
-  if (!send_round_frames(r, last_quiescent_)) return false;
+  const bool worked = barrier_round(r, local_shards_, opts_.trace_hook);
+  if (!export_transfers(r) || !send_round_done(r, !worked) || !gate(r))
+    return false;
   round_ = r;
-  ran_any_round_ = true;
+  if (!worked) {
+    // A round in which every node was quiescent ends the run and is not
+    // counted, like the Sharded step's quiescent round. Every node holds the
+    // same RoundDone(r)s, so all of them end here.
+    for (const PeerState& p : peers_)
+      if (!p.done[r % 2].quiescent) return true;
+    return false;
+  }
   std::uint64_t burst = 1;
-  if (worked && peers_.empty() && transport_ == nullptr &&
+  if (peers_.empty() && transport_ == nullptr &&
       run_deadline_ == kNeverTime && !run_has_predicate_) {
-    // Single-node group: nothing to gate on, pump, or advertise — burst
+    // Single-node group: nothing to gate on, pump, or report to — burst
     // rounds like the free-running backend, bounded to the run's exact step
     // budget so the StepLimit cutoff stays precise. Deadline and predicate
     // stops are evaluated between steps, so they suppress the burst rather
     // than being skipped inside one.
     const std::uint64_t cap = std::min(run_step_limit_, step_limit_);
     while (run_steps_ + burst < cap) {
-      if (!run_round(round_ + 1)) {
-        // Quiescence discovered inside the burst: the empty round stays
-        // uncounted, exactly like the non-burst path below.
-        last_quiescent_ = true;
-        break;
-      }
+      // Quiescence discovered inside the burst: the empty round stays
+      // uncounted, and the next step re-runs it and ends the run.
+      if (!barrier_round(round_ + 1, local_shards_, opts_.trace_hook)) break;
       ++round_;
       ++burst;
     }
   }
   last_step_rounds_ = burst;
-  // A single-node group discovering quiescence reports it immediately and
-  // does not count the empty round (the sequential scheduler's behavior).
-  // With peers, the round still counts: channel-coupled nodes consume their
-  // step budgets in lockstep, null rounds included.
-  if (!worked && peers_.empty() && !transfers_pending()) return false;
   return true;
 }
 
@@ -821,9 +612,9 @@ void DistributedRunner::decorate_report(RunReport& report) {
     report.reason = StopReason::Aborted;
     report.error = error_;
   }
-  // Whatever ended this run (quiescence already Bye'd by the coordinator;
-  // step limits, deadlines, predicates and aborts have not), tell the peers
-  // we are leaving so their gates fail fast instead of timing out.
+  // Whatever ended this run (quiescence, a step limit, a deadline, a
+  // predicate or an abort), tell the peers we are leaving so a gate still
+  // waiting on our RoundDone fails fast instead of timing out.
   if (transport_ != nullptr && wired_ && !bye_sent_) {
     Frame bye;
     bye.type = FrameType::Bye;

@@ -1,4 +1,4 @@
-// ExecutorKind::Distributed — one FreeRunning-style shard group per process,
+// ExecutorKind::Distributed — one Sharded shard group per process,
 // synchronized over a MailboxTransport.
 //
 // The paper's distribution claim (§4: system modules are mutually
@@ -10,48 +10,46 @@
 // exist locally as never-fired replicas whose interaction points serve as
 // the wire bridge (InteractionPoint::take_transfers / inject_transfer).
 //
-// Round protocol. Each node advances a round cursor r; all of a node's local
-// shards execute round r together as one Sharded barrier round
-// (ShardedExecutor::barrier_round) on the node's run thread: every local
-// shard drains and collects, an idle one following the node's group clock,
-// then the shards that fire run in shard id order. The transport is
-// serviced only between rounds: frames that arrive mid-round wait in the
-// medium for the pump that precedes the next round. Announcements replay
-// afterwards in shard id order. A node whose shards fire nothing leaps its
-// group clock to its earliest delay deadline, so a single-node group runs
-// exactly the Sharded step's rounds and clocks; across nodes the group
-// clocks are node-local, and a node can still leap to a timer while a
-// peer's shard is busy. Across nodes, only channel-coupled
-// shards synchronize, through the three PR-5 primitives as explicit frames:
+// Round protocol. Every node advances its round cursor r in lockstep with
+// every peer. Node round r is one Sharded barrier round
+// (ShardedExecutor::barrier_round) over the node's local shards, on the
+// node's run thread: every local shard drains and collects, an idle one
+// following the node's group clock, then the shards that fire run in shard
+// id order, and the announcements replay in shard id order. A node whose
+// shards fire nothing leaps its group clock to its earliest delay deadline,
+// so a single-node group runs exactly the Sharded step's rounds and clocks;
+// across nodes the group clocks are node-local, and a node can still leap to
+// a timer while a peer's shard is busy. After the round the node
 //
-//   * gate     — a node enters round r only when every REMOTE shard that
-//                shares a channel with a local shard has advertised r-1
-//                (Advertise / NullRound frames update the bound).
-//   * drain    — each local shard accepts parked transfers stamped <= r-1
-//                before collecting (InteractionPoint::drain_transfers_until,
-//                identical for in-process and injected arrivals).
-//   * export   — outputs a local firing addressed to a remote shard park in
-//                the replica endpoint's mailbox (deliver()'s cross-shard
-//                path); after the round they leave as Transfer frames,
-//                stamps intact.
+//   * exports — outputs a local firing addressed to a remote shard park in
+//               the replica endpoint's mailbox (deliver()'s cross-shard
+//               path); they leave as Transfer / TransferBatch frames,
+//               stamps intact;
+//   * reports — sends RoundDone{node, r, quiescent} to every live peer,
+//               behind those transfers on the same FIFO stream, and flushes;
+//   * gates   — services the transport until every peer's RoundDone(r) is
+//               in. Only then does round r+1 start; its drain accepts every
+//               transfer stamped <= r (InteractionPoint::
+//               drain_transfers_until, identical for in-process and
+//               injected arrivals).
 //
 // Why the merged trace equals Sequential on conflict-free specifications:
 // a transfer stamped k is sent during the sender's round k, BEFORE the
-// sender's round-k Advertise on the same FIFO stream. The receiver's gate
-// for round k+1 waits for that Advertise, so by the time round k+1 collects,
-// the transfer is already parked and the <= k drain accepts it — message
-// visibility lands on exactly the round boundary a barrier round would
-// have put it on. Channel-coupled nodes therefore stay within one round of
-// each other while unrelated nodes never wait at all (an idle node advances
-// through provably-empty rounds — the null message — only while a neighbor
-// node is active).
+// sender's RoundDone(k) on the same FIFO stream. The receiver's gate for
+// round k waits for that RoundDone, so by the time round k+1 collects, the
+// transfer is already parked and the <= k drain accepts it — message
+// visibility lands on exactly the round boundary a barrier round would have
+// put it on. A peer is never more than one round ahead: its next gate needs
+// our RoundDone. Whatever it sends for that round is stamped k+1 and stays
+// parked through our drain.
 //
-// Termination is a coordinator probe with flow conservation: when node 0 is
-// locally quiescent and every peer's last RoundDone reported quiescent, it
-// sends Probe{epoch}; peers answer ProbeAck{quiescent-now, transfers sent,
-// transfers received}. All-quiescent plus Σsent == Σrecv (nothing in
-// flight) confirms global quiescence and Bye releases every node's run()
-// with StopReason::Quiescent.
+// Termination needs no coordinator. A node's RoundDone(r) is quiescent when
+// its round fired nothing and leapt to no deadline. Anything still parked
+// after round r's drain is stamped r or later, and only a round-r firing can
+// produce it, so the node that fired reports non-quiescent. A round in which
+// every RoundDone says quiescent therefore leaves no work anywhere, and
+// every node holds the same RoundDones: each run() ends Quiescent in that
+// round, which it does not count, so every node reports the same steps.
 //
 // Failure is a value, not a hang: a dead peer (closed/reset connection), a
 // refused handshake (spec hash / topology / assignment mismatch), a gate
@@ -63,14 +61,18 @@
 //     refused (Aborted) — un-barriered cross-process rounds are unsound on
 //     them, and unlike the in-process backends there is no serialized
 //     fallback that spans machines.
-//   * stop conditions are node-local. max_steps composes (channel-coupled
-//     nodes consume rounds in lockstep); deadlines cut at node-local
-//     clocks. Multi-node runs should stop on quiescence or a shared
-//     max_steps; a node that leaves early broadcasts Bye and peers that
-//     still need its rounds abort with a structured error.
-//   * one run() per process group: run end broadcasts Bye.
+//   * every node waits for every peer each round, also for a peer it shares
+//     no channel with.
+//   * stop conditions are node-local. max_steps composes (every node counts
+//     the same rounds); deadlines cut at node-local clocks. Multi-node runs
+//     should stop on quiescence or a shared max_steps; a node that leaves
+//     early broadcasts Bye and peers still waiting on its RoundDone abort
+//     with a structured error.
+//   * one run() per process group: run end broadcasts Bye, so a later run()
+//     of a multi-node group aborts at its first gate.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -96,9 +98,8 @@ struct DistOptions {
   /// shard id -> owning node. Empty ⇒ shard s belongs to node s % nodes.
   /// Must hash identically on every node (checked by the handshake).
   std::vector<int> assignment;
-  /// Watchdog for gate waits, back-pressure stalls, handshake and the
-  /// termination protocol. Expiry aborts the run with RunReport::error
-  /// instead of hanging. Heartbeats (below) reset it: the watchdog fires on
+  /// Watchdog for gate waits, back-pressure stalls and the handshake.
+  /// Expiry aborts the run with RunReport::error instead of hanging. Heartbeats (below) reset it: the watchdog fires on
   /// "no sign of life", so it separates slow peers (keep waiting) from dead
   /// ones (the transport's reconnect budget below surfaces those earlier).
   int gate_timeout_ms = 30000;
@@ -115,16 +116,16 @@ struct DistOptions {
   /// Unacknowledged sent records older than this force a reconnect (the
   /// retransmission timeout recovering a dropped stream tail).
   int resend_timeout_ms = 1000;
-  /// While waiting on a gate or the termination protocol, re-send the
-  /// latest RoundDone to every live peer this often — an idle-peer
-  /// heartbeat. A waiting peer receiving one resets its own watchdog, so
-  /// slow-but-alive transitive chains never time out; a genuinely dead peer
-  /// sends none and its loss surfaces through the reconnect budget as a
-  /// structured abort well inside gate_timeout_ms. <= 0 disables.
+  /// While waiting on the gate, re-send the last RoundDone to every live
+  /// peer this often — an idle-peer heartbeat. A waiting peer receiving one
+  /// resets its own watchdog, so a group waiting on one slow-but-alive node
+  /// never times out; a genuinely dead peer sends none and its loss
+  /// surfaces through the reconnect budget as a structured abort well
+  /// inside gate_timeout_ms. <= 0 disables.
   int heartbeat_interval_ms = 200;
   /// Coalesce a round's transfers to each peer into one TransferBatch frame
-  /// (flushed strictly before that round's Advertise, so the FIFO
-  /// transfer-before-advertise ordering — and the merged-trace ≡ Sequential
+  /// (sent strictly before that round's RoundDone, so the FIFO
+  /// transfer-before-RoundDone ordering — and the merged-trace ≡ Sequential
   /// guarantee — is unchanged). Single-transfer rounds keep the small
   /// Transfer frame. Off reproduces the one-frame-one-syscall baseline the
   /// bench and the differential sweep compare against.
@@ -189,20 +190,19 @@ class DistributedRunner final : public ShardedExecutor {
     bool hello_seen = false;
     bool welcome_seen = false;
     bool departed = false;  // sent Bye (left its run)
-    /// Latest RoundDone: the round and whether the peer was locally
-    /// quiescent after it. Hints for the termination probe.
-    std::uint64_t last_round = 0;
-    bool quiescent = false;
-    bool round_seen = false;
-    /// ProbeAck bookkeeping for the coordinator.
-    std::uint64_t ack_epoch = 0;
-    bool ack_quiescent = false;
-    std::uint64_t ack_sent = 0;
-    std::uint64_t ack_recv = 0;
+    /// The peer's RoundDones, indexed by round parity. With three or more
+    /// nodes a peer may send RoundDone(r+1) while a third node's
+    /// RoundDone(r) is still outstanding, but never RoundDone(r+2): its next
+    /// gate needs ours.
+    struct Done {
+      std::uint64_t round = 0;
+      bool quiescent = false;
+    };
+    std::array<Done, 2> done{};
   };
 
-  /// What one pump() observed (recv dispatch is centralized so the gate,
-  /// the handshake and the termination wait all share one frame handler).
+  /// What one pump() observed (recv dispatch is centralized so the gate and
+  /// the handshake share one frame handler).
   enum class Pump { kFrame, kIdle, kFailed };
 
   [[nodiscard]] bool is_local(int shard) const noexcept {
@@ -220,16 +220,12 @@ class DistributedRunner final : public ShardedExecutor {
   void on_frame(int from, Frame& f);
   void on_hello(int from, const Frame& f);
 
-  /// Execute node round `r`: one barrier round over the local shards,
-  /// announcing to the observers and trace_hook. Returns true when the round
-  /// did local work (a shard fired, or the node leapt to a delay deadline).
-  bool run_round(std::uint64_t r);
-  void answer_probe(int from, std::uint64_t epoch);
   /// Ship every transfer parked on remote replica endpoints: coalesced into
   /// one TransferBatch per peer (batch_transfers, the default) or as one
   /// Transfer frame each; pumps through transport back-pressure.
   bool export_transfers(std::uint64_t r);
-  bool send_round_frames(std::uint64_t r, bool quiescent);
+  /// Send RoundDone(r) to every live peer, then flush the round's backlog.
+  bool send_round_done(std::uint64_t r, bool quiescent);
   /// send with kQueueFull back-pressure handling (pump + retry under the
   /// watchdog) — the contract keeps `f` intact across retries, so the loop
   /// never copies it. False ⇒ error_ set.
@@ -239,18 +235,13 @@ class DistributedRunner final : public ShardedExecutor {
                        Interaction&& msg, std::int64_t sent_at_ns,
                        std::uint64_t round);
 
-  /// Re-send the latest RoundDone to live peers every heartbeat interval
-  /// (called from the gate / termination pump loops — the places a node
-  /// idles while peers may be watching it for signs of life).
+  /// Re-send the last RoundDone to live peers every heartbeat interval
+  /// (called from the gate's wait — where a node idles while peers may be
+  /// watching it for signs of life).
   void maybe_heartbeat();
-  /// Wait until every remote gate shard has advertised >= `need`.
-  bool gate(std::uint64_t need);
-  /// Locally quiescent and peers exist: service the termination protocol.
-  /// Returns true to finish the run (global quiescence / Bye), false to
-  /// resume rounds (new work arrived or an active neighbor needs nulls).
-  bool await_termination();
-  [[nodiscard]] bool neighbors_active() const noexcept;
-  [[nodiscard]] bool transfers_pending() const noexcept;
+  /// Service the transport until every peer's RoundDone(r) is in. False ⇒
+  /// error_ set (a peer left or died first, or the watchdog expired).
+  bool gate(std::uint64_t r);
 
   PeerState* peer_state(int node) noexcept;
 
@@ -259,33 +250,22 @@ class DistributedRunner final : public ShardedExecutor {
   bool wired_ = false;
   std::uint64_t wired_version_ = 0;
   std::uint64_t round_ = 0;
-  bool ran_any_round_ = false;
-  bool last_quiescent_ = false;
-  bool finished_ = false;  // clean Bye-confirmed end
   bool bye_sent_ = false;
+  /// The last RoundDone sent: what a heartbeat re-sends.
+  Frame round_done_;
   std::chrono::steady_clock::time_point next_heartbeat_{};
   std::string error_;
 
   std::vector<int> assignment_;          // shard -> node
   std::vector<int> local_shards_;        // ascending ids
-  std::vector<int> gate_shards_;         // remote shards we gate on
-  std::vector<std::uint64_t> remote_advertised_;  // per shard (remote only)
   std::vector<WireChannel> wire_channels_;
   std::vector<int> wire_by_index_;       // channel index -> wire_channels_ pos
-  /// Per local shard: peers owning a remote neighbor (they gate on this
-  /// shard, so it advertises to them every round).
-  std::vector<std::vector<int>> advertise_peers_;
-  std::vector<int> neighbor_peers_;      // peers owning a gate shard
   std::vector<PeerState> peers_;
   std::uint64_t id_spec_hash_ = 0;       // what our Hello carries
   std::uint64_t id_assign_hash_ = 0;
 
-  std::uint64_t transfers_sent_ = 0;  // transfers (flow conservation; a
-  std::uint64_t transfers_recv_ = 0;  // batch counts per entry)
-  std::uint64_t probe_epoch_ = 0;
-
   std::vector<InteractionPoint::Transfer> export_scratch_;
-  /// Per neighbor peer: the persistent TransferBatch frame a round's
+  /// Per channel-neighbor peer: the persistent TransferBatch frame a round's
   /// outbound transfers coalesce into (entries cleared after each flush,
   /// capacity retained — wire sends leave the frame intact).
   struct PeerBatch {

@@ -171,19 +171,8 @@ Value frame_value(const Frame& f) {
         body.push_back(Value::context(0, f.msg.value));
       break;
     }
-    case FrameType::Advertise:
-    case FrameType::NullRound:
-      body = {u64v(f.shard), u64v(f.round)};
-      break;
     case FrameType::RoundDone:
       body = {u64v(f.node), u64v(f.round), Value::boolean(f.quiescent)};
-      break;
-    case FrameType::Probe:
-      body = {u64v(f.node), u64v(f.epoch)};
-      break;
-    case FrameType::ProbeAck:
-      body = {u64v(f.node), u64v(f.epoch), Value::boolean(f.quiescent),
-              u64v(f.sent), u64v(f.recv)};
       break;
     case FrameType::Bye:
       body = {u64v(f.node)};
@@ -366,9 +355,6 @@ bool read_batch_body(ByteSpan body, Frame* f) {
 Result<Frame> frame_from_value(const Value& v) {
   if (v.tag_class() != asn1::TagClass::Application || !v.constructed())
     return Error::make(asn1::kBadTag, "frame: not an APPLICATION envelope");
-  if (v.tag() < 1 || v.tag() > 12)
-    return Error::make(asn1::kBadTag,
-                       "frame: unknown type " + std::to_string(v.tag()));
   Frame f;
   f.type = static_cast<FrameType>(v.tag());
   switch (f.type) {
@@ -410,26 +396,10 @@ Result<Frame> frame_from_value(const Value& v) {
       }
       break;
     }
-    case FrameType::Advertise:
-    case FrameType::NullRound:
-      TRY_FIELD(f.shard, get_u32(v, 0));
-      TRY_FIELD(f.round, get_u64(v, 1));
-      break;
     case FrameType::RoundDone:
       TRY_FIELD(f.node, get_u32(v, 0));
       TRY_FIELD(f.round, get_u64(v, 1));
       TRY_FIELD(f.quiescent, get_bool(v, 2));
-      break;
-    case FrameType::Probe:
-      TRY_FIELD(f.node, get_u32(v, 0));
-      TRY_FIELD(f.epoch, get_u64(v, 1));
-      break;
-    case FrameType::ProbeAck:
-      TRY_FIELD(f.node, get_u32(v, 0));
-      TRY_FIELD(f.epoch, get_u64(v, 1));
-      TRY_FIELD(f.quiescent, get_bool(v, 2));
-      TRY_FIELD(f.sent, get_u64(v, 3));
-      TRY_FIELD(f.recv, get_u64(v, 4));
       break;
     case FrameType::Bye:
       TRY_FIELD(f.node, get_u32(v, 0));
@@ -462,6 +432,9 @@ Result<Frame> frame_from_value(const Value& v) {
       }
       break;
     }
+    default:
+      return Error::make(asn1::kBadTag,
+                         "frame: unknown type " + std::to_string(v.tag()));
   }
   return f;
 }
@@ -478,16 +451,8 @@ const char* frame_type_name(FrameType t) noexcept {
       return "welcome";
     case FrameType::Transfer:
       return "transfer";
-    case FrameType::Advertise:
-      return "advertise";
-    case FrameType::NullRound:
-      return "null-round";
     case FrameType::RoundDone:
       return "round-done";
-    case FrameType::Probe:
-      return "probe";
-    case FrameType::ProbeAck:
-      return "probe-ack";
     case FrameType::Bye:
       return "bye";
     case FrameType::TransferBatch:

@@ -1,18 +1,20 @@
 // Wire frames of the distributed shard runtime (transport/).
 //
-// The free-running backend proved (PR 5) that shards synchronize through
-// exactly three primitives: round-stamped transfer mailboxes, the advertised
-// round every neighbor gates on, and the null message that advances a
-// provably-idle shard. This header makes those primitives *explicit frames*
-// so a MailboxTransport can carry them between processes — the paper's
-// "system modules are asynchronous units placeable on separate processors"
-// taken literally. The frame syntax is ASN.1, encoded with the project's own
-// BER codec (src/asn1/ber.cpp), the same abstract-syntax layer the paper
-// uses for its PDUs; on a byte stream each frame travels length-prefixed:
+// Distributed nodes synchronize through exactly two primitives: round-stamped
+// transfers, which carry a shard's outputs to a remote shard's mailbox with
+// the sender's round and clock stamps intact, and the RoundDone barrier,
+// which every node sends to every peer after each round and waits on before
+// the next. This header makes those primitives *explicit frames* so a
+// MailboxTransport can carry them between processes — the paper's "system
+// modules are asynchronous units placeable on separate processors" taken
+// literally. The frame syntax is ASN.1, encoded with the project's own BER
+// codec (src/asn1/ber.cpp), the same abstract-syntax layer the paper uses
+// for its PDUs; on a byte stream each frame travels length-prefixed:
 //
 //   u32 big-endian body length | BER body ([APPLICATION n] SEQUENCE)
 //
-// Frame catalogue (APPLICATION tag in brackets):
+// Frame catalogue (APPLICATION tag in brackets; tags 4, 5, 7 and 8 are
+// retired and fail to decode):
 //   Hello [1]      node, nodes, shards, spec_hash, topology_version,
 //                  assign_hash — membership handshake; a peer whose own
 //                  values differ answers Welcome{accept=false}.
@@ -24,16 +26,12 @@
 //                  bit-exactly so drain_transfers_until applies the same
 //                  visibility rule as in-process), then the Interaction:
 //                  kind, optional ASN.1 value, payload octets.
-//   Advertise [4]  shard, round — the shard completed a non-empty round.
-//   NullRound [5]  shard, upto_round — the shard's rounds through
-//                  upto_round are provably empty (the null message).
-//   RoundDone [6]  node, round, quiescent — node-level round completion,
-//                  the lockstep gate peers wait on; quiescent carries the
-//                  node's local-idle status for termination detection.
-//   Probe [7]      node, epoch — coordinator's termination probe.
-//   ProbeAck [8]   node, epoch, quiescent, sent, recv — flow-conservation
-//                  reply (Σsent == Σrecv across nodes ⇒ nothing in flight).
-//   Bye [9]        node — coordinator-confirmed global quiescence.
+//   RoundDone [6]  node, round, quiescent — the node finished round
+//                  `round`, after its transfers of that round; every peer
+//                  waits for it before starting round+1. quiescent says the
+//                  round fired nothing and leapt to no deadline: a round in
+//                  which every node says so ends the run.
+//   Bye [9]        node — the node left its run; sent once at run end.
 //   HelloResume [11]
 //                  node, spec_hash, epoch, recv — the session resume
 //                  handshake. Sent as the first frame on a reconnected
@@ -85,11 +83,7 @@ enum class FrameType : std::uint32_t {
   Hello = 1,
   Welcome = 2,
   Transfer = 3,
-  Advertise = 4,
-  NullRound = 5,
   RoundDone = 6,
-  Probe = 7,
-  ProbeAck = 8,
   Bye = 9,
   TransferBatch = 10,
   HelloResume = 11,
@@ -114,7 +108,7 @@ struct TransferEntry {
 struct Frame {
   FrameType type = FrameType::Hello;
 
-  // Hello / Welcome / RoundDone / Probe / ProbeAck / Bye
+  // Hello / Welcome / RoundDone / Bye / HelloResume
   std::uint32_t node = 0;
   std::uint32_t nodes = 0;
   std::uint32_t shards = 0;
@@ -130,14 +124,13 @@ struct Frame {
   std::int64_t sent_at_ns = 0;
   Interaction msg;
 
-  // Advertise / NullRound / RoundDone / Transfer
-  std::uint32_t shard = 0;
-  std::uint64_t round = 0;  // NullRound: the upto_round bound
-
-  // Probe / ProbeAck
-  std::uint64_t epoch = 0;
+  // Transfer / TransferBatch / RoundDone
+  std::uint64_t round = 0;
+  // RoundDone
   bool quiescent = false;
-  std::uint64_t sent = 0;
+
+  // HelloResume / SessionAck
+  std::uint64_t epoch = 0;
   std::uint64_t recv = 0;
 
   // TransferBatch (round is shared by every entry). A receiver must treat

@@ -41,7 +41,7 @@
 //     peer is running a different specification) and surfaces the usual
 //     structured kClosed. Otherwise each side replays exactly the ring
 //     records the other has not delivered — per-peer FIFO order (and with
-//     it transfer-before-advertise) is preserved, and the receiver discards
+//     it transfer-before-RoundDone) is preserved, and the receiver discards
 //     anything it already delivered by sequence number.
 //   * frames already received but not yet handed out when a connection
 //     breaks are salvaged across the reconnect (a peer's parting Bye is

@@ -20,7 +20,7 @@
 //   * recv() pumps the medium for up to timeout_ms and returns at most one
 //     frame. kClosed reports a dead peer (closed/reset connection) exactly
 //     once per peer — the runner turns it into a structured RunReport error
-//     instead of hanging on the advertised-round gate.
+//     instead of hanging on the RoundDone gate.
 //   * per-peer FIFO order is guaranteed (stream sockets / in-order queues).
 //     The round-composition argument leans on it: a Transfer sent during
 //     round k precedes the sender's round-k completion frames, so a gate

@@ -9,14 +9,15 @@
 //     threads, Unix-socket PROCESSES, TCP) reproduce Sequential on
 //     conflict-free generated specs: the per-node (round, shard)-stamped
 //     announcement streams, stable-merged by (round, shard), equal the
-//     sequential trace verbatim, locally-owned module state matches, and
-//     fired counts sum exactly;
+//     sequential trace verbatim, locally-owned module state matches, fired
+//     counts sum exactly, and every node of a group ends in the same round;
 //   * failure is a value: a SIGKILLed peer, an early leaver and a
 //     mismatched specification all end the survivors' runs with
 //     StopReason::Aborted and a description in RunReport::error — no hang,
 //     no std::terminate;
-//   * the null-message machinery actually runs: an idle pipeline stage
-//     services provably-empty rounds and the transport counts them;
+//   * the lockstep barrier's null messages actually flow: an idle pipeline
+//     stage reports quiescent rounds in its RoundDone frames and the peer's
+//     transport counts them;
 //   * a node round over many local shards never sits in a transport wait,
 //     and an action that throws ends it the way it ends a sequential round.
 #include <gtest/gtest.h>
@@ -203,12 +204,35 @@ void expect_matches_baseline(const SeqBaseline& seq,
   }
   EXPECT_EQ(fired, seq.fired);
   EXPECT_EQ(merge_traces(nodes), seq.trace) << "merged trace diverged";
+  // Every node holds the same RoundDones, so a quiescent group ends in one
+  // round, which no node counts.
+  for (const NodeOutcome& node : nodes)
+    EXPECT_EQ(node.report.steps, nodes.front().report.steps)
+        << "nodes of one quiescent group counted different rounds";
 }
 
 bool eligible_for_two_nodes(std::uint64_t seed) {
   specgen::GeneratedWorld probe = specgen::generate(seed);
   ConflictAnalysis analysis(*probe.spec);
   return analysis.conflict_free() && analysis.shard_count() >= 2;
+}
+
+/// Run a `nodes`-wide loopback group on the world of `seed`, one thread per
+/// node; shard s belongs to node s % nodes.
+std::vector<NodeOutcome> run_loopback_group(std::uint64_t seed, int nodes) {
+  LoopbackHub hub(nodes);
+  std::vector<std::shared_ptr<MailboxTransport>> transports;
+  for (int node = 0; node < nodes; ++node)
+    transports.push_back(std::shared_ptr<MailboxTransport>(hub.endpoint(node)));
+  std::vector<NodeOutcome> out(static_cast<std::size_t>(nodes));
+  std::vector<std::thread> threads;
+  for (int node = 0; node < nodes; ++node)
+    threads.emplace_back([&, node] {
+      const auto at = static_cast<std::size_t>(node);
+      out[at] = run_generated_node(seed, node, nodes, transports[at]);
+    });
+  for (std::thread& t : threads) t.join();
+  return out;
 }
 
 /// A deterministic producer->consumer pipeline across two system modules:
@@ -360,22 +384,7 @@ TEST(DistRunner, TwoNodeLoopbackMergedTraceMatchesSequential) {
     if (!eligible_for_two_nodes(seed)) continue;
     SCOPED_TRACE("seed " + std::to_string(seed));
     const SeqBaseline seq = sequential_baseline(seed);
-
-    LoopbackHub hub(2);
-    std::vector<std::shared_ptr<MailboxTransport>> transports;
-    for (int node = 0; node < 2; ++node)
-      transports.push_back(
-          std::shared_ptr<MailboxTransport>(hub.endpoint(node)));
-    std::vector<NodeOutcome> nodes(2);
-    std::vector<std::thread> threads;
-    for (int node = 0; node < 2; ++node)
-      threads.emplace_back([&, node] {
-        nodes[static_cast<std::size_t>(node)] =
-            run_generated_node(seed, node, 2, transports[
-                static_cast<std::size_t>(node)]);
-      });
-    for (std::thread& t : threads) t.join();
-
+    const std::vector<NodeOutcome> nodes = run_loopback_group(seed, 2);
     expect_matches_baseline(seq, nodes);
     for (const NodeOutcome& node : nodes)
       frames_seen += node.report.transport.frames_sent;
@@ -385,9 +394,42 @@ TEST(DistRunner, TwoNodeLoopbackMergedTraceMatchesSequential) {
   if (n >= 50) {
     // Diversity floor: the sweep is vacuous unless it really covers
     // multi-shard conflict-free specs, and at least some of them must move
-    // actual Transfer/Advertise traffic between the two nodes.
+    // actual Transfer/RoundDone traffic between the two nodes.
     EXPECT_GE(swept, 10);
     EXPECT_GT(frames_seen, 0u);
+  }
+}
+
+TEST(DistRunner, ThreeNodeLoopbackGroupsEndTogether) {
+  // Regression: under a coordinator-probe termination, node 0 could confirm
+  // quiescence and leave while a peer still ran null rounds for a third
+  // node; that peer then gated on node 0 and ended Aborted ("node 0 left the
+  // run while shard 0 still gates round N") although its trace was
+  // complete. The four seeds below hit it most often. In lockstep every node
+  // leaves in the same round, so each run must end Quiescent and match
+  // Sequential, with every node reporting the same steps.
+  for (const std::uint64_t seed : {93u, 178u, 201u, 265u}) {
+    ASSERT_TRUE(eligible_for_two_nodes(seed)) << "seed " << seed;
+    const SeqBaseline seq = sequential_baseline(seed);
+    for (int rep = 0; rep < 5; ++rep) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " run " +
+                   std::to_string(rep));
+      expect_matches_baseline(seq, run_loopback_group(seed, 3));
+      if (HasFatalFailure()) return;
+    }
+  }
+  const int n = spec_count();
+  int swept = 0;
+  for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(n); ++seed) {
+    if (!eligible_for_two_nodes(seed)) continue;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_matches_baseline(sequential_baseline(seed),
+                            run_loopback_group(seed, 3));
+    ++swept;
+    if (HasFatalFailure()) return;
+  }
+  if (n >= 50) {
+    EXPECT_GE(swept, 10);
   }
 }
 
@@ -860,8 +902,8 @@ TEST(DistRunner, BatchedAndUnbatchedTransfersMatchSequential) {
   EXPECT_GE(swept, 1);
   // Coalescing never sends MORE transfer-carrying frames than
   // one-frame-per-transfer. Only those frames are compared: the spec's
-  // rounds fix how many there are, while the count of heartbeats and
-  // re-sent termination probes depends on wall-clock timing.
+  // rounds fix how many there are, while the count of heartbeat RoundDones
+  // depends on wall-clock timing.
   const auto transfer_frames = [](const CountingTransport::FrameCounts& c) {
     return c[static_cast<std::size_t>(FrameType::Transfer)] +
            c[static_cast<std::size_t>(FrameType::TransferBatch)];
@@ -1475,7 +1517,7 @@ TEST(DistRunner, MismatchedSpecificationsRefuseTheHandshake) {
 }
 
 // ---------------------------------------------------------------------------
-// TCP, and the null-message machinery measured
+// TCP, and the lockstep protocol's null messages counted
 
 TEST(DistRunner, TcpPipelineDeliversAndServicesNullRounds) {
   static constexpr int kBudget = 25;
@@ -1523,9 +1565,9 @@ TEST(DistRunner, TcpPipelineDeliversAndServicesNullRounds) {
   EXPECT_GT(r1.transport.frames_sent, 0u);
   EXPECT_GT(r0.transport.bytes_received, 0u);
   EXPECT_GT(r1.transport.bytes_received, 0u);
-  // The consumer's first round is provably empty (the round-1 transfer only
-  // becomes visible at round 2), so NullRound frames must have crossed and
-  // been counted by at least one side.
+  // The consumer's first round is quiescent (the round-1 transfer only
+  // becomes visible at round 2), so its RoundDone(1) is a null message that
+  // the producer counts; the group's last round is one for both sides.
   EXPECT_GT(r0.transport.null_rounds_serviced +
                 r1.transport.null_rounds_serviced,
             0u);

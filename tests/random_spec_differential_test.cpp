@@ -30,6 +30,11 @@
 //     exactly the specs ConflictAnalysis calls ill-formed, and only the
 //     shard backends, which run a shard's round serially with revalidation,
 //     owe identity on them.
+//   * on the generator's timed flavor (delay clauses in multi-shard specs),
+//     exact trace, world, fired and clock identity among the backends that
+//     run every round as one barrier round over all shards: Sharded,
+//     FreeRunning at threads = 1 and single-node Distributed. Sequential's
+//     single clock is not the reference there.
 //
 // The generator (random_spec_gen.hpp, shared with the ready-set
 // differential suite) is pure: one seed, one specification, bit-identical
@@ -68,14 +73,13 @@ struct Outcome {
   std::string world;
   StopReason reason{};
   std::uint64_t fired = 0;
+  SimTime time{};
+  std::string error;
 };
 
-Outcome run_backend(std::uint64_t seed, ExecutorKind kind) {
-  specgen::GeneratedWorld g = specgen::generate(seed);
-  ExecutorConfig cfg;
-  cfg.kind = kind;
-  cfg.processors = 4;
-  cfg.threads = 4;
+/// Run the world of `seed` (the timed flavor when `timed`) under `cfg`.
+Outcome run_config(std::uint64_t seed, bool timed, const ExecutorConfig& cfg) {
+  specgen::GeneratedWorld g = specgen::generate(seed, timed);
   auto executor = make_executor(*g.spec, cfg);
 
   TraceRecorder trace;
@@ -83,11 +87,18 @@ Outcome run_backend(std::uint64_t seed, ExecutorKind kind) {
   const RunReport report = executor->run({.observers = {&trace}});
   out.reason = report.reason;
   out.fired = report.fired;
+  out.time = report.time;
+  out.error = report.error;
   out.trace.reserve(trace.events().size());
   for (const TraceEvent& e : trace.events())
     out.trace.push_back(e.module_path + "/" + e.transition);
   out.world = specgen::world_snapshot(*g.spec);
   return out;
+}
+
+Outcome run_backend(std::uint64_t seed, ExecutorKind kind) {
+  return run_config(seed, false,
+                    {.kind = kind, .processors = 4, .threads = 4});
 }
 
 std::vector<std::string> sorted(std::vector<std::string> v) {
@@ -142,6 +153,52 @@ TEST(RandomSpecDifferential, AllBackendsAgreeOnSeededSpecs) {
     EXPECT_GE(conflicted, 3);
     EXPECT_GE(skip_probes, 5);
     EXPECT_GE(sparse, 5);
+  }
+}
+
+TEST(RandomSpecDifferential, TimedMultiShardBarrierBackendsAgree) {
+  // The timed flavor puts delay clauses into multi-shard specs. Sequential
+  // is not the reference there: its one clock sums the shards' costs, while
+  // a barrier round advances each shard's own clock. The backends that run
+  // every round as one barrier round over all shards owe each other the
+  // exact trace, world, fired count and clock: Sharded, FreeRunning at
+  // threads = 1 (its barrier fallback) and single-node Distributed. This is
+  // the suite that covers the barrier round's timer rule across shards.
+  const int n = spec_count();
+  int timed = 0;
+  for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(n); ++seed) {
+    specgen::GeneratedWorld probe = specgen::generate(seed, true);
+    if (probe.nsys < 2 || !probe.has_delay) continue;
+    // Distributed refuses what ConflictAnalysis cannot prove conflict-free.
+    if (!ConflictAnalysis(*probe.spec).conflict_free()) continue;
+    SCOPED_TRACE("timed seed " + std::to_string(seed));
+    const Outcome shd =
+        run_config(seed, true, {.kind = ExecutorKind::Sharded});
+    ASSERT_EQ(shd.reason, StopReason::Quiescent);
+    ASSERT_GT(shd.fired, 0u);
+    struct Leg {
+      const char* name;
+      ExecutorConfig cfg;
+    };
+    const Leg legs[] = {
+        {"free-running threads 1",
+         {.kind = ExecutorKind::FreeRunning, .threads = 1}},
+        {"single-node distributed", {.kind = ExecutorKind::Distributed}},
+    };
+    for (const Leg& leg : legs) {
+      SCOPED_TRACE(leg.name);
+      const Outcome o = run_config(seed, true, leg.cfg);
+      EXPECT_EQ(o.reason, StopReason::Quiescent) << o.error;
+      EXPECT_EQ(o.trace, shd.trace) << "trace diverged from Sharded";
+      EXPECT_EQ(o.world, shd.world) << "world diverged from Sharded";
+      EXPECT_EQ(o.fired, shd.fired);
+      EXPECT_EQ(o.time, shd.time) << "clock diverged from Sharded";
+    }
+    ++timed;
+  }
+  // Diversity floor: the flavor must keep producing timed multi-shard specs.
+  if (n >= 50) {
+    EXPECT_GE(timed, 5);
   }
 }
 

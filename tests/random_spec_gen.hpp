@@ -54,8 +54,10 @@ struct GenChannel {
 };
 
 /// Builds the specification for `seed`. Pure: the same seed always yields
-/// the same world, transitions, budgets and loss processes.
-inline GeneratedWorld generate(std::uint64_t seed) {
+/// the same world, transitions, budgets and loss processes. `timed_shards`
+/// selects the timed flavor, which allows delay clauses in multi-shard specs
+/// too; the default leaves every existing corpus byte-identical.
+inline GeneratedWorld generate(std::uint64_t seed, bool timed_shards = false) {
   GeneratedWorld g;
   common::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 0x1234567ULL);
   g.spec = std::make_unique<Specification>("gen" + std::to_string(seed));
@@ -64,11 +66,13 @@ inline GeneratedWorld generate(std::uint64_t seed) {
   const bool sparse_flavor = seed % 4 == 1;  // idle-entity block (see below)
   g.nsys = 1 + static_cast<int>(rng.below(3));
   const bool rng_share_flavor = seed % 5 == 4 && g.nsys > 1;
-  // Delay clauses only in single-shard specs: per-shard virtual clocks are
-  // the sequential clock there, so delay maturation (and hence the exact
-  // trace) stays comparable. The grab flavor's world split is additionally
-  // round-composition-sensitive, so it stays delay-free too.
-  const bool delays_allowed = g.nsys == 1 && !grab_flavor;
+  // Delay clauses only in single-shard specs by default: per-shard virtual
+  // clocks are the sequential clock there, so delay maturation (and hence
+  // the exact trace) stays comparable. The timed flavor lifts that limit;
+  // its multi-shard specs compare the barrier-round backends against each
+  // other, not against Sequential. The grab flavor's world split is
+  // additionally round-composition-sensitive, so it stays delay-free.
+  const bool delays_allowed = (g.nsys == 1 || timed_shards) && !grab_flavor;
 
   // ---- module forest -----------------------------------------------------
   std::vector<std::vector<Module*>> sys_modules(
