@@ -1,19 +1,20 @@
-// Sharded-executor scaling on the Fig. 2 multi-client configuration.
+// Barrier-round shard scaling on the Fig. 2 multi-client configuration.
 //
 // Fig. 2 of the paper shows client workstations holding control connections
 // and, on the multiprocessor, one independent MCAM server entity per
 // connection: "all these server entities can run simultaneously on a
 // multiprocessor system". Here each server entity is what §4.1 makes it —
 // an Estelle system module of its own — so ConflictAnalysis gives every
-// entity (and every client workstation) a shard, and ExecutorKind::Sharded
-// runs them in parallel with per-shard virtual clocks.
+// entity (and every client workstation) a shard, and ExecutorKind::
+// FreeRunning at threads = 1 runs them as barrier rounds with per-shard
+// virtual clocks.
 //
 // Part A: the exact Fig. 2 shape (client 1 with two connections, client 2
 // with one) — conflict analysis, per-shard stats, and the virtual-time AND
 // wall-clock speedup of the sharded runtime over the sequential baseline.
 // The acceptance lines: >= 2x virtual, and the wall-clock ratio against the
-// sequential scheduler (Sharded runs its barrier rounds on one thread, so
-// this is the cost of sharding, not a parallel speedup).
+// sequential scheduler (width one runs the barrier rounds on one thread,
+// so this is the cost of sharding, not a parallel speedup).
 //
 // Part B: the scaled multi-client configuration (8 clients x 2
 // connections, 24 shards). Virtual completion time models the shards'
@@ -33,7 +34,6 @@
 #include "ps_workload.hpp"
 #include "estelle/conflict.hpp"
 #include "estelle/executor.hpp"
-#include "estelle/shard_executor.hpp"
 #include "osi/presentation.hpp"
 #include "osi/session.hpp"
 #include "osi/transport.hpp"
@@ -168,7 +168,8 @@ ShardedRow run_sharded(const std::vector<int>& conns, int requests,
                        const Outcome& seq) {
   ShardedRow row;
   row.outcome = run_world_best(conns, requests,
-                               {.kind = estelle::ExecutorKind::Sharded});
+                               {.kind = estelle::ExecutorKind::FreeRunning,
+                                .threads = 1});
   row.speedup_virtual = static_cast<double>(seq.virtual_time.ns) /
                         static_cast<double>(row.outcome.virtual_time.ns);
   row.speedup_wall = seq.wall_ms / row.outcome.wall_ms;

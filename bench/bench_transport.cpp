@@ -232,7 +232,9 @@ Measurement run_single(int entities, int active, std::uint64_t rounds,
   SparseWorld world(entities, active);
   ExecutorConfig cfg;
   cfg.kind = distributed ? ExecutorKind::Distributed : ExecutorKind::FreeRunning;
-  cfg.threads = 1;  // one shard — measure dispatch overhead, not parallelism
+  // One shard — measure dispatch overhead, not parallelism. FreeRunning
+  // free-runs it from width two (width one takes barrier rounds).
+  cfg.threads = 2;
   auto executor = estelle::make_executor(*world.spec, cfg);
   executor->run({.stop = {StopCondition::max_steps(rounds / 10 + 1)}});
 

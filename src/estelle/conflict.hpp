@@ -22,8 +22,8 @@
 //         sender mutates it at output() time, outside any commit phase —
 //         a real data race under any real-thread backend).
 //     A specification with no conflicts is *conflict-free*: every backend
-//     is obligated to produce the identical firing trace on it. (The sharded
-//     backend announces after revalidation — see shard_executor.hpp — so its
+//     is obligated to produce the identical firing trace on it. (A barrier
+//     round announces after revalidation — see shard_executor.hpp — so its
 //     announced trace matches even on specs that are ill-formed *within* one
 //     shard.)
 //

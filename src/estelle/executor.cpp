@@ -12,7 +12,6 @@
 #include "estelle/free_executor.hpp"
 #include "estelle/module.hpp"
 #include "estelle/sched.hpp"
-#include "estelle/shard_executor.hpp"
 #include "estelle/transport/dist_runner.hpp"
 
 namespace mcam::estelle {
@@ -31,36 +30,18 @@ const char* mapping_name(Mapping m) noexcept {
   return "?";
 }
 
-namespace {
-
-/// Built-in names, resolvable without touching the registry (used while the
-/// factory registers the built-ins in its own constructor).
-const char* builtin_kind_name(ExecutorKind k) noexcept {
+const char* executor_kind_name(ExecutorKind k) noexcept {
   switch (k) {
     case ExecutorKind::Sequential:
       return "sequential";
     case ExecutorKind::ParallelSim:
       return "parallel-sim";
-    case ExecutorKind::Sharded:
-      return "sharded";
     case ExecutorKind::FreeRunning:
       return "free-running";
     case ExecutorKind::Distributed:
       return "distributed";
   }
-  return nullptr;
-}
-
-}  // namespace
-
-const char* executor_kind_name(ExecutorKind k) noexcept {
-  if (const char* name = builtin_kind_name(k)) return name;
-  return ExecutorFactory::instance().name_of(k);  // out-of-tree backends
-}
-
-bool executor_kind_from_name(const std::string& name,
-                             ExecutorKind* out) noexcept {
-  return ExecutorFactory::instance().kind_by_name(name, out);
+  return "?";
 }
 
 int resolve_worker_count(int requested) noexcept {
@@ -96,16 +77,12 @@ StopReason StopCondition::reason() const noexcept {
       return StopReason::DeadlineReached;
     case Kind::StepLimit:
       return StopReason::StepLimit;
-    case Kind::Quiescence:
-      break;
   }
   return StopReason::Quiescent;
 }
 
 bool StopCondition::satisfied(SimTime now, std::uint64_t steps) const {
   switch (kind_) {
-    case Kind::Quiescence:
-      return false;  // the run loop itself detects quiescence
     case Kind::Predicate:
       return pred_ && pred_();
     case Kind::Deadline:
@@ -242,16 +219,6 @@ RunReport ExecutorBase::run(const RunOptions& opts) {
   } deadline_scope{*this, prev_deadline, prev_step_limit, prev_run_steps,
                    prev_has_predicate};
 
-  // Per-run worker-count override (saved/restored for reentrancy; backends
-  // read it via effective_worker_width() when sizing their pool).
-  const int prev_workers = run_worker_count_;
-  run_worker_count_ = opts.worker_count;
-  struct WorkerScope {
-    ExecutorBase& self;
-    int prev;
-    ~WorkerScope() { self.run_worker_count_ = prev; }
-  } worker_scope{*this, prev_workers};
-
   const auto make_report = [&](StopReason reason, std::uint64_t steps) {
     finalize_stats();
     stats_.time = now_;
@@ -295,17 +262,19 @@ RunReport ExecutorBase::run(const RunOptions& opts) {
         reason = StopReason::Quiescent;
         break;
       }
-      // A burst-running backend (FreeRunning) may have completed many global
-      // rounds inside this one step(); count them all so steps and the stop
+      // A burst-running backend may have completed many global rounds
+      // inside this one step(); count them all so steps and the stop
       // conditions keep their round semantics. on_round_end then fires once
       // per burst, with the cumulative round count.
-      steps += last_step_rounds_;
+      steps += std::exchange(last_step_rounds_, 1);
       run_steps_ = steps;
       chain.on_round_end(*this, steps);
     }
   } catch (...) {
     // Keep begin/end-paired observers balanced: deliver on_run_end with the
-    // partial report before the exception propagates.
+    // partial report before the exception propagates. A throwing step()
+    // completed last_step_rounds_ - 1 rounds before the one that threw.
+    steps += std::exchange(last_step_rounds_, 1) - 1;
     chain.on_run_end(*this, make_report(StopReason::Aborted, steps));
     throw;
   }
@@ -318,93 +287,20 @@ RunReport ExecutorBase::run(const RunOptions& opts) {
 // ---------------------------------------------------------------------------
 // Factory
 
-ExecutorFactory& ExecutorFactory::instance() {
-  static ExecutorFactory factory;
-  return factory;
-}
-
-ExecutorFactory::ExecutorFactory() {
-  register_backend(
-      ExecutorKind::Sequential, builtin_kind_name(ExecutorKind::Sequential),
-      [](Specification& spec, const ExecutorConfig& cfg) {
-        return std::make_unique<SequentialScheduler>(spec, cfg);
-      });
-  register_backend(
-      ExecutorKind::ParallelSim, builtin_kind_name(ExecutorKind::ParallelSim),
-      [](Specification& spec, const ExecutorConfig& cfg) {
-        return std::make_unique<ParallelSimScheduler>(spec, cfg);
-      });
-  register_backend(
-      ExecutorKind::Sharded, builtin_kind_name(ExecutorKind::Sharded),
-      [](Specification& spec, const ExecutorConfig& cfg) {
-        return std::make_unique<ShardedExecutor>(spec, cfg);
-      });
-  register_backend(
-      ExecutorKind::FreeRunning, builtin_kind_name(ExecutorKind::FreeRunning),
-      [](Specification& spec, const ExecutorConfig& cfg) {
-        return std::make_unique<FreeRunningExecutor>(spec, cfg);
-      });
-  register_backend(
-      ExecutorKind::Distributed, builtin_kind_name(ExecutorKind::Distributed),
-      [](Specification& spec, const ExecutorConfig& cfg) {
-        return std::make_unique<DistributedRunner>(spec, cfg);
-      });
-}
-
-void ExecutorFactory::register_backend(ExecutorKind kind, std::string name,
-                                       Creator create) {
-  const std::string* interned = &names_.emplace_back(std::move(name));
-  for (Entry& e : entries_) {
-    if (e.kind == kind) {  // re-registration replaces (last wins)
-      e.name = interned;
-      e.create = std::move(create);
-      return;
-    }
-  }
-  entries_.push_back({kind, interned, std::move(create)});
-}
-
-std::unique_ptr<Executor> ExecutorFactory::create(
-    Specification& spec, const ExecutorConfig& cfg) const {
-  for (const Entry& e : entries_)
-    if (e.kind == cfg.kind) return e.create(spec, cfg);
-  throw std::invalid_argument("unregistered ExecutorKind " +
-                              std::to_string(static_cast<int>(cfg.kind)));
-}
-
-bool ExecutorFactory::known(ExecutorKind kind) const noexcept {
-  for (const Entry& e : entries_)
-    if (e.kind == kind) return true;
-  return false;
-}
-
-std::vector<ExecutorKind> ExecutorFactory::kinds() const {
-  std::vector<ExecutorKind> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.kind);
-  return out;
-}
-
-const char* ExecutorFactory::name_of(ExecutorKind kind) const noexcept {
-  for (const Entry& e : entries_)
-    if (e.kind == kind) return e.name->c_str();
-  return "?";
-}
-
-bool ExecutorFactory::kind_by_name(const std::string& name,
-                                   ExecutorKind* out) const noexcept {
-  for (const Entry& e : entries_) {
-    if (*e.name == name) {
-      if (out != nullptr) *out = e.kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::unique_ptr<Executor> make_executor(Specification& spec,
                                         const ExecutorConfig& cfg) {
-  return ExecutorFactory::instance().create(spec, cfg);
+  switch (cfg.kind) {
+    case ExecutorKind::Sequential:
+      return std::make_unique<SequentialScheduler>(spec, cfg);
+    case ExecutorKind::ParallelSim:
+      return std::make_unique<ParallelSimScheduler>(spec, cfg);
+    case ExecutorKind::FreeRunning:
+      return std::make_unique<FreeRunningExecutor>(spec, cfg);
+    case ExecutorKind::Distributed:
+      return std::make_unique<DistributedRunner>(spec, cfg);
+  }
+  throw std::invalid_argument("unknown ExecutorKind " +
+                              std::to_string(static_cast<int>(cfg.kind)));
 }
 
 }  // namespace mcam::estelle

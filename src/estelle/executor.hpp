@@ -6,9 +6,9 @@
 // that claim as an interface: every runtime is an `Executor` constructed
 // through `make_executor(spec, config)` and driven through
 // `run(RunOptions) -> RunReport`. Call sites select a backend by value
-// (`ExecutorKind`), never by concrete type; new backends (sharded, free-
-// running, distributed) register with `ExecutorFactory` and every existing
-// consumer can use them unchanged.
+// (`ExecutorKind`), never by concrete type, so a new backend — one
+// enumerator and one case in make_executor — works unchanged at every
+// existing call site.
 //
 // Vocabulary:
 //   StopCondition — when a run ends besides quiescence: a predicate over the
@@ -20,16 +20,16 @@
 //                   run, and the executor-lifetime SchedulerStats.
 //
 // Observer contract: all RunObserver callbacks are invoked on the thread that
-// called run(). Sharded and Distributed run their rounds on that thread and
-// replay each round's revalidated firings once the round's shards have run
-// (announce-after-revalidation, see shard_executor.hpp); FreeRunning, whose
-// shards run on threads of their own, merges their firing logs on the run
-// thread. Observers therefore need no internal locking.
+// called run(). Barrier rounds (FreeRunning's fallback, every Distributed
+// node round) run on that thread and replay each round's revalidated firings
+// once the round's shards have run (announce-after-revalidation, see
+// shard_executor.hpp); FreeRunning's free sessions, whose shards run on
+// threads of their own, merge their firing logs on the run thread. Observers
+// therefore need no internal locking.
 #pragma once
 
 #include <any>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -103,31 +103,18 @@ struct SchedulerStats {
 // Run vocabulary
 
 /// The available runtimes. The numeric values are not stable (nothing
-/// persists them); future backends extend this enum and register with
-/// ExecutorFactory.
+/// persists them); a new backend adds an enumerator here and a case in
+/// make_executor and executor_kind_name.
 enum class ExecutorKind {
   Sequential,   // single processor, virtual time — the speedup baseline
   ParallelSim,  // simulated multiprocessor (the KSR1 experiments, §5)
-  Sharded,      // one shard per system module, barrier rounds on one thread
-  FreeRunning,  // barrier-free continuation shards firing from ready sets
+  FreeRunning,  // one shard per system module: free continuations on a
+                // proven spec and a wide enough pool, else barrier rounds
   Distributed,  // one shard group per process over a MailboxTransport
 };
 
-/// Every kind a default-constructed ExecutorConfig can drive. Distributed is
-/// deliberately absent: it needs transport::DistOptions in
-/// ExecutorConfig::backend_options to be more than a single-node runner, and
-/// it refuses specifications ConflictAnalysis cannot prove conflict-free, so
-/// a blind sweep over it would not honor the every-spec contract the
-/// conformance suites assert over this list.
-inline constexpr ExecutorKind kAllExecutorKinds[] = {
-    ExecutorKind::Sequential, ExecutorKind::ParallelSim, ExecutorKind::Sharded,
-    ExecutorKind::FreeRunning};
-
-/// Name of a kind — built-in or registered with ExecutorFactory.
+/// Name of a kind ("?" for a value outside the enum).
 [[nodiscard]] const char* executor_kind_name(ExecutorKind k) noexcept;
-/// Inverse of executor_kind_name (exact match); false if unknown.
-[[nodiscard]] bool executor_kind_from_name(const std::string& name,
-                                           ExecutorKind* out) noexcept;
 
 /// Why a run ended.
 enum class StopReason {
@@ -146,10 +133,8 @@ enum class StopReason {
 /// conditions are checked between rounds and the first satisfied one wins.
 class StopCondition {
  public:
-  enum class Kind { Quiescence, Predicate, Deadline, StepLimit };
+  enum class Kind { Predicate, Deadline, StepLimit };
 
-  /// Run to quiescence only — the implicit default; never stops early.
-  static StopCondition quiescence() { return StopCondition(Kind::Quiescence); }
   /// Stop once `pred()` is true (checked between rounds). A null predicate
   /// is a programming error and throws immediately rather than producing a
   /// condition that silently never fires.
@@ -230,22 +215,15 @@ struct RunOptions {
   /// Observers for this run, notified in order. Not owned; must outlive the
   /// run() call.
   std::vector<RunObserver*> observers;
-  /// Worker-thread width for this run under FreeRunning. 0 ⇒ keep the
-  /// executor's configured count (ExecutorConfig::threads, itself defaulting
-  /// to hardware_concurrency()). A width below the shard count makes the run
-  /// take barrier rounds on the calling thread; the continuation pool itself
-  /// is always one thread per shard and is never resized. Every other
-  /// backend ignores the field.
-  int worker_count = 0;
 };
 
 /// Effective worker count for a requested width: `requested` if positive,
 /// otherwise max(1, std::thread::hardware_concurrency()). The single
-/// interpretation of ExecutorConfig::threads and RunOptions::worker_count.
+/// interpretation of ExecutorConfig::threads.
 [[nodiscard]] int resolve_worker_count(int requested) noexcept;
 
 /// Per-shard execution statistics, reported by the shard-based backends
-/// (Sharded, FreeRunning, Distributed; empty under the others). Counters are
+/// (FreeRunning, Distributed; empty under the others). Counters are
 /// executor-lifetime, like SchedulerStats.
 struct ShardRunStats {
   int shard = 0;
@@ -266,8 +244,9 @@ struct FreeRunningStats {
   std::uint64_t wakes = 0;
   /// Max occupancy any per-shard firing log (SPSC ring) ever reached.
   std::uint64_t log_high_water = 0;
-  /// Rounds served by Sharded barrier rounds instead (specification not
-  /// proven conflict-free, or a worker width below the shard count).
+  /// Rounds served by barrier rounds on the run thread instead
+  /// (specification not proven conflict-free, or a worker width below
+  /// max(2, shard count)).
   std::uint64_t fallback_rounds = 0;
 };
 
@@ -348,7 +327,7 @@ struct RunReport {
   std::uint64_t guards_examined = 0;
   std::uint64_t candidates_considered = 0;
   std::uint64_t rounds_with_allocation = 0;
-  std::vector<ShardRunStats> shards;  // per-shard stats (Sharded backend)
+  std::vector<ShardRunStats> shards;  // per-shard stats (shard backends)
   /// Continuation-dispatch counters (FreeRunning backend; zero elsewhere).
   FreeRunningStats free_running;
   /// Cross-process transport counters (Distributed backend; zero elsewhere).
@@ -431,7 +410,7 @@ class ExecutorBase : public Executor {
   /// Called after the loop ends, before the report is assembled (e.g. to
   /// pull aggregate counters out of a simulation engine).
   virtual void finalize_stats() {}
-  /// Backend-specific report decoration (e.g. the sharded backend fills
+  /// Backend-specific report decoration (e.g. the shard backends fill
   /// RunReport::shards). Runs after the common fields are assembled, before
   /// observers see the report.
   virtual void decorate_report(RunReport& /*report*/) {}
@@ -449,13 +428,6 @@ class ExecutorBase : public Executor {
   /// the active run has no observers at all, so backends can skip
   /// announcement bookkeeping entirely on unobserved runs.
   [[nodiscard]] RunObserver* observer() noexcept { return chain_; }
-  /// The worker width a real-thread backend may use right now: the active
-  /// run's worker_count override if set, else the backend's configured
-  /// width resolved through resolve_worker_count().
-  [[nodiscard]] int effective_worker_width(int configured) const noexcept {
-    return run_worker_count_ > 0 ? run_worker_count_
-                                 : resolve_worker_count(configured);
-  }
 
   Specification& spec_;
   SimTime now_{};
@@ -467,10 +439,12 @@ class ExecutorBase : public Executor {
   SimTime run_deadline_{std::numeric_limits<std::int64_t>::max()};
   /// Global rounds the last step() call completed, consumed (and reset to 1)
   /// by the run loop: `steps += last_step_rounds_`. Every round-based
-  /// backend leaves it at 1; the free-running backend executes whole bursts
-  /// of rounds inside one step() and reports the burst size here so
-  /// RunReport::steps and the StepLimit accounting keep meaning "global
-  /// rounds", whatever the dispatch style.
+  /// backend leaves it at 1; the burst-running ones (FreeRunning's free
+  /// sessions, single-node Distributed) execute whole bursts of rounds
+  /// inside one step() and report the burst size here so RunReport::steps
+  /// and the StepLimit accounting keep meaning "global rounds", whatever the
+  /// dispatch style. A step() that throws counts last_step_rounds_ - 1
+  /// rounds, so a burst raises it ahead of each further round.
   std::uint64_t last_step_rounds_ = 1;
   /// Tightest StopCondition::max_steps() budget of the active run (max u64
   /// when none) and the rounds completed so far in it — a burst-running
@@ -490,9 +464,6 @@ class ExecutorBase : public Executor {
   /// Firings contributed by reentrant inner run() calls during the active
   /// run — subtracted so RunReport::fired stays "fired in THIS run".
   std::uint64_t nested_fired_ = 0;
-  /// RunOptions::worker_count of the active run (0 when unset / outside a
-  /// run); see effective_worker_width.
-  int run_worker_count_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -516,11 +487,10 @@ struct ExecutorConfig {
   sim::CostModel costs{};
 
   // FreeRunning: the worker width it may use. 0 ⇒ hardware_concurrency()
-  // (see resolve_worker_count). At or above the shard count the shards run
-  // as continuations on a pool of exactly one thread per shard; below it
-  // every round is a barrier round on the calling thread.
-  // RunOptions::worker_count overrides this per run. Other backends ignore
-  // it.
+  // (see resolve_worker_count). At or above max(2, shard count) a proven
+  // spec's shards run as continuations on a pool of exactly one thread per
+  // shard; below it every round is a barrier round on the calling thread.
+  // Other backends ignore it.
   int threads = 0;
 
   /// Debug cross-check: after every dirty-set candidate collection, run the
@@ -529,52 +499,17 @@ struct ExecutorConfig {
   /// keep it off in production.
   bool verify_ready_set = false;
 
-  /// Escape hatch for backends registered out of tree: their creator reads
-  /// whatever typed options it expects from here, so new runtimes get
-  /// configuration without widening this struct.
+  /// Typed options a backend reads for itself (Distributed:
+  /// transport::DistOptions), so a runtime gets configuration without
+  /// widening this struct.
   std::any backend_options;
-};
-
-/// Registry mapping ExecutorKind to a constructor. The built-in runtimes
-/// are pre-registered; out-of-tree backends add themselves with
-/// register_backend() and immediately work at every make_executor call site.
-class ExecutorFactory {
- public:
-  using Creator = std::function<std::unique_ptr<Executor>(
-      Specification&, const ExecutorConfig&)>;
-
-  static ExecutorFactory& instance();
-
-  void register_backend(ExecutorKind kind, std::string name, Creator create);
-  [[nodiscard]] std::unique_ptr<Executor> create(
-      Specification& spec, const ExecutorConfig& cfg) const;
-  [[nodiscard]] bool known(ExecutorKind kind) const noexcept;
-  [[nodiscard]] std::vector<ExecutorKind> kinds() const;
-  /// Registered name of `kind` ("?" if unregistered); the inverse of
-  /// kind_by_name. executor_kind_name/executor_kind_from_name route through
-  /// these, so registered out-of-tree backends round-trip names too.
-  [[nodiscard]] const char* name_of(ExecutorKind kind) const noexcept;
-  [[nodiscard]] bool kind_by_name(const std::string& name,
-                                  ExecutorKind* out) const noexcept;
-
- private:
-  ExecutorFactory();
-
-  struct Entry {
-    ExecutorKind kind;
-    const std::string* name;  // interned in names_; stable for process life
-    Creator create;
-  };
-  /// Grow-only intern pool: pointers returned by name_of() stay valid
-  /// across later registrations (including re-registration of a kind).
-  std::deque<std::string> names_;
-  std::vector<Entry> entries_;
 };
 
 /// Build a runtime for `spec`. The one constructor every call site uses:
 ///   auto ex = make_executor(spec);                                // sequential
 ///   auto ex = make_executor(spec, {.kind = ExecutorKind::ParallelSim,
 ///                                  .processors = 8});
+/// Throws std::invalid_argument for a kind outside the enum.
 [[nodiscard]] std::unique_ptr<Executor> make_executor(
     Specification& spec, const ExecutorConfig& cfg = {});
 

@@ -10,7 +10,7 @@ namespace mcam::estelle {
 
 FreeRunningExecutor::FreeRunningExecutor(Specification& spec,
                                          const ExecutorConfig& cfg)
-    : ShardedExecutor(spec, cfg), workers_(cfg.threads) {}
+    : ShardedExecutor(spec, cfg), workers_(resolve_worker_count(cfg.threads)) {}
 
 FreeRunningExecutor::~FreeRunningExecutor() { end_session(); }
 
@@ -20,10 +20,11 @@ int FreeRunningExecutor::unit_count() const noexcept {
 
 bool FreeRunningExecutor::free_runnable() const noexcept {
   // An unproven spec may couple shards outside the mailbox discipline, so
-  // it takes the barrier path. The run must also ask for one thread per
-  // shard: the neighbor gates wait on every shard's continuation.
+  // it takes the barrier path. The width must also cover one thread per
+  // shard, since the neighbor gates wait on every shard's continuation, and
+  // be at least 2: at width one the run thread alone takes barrier rounds.
   if (analysis_ == nullptr || !analysis_->conflict_free()) return false;
-  return effective_worker_width(workers_) >= analysis_->shard_count();
+  return workers_ >= 2 && workers_ >= analysis_->shard_count();
 }
 
 void FreeRunningExecutor::finalize_stats() { end_session(); }
@@ -454,7 +455,7 @@ bool FreeRunningExecutor::step() {
   if (!free_runnable()) {
     end_session();
     ++free_stats_.fallback_rounds;
-    return ShardedExecutor::step();
+    return barrier_round(++barrier_rounds_, shard_ids_, {});
   }
 
   if (!session_active_) start_session();

@@ -1,12 +1,13 @@
-// ExecutorKind::FreeRunning — barrier-free continuation dispatch from the
-// ready ledger.
+// ExecutorKind::FreeRunning — the in-process shard backend: barrier-free
+// continuation dispatch from the ready ledger, or barrier rounds where that
+// is unsound or too narrow.
 //
 // The paper's scaling argument (§3–§5) is that system modules are mutually
 // independent and asynchronous, so a multiprocessor server should let each
-// module subtree run at its own pace. The Sharded backend
-// (shard_executor.hpp) runs every round of every shard on the calling
-// thread under one barrier. This backend is the one that runs shards on
-// threads of their own, and it removes that global synchronization point:
+// module subtree run at its own pace. A barrier round (shard_executor.hpp)
+// runs every shard on the calling thread under one barrier. A free session
+// runs shards on threads of their own and removes that global
+// synchronization point:
 //
 //   * each shard becomes ONE long-lived continuation task on its own worker
 //     of the executor's WorkerPool (worker_pool.hpp), which is built once,
@@ -50,21 +51,23 @@
 //     burst so the predicate sees a quiesced world between rounds, exactly
 //     like the round-based loops (documented cost: predicates serialize).
 //
-// on_fire timing caveat (same as Sharded, amplified): announcements are
-// replayed after execution, from the merge thread, so Module::state() seen
-// from on_fire is whatever the shard has advanced to — read the transition
-// and timestamp arguments, not live world state.
+// on_fire timing caveat (same as barrier rounds, amplified): announcements
+// are replayed after execution, from the merge thread, so Module::state()
+// seen from on_fire is whatever the shard has advanced to — read the
+// transition and timestamp arguments, not live world state.
 //
 // Fallback: free-running dispatch requires the specification to be PROVEN
 // conflict-free by ConflictAnalysis (guards on cross-shard queues or shared
 // loss Rngs make un-barriered rounds unsound) and a worker width
-// (ExecutorConfig::threads, or RunOptions::worker_count for one run) of at
-// least one thread per shard. Anything else falls back to the Sharded step,
-// one barrier round over every shard on the run thread — same shards, same
-// mailboxes, same round engine, same announced trace, counted in
-// FreeRunningStats::fallback_rounds. A fallback round first ends any live
-// session (the continuations return to their parked workers), so a
-// reentrant narrower run strands nothing. Ending a session lifts the
+// (ExecutorConfig::threads) of at least one thread per shard and of at
+// least 2: a width of one names only the run thread, which then takes the
+// rounds itself. Anything else takes barrier rounds, one over every shard
+// per step() on the run thread — same shards, same mailboxes, same round
+// engine, same announced trace, counted in FreeRunningStats::
+// fallback_rounds. So at threads = 1 every specification runs barrier
+// rounds, and on one shard both dispatch styles fire exactly what
+// Sequential fires. A fallback round first ends any live session (the
+// continuations return to their parked workers). Ending a session lifts the
 // barrier round counter past the session's rounds, so the transfers it left
 // parked drain in the first barrier round, in their send order.
 //
@@ -195,8 +198,8 @@ class FreeRunningExecutor final : public ShardedExecutor,
                                std::uint64_t sender_round) noexcept override;
 
   /// Free-running dispatch is sound and deadlock-free only when the spec is
-  /// proven conflict-free and the run's worker width covers one continuation
-  /// per shard.
+  /// proven conflict-free and the configured width covers one continuation
+  /// per shard and is at least 2.
   [[nodiscard]] bool free_runnable() const noexcept;
 
   void start_session();
@@ -243,7 +246,9 @@ class FreeRunningExecutor final : public ShardedExecutor,
   std::uint64_t fold_locked();
   void wake_everyone_locked();
 
-  int workers_;  // configured width; 0 ⇒ hardware_concurrency()
+  /// Worker width, resolved once: hardware_concurrency() costs microseconds
+  /// per call, more than a whole barrier round.
+  int workers_;
   std::unique_ptr<WorkerPool> pool_;  // one worker per shard, built once
   std::mutex smu_;                    // session coordination
   std::condition_variable run_cv_;    // run thread parks here

@@ -14,8 +14,8 @@
 // backend: an interaction entering an IP is routed to exactly one of
 //   1. the IP's cross-shard transfer mailbox, when a shard execution scope is
 //      active on the calling thread and the destination belongs to a
-//      different shard (two-phase commit per shard round — the sharded,
-//      free-running and distributed executors' mechanism), or
+//      different shard (two-phase commit per shard round — the free-running
+//      and distributed executors' mechanism), or
 //   2. the plain inbox deque (same-shard / unsharded / main-thread case).
 // Because every backend funnels through the same routing point, race-free
 // commit semantics are a property of the channel, not of any one scheduler.

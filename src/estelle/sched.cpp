@@ -115,8 +115,8 @@ bool SequentialScheduler::step() {
   stats_.candidates_considered += candidates.size();
   if (ready_.round_allocated()) ++stats_.rounds_with_allocation;
   if (candidates.empty()) {
-    // Empty rounds charge no scan cost — the sharded backend's idle rounds
-    // don't either, and firing-trace identity on delay specs needs both
+    // Empty rounds charge no scan cost — empty barrier rounds don't
+    // either, and firing-trace identity on delay specs needs both
     // clocks to leap to the same absolute deadlines. O(log n) wakeup:
     // straight to the earliest queued delay deadline, clamped by the run's
     // deadline, never backwards.

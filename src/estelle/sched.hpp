@@ -22,10 +22,11 @@
 //                           (§5.1, §5.2). Its engine is the full tree scan
 //                           below.
 //
-// The real-thread backends are ShardedExecutor (shard_executor.hpp),
-// FreeRunningExecutor (free_executor.hpp) and DistributedRunner
-// (transport/dist_runner.hpp). Outside ParallelSim, the tree scan serves only
-// as the verify_ready_set oracle (ready_set.hpp).
+// The shard backends are FreeRunningExecutor (free_executor.hpp) and
+// DistributedRunner (transport/dist_runner.hpp), both built on
+// ShardedExecutor's barrier-round engine (shard_executor.hpp). Outside
+// ParallelSim, the tree scan serves only as the verify_ready_set oracle
+// (ready_set.hpp).
 #pragma once
 
 #include <cstdint>

@@ -186,11 +186,6 @@ bool ShardedExecutor::barrier_round(std::uint64_t r,
   return true;
 }
 
-bool ShardedExecutor::step() {
-  ensure_analysis();
-  return barrier_round(++barrier_rounds_, shard_ids_, {});
-}
-
 void ShardedExecutor::decorate_report(RunReport& report) {
   if (!analysis_) return;
   report.shards.reserve(shards_.size());

@@ -1,20 +1,24 @@
-// ExecutorKind::Sharded — the sharded runtime.
+// ShardedExecutor — the barrier-round engine under FreeRunning and
+// Distributed. It is no ExecutorKind of its own: FreeRunning runs one
+// barrier round over every shard per step() wherever free dispatch is ruled
+// out (a width of one, say; see free_executor.hpp), and every Distributed
+// node round is one barrier round over the node's shards.
 //
 // The paper's scaling argument (§3, §5): an Estelle server spreads over a
 // multiprocessor because its *system modules* are mutually independent and
-// asynchronous (§4). This backend makes that structural: ConflictAnalysis
+// asynchronous (§4). This engine makes that structural: ConflictAnalysis
 // assigns one shard per system-module subtree, and each shard executes its
 // own rounds with its own virtual clock, synchronizing with other shards
 // only through the two-phase transfer mailboxes (interaction.hpp). The
 // per-round barrier keeps observer announcements and stop-condition checks
 // in one place and gives idle shards a group clock to follow. Real threads
-// come from FreeRunning (free_executor.hpp), which runs the same shards
-// without the barrier, and processes from Distributed
+// come from FreeRunning's free sessions (free_executor.hpp), which run the
+// same shards without the barrier, and processes from Distributed
 // (transport/dist_runner.hpp).
 //
-// One step() = one *barrier round* r (barrier_round; the round counter is
-// monotone across runs, so a transfer's stamp always names the round that
-// sent it), all on the calling thread:
+// One *barrier round* r (barrier_round; the round counter is monotone
+// across runs, so a transfer's stamp always names the round that sent it)
+// runs on the calling thread:
 //   1. every shard drains its cross-shard mailboxes up to round r-1
 //      (raising its clock to the arrival watermark: a message sent at
 //      sender-time t is never processed at receiver-time < t) and collects
@@ -53,9 +57,8 @@
 // exactly the same way: sharded, mailbox-routed, serialized.
 // RunReport::shards carries per-shard fired / rounds / clock.
 //
-// The same barrier round runs FreeRunning's fallback and each
-// DistributedRunner node round; FreeRunning's own shard loop runs the two
-// halves (begin_round / fire_round) without the barrier.
+// FreeRunning's free shard loop runs the two halves (begin_round /
+// fire_round) without the barrier.
 #pragma once
 
 #include <cstdint>
@@ -72,21 +75,17 @@ namespace mcam::estelle {
 
 class ShardedExecutor : public ExecutorBase {
  public:
-  /// Reads sched_per_transition and scan_per_guard (the shard-local cost
-  /// model, same vocabulary as the sequential backend so virtual speedups
-  /// are comparable), verify_ready_set and max_steps.
-  explicit ShardedExecutor(Specification& spec, const ExecutorConfig& cfg = {});
-
-  [[nodiscard]] ExecutorKind kind() const noexcept override {
-    return ExecutorKind::Sharded;
-  }
-
   /// The analysis driving shard assignment (built on first use).
   [[nodiscard]] const ConflictAnalysis* analysis() const noexcept {
     return analysis_.get();
   }
 
  protected:
+  /// Reads sched_per_transition and scan_per_guard (the shard-local cost
+  /// model, same vocabulary as the sequential backend so virtual speedups
+  /// are comparable), verify_ready_set and max_steps.
+  ShardedExecutor(Specification& spec, const ExecutorConfig& cfg);
+
   /// One revalidated firing of a shard round, logged while the round runs
   /// and replayed to observers once every firing shard has run
   /// (announce-after-revalidation).
@@ -161,7 +160,6 @@ class ShardedExecutor : public ExecutorBase {
   bool barrier_round(std::uint64_t r, const std::vector<int>& ids,
                      const FiringTap& tap);
 
-  bool step() override;
   void decorate_report(RunReport& report) override;
 
   void ensure_analysis();
@@ -179,9 +177,10 @@ class ShardedExecutor : public ExecutorBase {
   bool verify_;
   std::unique_ptr<ConflictAnalysis> analysis_;
   std::vector<ShardState> shards_;
-  std::vector<int> shard_ids_;  // 0..n-1: step()'s round membership
-  /// Last round step() ran. FreeRunning lifts it past a session's rounds, so
-  /// transfers a session left parked drain in the next barrier round.
+  std::vector<int> shard_ids_;  // 0..n-1: every shard, in id order
+  /// Last barrier round FreeRunning ran over shard_ids_. Ending a free
+  /// session lifts it past the session's rounds, so transfers the session
+  /// left parked drain in the next barrier round.
   std::uint64_t barrier_rounds_ = 0;
   std::uint64_t seen_version_ = ~0ull;
   bool seeded_ = false;

@@ -9,9 +9,10 @@
 //   * fire_round (here): run the revalidated firing set under a
 //     round-stamped ShardExecutionScope with the sequential cost arithmetic.
 // barrier_round runs both halves for a group of shards under one barrier —
-// the Sharded step, FreeRunning's fallback and every DistributedRunner node
-// round. FreeRunning's shard loop (free_executor.cpp) runs them at the
-// shard's own clock and leaps an idle shard to its own next delay deadline.
+// FreeRunning's barrier rounds (its fallback) and every DistributedRunner
+// node round. FreeRunning's free shard loop (free_executor.cpp) runs them at
+// the shard's own clock and leaps an idle shard to its own next delay
+// deadline.
 // One definition is what guarantees the dispatch styles cannot drift apart:
 // any divergence would instantly break the differential suites that pin
 // them all against the sequential scheduler.

@@ -423,9 +423,10 @@ bool DistributedRunner::accept_transfer(int from, std::uint32_t channel,
 bool DistributedRunner::export_transfers(std::uint64_t r) {
   // Coalesce this round's transfers into one TransferBatch per peer: they
   // still precede the round's RoundDone on the same FIFO stream, so gate
-  // release continues to imply transfer arrival. Transfers stamped for
-  // another round (delay leaps) take the legacy per-frame path — correct
-  // either way, they just never share a stamp.
+  // release continues to imply transfer arrival. barrier_round(r) stamps
+  // everything it sends r, so every transfer normally batches; one stamped
+  // otherwise (none is known to reach here) still leaves, on a Transfer
+  // frame of its own that carries its stamp.
   bool any_batched = false;
   for (const WireChannel& wc : wire_channels_) {
     if (!wc.remote_ep->has_pending_transfers()) continue;
@@ -578,8 +579,8 @@ bool DistributedRunner::step() {
   round_ = r;
   if (!worked) {
     // A round in which every node was quiescent ends the run and is not
-    // counted, like the Sharded step's quiescent round. Every node holds the
-    // same RoundDone(r)s, so all of them end here.
+    // counted, like a quiescent barrier round under FreeRunning. Every node
+    // holds the same RoundDone(r)s, so all of them end here.
     for (const PeerState& p : peers_)
       if (!p.done[r % 2].quiescent) return true;
     return false;
@@ -594,6 +595,9 @@ bool DistributedRunner::step() {
     // than being skipped inside one.
     const std::uint64_t cap = std::min(run_step_limit_, step_limit_);
     while (run_steps_ + burst < cap) {
+      // An action that throws in this round leaves the `burst` rounds
+      // before it counted (see ExecutorBase::last_step_rounds_).
+      last_step_rounds_ = burst + 1;
       // Quiescence discovered inside the burst: the empty round stays
       // uncounted, and the next step re-runs it and ends the run.
       if (!barrier_round(round_ + 1, local_shards_, opts_.trace_hook)) break;

@@ -1,4 +1,4 @@
-// ExecutorKind::Distributed — one Sharded shard group per process,
+// ExecutorKind::Distributed — one barrier-round shard group per process,
 // synchronized over a MailboxTransport.
 //
 // The paper's distribution claim (§4: system modules are mutually
@@ -11,15 +11,16 @@
 // the wire bridge (InteractionPoint::take_transfers / inject_transfer).
 //
 // Round protocol. Every node advances its round cursor r in lockstep with
-// every peer. Node round r is one Sharded barrier round
+// every peer. Node round r is one barrier round
 // (ShardedExecutor::barrier_round) over the node's local shards, on the
 // node's run thread: every local shard drains and collects, an idle one
 // following the node's group clock, then the shards that fire run in shard
 // id order, and the announcements replay in shard id order. A node whose
 // shards fire nothing leaps its group clock to its earliest delay deadline,
-// so a single-node group runs exactly the Sharded step's rounds and clocks;
-// across nodes the group clocks are node-local, and a node can still leap to
-// a timer while a peer's shard is busy. After the round the node
+// so a single-node group runs exactly the rounds and clocks of FreeRunning
+// at threads = 1; across nodes the group clocks are node-local, and a node
+// can still leap to a timer while a peer's shard is busy. After the round
+// the node
 //
 //   * exports — outputs a local firing addressed to a remote shard park in
 //               the replica endpoint's mailbox (deliver()'s cross-shard
@@ -144,7 +145,7 @@ struct DistOptions {
   /// on the run thread after the round executed, in shard id order then
   /// firing order (announce-after-revalidation) — so Module::state() seen
   /// from the hook is the post-round state; read the transition and
-  /// timestamp arguments, not live world state (the sharded backends'
+  /// timestamp arguments, not live world state (the shard backends'
   /// on_fire caveat).
   std::function<void(std::uint64_t round, int shard, Module& m,
                      const Transition& t, SimTime at)>

@@ -61,24 +61,45 @@ bool read_all(int fd, void* data, std::size_t n) {
   return true;
 }
 
-/// "host" or "host:port" for node i; loopback and base_port + i when
-/// unspecified.
-void tcp_addr_of(const std::vector<std::string>& hosts,
-                 std::uint16_t base_port, int i, std::string* host,
-                 std::uint16_t* port) {
-  *host = "127.0.0.1";
-  *port = static_cast<std::uint16_t>(base_port + i);
-  if (hosts.empty()) return;
-  const std::string& spec = hosts[static_cast<std::size_t>(i)];
-  if (spec.empty()) return;
-  const std::size_t colon = spec.rfind(':');
-  if (colon == std::string::npos) {
-    *host = spec;
-    return;
+struct TcpAddr {
+  std::string host = "127.0.0.1";
+  std::uint16_t port = 0;
+};
+
+/// Every node's address from "host" or "host:port" entries (hosts[i] for
+/// node i); loopback and base_port + i where unspecified. A port must be
+/// the whole decimal text after the last ':' and lie in 1..65535; the first
+/// node whose port does not is an error naming its entry.
+Result<std::vector<TcpAddr>> tcp_addrs(const std::vector<std::string>& hosts,
+                                       std::uint16_t base_port, int nodes) {
+  std::vector<TcpAddr> addrs(static_cast<std::size_t>(nodes));
+  for (int i = 0; i < nodes; ++i) {
+    TcpAddr& addr = addrs[static_cast<std::size_t>(i)];
+    const std::string entry =
+        hosts.empty() ? std::string() : hosts[static_cast<std::size_t>(i)];
+    const std::size_t colon = entry.rfind(':');
+    long port = static_cast<long>(base_port) + i;
+    if (colon != std::string::npos) {
+      const std::string text = entry.substr(colon + 1);
+      const bool decimal =
+          !text.empty() && text.size() <= 5 &&
+          std::all_of(text.begin(), text.end(),
+                      [](char c) { return c >= '0' && c <= '9'; });
+      port = decimal ? std::stol(text) : 0;
+    }
+    if (port < 1 || port > 65535)
+      return Error::make(
+          kSetupFailed,
+          "tcp mesh: node " + std::to_string(i) + " has no port in 1..65535 (" +
+              (colon != std::string::npos
+                   ? "entry \"" + entry + "\""
+                   : "base_port + " + std::to_string(i) + " = " +
+                         std::to_string(port)) +
+              ")");
+    if (!entry.empty()) addr.host = entry.substr(0, colon);
+    addr.port = static_cast<std::uint16_t>(port);
   }
-  *host = spec.substr(0, colon);
-  *port = static_cast<std::uint16_t>(
-      std::strtoul(spec.c_str() + colon + 1, nullptr, 10));
+  return addrs;
 }
 
 struct MeshSetup {
@@ -233,19 +254,21 @@ Result<std::unique_ptr<StreamSocketTransport>> StreamSocketTransport::tcp_mesh(
                        "tcp mesh: host list names " +
                            std::to_string(hosts.size()) + " nodes, mesh has " +
                            std::to_string(nodes));
-  // Resolution happens per dial attempt — it is the cold path, and a peer
-  // whose name appears late (DNS, container startup) benefits from being
-  // re-queried inside the retry loop. By-value capture: kept for redials.
-  std::function<int(int)> dial = [hosts, base_port](int peer) {
-    std::string host;
-    std::uint16_t port = 0;
-    tcp_addr_of(hosts, base_port, peer, &host, &port);
+  Result<std::vector<TcpAddr>> resolved = tcp_addrs(hosts, base_port, nodes);
+  if (!resolved.ok()) return resolved.error();
+  const std::vector<TcpAddr> addrs = std::move(resolved).take();
+  // Name resolution happens per dial attempt — it is the cold path, and a
+  // peer whose name appears late (DNS, container startup) benefits from
+  // being re-queried inside the retry loop. By-value capture: kept for
+  // redials.
+  std::function<int(int)> dial = [addrs](int peer) {
+    const TcpAddr& addr = addrs[static_cast<std::size_t>(peer)];
     addrinfo hints{};
     hints.ai_family = AF_INET;
     hints.ai_socktype = SOCK_STREAM;
     addrinfo* res = nullptr;
-    if (::getaddrinfo(host.c_str(), std::to_string(port).c_str(), &hints,
-                      &res) != 0 ||
+    if (::getaddrinfo(addr.host.c_str(), std::to_string(addr.port).c_str(),
+                      &hints, &res) != 0 ||
         res == nullptr)
       return -1;
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -275,10 +298,7 @@ Result<std::unique_ptr<StreamSocketTransport>> StreamSocketTransport::tcp_mesh(
         // Peers on other machines must be able to dial us back.
         addr.sin_addr.s_addr =
             htonl(hosts.empty() ? INADDR_LOOPBACK : INADDR_ANY);
-        std::string self_host;
-        std::uint16_t self_port = 0;
-        tcp_addr_of(hosts, base_port, node, &self_host, &self_port);
-        addr.sin_port = htons(self_port);
+        addr.sin_port = htons(addrs[static_cast<std::size_t>(node)].port);
         if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
             ::listen(fd, nodes) < 0) {
           ::close(fd);

@@ -121,7 +121,10 @@ class StreamSocketTransport final : public MailboxTransport {
 
   /// Full mesh over TCP. `hosts`, when non-empty, names every node's
   /// address as "host" or "host:port" (hosts[i] for node i; port defaults
-  /// to base_port + i) — the loopback default with an empty list.
+  /// to base_port + i) — the loopback default with an empty list. Every
+  /// node's port must be decimal and within 1..65535 (base_port + i
+  /// included); otherwise kSetupFailed names the entry before any socket
+  /// opens.
   [[nodiscard]] static common::Result<std::unique_ptr<StreamSocketTransport>>
   tcp_mesh(int node, int nodes, std::uint16_t base_port,
            const std::vector<std::string>& hosts = {},

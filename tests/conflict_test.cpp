@@ -245,10 +245,10 @@ struct IllFormed {
 };
 
 TEST(ShardRevalidation, IllFormedSpecNoLongerDiverges) {
-  const auto run_kind = [](ExecutorKind kind) {
+  const auto run_kind = [](ExecutorKind kind, int threads = 4) {
     IllFormed world;
     TraceRecorder trace;
-    make_executor(world.spec, {.kind = kind, .threads = 4})
+    make_executor(world.spec, {.kind = kind, .threads = threads})
         ->run({.observers = {&trace}});
     return std::make_tuple(trace.transition_names(), world.singles,
                            world.pairs);
@@ -259,10 +259,11 @@ TEST(ShardRevalidation, IllFormedSpecNoLongerDiverges) {
   EXPECT_GT(std::get<2>(seq), 0);  // the pair path is actually exercised
   // The producer and consumer share one shard. Its round runs serially,
   // revalidating each candidate with immediate delivery — the sequential
-  // discipline — and announces only what actually fired, so both shard
-  // backends reproduce the trace and the outcome.
-  EXPECT_EQ(run_kind(ExecutorKind::Sharded), seq);
-  EXPECT_EQ(run_kind(ExecutorKind::FreeRunning), seq);
+  // discipline — and announces only what actually fired, so FreeRunning's
+  // barrier rounds (width 1) and its free session (width 4) both reproduce
+  // the trace and the outcome.
+  EXPECT_EQ(run_kind(ExecutorKind::FreeRunning, 1), seq);
+  EXPECT_EQ(run_kind(ExecutorKind::FreeRunning, 4), seq);
 }
 
 TEST(ShardedDelayClauses, IdleShardTimerFiresWhileOtherShardIsBusy) {
@@ -291,7 +292,7 @@ TEST(ShardedDelayClauses, IdleShardTimerFiresWhileOtherShardIsBusy) {
   spec.initialize();
 
   auto executor =
-      make_executor(spec, {.kind = ExecutorKind::Sharded, .threads = 2});
+      make_executor(spec, {.kind = ExecutorKind::FreeRunning, .threads = 1});
   executor->run_until([&] { return timer_fired; });
   EXPECT_TRUE(timer_fired);
   // The timer fired shortly after 100us of virtual time, while B was still
@@ -307,8 +308,7 @@ TEST(ShardedDelayClauses, RaisedShardPaysScanCostForBothCollects) {
   // a round — at its own clock, then raised to the group clock — and the
   // round that fires the timer pays scan cost for the guards of both
   // collects. The exact fire time pins that price.
-  for (const int threads : {1, 2}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
+  {
     Specification spec("raised");
     auto& a = spec.root().create_child<Module>("a", Attribute::SystemProcess);
     auto& b = spec.root().create_child<Module>("b", Attribute::SystemProcess);
@@ -335,7 +335,7 @@ TEST(ShardedDelayClauses, RaisedShardPaysScanCostForBothCollects) {
     spec.initialize();
 
     auto executor = make_executor(
-        spec, {.kind = ExecutorKind::Sharded, .threads = threads});
+        spec, {.kind = ExecutorKind::FreeRunning, .threads = 1});
     TraceRecorder trace;
     executor->run({.stop = {StopCondition::when([&] { return timer_fired; })},
                    .observers = {&trace}});
@@ -348,8 +348,9 @@ TEST(ShardedDelayClauses, RaisedShardPaysScanCostForBothCollects) {
 }
 
 TEST(ShardedOnConflictingSpec, DegradesToSerialButStaysCorrect) {
-  // A conflicting spec under the sharded backend degrades to one worker:
-  // sharded, mailbox-routed, serialized — and therefore still correct.
+  // A conflicting spec under FreeRunning degrades to barrier rounds on the
+  // run thread whatever the width: sharded, mailbox-routed, serialized —
+  // and therefore still correct.
   Specification spec("degraded");
   auto& a = spec.root().create_child<Module>("a", Attribute::SystemProcess);
   auto& b = spec.root().create_child<Module>("b", Attribute::SystemProcess);
@@ -371,8 +372,11 @@ TEST(ShardedOnConflictingSpec, DegradesToSerialButStaysCorrect) {
   spec.initialize();
 
   auto executor =
-      make_executor(spec, {.kind = ExecutorKind::Sharded, .threads = 4});
-  executor->run();
+      make_executor(spec, {.kind = ExecutorKind::FreeRunning, .threads = 4});
+  const RunReport r = executor->run();
+  // Every round was a barrier round (so was the uncounted quiescent one).
+  EXPECT_GE(r.free_running.fallback_rounds, r.steps);
+  EXPECT_GT(r.steps, 0u);
   EXPECT_EQ(sent, 20);
   EXPECT_EQ(got, 20);
 }

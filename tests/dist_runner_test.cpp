@@ -494,7 +494,7 @@ TEST(DistRunner, BarrierRoundsFireTimersOnlyWhenSequentialDoes) {
   // next delay deadline while the other shard was still busy, so the client
   // fired `rto` before every reply was collected (120 firings against
   // Sequential's 90). A barrier round leaps the node's group clock only when
-  // no shard fires, like the Sharded step and FreeRunning's fallback.
+  // no shard fires, like FreeRunning's barrier rounds at threads = 1.
   constexpr int kRequests = 30;
   struct Outcome {
     std::vector<std::string> trace;
@@ -515,31 +515,29 @@ TEST(DistRunner, BarrierRoundsFireTimersOnlyWhenSequentialDoes) {
   for (const std::string& label : seq.trace)
     ASSERT_EQ(label.find("/rto"), std::string::npos) << label;
 
-  const Outcome sharded = run({.kind = ExecutorKind::Sharded});
-  const Outcome fallback =
+  const Outcome barrier =
       run({.kind = ExecutorKind::FreeRunning, .threads = 1});
-  EXPECT_GT(fallback.report.free_running.fallback_rounds, 0u);
-  for (const Outcome* o : {&sharded, &fallback}) {
-    SCOPED_TRACE(executor_kind_name(o->report.kind));
-    EXPECT_EQ(o->report.reason, StopReason::Quiescent);
-    EXPECT_EQ(o->report.fired, seq.report.fired);
-    EXPECT_EQ(o->trace, seq.trace);
-  }
+  EXPECT_GT(barrier.report.free_running.fallback_rounds, 0u);
+  EXPECT_EQ(barrier.report.reason, StopReason::Quiescent);
+  EXPECT_EQ(barrier.report.fired, seq.report.fired);
+  EXPECT_EQ(barrier.trace, seq.trace);
   const Outcome dist = run({.kind = ExecutorKind::Distributed});
   EXPECT_EQ(dist.report.reason, StopReason::Quiescent) << dist.report.error;
   EXPECT_EQ(dist.report.fired, seq.report.fired);
   EXPECT_EQ(dist.trace, seq.trace);
-  EXPECT_EQ(dist.report.time, sharded.report.time);
+  EXPECT_EQ(dist.report.time, barrier.report.time);
 }
 
 TEST(DistRunner, ThrowingActionEndsTheBarrierRoundLikeSequential) {
   // Three independent ticking shards; sys1's tick throws at state 5, in the
   // sixth round. Sequential announces the throwing firing, fires nothing
-  // after it and does not count it: 17 announced, 16 fired. A barrier round
-  // must end the same way — stop firing at the throw, then replay and fold
-  // what ran before the exception leaves run() — under the Sharded step,
-  // FreeRunning's fallback and a single-node Distributed round, with the
-  // per-shard fired counters summing to the executor's.
+  // after it and does not count it: 17 announced, 16 fired, 5 steps. A
+  // barrier round must end the same way — stop firing at the throw, then
+  // replay and fold what ran before the exception leaves run() — under
+  // FreeRunning's barrier rounds and a single-node Distributed round, with
+  // the per-shard fired counters summing to the executor's. The Aborted
+  // report counts the rounds completed before the throw, also when the
+  // single-node burst loop ran them inside one step().
   struct ReportKeeper final : RunObserver {
     RunReport report;
     void on_run_end(Executor&, const RunReport& r) override { report = r; }
@@ -577,14 +575,13 @@ TEST(DistRunner, ThrowingActionEndsTheBarrierRoundLikeSequential) {
   ASSERT_EQ(seq.report.reason, StopReason::Aborted);
   ASSERT_EQ(seq.trace.size(), 17u);
   ASSERT_EQ(seq.report.fired, 16u);
+  ASSERT_EQ(seq.report.steps, 5u);
 
   struct Leg {
     const char* name;
     ExecutorConfig cfg;
   };
   const Leg legs[] = {
-      {"sharded threads 1", {.kind = ExecutorKind::Sharded, .threads = 1}},
-      {"sharded threads 3", {.kind = ExecutorKind::Sharded, .threads = 3}},
       {"free-running threads 1",
        {.kind = ExecutorKind::FreeRunning, .threads = 1}},
       {"distributed", {.kind = ExecutorKind::Distributed}},
@@ -595,6 +592,7 @@ TEST(DistRunner, ThrowingActionEndsTheBarrierRoundLikeSequential) {
     EXPECT_EQ(o.report.reason, StopReason::Aborted);
     EXPECT_EQ(o.trace, seq.trace);
     EXPECT_EQ(o.report.fired, seq.report.fired);
+    EXPECT_EQ(o.report.steps, seq.report.steps);
     std::uint64_t shard_fired = 0;
     for (const ShardRunStats& shard : o.report.shards)
       shard_fired += shard.fired;
@@ -1589,6 +1587,26 @@ TEST(DistRunner, TcpMeshAcceptsExplicitHostList) {
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.error().message.find("host"), std::string::npos)
       << bad.error().message;
+
+  // So is a port that is not decimal or not within 1..65535, in an entry or
+  // as base_port + i: never cast to 16 bits (70000 would dial 4464) or read
+  // as 0 (an ephemeral port nobody can dial). Node 1 names it, so node 0
+  // rejects it before binding anything.
+  for (const std::string& port : {"70000", "-1", "abc", ""}) {
+    const std::string entry = "127.0.0.1:" + port;
+    SCOPED_TRACE(entry);
+    const auto bad_port =
+        StreamSocketTransport::tcp_mesh(0, 2, kBasePort, {"localhost", entry});
+    ASSERT_FALSE(bad_port.ok());
+    EXPECT_EQ(bad_port.error().code, kSetupFailed);
+    EXPECT_NE(bad_port.error().message.find(entry), std::string::npos)
+        << bad_port.error().message;
+  }
+  const auto wrapped = StreamSocketTransport::tcp_mesh(0, 2, 65535);
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_EQ(wrapped.error().code, kSetupFailed);
+  EXPECT_NE(wrapped.error().message.find("65536"), std::string::npos)
+      << wrapped.error().message;
 
   RunReport r0, r1;
   int got = -1;

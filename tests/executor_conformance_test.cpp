@@ -1,18 +1,24 @@
 // Executor conformance: the paper's interchangeability claim as a test.
 //
-// One specification, all registered ExecutorKinds constructed through the
-// factory. Every backend must produce the identical firing trace on a
-// deterministic workload, and every RunReport must satisfy the same
-// invariants: fired counts consistent with observed events, monotone
-// virtual time, correct stop reasons, quiescence idempotence.
+// One specification, every leg below constructed through make_executor:
+// Sequential, ParallelSim, and FreeRunning at width 1 (barrier rounds) and
+// at width 4 (free dispatch). Every leg must produce the identical firing
+// trace on a deterministic workload, and every RunReport must satisfy the
+// same invariants: fired counts consistent with observed events, monotone
+// virtual time, correct stop reasons, quiescence idempotence. Distributed
+// is not a leg: it needs transport::DistOptions to be more than a
+// single-node runner, and it refuses specifications ConflictAnalysis cannot
+// prove conflict-free (dist_runner_test covers it).
 //
 // The identical-trace contract is stated for conflict-free specifications
 // (see estelle/conflict.hpp). Ill-formed (conflicting) specs are exercised
-// separately in conflict_test.cpp: the sharded backend revalidates every
+// separately in conflict_test.cpp: a barrier round revalidates every
 // candidate inside its shard's serial round, so even those no longer
 // diverge.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -76,12 +82,29 @@ struct Ring {
   }
 };
 
-ExecutorConfig config_for(ExecutorKind kind) {
+ExecutorConfig config_for(ExecutorKind kind, int threads = 4) {
   ExecutorConfig cfg;
   cfg.kind = kind;
   cfg.processors = 4;
-  cfg.threads = 4;
+  cfg.threads = threads;
   return cfg;
+}
+
+struct Leg {
+  const char* name;
+  ExecutorConfig cfg;
+};
+
+/// Every dispatch the conformance contract covers: each in-process kind,
+/// and FreeRunning's barrier rounds (width 1) next to its free sessions.
+const std::vector<Leg>& legs() {
+  static const std::vector<Leg> all = {
+      {"sequential", config_for(ExecutorKind::Sequential)},
+      {"parallel-sim", config_for(ExecutorKind::ParallelSim)},
+      {"free-running threads 1", config_for(ExecutorKind::FreeRunning, 1)},
+      {"free-running threads 4", config_for(ExecutorKind::FreeRunning, 4)},
+  };
+  return all;
 }
 
 /// Observer asserting the virtual clock never runs backwards.
@@ -105,9 +128,10 @@ struct KindRun {
   RunReport report;
 };
 
-KindRun run_ring(ExecutorKind kind) {
+KindRun run_ring(const ExecutorConfig& cfg) {
+  const ExecutorKind kind = cfg.kind;
   Ring ring(5, /*hops_budget=*/8);
-  auto executor = make_executor(ring.spec, config_for(kind));
+  auto executor = make_executor(ring.spec, cfg);
   EXPECT_EQ(executor->kind(), kind);
 
   TraceRecorder trace;
@@ -136,37 +160,47 @@ KindRun run_ring(ExecutorKind kind) {
 }
 
 TEST(ExecutorConformance, AllKindsProduceIdenticalFiringTraces) {
-  const KindRun seq = run_ring(ExecutorKind::Sequential);
+  const KindRun seq = run_ring(config_for(ExecutorKind::Sequential));
   ASSERT_FALSE(seq.trace.empty());
   // 5 stations x 8-hop budget each, one token: it hops until the station it
   // lands on is exhausted, then is sunk. The exact count matters less than
   // every backend agreeing on it — but pin it so regressions are loud.
   EXPECT_EQ(seq.trace.size(), 41u);  // 40 hops + 1 sink
 
-  for (ExecutorKind kind : kAllExecutorKinds) {
-    if (kind == ExecutorKind::Sequential) continue;  // the baseline above
-    const KindRun other = run_ring(kind);
+  for (const Leg& leg : legs()) {
+    if (leg.cfg.kind == ExecutorKind::Sequential) continue;  // the baseline
+    const KindRun other = run_ring(leg.cfg);
     EXPECT_EQ(other.trace, seq.trace)
-        << "backend " << executor_kind_name(kind)
-        << " diverged from sequential";
+        << "leg " << leg.name << " diverged from sequential";
     EXPECT_EQ(other.report.fired, seq.report.fired);
   }
 }
 
-TEST(ExecutorConformance, FactoryKnowsAllKindsAndNamesRoundTrip) {
-  auto& factory = ExecutorFactory::instance();
-  for (ExecutorKind kind : kAllExecutorKinds) {
-    EXPECT_TRUE(factory.known(kind));
-    ExecutorKind parsed{};
-    ASSERT_TRUE(executor_kind_from_name(executor_kind_name(kind), &parsed));
-    EXPECT_EQ(parsed, kind);
+TEST(ExecutorConformance, KindsHaveDistinctNamesAndUnknownKindsThrow) {
+  const ExecutorKind kinds[] = {ExecutorKind::Sequential,
+                                ExecutorKind::ParallelSim,
+                                ExecutorKind::FreeRunning,
+                                ExecutorKind::Distributed};
+  std::set<std::string> names;
+  for (ExecutorKind kind : kinds) {
+    const std::string name = executor_kind_name(kind);
+    EXPECT_NE(name, "?");
+    names.insert(name);
   }
-  EXPECT_FALSE(executor_kind_from_name("no-such-backend", nullptr));
+  EXPECT_EQ(names.size(), 4u);
+
+  // A value outside the enum has no backend: make_executor says so rather
+  // than returning null or building some default.
+  const auto unknown = static_cast<ExecutorKind>(99);
+  EXPECT_STREQ(executor_kind_name(unknown), "?");
+  Ring ring(2, /*hops_budget=*/1);
+  EXPECT_THROW((void)make_executor(ring.spec, {.kind = unknown}),
+               std::invalid_argument);
 }
 
 TEST(ExecutorConformance, StopConditionsReportTheirReason) {
-  for (ExecutorKind kind : kAllExecutorKinds) {
-    SCOPED_TRACE(executor_kind_name(kind));
+  for (const Leg& leg : legs()) {
+    SCOPED_TRACE(leg.name);
     // A world that never quiesces on its own.
     Specification spec("runaway");
     auto& sys =
@@ -177,7 +211,7 @@ TEST(ExecutorConformance, StopConditionsReportTheirReason) {
         .cost(SimTime::from_us(50))
         .action([&count](Module&, const Interaction*) { ++count; });
     spec.initialize();
-    auto executor = make_executor(spec, config_for(kind));
+    auto executor = make_executor(spec, leg.cfg);
 
     RunReport r = executor->run({.stop = {StopCondition::max_steps(10)}});
     EXPECT_EQ(r.reason, StopReason::StepLimit);
@@ -194,7 +228,7 @@ TEST(ExecutorConformance, StopConditionsReportTheirReason) {
     EXPECT_GE(executor->now(), deadline);
 
     // The config backstop caps a run with no explicit conditions.
-    ExecutorConfig capped = config_for(kind);
+    ExecutorConfig capped = leg.cfg;
     capped.max_steps = 3;
     Specification spec2("runaway2");
     auto& sys2 =
@@ -209,8 +243,8 @@ TEST(ExecutorConformance, StopConditionsReportTheirReason) {
 }
 
 TEST(ExecutorConformance, IdleClockJumpDoesNotOvershootDeadline) {
-  for (ExecutorKind kind : kAllExecutorKinds) {
-    SCOPED_TRACE(executor_kind_name(kind));
+  for (const Leg& leg : legs()) {
+    SCOPED_TRACE(leg.name);
     // The only pending work is a delay transition waking at 10ms; a 1ms
     // deadline must stop the clock at 1ms, not at the 10ms wakeup.
     Specification spec("idle");
@@ -222,7 +256,7 @@ TEST(ExecutorConformance, IdleClockJumpDoesNotOvershootDeadline) {
         .action([](Module&, const Interaction*) {});
     spec.initialize();
 
-    auto executor = make_executor(spec, config_for(kind));
+    auto executor = make_executor(spec, leg.cfg);
     const RunReport r = executor->run(
         {.stop = {StopCondition::deadline(SimTime::from_ms(1))}});
     EXPECT_EQ(r.reason, StopReason::DeadlineReached);
@@ -260,10 +294,10 @@ TEST(ExecutorConformance, ObserverChainNotifiedInOrderWithLifecycle) {
 }
 
 TEST(ExecutorConformance, PersistentRunObserversSeeEveryRun) {
-  for (ExecutorKind kind : kAllExecutorKinds) {
-    SCOPED_TRACE(executor_kind_name(kind));
+  for (const Leg& leg : legs()) {
+    SCOPED_TRACE(leg.name);
     Ring ring(4, /*hops_budget=*/2);
-    auto executor = make_executor(ring.spec, config_for(kind));
+    auto executor = make_executor(ring.spec, leg.cfg);
 
     // add_run_observer: attached once, observes every subsequent run —
     // the executor-scoped replacement for the retired install() shim.
@@ -276,7 +310,7 @@ TEST(ExecutorConformance, PersistentRunObserversSeeEveryRun) {
     // An observer in both the persistent list and RunOptions::observers is
     // notified once per event, not twice.
     Ring ring2(4, /*hops_budget=*/2);
-    auto executor2 = make_executor(ring2.spec, config_for(kind));
+    auto executor2 = make_executor(ring2.spec, leg.cfg);
     TraceRecorder both;
     executor2->add_run_observer(&both);
     executor2->run({.observers = {&both}});
@@ -295,12 +329,12 @@ TEST(ExecutorConformance, CrossShardSpecTraceEquivalence) {
   // Two system modules (client/server shards) linked by one channel: a
   // sender streams tokens to an echo counter across the shard boundary.
   // Conflict-free, so the deterministic backends must agree on the exact
-  // firing trace even though the sharded backend routes the channel through
+  // firing trace even though the shard dispatches route the channel through
   // the two-phase transfer mailboxes. (ParallelSim is exercised for counts
   // elsewhere; its announce order follows simulated-engine completion order,
   // which the identical-trace contract does not cover for multi-candidate
   // rounds.)
-  const auto run_kind = [](ExecutorKind kind) {
+  const auto run_kind = [](const ExecutorConfig& cfg) {
     Specification spec("xshard");
     auto& client =
         spec.root().create_child<Module>("client", Attribute::SystemProcess);
@@ -321,20 +355,21 @@ TEST(ExecutorConformance, CrossShardSpecTraceEquivalence) {
     spec.initialize();
 
     TraceRecorder trace;
-    auto executor = make_executor(spec, config_for(kind));
+    auto executor = make_executor(spec, cfg);
     executor->run({.observers = {&trace}});
     return trace.transition_names();
   };
 
-  const auto seq = run_kind(ExecutorKind::Sequential);
+  const auto seq = run_kind(config_for(ExecutorKind::Sequential));
   ASSERT_EQ(seq.size(), 12u);  // 6 sends + 6 echoes
-  EXPECT_EQ(run_kind(ExecutorKind::Sharded), seq);
-  EXPECT_EQ(run_kind(ExecutorKind::FreeRunning), seq);
+  EXPECT_EQ(run_kind(config_for(ExecutorKind::FreeRunning, 1)), seq);
+  EXPECT_EQ(run_kind(config_for(ExecutorKind::FreeRunning, 4)), seq);
 }
 
 TEST(ExecutorConformance, ShardedReportCarriesPerShardStats) {
   Ring ring(5, /*hops_budget=*/8);
-  auto executor = make_executor(ring.spec, config_for(ExecutorKind::Sharded));
+  auto executor =
+      make_executor(ring.spec, config_for(ExecutorKind::FreeRunning, 1));
   const RunReport report = executor->run();
 
   // One shard (the ring's single system module), with the run's whole

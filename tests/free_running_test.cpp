@@ -10,13 +10,15 @@
 //     included;
 //   * the fallback really engages: specs ConflictAnalysis cannot prove
 //     conflict-free report fallback_rounds > 0, proven ones report 0;
+//   * the width rule: a proven spec free-runs only at a width of at least
+//     max(2, shard count); at width one every round is a barrier round;
 //   * exact stop-condition cutoff without a barrier: max_steps produces
 //     identical fired counts and world state to Sequential at the same
 //     budget (the shard-quiesce handshake), deadlines pin now() exactly;
 //   * park/wake lifecycle: shards park passive at quiescence, mailbox wakes
 //     resume them, the firing-log high-water is bounded and observed;
-//   * the pool-quiesce-then-resize path: a reentrant run with a narrower
-//     worker_count while continuations are parked must not strand them;
+//   * reentrancy: a run started from a stop predicate while continuations
+//     are parked must not strand them;
 //   * the session → barrier handoff: transfers a stopped session left
 //     parked drain in the first barrier round, in send order.
 #include <gtest/gtest.h>
@@ -112,6 +114,63 @@ TEST(FreeRunning, MatchesSequentialExactlyOnGeneratedSpecs) {
     EXPECT_GE(multi_shard_free, 3);
     EXPECT_GE(fell_back, 3);
   }
+}
+
+TEST(FreeRunning, WidthOneTakesBarrierRoundsOnAProvenSpec) {
+  // A proven one-shard spec that never quiesces, cut at a round budget: at
+  // threads = 1 the run thread alone takes every round as a barrier round
+  // and builds no pool; at threads = 2 the same spec free-runs and takes
+  // none. Both fire what Sequential fires, at the same times.
+  static constexpr std::uint64_t kBudget = 40;
+  const auto run = [](const ExecutorConfig& cfg) {
+    Specification spec("width");
+    auto& sys =
+        spec.root().create_child<Module>("sys", Attribute::SystemProcess);
+    auto& ping = sys.create_child<Module>("ping", Attribute::Process);
+    auto& pong = sys.create_child<Module>("pong", Attribute::Process);
+    connect(ping.ip("out"), pong.ip("in"));
+    connect(pong.ip("out"), ping.ip("in"));
+    for (Module* m : {&ping, &pong}) {
+      m->trans("hit")
+          .when(m->ip("in"))
+          .cost(SimTime::from_us(5))
+          .action([m](Module& self, const Interaction*) {
+            self.set_state(self.state() + 1);
+            m->ip("out").output(Interaction(1));
+          });
+    }
+    spec.initialize();
+    EXPECT_TRUE(ConflictAnalysis(spec).conflict_free());
+    pong.ip("out").output(Interaction(1));
+
+    TraceRecorder trace;
+    auto executor = make_executor(spec, cfg);
+    std::pair<RunReport, std::vector<std::string>> out;
+    out.first = executor->run(
+        {.stop = {StopCondition::max_steps(kBudget)}, .observers = {&trace}});
+    for (const TraceEvent& e : trace.events())
+      out.second.push_back(e.module_path + "/" + e.transition + "@" +
+                           std::to_string(e.when.ns));
+    if (cfg.kind == ExecutorKind::FreeRunning) {
+      const auto& free = static_cast<const FreeRunningExecutor&>(*executor);
+      EXPECT_EQ(free.pool() == nullptr, cfg.threads == 1);
+    }
+    return out;
+  };
+  const auto seq = run({});
+  ASSERT_EQ(seq.first.fired, kBudget);  // one hit per round
+
+  const auto narrow = run({.kind = ExecutorKind::FreeRunning, .threads = 1});
+  EXPECT_EQ(narrow.first.reason, StopReason::StepLimit);
+  EXPECT_EQ(narrow.first.steps, kBudget);
+  EXPECT_EQ(narrow.first.free_running.fallback_rounds, narrow.first.steps);
+  EXPECT_EQ(narrow.second, seq.second);
+
+  const auto wide = run({.kind = ExecutorKind::FreeRunning, .threads = 2});
+  EXPECT_EQ(wide.first.reason, StopReason::StepLimit);
+  EXPECT_EQ(wide.first.steps, kBudget);
+  EXPECT_EQ(wide.first.free_running.fallback_rounds, 0u);
+  EXPECT_EQ(wide.second, seq.second);
 }
 
 // ---------------------------------------------------------------------------
@@ -232,10 +291,11 @@ TEST(FreeRunning, MailboxWakeDrivesAPassiveConsumerShard) {
 
 TEST(FreeRunning, SessionTransfersDrainInOrderIntoBarrierRounds) {
   // A free session stops at max_steps with transfers still parked under its
-  // own round stamps; the next run is too narrow for free dispatch, so it
-  // continues in barrier rounds. Those must drain the session's leftovers
-  // first, in send order: the consumer sees 1..40 exactly as under
-  // Sequential.
+  // own round stamps. Between the runs a `provided`-guarded queue is wired
+  // across the two shards, which ConflictAnalysis cannot prove
+  // conflict-free, so the next run continues in barrier rounds. Those must
+  // drain the session's leftovers first, in send order: the consumer sees
+  // 1..40 exactly as under Sequential.
   const auto received = [](ExecutorKind kind) {
     Specification spec("handoff");
     auto& prod = spec.root()
@@ -264,11 +324,24 @@ TEST(FreeRunning, SessionTransfersDrainInOrderIntoBarrierRounds) {
     const RunReport first =
         executor->run({.stop = {StopCondition::max_steps(17)}});
     EXPECT_EQ(first.reason, StopReason::StepLimit);
-    const RunReport rest = executor->run({.worker_count = 1});
+    // Nothing is ever sent on the back channel: it only revokes the proof.
+    connect(cons.ip("back"), prod.ip("ack"));
+    prod.trans("ack")
+        .when(prod.ip("ack"))
+        .provided([](Module&, const Interaction*) { return true; })
+        .action([](Module&, const Interaction*) {});
+    EXPECT_FALSE(ConflictAnalysis(spec).conflict_free());
+    const auto* free = dynamic_cast<const FreeRunningExecutor*>(executor.get());
+    const std::uint64_t epochs =
+        free != nullptr && free->pool() != nullptr ? free->pool()->epochs() : 0;
+    const RunReport rest = executor->run();
     EXPECT_EQ(rest.reason, StopReason::Quiescent);
-    if (kind == ExecutorKind::FreeRunning) {
+    if (free != nullptr) {
       EXPECT_EQ(first.free_running.fallback_rounds, 0u);
       EXPECT_GT(rest.free_running.fallback_rounds, 0u);
+      // The first run's pool stays; barrier rounds launch no session on it.
+      EXPECT_NE(free->pool(), nullptr);
+      if (free->pool() != nullptr) EXPECT_EQ(free->pool()->epochs(), epochs);
     }
     return got;
   };
@@ -309,15 +382,14 @@ TEST(FreeRunning, SteadyStateRunsDoNotAllocate) {
 }
 
 // ---------------------------------------------------------------------------
-// Pool quiesce-then-resize (the stranded-continuation regression)
+// Reentrant runs (the stranded-continuation regression)
 
-TEST(FreeRunning, ReentrantNarrowerRunDoesNotStrandParkedContinuations) {
+TEST(FreeRunning, ReentrantRunDoesNotStrandParkedContinuations) {
   // The outer FreeRunning run (2 shards, width 2) evaluates a stop predicate
   // while its shard continuations are parked at the burst rendezvous. The
-  // predicate reentrantly runs the SAME executor with worker_count=1 — too
-  // narrow for free dispatch, so the inner run falls back to barrier rounds
-  // and resizes the pool. Without the quiesce-before-resize hook the old
-  // pool's destructor would join forever on the parked continuations.
+  // predicate reentrantly runs the SAME executor, which resumes the parked
+  // session and ends it when the inner run ends; the outer run must then
+  // start a fresh session rather than wait on continuations that are gone.
   TwinTickers world;
   auto executor = make_executor(
       world.spec, {.kind = ExecutorKind::FreeRunning, .threads = 2});
@@ -328,16 +400,17 @@ TEST(FreeRunning, ReentrantNarrowerRunDoesNotStrandParkedContinuations) {
       ++inner_runs;
       RunOptions inner;
       inner.stop.push_back(StopCondition::max_steps(5));
-      inner.worker_count = 1;
       const RunReport r = executor->run(inner);
       EXPECT_EQ(r.reason, StopReason::StepLimit);
-      EXPECT_GT(r.free_running.fallback_rounds, 0u);
+      EXPECT_EQ(r.steps, 5u);
+      EXPECT_EQ(r.free_running.fallback_rounds, 0u);
     }
     return false;
   }));
   outer.stop.push_back(StopCondition::max_steps(30));
   const RunReport r = executor->run(outer);
   EXPECT_EQ(r.reason, StopReason::StepLimit);
+  EXPECT_EQ(r.free_running.fallback_rounds, 0u);
   EXPECT_EQ(inner_runs, 1);
 
   // And the executor still free-runs correctly afterwards.

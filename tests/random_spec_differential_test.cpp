@@ -3,7 +3,8 @@
 // attributes, intra- and cross-shard channels, producers, relays,
 // kind/parity-guarded consumers, delay clauses, priorities, loss Rngs, and
 // deliberately ill-formed constructs — and every ExecutorKind must agree
-// with the Sequential baseline on each of them.
+// with the Sequential baseline on each of them: Sequential, ParallelSim
+// and FreeRunning at threads = 1, whose barrier rounds run every spec.
 //
 // What "agree" means is exactly what each backend's contract promises:
 //
@@ -14,11 +15,12 @@
 //     out-IP is written by exactly one transition (so per-IP loss-Rng draw
 //     order is the writer's firing order, which every backend preserves),
 //     and all activity is budget-bounded so every spec quiesces.
-//   * exact firing-trace identity: Sharded. It owes this even on specs that
-//     are ill-formed *within* one shard (a same-round firing disabling a
-//     sibling candidate): announce-after-revalidation replays only what
-//     actually fired. (FreeRunning owes the same; free_running_test sweeps
-//     this generator against Sequential.)
+//   * exact firing-trace identity: FreeRunning's barrier rounds. They owe
+//     this even on specs that are ill-formed *within* one shard (a
+//     same-round firing disabling a sibling candidate):
+//     announce-after-revalidation replays only what actually fired. (Free
+//     dispatch owes the same; free_running_test sweeps this generator
+//     against Sequential at threads = 4.)
 //   * trace-multiset identity: ParallelSim announces a round's firings in
 //     simulated-engine completion order, so within-round order is not
 //     comparable; the multiset and the world must still match. ParallelSim
@@ -32,9 +34,9 @@
 //     owe identity on them.
 //   * on the generator's timed flavor (delay clauses in multi-shard specs),
 //     exact trace, world, fired and clock identity among the backends that
-//     run every round as one barrier round over all shards: Sharded,
-//     FreeRunning at threads = 1 and single-node Distributed. Sequential's
-//     single clock is not the reference there.
+//     run every round as one barrier round over all shards: FreeRunning at
+//     threads = 1 and single-node Distributed. Sequential's single clock is
+//     not the reference there.
 //
 // The generator (random_spec_gen.hpp, shared with the ready-set
 // differential suite) is pure: one seed, one specification, bit-identical
@@ -126,14 +128,15 @@ TEST(RandomSpecDifferential, AllBackendsAgreeOnSeededSpecs) {
     ASSERT_GT(seq.fired, 0u);
     ASSERT_EQ(seq.fired, seq.trace.size());
 
-    const Outcome shd = run_backend(seed, ExecutorKind::Sharded);
-    EXPECT_EQ(shd.reason, StopReason::Quiescent);
-    EXPECT_EQ(shd.world, seq.world) << "Sharded world diverged";
-    EXPECT_EQ(shd.fired, seq.fired);
-    // The sharded backend owes the exact announced trace everywhere the
-    // generator roams — including ill-formed-within-a-shard specs, which is
+    const Outcome barrier = run_config(
+        seed, false, {.kind = ExecutorKind::FreeRunning, .threads = 1});
+    EXPECT_EQ(barrier.reason, StopReason::Quiescent);
+    EXPECT_EQ(barrier.world, seq.world) << "barrier-round world diverged";
+    EXPECT_EQ(barrier.fired, seq.fired);
+    // Barrier rounds owe the exact announced trace everywhere the generator
+    // roams — including ill-formed-within-a-shard specs, which is
     // announce-after-revalidation's whole point.
-    EXPECT_EQ(shd.trace, seq.trace) << "Sharded trace diverged";
+    EXPECT_EQ(barrier.trace, seq.trace) << "barrier-round trace diverged";
 
     if (probe.parallelsim_ok) {
       const Outcome par = run_backend(seed, ExecutorKind::ParallelSim);
@@ -161,9 +164,9 @@ TEST(RandomSpecDifferential, TimedMultiShardBarrierBackendsAgree) {
   // is not the reference there: its one clock sums the shards' costs, while
   // a barrier round advances each shard's own clock. The backends that run
   // every round as one barrier round over all shards owe each other the
-  // exact trace, world, fired count and clock: Sharded, FreeRunning at
-  // threads = 1 (its barrier fallback) and single-node Distributed. This is
-  // the suite that covers the barrier round's timer rule across shards.
+  // exact trace, world, fired count and clock: FreeRunning at threads = 1
+  // (its barrier rounds) and single-node Distributed. This is the suite
+  // that covers the barrier round's timer rule across shards.
   const int n = spec_count();
   int timed = 0;
   for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(n); ++seed) {
@@ -172,28 +175,17 @@ TEST(RandomSpecDifferential, TimedMultiShardBarrierBackendsAgree) {
     // Distributed refuses what ConflictAnalysis cannot prove conflict-free.
     if (!ConflictAnalysis(*probe.spec).conflict_free()) continue;
     SCOPED_TRACE("timed seed " + std::to_string(seed));
-    const Outcome shd =
-        run_config(seed, true, {.kind = ExecutorKind::Sharded});
-    ASSERT_EQ(shd.reason, StopReason::Quiescent);
-    ASSERT_GT(shd.fired, 0u);
-    struct Leg {
-      const char* name;
-      ExecutorConfig cfg;
-    };
-    const Leg legs[] = {
-        {"free-running threads 1",
-         {.kind = ExecutorKind::FreeRunning, .threads = 1}},
-        {"single-node distributed", {.kind = ExecutorKind::Distributed}},
-    };
-    for (const Leg& leg : legs) {
-      SCOPED_TRACE(leg.name);
-      const Outcome o = run_config(seed, true, leg.cfg);
-      EXPECT_EQ(o.reason, StopReason::Quiescent) << o.error;
-      EXPECT_EQ(o.trace, shd.trace) << "trace diverged from Sharded";
-      EXPECT_EQ(o.world, shd.world) << "world diverged from Sharded";
-      EXPECT_EQ(o.fired, shd.fired);
-      EXPECT_EQ(o.time, shd.time) << "clock diverged from Sharded";
-    }
+    const Outcome barrier = run_config(
+        seed, true, {.kind = ExecutorKind::FreeRunning, .threads = 1});
+    ASSERT_EQ(barrier.reason, StopReason::Quiescent);
+    ASSERT_GT(barrier.fired, 0u);
+    const Outcome o =
+        run_config(seed, true, {.kind = ExecutorKind::Distributed});
+    EXPECT_EQ(o.reason, StopReason::Quiescent) << o.error;
+    EXPECT_EQ(o.trace, barrier.trace) << "trace diverged from barrier rounds";
+    EXPECT_EQ(o.world, barrier.world) << "world diverged from barrier rounds";
+    EXPECT_EQ(o.fired, barrier.fired);
+    EXPECT_EQ(o.time, barrier.time) << "clock diverged from barrier rounds";
     ++timed;
   }
   // Diversity floor: the flavor must keep producing timed multi-shard specs.

@@ -9,7 +9,8 @@
 //   * ExecutorConfig::verify_ready_set — the scheduler itself recomputes the
 //     reference full scan after every dirty-set collection and throws on the
 //     first divergence; the sweep here runs the shared random-spec generator
-//     through Sequential/Sharded/FreeRunning with the flag on. Whole runs
+//     through Sequential and FreeRunning at threads 1 (barrier rounds) and
+//     4 (free dispatch on proven specs) with the flag on. Whole runs
 //     against the tree scan are compared in random_spec_differential_test,
 //     whose ParallelSim leg collects with it.
 //   * hot-path assertions — on a sparse world (N idle, K active) the
@@ -25,6 +26,7 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "estelle/executor.hpp"
@@ -45,12 +47,12 @@ int spec_count() {
   return 50;
 }
 
-RunReport run_verified(std::uint64_t seed, ExecutorKind kind) {
+RunReport run_verified(std::uint64_t seed, ExecutorKind kind, int threads) {
   specgen::GeneratedWorld g = specgen::generate(seed);
   ExecutorConfig cfg;
   cfg.kind = kind;
   cfg.processors = 4;
-  cfg.threads = 4;
+  cfg.threads = threads;
   cfg.verify_ready_set = true;
   TraceRecorder trace;  // observed runs take the announcement paths too
   return make_executor(*g.spec, cfg)->run({.observers = {&trace}});
@@ -65,10 +67,13 @@ TEST(ReadySetDifferential, VerifiedAgainstFullScanEveryRound) {
   const int n = spec_count();
   for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(n); ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    for (ExecutorKind kind : {ExecutorKind::Sequential, ExecutorKind::Sharded,
-                              ExecutorKind::FreeRunning}) {
-      SCOPED_TRACE(executor_kind_name(kind));
-      const RunReport r = run_verified(seed, kind);
+    for (const auto& [kind, threads] :
+         {std::pair{ExecutorKind::Sequential, 1},
+          std::pair{ExecutorKind::FreeRunning, 1},
+          std::pair{ExecutorKind::FreeRunning, 4}}) {
+      SCOPED_TRACE(std::string(executor_kind_name(kind)) + " threads " +
+                   std::to_string(threads));
+      const RunReport r = run_verified(seed, kind, threads);
       EXPECT_EQ(r.reason, StopReason::Quiescent);
       EXPECT_GT(r.fired, 0u);
     }
@@ -159,9 +164,14 @@ TEST(ReadySetDifferential, SparseWorldExaminesOnlyActiveGuards) {
 }
 
 TEST(ReadySetDifferential, TopologyMutationInvalidatesReadyState) {
-  for (ExecutorKind kind : {ExecutorKind::Sequential, ExecutorKind::Sharded,
-                            ExecutorKind::FreeRunning}) {
-    SCOPED_TRACE(executor_kind_name(kind));
+  // FreeRunning at threads 1 takes barrier rounds; at 2 it free-runs the
+  // one-shard spec.
+  for (const auto& [kind, threads] :
+       {std::pair{ExecutorKind::Sequential, 1},
+        std::pair{ExecutorKind::FreeRunning, 1},
+        std::pair{ExecutorKind::FreeRunning, 2}}) {
+    SCOPED_TRACE(std::string(executor_kind_name(kind)) + " threads " +
+                 std::to_string(threads));
     Specification spec("mutate");
     auto& sys =
         spec.root().create_child<Module>("sys", Attribute::SystemProcess);
@@ -175,7 +185,7 @@ TEST(ReadySetDifferential, TopologyMutationInvalidatesReadyState) {
 
     ExecutorConfig cfg;
     cfg.kind = kind;
-    cfg.threads = 2;
+    cfg.threads = threads;
     auto executor = make_executor(spec, cfg);
     EXPECT_EQ(executor->run().fired, 1u);
     EXPECT_EQ(base_fired, 1);

@@ -132,44 +132,15 @@ struct ShardWorld {
   }
 };
 
-TEST(WorkerPoolTest, RunOptionsWorkerCountNeverResizesTheFreeRunningPool) {
-  // The pool is one thread per shard. A run whose width covers the shards
-  // free-runs on it; a narrower run takes barrier rounds on the calling
-  // thread and leaves the pool as it is.
-  ShardWorld world(6, 4);
-  FreeRunningExecutor ex(world.spec, {.threads = 8});
-  EXPECT_EQ(ex.pool(), nullptr);
-  const RunReport first = ex.run();
-  EXPECT_EQ(first.fired, 24u);
-  EXPECT_EQ(first.free_running.fallback_rounds, 0u);
-  ASSERT_NE(ex.pool(), nullptr);
-  const WorkerPool* pool = ex.pool();
-  EXPECT_EQ(pool->worker_count(), 6);
-  EXPECT_EQ(ex.unit_count(), 6);
-  const std::uint64_t epochs = pool->epochs();
-
-  world.rearm();
-  const RunReport narrow = ex.run({.worker_count = 2});
-  EXPECT_EQ(narrow.fired, 24u);
-  EXPECT_GT(narrow.free_running.fallback_rounds, 0u);
-  EXPECT_EQ(ex.pool(), pool);
-  EXPECT_EQ(pool->worker_count(), 6);
-  EXPECT_EQ(pool->epochs(), epochs);  // no session launched
-
-  world.rearm();
-  const RunReport wide = ex.run({.worker_count = 6});
-  EXPECT_EQ(wide.fired, 24u);
-  EXPECT_EQ(ex.pool(), pool);
-  EXPECT_GT(pool->epochs(), epochs);
-}
-
 TEST(WorkerPoolTest, FreeRunningReusesOnePoolWithOneThreadPerShard) {
   // Two shards; ask for 8 workers and the pool still has exactly 2 threads,
   // reused by every later run.
   ShardWorld world(2, 9);
   FreeRunningExecutor ex(world.spec, {.threads = 8});
+  EXPECT_EQ(ex.pool(), nullptr);  // built by the first session
   const RunReport report = ex.run();
   EXPECT_EQ(report.fired, 18u);
+  EXPECT_EQ(report.free_running.fallback_rounds, 0u);
   ASSERT_EQ(report.shards.size(), 2u);
   for (const ShardRunStats& s : report.shards) EXPECT_EQ(s.fired, 9u);
   ASSERT_NE(ex.pool(), nullptr);
