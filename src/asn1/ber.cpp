@@ -1,5 +1,7 @@
 #include "asn1/ber.hpp"
 
+#include "asn1/direct.hpp"
+
 namespace mcam::asn1 {
 
 namespace {
@@ -9,62 +11,6 @@ using common::Bytes;
 using common::Error;
 using common::Result;
 
-void emit_tag(const Value& v, Bytes& out) {
-  std::uint8_t first = static_cast<std::uint8_t>(
-      (static_cast<std::uint8_t>(v.tag_class()) << 6) |
-      (v.constructed() ? 0x20 : 0x00));
-  if (v.tag() < 31) {
-    out.push_back(first | static_cast<std::uint8_t>(v.tag()));
-    return;
-  }
-  out.push_back(first | 0x1f);
-  // High-tag-number form: base-128, MSB-first, continuation bits.
-  std::uint32_t tag = v.tag();
-  Bytes chunk;
-  chunk.push_back(static_cast<std::uint8_t>(tag & 0x7f));
-  tag >>= 7;
-  while (tag != 0) {
-    chunk.push_back(static_cast<std::uint8_t>(0x80 | (tag & 0x7f)));
-    tag >>= 7;
-  }
-  out.insert(out.end(), chunk.rbegin(), chunk.rend());
-}
-
-std::size_t tag_length(const Value& v) {
-  if (v.tag() < 31) return 1;
-  std::size_t n = 1;
-  std::uint32_t tag = v.tag();
-  while (tag != 0) {
-    ++n;
-    tag >>= 7;
-  }
-  return n;
-}
-
-void emit_length(std::size_t len, Bytes& out) {
-  if (len < 128) {
-    out.push_back(static_cast<std::uint8_t>(len));
-    return;
-  }
-  Bytes chunk;
-  while (len != 0) {
-    chunk.push_back(static_cast<std::uint8_t>(len & 0xff));
-    len >>= 8;
-  }
-  out.push_back(static_cast<std::uint8_t>(0x80 | chunk.size()));
-  out.insert(out.end(), chunk.rbegin(), chunk.rend());
-}
-
-std::size_t length_length(std::size_t len) {
-  if (len < 128) return 1;
-  std::size_t n = 1;
-  while (len != 0) {
-    ++n;
-    len >>= 8;
-  }
-  return n;
-}
-
 std::size_t content_length(const Value& v) {
   if (!v.constructed()) return v.content().size();
   std::size_t total = 0;
@@ -72,84 +18,82 @@ std::size_t content_length(const Value& v) {
   return total;
 }
 
-struct Header {
-  TagClass cls;
-  std::uint32_t tag;
-  bool constructed;
-  std::size_t length;
-};
-
-Result<Header> parse_header(common::ByteReader& r) {
-  try {
-    const std::uint8_t first = r.u8();
-    Header h;
-    h.cls = static_cast<TagClass>(first >> 6);
-    h.constructed = (first & 0x20) != 0;
-    h.tag = first & 0x1f;
-    if (h.tag == 0x1f) {
-      h.tag = 0;
-      std::uint8_t octet;
-      int count = 0;
-      do {
-        octet = r.u8();
-        if (++count > 5) return Error::make(kBadTag, "tag number too large");
-        h.tag = (h.tag << 7) | (octet & 0x7f);
-      } while (octet & 0x80);
-    }
-    const std::uint8_t len0 = r.u8();
-    if (len0 < 0x80) {
-      h.length = len0;
-    } else if (len0 == 0x80) {
-      return Error::make(kBadLength, "indefinite length not supported");
-    } else {
-      const int n = len0 & 0x7f;
-      if (n > 8) return Error::make(kBadLength, "length of length too large");
-      std::size_t len = 0;
-      for (int i = 0; i < n; ++i) len = (len << 8) | r.u8();
-      h.length = len;
-    }
-    if (h.length > r.remaining())
-      return Error::make(kTruncated, "content extends past buffer");
-    return h;
-  } catch (const common::ShortReadError&) {
-    return Error::make(kTruncated, "truncated BER header");
-  }
+Error trailing_bytes(std::size_t n) {
+  return Error::make(kTrailingBytes, std::to_string(n) + " trailing bytes");
 }
 
-Result<Value> decode_one(common::ByteReader& r, int depth) {
-  if (depth > kMaxDecodeDepth)
-    return Error::make(kDepthExceeded, "BER nesting too deep");
-  auto header = parse_header(r);
-  if (!header.ok()) return header.error();
-  const Header& h = header.value();
+Result<Value> decode_one(const std::uint8_t*& p, const std::uint8_t* end,
+                         int depth) {
+  if (depth > kMaxDecodeDepth) return ber_error(BerFault::kTooDeep);
+  Header h;
+  if (const BerFault f = read_header(p, end, h); f != BerFault::kNone)
+    return ber_error(f);
+  const std::uint8_t* const content_end = p + h.length;
   if (!h.constructed) {
-    return Value::raw(h.cls, h.tag, false, r.raw(h.length), {});
+    Bytes content(p, content_end);
+    p = content_end;
+    return Value::raw(h.cls, h.tag, false, std::move(content), {});
   }
-  common::ByteReader inner(r.view(h.length));
   std::vector<Value> children;
-  while (!inner.empty()) {
-    auto child = decode_one(inner, depth + 1);
+  while (p != content_end) {
+    auto child = decode_one(p, content_end, depth + 1);
     if (!child.ok()) return child.error();
     children.push_back(std::move(child).take());
   }
   return Value::raw(h.cls, h.tag, true, {}, std::move(children));
 }
 
+/// decode_one's checks over the siblings filling [p, end) at `depth`, in its
+/// order, building nothing.
+BerFault walk(const std::uint8_t* p, const std::uint8_t* end, int depth) {
+  if (p != end && depth > kMaxDecodeDepth) return BerFault::kTooDeep;
+  while (p != end) {
+    Header h;
+    if (const BerFault f = read_header(p, end, h); f != BerFault::kNone)
+      return f;
+    if (h.constructed)
+      if (const BerFault f = walk(p, p + h.length, depth + 1);
+          f != BerFault::kNone)
+        return f;
+    p += h.length;
+  }
+  return BerFault::kNone;
+}
+
 }  // namespace
+
+Error ber_error(BerFault fault) {
+  switch (fault) {
+    case BerFault::kNone:
+      break;
+    case BerFault::kTruncated:
+      return Error::make(kTruncated, "truncated BER header");
+    case BerFault::kTagTooLarge:
+      return Error::make(kBadTag, "tag number too large");
+    case BerFault::kIndefinite:
+      return Error::make(kBadLength, "indefinite length not supported");
+    case BerFault::kLengthOfLength:
+      return Error::make(kBadLength, "length of length too large");
+    case BerFault::kPastEnd:
+      return Error::make(kTruncated, "content extends past buffer");
+    case BerFault::kTooDeep:
+      return Error::make(kDepthExceeded, "BER nesting too deep");
+  }
+  return Error::make(0, "no BER fault");
+}
 
 std::size_t encoded_length(const Value& v) {
   const std::size_t content = content_length(v);
-  return tag_length(v) + length_length(content) + content;
+  return Writer::tlv_len(v.tag(), content);
 }
 
 void encode_to(const Value& v, Bytes& out) {
-  emit_tag(v, out);
+  Writer w(out);
   if (!v.constructed()) {
-    emit_length(v.content().size(), out);
-    out.insert(out.end(), v.content().begin(), v.content().end());
+    w.primitive(v.tag_class(), v.tag(), v.content());
     return;
   }
-  emit_length(content_length(v), out);
+  w.header(v.tag_class(), true, v.tag(), content_length(v));
   for (const Value& c : v.children()) encode_to(c, out);
 }
 
@@ -161,20 +105,34 @@ Bytes encode(const Value& v) {
 }
 
 Result<Value> decode(ByteSpan data) {
-  common::ByteReader r(data);
-  auto v = decode_one(r, 0);
+  const std::uint8_t* p = data.data();
+  const std::uint8_t* const end = p + data.size();
+  auto v = decode_one(p, end, 0);
   if (!v.ok()) return v;
-  if (!r.empty())
-    return Error::make(kTrailingBytes,
-                       std::to_string(r.remaining()) + " trailing bytes");
+  if (p != end) return trailing_bytes(static_cast<std::size_t>(end - p));
   return v;
 }
 
 Result<Value> decode_prefix(ByteSpan data, std::size_t& offset) {
-  common::ByteReader r(data.subspan(offset));
-  auto v = decode_one(r, 0);
-  if (v.ok()) offset += r.position();
+  const ByteSpan rest = data.subspan(offset);
+  const std::uint8_t* p = rest.data();
+  auto v = decode_one(p, p + rest.size(), 0);
+  if (v.ok()) offset += static_cast<std::size_t>(p - rest.data());
   return v;
+}
+
+common::Status validate(ByteSpan data) {
+  const std::uint8_t* p = data.data();
+  const std::uint8_t* const end = p + data.size();
+  Header root;
+  if (const BerFault f = read_header(p, end, root); f != BerFault::kNone)
+    return ber_error(f);
+  if (root.constructed)
+    if (const BerFault f = walk(p, p + root.length, 1); f != BerFault::kNone)
+      return ber_error(f);
+  p += root.length;
+  if (p != end) return trailing_bytes(static_cast<std::size_t>(end - p));
+  return {};
 }
 
 }  // namespace mcam::asn1

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "asn1/ber.hpp"
+#include "asn1/direct.hpp"
 
 namespace mcam::asn1 {
 
@@ -51,26 +52,8 @@ common::Bytes encode_parallel(const Value& v, int workers) {
   for (const auto& s : slices) content_len += s.size();
 
   common::Bytes out;
-  out.reserve(content_len + 8);
-  // Re-emit tag+length identically to encode_to(); we reuse the sequential
-  // encoder on a childless shell and then append the slices.
-  Value shell =
-      Value::raw(v.tag_class(), v.tag(), true, {}, {});
-  common::Bytes header = encode(shell);
-  // encode(shell) produced <tag> <len=0>; rebuild with the true length.
-  out.push_back(header[0]);
-  if (content_len < 128) {
-    out.push_back(static_cast<std::uint8_t>(content_len));
-  } else {
-    common::Bytes chunk;
-    std::size_t len = content_len;
-    while (len != 0) {
-      chunk.push_back(static_cast<std::uint8_t>(len & 0xff));
-      len >>= 8;
-    }
-    out.push_back(static_cast<std::uint8_t>(0x80 | chunk.size()));
-    out.insert(out.end(), chunk.rbegin(), chunk.rend());
-  }
+  out.reserve(Writer::tlv_len(v.tag(), content_len));
+  Writer(out).header(v.tag_class(), true, v.tag(), content_len);
   for (const auto& s : slices) out.insert(out.end(), s.begin(), s.end());
   return out;
 }

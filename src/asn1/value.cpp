@@ -1,27 +1,16 @@
 #include "asn1/value.hpp"
 
-#include <algorithm>
+#include "asn1/accessors.hpp"
+#include "asn1/direct.hpp"
 #include "common/strf.hpp"
 
 namespace mcam::asn1 {
 
 namespace {
 
-Bytes encode_twos_complement(std::int64_t v) {
-  // Minimal-length two's complement per BER: strip redundant leading octets.
+Bytes int_content(std::int64_t v) {
   Bytes out;
-  bool more = true;
-  // Build little-endian then reverse. `rest` shifts one octet per step (an
-  // arithmetic shift, so it settles at 0 or -1): a single shift by the
-  // whole consumed width would be undefined at 64 bits.
-  std::int64_t rest = v;
-  for (int i = 0; i < 8 && more; ++i) {
-    out.push_back(static_cast<std::uint8_t>(rest & 0xff));
-    rest >>= 8;
-    const bool sign_bit = (out.back() & 0x80) != 0;
-    more = !((rest == 0 && !sign_bit) || (rest == -1 && sign_bit));
-  }
-  std::reverse(out.begin(), out.end());
+  Writer::int_content(out, v);
   return out;
 }
 
@@ -50,11 +39,11 @@ Value Value::boolean(bool v) {
 }
 
 Value Value::integer(std::int64_t v) {
-  return universal(UniversalTag::Integer, false, encode_twos_complement(v));
+  return universal(UniversalTag::Integer, false, int_content(v));
 }
 
 Value Value::enumerated(std::int64_t v) {
-  return universal(UniversalTag::Enumerated, false, encode_twos_complement(v));
+  return universal(UniversalTag::Enumerated, false, int_content(v));
 }
 
 Value Value::octet_string(Bytes content) {
@@ -76,25 +65,8 @@ Value Value::printable(std::string_view s) {
 Value Value::null() { return universal(UniversalTag::Null, false, {}); }
 
 Value Value::oid(std::vector<std::uint32_t> arcs) {
-  // ISO 8825 §8.19: first two arcs pack into one octet; remaining arcs are
-  // base-128 with continuation bits.
   Bytes content;
-  if (arcs.size() >= 2) {
-    content.push_back(static_cast<std::uint8_t>(arcs[0] * 40 + arcs[1]));
-  } else if (arcs.size() == 1) {
-    content.push_back(static_cast<std::uint8_t>(arcs[0] * 40));
-  }
-  for (std::size_t i = 2; i < arcs.size(); ++i) {
-    std::uint32_t arc = arcs[i];
-    Bytes chunk;
-    chunk.push_back(static_cast<std::uint8_t>(arc & 0x7f));
-    arc >>= 7;
-    while (arc != 0) {
-      chunk.push_back(static_cast<std::uint8_t>(0x80 | (arc & 0x7f)));
-      arc >>= 7;
-    }
-    content.insert(content.end(), chunk.rbegin(), chunk.rend());
-  }
+  Writer::oid_content(content, arcs);
   return universal(UniversalTag::ObjectIdentifier, false, std::move(content));
 }
 
@@ -128,63 +100,25 @@ const Value* Value::find_context(std::uint32_t t) const noexcept {
 }
 
 common::Result<std::int64_t> Value::as_int() const {
-  const bool int_like = is_universal(UniversalTag::Integer) ||
-                        is_universal(UniversalTag::Enumerated) ||
-                        class_ == TagClass::ContextSpecific;
-  if (!int_like || constructed_)
-    return common::Error::make(kWrongType, "not an INTEGER: " + to_string());
-  if (content_.empty() || content_.size() > 8)
-    return common::Error::make(kBadLength, "INTEGER content length invalid");
-  std::int64_t v = (content_[0] & 0x80) ? -1 : 0;
-  for (std::uint8_t octet : content_) v = (v << 8) | octet;
-  return v;
+  return detail::as_int(*this);
 }
 
-common::Result<bool> Value::as_bool() const {
-  if (!is_universal(UniversalTag::Boolean) || content_.size() != 1)
-    return common::Error::make(kWrongType, "not a BOOLEAN: " + to_string());
-  return content_[0] != 0;
-}
+common::Result<bool> Value::as_bool() const { return detail::as_bool(*this); }
 
 common::Result<std::string> Value::as_string() const {
-  const bool string_like = is_universal(UniversalTag::Ia5String) ||
-                           is_universal(UniversalTag::Utf8String) ||
-                           is_universal(UniversalTag::PrintableString) ||
-                           is_universal(UniversalTag::GeneralizedTime) ||
-                           class_ == TagClass::ContextSpecific;
-  if (!string_like || constructed_)
-    return common::Error::make(kWrongType, "not a string: " + to_string());
-  return std::string(content_.begin(), content_.end());
+  return detail::as_string(*this);
 }
 
 common::Result<Bytes> Value::as_octets() const {
-  if (constructed_)
-    return common::Error::make(kWrongType,
-                               "constructed value has no content octets");
-  return content_;
+  return detail::as_octets(*this);
 }
 
 common::Result<std::vector<std::uint32_t>> Value::as_oid() const {
-  if (!is_universal(UniversalTag::ObjectIdentifier) || content_.empty())
-    return common::Error::make(kWrongType, "not an OID: " + to_string());
-  std::vector<std::uint32_t> arcs;
-  arcs.push_back(content_[0] / 40);
-  arcs.push_back(content_[0] % 40);
-  std::uint32_t acc = 0;
-  for (std::size_t i = 1; i < content_.size(); ++i) {
-    acc = (acc << 7) | (content_[i] & 0x7f);
-    if ((content_[i] & 0x80) == 0) {
-      arcs.push_back(acc);
-      acc = 0;
-    }
-  }
-  return arcs;
+  return detail::as_oid(*this);
 }
 
 common::Result<Value> Value::unwrap_context(std::uint32_t t) const {
-  if (!is_context(t) || !constructed_ || children_.size() != 1)
-    return common::Error::make(
-        kWrongType, common::strf("not an explicit [%u]: %s", t, to_string().c_str()));
+  if (auto error = detail::not_explicit(*this, t)) return std::move(*error);
   return children_[0];
 }
 

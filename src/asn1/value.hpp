@@ -2,10 +2,14 @@
 //
 // The paper specifies all MCAM PDUs in ASN.1 and generates C++ data
 // structures plus encode/decode routines from that specification ([9], [16]).
-// We reproduce the generated-code layer as a dynamic value tree: a Value is
-// a (tag class, tag number, primitive|constructed) node holding either
-// content octets or child values. Typed factory functions and checked
-// accessors give the ergonomics of generated structs while keeping one codec.
+// A Value is a dynamic tree node — (tag class, tag number, primitive |
+// constructed) holding either content octets or child values — with typed
+// factory functions and checked accessors. It is the general codec
+// (ber.hpp): Interaction values, per-round transport frames, the parallel
+// encoder. The request path's PDUs skip the tree and go through the direct
+// writer and reader of direct.hpp, whose asn1::Node shares these accessors'
+// checks and messages (accessors.hpp); each request-path decoder is one
+// template whose Value instantiation is its reference.
 #pragma once
 
 #include <cstdint>

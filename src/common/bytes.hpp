@@ -2,8 +2,7 @@
 //
 // All PDUs in this project are carried as `Bytes` (a std::vector<std::uint8_t>).
 // `ByteWriter` and `ByteReader` provide bounds-checked big-endian primitive
-// access; protocol codecs (ASN.1 BER, session/presentation SPDU headers, MTP
-// packet headers) are built on top of them.
+// access; the MTP packet and colour-map codecs are built on top of them.
 #pragma once
 
 #include <cstdint>

@@ -246,7 +246,8 @@ struct FreeRunningStats {
   std::uint64_t log_high_water = 0;
   /// Rounds served by barrier rounds on the run thread instead
   /// (specification not proven conflict-free, or a worker width below
-  /// max(2, shard count)).
+  /// max(2, shard count)). Like RunReport::steps, it leaves out the
+  /// quiescent round that ends a run.
   std::uint64_t fallback_rounds = 0;
 };
 

@@ -454,8 +454,11 @@ bool FreeRunningExecutor::step() {
 
   if (!free_runnable()) {
     end_session();
+    // Counted only when it ran: the quiescent round that ends a run is no
+    // more a fallback round than it is a step.
+    if (!barrier_round(++barrier_rounds_, shard_ids_, {})) return false;
     ++free_stats_.fallback_rounds;
-    return barrier_round(++barrier_rounds_, shard_ids_, {});
+    return true;
   }
 
   if (!session_active_) start_session();

@@ -1,13 +1,16 @@
 #include "estelle/transport/frame.hpp"
 
 #include <cstring>
+#include <optional>
 #include <utility>
 
-#include "asn1/ber.hpp"
+#include "asn1/direct.hpp"
 
 namespace mcam::estelle {
 
+using asn1::TagClass;
 using asn1::Value;
+using asn1::Writer;
 using common::ByteSpan;
 using common::Bytes;
 using common::Error;
@@ -21,132 +24,8 @@ Value u64v(std::uint64_t v) {
   return Value::integer(static_cast<std::int64_t>(v));
 }
 
-Result<std::uint64_t> get_u64(const Value& seq, std::size_t i) {
-  if (i >= seq.size())
-    return Error::make(asn1::kTruncated, "frame field " + std::to_string(i) +
-                                             " missing");
-  Result<std::int64_t> v = seq.child(i).as_int();
-  if (!v.ok()) return v.error();
-  return static_cast<std::uint64_t>(v.value());
-}
-
-Result<std::uint32_t> get_u32(const Value& seq, std::size_t i) {
-  Result<std::uint64_t> v = get_u64(seq, i);
-  if (!v.ok()) return v.error();
-  if (v.value() > 0xffffffffull)
-    return Error::make(asn1::kWrongType, "frame field " + std::to_string(i) +
-                                             " out of u32 range");
-  return static_cast<std::uint32_t>(v.value());
-}
-
-Result<bool> get_bool(const Value& seq, std::size_t i) {
-  if (i >= seq.size())
-    return Error::make(asn1::kTruncated, "frame field " + std::to_string(i) +
-                                             " missing");
-  return seq.child(i).as_bool();
-}
-
-Result<std::string> get_str(const Value& seq, std::size_t i) {
-  if (i >= seq.size())
-    return Error::make(asn1::kTruncated, "frame field " + std::to_string(i) +
-                                             " missing");
-  return seq.child(i).as_string();
-}
-
 // ---------------------------------------------------------------------------
-// Direct BER writer — the transfer hot path.
-//
-// Transfer and TransferBatch are the only frames sent per message rather than
-// per round, so they skip the Value-tree construction entirely: lengths are
-// computed arithmetically and the TLVs are written straight into the caller's
-// buffer. With the buffer warmed to capacity the encode allocates nothing.
-// The emitted octets are exactly what the tree encoder would produce (same
-// minimal two's-complement INTEGERs, same definite lengths), so the general
-// decoder reads them back unchanged — a property the frame tests pin.
-
-std::size_t int_content_len(std::int64_t v) noexcept {
-  std::size_t n = 1;
-  while (v > 127 || v < -128) {
-    v >>= 8;
-    ++n;
-  }
-  return n;
-}
-
-std::size_t len_octets(std::size_t n) noexcept {
-  if (n < 128) return 1;
-  if (n < 256) return 2;
-  if (n < 65536) return 3;
-  return 4;  // < 2^24 always: bodies are capped by kMaxFrameBytes
-}
-
-/// Octets of a complete low-tag TLV holding `content` content octets.
-std::size_t tlv_len(std::size_t content) noexcept {
-  return 1 + len_octets(content) + content;
-}
-
-std::size_t int_tlv_len(std::int64_t v) noexcept {
-  return tlv_len(int_content_len(v));
-}
-
-void put_header(Bytes& out, std::uint8_t tag, std::size_t content) {
-  out.push_back(tag);
-  if (content < 128) {
-    out.push_back(static_cast<std::uint8_t>(content));
-    return;
-  }
-  const int b = content < 256 ? 1 : content < 65536 ? 2 : 3;
-  out.push_back(static_cast<std::uint8_t>(0x80 | b));
-  for (int i = b; i-- > 0;)
-    out.push_back(static_cast<std::uint8_t>(content >> (8 * i)));
-}
-
-void put_int(Bytes& out, std::int64_t v) {
-  const std::size_t n = int_content_len(v);
-  put_header(out, 0x02, n);  // INTEGER
-  for (std::size_t i = n; i-- > 0;)
-    out.push_back(static_cast<std::uint8_t>(
-        static_cast<std::uint64_t>(v) >> (8 * i)));
-}
-
-bool has_value(const Interaction& msg) { return !(msg.value == Value()); }
-
-/// Content length of the Transfer/batch-entry field list from `first` on
-/// (Transfer inserts the round between dir and sent_at_ns; entries omit it).
-std::size_t msg_fields_len(const Interaction& msg) {
-  std::size_t n = int_tlv_len(msg.kind) + tlv_len(msg.payload.size());
-  if (has_value(msg)) n += tlv_len(asn1::encoded_length(msg.value));
-  return n;
-}
-
-void put_msg_fields(Bytes& out, const Interaction& msg) {
-  put_int(out, msg.kind);
-  put_header(out, 0x04, msg.payload.size());  // OCTET STRING
-  out.insert(out.end(), msg.payload.begin(), msg.payload.end());
-  if (has_value(msg)) {
-    put_header(out, 0xA0, asn1::encoded_length(msg.value));  // [0] EXPLICIT
-    asn1::encode_to(msg.value, out);
-  }
-}
-
-std::size_t transfer_body_len(const Frame& f) {
-  return int_tlv_len(static_cast<std::int64_t>(f.channel)) +
-         int_tlv_len(f.dir) + int_tlv_len(static_cast<std::int64_t>(f.round)) +
-         int_tlv_len(f.sent_at_ns) + msg_fields_len(f.msg);
-}
-
-std::size_t entry_content_len(const TransferEntry& e) {
-  return int_tlv_len(static_cast<std::int64_t>(e.channel)) +
-         int_tlv_len(e.dir) + int_tlv_len(e.sent_at_ns) +
-         msg_fields_len(e.msg);
-}
-
-std::size_t batch_body_len(const Frame& f, std::size_t* entries_content) {
-  std::size_t entries = 0;
-  for (const TransferEntry& e : f.entries) entries += tlv_len(entry_content_len(e));
-  *entries_content = entries;
-  return int_tlv_len(static_cast<std::int64_t>(f.round)) + tlv_len(entries);
-}
+// Per-round and per-run frames: the Value-tree path.
 
 /// The frame body as an ASN.1 value (the catalogue in frame.hpp).
 Value frame_value(const Frame& f) {
@@ -161,16 +40,6 @@ Value frame_value(const Frame& f) {
       body = {u64v(f.node), Value::boolean(f.accept),
               Value::utf8string(f.reason)};
       break;
-    case FrameType::Transfer: {
-      body = {u64v(f.channel),     Value::integer(f.dir),
-              u64v(f.round),       Value::integer(f.sent_at_ns),
-              Value::integer(f.msg.kind), Value::octet_string(f.msg.payload)};
-      // The structured parameters travel as-is — the Interaction's value IS
-      // an ASN.1 value, wrapped [0] EXPLICIT only to mark presence.
-      if (!(f.msg.value == Value()))
-        body.push_back(Value::context(0, f.msg.value));
-      break;
-    }
     case FrameType::RoundDone:
       body = {u64v(f.node), u64v(f.round), Value::boolean(f.quiescent)};
       break;
@@ -183,252 +52,302 @@ Value frame_value(const Frame& f) {
     case FrameType::SessionAck:
       body = {u64v(f.recv)};
       break;
-    case FrameType::TransferBatch: {
-      // Reference encoding only: encode_frame_to routes batches through the
-      // direct writer; the tests pin both to the same octets.
-      std::vector<Value> entries;
-      entries.reserve(f.entries.size());
-      for (const TransferEntry& e : f.entries) {
-        std::vector<Value> ev = {u64v(e.channel), Value::integer(e.dir),
-                                 Value::integer(e.sent_at_ns),
-                                 Value::integer(e.msg.kind),
-                                 Value::octet_string(e.msg.payload)};
-        if (has_value(e.msg)) ev.push_back(Value::context(0, e.msg.value));
-        entries.push_back(Value::sequence(std::move(ev)));
-      }
-      body = {u64v(f.round), Value::sequence(std::move(entries))};
-      break;
-    }
+    case FrameType::Transfer:
+    case FrameType::TransferBatch:
+      break;  // the direct writer's (emit_frame)
   }
   return Value::application(static_cast<std::uint32_t>(f.type),
                             std::move(body));
 }
 
-/// One batch entry from its SEQUENCE value. Returns false on any structural
-/// defect — the caller skips the entry (and counts it) instead of failing
-/// the whole frame: the length prefix already guaranteed framing, so one
-/// corrupt entry must not take down its siblings.
-bool entry_from_value(const Value& ev, TransferEntry& e) {
-  if (!ev.is_universal(asn1::UniversalTag::Sequence) || !ev.constructed())
-    return false;
-  Result<std::uint32_t> channel = get_u32(ev, 0);
-  if (!channel.ok()) return false;
-  e.channel = channel.value();
-  Result<std::uint32_t> dir = get_u32(ev, 1);
-  if (!dir.ok() || dir.value() > 1) return false;
-  e.dir = static_cast<std::uint8_t>(dir.value());
-  Result<std::uint64_t> sent_at = get_u64(ev, 2);
-  if (!sent_at.ok()) return false;
-  e.sent_at_ns = static_cast<std::int64_t>(sent_at.value());
-  Result<std::uint32_t> kind = get_u32(ev, 3);
-  if (!kind.ok()) return false;
-  e.msg.kind = static_cast<int>(kind.value());
-  if (ev.size() < 5) return false;
-  Result<Bytes> payload = ev.child(4).as_octets();
-  if (!payload.ok()) return false;
-  e.msg.payload = std::move(payload).value();
-  if (const Value* wrapped = ev.find_context(0)) {
-    Result<Value> inner = wrapped->unwrap_context(0);
-    if (!inner.ok()) return false;
-    e.msg.value = std::move(inner).value();
+// ---------------------------------------------------------------------------
+// Transfer and TransferBatch: the direct writer.
+//
+// They are the only frames sent per message rather than per round, so their
+// lengths are computed arithmetically and the TLVs written straight into the
+// caller's buffer: with the buffer warmed to capacity the encode allocates
+// nothing. The octets are exactly the tree encoder's (the frame tests pin
+// it), so one reader serves both.
+
+constexpr auto kTransferTag = static_cast<std::uint32_t>(FrameType::Transfer);
+constexpr auto kBatchTag = static_cast<std::uint32_t>(FrameType::TransferBatch);
+constexpr auto kOctets =
+    static_cast<std::uint32_t>(asn1::UniversalTag::OctetString);
+constexpr auto kSequence =
+    static_cast<std::uint32_t>(asn1::UniversalTag::Sequence);
+
+bool has_value(const Interaction& msg) { return !(msg.value == Value()); }
+
+/// Content length of the Interaction's fields: kind, payload and the
+/// optional [0] EXPLICIT value.
+std::size_t msg_fields_len(const Interaction& msg) {
+  std::size_t n = Writer::int_tlv_len(msg.kind) +
+                  Writer::tlv_len(kOctets, msg.payload.size());
+  if (has_value(msg)) n += Writer::tlv_len(0, asn1::encoded_length(msg.value));
+  return n;
+}
+
+void put_msg_fields(Bytes& out, const Interaction& msg) {
+  Writer w(out);
+  w.integer(msg.kind);
+  w.octet_string(msg.payload);
+  if (has_value(msg)) {
+    // The structured parameters travel as-is — the Interaction's value IS
+    // an ASN.1 value, wrapped [0] EXPLICIT only to mark presence.
+    w.header(TagClass::ContextSpecific, true, 0,
+             asn1::encoded_length(msg.value));
+    asn1::encode_to(msg.value, out);
   }
-  return true;
+}
+
+std::size_t transfer_body_len(const Frame& f) {
+  return Writer::int_tlv_len(static_cast<std::int64_t>(f.channel)) +
+         Writer::int_tlv_len(f.dir) +
+         Writer::int_tlv_len(static_cast<std::int64_t>(f.round)) +
+         Writer::int_tlv_len(f.sent_at_ns) + msg_fields_len(f.msg);
+}
+
+std::size_t entry_content_len(const TransferEntry& e) {
+  return Writer::int_tlv_len(static_cast<std::int64_t>(e.channel)) +
+         Writer::int_tlv_len(e.dir) + Writer::int_tlv_len(e.sent_at_ns) +
+         msg_fields_len(e.msg);
+}
+
+std::size_t batch_body_len(const Frame& f, std::size_t* entries_content) {
+  std::size_t entries = 0;
+  for (const TransferEntry& e : f.entries)
+    entries += Writer::tlv_len(kSequence, entry_content_len(e));
+  *entries_content = entries;
+  return Writer::int_tlv_len(static_cast<std::int64_t>(f.round)) +
+         Writer::tlv_len(kSequence, entries);
 }
 
 // ---------------------------------------------------------------------------
-// Direct BER reader — the batch receive hot path.
+// Decode: one field extraction over either node type.
 //
-// Mirrors the direct writer: a TransferBatch body is picked apart with a
-// cursor instead of materializing the Value tree, whose per-entry child
-// vectors dominated receive-side profiles. Outer-structure defects fall back
-// to the reference tree decoder; entry-level defects degrade to per-entry
-// rejection exactly like entry_from_value.
+// N is asn1::Node for Transfer and TransferBatch bodies (validated, read in
+// place) and asn1::Value for every other frame and as the reference; the
+// two instantiations agree on every input.
 
-struct Cursor {
-  const std::uint8_t* p;
-  const std::uint8_t* end;
-  std::size_t left() const noexcept {
-    return static_cast<std::size_t>(end - p);
+/// Sequential reader over a frame's (or batch entry's) field list. Each read
+/// returns false when the field is missing or malformed; error() then gives
+/// what the tree path reports (errors name the field's index). Batch
+/// entries never ask, so the success path builds no Error.
+template <typename N>
+class FrameFields {
+ public:
+  explicit FrameFields(const N& seq)
+      : it_(seq.children().begin()), end_(seq.children().end()) {}
+
+  [[nodiscard]] bool more() const { return it_ != end_; }
+  /// The next field itself, unread (more() must hold).
+  [[nodiscard]] const N& peek() const { return *it_; }
+
+  bool u64(std::uint64_t& out) {
+    if (!more()) return fail(Failed::kMissing, index_);
+    std::int64_t v = 0;
+    if (!asn1::detail::int_value(*it_, v)) return fail(Failed::kInteger, index_);
+    out = static_cast<std::uint64_t>(v);
+    advance();
+    return true;
   }
+  bool u32(std::uint32_t& out) {
+    std::uint64_t v = 0;
+    if (!u64(v)) return false;
+    if (v > 0xffffffffull) return fail(Failed::kU32Range, index_ - 1);
+    out = static_cast<std::uint32_t>(v);
+    return true;
+  }
+  bool boolean(bool& out) {
+    if (!more()) return fail(Failed::kMissing, index_);
+    Result<bool> v = (*it_).as_bool();
+    if (!v.ok()) return fail(Failed::kBoolean, index_);
+    out = v.value();
+    advance();
+    return true;
+  }
+  bool text(std::string& out) {
+    if (!more()) return fail(Failed::kMissing, index_);
+    Result<std::string> v = (*it_).as_string();
+    if (!v.ok()) return fail(Failed::kText, index_);
+    out = std::move(v).take();
+    advance();
+    return true;
+  }
+  /// The index find_context(0) would find: the first [0] field, among those
+  /// read so far and the rest, which this reads to the end.
+  std::optional<std::size_t> first_context0() {
+    while (more()) advance();
+    if (context0_ == kNone) return std::nullopt;
+    return context0_;
+  }
+
+  /// The Error of the read that last returned false (which left the field
+  /// it failed on unread).
+  [[nodiscard]] Error error() const {
+    const std::string field = "frame field " + std::to_string(failed_at_);
+    switch (failed_) {
+      case Failed::kMissing:
+        return Error::make(asn1::kTruncated, field + " missing");
+      case Failed::kU32Range:
+        return Error::make(asn1::kWrongType, field + " out of u32 range");
+      case Failed::kInteger:
+        return (*it_).as_int().error();
+      case Failed::kBoolean:
+        return (*it_).as_bool().error();
+      case Failed::kText:
+        return (*it_).as_string().error();
+    }
+    return Error::make(asn1::kWrongType, field);
+  }
+
+ private:
+  enum class Failed : std::uint8_t {
+    kMissing,
+    kInteger,
+    kU32Range,
+    kBoolean,
+    kText
+  };
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  bool fail(Failed what, std::size_t at) {
+    failed_ = what;
+    failed_at_ = at;
+    return false;
+  }
+  void advance() {
+    if (context0_ == kNone && (*it_).is_context(0)) context0_ = index_;
+    ++it_;
+    ++index_;
+  }
+
+  using Iterator = decltype(std::declval<const N&>().children().begin());
+  Iterator it_;
+  Iterator end_;
+  std::size_t index_ = 0;
+  std::size_t context0_ = kNone;
+  Failed failed_ = Failed::kMissing;
+  std::size_t failed_at_ = 0;
 };
 
-/// Low-tag definite-length header. False on truncation, high-tag-number
-/// form, or indefinite/overlong length — shapes the writer never emits.
-bool read_header(Cursor& c, std::uint8_t* id, std::size_t* len) {
-  if (c.left() < 2) return false;
-  *id = c.p[0];
-  if ((*id & 0x1f) == 0x1f) return false;
-  const std::uint8_t l = c.p[1];
-  c.p += 2;
-  if (l < 0x80) {
-    *len = l;
-  } else {
-    const std::size_t n = l & 0x7f;
-    if (n == 0 || n > 4 || c.left() < n) return false;
-    std::size_t v = 0;
-    for (std::size_t i = 0; i < n; ++i) v = (v << 8) | c.p[i];
-    c.p += n;
-    *len = v;
-  }
-  return *len <= c.left();
-}
+Value tree_of(Value v) { return v; }
+Value tree_of(const asn1::Node& n) { return n.to_value(); }
 
-/// Primitive INTEGER with 1..8 content octets (as_int's accepted range).
-bool read_int(Cursor& c, std::int64_t* out) {
-  std::uint8_t id = 0;
-  std::size_t len = 0;
-  if (!read_header(c, &id, &len)) return false;
-  if (id != 0x02 || len == 0 || len > 8) return false;
-  std::int64_t v = (c.p[0] & 0x80) ? -1 : 0;
-  for (std::size_t i = 0; i < len; ++i) v = (v << 8) | c.p[i];
-  c.p += len;
-  *out = v;
-  return true;
-}
-
-/// One delimited batch entry (cursor by value: the entry's own length
-/// already bounds it). Field semantics match entry_from_value: u32 range
-/// checks, dir 0/1, any primitive accepted as the payload octets, first
-/// [0] EXPLICIT child is the structured value, unknown trailing fields
-/// ignored.
-bool read_entry(Cursor c, TransferEntry* e) {
-  std::int64_t v = 0;
-  if (!read_int(c, &v) || v < 0 || v > 0xffffffffll) return false;
-  e->channel = static_cast<std::uint32_t>(v);
-  if (!read_int(c, &v) || v < 0 || v > 1) return false;
-  e->dir = static_cast<std::uint8_t>(v);
-  if (!read_int(c, &v)) return false;
-  e->sent_at_ns = v;
-  if (!read_int(c, &v) || v < 0 || v > 0xffffffffll) return false;
-  e->msg.kind = static_cast<int>(v);
-  std::uint8_t id = 0;
-  std::size_t len = 0;
-  if (!read_header(c, &id, &len) || (id & 0x20) != 0) return false;
-  e->msg.payload.assign(c.p, c.p + len);
-  c.p += len;
-  while (read_header(c, &id, &len)) {
-    if ((id & 0xc0) == 0x80 && (id & 0x1f) == 0) {
-      if ((id & 0x20) == 0) return false;  // [0] primitive: unwrap would fail
-      Result<Value> inner = asn1::decode(ByteSpan{c.p, len});
-      if (!inner.ok()) return false;
-      e->msg.value = std::move(inner).value();
-      return true;
-    }
-    c.p += len;
+/// One batch entry. Returns false on any structural defect — the caller
+/// skips the entry (and counts it) instead of failing the whole frame: the
+/// length prefix already guaranteed framing, so one corrupt entry must not
+/// take down its siblings.
+template <typename N>
+bool entry_from(const N& ev, TransferEntry& e) {
+  if (!ev.is_universal(asn1::UniversalTag::Sequence) || !ev.constructed())
+    return false;
+  FrameFields<N> in(ev);
+  std::uint32_t dir = 0;
+  std::uint64_t sent_at = 0;
+  std::uint32_t kind = 0;
+  if (!in.u32(e.channel) || !in.u32(dir) || dir > 1 || !in.u64(sent_at) ||
+      !in.u32(kind) || !in.more())
+    return false;
+  e.dir = static_cast<std::uint8_t>(dir);
+  e.sent_at_ns = static_cast<std::int64_t>(sent_at);
+  e.msg.kind = static_cast<int>(kind);
+  Result<Bytes> payload = in.peek().as_octets();
+  if (!payload.ok()) return false;
+  e.msg.payload = std::move(payload).take();
+  if (const auto at = in.first_context0()) {
+    auto inner = ev.child(*at).unwrap_context(0);
+    if (!inner.ok()) return false;
+    e.msg.value = tree_of(std::move(inner).take());
   }
   return true;
 }
 
-/// Direct decode of a TransferBatch body. False when the outer shape is not
-/// the writer's clean form — the caller retries on the tree decoder, which
-/// stays the semantics reference for hostile input.
-bool read_batch_body(ByteSpan body, Frame* f) {
-  Cursor c{body.data(), body.data() + body.size()};
-  std::uint8_t id = 0;
-  std::size_t len = 0;
-  if (!read_header(c, &id, &len) || id != 0x6A || len != c.left())
-    return false;  // [APPLICATION 10] filling the whole body
-  std::int64_t round = 0;
-  if (!read_int(c, &round)) return false;
-  f->round = static_cast<std::uint64_t>(round);
-  if (!read_header(c, &id, &len) || id != 0x30 || len != c.left())
-    return false;  // SEQUENCE OF entry
-  while (c.left() > 0) {
-    if (!read_header(c, &id, &len)) return false;  // cannot delimit entries
-    TransferEntry e;
-    if (id == 0x30 && read_entry(Cursor{c.p, c.p + len}, &e))
-      f->entries.push_back(std::move(e));
-    else
-      ++f->rejected_entries;
-    c.p += len;
-  }
-  return true;
-}
-
-#define TRY_FIELD(dest, expr)              \
-  do {                                     \
-    auto r_ = (expr);                      \
-    if (!r_.ok()) return r_.error();       \
-    (dest) = std::move(r_).value();        \
+/// Read one field with `read`, or return the reader's error.
+#define TRY_FIELD(read)                  \
+  do {                                   \
+    if (!(read)) return in.error();      \
   } while (0)
 
-Result<Frame> frame_from_value(const Value& v) {
-  if (v.tag_class() != asn1::TagClass::Application || !v.constructed())
+template <typename N>
+Result<Frame> frame_from(const N& v) {
+  if (v.tag_class() != TagClass::Application || !v.constructed())
     return Error::make(asn1::kBadTag, "frame: not an APPLICATION envelope");
   Frame f;
   f.type = static_cast<FrameType>(v.tag());
+  FrameFields<N> in(v);
   switch (f.type) {
     case FrameType::Hello:
-      TRY_FIELD(f.node, get_u32(v, 0));
-      TRY_FIELD(f.nodes, get_u32(v, 1));
-      TRY_FIELD(f.shards, get_u32(v, 2));
-      TRY_FIELD(f.spec_hash, get_u64(v, 3));
-      TRY_FIELD(f.topology_version, get_u64(v, 4));
-      TRY_FIELD(f.assign_hash, get_u64(v, 5));
+      TRY_FIELD(in.u32(f.node));
+      TRY_FIELD(in.u32(f.nodes));
+      TRY_FIELD(in.u32(f.shards));
+      TRY_FIELD(in.u64(f.spec_hash));
+      TRY_FIELD(in.u64(f.topology_version));
+      TRY_FIELD(in.u64(f.assign_hash));
       break;
     case FrameType::Welcome:
-      TRY_FIELD(f.node, get_u32(v, 0));
-      TRY_FIELD(f.accept, get_bool(v, 1));
-      TRY_FIELD(f.reason, get_str(v, 2));
+      TRY_FIELD(in.u32(f.node));
+      TRY_FIELD(in.boolean(f.accept));
+      TRY_FIELD(in.text(f.reason));
       break;
     case FrameType::Transfer: {
-      TRY_FIELD(f.channel, get_u32(v, 0));
+      TRY_FIELD(in.u32(f.channel));
       std::uint32_t dir = 0;
-      TRY_FIELD(dir, get_u32(v, 1));
+      TRY_FIELD(in.u32(dir));
       if (dir > 1)
         return Error::make(asn1::kWrongType, "transfer: dir not 0/1");
       f.dir = static_cast<std::uint8_t>(dir);
-      TRY_FIELD(f.round, get_u64(v, 2));
+      TRY_FIELD(in.u64(f.round));
       std::uint64_t sent_at = 0;
-      TRY_FIELD(sent_at, get_u64(v, 3));
+      TRY_FIELD(in.u64(sent_at));
       f.sent_at_ns = static_cast<std::int64_t>(sent_at);
       std::uint32_t kind = 0;
-      TRY_FIELD(kind, get_u32(v, 4));
+      TRY_FIELD(in.u32(kind));
       f.msg.kind = static_cast<int>(kind);
-      TRY_FIELD(f.msg.payload, (v.size() > 5 ? v.child(5).as_octets()
-                                             : Result<Bytes>(Error::make(
-                                                   asn1::kTruncated,
-                                                   "transfer: no payload"))));
-      if (const Value* wrapped = v.find_context(0)) {
-        Result<Value> inner = wrapped->unwrap_context(0);
+      if (!in.more())
+        return Error::make(asn1::kTruncated, "transfer: no payload");
+      Result<Bytes> payload = in.peek().as_octets();
+      if (!payload.ok()) return payload.error();
+      f.msg.payload = std::move(payload).take();
+      if (const auto at = in.first_context0()) {
+        auto inner = v.child(*at).unwrap_context(0);
         if (!inner.ok()) return inner.error();
-        f.msg.value = std::move(inner).value();
+        f.msg.value = tree_of(std::move(inner).take());
       }
       break;
     }
     case FrameType::RoundDone:
-      TRY_FIELD(f.node, get_u32(v, 0));
-      TRY_FIELD(f.round, get_u64(v, 1));
-      TRY_FIELD(f.quiescent, get_bool(v, 2));
+      TRY_FIELD(in.u32(f.node));
+      TRY_FIELD(in.u64(f.round));
+      TRY_FIELD(in.boolean(f.quiescent));
       break;
     case FrameType::Bye:
-      TRY_FIELD(f.node, get_u32(v, 0));
+      TRY_FIELD(in.u32(f.node));
       break;
     case FrameType::HelloResume:
-      TRY_FIELD(f.node, get_u32(v, 0));
-      TRY_FIELD(f.spec_hash, get_u64(v, 1));
-      TRY_FIELD(f.epoch, get_u64(v, 2));
-      TRY_FIELD(f.recv, get_u64(v, 3));
+      TRY_FIELD(in.u32(f.node));
+      TRY_FIELD(in.u64(f.spec_hash));
+      TRY_FIELD(in.u64(f.epoch));
+      TRY_FIELD(in.u64(f.recv));
       break;
     case FrameType::SessionAck:
-      TRY_FIELD(f.recv, get_u64(v, 0));
+      TRY_FIELD(in.u64(f.recv));
       break;
     case FrameType::TransferBatch: {
-      TRY_FIELD(f.round, get_u64(v, 0));
-      if (v.size() < 2)
+      TRY_FIELD(in.u64(f.round));
+      if (!in.more())
         return Error::make(asn1::kTruncated, "transfer-batch: no entry list");
-      const Value& list = v.child(1);
+      const N& list = in.peek();
       if (!list.is_universal(asn1::UniversalTag::Sequence) ||
           !list.constructed())
         return Error::make(asn1::kWrongType,
                            "transfer-batch: entries are not a SEQUENCE");
       f.entries.reserve(list.size());
-      for (std::size_t i = 0; i < list.size(); ++i) {
-        TransferEntry e;
-        if (entry_from_value(list.child(i), e))
-          f.entries.push_back(std::move(e));
-        else
+      for (const N& ev : list.children()) {
+        if (!entry_from(ev, f.entries.emplace_back())) {
+          f.entries.pop_back();
           ++f.rejected_entries;
+        }
       }
       break;
     }
@@ -482,33 +401,32 @@ void put_seq(Bytes& out, std::uint64_t seq) {
 /// Shared emitter: `seq == nullptr` gives the plain dialect, otherwise the
 /// sequenced record (length | seq | body). The body octets are identical.
 void emit_frame(const Frame& f, const std::uint64_t* seq, Bytes& out) {
-  // The per-message frames go through the direct writer; everything else is
-  // per-round or per-run and keeps the simpler Value-tree path.
+  Writer w(out);
   if (f.type == FrameType::Transfer) {
     const std::size_t content = transfer_body_len(f);
-    put_length_prefix(out, tlv_len(content));
+    put_length_prefix(out, Writer::tlv_len(kTransferTag, content));
     if (seq != nullptr) put_seq(out, *seq);
-    put_header(out, 0x63, content);  // [APPLICATION 3]
-    put_int(out, static_cast<std::int64_t>(f.channel));
-    put_int(out, f.dir);
-    put_int(out, static_cast<std::int64_t>(f.round));
-    put_int(out, f.sent_at_ns);
+    w.header(TagClass::Application, true, kTransferTag, content);
+    w.integer(static_cast<std::int64_t>(f.channel));
+    w.integer(f.dir);
+    w.integer(static_cast<std::int64_t>(f.round));
+    w.integer(f.sent_at_ns);
     put_msg_fields(out, f.msg);
     return;
   }
   if (f.type == FrameType::TransferBatch) {
     std::size_t entries_content = 0;
     const std::size_t content = batch_body_len(f, &entries_content);
-    put_length_prefix(out, tlv_len(content));
+    put_length_prefix(out, Writer::tlv_len(kBatchTag, content));
     if (seq != nullptr) put_seq(out, *seq);
-    put_header(out, 0x6A, content);  // [APPLICATION 10]
-    put_int(out, static_cast<std::int64_t>(f.round));
-    put_header(out, 0x30, entries_content);  // SEQUENCE OF entry
+    w.header(TagClass::Application, true, kBatchTag, content);
+    w.integer(static_cast<std::int64_t>(f.round));
+    w.header(TagClass::Universal, true, kSequence, entries_content);
     for (const TransferEntry& e : f.entries) {
-      put_header(out, 0x30, entry_content_len(e));
-      put_int(out, static_cast<std::int64_t>(e.channel));
-      put_int(out, e.dir);
-      put_int(out, e.sent_at_ns);
+      w.header(TagClass::Universal, true, kSequence, entry_content_len(e));
+      w.integer(static_cast<std::int64_t>(e.channel));
+      w.integer(e.dir);
+      w.integer(e.sent_at_ns);
       put_msg_fields(out, e.msg);
     }
     return;
@@ -536,18 +454,22 @@ Bytes encode_frame(const Frame& f) {
 }
 
 Result<Frame> decode_frame(ByteSpan body) {
-  // Batch frames take the direct reader; a shape it cannot digest falls
-  // back to the tree path below, which keeps the reference semantics (and
-  // the error messages) for everything unusual.
-  if (!body.empty() && body[0] == 0x6A) {
-    Frame f;
-    f.type = FrameType::TransferBatch;
-    if (read_batch_body(body, &f)) return f;
+  // Transfer and TransferBatch bodies ([APPLICATION 3] and [APPLICATION 10],
+  // constructed) are validated and read in place; every other shape goes to
+  // the tree decoder. Both run the same checks and field extraction.
+  constexpr std::uint8_t kApplicationConstructed = 0x60;
+  if (!body.empty() && (body[0] == (kApplicationConstructed | kTransferTag) ||
+                        body[0] == (kApplicationConstructed | kBatchTag))) {
+    Result<asn1::Node> root = asn1::Node::parse(body);
+    if (!root.ok()) return root.error();
+    return frame_from(root.value());
   }
   Result<Value> v = asn1::decode(body);
   if (!v.ok()) return v.error();
-  return frame_from_value(v.value());
+  return frame_from(v.value());
 }
+
+Result<Frame> frame_from_value(const Value& v) { return frame_from(v); }
 
 void FrameReassembler::feed(ByteSpan data) {
   // Compact before growing. A fully-drained buffer rewinds for free; a

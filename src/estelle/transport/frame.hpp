@@ -8,8 +8,8 @@
 // MailboxTransport can carry them between processes — the paper's "system
 // modules are asynchronous units placeable on separate processors" taken
 // literally. The frame syntax is ASN.1, encoded with the project's own BER
-// codec (src/asn1/ber.cpp), the same abstract-syntax layer the paper uses
-// for its PDUs; on a byte stream each frame travels length-prefixed:
+// codec (src/asn1/), the same abstract-syntax layer the paper uses for its
+// PDUs; on a byte stream each frame travels length-prefixed:
 //
 //   u32 big-endian body length | BER body ([APPLICATION n] SEQUENCE)
 //
@@ -51,11 +51,13 @@
 //                  transfers to one peer under a single shared round stamp.
 //                  Each entry is {channel, dir, sent_at_ns, kind, payload,
 //                  optional [0] value}: a Transfer minus the round field.
-//                  Transfer and TransferBatch bodies are emitted by a direct
-//                  BER writer into the caller's (reused) buffer — the hot
-//                  path never builds a Value tree, so a warmed send encodes
-//                  without allocating. Decode still goes through the general
-//                  codec; a structurally bad entry is *rejected individually*
+//                  Transfer and TransferBatch bodies are written and read
+//                  by the direct BER codec (asn1/direct.hpp) — the hot path
+//                  never builds a Value tree for the frame, so a warmed send
+//                  encodes without allocating. The reader validates the body
+//                  exactly as the tree decoder would (same accept/reject,
+//                  same errors); every other frame type goes through the
+//                  tree. A structurally bad entry is *rejected individually*
 //                  (counted in Frame::rejected_entries) instead of killing
 //                  the frame — the length prefix already bounds the body, so
 //                  per-entry garbage can never misframe the stream.
@@ -161,6 +163,9 @@ void encode_frame_seq_to(const Frame& f, std::uint64_t seq,
 /// Decode one frame *body* (the BER value, no length prefix). Malformed
 /// input is an expected peer condition, not a programming error.
 [[nodiscard]] common::Result<Frame> decode_frame(common::ByteSpan body);
+/// decode_frame's field extraction over a decoded value tree: decode_frame
+/// (body) and frame_from_value(asn1::decode(body)) agree on every input.
+[[nodiscard]] common::Result<Frame> frame_from_value(const asn1::Value& v);
 
 /// Incremental stream-to-frame reassembly over split read() boundaries.
 /// Default-constructed it speaks the plain `u32 len | body` dialect; with

@@ -23,10 +23,11 @@ namespace mcam::core {
 class AppModule : public estelle::Module {
  public:
   explicit AppModule(std::string name)
-      : Module(std::move(name), estelle::Attribute::Process) {
-    ip("M");
-  }
-  estelle::InteractionPoint& mca() { return ip("M"); }
+      : Module(std::move(name), estelle::Attribute::Process), mca_(ip("M")) {}
+  estelle::InteractionPoint& mca() { return mca_; }
+
+ private:
+  estelle::InteractionPoint& mca_;
 };
 
 enum ClientError : int {

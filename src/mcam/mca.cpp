@@ -31,9 +31,9 @@ void deliver(estelle::InteractionPoint& ip, const Pdu& pdu) {
 // McaClientModule
 
 McaClientModule::McaClientModule(std::string name)
-    : Module(std::move(name), estelle::Attribute::Process) {
-  app();
-  service();
+    : Module(std::move(name), estelle::Attribute::Process),
+      app_(ip("A")),
+      service_(ip("D")) {
   define_transitions();
 }
 
@@ -162,8 +162,9 @@ void McaClientModule::define_transitions() {
 // McaServerModule
 
 McaServerModule::McaServerModule(std::string name, McamServerCore& core)
-    : Module(std::move(name), estelle::Attribute::Process), core_(core) {
-  service();
+    : Module(std::move(name), estelle::Attribute::Process),
+      service_(ip("D")),
+      core_(core) {
   define_transitions();
 }
 

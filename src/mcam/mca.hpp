@@ -35,10 +35,10 @@ class McaClientModule : public estelle::Module {
   explicit McaClientModule(std::string name);
 
   /// Application interface (connect to the application module).
-  estelle::InteractionPoint& app() { return ip("A"); }
+  estelle::InteractionPoint& app() { return app_; }
   /// Presentation-service interface (connect to the control stack's
   /// service IP).
-  estelle::InteractionPoint& service() { return ip("D"); }
+  estelle::InteractionPoint& service() { return service_; }
 
   [[nodiscard]] std::uint64_t requests_forwarded() const noexcept {
     return requests_;
@@ -49,6 +49,8 @@ class McaClientModule : public estelle::Module {
 
  private:
   void define_transitions();
+  estelle::InteractionPoint& app_;
+  estelle::InteractionPoint& service_;
   std::uint64_t requests_ = 0;
   std::uint64_t responses_ = 0;
 };
@@ -59,7 +61,7 @@ class McaServerModule : public estelle::Module {
 
   McaServerModule(std::string name, McamServerCore& core);
 
-  estelle::InteractionPoint& service() { return ip("D"); }
+  estelle::InteractionPoint& service() { return service_; }
 
   [[nodiscard]] std::uint64_t session_id() const noexcept { return session_; }
   [[nodiscard]] std::uint64_t requests_handled() const noexcept {
@@ -69,6 +71,7 @@ class McaServerModule : public estelle::Module {
  private:
   void define_transitions();
 
+  estelle::InteractionPoint& service_;
   McamServerCore& core_;
   std::uint64_t session_ = 0;
   std::uint64_t handled_ = 0;

@@ -1,6 +1,6 @@
 #include "mcam/pdus.hpp"
 
-#include "asn1/ber.hpp"
+#include "asn1/direct.hpp"
 
 namespace mcam::core {
 
@@ -69,44 +69,261 @@ const char* result_name(ResultCode rc) noexcept {
 
 namespace {
 
-// ---- encode helpers ----
+using asn1::Writer;
 
-Value enc_attrs(const std::vector<Attr>& attrs) {
-  std::vector<Value> rows;
-  rows.reserve(attrs.size());
-  for (const Attr& a : attrs)
-    rows.push_back(Value::sequence(
-        {Value::ia5string(a.name), Value::ia5string(a.value)}));
-  return Value::sequence(std::move(rows));
+// ---- encode: straight into the output buffer, no tree -------------------
+
+void put_id(Writer& w, std::uint64_t v) {
+  w.integer(static_cast<std::int64_t>(v));
 }
 
-Value enc_names(const std::vector<std::string>& names) {
-  std::vector<Value> rows;
-  rows.reserve(names.size());
-  for (const std::string& n : names) rows.push_back(Value::ia5string(n));
-  return Value::sequence(std::move(rows));
+void put_result(Writer& w, ResultCode rc) {
+  w.enumerated(static_cast<int>(rc));
 }
 
-Value enc_result(ResultCode rc) {
-  return Value::enumerated(static_cast<int>(rc));
+void put_attrs(Writer& w, const std::vector<Attr>& attrs) {
+  const std::size_t list = w.open_sequence();
+  for (const Attr& a : attrs) {
+    const std::size_t row = w.open_sequence();
+    w.ia5string(a.name);
+    w.ia5string(a.value);
+    w.close(row);
+  }
+  w.close(list);
 }
 
-// ---- decode helpers ----
+void put_names(Writer& w, const std::vector<std::string>& names) {
+  const std::size_t list = w.open_sequence();
+  for (const std::string& n : names) w.ia5string(n);
+  w.close(list);
+}
 
-/// Sequential reader over the field list of a decoded PDU body.
+void put_filter(Writer& w, const directory::Filter& filter) {
+  using directory::Filter;
+  const auto context = [&w](std::uint32_t tag) {
+    return w.open(asn1::TagClass::ContextSpecific, tag);
+  };
+  switch (filter.op()) {
+    case Filter::Op::And:
+    case Filter::Op::Or: {
+      const std::size_t ctx = context(filter.op() == Filter::Op::And ? 0 : 1);
+      const std::size_t seq = w.open_sequence();
+      for (const Filter& c : filter.children()) put_filter(w, c);
+      w.close(seq);
+      w.close(ctx);
+      return;
+    }
+    case Filter::Op::Not: {
+      const std::size_t ctx = context(2);
+      put_filter(w, filter.children().front());
+      w.close(ctx);
+      return;
+    }
+    case Filter::Op::Equal:
+    case Filter::Op::Substring: {
+      const std::size_t ctx =
+          context(filter.op() == Filter::Op::Equal ? 3 : 4);
+      const std::size_t seq = w.open_sequence();
+      w.ia5string(filter.attr());
+      w.ia5string(filter.value());
+      w.close(seq);
+      w.close(ctx);
+      return;
+    }
+    case Filter::Op::Present: {
+      const std::size_t ctx = context(5);
+      w.ia5string(filter.attr());
+      w.close(ctx);
+      return;
+    }
+    case Filter::Op::All:
+      break;
+  }
+  const std::size_t ctx = context(6);
+  w.null();
+  w.close(ctx);
+}
+
+// The field list of each PDU body, in wire order.
+void put_fields(Writer& w, const AssociateReq& p) {
+  w.ia5string(p.user);
+  w.integer(p.version);
+}
+void put_fields(Writer& w, const AssociateResp& p) {
+  put_result(w, p.result);
+  w.ia5string(p.diagnostic);
+}
+void put_fields(Writer&, const ReleaseReq&) {}
+void put_fields(Writer&, const ReleaseResp&) {}
+void put_fields(Writer& w, const MovieCreateReq& p) {
+  w.ia5string(p.title);
+  put_attrs(w, p.attrs);
+}
+void put_fields(Writer& w, const MovieCreateResp& p) {
+  put_result(w, p.result);
+  put_id(w, p.movie_id);
+}
+void put_fields(Writer& w, const MovieDeleteReq& p) { put_id(w, p.movie_id); }
+void put_fields(Writer& w, const MovieDeleteResp& p) {
+  put_result(w, p.result);
+}
+void put_fields(Writer& w, const MovieSelectReq& p) { w.ia5string(p.title); }
+void put_fields(Writer& w, const MovieSelectResp& p) {
+  put_result(w, p.result);
+  put_id(w, p.movie_id);
+  put_attrs(w, p.attrs);
+}
+void put_fields(Writer& w, const AttrQueryReq& p) {
+  put_id(w, p.movie_id);
+  put_names(w, p.names);
+}
+void put_fields(Writer& w, const AttrQueryResp& p) {
+  put_result(w, p.result);
+  put_attrs(w, p.attrs);
+}
+void put_fields(Writer& w, const AttrModifyReq& p) {
+  put_id(w, p.movie_id);
+  put_attrs(w, p.attrs);
+}
+void put_fields(Writer& w, const AttrModifyResp& p) {
+  put_result(w, p.result);
+}
+void put_fields(Writer& w, const PlayReq& p) {
+  put_id(w, p.movie_id);
+  put_id(w, p.start_frame);
+  w.ia5string(p.dest_host);
+  w.integer(p.dest_port);
+  // §6 QoS extension: OPTIONAL [0]/[1] EXPLICIT fields.
+  const std::uint32_t qos[] = {p.qos_max_delay_ms, p.qos_max_jitter_ms};
+  for (std::uint32_t tag = 0; tag < 2; ++tag) {
+    if (qos[tag] == 0) continue;
+    const std::size_t ctx = w.open(asn1::TagClass::ContextSpecific, tag);
+    w.integer(qos[tag]);
+    w.close(ctx);
+  }
+}
+void put_fields(Writer& w, const PlayResp& p) {
+  put_result(w, p.result);
+  w.integer(p.stream_id);
+}
+void put_fields(Writer& w, const StopReq& p) { put_id(w, p.movie_id); }
+void put_fields(Writer& w, const StopResp& p) {
+  put_result(w, p.result);
+  put_id(w, p.position);
+}
+void put_fields(Writer& w, const PauseReq& p) { put_id(w, p.movie_id); }
+void put_fields(Writer& w, const PauseResp& p) { put_result(w, p.result); }
+void put_fields(Writer& w, const ResumeReq& p) { put_id(w, p.movie_id); }
+void put_fields(Writer& w, const ResumeResp& p) { put_result(w, p.result); }
+void put_fields(Writer& w, const RecordReq& p) {
+  w.ia5string(p.title);
+  w.integer(p.equipment_id);
+  put_attrs(w, p.attrs);
+}
+void put_fields(Writer& w, const RecordResp& p) {
+  put_result(w, p.result);
+  put_id(w, p.movie_id);
+}
+void put_fields(Writer& w, const RecordStopReq& p) { put_id(w, p.movie_id); }
+void put_fields(Writer& w, const RecordStopResp& p) {
+  put_result(w, p.result);
+  put_id(w, p.frames);
+}
+void put_fields(Writer& w, const EquipListReq& p) { w.integer(p.kind); }
+void put_fields(Writer& w, const EquipListResp& p) {
+  put_result(w, p.result);
+  const std::size_t list = w.open_sequence();
+  for (const EquipItem& item : p.items) {
+    const std::size_t row = w.open_sequence();
+    w.integer(item.id);
+    w.integer(item.kind);
+    w.ia5string(item.name);
+    w.boolean(item.powered);
+    w.ia5string(item.reserved_by);
+    w.close(row);
+  }
+  w.close(list);
+}
+void put_fields(Writer& w, const EquipControlReq& p) {
+  w.integer(p.equipment_id);
+  w.integer(p.command);
+  w.ia5string(p.param);
+  w.integer(p.value);
+}
+void put_fields(Writer& w, const EquipControlResp& p) {
+  put_result(w, p.result);
+  w.boolean(p.powered);
+  w.integer(p.value);
+  w.ia5string(p.reserved_by);
+}
+void put_fields(Writer& w, const MovieSearchReq& p) {
+  put_filter(w, p.filter);
+  w.boolean(p.chained);
+}
+void put_fields(Writer& w, const MovieSearchResp& p) {
+  put_result(w, p.result);
+  const std::size_t list = w.open_sequence();
+  for (const SearchHit& hit : p.hits) {
+    const std::size_t row = w.open_sequence();
+    put_id(w, hit.movie_id);
+    put_attrs(w, hit.attrs);
+    w.close(row);
+  }
+  w.close(list);
+}
+void put_fields(Writer& w, const PositionInd& p) {
+  put_id(w, p.movie_id);
+  put_id(w, p.frame);
+}
+void put_fields(Writer& w, const ErrorResp& p) {
+  put_result(w, p.result);
+  w.ia5string(p.diagnostic);
+}
+
+// ---- decode: one field extraction over either node type -----------------
+//
+// N is asn1::Node (decode(), over validated bytes) or asn1::Value
+// (pdu_from_value(), the reference). Both expose the same accessors with the
+// same checks and messages, so the two instantiations agree on every input.
+
+template <typename N>
+Result<std::vector<Attr>> attrs_of(const N& list, const char* arity_error) {
+  std::vector<Attr> out;
+  out.reserve(list.size());
+  for (const N& row : list.children()) {
+    if (row.size() != 2) return Error::make(kBadPduBody, arity_error);
+    auto name = row.child(0).as_string();
+    auto value = row.child(1).as_string();
+    if (!name.ok()) return name.error();
+    if (!value.ok()) return value.error();
+    out.push_back(Attr{std::move(name).take(), std::move(value).take()});
+  }
+  return out;
+}
+
+template <typename N>
+Result<std::vector<std::string>> names_of(const N& list) {
+  std::vector<std::string> out;
+  for (const N& row : list.children()) {
+    auto s = row.as_string();
+    if (!s.ok()) return s.error();
+    out.push_back(std::move(s).take());
+  }
+  return out;
+}
+
+/// Sequential reader over the field list of a PDU body.
+template <typename N>
 class Fields {
  public:
-  explicit Fields(const Value& pdu) : pdu_(pdu) {}
+  explicit Fields(const N& pdu)
+      : it_(pdu.children().begin()), end_(pdu.children().end()) {}
 
   Result<std::int64_t> integer() {
-    auto v = next();
-    if (!v.ok()) return v.error();
-    return v.value().get().as_int();
+    return next([](const N& v) { return v.as_int(); });
   }
   Result<std::string> text() {
-    auto v = next();
-    if (!v.ok()) return v.error();
-    return v.value().get().as_string();
+    return next([](const N& v) { return v.as_string(); });
   }
   Result<ResultCode> result_code() {
     auto v = integer();
@@ -114,106 +331,43 @@ class Fields {
     return static_cast<ResultCode>(v.value());
   }
   Result<bool> boolean() {
-    auto v = next();
-    if (!v.ok()) return v.error();
-    return v.value().get().as_bool();
+    return next([](const N& v) { return v.as_bool(); });
   }
   Result<std::vector<Attr>> attrs() {
-    auto v = next();
-    if (!v.ok()) return v.error();
-    std::vector<Attr> out;
-    for (const Value& row : v.value().get().children()) {
-      if (row.size() != 2)
-        return Error::make(kBadPduBody, "attr row arity");
-      auto name = row.child(0).as_string();
-      auto value = row.child(1).as_string();
-      if (!name.ok()) return name.error();
-      if (!value.ok()) return value.error();
-      out.push_back(Attr{name.value(), value.value()});
-    }
-    return out;
+    return next([](const N& v) { return attrs_of(v, "attr row arity"); });
   }
   Result<std::vector<std::string>> names() {
-    auto v = next();
-    if (!v.ok()) return v.error();
-    std::vector<std::string> out;
-    for (const Value& row : v.value().get().children()) {
-      auto s = row.as_string();
-      if (!s.ok()) return s.error();
-      out.push_back(s.value());
-    }
-    return out;
+    return next([](const N& v) { return names_of(v); });
   }
 
  private:
-  Result<std::reference_wrapper<const Value>> next() {
-    if (index_ >= pdu_.size())
-      return Error::make(kBadPduBody, "missing PDU field");
-    return std::cref(pdu_.child(index_++));
-  }
-  Result<std::reference_wrapper<const Value>> peek_field() {
-    if (index_ >= pdu_.size())
-      return Error::make(kBadPduBody, "missing PDU field");
-    return std::cref(pdu_.child(index_));
+  template <typename F>
+  auto next(F&& read) -> decltype(read(std::declval<const N&>())) {
+    if (it_ == end_) return Error::make(kBadPduBody, "missing PDU field");
+    auto r = read(*it_);
+    ++it_;
+    return r;
   }
 
-  const Value& pdu_;
-  std::size_t index_ = 0;
+  using Iterator = decltype(std::declval<const N&>().children().begin());
+  Iterator it_;
+  Iterator end_;
 };
 
-template <typename T>
-Result<Pdu> as_pdu(Result<T> r) {
-  if (!r.ok()) return r.error();
-  return Pdu{std::move(r).take()};
-}
-
-}  // namespace
-
-asn1::Value encode_filter(const directory::Filter& filter) {
+template <typename N>
+Result<directory::Filter> filter_from(const N& v, int depth) {
   using directory::Filter;
-  switch (filter.op()) {
-    case Filter::Op::And:
-    case Filter::Op::Or: {
-      std::vector<Value> kids;
-      kids.reserve(filter.children().size());
-      for (const Filter& c : filter.children())
-        kids.push_back(encode_filter(c));
-      return Value::context(filter.op() == Filter::Op::And ? 0 : 1,
-                            Value::sequence(std::move(kids)));
-    }
-    case Filter::Op::Not:
-      return Value::context(2, encode_filter(filter.children().front()));
-    case Filter::Op::Equal:
-      return Value::context(3,
-                            Value::sequence({Value::ia5string(filter.attr()),
-                                             Value::ia5string(filter.value())}));
-    case Filter::Op::Substring:
-      return Value::context(4,
-                            Value::sequence({Value::ia5string(filter.attr()),
-                                             Value::ia5string(filter.value())}));
-    case Filter::Op::Present:
-      return Value::context(5, Value::ia5string(filter.attr()));
-    case Filter::Op::All:
-      return Value::context(6, Value::null());
-  }
-  return Value::context(6, Value::null());
-}
-
-common::Result<directory::Filter> decode_filter(const asn1::Value& v,
-                                                int depth) {
-  using directory::Filter;
-  if (depth > 32)
-    return Error::make(kBadFilter, "filter nesting too deep");
+  if (depth > 32) return Error::make(kBadFilter, "filter nesting too deep");
   if (v.tag_class() != asn1::TagClass::ContextSpecific || !v.constructed() ||
       v.size() != 1)
     return Error::make(kBadFilter, "malformed filter node");
-  const Value& body = v.child(0);
+  decltype(auto) body = v.child(0);
   switch (v.tag()) {
     case 0:
     case 1: {
       std::vector<Filter> kids;
-      for (const Value& c : body.children()) {
-        auto k = decode_filter(c, depth + 1);
+      for (const N& c : body.children()) {
+        auto k = filter_from(c, depth + 1);
         if (!k.ok()) return k.error();
         kids.push_back(std::move(k).take());
       }
@@ -221,7 +375,7 @@ common::Result<directory::Filter> decode_filter(const asn1::Value& v,
                           : Filter::or_(std::move(kids));
     }
     case 2: {
-      auto inner = decode_filter(body, depth + 1);
+      auto inner = filter_from(body, depth + 1);
       if (!inner.ok()) return inner.error();
       return Filter::not_(std::move(inner).take());
     }
@@ -233,13 +387,15 @@ common::Result<directory::Filter> decode_filter(const asn1::Value& v,
       auto value = body.child(1).as_string();
       if (!attr.ok()) return attr.error();
       if (!value.ok()) return value.error();
-      return v.tag() == 3 ? Filter::equal(attr.value(), value.value())
-                          : Filter::substring(attr.value(), value.value());
+      return v.tag() == 3 ? Filter::equal(std::move(attr).take(),
+                                          std::move(value).take())
+                          : Filter::substring(std::move(attr).take(),
+                                              std::move(value).take());
     }
     case 5: {
       auto attr = body.as_string();
       if (!attr.ok()) return attr.error();
-      return Filter::present(attr.value());
+      return Filter::present(std::move(attr).take());
     }
     case 6:
       return Filter::all();
@@ -248,191 +404,27 @@ common::Result<directory::Filter> decode_filter(const asn1::Value& v,
   }
 }
 
-Op op_of(const Pdu& pdu) noexcept {
-  return std::visit(
-      [](const auto& p) -> Op {
-        using T = std::decay_t<decltype(p)>;
-        if constexpr (std::is_same_v<T, AssociateReq>) return Op::AssociateReq;
-        else if constexpr (std::is_same_v<T, AssociateResp>) return Op::AssociateResp;
-        else if constexpr (std::is_same_v<T, ReleaseReq>) return Op::ReleaseReq;
-        else if constexpr (std::is_same_v<T, ReleaseResp>) return Op::ReleaseResp;
-        else if constexpr (std::is_same_v<T, MovieCreateReq>) return Op::MovieCreateReq;
-        else if constexpr (std::is_same_v<T, MovieCreateResp>) return Op::MovieCreateResp;
-        else if constexpr (std::is_same_v<T, MovieDeleteReq>) return Op::MovieDeleteReq;
-        else if constexpr (std::is_same_v<T, MovieDeleteResp>) return Op::MovieDeleteResp;
-        else if constexpr (std::is_same_v<T, MovieSelectReq>) return Op::MovieSelectReq;
-        else if constexpr (std::is_same_v<T, MovieSelectResp>) return Op::MovieSelectResp;
-        else if constexpr (std::is_same_v<T, AttrQueryReq>) return Op::AttrQueryReq;
-        else if constexpr (std::is_same_v<T, AttrQueryResp>) return Op::AttrQueryResp;
-        else if constexpr (std::is_same_v<T, AttrModifyReq>) return Op::AttrModifyReq;
-        else if constexpr (std::is_same_v<T, AttrModifyResp>) return Op::AttrModifyResp;
-        else if constexpr (std::is_same_v<T, PlayReq>) return Op::PlayReq;
-        else if constexpr (std::is_same_v<T, PlayResp>) return Op::PlayResp;
-        else if constexpr (std::is_same_v<T, StopReq>) return Op::StopReq;
-        else if constexpr (std::is_same_v<T, StopResp>) return Op::StopResp;
-        else if constexpr (std::is_same_v<T, PauseReq>) return Op::PauseReq;
-        else if constexpr (std::is_same_v<T, PauseResp>) return Op::PauseResp;
-        else if constexpr (std::is_same_v<T, ResumeReq>) return Op::ResumeReq;
-        else if constexpr (std::is_same_v<T, ResumeResp>) return Op::ResumeResp;
-        else if constexpr (std::is_same_v<T, RecordReq>) return Op::RecordReq;
-        else if constexpr (std::is_same_v<T, RecordResp>) return Op::RecordResp;
-        else if constexpr (std::is_same_v<T, RecordStopReq>) return Op::RecordStopReq;
-        else if constexpr (std::is_same_v<T, RecordStopResp>) return Op::RecordStopResp;
-        else if constexpr (std::is_same_v<T, EquipListReq>) return Op::EquipListReq;
-        else if constexpr (std::is_same_v<T, EquipListResp>) return Op::EquipListResp;
-        else if constexpr (std::is_same_v<T, EquipControlReq>) return Op::EquipControlReq;
-        else if constexpr (std::is_same_v<T, EquipControlResp>) return Op::EquipControlResp;
-        else if constexpr (std::is_same_v<T, MovieSearchReq>) return Op::MovieSearchReq;
-        else if constexpr (std::is_same_v<T, MovieSearchResp>) return Op::MovieSearchResp;
-        else if constexpr (std::is_same_v<T, PositionInd>) return Op::PositionInd;
-        else return Op::ErrorResp;
-      },
-      pdu);
-}
-
-Bytes encode(const Pdu& pdu) {
-  const Op op = op_of(pdu);
-  std::vector<Value> fields = std::visit(
-      [](const auto& p) -> std::vector<Value> {
-        using T = std::decay_t<decltype(p)>;
-        if constexpr (std::is_same_v<T, AssociateReq>) {
-          return {Value::ia5string(p.user), Value::integer(p.version)};
-        } else if constexpr (std::is_same_v<T, AssociateResp>) {
-          return {enc_result(p.result), Value::ia5string(p.diagnostic)};
-        } else if constexpr (std::is_same_v<T, ReleaseReq> ||
-                             std::is_same_v<T, ReleaseResp>) {
-          return {};
-        } else if constexpr (std::is_same_v<T, MovieCreateReq>) {
-          return {Value::ia5string(p.title), enc_attrs(p.attrs)};
-        } else if constexpr (std::is_same_v<T, MovieCreateResp>) {
-          return {enc_result(p.result),
-                  Value::integer(static_cast<std::int64_t>(p.movie_id))};
-        } else if constexpr (std::is_same_v<T, MovieDeleteReq>) {
-          return {Value::integer(static_cast<std::int64_t>(p.movie_id))};
-        } else if constexpr (std::is_same_v<T, MovieDeleteResp>) {
-          return {enc_result(p.result)};
-        } else if constexpr (std::is_same_v<T, MovieSelectReq>) {
-          return {Value::ia5string(p.title)};
-        } else if constexpr (std::is_same_v<T, MovieSelectResp>) {
-          return {enc_result(p.result),
-                  Value::integer(static_cast<std::int64_t>(p.movie_id)),
-                  enc_attrs(p.attrs)};
-        } else if constexpr (std::is_same_v<T, AttrQueryReq>) {
-          return {Value::integer(static_cast<std::int64_t>(p.movie_id)),
-                  enc_names(p.names)};
-        } else if constexpr (std::is_same_v<T, AttrQueryResp>) {
-          return {enc_result(p.result), enc_attrs(p.attrs)};
-        } else if constexpr (std::is_same_v<T, AttrModifyReq>) {
-          return {Value::integer(static_cast<std::int64_t>(p.movie_id)),
-                  enc_attrs(p.attrs)};
-        } else if constexpr (std::is_same_v<T, AttrModifyResp>) {
-          return {enc_result(p.result)};
-        } else if constexpr (std::is_same_v<T, PlayReq>) {
-          std::vector<Value> fields = {
-              Value::integer(static_cast<std::int64_t>(p.movie_id)),
-              Value::integer(static_cast<std::int64_t>(p.start_frame)),
-              Value::ia5string(p.dest_host), Value::integer(p.dest_port)};
-          // §6 QoS extension: OPTIONAL context-tagged fields.
-          if (p.qos_max_delay_ms != 0)
-            fields.push_back(Value::context(0, Value::integer(p.qos_max_delay_ms)));
-          if (p.qos_max_jitter_ms != 0)
-            fields.push_back(
-                Value::context(1, Value::integer(p.qos_max_jitter_ms)));
-          return fields;
-        } else if constexpr (std::is_same_v<T, PlayResp>) {
-          return {enc_result(p.result), Value::integer(p.stream_id)};
-        } else if constexpr (std::is_same_v<T, StopReq>) {
-          return {Value::integer(static_cast<std::int64_t>(p.movie_id))};
-        } else if constexpr (std::is_same_v<T, StopResp>) {
-          return {enc_result(p.result),
-                  Value::integer(static_cast<std::int64_t>(p.position))};
-        } else if constexpr (std::is_same_v<T, PauseReq>) {
-          return {Value::integer(static_cast<std::int64_t>(p.movie_id))};
-        } else if constexpr (std::is_same_v<T, PauseResp>) {
-          return {enc_result(p.result)};
-        } else if constexpr (std::is_same_v<T, ResumeReq>) {
-          return {Value::integer(static_cast<std::int64_t>(p.movie_id))};
-        } else if constexpr (std::is_same_v<T, ResumeResp>) {
-          return {enc_result(p.result)};
-        } else if constexpr (std::is_same_v<T, RecordReq>) {
-          return {Value::ia5string(p.title), Value::integer(p.equipment_id),
-                  enc_attrs(p.attrs)};
-        } else if constexpr (std::is_same_v<T, RecordResp>) {
-          return {enc_result(p.result),
-                  Value::integer(static_cast<std::int64_t>(p.movie_id))};
-        } else if constexpr (std::is_same_v<T, RecordStopReq>) {
-          return {Value::integer(static_cast<std::int64_t>(p.movie_id))};
-        } else if constexpr (std::is_same_v<T, RecordStopResp>) {
-          return {enc_result(p.result),
-                  Value::integer(static_cast<std::int64_t>(p.frames))};
-        } else if constexpr (std::is_same_v<T, EquipListReq>) {
-          return {Value::integer(p.kind)};
-        } else if constexpr (std::is_same_v<T, EquipListResp>) {
-          std::vector<Value> rows;
-          for (const EquipItem& item : p.items)
-            rows.push_back(Value::sequence(
-                {Value::integer(item.id), Value::integer(item.kind),
-                 Value::ia5string(item.name), Value::boolean(item.powered),
-                 Value::ia5string(item.reserved_by)}));
-          return {enc_result(p.result), Value::sequence(std::move(rows))};
-        } else if constexpr (std::is_same_v<T, EquipControlReq>) {
-          return {Value::integer(p.equipment_id), Value::integer(p.command),
-                  Value::ia5string(p.param), Value::integer(p.value)};
-        } else if constexpr (std::is_same_v<T, EquipControlResp>) {
-          return {enc_result(p.result), Value::boolean(p.powered),
-                  Value::integer(p.value), Value::ia5string(p.reserved_by)};
-        } else if constexpr (std::is_same_v<T, MovieSearchReq>) {
-          return {encode_filter(p.filter), Value::boolean(p.chained)};
-        } else if constexpr (std::is_same_v<T, MovieSearchResp>) {
-          std::vector<Value> hits;
-          hits.reserve(p.hits.size());
-          for (const SearchHit& hit : p.hits)
-            hits.push_back(Value::sequence(
-                {Value::integer(static_cast<std::int64_t>(hit.movie_id)),
-                 enc_attrs(hit.attrs)}));
-          return {enc_result(p.result), Value::sequence(std::move(hits))};
-        } else if constexpr (std::is_same_v<T, PositionInd>) {
-          return {Value::integer(static_cast<std::int64_t>(p.movie_id)),
-                  Value::integer(static_cast<std::int64_t>(p.frame))};
-        } else {  // ErrorResp
-          return {enc_result(p.result), Value::ia5string(p.diagnostic)};
-        }
-      },
-      pdu);
-  return asn1::encode(
-      Value::application(static_cast<std::uint32_t>(op), std::move(fields)));
-}
-
-common::Result<Op> peek_op(common::ByteSpan raw) {
-  auto decoded = asn1::decode(raw);
-  if (!decoded.ok()) return decoded.error();
-  if (decoded.value().tag_class() != asn1::TagClass::Application)
-    return Error::make(kUnknownOp, "not an MCAM PDU");
-  return static_cast<Op>(decoded.value().tag());
-}
-
-common::Result<Pdu> decode(common::ByteSpan raw) {
-  auto decoded = asn1::decode(raw);
-  if (!decoded.ok()) return decoded.error();
-  const Value& v = decoded.value();
+template <typename N>
+Result<Pdu> pdu_from(const N& v) {
   if (v.tag_class() != asn1::TagClass::Application || !v.constructed())
     return Error::make(kUnknownOp, "not an MCAM PDU: " + v.to_string());
 
-  Fields f(v);
+  Fields<N> f(v);
   switch (static_cast<Op>(v.tag())) {
     case Op::AssociateReq: {
       auto user = f.text();
       auto version = f.integer();
       if (!user.ok()) return user.error();
       if (!version.ok()) return version.error();
-      return Pdu{AssociateReq{user.value(), static_cast<int>(version.value())}};
+      return Pdu{AssociateReq{std::move(user).take(),
+                              static_cast<int>(version.value())}};
     }
     case Op::AssociateResp: {
       auto rc = f.result_code();
       auto diag = f.text();
       if (!rc.ok()) return rc.error();
       if (!diag.ok()) return diag.error();
-      return Pdu{AssociateResp{rc.value(), diag.value()}};
+      return Pdu{AssociateResp{rc.value(), std::move(diag).take()}};
     }
     case Op::ReleaseReq:
       return Pdu{ReleaseReq{}};
@@ -443,7 +435,8 @@ common::Result<Pdu> decode(common::ByteSpan raw) {
       auto attrs = f.attrs();
       if (!title.ok()) return title.error();
       if (!attrs.ok()) return attrs.error();
-      return Pdu{MovieCreateReq{title.value(), attrs.value()}};
+      return Pdu{MovieCreateReq{std::move(title).take(),
+                                std::move(attrs).take()}};
     }
     case Op::MovieCreateResp: {
       auto rc = f.result_code();
@@ -466,7 +459,7 @@ common::Result<Pdu> decode(common::ByteSpan raw) {
     case Op::MovieSelectReq: {
       auto title = f.text();
       if (!title.ok()) return title.error();
-      return Pdu{MovieSelectReq{title.value()}};
+      return Pdu{MovieSelectReq{std::move(title).take()}};
     }
     case Op::MovieSelectResp: {
       auto rc = f.result_code();
@@ -477,7 +470,7 @@ common::Result<Pdu> decode(common::ByteSpan raw) {
       if (!attrs.ok()) return attrs.error();
       return Pdu{MovieSelectResp{rc.value(),
                                  static_cast<std::uint64_t>(id.value()),
-                                 attrs.value()}};
+                                 std::move(attrs).take()}};
     }
     case Op::AttrQueryReq: {
       auto id = f.integer();
@@ -485,14 +478,14 @@ common::Result<Pdu> decode(common::ByteSpan raw) {
       if (!id.ok()) return id.error();
       if (!names.ok()) return names.error();
       return Pdu{AttrQueryReq{static_cast<std::uint64_t>(id.value()),
-                              names.value()}};
+                              std::move(names).take()}};
     }
     case Op::AttrQueryResp: {
       auto rc = f.result_code();
       auto attrs = f.attrs();
       if (!rc.ok()) return rc.error();
       if (!attrs.ok()) return attrs.error();
-      return Pdu{AttrQueryResp{rc.value(), attrs.value()}};
+      return Pdu{AttrQueryResp{rc.value(), std::move(attrs).take()}};
     }
     case Op::AttrModifyReq: {
       auto id = f.integer();
@@ -500,7 +493,7 @@ common::Result<Pdu> decode(common::ByteSpan raw) {
       if (!id.ok()) return id.error();
       if (!attrs.ok()) return attrs.error();
       return Pdu{AttrModifyReq{static_cast<std::uint64_t>(id.value()),
-                               attrs.value()}};
+                               std::move(attrs).take()}};
     }
     case Op::AttrModifyResp: {
       auto rc = f.result_code();
@@ -517,15 +510,16 @@ common::Result<Pdu> decode(common::ByteSpan raw) {
       if (!host.ok()) return host.error();
       if (!port.ok()) return port.error();
       PlayReq req{static_cast<std::uint64_t>(id.value()),
-                  static_cast<std::uint64_t>(start.value()), host.value(),
+                  static_cast<std::uint64_t>(start.value()),
+                  std::move(host).take(),
                   static_cast<std::uint16_t>(port.value()), 0, 0};
-      if (const Value* qd = v.find_context(0); qd && qd->size() == 1)
+      if (const auto qd = v.find_context(0); qd && qd->size() == 1)
         req.qos_max_delay_ms = static_cast<std::uint32_t>(
             qd->child(0).as_int().value_or(0));
-      if (const Value* qj = v.find_context(1); qj && qj->size() == 1)
+      if (const auto qj = v.find_context(1); qj && qj->size() == 1)
         req.qos_max_jitter_ms = static_cast<std::uint32_t>(
             qj->child(0).as_int().value_or(0));
-      return Pdu{req};
+      return Pdu{std::move(req)};
     }
     case Op::PlayResp: {
       auto rc = f.result_code();
@@ -574,9 +568,9 @@ common::Result<Pdu> decode(common::ByteSpan raw) {
       if (!title.ok()) return title.error();
       if (!equip.ok()) return equip.error();
       if (!attrs.ok()) return attrs.error();
-      return Pdu{RecordReq{title.value(),
+      return Pdu{RecordReq{std::move(title).take(),
                            static_cast<std::uint32_t>(equip.value()),
-                           attrs.value()}};
+                           std::move(attrs).take()}};
     }
     case Op::RecordResp: {
       auto rc = f.result_code();
@@ -610,23 +604,21 @@ common::Result<Pdu> decode(common::ByteSpan raw) {
       if (v.size() < 2) return Error::make(kBadPduBody, "missing item list");
       EquipListResp resp;
       resp.result = rc.value();
-      for (const Value& row : v.child(1).children()) {
+      for (const N& row : v.child(1).children()) {
         if (row.size() != 5) return Error::make(kBadPduBody, "item arity");
-        EquipItem item;
-        auto id = row.child(0).as_int();
-        auto kind = row.child(1).as_int();
-        auto name = row.child(2).as_string();
-        auto powered = row.child(3).as_bool();
-        auto reserved = row.child(4).as_string();
+        Fields<N> item_fields(row);
+        auto id = item_fields.integer();
+        auto kind = item_fields.integer();
+        auto name = item_fields.text();
+        auto powered = item_fields.boolean();
+        auto reserved = item_fields.text();
         if (!id.ok() || !kind.ok() || !name.ok() || !powered.ok() ||
             !reserved.ok())
           return Error::make(kBadPduBody, "bad equipment item");
-        item.id = static_cast<std::uint32_t>(id.value());
-        item.kind = static_cast<int>(kind.value());
-        item.name = name.value();
-        item.powered = powered.value();
-        item.reserved_by = reserved.value();
-        resp.items.push_back(std::move(item));
+        resp.items.push_back(EquipItem{
+            static_cast<std::uint32_t>(id.value()),
+            static_cast<int>(kind.value()), std::move(name).take(),
+            powered.value(), std::move(reserved).take()});
       }
       return Pdu{std::move(resp)};
     }
@@ -640,7 +632,8 @@ common::Result<Pdu> decode(common::ByteSpan raw) {
       if (!param.ok()) return param.error();
       if (!value.ok()) return value.error();
       return Pdu{EquipControlReq{static_cast<std::uint32_t>(id.value()),
-                                 static_cast<int>(cmd.value()), param.value(),
+                                 static_cast<int>(cmd.value()),
+                                 std::move(param).take(),
                                  static_cast<int>(value.value())}};
     }
     case Op::EquipControlResp: {
@@ -654,11 +647,11 @@ common::Result<Pdu> decode(common::ByteSpan raw) {
       if (!reserved.ok()) return reserved.error();
       return Pdu{EquipControlResp{rc.value(), powered.value(),
                                   static_cast<int>(value.value()),
-                                  reserved.value()}};
+                                  std::move(reserved).take()}};
     }
     case Op::MovieSearchReq: {
       if (v.size() < 2) return Error::make(kBadPduBody, "short search req");
-      auto filter = decode_filter(v.child(0));
+      auto filter = filter_from(v.child(0), 0);
       if (!filter.ok()) return filter.error();
       auto chained = v.child(1).as_bool();
       if (!chained.ok()) return chained.error();
@@ -670,22 +663,14 @@ common::Result<Pdu> decode(common::ByteSpan raw) {
       if (v.size() < 2) return Error::make(kBadPduBody, "short search resp");
       MovieSearchResp resp;
       resp.result = rc.value();
-      for (const Value& row : v.child(1).children()) {
+      for (const N& row : v.child(1).children()) {
         if (row.size() != 2) return Error::make(kBadPduBody, "hit arity");
         auto id = row.child(0).as_int();
         if (!id.ok()) return id.error();
-        SearchHit hit;
-        hit.movie_id = static_cast<std::uint64_t>(id.value());
-        for (const Value& attr_row : row.child(1).children()) {
-          if (attr_row.size() != 2)
-            return Error::make(kBadPduBody, "hit attr arity");
-          auto name = attr_row.child(0).as_string();
-          auto value = attr_row.child(1).as_string();
-          if (!name.ok()) return name.error();
-          if (!value.ok()) return value.error();
-          hit.attrs.push_back(Attr{name.value(), value.value()});
-        }
-        resp.hits.push_back(std::move(hit));
+        auto attrs = attrs_of(row.child(1), "hit attr arity");
+        if (!attrs.ok()) return attrs.error();
+        resp.hits.push_back(SearchHit{static_cast<std::uint64_t>(id.value()),
+                                      std::move(attrs).take()});
       }
       return Pdu{std::move(resp)};
     }
@@ -702,11 +687,114 @@ common::Result<Pdu> decode(common::ByteSpan raw) {
       auto diag = f.text();
       if (!rc.ok()) return rc.error();
       if (!diag.ok()) return diag.error();
-      return Pdu{ErrorResp{rc.value(), diag.value()}};
+      return Pdu{ErrorResp{rc.value(), std::move(diag).take()}};
     }
   }
   return Error::make(kUnknownOp,
                      "unknown MCAM operation tag " + std::to_string(v.tag()));
 }
+
+}  // namespace
+
+asn1::Value encode_filter(const directory::Filter& filter) {
+  using directory::Filter;
+  switch (filter.op()) {
+    case Filter::Op::And:
+    case Filter::Op::Or: {
+      std::vector<Value> kids;
+      kids.reserve(filter.children().size());
+      for (const Filter& c : filter.children())
+        kids.push_back(encode_filter(c));
+      return Value::context(filter.op() == Filter::Op::And ? 0 : 1,
+                            Value::sequence(std::move(kids)));
+    }
+    case Filter::Op::Not:
+      return Value::context(2, encode_filter(filter.children().front()));
+    case Filter::Op::Equal:
+      return Value::context(3,
+                            Value::sequence({Value::ia5string(filter.attr()),
+                                             Value::ia5string(filter.value())}));
+    case Filter::Op::Substring:
+      return Value::context(4,
+                            Value::sequence({Value::ia5string(filter.attr()),
+                                             Value::ia5string(filter.value())}));
+    case Filter::Op::Present:
+      return Value::context(5, Value::ia5string(filter.attr()));
+    case Filter::Op::All:
+      return Value::context(6, Value::null());
+  }
+  return Value::context(6, Value::null());
+}
+
+common::Result<directory::Filter> decode_filter(const asn1::Value& v,
+                                                int depth) {
+  return filter_from(v, depth);
+}
+Op op_of(const Pdu& pdu) noexcept {
+  return std::visit(
+      [](const auto& p) -> Op {
+        using T = std::decay_t<decltype(p)>;
+        if constexpr (std::is_same_v<T, AssociateReq>) return Op::AssociateReq;
+        else if constexpr (std::is_same_v<T, AssociateResp>) return Op::AssociateResp;
+        else if constexpr (std::is_same_v<T, ReleaseReq>) return Op::ReleaseReq;
+        else if constexpr (std::is_same_v<T, ReleaseResp>) return Op::ReleaseResp;
+        else if constexpr (std::is_same_v<T, MovieCreateReq>) return Op::MovieCreateReq;
+        else if constexpr (std::is_same_v<T, MovieCreateResp>) return Op::MovieCreateResp;
+        else if constexpr (std::is_same_v<T, MovieDeleteReq>) return Op::MovieDeleteReq;
+        else if constexpr (std::is_same_v<T, MovieDeleteResp>) return Op::MovieDeleteResp;
+        else if constexpr (std::is_same_v<T, MovieSelectReq>) return Op::MovieSelectReq;
+        else if constexpr (std::is_same_v<T, MovieSelectResp>) return Op::MovieSelectResp;
+        else if constexpr (std::is_same_v<T, AttrQueryReq>) return Op::AttrQueryReq;
+        else if constexpr (std::is_same_v<T, AttrQueryResp>) return Op::AttrQueryResp;
+        else if constexpr (std::is_same_v<T, AttrModifyReq>) return Op::AttrModifyReq;
+        else if constexpr (std::is_same_v<T, AttrModifyResp>) return Op::AttrModifyResp;
+        else if constexpr (std::is_same_v<T, PlayReq>) return Op::PlayReq;
+        else if constexpr (std::is_same_v<T, PlayResp>) return Op::PlayResp;
+        else if constexpr (std::is_same_v<T, StopReq>) return Op::StopReq;
+        else if constexpr (std::is_same_v<T, StopResp>) return Op::StopResp;
+        else if constexpr (std::is_same_v<T, PauseReq>) return Op::PauseReq;
+        else if constexpr (std::is_same_v<T, PauseResp>) return Op::PauseResp;
+        else if constexpr (std::is_same_v<T, ResumeReq>) return Op::ResumeReq;
+        else if constexpr (std::is_same_v<T, ResumeResp>) return Op::ResumeResp;
+        else if constexpr (std::is_same_v<T, RecordReq>) return Op::RecordReq;
+        else if constexpr (std::is_same_v<T, RecordResp>) return Op::RecordResp;
+        else if constexpr (std::is_same_v<T, RecordStopReq>) return Op::RecordStopReq;
+        else if constexpr (std::is_same_v<T, RecordStopResp>) return Op::RecordStopResp;
+        else if constexpr (std::is_same_v<T, EquipListReq>) return Op::EquipListReq;
+        else if constexpr (std::is_same_v<T, EquipListResp>) return Op::EquipListResp;
+        else if constexpr (std::is_same_v<T, EquipControlReq>) return Op::EquipControlReq;
+        else if constexpr (std::is_same_v<T, EquipControlResp>) return Op::EquipControlResp;
+        else if constexpr (std::is_same_v<T, MovieSearchReq>) return Op::MovieSearchReq;
+        else if constexpr (std::is_same_v<T, MovieSearchResp>) return Op::MovieSearchResp;
+        else if constexpr (std::is_same_v<T, PositionInd>) return Op::PositionInd;
+        else return Op::ErrorResp;
+      },
+      pdu);
+}
+
+Bytes encode(const Pdu& pdu) {
+  return asn1::write_exact([&pdu](Writer& w) {
+    const std::size_t body = w.open(asn1::TagClass::Application,
+                                    static_cast<std::uint32_t>(op_of(pdu)));
+    std::visit([&w](const auto& p) { put_fields(w, p); }, pdu);
+    w.close(body);
+  });
+}
+
+common::Result<Op> peek_op(common::ByteSpan raw) {
+  auto root = asn1::Node::parse(raw);
+  if (!root.ok()) return root.error();
+  if (root.value().tag_class() != asn1::TagClass::Application)
+    return Error::make(kUnknownOp, "not an MCAM PDU");
+  return static_cast<Op>(root.value().tag());
+}
+
+common::Result<Pdu> decode(common::ByteSpan raw) {
+  auto root = asn1::Node::parse(raw);
+  if (!root.ok()) return root.error();
+  return pdu_from(root.value());
+}
+
+common::Result<Pdu> pdu_from_value(const asn1::Value& v) { return pdu_from(v); }
 
 }  // namespace mcam::core

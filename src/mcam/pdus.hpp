@@ -4,7 +4,8 @@
 // structures and to create encoding and decoding routines automatically"
 // (§4.2, [9]). This header is the equivalent of that generated code: one C++
 // struct per PDU, a variant over all of them, and BER encode/decode built on
-// src/asn1. On the wire every PDU is
+// src/asn1's direct codec (asn1/direct.hpp), which writes and reads the wire
+// octets without building a Value tree. On the wire every PDU is
 //
 //   [APPLICATION op] IMPLICIT SEQUENCE { ...fields... }
 //
@@ -315,7 +316,14 @@ using Pdu = std::variant<
 /// exceptions: peer input is untrusted.
 [[nodiscard]] common::Result<Pdu> decode(common::ByteSpan raw);
 
-/// Cheap operation peek: decodes only the outer tag.
+/// The same field extraction as decode(), run over an already-decoded value
+/// tree: one template, two node types. decode(raw) and
+/// pdu_from_value(asn1::decode(raw)) agree on every input (the codec
+/// differential test holds them to it).
+[[nodiscard]] common::Result<Pdu> pdu_from_value(const asn1::Value& v);
+
+/// Cheap operation peek: validates the PDU as decode() does, then reads
+/// only the outer tag.
 [[nodiscard]] common::Result<Op> peek_op(common::ByteSpan raw);
 
 enum McamCodecError : int {

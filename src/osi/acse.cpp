@@ -1,10 +1,11 @@
 #include "osi/acse.hpp"
 
-#include "asn1/ber.hpp"
+#include "asn1/direct.hpp"
 
 namespace mcam::osi {
 
-using asn1::Value;
+using asn1::TagClass;
+using asn1::Writer;
 using common::Bytes;
 using common::Error;
 using common::Result;
@@ -19,56 +20,30 @@ constexpr std::uint32_t kTagRlre = 3;
 constexpr std::uint32_t kTagAbrt = 4;
 constexpr std::uint32_t kUserInfoTag = 30;
 
-Value user_info(const Bytes& data) {
-  return Value::context(kUserInfoTag, Value::octet_string(data));
+/// [APPLICATION tag] { `fields` } as one exactly-sized buffer.
+template <typename Fields>
+Bytes apdu(std::uint32_t tag, Fields&& fields) {
+  return asn1::write_exact([&](Writer& w) {
+    const std::size_t body = w.open(TagClass::Application, tag);
+    fields(w);
+    w.close(body);
+  });
 }
 
-Bytes user_info_of(const Value& apdu) {
-  if (const Value* ui = apdu.find_context(kUserInfoTag);
-      ui != nullptr && ui->size() == 1)
-    return ui->child(0).as_octets().value_or({});
-  return {};
-}
-}  // namespace
-
-Bytes build_aarq(const std::vector<std::uint32_t>& context,
-                 const Bytes& user_information) {
-  return asn1::encode(Value::application(
-      kTagAarq, {Value::integer(1), Value::oid(context),
-                 user_info(user_information)}));
+void put_user_info(Writer& w, const Bytes& data) {
+  const std::size_t ui = w.open(TagClass::ContextSpecific, kUserInfoTag);
+  w.octet_string(data);
+  w.close(ui);
 }
 
-Bytes build_aare(AcseResult result, const std::vector<std::uint32_t>& context,
-                 const Bytes& user_information) {
-  return asn1::encode(Value::application(
-      kTagAare, {Value::enumerated(static_cast<int>(result)),
-                 Value::oid(context), user_info(user_information)}));
-}
-
-Bytes build_rlrq(int reason, const Bytes& user_information) {
-  return asn1::encode(Value::application(
-      kTagRlrq, {Value::integer(reason), user_info(user_information)}));
-}
-
-Bytes build_rlre(int reason, const Bytes& user_information) {
-  return asn1::encode(Value::application(
-      kTagRlre, {Value::integer(reason), user_info(user_information)}));
-}
-
-Bytes build_abrt(int source) {
-  return asn1::encode(
-      Value::application(kTagAbrt, {Value::enumerated(source)}));
-}
-
-Result<AcseApdu> parse_acse(const Bytes& raw) {
-  auto decoded = asn1::decode(raw);
-  if (!decoded.ok()) return decoded.error();
-  const Value& v = decoded.value();
-  if (v.tag_class() != asn1::TagClass::Application || !v.constructed())
+template <typename N>
+Result<AcseApdu> acse_from(const N& v) {
+  if (v.tag_class() != TagClass::Application || !v.constructed())
     return Error::make(asn1::kBadTag, "not an ACSE APDU");
 
   AcseApdu apdu;
-  apdu.user_information = user_info_of(v);
+  if (const auto ui = v.find_context(kUserInfoTag); ui && ui->size() == 1)
+    apdu.user_information = ui->child(0).as_octets().value_or({});
   switch (v.tag()) {
     case kTagAarq: {
       apdu.type = AcseApdu::Type::AARQ;
@@ -76,17 +51,16 @@ Result<AcseApdu> parse_acse(const Bytes& raw) {
       apdu.version = static_cast<int>(v.child(0).as_int().value_or(1));
       auto ctx = v.child(1).as_oid();
       if (!ctx.ok()) return ctx.error();
-      apdu.context = ctx.value();
+      apdu.context = std::move(ctx).take();
       return apdu;
     }
     case kTagAare: {
       apdu.type = AcseApdu::Type::AARE;
       if (v.size() < 2) return Error::make(asn1::kBadTag, "short AARE");
-      apdu.result = static_cast<AcseResult>(
-          v.child(0).as_int().value_or(1));
+      apdu.result = static_cast<AcseResult>(v.child(0).as_int().value_or(1));
       auto ctx = v.child(1).as_oid();
       if (!ctx.ok()) return ctx.error();
-      apdu.context = ctx.value();
+      apdu.context = std::move(ctx).take();
       return apdu;
     }
     case kTagRlrq:
@@ -107,15 +81,60 @@ Result<AcseApdu> parse_acse(const Bytes& raw) {
       return Error::make(asn1::kBadTag, "unknown ACSE APDU tag");
   }
 }
+}  // namespace
+
+Bytes build_aarq(const std::vector<std::uint32_t>& context,
+                 const Bytes& user_information) {
+  return apdu(kTagAarq, [&](Writer& w) {
+    w.integer(1);
+    w.oid(context);
+    put_user_info(w, user_information);
+  });
+}
+
+Bytes build_aare(AcseResult result, const std::vector<std::uint32_t>& context,
+                 const Bytes& user_information) {
+  return apdu(kTagAare, [&](Writer& w) {
+    w.enumerated(static_cast<int>(result));
+    w.oid(context);
+    put_user_info(w, user_information);
+  });
+}
+
+Bytes build_rlrq(int reason, const Bytes& user_information) {
+  return apdu(kTagRlrq, [&](Writer& w) {
+    w.integer(reason);
+    put_user_info(w, user_information);
+  });
+}
+
+Bytes build_rlre(int reason, const Bytes& user_information) {
+  return apdu(kTagRlre, [&](Writer& w) {
+    w.integer(reason);
+    put_user_info(w, user_information);
+  });
+}
+
+Bytes build_abrt(int source) {
+  return apdu(kTagAbrt, [source](Writer& w) { w.enumerated(source); });
+}
+
+Result<AcseApdu> parse_acse(const Bytes& raw) {
+  auto root = asn1::Node::parse(raw);
+  if (!root.ok()) return root.error();
+  return acse_from(root.value());
+}
+
+Result<AcseApdu> acse_from_value(const asn1::Value& v) { return acse_from(v); }
 
 AcseModule::AcseModule(std::string name)
     : AcseModule(std::move(name), Config{}) {}
 
 AcseModule::AcseModule(std::string name, Config cfg)
     : Module(std::move(name), estelle::Attribute::Process),
+      upper_(ip("U")),
+      lower_(ip("D")),
       cfg_(std::move(cfg)) {
-  upper();
-  lower();
   define_transitions();
 }
 

@@ -23,6 +23,7 @@
 
 #include <vector>
 
+#include "asn1/value.hpp"
 #include "estelle/module.hpp"
 #include "osi/service.hpp"
 
@@ -58,6 +59,9 @@ common::Bytes build_rlrq(int reason, const common::Bytes& user_information);
 common::Bytes build_rlre(int reason, const common::Bytes& user_information);
 common::Bytes build_abrt(int source);
 common::Result<AcseApdu> parse_acse(const common::Bytes& raw);
+/// parse_acse's field extraction over a decoded value tree (the reference
+/// the direct reader is tested against).
+common::Result<AcseApdu> acse_from_value(const asn1::Value& v);
 
 /// The ACSE protocol machine. upper(): presentation-service kinds (so an
 /// MCA or another ACSE user plugs in unchanged); lower(): connect to
@@ -75,8 +79,8 @@ class AcseModule : public estelle::Module {
   explicit AcseModule(std::string name);
   AcseModule(std::string name, Config cfg);
 
-  estelle::InteractionPoint& upper() { return ip("U"); }
-  estelle::InteractionPoint& lower() { return ip("D"); }
+  estelle::InteractionPoint& upper() { return upper_; }
+  estelle::InteractionPoint& lower() { return lower_; }
 
   [[nodiscard]] std::uint64_t apdus_sent() const noexcept { return sent_; }
   [[nodiscard]] std::uint64_t context_rejections() const noexcept {
@@ -86,6 +90,8 @@ class AcseModule : public estelle::Module {
  private:
   void define_transitions();
 
+  estelle::InteractionPoint& upper_;
+  estelle::InteractionPoint& lower_;
   Config cfg_;
   std::uint64_t sent_ = 0;
   std::uint64_t context_rejections_ = 0;

@@ -76,7 +76,9 @@ std::optional<Indication> IsodeEntity::next_indication() {
 
 void IsodeEntity::receive_tsdu(const Bytes& tsdu) {
   ++pdus_processed_;
-  const SpduView spdu = parse_spdu(tsdu);
+  auto parsed = parse_spdu(tsdu);
+  if (!parsed.ok()) return;  // malformed: dropped
+  SpduView& spdu = parsed.value();
   switch (spdu.type) {
     case Spdu::CN: {
       auto ppdu = parse_ppdu(spdu.user_data);
@@ -126,8 +128,7 @@ void IsodeEntity::receive_tsdu(const Bytes& tsdu) {
 //   if (ISODE.message) → output onto the IP         (polling transition)
 
 IsodeInterfaceModule::IsodeInterfaceModule(std::string name)
-    : Module(std::move(name), estelle::Attribute::Process) {
-  upper();
+    : Module(std::move(name), estelle::Attribute::Process), upper_(ip("U")) {
   define_transitions();
 }
 

@@ -89,12 +89,13 @@ class IsodeInterfaceModule : public estelle::Module {
  public:
   explicit IsodeInterfaceModule(std::string name);
 
-  estelle::InteractionPoint& upper() { return ip("U"); }
+  estelle::InteractionPoint& upper() { return upper_; }
   [[nodiscard]] IsodeEntity& entity() noexcept { return entity_; }
 
  private:
   void define_transitions();
 
+  estelle::InteractionPoint& upper_;
   IsodeEntity entity_;
 };
 

@@ -1,10 +1,11 @@
 #include "osi/presentation.hpp"
 
-#include "asn1/ber.hpp"
+#include "asn1/direct.hpp"
 
 namespace mcam::osi {
 
-using asn1::Value;
+using asn1::TagClass;
+using asn1::Writer;
 using common::Bytes;
 using estelle::Interaction;
 using estelle::kAnyState;
@@ -16,115 +17,146 @@ constexpr std::uint32_t kTagCpa = 2;
 constexpr std::uint32_t kTagCpr = 3;
 constexpr std::uint32_t kTagTd = 4;
 
-Bytes wrap(std::uint32_t tag, Value body) {
-  return asn1::encode(Value::context(tag, std::move(body)));
-}
-}  // namespace
-
-Bytes build_cp(int context_id, const Bytes& user_data) {
-  Value ctx = Value::sequence({
-      Value::integer(context_id),
-      Value::oid(oids::kMcamAbstractSyntax),
-      Value::sequence({Value::oid(oids::kBerTransferSyntax)}),
+/// [tag] { SEQUENCE { `head`, [0] { OCTET STRING user_data } } }: the shape
+/// of CP, CPA and CPR, whose heads differ.
+template <typename Head>
+Bytes connect_ppdu(std::uint32_t tag, const Bytes& user_data, Head&& head) {
+  return asn1::write_exact([&](Writer& w) {
+    const std::size_t wrapper = w.open(TagClass::ContextSpecific, tag);
+    const std::size_t body = w.open_sequence();
+    head(w);
+    const std::size_t ud = w.open(TagClass::ContextSpecific, 0);
+    w.octet_string(user_data);
+    w.close(ud);
+    w.close(body);
+    w.close(wrapper);
   });
-  Value body = Value::sequence({
-      Value::sequence({std::move(ctx)}),
-      Value::context(0, Value::octet_string(user_data)),
-  });
-  return wrap(kTagCp, std::move(body));
 }
 
-Bytes build_cpa(int context_id, const Bytes& user_data) {
-  Value result = Value::sequence({
-      Value::integer(context_id),
-      Value::enumerated(0),  // acceptance
-      Value::oid(oids::kBerTransferSyntax),
-  });
-  Value body = Value::sequence({
-      Value::sequence({std::move(result)}),
-      Value::context(0, Value::octet_string(user_data)),
-  });
-  return wrap(kTagCpa, std::move(body));
-}
-
-Bytes build_cpr(int reason, const Bytes& user_data) {
-  Value body = Value::sequence({
-      Value::enumerated(reason),
-      Value::context(0, Value::octet_string(user_data)),
-  });
-  return wrap(kTagCpr, std::move(body));
-}
-
-Bytes build_td(int context_id, const Bytes& user_data) {
-  Value body = Value::sequence({
-      Value::integer(context_id),
-      Value::octet_string(user_data),
-  });
-  return wrap(kTagTd, std::move(body));
-}
-
-common::Result<PpduView> parse_ppdu(const Bytes& raw) {
-  auto decoded = asn1::decode(raw);
-  if (!decoded.ok()) return decoded.error();
-  const Value& outer = decoded.value();
-  if (outer.tag_class() != asn1::TagClass::ContextSpecific ||
-      !outer.constructed() || outer.size() != 1)
+template <typename N>
+common::Result<PpduView> ppdu_from(const N& outer) {
+  if (outer.tag_class() != TagClass::ContextSpecific || !outer.constructed() ||
+      outer.size() != 1)
     return common::Error::make(asn1::kBadTag, "malformed PPDU wrapper");
-  const Value& body = outer.child(0);
+  decltype(auto) body = outer.child(0);
 
   PpduView v;
-  auto user_data_of = [&](const Value& seq) -> Bytes {
-    if (const Value* ud = seq.find_context(0); ud && ud->size() == 1)
+  auto user_data_of = [](const N& seq) -> Bytes {
+    if (const auto ud = seq.find_context(0); ud && ud->size() == 1)
       return ud->child(0).as_octets().value_or({});
     return {};
   };
+  // CP and CPA: the id of the first entry of the context list.
+  auto first_context_id = [](const N& seq) {
+    if (seq.size() >= 1 && seq.child(0).size() >= 1 &&
+        seq.child(0).child(0).size() >= 1)
+      return static_cast<int>(
+          seq.child(0).child(0).child(0).as_int().value_or(0));
+    return 0;
+  };
 
   switch (outer.tag()) {
-    case kTagCp: {
+    case kTagCp:
       v.type = PpduView::Type::CP;
-      if (body.size() >= 1 && body.child(0).size() >= 1 &&
-          body.child(0).child(0).size() >= 1)
-        v.context_id = static_cast<int>(
-            body.child(0).child(0).child(0).as_int().value_or(0));
+      v.context_id = first_context_id(body);
       v.user_data = user_data_of(body);
       return v;
-    }
-    case kTagCpa: {
+    case kTagCpa:
       v.type = PpduView::Type::CPA;
-      if (body.size() >= 1 && body.child(0).size() >= 1 &&
-          body.child(0).child(0).size() >= 1)
-        v.context_id = static_cast<int>(
-            body.child(0).child(0).child(0).as_int().value_or(0));
+      v.context_id = first_context_id(body);
       v.user_data = user_data_of(body);
       return v;
-    }
-    case kTagCpr: {
+    case kTagCpr:
       v.type = PpduView::Type::CPR;
       if (body.size() >= 1)
         v.reason = static_cast<int>(body.child(0).as_int().value_or(0));
       v.user_data = user_data_of(body);
       return v;
-    }
     case kTagTd: {
       v.type = PpduView::Type::TD;
-      if (body.size() >= 2) {
-        v.context_id = static_cast<int>(body.child(0).as_int().value_or(0));
-        v.user_data = body.child(1).as_octets().value_or({});
-      }
+      auto field = body.children().begin();
+      const auto end = body.children().end();
+      if (field == end) return v;
+      auto second = field;
+      if (++second == end) return v;  // fewer than two fields
+      v.context_id = static_cast<int>(field->as_int().value_or(0));
+      v.user_data = second->as_octets().value_or({});
       return v;
     }
     default:
       return common::Error::make(asn1::kBadTag, "unknown PPDU tag");
   }
 }
+}  // namespace
+
+Bytes build_cp(int context_id, const Bytes& user_data) {
+  return connect_ppdu(kTagCp, user_data, [context_id](Writer& w) {
+    const std::size_t list = w.open_sequence();
+    const std::size_t ctx = w.open_sequence();
+    w.integer(context_id);
+    w.oid(oids::kMcamAbstractSyntax);
+    const std::size_t transfer = w.open_sequence();
+    w.oid(oids::kBerTransferSyntax);
+    w.close(transfer);
+    w.close(ctx);
+    w.close(list);
+  });
+}
+
+Bytes build_cpa(int context_id, const Bytes& user_data) {
+  return connect_ppdu(kTagCpa, user_data, [context_id](Writer& w) {
+    const std::size_t list = w.open_sequence();
+    const std::size_t result = w.open_sequence();
+    w.integer(context_id);
+    w.enumerated(0);  // acceptance
+    w.oid(oids::kBerTransferSyntax);
+    w.close(result);
+    w.close(list);
+  });
+}
+
+Bytes build_cpr(int reason, const Bytes& user_data) {
+  return connect_ppdu(kTagCpr, user_data,
+                      [reason](Writer& w) { w.enumerated(reason); });
+}
+
+Bytes build_td(int context_id, const Bytes& user_data) {
+  // The per-request PPDU: lengths computed up front, one exact allocation.
+  constexpr auto kSequence =
+      static_cast<std::uint32_t>(asn1::UniversalTag::Sequence);
+  constexpr auto kOctets =
+      static_cast<std::uint32_t>(asn1::UniversalTag::OctetString);
+  const std::size_t seq = Writer::int_tlv_len(context_id) +
+                          Writer::tlv_len(kOctets, user_data.size());
+  const std::size_t wrapper = Writer::tlv_len(kSequence, seq);
+  Bytes out;
+  out.reserve(Writer::tlv_len(kTagTd, wrapper));
+  Writer w(out);
+  w.header(TagClass::ContextSpecific, true, kTagTd, wrapper);
+  w.header(TagClass::Universal, true, kSequence, seq);
+  w.integer(context_id);
+  w.octet_string(user_data);
+  return out;
+}
+
+common::Result<PpduView> parse_ppdu(const Bytes& raw) {
+  auto root = asn1::Node::parse(raw);
+  if (!root.ok()) return root.error();
+  return ppdu_from(root.value());
+}
+
+common::Result<PpduView> ppdu_from_value(const asn1::Value& v) {
+  return ppdu_from(v);
+}
 
 PresentationModule::PresentationModule(std::string name)
     : PresentationModule(std::move(name), Config{}) {}
 
 PresentationModule::PresentationModule(std::string name, Config cfg)
-    : Module(std::move(name), estelle::Attribute::Process), cfg_(cfg) {
-  upper();
-  lower();
+    : Module(std::move(name), estelle::Attribute::Process),
+      upper_(ip("U")),
+      lower_(ip("D")),
+      cfg_(cfg) {
   define_transitions();
 }
 

@@ -54,9 +54,9 @@ class PresentationModule : public estelle::Module {
   PresentationModule(std::string name, Config cfg);
 
   /// Upper interface (PS user = MCAM / application): kinds PsKind.
-  estelle::InteractionPoint& upper() { return ip("U"); }
+  estelle::InteractionPoint& upper() { return upper_; }
   /// Lower interface: connect to SessionModule::upper().
-  estelle::InteractionPoint& lower() { return ip("D"); }
+  estelle::InteractionPoint& lower() { return lower_; }
 
   [[nodiscard]] std::uint64_t ppdus_sent() const noexcept { return sent_; }
   /// Negotiated transfer syntax of the accepted context (empty until open).
@@ -68,6 +68,8 @@ class PresentationModule : public estelle::Module {
  private:
   void define_transitions();
 
+  estelle::InteractionPoint& upper_;
+  estelle::InteractionPoint& lower_;
   Config cfg_;
   std::uint64_t sent_ = 0;
   std::vector<std::uint32_t> transfer_syntax_;
@@ -88,5 +90,8 @@ struct PpduView {
 /// Decode any of the four PPDUs. The outer wrapper distinguishes them with
 /// a context tag: [1] CP, [2] CPA, [3] CPR, [4] TD.
 common::Result<PpduView> parse_ppdu(const common::Bytes& raw);
+/// parse_ppdu's field extraction over a decoded value tree (the reference
+/// the direct reader is tested against).
+common::Result<PpduView> ppdu_from_value(const asn1::Value& v);
 
 }  // namespace mcam::osi

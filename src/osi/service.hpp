@@ -9,6 +9,13 @@
 
 namespace mcam::osi {
 
+/// Decode errors of the byte-oriented TPDU and SPDU headers (the upper
+/// layers' PDUs are BER and report asn1::Asn1Error codes).
+enum OsiPduError : int {
+  kShortTpdu = 8001,  // fewer octets than the TPDU header
+  kShortSpdu = 8002,  // fewer octets than the SPDU header or its length field
+};
+
 /// Transport service (the "simulated transport layer pipe" of §5.1, with
 /// go-back-N ARQ so the control stack sees a 100% reliable service even
 /// over an impaired channel — Table 1's "error correction: yes").

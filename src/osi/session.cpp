@@ -1,29 +1,61 @@
 #include "osi/session.hpp"
 
-#include "common/bytes.hpp"
+#include <optional>
 
 namespace mcam::osi {
 
 using common::Bytes;
-using common::ByteReader;
-using common::ByteWriter;
 using estelle::Interaction;
 using estelle::kAnyState;
 
-Bytes build_spdu(Spdu type, const Bytes& user_data) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u16(static_cast<std::uint16_t>(user_data.size()));
-  w.raw(user_data);
-  return std::move(w).take();
+namespace {
+constexpr std::size_t kSpduHeader = 3;  // si:1 length:2
+
+/// The user-data length a well-formed SPDU announces; nullopt when `raw` is
+/// shorter than its header or than its length field says.
+std::optional<std::size_t> spdu_user_len(const Bytes& raw) {
+  if (raw.size() < kSpduHeader) return std::nullopt;
+  const std::size_t len = (static_cast<std::size_t>(raw[1]) << 8) | raw[2];
+  if (len > raw.size() - kSpduHeader) return std::nullopt;
+  return len;
 }
 
-SpduView parse_spdu(const Bytes& raw) {
-  ByteReader r(raw);
+/// User data of an SPDU that spdu_is() admitted.
+Bytes user_data_of(const Interaction& msg) {
+  auto spdu = parse_spdu(msg.payload);
+  return spdu.ok() ? std::move(spdu.value().user_data) : Bytes{};
+}
+}  // namespace
+
+Bytes build_spdu(Spdu type, const Bytes& user_data) {
+  const auto len = static_cast<std::uint16_t>(user_data.size());
+  Bytes out;
+  out.reserve(kSpduHeader + user_data.size());
+  out.push_back(static_cast<std::uint8_t>(type));
+  out.push_back(static_cast<std::uint8_t>(len >> 8));
+  out.push_back(static_cast<std::uint8_t>(len));
+  out.insert(out.end(), user_data.begin(), user_data.end());
+  return out;
+}
+
+common::Result<SpduView> parse_spdu(const Bytes& raw) {
+  const std::optional<std::size_t> len = spdu_user_len(raw);
+  if (!len) {
+    if (raw.size() < kSpduHeader)
+      return common::Error::make(
+          kShortSpdu, "SPDU of " + std::to_string(raw.size()) +
+                          " bytes is shorter than its 3-byte header");
+    return common::Error::make(
+        kShortSpdu, "SPDU length field claims " +
+                        std::to_string((raw[1] << 8) | raw[2]) +
+                        " bytes of user data, " +
+                        std::to_string(raw.size() - kSpduHeader) +
+                        " present");
+  }
   SpduView v;
-  v.type = static_cast<Spdu>(r.u8());
-  const std::size_t len = r.u16();
-  v.user_data = r.raw(len);
+  v.type = static_cast<Spdu>(raw[0]);
+  const auto first = raw.begin() + kSpduHeader;
+  v.user_data.assign(first, first + static_cast<std::ptrdiff_t>(*len));
   return v;
 }
 
@@ -31,9 +63,10 @@ SessionModule::SessionModule(std::string name)
     : SessionModule(std::move(name), Config{}) {}
 
 SessionModule::SessionModule(std::string name, Config cfg)
-    : Module(std::move(name), estelle::Attribute::Process), cfg_(cfg) {
-  upper();
-  lower();
+    : Module(std::move(name), estelle::Attribute::Process),
+      upper_(ip("U")),
+      lower_(ip("D")),
+      cfg_(cfg) {
   define_transitions();
 }
 
@@ -47,10 +80,11 @@ void SessionModule::define_transitions() {
   auto& d = lower();
   const auto cost = cfg_.per_spdu_cost;
 
-  // Helper: decode the SPDU at the head of the transport queue.
+  // Helper: the SPDU at the head of the transport queue is a well-formed
+  // `want`. A malformed one falls through to s-discard-lower.
   auto spdu_is = [](Spdu want) {
     return [want](Module&, const Interaction* msg) {
-      return msg != nullptr && !msg->payload.empty() &&
+      return msg != nullptr && spdu_user_len(msg->payload).has_value() &&
              static_cast<Spdu>(msg->payload[0]) == want;
     };
   };
@@ -81,7 +115,7 @@ void SessionModule::define_transitions() {
       .cost(cost)
       .action([this](Module&, const Interaction* msg) {
         upper().output(
-            Interaction(kSConConf, parse_spdu(msg->payload).user_data));
+            Interaction(kSConConf, user_data_of(*msg)));
       });
   trans("s-rf-recv")
       .from(kWaitAC)
@@ -91,7 +125,7 @@ void SessionModule::define_transitions() {
       .cost(cost)
       .action([this](Module&, const Interaction* msg) {
         upper().output(
-            Interaction(kSConRefuse, parse_spdu(msg->payload).user_data));
+            Interaction(kSConRefuse, user_data_of(*msg)));
         lower().output(Interaction(kTDisReq));
       });
 
@@ -104,7 +138,7 @@ void SessionModule::define_transitions() {
       .cost(cost)
       .action([this](Module&, const Interaction* msg) {
         upper().output(
-            Interaction(kSConInd, parse_spdu(msg->payload).user_data));
+            Interaction(kSConInd, user_data_of(*msg)));
       });
   trans("s-con-resp")
       .from(kConnInd)
@@ -131,7 +165,7 @@ void SessionModule::define_transitions() {
       .cost(cost)
       .action([this](Module&, const Interaction* msg) {
         upper().output(
-            Interaction(kSDatInd, parse_spdu(msg->payload).user_data));
+            Interaction(kSDatInd, user_data_of(*msg)));
       });
 
   // --- orderly release (FN/DN) ---
@@ -151,7 +185,7 @@ void SessionModule::define_transitions() {
       .cost(cost)
       .action([this](Module&, const Interaction* msg) {
         upper().output(
-            Interaction(kSRelInd, parse_spdu(msg->payload).user_data));
+            Interaction(kSRelInd, user_data_of(*msg)));
       });
   trans("s-rel-resp")
       .from(kRelInd)
@@ -169,7 +203,7 @@ void SessionModule::define_transitions() {
       .cost(cost)
       .action([this](Module&, const Interaction* msg) {
         upper().output(
-            Interaction(kSRelConf, parse_spdu(msg->payload).user_data));
+            Interaction(kSRelConf, user_data_of(*msg)));
         lower().output(Interaction(kTDisReq));
       });
 

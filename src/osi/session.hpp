@@ -47,9 +47,9 @@ class SessionModule : public estelle::Module {
   SessionModule(std::string name, Config cfg);
 
   /// Upper interface (SS user = presentation): kinds SsKind.
-  estelle::InteractionPoint& upper() { return ip("U"); }
+  estelle::InteractionPoint& upper() { return upper_; }
   /// Lower interface: connect to TransportModule::upper().
-  estelle::InteractionPoint& lower() { return ip("D"); }
+  estelle::InteractionPoint& lower() { return lower_; }
 
   [[nodiscard]] std::uint64_t spdus_sent() const noexcept { return sent_; }
 
@@ -57,6 +57,8 @@ class SessionModule : public estelle::Module {
   void define_transitions();
   void send_spdu(Spdu type, const common::Bytes& user_data);
 
+  estelle::InteractionPoint& upper_;
+  estelle::InteractionPoint& lower_;
   Config cfg_;
   std::uint64_t sent_ = 0;
   common::Bytes pending_connect_;  // user data held until transport is up
@@ -67,6 +69,9 @@ struct SpduView {
   Spdu type;
   common::Bytes user_data;
 };
-SpduView parse_spdu(const common::Bytes& raw);
+/// Decode an SPDU. Input shorter than the header, or than the user data its
+/// length field announces, is an error, never an exception: the bytes come
+/// from the peer. Octets after the announced user data are ignored.
+common::Result<SpduView> parse_spdu(const common::Bytes& raw);
 
 }  // namespace mcam::osi

@@ -1,28 +1,35 @@
 #include "osi/transport.hpp"
 
-#include "common/bytes.hpp"
-
 namespace mcam::osi {
 
 using common::Bytes;
-using common::ByteReader;
-using common::ByteWriter;
 using estelle::kAnyState;
 
+namespace {
+constexpr std::size_t kTpduHeader = 5;  // type:1 seq:4
+}  // namespace
+
 Bytes build_tpdu(Tpdu type, std::uint32_t seq, const Bytes& payload) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u32(seq);
-  w.raw(payload);
-  return std::move(w).take();
+  Bytes out;
+  out.reserve(kTpduHeader + payload.size());
+  out.push_back(static_cast<std::uint8_t>(type));
+  for (int shift = 24; shift >= 0; shift -= 8)
+    out.push_back(static_cast<std::uint8_t>(seq >> shift));
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
 }
 
-TpduView parse_tpdu(const Bytes& raw) {
-  ByteReader r(raw);
+common::Result<TpduView> parse_tpdu(const Bytes& raw) {
+  if (raw.size() < kTpduHeader)
+    return common::Error::make(
+        kShortTpdu, "TPDU of " + std::to_string(raw.size()) +
+                        " bytes is shorter than its 5-byte header");
   TpduView v;
-  v.type = static_cast<Tpdu>(r.u8());
-  v.seq = r.u32();
-  v.payload = r.raw(r.remaining());
+  v.type = static_cast<Tpdu>(raw[0]);
+  v.seq = (static_cast<std::uint32_t>(raw[1]) << 24) |
+          (static_cast<std::uint32_t>(raw[2]) << 16) |
+          (static_cast<std::uint32_t>(raw[3]) << 8) | raw[4];
+  v.payload.assign(raw.begin() + kTpduHeader, raw.end());
   return v;
 }
 
@@ -30,9 +37,10 @@ TransportModule::TransportModule(std::string name)
     : TransportModule(std::move(name), Config{}) {}
 
 TransportModule::TransportModule(std::string name, Config cfg)
-    : Module(std::move(name), estelle::Attribute::Process), cfg_(cfg) {
-  upper();
-  net();
+    : Module(std::move(name), estelle::Attribute::Process),
+      upper_(ip("U")),
+      net_(ip("N")),
+      cfg_(cfg) {
   define_transitions();
 }
 
@@ -55,10 +63,12 @@ void TransportModule::pump_window() {
 }
 
 void TransportModule::on_data(const Interaction& msg) {
-  const TpduView v = parse_tpdu(msg.payload);
+  auto parsed = parse_tpdu(msg.payload);
+  if (!parsed.ok()) return;  // malformed: dropped, like any lost DT
+  TpduView& v = parsed.value();
   if (v.seq == expected_) {
     ++expected_;
-    upper().output(Interaction(kTDatInd, v.payload));
+    upper().output(Interaction(kTDatInd, std::move(v.payload)));
   } else {
     ++dups_dropped_;  // out-of-order under go-back-N: drop, re-ack
   }
@@ -160,7 +170,8 @@ void TransportModule::define_transitions() {
       .to(kOpen)
       .cost(cost)
       .action([this](Module&, const Interaction* msg) {
-        on_ack(parse_tpdu(msg->payload).seq);
+        auto ak = parse_tpdu(msg->payload);
+        if (ak.ok()) on_ack(ak.value().seq);  // a malformed AK is dropped
       });
 
   // --- retransmission timer (go-back-N): fires rto after (re)entering kOpen

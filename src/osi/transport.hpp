@@ -7,7 +7,7 @@
 // retransmission timer), so the layers above always see a reliable,
 // in-order pipe — the Table 1 control-path properties.
 //
-// TPDU format (ByteWriter, big-endian):
+// TPDU format (big-endian):
 //   [ type:1 ][ seq:4 ][ payload... ]
 #pragma once
 
@@ -49,9 +49,9 @@ class TransportModule : public Module {
   TransportModule(std::string name, Config cfg);
 
   /// Upper interface (TS user): kinds TsKind.
-  InteractionPoint& upper() { return ip("U"); }
+  InteractionPoint& upper() { return upper_; }
   /// Network-side interface: connect to the peer TransportModule's net().
-  InteractionPoint& net() { return ip("N"); }
+  InteractionPoint& net() { return net_; }
 
   // Statistics (retransmission behaviour is asserted in tests).
   [[nodiscard]] std::uint64_t retransmissions() const noexcept {
@@ -73,6 +73,8 @@ class TransportModule : public Module {
   void on_ack(std::uint32_t next_expected);
   void retransmit_all();
 
+  InteractionPoint& upper_;
+  InteractionPoint& net_;
   Config cfg_;
   std::uint32_t next_seq_ = 0;      // next new DT sequence number
   std::uint32_t base_ = 0;          // oldest unacked
@@ -91,7 +93,9 @@ struct TpduView {
   std::uint32_t seq;
   common::Bytes payload;
 };
-TpduView parse_tpdu(const common::Bytes& raw);
+/// Decode a TPDU. Input shorter than the header is an error, never an
+/// exception: the bytes come from the peer.
+common::Result<TpduView> parse_tpdu(const common::Bytes& raw);
 common::Bytes build_tpdu(Tpdu type, std::uint32_t seq,
                          const common::Bytes& payload);
 

@@ -251,6 +251,14 @@ TEST(Asn1Parallel, LargeSequenceLongLengthHeader) {
   EXPECT_EQ(encode_parallel(v, 4), encode(v));
 }
 
+TEST(Asn1Parallel, HighTagNumberHeader) {
+  // The merged header must carry the tag-number octets of the high-tag form
+  // (the PositionInd and ErrorResp PDUs use APPLICATION 14001 and 14002).
+  Value v = Value::application(
+      14001, {Value::integer(1), Value::integer(2), Value::integer(3)});
+  EXPECT_EQ(encode_parallel(v, 2), encode(v));
+}
+
 TEST(Asn1Parallel, ModelShowsNoGainForSmallPdus) {
   // The [12] negative result: for typical (small) control PDUs, parallel
   // encoding is *slower* than sequential once dispatch+join are counted.

@@ -1,11 +1,13 @@
-// Per-layer isolation tests for session and presentation: each layer driven
-// directly by user modules with a raw channel below it (no full stack), so
-// state transitions and PDU emissions can be asserted one hop at a time.
+// Per-layer isolation tests for transport, session and presentation: each
+// layer driven directly by user modules with a raw channel below it (no full
+// stack), so state transitions and PDU emissions can be asserted one hop at a
+// time.
 #include <gtest/gtest.h>
 
 #include "estelle/executor.hpp"
 #include "osi/presentation.hpp"
 #include "osi/session.hpp"
+#include "osi/transport.hpp"
 
 namespace mcam::osi {
 namespace {
@@ -58,7 +60,7 @@ TEST(SessionLayer, InitiatorEmitsTConThenCn) {
   ASSERT_TRUE(rig.down().has_input());
   Interaction cn = rig.down().pop();
   EXPECT_EQ(cn.kind, kTDatReq);
-  const SpduView spdu = parse_spdu(cn.payload);
+  const SpduView spdu = parse_spdu(cn.payload).value();
   EXPECT_EQ(spdu.type, Spdu::CN);
   EXPECT_EQ(spdu.user_data, common::to_bytes("cp-bytes"));
   EXPECT_EQ(rig.session->state(), SessionModule::kWaitAC);
@@ -80,7 +82,7 @@ TEST(SessionLayer, ResponderIndicatesAndAccepts) {
                               common::to_bytes("y")));
   sched->run();
   ASSERT_TRUE(rig.down().has_input());
-  const SpduView ac = parse_spdu(rig.down().pop().payload);
+  const SpduView ac = parse_spdu(rig.down().pop().payload).value();
   EXPECT_EQ(ac.type, Spdu::AC);
   EXPECT_EQ(ac.user_data, common::to_bytes("y"));
   EXPECT_EQ(rig.session->state(), SessionModule::kOpen);
@@ -96,7 +98,7 @@ TEST(SessionLayer, ResponderRefusesWithRf) {
                               common::to_bytes("no")));
   sched->run();
   ASSERT_TRUE(rig.down().has_input());
-  EXPECT_EQ(parse_spdu(rig.down().pop().payload).type, Spdu::RF);
+  EXPECT_EQ(parse_spdu(rig.down().pop().payload).value().type, Spdu::RF);
   EXPECT_EQ(rig.session->state(), SessionModule::kIdle);
 }
 
@@ -135,6 +137,91 @@ TEST(SessionLayer, TransportFailureAbortsOpenSession) {
   ASSERT_TRUE(rig.up().has_input());
   EXPECT_EQ(rig.up().pop().kind, kSAbortInd);
   EXPECT_EQ(rig.session->state(), SessionModule::kIdle);
+}
+
+TEST(SessionLayer, MalformedSpduIsDroppedNotThrown) {
+  SessionRig rig;
+  auto sched = make_executor(rig.spec);
+  rig.down().output(Interaction(kTDatInd, build_spdu(Spdu::CN, {})));
+  sched->run();
+  (void)rig.up().pop();
+  rig.up().output(Interaction(kSConResp, asn1::Value::boolean(true)));
+  sched->run();
+  (void)rig.down().pop();  // AC
+  ASSERT_EQ(rig.session->state(), SessionModule::kOpen);
+
+  // A DT SPDU whose length field claims 64 octets with 2 present, and a
+  // bare SPDU identifier: both are discarded, and the session stays open.
+  Bytes lying = {static_cast<std::uint8_t>(Spdu::DT), 0x00, 0x40, 'h', 'i'};
+  rig.down().output(Interaction(kTDatInd, lying));
+  rig.down().output(
+      Interaction(kTDatInd, Bytes{static_cast<std::uint8_t>(Spdu::DT)}));
+  EXPECT_NO_THROW(sched->run());
+  EXPECT_FALSE(rig.up().has_input());
+  EXPECT_EQ(rig.session->state(), SessionModule::kOpen);
+
+  // The next well-formed DT is delivered as usual.
+  rig.down().output(
+      Interaction(kTDatInd, build_spdu(Spdu::DT, common::to_bytes("ok"))));
+  sched->run();
+  ASSERT_TRUE(rig.up().has_input());
+  Interaction ind = rig.up().pop();
+  EXPECT_EQ(ind.kind, kSDatInd);
+  EXPECT_EQ(ind.payload, common::to_bytes("ok"));
+}
+
+// ---------------------------------------------------------------------------
+
+/// Transport entity over a probe that plays the peer transport entity.
+struct TransportRig {
+  Specification spec{"tp"};
+  TransportModule* tp;
+  Module* user;
+  Module* wire;
+
+  TransportRig() {
+    auto& sys =
+        spec.root().create_child<Module>("sys", Attribute::SystemProcess);
+    tp = &sys.create_child<TransportModule>("tp");
+    user = &sys.create_child<Module>("user", Attribute::Process);
+    wire = &sys.create_child<Module>("wire", Attribute::Process);
+    estelle::connect(user->ip("svc"), tp->upper());
+    estelle::connect(wire->ip("net"), tp->net());
+    spec.initialize();
+  }
+  InteractionPoint& up() { return user->ip("svc"); }
+  InteractionPoint& down() { return wire->ip("net"); }
+};
+
+TEST(TransportLayer, MalformedTpdusAreDroppedNotThrown) {
+  TransportRig rig;
+  auto sched = make_executor(rig.spec);
+  rig.down().output(Interaction(static_cast<int>(Tpdu::CR),
+                                build_tpdu(Tpdu::CR, 0, {})));
+  sched->run();
+  ASSERT_EQ(rig.tp->state(), TransportModule::kOpen);
+  ASSERT_TRUE(rig.down().has_input());
+  EXPECT_EQ(rig.down().pop().kind, static_cast<int>(Tpdu::CC));
+
+  // A 2-octet DT and a 3-octet AK: shorter than the 5-octet header.
+  rig.down().output(Interaction(static_cast<int>(Tpdu::DT),
+                                Bytes{static_cast<std::uint8_t>(Tpdu::DT), 0}));
+  rig.down().output(Interaction(
+      static_cast<int>(Tpdu::AK),
+      Bytes{static_cast<std::uint8_t>(Tpdu::AK), 0, 0}));
+  EXPECT_NO_THROW(sched->run());
+  EXPECT_FALSE(rig.up().has_input());
+  EXPECT_FALSE(rig.down().has_input());  // nothing acknowledged
+  EXPECT_EQ(rig.tp->state(), TransportModule::kOpen);
+
+  // The in-order DT that follows is delivered and acknowledged.
+  rig.down().output(Interaction(static_cast<int>(Tpdu::DT),
+                                build_tpdu(Tpdu::DT, 0, common::to_bytes("x"))));
+  sched->run();
+  ASSERT_TRUE(rig.up().has_input());
+  EXPECT_EQ(rig.up().pop().payload, common::to_bytes("x"));
+  ASSERT_TRUE(rig.down().has_input());
+  EXPECT_EQ(rig.down().pop().kind, static_cast<int>(Tpdu::AK));
 }
 
 // ---------------------------------------------------------------------------

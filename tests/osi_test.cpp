@@ -28,7 +28,7 @@ using estelle::Specification;
 TEST(TpduCodec, RoundTrip) {
   const Bytes payload = common::to_bytes("data");
   const Bytes wire = build_tpdu(Tpdu::DT, 42, payload);
-  const TpduView v = parse_tpdu(wire);
+  const TpduView v = parse_tpdu(wire).value();
   EXPECT_EQ(v.type, Tpdu::DT);
   EXPECT_EQ(v.seq, 42u);
   EXPECT_EQ(v.payload, payload);
@@ -36,7 +36,7 @@ TEST(TpduCodec, RoundTrip) {
 
 TEST(SpduCodec, RoundTrip) {
   const Bytes user = common::to_bytes("ppdu-bytes");
-  const SpduView v = parse_spdu(build_spdu(Spdu::CN, user));
+  const SpduView v = parse_spdu(build_spdu(Spdu::CN, user)).value();
   EXPECT_EQ(v.type, Spdu::CN);
   EXPECT_EQ(v.user_data, user);
 }
