@@ -291,9 +291,14 @@ Result<std::vector<Attr>> attrs_of(const N& list, const char* arity_error) {
   std::vector<Attr> out;
   out.reserve(list.size());
   for (const N& row : list.children()) {
-    if (row.size() != 2) return Error::make(kBadPduBody, arity_error);
-    auto name = row.child(0).as_string();
-    auto value = row.child(1).as_string();
+    // One pass over the row; the arity error still comes first.
+    auto it = row.children().begin();
+    const auto end = row.children().end();
+    if (it == end) return Error::make(kBadPduBody, arity_error);
+    auto name = it->as_string();
+    if (++it == end) return Error::make(kBadPduBody, arity_error);
+    auto value = it->as_string();
+    if (++it != end) return Error::make(kBadPduBody, arity_error);
     if (!name.ok()) return name.error();
     if (!value.ok()) return value.error();
     out.push_back(Attr{std::move(name).take(), std::move(value).take()});
@@ -697,33 +702,12 @@ Result<Pdu> pdu_from(const N& v) {
 }  // namespace
 
 asn1::Value encode_filter(const directory::Filter& filter) {
-  using directory::Filter;
-  switch (filter.op()) {
-    case Filter::Op::And:
-    case Filter::Op::Or: {
-      std::vector<Value> kids;
-      kids.reserve(filter.children().size());
-      for (const Filter& c : filter.children())
-        kids.push_back(encode_filter(c));
-      return Value::context(filter.op() == Filter::Op::And ? 0 : 1,
-                            Value::sequence(std::move(kids)));
-    }
-    case Filter::Op::Not:
-      return Value::context(2, encode_filter(filter.children().front()));
-    case Filter::Op::Equal:
-      return Value::context(3,
-                            Value::sequence({Value::ia5string(filter.attr()),
-                                             Value::ia5string(filter.value())}));
-    case Filter::Op::Substring:
-      return Value::context(4,
-                            Value::sequence({Value::ia5string(filter.attr()),
-                                             Value::ia5string(filter.value())}));
-    case Filter::Op::Present:
-      return Value::context(5, Value::ia5string(filter.attr()));
-    case Filter::Op::All:
-      return Value::context(6, Value::null());
-  }
-  return Value::context(6, Value::null());
+  // The request path's writer, read back into a tree for callers that
+  // want one: there is one encoder of the filter format.
+  Bytes out;
+  Writer w(out);
+  put_filter(w, filter);
+  return asn1::decode(out).value();
 }
 
 common::Result<directory::Filter> decode_filter(const asn1::Value& v,

@@ -335,6 +335,8 @@ enum McamCodecError : int {
 /// Wire form of a directory filter (CHOICE via context tags: [0] and,
 /// [1] or, [2] not, [3] equality, [4] substring, [5] present, [6] all).
 /// Exposed for tests and for any future standalone directory protocol.
+/// encode_filter reads the request path's encoding back into a tree, so a
+/// filter nested deeper than asn1::kMaxDecodeDepth throws.
 [[nodiscard]] asn1::Value encode_filter(const directory::Filter& filter);
 [[nodiscard]] common::Result<directory::Filter> decode_filter(
     const asn1::Value& v, int depth = 0);

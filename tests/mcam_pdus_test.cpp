@@ -125,6 +125,44 @@ TEST(McamPdus, DecodeRejectsWrongFieldTypes) {
   EXPECT_FALSE(decode(wire).ok());
 }
 
+TEST(McamPdus, AttrRowsMustBeNameValuePairs) {
+  // AttrModifyReq{7, [row]}: a row of zero, one or three fields is an arity
+  // error, reported before a field's own type error; a pair with a
+  // non-string field is a type error. The direct reader and the tree agree
+  // on each.
+  using asn1::Value;
+  const auto with_row = [](std::vector<Value> row) {
+    return ::mcam::asn1::encode(Value::application(
+        static_cast<std::uint32_t>(Op::AttrModifyReq),
+        {Value::integer(7),
+         Value::sequence({Value::sequence(std::move(row))})}));
+  };
+  const auto expect_error = [](const Bytes& wire, int code,
+                               const std::string& message) {
+    auto direct = decode(wire);
+    ASSERT_FALSE(direct.ok());
+    EXPECT_EQ(direct.error().code, code);
+    EXPECT_EQ(direct.error().message, message);
+    auto tree = pdu_from_value(::mcam::asn1::decode(wire).value());
+    ASSERT_FALSE(tree.ok());
+    EXPECT_EQ(tree.error().code, code);
+    EXPECT_EQ(tree.error().message, message);
+  };
+  expect_error(with_row({}), kBadPduBody, "attr row arity");
+  expect_error(with_row({Value::integer(1)}), kBadPduBody, "attr row arity");
+  expect_error(with_row({Value::integer(1), Value::integer(2),
+                         Value::integer(3)}),
+               kBadPduBody, "attr row arity");
+  expect_error(with_row({Value::integer(1), Value::ia5string("v")}),
+               asn1::kWrongType, "not a string: 1");
+
+  auto ok = decode(with_row({Value::ia5string("rights"),
+                             Value::ia5string("public")}));
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(std::get<AttrModifyReq>(ok.value()),
+            (AttrModifyReq{7, {{"rights", "public"}}}));
+}
+
 TEST(McamPdus, TruncatedWireNeverDecodes) {
   const Bytes full = encode(Pdu{MovieSelectResp{
       ResultCode::Success, 42, {{"title", "x"}, {"rights", "public"}}}});
