@@ -128,6 +128,32 @@ bool Value::operator==(const Value& other) const {
          children_ == other.children_;
 }
 
+namespace {
+
+/// `"..."` with every octet outside printable ASCII written as \xHH and `"`
+/// and `\` backslash-escaped, so a peer's string content cannot break a
+/// diagnostic across lines or forge its quoting. Printable text is verbatim.
+std::string quoted(const common::Bytes& content) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out = "\"";
+  for (const std::uint8_t c : content) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += static_cast<char>(c);
+    } else if (c < 0x20 || c > 0x7e) {
+      out += "\\x";
+      out += kHex[c >> 4];
+      out += kHex[c & 0x0f];
+    } else {
+      out += static_cast<char>(c);
+    }
+  }
+  out += '"';
+  return out;
+}
+
+}  // namespace
+
 std::string Value::to_string() const {
   std::string head;
   switch (class_) {
@@ -160,7 +186,7 @@ std::string Value::to_string() const {
         case UniversalTag::Ia5String:
         case UniversalTag::Utf8String:
         case UniversalTag::PrintableString:
-          return '"' + std::string(content_.begin(), content_.end()) + '"';
+          return quoted(content_);
         case UniversalTag::ObjectIdentifier: {
           // Same recursion hazard as INTEGER above: as_oid() rejects these
           // shapes with a message that renders this value.

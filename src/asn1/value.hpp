@@ -118,7 +118,9 @@ class Value {
   /// Structural equality (tag, class, form, content, children).
   bool operator==(const Value& other) const;
 
-  /// Diagnostic rendering, e.g. `SEQUENCE { INTEGER 5, IA5String "x" }`.
+  /// Diagnostic rendering, e.g. `SEQUENCE { 5, "x" }`. Always one
+  /// line: string contents outside printable ASCII render as \xHH, and `"`
+  /// and `\` are backslash-escaped.
   [[nodiscard]] std::string to_string() const;
 
   // Raw constructor used by the decoder.

@@ -23,12 +23,13 @@ bool is_fireable(const Transition& t, Module& m, common::SimTime now,
     if (now - m.state_entered_at() < t.delay) {
       if (probe != nullptr) {
         // An immature delay defines the module's next wakeup — but, like
-        // ParallelSim's tree-scan wakeup, only while its guard passes. The
-        // guard evaluation itself makes the module sticky (guard_invoked),
-        // so a later guard flip is caught by the per-round re-evaluation.
+        // ParallelSim's tree-scan wakeup, only while its guard passes. A
+        // later guard flip is caught by the per-round re-evaluation an
+        // opaque guard makes sticky (guard_invoked), or by the hook that
+        // marks the module when a hooked guard's input changes.
         bool pass = true;
         if (t.provided) {
-          probe->guard_invoked = true;
+          if (t.guard_reads == GuardReads::Opaque) probe->guard_invoked = true;
           pass = t.provided(m, nullptr);
         }
         if (pass) {
@@ -40,7 +41,8 @@ bool is_fireable(const Transition& t, Module& m, common::SimTime now,
     }
   }
   if (t.provided) {
-    if (probe != nullptr) probe->guard_invoked = true;
+    if (probe != nullptr && t.guard_reads == GuardReads::Opaque)
+      probe->guard_invoked = true;
     if (!t.provided(m, head)) return false;
   }
   return true;

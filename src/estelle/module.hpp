@@ -73,6 +73,21 @@ class EstelleRuleError : public std::logic_error {
 
 class Module;
 
+/// What a `provided` guard reads, as far as the event-driven schedulers
+/// (ready_set.hpp) need to know.
+///   Opaque — anything, including state no runtime hook sees (a budget
+///     captured by several modules, another module's queue). A module that
+///     consulted such a guard stays under per-round re-evaluation. The
+///     default.
+///   Hooked — only inputs whose every change marks the module ready: the
+///     module's own state and variables (written by its own firings), the
+///     offered head interaction, or state whose writer calls mark_ready() on
+///     the module. This is what an Estelle `provided` clause may read. The
+///     module is re-evaluated through those hooks alone, like a guardless
+///     one. A wrong declaration makes the ready set miss a guard flip, which
+///     ExecutorConfig::verify_ready_set reports.
+enum class GuardReads { Opaque, Hooked };
+
 /// One Estelle transition. Fireability (evaluated by schedulers):
 ///   state matches `from`  ∧  (spontaneous ∨ head-of-queue kind matches)
 ///   ∧ provided(head)  ∧  (spontaneous ⇒ delay elapsed since state entry).
@@ -85,6 +100,7 @@ struct Transition {
   InteractionPoint* ip = nullptr;  // nullptr ⇒ spontaneous
   int kind = kAnyKind;
   std::function<bool(Module&, const Interaction*)> provided;  // optional
+  GuardReads guard_reads = GuardReads::Opaque;  // see GuardReads
   int priority = 0;
   common::SimTime delay{};  // spontaneous transitions only
   common::SimTime cost = common::SimTime::from_us(10);  // simulated exec time
@@ -110,9 +126,12 @@ class TransitionBuilder {
     t_.kind = kind;
     return *this;
   }
+  /// `provided` clause; `reads` declares what the guard reads (GuardReads).
   TransitionBuilder& provided(
-      std::function<bool(Module&, const Interaction*)> p) {
+      std::function<bool(Module&, const Interaction*)> p,
+      GuardReads reads = GuardReads::Opaque) {
     t_.provided = std::move(p);
+    t_.guard_reads = reads;
     return *this;
   }
   TransitionBuilder& priority(int p) {
@@ -152,12 +171,13 @@ class ReadyScope;
 ///     Mirrors ParallelSim's tree-scan wakeup: a guarded delay contributes
 ///     only while its guard currently passes (guard flips are caught by the
 ///     guard_invoked rule below).
-///   guard_invoked — a `provided` guard was actually evaluated. Guards are
-///     opaque functions that may read state the runtime cannot hook (a
-///     captured budget shared across modules, another queue's length), so a
-///     module whose evaluation consulted any guard stays in the ready set
-///     and is re-examined every round — the conservative rule that keeps
-///     dirty-set scheduling exact even on ill-formed specifications.
+///   guard_invoked — an Opaque `provided` guard was actually evaluated.
+///     Such a guard may read state the runtime cannot hook (a captured
+///     budget shared across modules, another queue's length), so a module
+///     whose evaluation consulted one stays in the ready set and is
+///     re-examined every round — the conservative rule that keeps dirty-set
+///     scheduling exact even on ill-formed specifications. Hooked guards
+///     leave it unset: every change to what they read marks the module.
 struct ReadinessProbe {
   common::SimTime next_deadline = kNeverTime;
   bool guard_invoked = false;
@@ -304,7 +324,8 @@ class Module {
   /// that may change its fireability happened. Idempotent, thread-safe,
   /// no-op before the module joins a specification. Called by the runtime
   /// hooks (interaction delivery, firing, state changes); user code only
-  /// needs it when mutating fireability inputs the runtime cannot see.
+  /// needs it when mutating fireability inputs the runtime cannot see —
+  /// which a GuardReads::Hooked guard relies on.
   void mark_ready() noexcept;
 
   /// Number of transition guards examined by the last select_fireable()

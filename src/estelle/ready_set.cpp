@@ -65,8 +65,9 @@ void ReadyScope::evaluate(common::SimTime now) {
     if (probe.next_deadline != kNeverTime)
       push_deadline(*m, probe.next_deadline);
     if (probe.guard_invoked) {
-      // Sticky: a consulted guard may read state no hook can see; keep the
-      // module under per-round re-evaluation until its guards go dormant.
+      // Sticky: a consulted opaque guard may read state no hook can see;
+      // keep the module under per-round re-evaluation until its opaque
+      // guards go dormant.
       ready_[keep++] = m;
     } else {
       m->scope_ready_ = false;

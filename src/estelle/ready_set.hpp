@@ -11,8 +11,10 @@
 //   * ReadyLedger (module.hpp) — modules enqueue themselves when something
 //     that can change their fireability happens: a delivery creating a new
 //     queue head (InteractionPoint::deliver / drain_transfers), a head
-//     consumed (pop/clear), a state change or firing, a transition
-//     registered. The executor drains the ledger at round boundaries.
+//     consumed (pop/clear), a state change, any firing (fire() marks one
+//     that neither pops nor changes state), a transition registered, or an
+//     explicit mark_ready() by code that writes what a hooked guard reads.
+//     The executor drains the ledger at round boundaries.
 //   * ReadyScope — one scheduling domain's persistent state: the ready list
 //     (modules to re-evaluate), the fireable cache F (modules whose last
 //     evaluation selected a transition), a min-heap of delay deadlines
@@ -30,16 +32,27 @@
 //     the exceptions).
 //
 // Exactness. The candidate list equals a full-tree scan's, every round, by
-// construction of the dirty hooks plus two conservative rules:
-//   * guard stickiness — a module whose evaluation invoked any `provided`
-//     guard stays in the ready set (guards are opaque and may read state the
-//     runtime cannot hook, e.g. a budget shared across modules in the
-//     deliberately ill-formed differential specs);
+// construction of the dirty hooks plus these rules:
+//   * hooked guards — a `provided` guard declared GuardReads::Hooked reads
+//     only its module's state and variables, the offered head, or state
+//     whose writer marks the module. Every change to its inputs therefore
+//     passes through a hook, and a module whose evaluation consulted only
+//     such guards leaves the ready set like a guardless one. The MCAM stack
+//     declares its head-only session and presentation guards, TP
+//     `t-retransmit` and the server MCA's `m-position` this way.
+//   * guard stickiness — a module whose evaluation invoked an Opaque guard
+//     (the default) stays in the ready set, because such a guard may read
+//     state the runtime cannot hook: a budget shared across modules in the
+//     deliberately ill-formed differential specs, or a library's queue
+//     (the ISODE interface's `i-poll`);
 //   * deadline mirroring — an immature delay contributes a heap entry only
 //     while its guard passes, matching ParallelSim's tree-scan wakeup;
-//     guard flips are caught by stickiness.
-// ExecutorConfig::verify_ready_set cross-checks the equality against the
-// reference full scan every round (differential tests run with it on), and
+//     guard flips are caught by stickiness or, for hooked guards, by the
+//     hook that changed the guard's input.
+// A guard declared Hooked that reads anything else breaks the equality.
+// ExecutorConfig::verify_ready_set cross-checks it against the reference
+// full scan every round (differential tests run with it on, including one
+// on the Fig. 2 testbed and one with a deliberately mis-declared guard), and
 // bench_hot_path times that scan as its baseline.
 #pragma once
 
@@ -76,7 +89,7 @@ class ReadyScope {
   /// nothing, never a wrong firing.
   [[nodiscard]] common::SimTime next_deadline() const noexcept;
 
-  /// True when modules are queued for re-evaluation (includes sticky-guard
+  /// True when modules are queued for re-evaluation (includes sticky
   /// modules, whose opaque guards may read state no hook can see — a parked
   /// free-running shard with such modules must be re-examined whenever
   /// between-round code may have run).

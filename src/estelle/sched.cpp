@@ -89,6 +89,10 @@ void fire(const FiringCandidate& c, SimTime now, RunObserver* observer) {
   if (t.to_state != kAnyState) {
     m.set_state(t.to_state);
     m.note_state_entry(now);
+  } else if (t.ip == nullptr) {
+    // Neither a pop nor a state change marked the module, yet the action may
+    // have changed variables a hooked guard reads.
+    m.mark_ready();
   }
 }
 

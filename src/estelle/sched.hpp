@@ -50,7 +50,8 @@ std::vector<FiringCandidate> collect_firing_set(Module& system_module,
 
 /// Fire one candidate: announce it to `observer` (if any), consume the
 /// matched interaction (if any), run the action, apply the to-state, stamp
-/// the state-entry time.
+/// the state-entry time. Every firing marks the module ready (the pop, the
+/// state change, or an explicit mark when neither happens).
 void fire(const FiringCandidate& c, SimTime now,
           RunObserver* observer = nullptr);
 

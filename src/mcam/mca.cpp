@@ -219,14 +219,19 @@ void McaServerModule::define_transitions() {
 
   // §2's movie control includes position feedback during playback: when a
   // stream has advanced enough since its last report, push PositionInd PDUs
-  // to the client (unsolicited, over P-DATA).
+  // to the client (unsolicited, over P-DATA). The guard reads this
+  // association's streams in the core. Only this module's own requests
+  // open, stop, pause or resume them, and Testbed::advance_streams, the one
+  // place their positions advance, marks every server MCA ready.
   trans("m-position")
       .from(kOpen)
       .priority(20)
       .cost(kMcaCost)
-      .provided([this](Module&, const Interaction*) {
-        return core_.has_position_updates(session_);
-      })
+      .provided(
+          [this](Module&, const Interaction*) {
+            return core_.has_position_updates(session_);
+          },
+          estelle::GuardReads::Hooked)
       .action([this](Module&, const Interaction*) {
         for (const PositionInd& ind :
              core_.drain_position_updates(session_))

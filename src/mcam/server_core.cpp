@@ -62,7 +62,7 @@ bool McamServerCore::has_position_updates(std::uint64_t session) const {
     auto reported = it->second.reported.find(movie);
     const std::uint64_t last =
         reported == it->second.reported.end() ? 0 : reported->second;
-    if (pos.value() >= last + position_report_interval_) return true;
+    if (pos.value() >= last + kPositionReportInterval) return true;
   }
   return false;
 }
@@ -76,7 +76,7 @@ std::vector<PositionInd> McamServerCore::drain_position_updates(
     auto pos = spa_.position(stream);
     if (!pos.ok()) continue;
     std::uint64_t& last = s->reported[movie];
-    if (pos.value() >= last + position_report_interval_) {
+    if (pos.value() >= last + kPositionReportInterval) {
       last = pos.value();
       out.push_back(PositionInd{movie, pos.value()});
     }

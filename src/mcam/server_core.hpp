@@ -47,18 +47,20 @@ class McamServerCore {
   Pdu handle(std::uint64_t session, const Pdu& request);
 
   /// Position notification support: true when some stream of `session` has
-  /// advanced at least `position_report_interval` frames since its last
+  /// advanced at least kPositionReportInterval frames since its last
   /// report; drain returns the pending PositionInd PDUs and resets marks.
+  /// The server MCA's `m-position` guard reads this through the ready hooks
+  /// only, so whoever changes what it reads must wake the server MCAs.
   [[nodiscard]] bool has_position_updates(std::uint64_t session) const;
   std::vector<PositionInd> drain_position_updates(std::uint64_t session);
-  void set_position_report_interval(std::uint64_t frames) noexcept {
-    position_report_interval_ = frames;
-  }
 
-  /// Advance all outgoing streams to the network's current time.
+  /// Advance all outgoing streams to the network's current time. Positions
+  /// move, so the caller marks the server MCAs ready (Testbed does).
   void step_streams() { spa_.step(net_.now()); }
 
  private:
+  static constexpr std::uint64_t kPositionReportInterval = 25;  // 1/s @25fps
+
   struct Session {
     std::string user;
     std::set<std::uint64_t> selected;            // movie ids
@@ -78,7 +80,6 @@ class McamServerCore {
   equipment::EquipmentControlAgent eca_;
   mtp::StreamProviderAgent spa_;
   std::uint64_t next_session_ = 1;
-  std::uint64_t position_report_interval_ = 25;  // one report per second @25fps
   std::map<std::uint64_t, Session> sessions_;
 };
 

@@ -105,12 +105,20 @@ void Testbed::advance_streams(common::SimTime dt, common::SimTime tick) {
   while (network_.now() < end) {
     common::SimTime next = network_.now() + tick;
     if (next > end) next = end;
-    core_->step_streams();
+    step_streams();
     network_.run_until(next);
     for (auto& sua : suas_) sua->poll(network_.now());
   }
-  core_->step_streams();
+  step_streams();
   for (auto& sua : suas_) sua->poll(network_.now());
+}
+
+void Testbed::step_streams() {
+  core_->step_streams();
+  // Stream positions moved: wake every server MCA, whose hooked
+  // `m-position` guard reads them.
+  for (auto& conns : connections_)
+    for (Connection& conn : conns) conn.server_mca->mark_ready();
 }
 
 }  // namespace mcam::core

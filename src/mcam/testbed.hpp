@@ -88,11 +88,15 @@ class Testbed {
   mtp::StreamUserAgent& make_sua(int client, std::uint16_t port);
 
   /// Advance the CM-stream world by `dt`: steps all senders and delivers
-  /// packets in `tick` increments (SUAs are polled after each tick).
+  /// packets in `tick` increments (SUAs are polled after each tick). Each
+  /// step marks the server MCAs ready, since their position guards read
+  /// the stream positions.
   void advance_streams(common::SimTime dt,
                        common::SimTime tick = common::SimTime::from_ms(5));
 
  private:
+  void step_streams();
+
   Config cfg_;
   common::Rng rng_;
   estelle::Specification spec_;

@@ -165,6 +165,8 @@ void PresentationModule::define_transitions() {
   auto& d = lower();
   const auto cost = cfg_.per_ppdu_cost;
 
+  // The PPDU at the head of the session queue is a `want`; the guard reads
+  // only the offered head, so it is declared Hooked.
   auto ppdu_type_is = [](PpduView::Type want) {
     return [want](Module&, const Interaction* msg) {
       if (msg == nullptr) return false;
@@ -187,7 +189,8 @@ void PresentationModule::define_transitions() {
   trans("p-cpa-recv")
       .from(kWaitConf)
       .when(d, kSConConf)
-      .provided(ppdu_type_is(PpduView::Type::CPA))
+      .provided(ppdu_type_is(PpduView::Type::CPA),
+                estelle::GuardReads::Hooked)
       .to(kOpen)
       .cost(cost)
       .action([this](Module&, const Interaction* msg) {
@@ -198,7 +201,8 @@ void PresentationModule::define_transitions() {
   trans("p-cpr-recv")
       .from(kWaitConf)
       .when(d, kSConConf)
-      .provided(ppdu_type_is(PpduView::Type::CPR))
+      .provided(ppdu_type_is(PpduView::Type::CPR),
+                estelle::GuardReads::Hooked)
       .to(kIdle)
       .cost(cost)
       .action([this](Module&, const Interaction* msg) {
@@ -222,7 +226,8 @@ void PresentationModule::define_transitions() {
   trans("p-cp-recv")
       .from(kIdle)
       .when(d, kSConInd)
-      .provided(ppdu_type_is(PpduView::Type::CP))
+      .provided(ppdu_type_is(PpduView::Type::CP),
+                estelle::GuardReads::Hooked)
       .to(kConnInd)
       .cost(cost)
       .action([this](Module&, const Interaction* msg) {

@@ -9,15 +9,34 @@ using estelle::Interaction;
 using estelle::kAnyState;
 
 namespace {
-constexpr std::size_t kSpduHeader = 3;  // si:1 length:2
+constexpr std::size_t kSpduHeader = 3;      // si:1 length:2
+constexpr std::size_t kSpduLongHeader = 7;  // si:1 FF FF length:4
+/// User data of this many octets or more takes the long form: the two
+/// length octets read FF FF and a 4-octet length follows.
+constexpr std::size_t kSpduLongForm = 0xFFFF;
+
+struct SpduHeader {
+  std::size_t size = 0;      // octets before the user data
+  std::size_t user_len = 0;  // the user-data length it announces
+};
+
+/// The header of `raw`; nullopt when `raw` is shorter than the header.
+std::optional<SpduHeader> read_spdu_header(const Bytes& raw) {
+  if (raw.size() < kSpduHeader) return std::nullopt;
+  if (raw[1] != 0xFF || raw[2] != 0xFF)
+    return SpduHeader{kSpduHeader, std::size_t{raw[1]} << 8 | raw[2]};
+  if (raw.size() < kSpduLongHeader) return std::nullopt;
+  std::size_t len = 0;
+  for (std::size_t i = 3; i < kSpduLongHeader; ++i) len = len << 8 | raw[i];
+  return SpduHeader{kSpduLongHeader, len};
+}
 
 /// The user-data length a well-formed SPDU announces; nullopt when `raw` is
 /// shorter than its header or than its length field says.
 std::optional<std::size_t> spdu_user_len(const Bytes& raw) {
-  if (raw.size() < kSpduHeader) return std::nullopt;
-  const std::size_t len = (static_cast<std::size_t>(raw[1]) << 8) | raw[2];
-  if (len > raw.size() - kSpduHeader) return std::nullopt;
-  return len;
+  const std::optional<SpduHeader> h = read_spdu_header(raw);
+  if (!h || h->user_len > raw.size() - h->size) return std::nullopt;
+  return h->user_len;
 }
 
 /// User data of an SPDU that spdu_is() admitted.
@@ -28,34 +47,43 @@ Bytes user_data_of(const Interaction& msg) {
 }  // namespace
 
 Bytes build_spdu(Spdu type, const Bytes& user_data) {
-  const auto len = static_cast<std::uint16_t>(user_data.size());
+  const std::size_t len = user_data.size();
+  const bool long_form = len >= kSpduLongForm;
   Bytes out;
-  out.reserve(kSpduHeader + user_data.size());
+  out.reserve((long_form ? kSpduLongHeader : kSpduHeader) + len);
   out.push_back(static_cast<std::uint8_t>(type));
-  out.push_back(static_cast<std::uint8_t>(len >> 8));
-  out.push_back(static_cast<std::uint8_t>(len));
+  if (long_form) {
+    out.push_back(0xFF);
+    out.push_back(0xFF);
+    for (int shift = 24; shift >= 0; shift -= 8)
+      out.push_back(static_cast<std::uint8_t>(len >> shift));
+  } else {
+    out.push_back(static_cast<std::uint8_t>(len >> 8));
+    out.push_back(static_cast<std::uint8_t>(len));
+  }
   out.insert(out.end(), user_data.begin(), user_data.end());
   return out;
 }
 
 common::Result<SpduView> parse_spdu(const Bytes& raw) {
-  const std::optional<std::size_t> len = spdu_user_len(raw);
-  if (!len) {
-    if (raw.size() < kSpduHeader)
-      return common::Error::make(
-          kShortSpdu, "SPDU of " + std::to_string(raw.size()) +
-                          " bytes is shorter than its 3-byte header");
+  const std::optional<SpduHeader> h = read_spdu_header(raw);
+  if (!h) {
+    const std::size_t need =
+        raw.size() < kSpduHeader ? kSpduHeader : kSpduLongHeader;
     return common::Error::make(
-        kShortSpdu, "SPDU length field claims " +
-                        std::to_string((raw[1] << 8) | raw[2]) +
-                        " bytes of user data, " +
-                        std::to_string(raw.size() - kSpduHeader) +
-                        " present");
+        kShortSpdu, "SPDU of " + std::to_string(raw.size()) +
+                        " bytes is shorter than its " + std::to_string(need) +
+                        "-byte header");
   }
+  if (h->user_len > raw.size() - h->size)
+    return common::Error::make(
+        kShortSpdu, "SPDU length field claims " + std::to_string(h->user_len) +
+                        " bytes of user data, " +
+                        std::to_string(raw.size() - h->size) + " present");
   SpduView v;
   v.type = static_cast<Spdu>(raw[0]);
-  const auto first = raw.begin() + kSpduHeader;
-  v.user_data.assign(first, first + static_cast<std::ptrdiff_t>(*len));
+  const auto first = raw.begin() + static_cast<std::ptrdiff_t>(h->size);
+  v.user_data.assign(first, first + static_cast<std::ptrdiff_t>(h->user_len));
   return v;
 }
 
@@ -81,7 +109,8 @@ void SessionModule::define_transitions() {
   const auto cost = cfg_.per_spdu_cost;
 
   // Helper: the SPDU at the head of the transport queue is a well-formed
-  // `want`. A malformed one falls through to s-discard-lower.
+  // `want`. A malformed one falls through to s-discard-lower. The guard
+  // reads only the offered head, so it is declared Hooked.
   auto spdu_is = [](Spdu want) {
     return [want](Module&, const Interaction* msg) {
       return msg != nullptr && spdu_user_len(msg->payload).has_value() &&
@@ -110,7 +139,7 @@ void SessionModule::define_transitions() {
   trans("s-ac-recv")
       .from(kWaitAC)
       .when(d, kTDatInd)
-      .provided(spdu_is(Spdu::AC))
+      .provided(spdu_is(Spdu::AC), estelle::GuardReads::Hooked)
       .to(kOpen)
       .cost(cost)
       .action([this](Module&, const Interaction* msg) {
@@ -120,7 +149,7 @@ void SessionModule::define_transitions() {
   trans("s-rf-recv")
       .from(kWaitAC)
       .when(d, kTDatInd)
-      .provided(spdu_is(Spdu::RF))
+      .provided(spdu_is(Spdu::RF), estelle::GuardReads::Hooked)
       .to(kIdle)
       .cost(cost)
       .action([this](Module&, const Interaction* msg) {
@@ -133,7 +162,7 @@ void SessionModule::define_transitions() {
   trans("s-cn-recv")
       .from(kIdle)
       .when(d, kTDatInd)
-      .provided(spdu_is(Spdu::CN))
+      .provided(spdu_is(Spdu::CN), estelle::GuardReads::Hooked)
       .to(kConnInd)
       .cost(cost)
       .action([this](Module&, const Interaction* msg) {
@@ -161,7 +190,7 @@ void SessionModule::define_transitions() {
   trans("s-dt-recv")
       .from(kOpen)
       .when(d, kTDatInd)
-      .provided(spdu_is(Spdu::DT))
+      .provided(spdu_is(Spdu::DT), estelle::GuardReads::Hooked)
       .cost(cost)
       .action([this](Module&, const Interaction* msg) {
         upper().output(
@@ -180,7 +209,7 @@ void SessionModule::define_transitions() {
   trans("s-fn-recv")
       .from(kOpen)
       .when(d, kTDatInd)
-      .provided(spdu_is(Spdu::FN))
+      .provided(spdu_is(Spdu::FN), estelle::GuardReads::Hooked)
       .to(kRelInd)
       .cost(cost)
       .action([this](Module&, const Interaction* msg) {
@@ -198,7 +227,7 @@ void SessionModule::define_transitions() {
   trans("s-dn-recv")
       .from(kRelSent)
       .when(d, kTDatInd)
-      .provided(spdu_is(Spdu::DN))
+      .provided(spdu_is(Spdu::DN), estelle::GuardReads::Hooked)
       .to(kIdle)
       .cost(cost)
       .action([this](Module&, const Interaction* msg) {
@@ -221,7 +250,7 @@ void SessionModule::define_transitions() {
   trans("s-ab-recv")
       .from(kAnyState)
       .when(d, kTDatInd)
-      .provided(spdu_is(Spdu::AB))
+      .provided(spdu_is(Spdu::AB), estelle::GuardReads::Hooked)
       .to(kIdle)
       .priority(1)
       .cost(cost)

@@ -8,7 +8,11 @@
 //
 // SPDU format (simplified ISO 8327 encoding):
 //   [ si:1 ][ length:2 ][ user-information... ]
-// where si is the SPDU identifier octet from the standard.
+// where si is the SPDU identifier octet from the standard. User information
+// of 65,535 octets or more (up to 2^32 - 1) takes a long form: the two
+// length octets read FF FF and a 4-octet length follows,
+//   [ si:1 ][ FF FF ][ length:4 ][ user-information... ]
+// Every shorter SPDU keeps the 3-octet header.
 #pragma once
 
 #include "estelle/module.hpp"
@@ -69,9 +73,10 @@ struct SpduView {
   Spdu type;
   common::Bytes user_data;
 };
-/// Decode an SPDU. Input shorter than the header, or than the user data its
-/// length field announces, is an error, never an exception: the bytes come
-/// from the peer. Octets after the announced user data are ignored.
+/// Decode an SPDU (either length form). Input shorter than the header, or
+/// than the user data its length field announces, is an error, never an
+/// exception: the bytes come from the peer. Octets after the announced user
+/// data are ignored.
 common::Result<SpduView> parse_spdu(const common::Bytes& raw);
 
 }  // namespace mcam::osi

@@ -175,16 +175,20 @@ void TransportModule::define_transitions() {
       });
 
   // --- retransmission timer (go-back-N): fires rto after (re)entering kOpen
-  // while data is outstanding; to(kOpen) re-arms the delay clock. ---
+  // while data is outstanding; to(kOpen) re-arms the delay clock. The guard
+  // reads only unacked_ and retransmit_rounds_, which only this module's
+  // own actions write. ---
   trans("t-retransmit")
       .from(kOpen)
       .to(kOpen)
       .delay(cfg_.rto)
       .cost(cost)
-      .provided([this](Module&, const Interaction*) {
-        return !unacked_.empty() &&
-               retransmit_rounds_ < cfg_.max_retransmits;
-      })
+      .provided(
+          [this](Module&, const Interaction*) {
+            return !unacked_.empty() &&
+                   retransmit_rounds_ < cfg_.max_retransmits;
+          },
+          estelle::GuardReads::Hooked)
       .action([this](Module&, const Interaction*) { retransmit_all(); });
 
   // --- disconnect ---

@@ -168,6 +168,26 @@ TEST(Asn1Accessors, TypeMismatchesAreErrors) {
   EXPECT_FALSE(Value::integer(1).unwrap_context(0).ok());
 }
 
+TEST(Asn1Value, ToStringEscapesStringContents) {
+  // Printable ASCII renders verbatim, as before.
+  EXPECT_EQ(Value::ia5string("plain title 42 ~!").to_string(),
+            "\"plain title 42 ~!\"");
+  EXPECT_EQ(Value::sequence({Value::integer(5), Value::utf8string("x")})
+                .to_string(),
+            "SEQUENCE { 5, \"x\" }");
+  // Control characters and non-ASCII octets become \xHH; quote and
+  // backslash are escaped, so the rendering is one line with one quoting.
+  EXPECT_EQ(Value::ia5string(std::string_view("a\nb\r\t\x01\x7f\xff", 8))
+                .to_string(),
+            R"("a\x0ab\x0d\x09\x01\x7f\xff")");
+  EXPECT_EQ(Value::printable(R"(say "hi" \ bye)").to_string(),
+            R"("say \"hi\" \\ bye")");
+  // Decode diagnostics quote through the same rendering.
+  const auto bad = Value::ia5string("x\ny").as_int();
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.error().message, R"(not an INTEGER: "x\x0ay")");
+}
+
 // ---- property-style random round-trip ----
 
 Value random_value(common::Rng& rng, int depth) {

@@ -416,7 +416,7 @@ void compare_frame(ByteSpan in, Tally& t) {
 
 /// The byte-header parsers have no tree twin: they must reject exactly the
 /// inputs too short for their header (or, for an SPDU, for its length
-/// field), read the rest faithfully, and never throw.
+/// field, in either length form), read the rest faithfully, and never throw.
 void check_tpdu_spdu(const Bytes& in, Tally& t) {
   try {
     const auto tpdu = osi::parse_tpdu(in);
@@ -431,16 +431,22 @@ void check_tpdu_spdu(const Bytes& in, Tally& t) {
           tpdu.value().payload != Bytes(in.begin() + 5, in.end()))
         t.disagree("osi::parse_tpdu: fields differ", in);
     }
+    // SPDU header: si + 2 length octets, or si + FF FF + 4 length octets.
     const auto spdu = osi::parse_spdu(in);
-    const std::size_t len =
-        in.size() >= 3 ? (std::size_t{in[1]} << 8 | in[2]) : 0;
-    if (spdu.ok() != (in.size() >= 3 && len <= in.size() - 3)) {
+    const bool long_form = in.size() >= 3 && in[1] == 0xFF && in[2] == 0xFF;
+    const std::size_t header = long_form ? 7 : 3;
+    std::size_t len = 0;
+    if (in.size() >= header)
+      for (std::size_t i = long_form ? 3 : 1; i < header; ++i)
+        len = len << 8 | in[i];
+    if (spdu.ok() != (in.size() >= header && len <= in.size() - header) ||
+        (!spdu.ok() && spdu.error().code != osi::kShortSpdu)) {
       t.disagree("osi::parse_spdu: " + describe(spdu), in);
     } else if (spdu.ok()) {
+      const auto first = in.begin() + static_cast<std::ptrdiff_t>(header);
       if (static_cast<std::uint8_t>(spdu.value().type) != in[0] ||
           spdu.value().user_data !=
-              Bytes(in.begin() + 3,
-                    in.begin() + 3 + static_cast<std::ptrdiff_t>(len)))
+              Bytes(first, first + static_cast<std::ptrdiff_t>(len)))
         t.disagree("osi::parse_spdu: fields differ", in);
     }
   } catch (const std::exception& e) {
@@ -588,6 +594,36 @@ Bytes mutate(const std::vector<Seed>& corpus, common::Rng& rng) {
     }
   }
   return b;
+}
+
+TEST(CodecDifferential, SpduLongFormHeadersRejectWithoutThrowing) {
+  // The long length form (FF FF, then four length octets) cut short at
+  // every octet, a length one past the data, and well-formed edge sizes.
+  const std::uint8_t dt = 0x01;
+  std::vector<Bytes> inputs = {
+      {dt, 0xFF},
+      {dt, 0xFF, 0xFF},
+      {dt, 0xFF, 0xFF, 0x00},
+      {dt, 0xFF, 0xFF, 0x00, 0x00},
+      {dt, 0xFF, 0xFF, 0x00, 0x00, 0xFF},
+      {dt, 0xFF, 0xFF, 0x00, 0x00, 0xFF, 0xFF},
+      {dt, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x02, 'x'},
+      {dt, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 'x'},
+      {dt, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00},
+      {dt, 0xFF, 0xFE},
+  };
+  for (const std::size_t n : {std::size_t{65534}, std::size_t{65535},
+                              std::size_t{65536}}) {
+    Bytes wire = osi::build_spdu(osi::Spdu::DT, Bytes(n, 0x5a));
+    inputs.push_back(wire);
+    wire.pop_back();
+    inputs.push_back(std::move(wire));
+  }
+  Tally t;
+  for (const Bytes& in : inputs) check_tpdu_spdu(in, t);
+  std::string examples;
+  for (const std::string& e : t.examples) examples += "\n  " + e;
+  EXPECT_EQ(t.disagreements, 0) << examples;
 }
 
 TEST(CodecDifferential, DirectDecodersAgreeWithTheTreeOnMutatedInput) {

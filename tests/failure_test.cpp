@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "asn1/ber.hpp"
 #include "asn1/value.hpp"
 #include "estelle/executor.hpp"
 #include "estelle/module.hpp"
@@ -134,6 +135,35 @@ TEST(FailureInjection, MalformedPduFromAppYieldsProtocolError) {
   auto q = client.query_attributes(1);
   (void)q;  // may be NoSuchMovie — the point is we got *an* answer
   EXPECT_EQ(bed.server().active_sessions(), 1u);
+}
+
+TEST(FailureInjection, HostilePduDiagnosticIsOneLine) {
+  Testbed bed(Testbed::Config{});
+  McamClient client = bed.client(0);
+  ASSERT_TRUE(client.associate("alice").ok());
+
+  // An AttrQueryReq whose movie id is a string carrying CR LF and quotes.
+  // The decode error quotes the string, and the server MCA echoes that
+  // error to the client as the ErrorResp diagnostic.
+  const common::Bytes hostile = asn1::encode(asn1::Value::application(
+      static_cast<std::uint32_t>(Op::AttrQueryReq),
+      {asn1::Value::ia5string("1\r\nX-Injected: \"yes\""),
+       asn1::Value::sequence({})}));
+  auto& app = *bed.connection(0).app;
+  app.mca().output(Interaction(static_cast<int>(Op::AttrQueryReq), hostile));
+  bed.executor().run_until([&] { return app.mca().has_input(); });
+  ASSERT_TRUE(app.mca().has_input());
+  auto response = decode(app.mca().pop().payload);
+  ASSERT_TRUE(response.ok());
+  ASSERT_TRUE(std::holds_alternative<ErrorResp>(response.value()));
+  const std::string& diagnostic =
+      std::get<ErrorResp>(response.value()).diagnostic;
+  EXPECT_NE(diagnostic.find(R"("1\x0d\x0aX-Injected: \"yes\"")"),
+            std::string::npos)
+      << diagnostic;
+  for (const char c : diagnostic)
+    ASSERT_TRUE(c >= 0x20 && c <= 0x7e) << "not one printable line: "
+                                        << diagnostic;
 }
 
 TEST(FailureInjection, ReassociationAfterAbortWorks) {

@@ -227,6 +227,25 @@ TEST(McamIntegration, ProtocolErrorsSurfaceCleanly) {
             ResultCode::NoSuchMovie);
 }
 
+TEST(McamIntegration, SearchResultsOfSixtyFourKiBAndMoreArrive) {
+  // 1000 hits with ~70-character titles make a MovieSearchResp of well over
+  // 64 KiB, so its SSDU takes the session layer's long length form.
+  Testbed bed(Testbed::Config{});
+  constexpr int kMovies = 1000;
+  for (int i = 0; i < kMovies; ++i) {
+    std::string title = "movie " + std::to_string(i) + " ";
+    title.resize(70, 'x');
+    preload_movie(bed, title);
+  }
+  McamClient client = bed.client(0);
+  ASSERT_TRUE(client.associate("alice").ok());
+  auto found = client.search_movies(directory::Filter::all());
+  ASSERT_TRUE(found.ok()) << found.error().message;
+  EXPECT_EQ(found.value().result, ResultCode::Success);
+  ASSERT_EQ(found.value().hits.size(), static_cast<std::size_t>(kMovies));
+  EXPECT_GT(encode(Pdu{found.value()}).size(), 0xFFFFu);
+}
+
 TEST(McamIntegration, EquipmentControlOverProtocol) {
   Testbed bed(Testbed::Config{});
   auto& eca = bed.server().eca();

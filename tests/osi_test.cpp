@@ -41,6 +41,36 @@ TEST(SpduCodec, RoundTrip) {
   EXPECT_EQ(v.user_data, user);
 }
 
+TEST(SpduCodec, LongUserDataTakesTheLongFormAndRoundTrips) {
+  // Below 0xFFFF octets of user data the header stays si + 2 length octets;
+  // from 0xFFFF on, the length octets read FF FF and a 4-octet length
+  // follows.
+  for (const std::size_t n : {std::size_t{65534}, std::size_t{65535},
+                              std::size_t{65536}, std::size_t{200000}}) {
+    SCOPED_TRACE(n);
+    Bytes user(n);
+    for (std::size_t i = 0; i < n; ++i)
+      user[i] = static_cast<std::uint8_t>(i * 31 + 7);
+    const Bytes wire = build_spdu(Spdu::DT, user);
+    const bool long_form = n >= 0xFFFF;
+    ASSERT_EQ(wire.size(), n + (long_form ? 7u : 3u));
+    EXPECT_EQ(wire[0], static_cast<std::uint8_t>(Spdu::DT));
+    if (long_form) {
+      EXPECT_EQ(wire[1], 0xFF);
+      EXPECT_EQ(wire[2], 0xFF);
+      EXPECT_EQ(std::size_t{wire[3]} << 24 | std::size_t{wire[4]} << 16 |
+                    std::size_t{wire[5]} << 8 | wire[6],
+                n);
+    } else {
+      EXPECT_EQ(std::size_t{wire[1]} << 8 | wire[2], n);
+    }
+    const auto v = parse_spdu(wire);
+    ASSERT_TRUE(v.ok()) << v.error().message;
+    EXPECT_EQ(v.value().type, Spdu::DT);
+    EXPECT_EQ(v.value().user_data, user);
+  }
+}
+
 TEST(PpduCodec, CpRoundTrip) {
   const Bytes user = common::to_bytes("associate-req");
   auto v = parse_ppdu(build_cp(1, user));

@@ -32,6 +32,10 @@
 //     exactly the specs ConflictAnalysis calls ill-formed, and only the
 //     shard backends, which run a shard's round serially with revalidation,
 //     owe identity on them.
+//   * with the generator's module-local guards declared hooked (GuardDecl),
+//     all of the above again, against that flavor's own Sequential run; and
+//     on delay-free specs, where the clock decides nothing, the same trace
+//     and world as with every guard opaque, for no more guards examined.
 //   * on the generator's timed flavor (delay clauses in multi-shard specs),
 //     exact trace, world, fired and clock identity among the backends that
 //     run every round as one barrier round over all shards: FreeRunning at
@@ -75,13 +79,15 @@ struct Outcome {
   std::string world;
   StopReason reason{};
   std::uint64_t fired = 0;
+  std::uint64_t guards = 0;  // RunReport::guards_examined
   SimTime time{};
   std::string error;
 };
 
 /// Run the world of `seed` (the timed flavor when `timed`) under `cfg`.
-Outcome run_config(std::uint64_t seed, bool timed, const ExecutorConfig& cfg) {
-  specgen::GeneratedWorld g = specgen::generate(seed, timed);
+Outcome run_config(std::uint64_t seed, bool timed, const ExecutorConfig& cfg,
+                   specgen::GuardDecl guards = specgen::GuardDecl::Opaque) {
+  specgen::GeneratedWorld g = specgen::generate(seed, timed, guards);
   auto executor = make_executor(*g.spec, cfg);
 
   TraceRecorder trace;
@@ -89,6 +95,7 @@ Outcome run_config(std::uint64_t seed, bool timed, const ExecutorConfig& cfg) {
   const RunReport report = executor->run({.observers = {&trace}});
   out.reason = report.reason;
   out.fired = report.fired;
+  out.guards = report.guards_examined;
   out.time = report.time;
   out.error = report.error;
   out.trace.reserve(trace.events().size());
@@ -98,9 +105,10 @@ Outcome run_config(std::uint64_t seed, bool timed, const ExecutorConfig& cfg) {
   return out;
 }
 
-Outcome run_backend(std::uint64_t seed, ExecutorKind kind) {
+Outcome run_backend(std::uint64_t seed, ExecutorKind kind,
+                    specgen::GuardDecl guards = specgen::GuardDecl::Opaque) {
   return run_config(seed, false,
-                    {.kind = kind, .processors = 4, .threads = 4});
+                    {.kind = kind, .processors = 4, .threads = 4}, guards);
 }
 
 std::vector<std::string> sorted(std::vector<std::string> v) {
@@ -111,7 +119,7 @@ std::vector<std::string> sorted(std::vector<std::string> v) {
 TEST(RandomSpecDifferential, AllBackendsAgreeOnSeededSpecs) {
   const int n = spec_count();
   int multi_shard = 0, with_delay = 0, conflicted = 0, skip_probes = 0;
-  int sparse = 0;
+  int sparse = 0, fewer_guards = 0;
 
   for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(n); ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -123,27 +131,48 @@ TEST(RandomSpecDifferential, AllBackendsAgreeOnSeededSpecs) {
     skip_probes += probe.has_revalidation_skip;
     sparse += probe.sparse;
 
-    const Outcome seq = run_backend(seed, ExecutorKind::Sequential);
-    ASSERT_EQ(seq.reason, StopReason::Quiescent);
-    ASSERT_GT(seq.fired, 0u);
-    ASSERT_EQ(seq.fired, seq.trace.size());
+    Outcome opaque_seq;
+    for (const specgen::GuardDecl guards :
+         {specgen::GuardDecl::Opaque, specgen::GuardDecl::Hooked}) {
+      const bool hooked = guards == specgen::GuardDecl::Hooked;
+      SCOPED_TRACE(hooked ? "hooked guards" : "opaque guards");
+      const Outcome seq = run_backend(seed, ExecutorKind::Sequential, guards);
+      ASSERT_EQ(seq.reason, StopReason::Quiescent);
+      ASSERT_GT(seq.fired, 0u);
+      ASSERT_EQ(seq.fired, seq.trace.size());
 
-    const Outcome barrier = run_config(
-        seed, false, {.kind = ExecutorKind::FreeRunning, .threads = 1});
-    EXPECT_EQ(barrier.reason, StopReason::Quiescent);
-    EXPECT_EQ(barrier.world, seq.world) << "barrier-round world diverged";
-    EXPECT_EQ(barrier.fired, seq.fired);
-    // Barrier rounds owe the exact announced trace everywhere the generator
-    // roams — including ill-formed-within-a-shard specs, which is
-    // announce-after-revalidation's whole point.
-    EXPECT_EQ(barrier.trace, seq.trace) << "barrier-round trace diverged";
+      const Outcome barrier = run_config(
+          seed, false, {.kind = ExecutorKind::FreeRunning, .threads = 1},
+          guards);
+      EXPECT_EQ(barrier.reason, StopReason::Quiescent);
+      EXPECT_EQ(barrier.world, seq.world) << "barrier-round world diverged";
+      EXPECT_EQ(barrier.fired, seq.fired);
+      // Barrier rounds owe the exact announced trace everywhere the
+      // generator roams — including ill-formed-within-a-shard specs, which
+      // is announce-after-revalidation's whole point.
+      EXPECT_EQ(barrier.trace, seq.trace) << "barrier-round trace diverged";
 
-    if (probe.parallelsim_ok) {
-      const Outcome par = run_backend(seed, ExecutorKind::ParallelSim);
-      EXPECT_EQ(par.reason, StopReason::Quiescent);
-      EXPECT_EQ(par.world, seq.world) << "ParallelSim world diverged";
-      EXPECT_EQ(par.fired, seq.fired);
-      EXPECT_EQ(sorted(par.trace), sorted(seq.trace));
+      if (probe.parallelsim_ok) {
+        const Outcome par =
+            run_backend(seed, ExecutorKind::ParallelSim, guards);
+        EXPECT_EQ(par.reason, StopReason::Quiescent);
+        EXPECT_EQ(par.world, seq.world) << "ParallelSim world diverged";
+        EXPECT_EQ(par.fired, seq.fired);
+        EXPECT_EQ(sorted(par.trace), sorted(seq.trace));
+      }
+
+      if (!hooked) {
+        opaque_seq = seq;
+      } else if (!probe.has_delay) {
+        // Declaring guards changes which modules are re-evaluated, hence the
+        // scan cost charged to the clock, and nothing else: without delay
+        // clauses the clock decides no firing.
+        EXPECT_EQ(seq.trace, opaque_seq.trace)
+            << "hooked guards moved a firing";
+        EXPECT_EQ(seq.world, opaque_seq.world);
+        EXPECT_LE(seq.guards, opaque_seq.guards);
+        fewer_guards += seq.guards < opaque_seq.guards;
+      }
     }
   }
 
@@ -156,6 +185,7 @@ TEST(RandomSpecDifferential, AllBackendsAgreeOnSeededSpecs) {
     EXPECT_GE(conflicted, 3);
     EXPECT_GE(skip_probes, 5);
     EXPECT_GE(sparse, 5);
+    EXPECT_GE(fewer_guards, 5);  // the hooked flavor is not inert
   }
 }
 

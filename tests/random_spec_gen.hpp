@@ -15,6 +15,11 @@
 // ill-formed flavors deliberately break this in ways the serial-shard
 // backends handle), every out-IP is written by exactly one
 // transition, and all activity is budget-bounded so every spec quiesces.
+//
+// Guard declarations (GuardDecl) are orthogonal to the seed: they draw
+// nothing from the RNG, so a seed builds the same world under each of them,
+// and the default (every guard opaque) leaves every existing corpus
+// byte-identical.
 #pragma once
 
 #include <memory>
@@ -53,11 +58,34 @@ struct GenChannel {
   int kind = 0;
 };
 
+/// How generate() declares its guards (Transition::guard_reads).
+enum class GuardDecl {
+  /// Every guard Opaque: the runtime's sticky default.
+  Opaque,
+  /// The module-local guards are Hooked: producer and ticker budgets, which
+  /// only their own action writes, and the parity `even` guard, which reads
+  /// only the offered head. The grab flavor's shared budget stays Opaque.
+  Hooked,
+  /// As Hooked, and the grab flavor's shared budget is declared Hooked too,
+  /// wrongly: a grabber's guard flips when its sibling fires, and no hook
+  /// marks it. Whenever that leaves a stale candidate (a grabber revalidated
+  /// away), verify_ready_set must catch it.
+  MisdeclaredGrab,
+};
+
 /// Builds the specification for `seed`. Pure: the same seed always yields
 /// the same world, transitions, budgets and loss processes. `timed_shards`
 /// selects the timed flavor, which allows delay clauses in multi-shard specs
-/// too; the default leaves every existing corpus byte-identical.
-inline GeneratedWorld generate(std::uint64_t seed, bool timed_shards = false) {
+/// too; `guards` selects the guard declarations. The defaults leave every
+/// existing corpus byte-identical.
+inline GeneratedWorld generate(std::uint64_t seed, bool timed_shards = false,
+                               GuardDecl guards = GuardDecl::Opaque) {
+  const GuardReads local_guard = guards == GuardDecl::Opaque
+                                     ? GuardReads::Opaque
+                                     : GuardReads::Hooked;
+  const GuardReads grab_guard = guards == GuardDecl::MisdeclaredGrab
+                                    ? GuardReads::Hooked
+                                    : GuardReads::Opaque;
   GeneratedWorld g;
   common::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 0x1234567ULL);
   g.spec = std::make_unique<Specification>("gen" + std::to_string(seed));
@@ -152,9 +180,11 @@ inline GeneratedWorld generate(std::uint64_t seed, bool timed_shards = false) {
     }
     t.priority(static_cast<int>(rng.below(3)))
         .cost(cost())
-        .provided([sent, budget](Module&, const Interaction*) {
-          return *sent < budget;
-        })
+        .provided(
+            [sent, budget](Module&, const Interaction*) {
+              return *sent < budget;
+            },
+            local_guard)
         .action([sent, bump, out = ch.out, kind = ch.kind](
                     Module& m, const Interaction*) {
           bump(m);
@@ -172,9 +202,12 @@ inline GeneratedWorld generate(std::uint64_t seed, bool timed_shards = false) {
           .when(*ch.in, ch.kind)
           .priority(0)
           .cost(cost())
-          .provided([](Module&, const Interaction* msg) {
-            return msg != nullptr && msg->value.as_int().value_or(0) % 2 == 0;
-          })
+          .provided(
+              [](Module&, const Interaction* msg) {
+                return msg != nullptr &&
+                       msg->value.as_int().value_or(0) % 2 == 0;
+              },
+              local_guard)
           .action([bump](Module& m, const Interaction*) { bump(m); });
       ch.to->trans("odd" + std::to_string(index))
           .when(*ch.in)
@@ -248,9 +281,11 @@ inline GeneratedWorld generate(std::uint64_t seed, bool timed_shards = false) {
       }
       t.priority(static_cast<int>(rng.below(4)))
           .cost(cost())
-          .provided([ticks, budget](Module&, const Interaction*) {
-            return *ticks < budget;
-          })
+          .provided(
+              [ticks, budget](Module&, const Interaction*) {
+                return *ticks < budget;
+              },
+              local_guard)
           .action([ticks, bump](Module& m2, const Interaction*) {
             ++*ticks;
             bump(m2);
@@ -285,9 +320,9 @@ inline GeneratedWorld generate(std::uint64_t seed, bool timed_shards = false) {
     for (Module* m : {&x, &y}) {
       m->trans("grab_" + m->name())
           .cost(cost())
-          .provided([budget](Module&, const Interaction*) {
-            return *budget > 0;
-          })
+          .provided(
+              [budget](Module&, const Interaction*) { return *budget > 0; },
+              grab_guard)
           .action([budget, bump](Module& m2, const Interaction*) {
             --*budget;
             bump(m2);

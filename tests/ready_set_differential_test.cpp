@@ -10,9 +10,12 @@
 //     reference full scan after every dirty-set collection and throws on the
 //     first divergence; the sweep here runs the shared random-spec generator
 //     through Sequential and FreeRunning at threads 1 (barrier rounds) and
-//     4 (free dispatch on proven specs) with the flag on. Whole runs
-//     against the tree scan are compared in random_spec_differential_test,
-//     whose ParallelSim leg collects with it.
+//     4 (free dispatch on proven specs) with the flag on, with every guard
+//     opaque and with the module-local guards declared hooked. The Fig. 2
+//     testbed (the MCAM stack, whose production guards are declared hooked)
+//     runs under the same check, and a deliberately mis-declared guard must
+//     make it throw. Whole runs against the tree scan are compared in
+//     random_spec_differential_test, whose ParallelSim leg collects with it.
 //   * hot-path assertions — on a sparse world (N idle, K active) the
 //     dirty-set scheduler must examine an order of magnitude fewer guards
 //     per firing than one full-scan collection does per candidate, and
@@ -34,6 +37,7 @@
 #include "estelle/module.hpp"
 #include "estelle/sched.hpp"
 #include "estelle/trace.hpp"
+#include "mcam/testbed.hpp"
 #include "random_spec_gen.hpp"
 
 namespace mcam::estelle {
@@ -47,8 +51,9 @@ int spec_count() {
   return 50;
 }
 
-RunReport run_verified(std::uint64_t seed, ExecutorKind kind, int threads) {
-  specgen::GeneratedWorld g = specgen::generate(seed);
+RunReport run_verified(std::uint64_t seed, ExecutorKind kind, int threads,
+                       specgen::GuardDecl guards = specgen::GuardDecl::Opaque) {
+  specgen::GeneratedWorld g = specgen::generate(seed, false, guards);
   ExecutorConfig cfg;
   cfg.kind = kind;
   cfg.processors = 4;
@@ -63,19 +68,166 @@ TEST(ReadySetDifferential, VerifiedAgainstFullScanEveryRound) {
   // divergence between the dirty-set collector and the reference full scan
   // throws std::logic_error out of run(). Sweeping the generator (ill-formed
   // flavors, sparse flavor, delays, multi-shard) with the flag on is the
-  // strongest exactness statement this suite can make.
+  // strongest exactness statement this suite can make. The hooked flavor
+  // leaves the module-local guards to the ready hooks alone.
   const int n = spec_count();
   for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(n); ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
+    for (const specgen::GuardDecl guards :
+         {specgen::GuardDecl::Opaque, specgen::GuardDecl::Hooked}) {
+      SCOPED_TRACE(guards == specgen::GuardDecl::Opaque ? "opaque guards"
+                                                        : "hooked guards");
+      for (const auto& [kind, threads] :
+           {std::pair{ExecutorKind::Sequential, 1},
+            std::pair{ExecutorKind::FreeRunning, 1},
+            std::pair{ExecutorKind::FreeRunning, 4}}) {
+        SCOPED_TRACE(std::string(executor_kind_name(kind)) + " threads " +
+                     std::to_string(threads));
+        const RunReport r = run_verified(seed, kind, threads, guards);
+        EXPECT_EQ(r.reason, StopReason::Quiescent);
+        EXPECT_GT(r.fired, 0u);
+      }
+    }
+  }
+}
+
+TEST(ReadySetDifferential, MisdeclaredGuardIsCaught) {
+  // The grab flavor's two grabbers share one captured budget. When the first
+  // grabber's firing empties it, the second grabber, a candidate of the same
+  // round, is revalidated and skipped — and no hook marks it. Declared
+  // hooked, its guard then leaves a stale candidate in the ready set, which
+  // verify_ready_set must report. A grab seed without such a skip (one
+  // grabber empties the budget by its own firing) never holds a stale
+  // candidate, and the check stays quiet. Under Sequential every skipped
+  // candidate is counted in candidates_considered but not in fired.
+  int caught = 0;
+  for (std::uint64_t seed = 3; seed <= 50; seed += 5) {  // seed % 5 == 3
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    // The grab guard left opaque: the check passes.
+    const RunReport sound = run_verified(seed, ExecutorKind::Sequential, 1,
+                                         specgen::GuardDecl::Hooked);
+    ASSERT_EQ(sound.reason, StopReason::Quiescent);
+    if (sound.candidates_considered > sound.fired) {
+      ++caught;
+      EXPECT_THROW(run_verified(seed, ExecutorKind::Sequential, 1,
+                                specgen::GuardDecl::MisdeclaredGrab),
+                   std::logic_error);
+    } else {
+      EXPECT_NO_THROW(run_verified(seed, ExecutorKind::Sequential, 1,
+                                   specgen::GuardDecl::MisdeclaredGrab));
+    }
+  }
+  EXPECT_GE(caught, 5) << "too few grab seeds with a revalidation skip";
+}
+
+// ---------------------------------------------------------------------------
+// The Fig. 2 testbed
+
+struct Fig2Run {
+  std::uint64_t fired = 0;
+  std::uint64_t guards = 0;
+  std::size_t positions = 0;        // PositionInds the clients received
+  std::uint64_t retransmissions = 0;  // TP, both sides of every connection
+};
+
+/// The MCAM stack under verify_ready_set: 2 clients × 3 connections with
+/// ACSE over the generated control stack. Every connection associates,
+/// selects, queries and plays a movie; the streams then advance in three
+/// steps, each followed by a poll, so the server MCAs push PositionInds;
+/// every connection stops and releases. Throws std::logic_error on the
+/// first round whose ready-set candidates differ from the full scan.
+Fig2Run run_fig2_verified(double loss, ExecutorKind kind, int threads) {
+  core::Testbed::Config cfg;
+  cfg.clients = 2;
+  cfg.connections_per_client = 3;
+  cfg.use_acse = true;
+  cfg.control_loss = loss;
+  cfg.runtime.kind = kind;
+  cfg.runtime.threads = threads;
+  cfg.runtime.verify_ready_set = true;
+  core::Testbed bed(cfg);
+  MetricsObserver metrics;
+  bed.executor().add_run_observer(&metrics);
+
+  std::vector<core::McamClient> clients;
+  for (int c = 0; c < cfg.clients; ++c) {
+    for (int k = 0; k < cfg.connections_per_client; ++k) {
+      directory::MovieEntry e;
+      e.title = "movie-c" + std::to_string(c) + "k" + std::to_string(k);
+      e.fps = 25.0;
+      e.duration_frames = 200;
+      e.size_bytes = 200 * 4000;
+      e.location_host = cfg.server_host;
+      e.rights = "public";
+      EXPECT_TRUE(bed.server().directory().add(e).ok());
+      clients.push_back(bed.client(c, k));
+    }
+  }
+  std::vector<std::uint64_t> movies;
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    core::McamClient& client = clients[i];
+    const int c = static_cast<int>(i) / cfg.connections_per_client;
+    const int k = static_cast<int>(i) % cfg.connections_per_client;
+    EXPECT_TRUE(client.associate("user" + std::to_string(i)).ok());
+    auto selected = client.select_movie("movie-c" + std::to_string(c) + "k" +
+                                        std::to_string(k));
+    EXPECT_TRUE(selected.ok());
+    movies.push_back(selected.ok() ? selected.value().movie_id : 0);
+    EXPECT_TRUE(client.query_attributes(movies.back(), {"fps"}).ok());
+    const auto port = static_cast<std::uint16_t>(7000 + k);
+    bed.make_sua(c, port);
+    auto play = client.play(movies.back(), bed.client_host(c), port);
+    EXPECT_TRUE(play.ok() &&
+                play.value().result == core::ResultCode::Success);
+  }
+  for (int step = 0; step < 3; ++step) {
+    bed.advance_streams(SimTime::from_s(1));
+    for (core::McamClient& client : clients) client.poll_notifications();
+  }
+  Fig2Run out;
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    EXPECT_TRUE(clients[i].stop(movies[i]).ok());
+    EXPECT_TRUE(clients[i].release().ok());
+    out.positions += clients[i].notifications().size();
+  }
+  for (int c = 0; c < cfg.clients; ++c) {
+    for (int k = 0; k < cfg.connections_per_client; ++k) {
+      const core::Testbed::Connection& conn = bed.connection(c, k);
+      out.retransmissions += conn.client_stack.transport->retransmissions() +
+                             conn.server_stack.transport->retransmissions();
+    }
+  }
+  out.fired = metrics.total_fired();
+  out.guards = metrics.guards_examined();
+  return out;
+}
+
+TEST(ReadySetDifferential, Fig2TestbedVerifiedAgainstFullScanEveryRound) {
+  // The production guards declared hooked — TP t-retransmit, the head-only
+  // session and presentation guards, the server MCA's m-position (woken by
+  // Testbed::advance_streams) — must keep every round equal to the full
+  // scan, with and without control loss (retransmissions fire under loss).
+  for (const double loss : {0.0, 0.2}) {
     for (const auto& [kind, threads] :
          {std::pair{ExecutorKind::Sequential, 1},
           std::pair{ExecutorKind::FreeRunning, 1},
           std::pair{ExecutorKind::FreeRunning, 4}}) {
       SCOPED_TRACE(std::string(executor_kind_name(kind)) + " threads " +
-                   std::to_string(threads));
-      const RunReport r = run_verified(seed, kind, threads);
-      EXPECT_EQ(r.reason, StopReason::Quiescent);
-      EXPECT_GT(r.fired, 0u);
+                   std::to_string(threads) + " loss " + std::to_string(loss));
+      Fig2Run run;
+      ASSERT_NO_THROW(run = run_fig2_verified(loss, kind, threads));
+      EXPECT_GT(run.positions, 0u) << "no PositionInd reached a client";
+      if (loss > 0) {
+        EXPECT_GT(run.retransmissions, 0u);
+      }
+      // With those guards opaque, every open TP and server MCA was
+      // re-evaluated every round: 68.6 (loss 0) and 76.9 (loss 0.2) guards
+      // per firing under Sequential, and up to 104.8 under FreeRunning.
+      // Through the hooks alone it is about 10.
+      const double per_firing =
+          static_cast<double>(run.guards) / static_cast<double>(run.fired);
+      EXPECT_LE(per_firing, 20.0)
+          << run.guards << " guards for " << run.fired << " firings";
     }
   }
 }
