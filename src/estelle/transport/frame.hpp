@@ -182,8 +182,6 @@ class FrameReassembler {
   FrameReassembler() = default;
   explicit FrameReassembler(bool seq_prefixed) : seq_prefixed_(seq_prefixed) {}
 
-  void set_seq_prefixed(bool on) noexcept { seq_prefixed_ = on; }
-
   /// Append raw stream bytes (any split, including zero-length).
   void feed(common::ByteSpan data);
   /// Extract the next complete frame from the buffered bytes.

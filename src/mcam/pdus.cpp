@@ -701,19 +701,6 @@ Result<Pdu> pdu_from(const N& v) {
 
 }  // namespace
 
-asn1::Value encode_filter(const directory::Filter& filter) {
-  // The request path's writer, read back into a tree for callers that
-  // want one: there is one encoder of the filter format.
-  Bytes out;
-  Writer w(out);
-  put_filter(w, filter);
-  return asn1::decode(out).value();
-}
-
-common::Result<directory::Filter> decode_filter(const asn1::Value& v,
-                                                int depth) {
-  return filter_from(v, depth);
-}
 Op op_of(const Pdu& pdu) noexcept {
   return std::visit(
       [](const auto& p) -> Op {

@@ -3,6 +3,7 @@
 // notifications during playback.
 #include <gtest/gtest.h>
 
+#include "asn1/ber.hpp"
 #include "common/rng.hpp"
 #include "mcam/testbed.hpp"
 
@@ -45,6 +46,36 @@ Filter random_filter(common::Rng& rng, int depth) {
   }
 }
 
+/// The filter as a MovieSearchReq carries it, decoded by the direct reader
+/// and by the tree path (pdu_from_value over asn1::decode); the two must
+/// agree, so the tree's result is returned once they do.
+common::Result<Filter> round_trip(const Filter& f) {
+  const Bytes wire = encode(Pdu{MovieSearchReq{f, false}});
+  const auto direct = decode(wire);
+  const auto tree = asn1::decode(wire);
+  EXPECT_TRUE(tree.ok()) << f.to_string();
+  if (!tree.ok()) return tree.error();
+  const auto oracle = pdu_from_value(tree.value());
+  EXPECT_EQ(direct.ok(), oracle.ok()) << f.to_string();
+  if (!oracle.ok()) return oracle.error();
+  if (direct.ok()) {
+    EXPECT_TRUE(std::get<MovieSearchReq>(direct.value()) ==
+                std::get<MovieSearchReq>(oracle.value()));
+  }
+  return std::get<MovieSearchReq>(oracle.value()).filter;
+}
+
+/// A MovieSearchReq whose filter field is `filter`: both decoders must
+/// reject it.
+void expect_rejected(const asn1::Value& filter) {
+  const Bytes wire = asn1::encode(asn1::Value::application(
+      static_cast<std::uint32_t>(Op::MovieSearchReq),
+      {filter, asn1::Value::boolean(false)}));
+  EXPECT_FALSE(decode(wire).ok()) << filter.to_string();
+  EXPECT_FALSE(pdu_from_value(asn1::decode(wire).value()).ok())
+      << filter.to_string();
+}
+
 TEST(FilterCodec, BasicRoundTrips) {
   const Filter filters[] = {
       Filter::all(),
@@ -57,7 +88,7 @@ TEST(FilterCodec, BasicRoundTrips) {
                                  Filter::present("fps")})}),
   };
   for (const Filter& f : filters) {
-    auto decoded = decode_filter(encode_filter(f));
+    auto decoded = round_trip(f);
     ASSERT_TRUE(decoded.ok()) << f.to_string();
     EXPECT_EQ(decoded.value(), f) << f.to_string();
   }
@@ -72,7 +103,7 @@ TEST_P(FilterCodecProperty, RandomFiltersRoundTripAndMatchIdentically) {
   probe.rights = "public";
   for (int i = 0; i < 150; ++i) {
     const Filter f = random_filter(rng, 4);
-    auto decoded = decode_filter(encode_filter(f));
+    auto decoded = round_trip(f);
     ASSERT_TRUE(decoded.ok()) << f.to_string();
     EXPECT_EQ(decoded.value(), f);
     // Semantic equivalence, not just structural.
@@ -84,12 +115,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FilterCodecProperty,
                          ::testing::Values(11, 22, 33, 44));
 
 TEST(FilterCodec, RejectsMalformedNodes) {
-  EXPECT_FALSE(decode_filter(asn1::Value::integer(5)).ok());
-  EXPECT_FALSE(decode_filter(asn1::Value::context(9, asn1::Value::null())).ok());
-  // Depth bomb.
+  expect_rejected(asn1::Value::integer(5));
+  expect_rejected(asn1::Value::context(9, asn1::Value::null()));
+  // Depth bomb: 40 nested nots, within the BER depth bound but past the
+  // filter's.
   Filter f = Filter::all();
   for (int i = 0; i < 40; ++i) f = Filter::not_(f);
-  EXPECT_FALSE(decode_filter(encode_filter(f)).ok());
+  EXPECT_FALSE(round_trip(f).ok());
 }
 
 TEST(McamPdusExt, SearchPdusRoundTrip) {
