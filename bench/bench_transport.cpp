@@ -42,7 +42,6 @@
 #include <thread>
 #include <vector>
 
-#include "asn1/value.hpp"
 #include "estelle/executor.hpp"
 #include "estelle/module.hpp"
 #include "estelle/transport/dist_runner.hpp"
@@ -160,9 +159,9 @@ struct VolleyWorld {
     // round and halve the effective transfers/round/peer.
     for (int lane = 0; lane < lanes; ++lane) {
       lefts[static_cast<std::size_t>(lane)]->ip("out").output(
-          Interaction(1, asn1::Value::integer(lane)));
+          Interaction(1, lane));
       rights[static_cast<std::size_t>(lane)]->ip("out").output(
-          Interaction(1, asn1::Value::integer(lane + lanes)));
+          Interaction(1, lane + lanes));
     }
   }
 };
@@ -200,9 +199,9 @@ struct ParVolleyWorld {
     spec.initialize();
     for (int lane = 0; lane < lanes; ++lane) {
       lefts[static_cast<std::size_t>(lane)]->ip("out").output(
-          Interaction(1, asn1::Value::integer(lane)));
+          Interaction(1, lane));
       rights[static_cast<std::size_t>(lane)]->ip("out").output(
-          Interaction(1, asn1::Value::integer(lane + lanes)));
+          Interaction(1, lane + lanes));
     }
   }
 };

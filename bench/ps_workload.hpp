@@ -90,8 +90,7 @@ class Responder : public Module {
         .when(svc, osi::kPConInd)
         .cost(cost)
         .action([this](Module&, const Interaction*) {
-          ip("svc").output(
-              Interaction(osi::kPConResp, asn1::Value::boolean(true)));
+          ip("svc").output(Interaction(osi::kPConResp, 1));
         });
     trans("data")
         .when(svc, osi::kPDatInd)

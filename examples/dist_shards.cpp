@@ -32,7 +32,6 @@
 #include <thread>
 #include <vector>
 
-#include "asn1/value.hpp"
 #include "estelle/executor.hpp"
 #include "estelle/metrics.hpp"
 #include "estelle/module.hpp"
@@ -98,7 +97,7 @@ struct RingWorld {
         })
         .action([seeded = seeded, seed_out](Module& m, const Interaction*) {
           ++*seeded;
-          seed_out->output(Interaction(1, asn1::Value::integer(*seeded)));
+          seed_out->output(Interaction(1, *seeded));
           m.set_state(m.state() + 1);
         });
     workers[0]->trans("sink").when(workers[0]->ip("in"))

@@ -1,6 +1,6 @@
 // Direct BER codec: a writer and a reader that build no Value tree.
 //
-// The request path (MCAM PDUs, presentation PPDUs, ACSE APDUs, transfer
+// The request path (MCAM PDUs, presentation PPDUs, ACSE APDUs, transport
 // frames) encodes and decodes every message, so it skips the tree:
 //
 //   Writer — appends TLVs straight to the caller's buffer and emits exactly
@@ -95,6 +95,7 @@ class Writer {
     universal(UniversalTag::OctetString, content);
   }
   void ia5string(std::string_view s) { universal(UniversalTag::Ia5String, s); }
+  void utf8string(std::string_view s) { universal(UniversalTag::Utf8String, s); }
   void oid(std::span<const std::uint32_t> arcs);
 
   /// Open a constructed TLV whose length close() fills in. Returns the mark

@@ -4,12 +4,13 @@
 // structures plus encode/decode routines from that specification ([9], [16]).
 // A Value is a dynamic tree node — (tag class, tag number, primitive |
 // constructed) holding either content octets or child values — with typed
-// factory functions and checked accessors. It is the general codec
-// (ber.hpp): Interaction values, per-round transport frames, the parallel
-// encoder. The request path's PDUs skip the tree and go through the direct
-// writer and reader of direct.hpp, whose asn1::Node shares these accessors'
-// checks and messages (accessors.hpp); each request-path decoder is one
-// template whose Value instantiation is its reference.
+// factory functions and checked accessors. With encode/decode (ber.hpp) it
+// is the reference codec, and the parallel encoder's. Every PDU and
+// transport frame skips the tree and goes through the direct writer and
+// reader of direct.hpp, whose asn1::Node shares these accessors' checks and
+// messages (accessors.hpp); each decoder is one template whose Value
+// instantiation is its reference. Node::to_string renders a diagnostic
+// through a Value.
 #pragma once
 
 #include <cstdint>

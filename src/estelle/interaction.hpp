@@ -24,13 +24,13 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "asn1/value.hpp"
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
 #include "common/rng.hpp"
@@ -49,19 +49,24 @@ inline constexpr int kAnyState = -1;
 inline constexpr int kNoShard = -1;
 
 /// One Estelle interaction: a kind (the interaction name in the channel
-/// definition) plus parameters. Structured parameters travel as an ASN.1
-/// value; opaque user data (PDUs of the layer above) as payload octets.
+/// definition) plus parameters. Estelle parameters are plain values (ISO
+/// 9074 §5): `value` is one integer parameter, 0 meaning none — in the
+/// stack, the connect responses' accept flag (1 or 0). Opaque user data
+/// (PDUs of the layer above) travels as payload octets.
 struct Interaction {
   int kind = 0;
-  asn1::Value value;
+  std::int64_t value = 0;
   Bytes payload;
 
   Interaction() = default;
   explicit Interaction(int k) : kind(k) {}
   Interaction(int k, Bytes p) : kind(k), payload(std::move(p)) {}
-  Interaction(int k, asn1::Value v) : kind(k), value(std::move(v)) {}
-  Interaction(int k, asn1::Value v, Bytes p)
-      : kind(k), value(std::move(v)), payload(std::move(p)) {}
+  /// A braced byte list is a payload, never a one-element value.
+  Interaction(int k, std::initializer_list<std::uint8_t> p)
+      : kind(k), payload(p) {}
+  Interaction(int k, std::int64_t v) : kind(k), value(v) {}
+  Interaction(int k, std::int64_t v, Bytes p)
+      : kind(k), value(v), payload(std::move(p)) {}
 };
 
 class Module;

@@ -9,7 +9,6 @@
 namespace mcam::estelle {
 
 using asn1::TagClass;
-using asn1::Value;
 using asn1::Writer;
 using common::ByteSpan;
 using common::Bytes;
@@ -18,56 +17,15 @@ using common::Result;
 
 namespace {
 
-/// u64 fields ride the INTEGER as an int64 bit-cast on both sides, so the
-/// full range (hashes) round-trips exactly.
-Value u64v(std::uint64_t v) {
-  return Value::integer(static_cast<std::int64_t>(v));
-}
-
 // ---------------------------------------------------------------------------
-// Per-round and per-run frames: the Value-tree path.
-
-/// The frame body as an ASN.1 value (the catalogue in frame.hpp).
-Value frame_value(const Frame& f) {
-  std::vector<Value> body;
-  switch (f.type) {
-    case FrameType::Hello:
-      body = {u64v(f.node),      u64v(f.nodes),
-              u64v(f.shards),    u64v(f.spec_hash),
-              u64v(f.topology_version), u64v(f.assign_hash)};
-      break;
-    case FrameType::Welcome:
-      body = {u64v(f.node), Value::boolean(f.accept),
-              Value::utf8string(f.reason)};
-      break;
-    case FrameType::RoundDone:
-      body = {u64v(f.node), u64v(f.round), Value::boolean(f.quiescent)};
-      break;
-    case FrameType::Bye:
-      body = {u64v(f.node)};
-      break;
-    case FrameType::HelloResume:
-      body = {u64v(f.node), u64v(f.spec_hash), u64v(f.epoch), u64v(f.recv)};
-      break;
-    case FrameType::SessionAck:
-      body = {u64v(f.recv)};
-      break;
-    case FrameType::Transfer:
-    case FrameType::TransferBatch:
-      break;  // the direct writer's (emit_frame)
-  }
-  return Value::application(static_cast<std::uint32_t>(f.type),
-                            std::move(body));
-}
-
-// ---------------------------------------------------------------------------
-// Transfer and TransferBatch: the direct writer.
+// Encode: the direct writer.
 //
-// They are the only frames sent per message rather than per round, so their
-// lengths are computed arithmetically and the TLVs written straight into the
-// caller's buffer: with the buffer warmed to capacity the encode allocates
-// nothing. The octets are exactly the tree encoder's (the frame tests pin
-// it), so one reader serves both.
+// Transfer and TransferBatch are the only frames sent per message rather
+// than per round, so their lengths are computed arithmetically and the TLVs
+// written straight into the caller's buffer: with the buffer warmed to
+// capacity the encode allocates nothing, and no entry is moved after it is
+// written. The per-round and per-run frames are small, so the writer's
+// open()/close() patches their envelope length in place.
 
 constexpr auto kTransferTag = static_cast<std::uint32_t>(FrameType::Transfer);
 constexpr auto kBatchTag = static_cast<std::uint32_t>(FrameType::TransferBatch);
@@ -76,27 +34,22 @@ constexpr auto kOctets =
 constexpr auto kSequence =
     static_cast<std::uint32_t>(asn1::UniversalTag::Sequence);
 
-bool has_value(const Interaction& msg) { return !(msg.value == Value()); }
-
-/// Content length of the Interaction's fields: kind, payload and the
-/// optional [0] EXPLICIT value.
+/// Content length of the Interaction's fields: kind, payload and, unless
+/// the value is 0 (none), the value as [0] EXPLICIT INTEGER.
 std::size_t msg_fields_len(const Interaction& msg) {
   std::size_t n = Writer::int_tlv_len(msg.kind) +
                   Writer::tlv_len(kOctets, msg.payload.size());
-  if (has_value(msg)) n += Writer::tlv_len(0, asn1::encoded_length(msg.value));
+  if (msg.value != 0) n += Writer::tlv_len(0, Writer::int_tlv_len(msg.value));
   return n;
 }
 
-void put_msg_fields(Bytes& out, const Interaction& msg) {
-  Writer w(out);
+void put_msg_fields(Writer& w, const Interaction& msg) {
   w.integer(msg.kind);
   w.octet_string(msg.payload);
-  if (has_value(msg)) {
-    // The structured parameters travel as-is — the Interaction's value IS
-    // an ASN.1 value, wrapped [0] EXPLICIT only to mark presence.
+  if (msg.value != 0) {
     w.header(TagClass::ContextSpecific, true, 0,
-             asn1::encoded_length(msg.value));
-    asn1::encode_to(msg.value, out);
+             Writer::int_tlv_len(msg.value));
+    w.integer(msg.value);
   }
 }
 
@@ -122,12 +75,56 @@ std::size_t batch_body_len(const Frame& f, std::size_t* entries_content) {
          Writer::tlv_len(kSequence, entries);
 }
 
+/// The fields of a per-round or per-run frame (the catalogue in frame.hpp).
+/// u64 fields ride the INTEGER as an int64 bit-cast, so the full range
+/// (hashes) round-trips exactly.
+void put_control_fields(Writer& w, const Frame& f) {
+  const auto u64 = [&w](std::uint64_t v) {
+    w.integer(static_cast<std::int64_t>(v));
+  };
+  switch (f.type) {
+    case FrameType::Hello:
+      u64(f.node);
+      u64(f.nodes);
+      u64(f.shards);
+      u64(f.spec_hash);
+      u64(f.topology_version);
+      u64(f.assign_hash);
+      break;
+    case FrameType::Welcome:
+      u64(f.node);
+      w.boolean(f.accept);
+      w.utf8string(f.reason);
+      break;
+    case FrameType::RoundDone:
+      u64(f.node);
+      u64(f.round);
+      w.boolean(f.quiescent);
+      break;
+    case FrameType::Bye:
+      u64(f.node);
+      break;
+    case FrameType::HelloResume:
+      u64(f.node);
+      u64(f.spec_hash);
+      u64(f.epoch);
+      u64(f.recv);
+      break;
+    case FrameType::SessionAck:
+      u64(f.recv);
+      break;
+    case FrameType::Transfer:
+    case FrameType::TransferBatch:
+      break;  // emit_frame writes them with precomputed lengths
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Decode: one field extraction over either node type.
 //
-// N is asn1::Node for Transfer and TransferBatch bodies (validated, read in
-// place) and asn1::Value for every other frame and as the reference; the
-// two instantiations agree on every input.
+// N is asn1::Node for every frame body (validated, read in place) and
+// asn1::Value for the reference, frame_from_value; the two instantiations
+// agree on every input.
 
 /// Sequential reader over a frame's (or batch entry's) field list. Each read
 /// returns false when the field is missing or malformed; error() then gives
@@ -231,8 +228,13 @@ class FrameFields {
   std::size_t failed_at_ = 0;
 };
 
-Value tree_of(Value v) { return v; }
-Value tree_of(const asn1::Node& n) { return n.to_value(); }
+/// The interaction value a [0] field carries: [0] EXPLICIT INTEGER.
+template <typename N>
+Result<std::int64_t> value_of(const N& field) {
+  auto inner = field.unwrap_context(0);
+  if (!inner.ok()) return inner.error();
+  return inner.value().as_int();
+}
 
 /// One batch entry. Returns false on any structural defect — the caller
 /// skips the entry (and counts it) instead of failing the whole frame: the
@@ -256,9 +258,9 @@ bool entry_from(const N& ev, TransferEntry& e) {
   if (!payload.ok()) return false;
   e.msg.payload = std::move(payload).take();
   if (const auto at = in.first_context0()) {
-    auto inner = ev.child(*at).unwrap_context(0);
-    if (!inner.ok()) return false;
-    e.msg.value = tree_of(std::move(inner).take());
+    Result<std::int64_t> value = value_of(ev.child(*at));
+    if (!value.ok()) return false;
+    e.msg.value = value.value();
   }
   return true;
 }
@@ -310,9 +312,9 @@ Result<Frame> frame_from(const N& v) {
       if (!payload.ok()) return payload.error();
       f.msg.payload = std::move(payload).take();
       if (const auto at = in.first_context0()) {
-        auto inner = v.child(*at).unwrap_context(0);
-        if (!inner.ok()) return inner.error();
-        f.msg.value = tree_of(std::move(inner).take());
+        Result<std::int64_t> value = value_of(v.child(*at));
+        if (!value.ok()) return value.error();
+        f.msg.value = value.value();
       }
       break;
     }
@@ -386,39 +388,26 @@ const char* frame_type_name(FrameType t) noexcept {
 
 namespace {
 
-void put_length_prefix(Bytes& out, std::size_t body_len) {
-  out.push_back(static_cast<std::uint8_t>(body_len >> 24));
-  out.push_back(static_cast<std::uint8_t>(body_len >> 16));
-  out.push_back(static_cast<std::uint8_t>(body_len >> 8));
-  out.push_back(static_cast<std::uint8_t>(body_len));
-}
-
-void put_seq(Bytes& out, std::uint64_t seq) {
-  for (int i = 8; i-- > 0;)
-    out.push_back(static_cast<std::uint8_t>(seq >> (8 * i)));
-}
-
 /// Shared emitter: `seq == nullptr` gives the plain dialect, otherwise the
 /// sequenced record (length | seq | body). The body octets are identical.
 void emit_frame(const Frame& f, const std::uint64_t* seq, Bytes& out) {
+  const std::size_t prefix = out.size();
+  out.resize(prefix + 4);  // the u32 body length, written once it is known
+  if (seq != nullptr)
+    for (int i = 8; i-- > 0;)
+      out.push_back(static_cast<std::uint8_t>(*seq >> (8 * i)));
+  const std::size_t body = out.size();
   Writer w(out);
   if (f.type == FrameType::Transfer) {
-    const std::size_t content = transfer_body_len(f);
-    put_length_prefix(out, Writer::tlv_len(kTransferTag, content));
-    if (seq != nullptr) put_seq(out, *seq);
-    w.header(TagClass::Application, true, kTransferTag, content);
+    w.header(TagClass::Application, true, kTransferTag, transfer_body_len(f));
     w.integer(static_cast<std::int64_t>(f.channel));
     w.integer(f.dir);
     w.integer(static_cast<std::int64_t>(f.round));
     w.integer(f.sent_at_ns);
-    put_msg_fields(out, f.msg);
-    return;
-  }
-  if (f.type == FrameType::TransferBatch) {
+    put_msg_fields(w, f.msg);
+  } else if (f.type == FrameType::TransferBatch) {
     std::size_t entries_content = 0;
     const std::size_t content = batch_body_len(f, &entries_content);
-    put_length_prefix(out, Writer::tlv_len(kBatchTag, content));
-    if (seq != nullptr) put_seq(out, *seq);
     w.header(TagClass::Application, true, kBatchTag, content);
     w.integer(static_cast<std::int64_t>(f.round));
     w.header(TagClass::Universal, true, kSequence, entries_content);
@@ -427,14 +416,17 @@ void emit_frame(const Frame& f, const std::uint64_t* seq, Bytes& out) {
       w.integer(static_cast<std::int64_t>(e.channel));
       w.integer(e.dir);
       w.integer(e.sent_at_ns);
-      put_msg_fields(out, e.msg);
+      put_msg_fields(w, e.msg);
     }
-    return;
+  } else {
+    const std::size_t mark =
+        w.open(TagClass::Application, static_cast<std::uint32_t>(f.type));
+    put_control_fields(w, f);
+    w.close(mark);
   }
-  const Value v = frame_value(f);
-  put_length_prefix(out, asn1::encoded_length(v));
-  if (seq != nullptr) put_seq(out, *seq);
-  asn1::encode_to(v, out);
+  const std::size_t len = out.size() - body;
+  for (int i = 0; i < 4; ++i)
+    out[prefix + i] = static_cast<std::uint8_t>(len >> (8 * (3 - i)));
 }
 
 }  // namespace
@@ -454,22 +446,12 @@ Bytes encode_frame(const Frame& f) {
 }
 
 Result<Frame> decode_frame(ByteSpan body) {
-  // Transfer and TransferBatch bodies ([APPLICATION 3] and [APPLICATION 10],
-  // constructed) are validated and read in place; every other shape goes to
-  // the tree decoder. Both run the same checks and field extraction.
-  constexpr std::uint8_t kApplicationConstructed = 0x60;
-  if (!body.empty() && (body[0] == (kApplicationConstructed | kTransferTag) ||
-                        body[0] == (kApplicationConstructed | kBatchTag))) {
-    Result<asn1::Node> root = asn1::Node::parse(body);
-    if (!root.ok()) return root.error();
-    return frame_from(root.value());
-  }
-  Result<Value> v = asn1::decode(body);
-  if (!v.ok()) return v.error();
-  return frame_from(v.value());
+  Result<asn1::Node> root = asn1::Node::parse(body);
+  if (!root.ok()) return root.error();
+  return frame_from(root.value());
 }
 
-Result<Frame> frame_from_value(const Value& v) { return frame_from(v); }
+Result<Frame> frame_from_value(const asn1::Value& v) { return frame_from(v); }
 
 void FrameReassembler::feed(ByteSpan data) {
   // Compact before growing. A fully-drained buffer rewinds for free; a

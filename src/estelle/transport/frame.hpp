@@ -7,9 +7,10 @@
 // the next. This header makes those primitives *explicit frames* so a
 // MailboxTransport can carry them between processes — the paper's "system
 // modules are asynchronous units placeable on separate processors" taken
-// literally. The frame syntax is ASN.1, encoded with the project's own BER
-// codec (src/asn1/), the same abstract-syntax layer the paper uses for its
-// PDUs; on a byte stream each frame travels length-prefixed:
+// literally. The frame syntax is ASN.1, written and read by the project's
+// direct BER codec (asn1/direct.hpp), the same abstract-syntax layer the
+// paper uses for its PDUs; on a byte stream each frame travels
+// length-prefixed:
 //
 //   u32 big-endian body length | BER body ([APPLICATION n] SEQUENCE)
 //
@@ -25,7 +26,8 @@
 //                  sent_at_ns (the sender shard's stamps, preserved
 //                  bit-exactly so drain_transfers_until applies the same
 //                  visibility rule as in-process), then the Interaction:
-//                  kind, optional ASN.1 value, payload octets.
+//                  kind, payload octets and, unless the value is 0 (none),
+//                  the value as [0] EXPLICIT INTEGER.
 //   RoundDone [6]  node, round, quiescent — the node finished round
 //                  `round`, after its transfers of that round; every peer
 //                  waits for it before starting round+1. quiescent says the
@@ -50,17 +52,19 @@
 //                  round, then SEQUENCE OF entry — all of one round's
 //                  transfers to one peer under a single shared round stamp.
 //                  Each entry is {channel, dir, sent_at_ns, kind, payload,
-//                  optional [0] value}: a Transfer minus the round field.
-//                  Transfer and TransferBatch bodies are written and read
-//                  by the direct BER codec (asn1/direct.hpp) — the hot path
-//                  never builds a Value tree for the frame, so a warmed send
-//                  encodes without allocating. The reader validates the body
-//                  exactly as the tree decoder would (same accept/reject,
-//                  same errors); every other frame type goes through the
-//                  tree. A structurally bad entry is *rejected individually*
+//                  [0] value unless 0}: a Transfer minus the round field.
+//                  A structurally bad entry is *rejected individually*
 //                  (counted in Frame::rejected_entries) instead of killing
 //                  the frame — the length prefix already bounds the body, so
 //                  per-entry garbage can never misframe the stream.
+//
+// No frame builds a Value tree. The writer computes Transfer and
+// TransferBatch lengths up front, so a warmed send encodes without
+// allocating; the per-round frames are small, so their envelope length is
+// patched in once their fields are written. The reader (asn1::Node)
+// validates a body exactly as the tree decoder would: same accept/reject,
+// same errors. frame_from_value runs the same field extraction over a tree,
+// as the tests' reference.
 //
 // FrameReassembler turns an arbitrary split of the byte stream back into
 // frames: feed() whatever read() returned, next() yields complete frames.
@@ -78,6 +82,10 @@
 #include "common/bytes.hpp"
 #include "common/result.hpp"
 #include "estelle/interaction.hpp"
+
+namespace mcam::asn1 {
+class Value;
+}
 
 namespace mcam::estelle {
 
@@ -147,9 +155,9 @@ struct Frame {
 inline constexpr std::size_t kMaxFrameBytes = 1u << 24;
 
 /// Append the length-prefixed encoding of `f` to `out` (the send path —
-/// appending lets one outbound buffer batch many frames per write()).
-/// Transfer and TransferBatch take the direct-writer path: with `out`
-/// warmed to capacity the call performs no allocation.
+/// appending lets one outbound buffer batch many frames per write()). With
+/// `out` warmed to capacity a Transfer or TransferBatch performs no
+/// allocation.
 void encode_frame_to(const Frame& f, common::Bytes& out);
 /// The length-prefixed encoding of `f` as a fresh buffer (tests).
 [[nodiscard]] common::Bytes encode_frame(const Frame& f);
@@ -163,8 +171,9 @@ void encode_frame_seq_to(const Frame& f, std::uint64_t seq,
 /// Decode one frame *body* (the BER value, no length prefix). Malformed
 /// input is an expected peer condition, not a programming error.
 [[nodiscard]] common::Result<Frame> decode_frame(common::ByteSpan body);
-/// decode_frame's field extraction over a decoded value tree: decode_frame
-/// (body) and frame_from_value(asn1::decode(body)) agree on every input.
+/// decode_frame's field extraction over a decoded value tree, the tests'
+/// reference: decode_frame(body) and frame_from_value(asn1::decode(body))
+/// agree on every input.
 [[nodiscard]] common::Result<Frame> frame_from_value(const asn1::Value& v);
 
 /// Incremental stream-to-frame reassembly over split read() boundaries.

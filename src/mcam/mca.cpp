@@ -196,8 +196,7 @@ void McaServerModule::define_transitions() {
           resp = AssociateResp{ResultCode::ProtocolError,
                                "malformed AssociateReq"};
         }
-        service().output(Interaction(kPConResp,
-                                     asn1::Value::boolean(accept),
+        service().output(Interaction(kPConResp, accept ? 1 : 0,
                                      encode(Pdu{std::move(resp)})));
         m.set_state(accept ? kOpen : kIdle);
       });

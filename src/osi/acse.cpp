@@ -195,7 +195,7 @@ void AcseModule::define_transitions() {
         if (!apdu.ok() || apdu.value().type != AcseApdu::Type::AARQ) {
           ++sent_;
           lower().output(Interaction(
-              kPConResp, asn1::Value::boolean(false),
+              kPConResp, 0,
               build_aare(AcseResult::RejectedPermanent, cfg_.context, {})));
           return;
         }
@@ -205,7 +205,7 @@ void AcseModule::define_transitions() {
           ++context_rejections_;
           ++sent_;
           lower().output(Interaction(
-              kPConResp, asn1::Value::boolean(false),
+              kPConResp, 0,
               build_aare(AcseResult::RejectedContextMismatch, cfg_.context,
                          {})));
           return;
@@ -219,10 +219,10 @@ void AcseModule::define_transitions() {
       .when(u, kPConResp)
       .cost(cost)
       .action([this](Module& m, const Interaction* msg) {
-        const bool accept = msg->value.as_bool().value_or(true);
+        const bool accept = msg->value != 0;
         ++sent_;
         lower().output(Interaction(
-            kPConResp, asn1::Value::boolean(accept),
+            kPConResp, accept ? 1 : 0,
             build_aare(accept ? AcseResult::Accepted
                               : AcseResult::RejectedPermanent,
                        cfg_.context, msg->payload)));

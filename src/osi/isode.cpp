@@ -146,8 +146,7 @@ void IsodeInterfaceModule::define_transitions() {
       .when(u, kPConResp)
       .cost(cost)
       .action([this](Module&, const Interaction* msg) {
-        entity_.p_connect_response(msg->value.as_bool().value_or(true),
-                                   msg->payload);
+        entity_.p_connect_response(msg->value != 0, msg->payload);
       });
   trans("i-dat-req")
       .when(u, kPDatReq)

@@ -239,9 +239,9 @@ void PresentationModule::define_transitions() {
       .when(u, kPConResp)
       .cost(cost)
       .action([this](Module& m, const Interaction* msg) {
-        const bool accept = msg->value.as_bool().value_or(true);
+        const bool accept = msg->value != 0;
         ++sent_;
-        Interaction out(kSConResp, asn1::Value::boolean(accept),
+        Interaction out(kSConResp, accept ? 1 : 0,
                         accept ? build_cpa(cfg_.context_id, msg->payload)
                                : build_cpr(/*reason=*/2, msg->payload));
         lower().output(std::move(out));

@@ -32,7 +32,7 @@ enum TsKind {
 enum SsKind {
   kSConReq = 200,  // payload: user data (carried in CN)
   kSConInd,
-  kSConResp,       // value: BOOLEAN accept; payload: user data (AC/RF)
+  kSConResp,       // value: accept, 1 or 0; payload: user data (AC/RF)
   kSConConf,       // payload: user data from AC
   kSConRefuse,     // connection refused (RF received)
   kSDatReq,        // payload: SSDU
@@ -49,7 +49,7 @@ enum SsKind {
 enum PsKind {
   kPConReq = 300,  // payload: user data (carried in CP)
   kPConInd,
-  kPConResp,       // value: BOOLEAN accept; payload: user data
+  kPConResp,       // value: accept, 1 or 0; payload: user data
   kPConConf,
   kPConRefuse,
   kPDatReq,        // payload: user octets of the negotiated abstract syntax

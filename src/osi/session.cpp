@@ -174,7 +174,7 @@ void SessionModule::define_transitions() {
       .when(u, kSConResp)
       .cost(cost)
       .action([this](Module& m, const Interaction* msg) {
-        const bool accept = msg->value.as_bool().value_or(true);
+        const bool accept = msg->value != 0;
         send_spdu(accept ? Spdu::AC : Spdu::RF, msg->payload);
         m.set_state(accept ? kOpen : kIdle);
       });

@@ -15,6 +15,7 @@
 // Every shorter SPDU keeps the 3-octet header.
 #pragma once
 
+#include "common/result.hpp"
 #include "estelle/module.hpp"
 #include "osi/service.hpp"
 

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <deque>
 
+#include "common/result.hpp"
 #include "estelle/module.hpp"
 #include "osi/service.hpp"
 

@@ -102,8 +102,7 @@ TEST(AcseModuleTest, AssociateDataRelease) {
   EXPECT_EQ(ind.kind, kPConInd);
   EXPECT_EQ(ind.payload, common::to_bytes("areq"));  // AARQ unwrapped
 
-  w.su->ip("svc").output(Interaction(kPConResp, asn1::Value::boolean(true),
-                                     common::to_bytes("aresp")));
+  w.su->ip("svc").output(Interaction(kPConResp, 1, common::to_bytes("aresp")));
   sched->run_until([&] { return w.cu->ip("svc").has_input(); });
   Interaction conf = w.cu->ip("svc").pop();
   EXPECT_EQ(conf.kind, kPConConf);
@@ -155,8 +154,7 @@ TEST(AcseModuleTest, UserRefusalCarriesUserData) {
   w.cu->ip("svc").output(Interaction(kPConReq, common::to_bytes("areq")));
   sched->run_until([&] { return w.su->ip("svc").has_input(); });
   (void)w.su->ip("svc").pop();
-  w.su->ip("svc").output(Interaction(kPConResp, asn1::Value::boolean(false),
-                                     common::to_bytes("denied")));
+  w.su->ip("svc").output(Interaction(kPConResp, 0, common::to_bytes("denied")));
   sched->run_until([&] { return w.cu->ip("svc").has_input(); });
   Interaction refused = w.cu->ip("svc").pop();
   EXPECT_EQ(refused.kind, kPConRefuse);

@@ -9,10 +9,11 @@
 //   Mutation — a seeded mutator (bit flips, truncations, length-octet and
 //     tag-octet edits, splices) corrupts that corpus and the frame
 //     catalogue. On every input the direct decoders (core::decode,
-//     core::peek_op, osi::parse_ppdu, osi::parse_acse, decode_frame) and the
-//     tree oracle (asn1::decode, then the same field extraction run over the
-//     Value) must agree: same accept or reject, same error code and message,
-//     same decoded fields. parse_tpdu and parse_spdu see every input too and
+//     core::peek_op, osi::parse_ppdu, osi::parse_acse, decode_frame, which
+//     reads every frame type through asn1::Node) and the tree oracle
+//     (asn1::decode, then the same field extraction run over the Value)
+//     must agree: same accept or reject, same error code and message, same
+//     decoded fields. parse_tpdu and parse_spdu see every input too and
 //     must reject short or inconsistent headers without throwing.
 //
 // 20,000 mutated inputs by default; MCAM_SOAK_SPECS scales the count (400

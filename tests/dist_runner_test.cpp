@@ -43,7 +43,6 @@
 #include <thread>
 #include <vector>
 
-#include "asn1/value.hpp"
 #include "estelle/conflict.hpp"
 #include "estelle/executor.hpp"
 #include "estelle/module.hpp"
@@ -259,7 +258,7 @@ struct PipeWorld {
         })
         .action([sent = sent, out](Module& m, const Interaction*) {
           ++*sent;
-          out->output(Interaction(1, asn1::Value::integer(*sent)));
+          out->output(Interaction(1, *sent));
           m.set_state(m.state() + 1);
         });
     cons.trans("recv")
@@ -309,7 +308,7 @@ struct FanWorld {
           })
           .action([sent = sent, out](Module& m, const Interaction*) {
             ++*sent;
-            out->output(Interaction(1, asn1::Value::integer(m.state())));
+            out->output(Interaction(1, m.state()));
             m.set_state(m.state() + 1);
           });
       cons.trans("recv")
@@ -732,7 +731,7 @@ struct LaneWorld {
     spec.initialize();
     for (std::size_t i = 0; i < ends.size(); ++i)
       ends[i]->ip("out").output(
-          Interaction(1, asn1::Value::integer(static_cast<std::int64_t>(i))));
+          Interaction(1, static_cast<std::int64_t>(i)));
   }
 };
 

@@ -6,7 +6,6 @@
 // sequential execution.
 #include <gtest/gtest.h>
 
-#include "asn1/value.hpp"
 #include "common/rng.hpp"
 #include "estelle/module.hpp"
 #include "estelle/executor.hpp"
@@ -23,11 +22,11 @@ class Node : public Module {
     auto& in = ip("in");
     trans("recv").when(in, 1).action(
         [this](Module&, const Interaction* msg) {
-          const std::int64_t v = msg->value.as_int().value_or(0);
+          const std::int64_t v = msg->value;
           sum += v;
           ++received;
           for (InteractionPoint* out : outs)
-            out->output(Interaction(1, asn1::Value::integer(v + 1)));
+            out->output(Interaction(1, v + 1));
         });
   }
 
@@ -78,11 +77,11 @@ GraphResult run_random_graph(std::uint64_t seed, RunFn&& run) {
       // Wire an extra when-clause for the new inbox.
       dst.trans("recv+").when(inbox, 1).action(
           [&dst](Module&, const Interaction* msg) {
-            const std::int64_t v = msg->value.as_int().value_or(0);
+            const std::int64_t v = msg->value;
             dst.sum += v;
             ++dst.received;
             for (InteractionPoint* out : dst.outs)
-              out->output(Interaction(1, asn1::Value::integer(v + 1)));
+              out->output(Interaction(1, v + 1));
           });
       nodes[static_cast<std::size_t>(i)]->add_out(inbox);
     }
@@ -91,7 +90,7 @@ GraphResult run_random_graph(std::uint64_t seed, RunFn&& run) {
   connect(driver.ip("out"), nodes[0]->ip("in"));
   spec.initialize();
   for (int t = 0; t < tokens; ++t)
-    driver.ip("out").output(Interaction(1, asn1::Value::integer(t)));
+    driver.ip("out").output(Interaction(1, t));
 
   run(spec);
 

@@ -6,7 +6,6 @@
 
 #include <numeric>
 
-#include "asn1/value.hpp"
 #include "estelle/module.hpp"
 #include "estelle/executor.hpp"
 
@@ -446,7 +445,7 @@ struct PingPongWorld {
           .action([this, &log](Module&, const Interaction*) {
             ++served;
             log.push_back(served);
-            ip("out").output(Interaction(1, asn1::Value::integer(served)));
+            ip("out").output(Interaction(1, served));
           });
     }
     int served = 0;
@@ -458,7 +457,7 @@ struct PingPongWorld {
       auto& in = ip("in");
       trans("echo").when(in, 1).action(
           [this, &log](Module&, const Interaction* m) {
-            total += m->value.as_int().value_or(0);
+            total += m->value;
             log.push_back(-static_cast<int>(total));
           });
     }

@@ -264,7 +264,7 @@ struct SessionPipeWorld {
         })
         .action([sent = sent, out](Module& m, const Interaction*) {
           ++*sent;
-          out->output(Interaction(1, asn1::Value::integer(*sent)));
+          out->output(Interaction(1, *sent));
           m.set_state(m.state() + 1);
         });
     cons.trans("recv")

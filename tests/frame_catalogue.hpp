@@ -1,14 +1,14 @@
 // One frame of every catalogue type, with the extremes each field must
-// survive (u64 hashes with the sign bit set, negative virtual stamps, empty
-// and fat batches). Shared by the frame tests (transport_frame_test) and the
-// codec differential (codec_differential_test).
+// survive (u64 hashes with the sign bit set, negative virtual stamps, the
+// int64 extremes as interaction values, empty and fat batches). Shared by
+// the frame tests (transport_frame_test) and the codec differential
+// (codec_differential_test).
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <vector>
 
-#include "asn1/value.hpp"
 #include "common/bytes.hpp"
 #include "estelle/transport/frame.hpp"
 
@@ -42,12 +42,10 @@ inline std::vector<Frame> catalogue() {
   transfer.sent_at_ns = -42;  // negative virtual stamps must survive
   transfer.msg.kind = 104;
   transfer.msg.payload = common::Bytes{0x00, 0xff, 0x80, 0x7f};
-  transfer.msg.value = asn1::Value::sequence(
-      {asn1::Value::integer(-7), asn1::Value::utf8string("pdu"),
-       asn1::Value::boolean(true)});
+  transfer.msg.value = -7;
   all.push_back(transfer);
 
-  Frame bare_transfer;  // no structured value — the [0] wrapper is absent
+  Frame bare_transfer;  // value 0 ("none") — the [0] wrapper is absent
   bare_transfer.type = FrameType::Transfer;
   bare_transfer.channel = 0;
   bare_transfer.dir = 0;
@@ -74,6 +72,19 @@ inline std::vector<Frame> catalogue() {
   bye.type = FrameType::Bye;
   bye.node = 1;
   all.push_back(bye);
+
+  Frame resume;
+  resume.type = FrameType::HelloResume;
+  resume.node = 2;
+  resume.spec_hash = 0x8000000000000000ull;  // sign bit set, rest clear
+  resume.epoch = 3;
+  resume.recv = std::numeric_limits<std::uint64_t>::max();
+  all.push_back(resume);
+
+  Frame ack;
+  ack.type = FrameType::SessionAck;
+  ack.recv = 0;
+  all.push_back(ack);
 
   Frame empty_batch;  // legal, if pointless: a batch with no entries
   empty_batch.type = FrameType::TransferBatch;
@@ -105,9 +116,11 @@ inline std::vector<Frame> catalogue() {
     e.msg.kind = i;
     e.msg.payload = common::Bytes(static_cast<std::size_t>(i % 5),
                                   static_cast<std::uint8_t>(255 - i));
-    if (i % 3 == 0)
-      e.msg.value = asn1::Value::sequence(
-          {asn1::Value::integer(i), asn1::Value::boolean(i % 2 == 0)});
+    // Every third entry cycles through INT64_MIN, INT64_MAX and 0.
+    static constexpr std::int64_t kValues[] = {
+        std::numeric_limits<std::int64_t>::min(),
+        std::numeric_limits<std::int64_t>::max(), 0};
+    if (i % 3 == 0) e.msg.value = kValues[(i / 3) % 3];
     fat_batch.entries.push_back(std::move(e));
   }
   all.push_back(fat_batch);

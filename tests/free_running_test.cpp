@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "asn1/value.hpp"
 #include "estelle/conflict.hpp"
 #include "estelle/executor.hpp"
 #include "estelle/free_executor.hpp"
@@ -249,7 +248,7 @@ TEST(FreeRunning, MailboxWakeDrivesAPassiveConsumerShard) {
       .provided([&sent](Module&, const Interaction*) { return sent < 40; })
       .action([&sent, &prod](Module& m, const Interaction*) {
         ++sent;
-        prod.ip("out").output(Interaction(1, asn1::Value::integer(sent)));
+        prod.ip("out").output(Interaction(1, sent));
         m.set_state(m.state() + 1);
       });
   int got = 0;
@@ -260,7 +259,7 @@ TEST(FreeRunning, MailboxWakeDrivesAPassiveConsumerShard) {
         // Parameters must survive the mailbox round-trip intact — future-
         // stamped transfers sit parked across partial drains (regression:
         // a self-move in the drain compaction used to empty them).
-        value_sum += msg->value.as_int().value_or(0);
+        value_sum += msg->value;
         m.set_state(m.state() + 1);
       });
   spec.initialize();
@@ -311,12 +310,12 @@ TEST(FreeRunning, SessionTransfersDrainInOrderIntoBarrierRounds) {
         .provided([&sent](Module&, const Interaction*) { return sent < 40; })
         .action([&sent, &prod](Module&, const Interaction*) {
           ++sent;
-          prod.ip("out").output(Interaction(1, asn1::Value::integer(sent)));
+          prod.ip("out").output(Interaction(1, sent));
         });
     std::vector<long long> got;
     cons.trans("recv").when(cons.ip("in")).cost(SimTime::from_us(2)).action(
         [&got](Module&, const Interaction* msg) {
-          got.push_back(msg->value.as_int().value_or(0));
+          got.push_back(msg->value);
         });
     spec.initialize();
 

@@ -78,8 +78,7 @@ TEST(SessionLayer, ResponderIndicatesAndAccepts) {
   EXPECT_EQ(ind.payload, common::to_bytes("x"));
   EXPECT_EQ(rig.session->state(), SessionModule::kConnInd);
 
-  rig.up().output(Interaction(kSConResp, asn1::Value::boolean(true),
-                              common::to_bytes("y")));
+  rig.up().output(Interaction(kSConResp, 1, common::to_bytes("y")));
   sched->run();
   ASSERT_TRUE(rig.down().has_input());
   const SpduView ac = parse_spdu(rig.down().pop().payload).value();
@@ -94,8 +93,7 @@ TEST(SessionLayer, ResponderRefusesWithRf) {
   rig.down().output(Interaction(kTDatInd, build_spdu(Spdu::CN, {})));
   sched->run();
   (void)rig.up().pop();
-  rig.up().output(Interaction(kSConResp, asn1::Value::boolean(false),
-                              common::to_bytes("no")));
+  rig.up().output(Interaction(kSConResp, 0, common::to_bytes("no")));
   sched->run();
   ASSERT_TRUE(rig.down().has_input());
   EXPECT_EQ(parse_spdu(rig.down().pop().payload).value().type, Spdu::RF);
@@ -109,7 +107,7 @@ TEST(SessionLayer, AbortFromEitherSide) {
   rig.down().output(Interaction(kTDatInd, build_spdu(Spdu::CN, {})));
   sched->run();
   (void)rig.up().pop();
-  rig.up().output(Interaction(kSConResp, asn1::Value::boolean(true)));
+  rig.up().output(Interaction(kSConResp, 1));
   sched->run();
   (void)rig.down().pop();  // AC
   ASSERT_EQ(rig.session->state(), SessionModule::kOpen);
@@ -128,7 +126,7 @@ TEST(SessionLayer, TransportFailureAbortsOpenSession) {
   rig.down().output(Interaction(kTDatInd, build_spdu(Spdu::CN, {})));
   sched->run();
   (void)rig.up().pop();
-  rig.up().output(Interaction(kSConResp, asn1::Value::boolean(true)));
+  rig.up().output(Interaction(kSConResp, 1));
   sched->run();
   (void)rig.down().pop();
 
@@ -145,7 +143,7 @@ TEST(SessionLayer, MalformedSpduIsDroppedNotThrown) {
   rig.down().output(Interaction(kTDatInd, build_spdu(Spdu::CN, {})));
   sched->run();
   (void)rig.up().pop();
-  rig.up().output(Interaction(kSConResp, asn1::Value::boolean(true)));
+  rig.up().output(Interaction(kSConResp, 1));
   sched->run();
   (void)rig.down().pop();  // AC
   ASSERT_EQ(rig.session->state(), SessionModule::kOpen);
@@ -304,7 +302,7 @@ TEST(PresentationLayer, DataWrappedInTd) {
   rig.down().output(Interaction(kSConInd, build_cp(1, {})));
   sched->run();
   (void)rig.up().pop();
-  rig.up().output(Interaction(kPConResp, asn1::Value::boolean(true)));
+  rig.up().output(Interaction(kPConResp, 1));
   sched->run();
   (void)rig.down().pop();  // CPA
   ASSERT_EQ(rig.pres->state(), PresentationModule::kOpen);
@@ -329,7 +327,7 @@ TEST(PresentationLayer, UserAbortCascadesDown) {
   rig.down().output(Interaction(kSConInd, build_cp(1, {})));
   sched->run();
   (void)rig.up().pop();
-  rig.up().output(Interaction(kPConResp, asn1::Value::boolean(true)));
+  rig.up().output(Interaction(kPConResp, 1));
   sched->run();
   (void)rig.down().pop();
 

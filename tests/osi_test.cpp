@@ -242,7 +242,7 @@ struct StackWorld {
     const Interaction ind = user_s().pop();
     ASSERT_EQ(ind.kind, kPConInd);
     EXPECT_EQ(ind.payload, common::to_bytes("hello"));
-    user_s().output(Interaction(kPConResp, asn1::Value::boolean(accept),
+    user_s().output(Interaction(kPConResp, accept ? 1 : 0,
                                 common::to_bytes("welcome")));
     sched.run_until([&] { return user_c().has_input(); });
   }
@@ -382,8 +382,7 @@ TEST(Isode, InterfaceModuleBridgesBothWays) {
   sched->run_until([&] { return su.ip("svc").has_input(); });
   ASSERT_TRUE(su.ip("svc").has_input());
   EXPECT_EQ(su.ip("svc").pop().kind, kPConInd);
-  su.ip("svc").output(Interaction(kPConResp, asn1::Value::boolean(true),
-                                  common::to_bytes("cpa")));
+  su.ip("svc").output(Interaction(kPConResp, 1, common::to_bytes("cpa")));
   sched->run_until([&] { return cu.ip("svc").has_input(); });
   ASSERT_TRUE(cu.ip("svc").has_input());
   EXPECT_EQ(cu.ip("svc").pop().kind, kPConConf);

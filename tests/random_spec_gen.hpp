@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "asn1/value.hpp"
 #include "common/rng.hpp"
 #include "estelle/module.hpp"
 
@@ -188,7 +187,7 @@ inline GeneratedWorld generate(std::uint64_t seed, bool timed_shards = false,
         .action([sent, bump, out = ch.out, kind = ch.kind](
                     Module& m, const Interaction*) {
           bump(m);
-          out->output(Interaction(kind, asn1::Value::integer(++*sent)));
+          out->output(Interaction(kind, ++*sent));
         });
   };
 
@@ -204,8 +203,7 @@ inline GeneratedWorld generate(std::uint64_t seed, bool timed_shards = false,
           .cost(cost())
           .provided(
               [](Module&, const Interaction* msg) {
-                return msg != nullptr &&
-                       msg->value.as_int().value_or(0) % 2 == 0;
+                return msg != nullptr && msg->value % 2 == 0;
               },
               local_guard)
           .action([bump](Module& m, const Interaction*) { bump(m); });
@@ -252,7 +250,7 @@ inline GeneratedWorld generate(std::uint64_t seed, bool timed_shards = false,
                                                        const Interaction*) {
             bump(m);
             if (++*forwarded <= budget)
-              out->output(Interaction(kind, asn1::Value::integer(*forwarded)));
+              out->output(Interaction(kind, *forwarded));
           });
     } else {
       add_counting_consumer(ch, static_cast<int>(c));

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "asn1/value.hpp"
 #include "estelle/module.hpp"
 #include "estelle/executor.hpp"
 #include "estelle/trace.hpp"
@@ -26,11 +25,10 @@ class Cell : public Module {
     trans("hop").when(in, 1).action([this](Module&, const Interaction* msg) {
       ++hops;
       if (ip("out").connected()) {
-        Interaction fwd(1, asn1::Value::integer(
-                               msg->value.as_int().value_or(0) + 1));
+        Interaction fwd(1, msg->value + 1);
         ip("out").output(std::move(fwd));
       } else {
-        final_value = msg->value.as_int().value_or(0);
+        final_value = msg->value;
       }
     });
   }
@@ -57,7 +55,7 @@ std::pair<std::int64_t, int> run_chain(int n, int tokens,
             cells[static_cast<std::size_t>(i) + 1]->ip("in"));
   spec.initialize();
   for (int t = 0; t < tokens; ++t)
-    driver.ip("out").output(Interaction(1, asn1::Value::integer(0)));
+    driver.ip("out").output(Interaction(1, 0));
 
   make_sched(spec);
 
@@ -141,7 +139,7 @@ TEST(SchedStress, ParallelSimDeterministicAcrossRuns) {
               cells[static_cast<std::size_t>(i) + 1]->ip("in"));
     spec.initialize();
     for (int t = 0; t < 7; ++t)
-      driver.ip("out").output(Interaction(1, asn1::Value::integer(0)));
+      driver.ip("out").output(Interaction(1, 0));
     return make_executor(spec, {.kind = ExecutorKind::ParallelSim,
                                 .processors = 3,
                                 .mapping = Mapping::GroupedUnits})
@@ -165,7 +163,7 @@ TEST(SchedStress, UniprocessorHostCollapsesUnits) {
     connect(cells[static_cast<std::size_t>(i)]->ip("out"),
             cells[static_cast<std::size_t>(i) + 1]->ip("in"));
   spec.initialize();
-  driver.ip("out").output(Interaction(1, asn1::Value::integer(0)));
+  driver.ip("out").output(Interaction(1, 0));
 
   auto sched = make_executor(spec, {.kind = ExecutorKind::ParallelSim,
                                     .processors = 8,

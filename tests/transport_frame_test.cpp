@@ -42,7 +42,7 @@ void expect_equal(const Frame& got, const Frame& want, const char* where) {
   EXPECT_EQ(got.sent_at_ns, want.sent_at_ns);
   EXPECT_EQ(got.msg.kind, want.msg.kind);
   EXPECT_EQ(got.msg.payload, want.msg.payload);
-  EXPECT_TRUE(got.msg.value == want.msg.value) << "ASN.1 value diverged";
+  EXPECT_EQ(got.msg.value, want.msg.value);
   EXPECT_EQ(got.round, want.round);
   EXPECT_EQ(got.epoch, want.epoch);
   EXPECT_EQ(got.quiescent, want.quiescent);
@@ -56,8 +56,7 @@ void expect_equal(const Frame& got, const Frame& want, const char* where) {
     EXPECT_EQ(got.entries[i].sent_at_ns, want.entries[i].sent_at_ns);
     EXPECT_EQ(got.entries[i].msg.kind, want.entries[i].msg.kind);
     EXPECT_EQ(got.entries[i].msg.payload, want.entries[i].msg.payload);
-    EXPECT_TRUE(got.entries[i].msg.value == want.entries[i].msg.value)
-        << "entry ASN.1 value diverged";
+    EXPECT_EQ(got.entries[i].msg.value, want.entries[i].msg.value);
   }
 }
 
@@ -209,51 +208,98 @@ TEST(TransportFrame, WrongEnvelopeAndBadFieldsAreDecodeErrors) {
            asn1::Value::integer(0), asn1::Value::octet_string({})}),
       body);
   EXPECT_FALSE(decode_frame(ByteSpan{body.data(), body.size()}).ok());
+
+  // Transfer whose [0] interaction value is not an INTEGER.
+  body.clear();
+  asn1::encode_to(
+      asn1::Value::application(
+          static_cast<std::uint32_t>(FrameType::Transfer),
+          {asn1::Value::integer(0), asn1::Value::integer(1),
+           asn1::Value::integer(1), asn1::Value::integer(0),
+           asn1::Value::integer(0), asn1::Value::octet_string({}),
+           asn1::Value::context(0, asn1::Value::boolean(true))}),
+      body);
+  const auto not_int = decode_frame(ByteSpan{body.data(), body.size()});
+  ASSERT_FALSE(not_int.ok());
+  EXPECT_EQ(not_int.error().code, asn1::kWrongType);
 }
 
-/// The documented abstract syntax of the two hot-path frames, built as a
-/// plain Value tree. The direct writer in encode_frame_to must emit exactly
-/// these octets — minimal INTEGERs, definite lengths — or the decoder could
-/// see different bytes depending on which path encoded.
-asn1::Value hot_path_tree(const Frame& f) {
+/// The documented abstract syntax of every frame (the catalogue in
+/// frame.hpp), built as a plain Value tree. encode_frame_to's writer must
+/// emit exactly these octets — minimal INTEGERs, definite lengths — or a
+/// peer's reader would see bytes no tree encoder produces.
+asn1::Value frame_value(const Frame& f) {
   using asn1::Value;
+  // u64 fields ride the INTEGER as an int64 bit-cast.
   auto u64v = [](std::uint64_t v) {
     return Value::integer(static_cast<std::int64_t>(v));
   };
-  if (f.type == FrameType::Transfer) {
-    std::vector<Value> body = {
-        u64v(f.channel),     Value::integer(f.dir),
-        u64v(f.round),       Value::integer(f.sent_at_ns),
-        Value::integer(f.msg.kind), Value::octet_string(f.msg.payload)};
-    if (!(f.msg.value == Value())) body.push_back(Value::context(0, f.msg.value));
-    return Value::application(static_cast<std::uint32_t>(f.type),
-                              std::move(body));
+  // kind, payload, then a non-zero value as [0] EXPLICIT INTEGER.
+  auto add_msg = [](std::vector<Value>& fields, const Interaction& msg) {
+    fields.push_back(Value::integer(msg.kind));
+    fields.push_back(Value::octet_string(msg.payload));
+    if (msg.value != 0)
+      fields.push_back(Value::context(0, Value::integer(msg.value)));
+  };
+  std::vector<Value> body;
+  switch (f.type) {
+    case FrameType::Hello:
+      body = {u64v(f.node),      u64v(f.nodes),
+              u64v(f.shards),    u64v(f.spec_hash),
+              u64v(f.topology_version), u64v(f.assign_hash)};
+      break;
+    case FrameType::Welcome:
+      body = {u64v(f.node), Value::boolean(f.accept),
+              Value::utf8string(f.reason)};
+      break;
+    case FrameType::Transfer:
+      body = {u64v(f.channel), Value::integer(f.dir), u64v(f.round),
+              Value::integer(f.sent_at_ns)};
+      add_msg(body, f.msg);
+      break;
+    case FrameType::RoundDone:
+      body = {u64v(f.node), u64v(f.round), Value::boolean(f.quiescent)};
+      break;
+    case FrameType::Bye:
+      body = {u64v(f.node)};
+      break;
+    case FrameType::TransferBatch: {
+      std::vector<Value> entries;
+      for (const TransferEntry& e : f.entries) {
+        std::vector<Value> ev = {u64v(e.channel), Value::integer(e.dir),
+                                 Value::integer(e.sent_at_ns)};
+        add_msg(ev, e.msg);
+        entries.push_back(Value::sequence(std::move(ev)));
+      }
+      body = {u64v(f.round), Value::sequence(std::move(entries))};
+      break;
+    }
+    case FrameType::HelloResume:
+      body = {u64v(f.node), u64v(f.spec_hash), u64v(f.epoch), u64v(f.recv)};
+      break;
+    case FrameType::SessionAck:
+      body = {u64v(f.recv)};
+      break;
   }
-  std::vector<Value> entries;
-  for (const TransferEntry& e : f.entries) {
-    std::vector<Value> ev = {u64v(e.channel), Value::integer(e.dir),
-                             Value::integer(e.sent_at_ns),
-                             Value::integer(e.msg.kind),
-                             Value::octet_string(e.msg.payload)};
-    if (!(e.msg.value == Value())) ev.push_back(Value::context(0, e.msg.value));
-    entries.push_back(Value::sequence(std::move(ev)));
-  }
-  return Value::application(
-      static_cast<std::uint32_t>(FrameType::TransferBatch),
-      {u64v(f.round), Value::sequence(std::move(entries))});
+  return Value::application(static_cast<std::uint32_t>(f.type),
+                            std::move(body));
 }
 
 TEST(TransportFrame, DirectWriterMatchesTheValueTreeEncoder) {
   for (const Frame& f : catalogue()) {
-    if (f.type != FrameType::Transfer && f.type != FrameType::TransferBatch)
-      continue;
     SCOPED_TRACE(frame_type_name(f.type));
     const Bytes wire = encode_frame(f);
     Bytes ref;
-    asn1::encode_to(hot_path_tree(f), ref);
+    asn1::encode_to(frame_value(f), ref);
     ASSERT_EQ(wire.size(), ref.size() + 4);
     EXPECT_TRUE(std::equal(wire.begin() + 4, wire.end(), ref.begin()))
         << "direct writer diverged from the tree encoder";
+    // The sequenced dialect carries the same body after its sequence number.
+    Bytes seq;
+    encode_frame_seq_to(f, 0x0102030405060708ull, seq);
+    ASSERT_EQ(seq.size(), ref.size() + 12);
+    EXPECT_TRUE(std::equal(seq.begin(), seq.begin() + 4, wire.begin()));
+    EXPECT_TRUE(std::equal(seq.begin() + 12, seq.end(), ref.begin()));
   }
 }
 
@@ -275,6 +321,10 @@ TEST(TransportFrame, CorruptBatchEntriesAreSkippedNotFatal) {
                        Value::integer(0), Value::integer(0),
                        Value::octet_string({})}),
       Value::integer(9),  // not a SEQUENCE at all
+      Value::sequence({Value::integer(8), Value::integer(0),  // [0] not an
+                       Value::integer(0), Value::integer(0),  // INTEGER
+                       Value::octet_string({}),
+                       Value::context(0, Value::utf8string("v"))}),
       good(2)};
   Bytes body;
   asn1::encode_to(
@@ -284,7 +334,7 @@ TEST(TransportFrame, CorruptBatchEntriesAreSkippedNotFatal) {
   const auto got = decode_frame(ByteSpan{body.data(), body.size()});
   ASSERT_TRUE(got.ok()) << got.error().message;
   EXPECT_EQ(got.value().round, 5u);
-  EXPECT_EQ(got.value().rejected_entries, 3u);
+  EXPECT_EQ(got.value().rejected_entries, 4u);
   ASSERT_EQ(got.value().entries.size(), 3u);
   for (std::uint32_t i = 0; i < 3; ++i)
     EXPECT_EQ(got.value().entries[i].channel, i);
