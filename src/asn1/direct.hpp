@@ -95,7 +95,9 @@ class Writer {
     universal(UniversalTag::OctetString, content);
   }
   void ia5string(std::string_view s) { universal(UniversalTag::Ia5String, s); }
-  void utf8string(std::string_view s) { universal(UniversalTag::Utf8String, s); }
+  void utf8string(std::string_view s) {
+    universal(UniversalTag::Utf8String, s);
+  }
   void oid(std::span<const std::uint32_t> arcs);
 
   /// Open a constructed TLV whose length close() fills in. Returns the mark

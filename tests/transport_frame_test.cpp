@@ -321,9 +321,9 @@ TEST(TransportFrame, CorruptBatchEntriesAreSkippedNotFatal) {
                        Value::integer(0), Value::integer(0),
                        Value::octet_string({})}),
       Value::integer(9),  // not a SEQUENCE at all
-      Value::sequence({Value::integer(8), Value::integer(0),  // [0] not an
-                       Value::integer(0), Value::integer(0),  // INTEGER
-                       Value::octet_string({}),
+      // [0] holding a string, not an INTEGER
+      Value::sequence({Value::integer(8), Value::integer(0), Value::integer(0),
+                       Value::integer(0), Value::octet_string({}),
                        Value::context(0, Value::utf8string("v"))}),
       good(2)};
   Bytes body;
