@@ -742,7 +742,7 @@ void FreeRunningExecutor::shard_main(int s) {
   ShardState& shard = shards_[static_cast<std::size_t>(s)];
   // Route every dirty mark this thread produces straight into the shard's
   // own ready scope — the lock-free dirty tracking of the round hot path.
-  LocalReadyScopeBinding binding(shard.ready, s);
+  LocalReadyScopeBinding binding(shard.ready, spec_, s);
   try {
     shard_loop(s, slot, shard);
   } catch (...) {

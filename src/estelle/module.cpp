@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 
 #include "estelle/ready_set.hpp"
 
@@ -203,6 +204,9 @@ void Module::add_transition(Transition t) {
   if (t.ip != nullptr && t.delay.ns > 0)
     throw EstelleRuleError("transition '" + t.name + "' of '" + name_ +
                            "' combines when- and delay-clauses");
+  if (transitions_.size() > std::numeric_limits<std::uint16_t>::max())
+    throw EstelleRuleError("module '" + name_ +
+                           "' cannot hold more than 65536 transitions");
   transitions_.push_back(std::move(t));
   index_dirty_ = true;
   // A transition registered mid-run (dynamic specialization) must be seen by
@@ -211,29 +215,52 @@ void Module::add_transition(Transition t) {
 }
 
 void Module::rebuild_index() {
-  auto by_priority = [this](int a, int b) {
-    const auto& ta = transitions_[static_cast<std::size_t>(a)];
-    const auto& tb = transitions_[static_cast<std::size_t>(b)];
-    return ta.priority != tb.priority ? ta.priority < tb.priority : a < b;
-  };
+  rows_.clear();
+  for (std::size_t i = 0; i < transitions_.size(); ++i) {
+    const Transition& t = transitions_[i];
+    rows_.push_back({t.ip, t.from_state, t.kind, static_cast<std::uint16_t>(i),
+                     !t.provided && t.delay.ns == 0});
+  }
+  std::sort(rows_.begin(), rows_.end(),
+            [this](const DispatchRow& a, const DispatchRow& b) {
+              const int pa = transitions_[a.transition].priority;
+              const int pb = transitions_[b.transition].priority;
+              return pa != pb ? pa < pb : a.transition < b.transition;
+            });
 
-  linear_order_.resize(transitions_.size());
-  for (std::size_t i = 0; i < linear_order_.size(); ++i)
-    linear_order_[i] = static_cast<int>(i);
-  std::sort(linear_order_.begin(), linear_order_.end(), by_priority);
-
-  state_buckets_.clear();
-  any_bucket_.clear();
+  // Per-state lists. Counting first: state_begin_[s + 1] holds state s's
+  // own row count, then serves as its fill cursor, and ends as the start of
+  // s + 1. Filling in row order merges each state's rows with the
+  // kAnyState rows by (priority, declaration).
   int max_state = -1;
-  for (const Transition& t : transitions_)
-    if (t.from_state != kAnyState) max_state = std::max(max_state, t.from_state);
-  state_buckets_.resize(static_cast<std::size_t>(max_state + 1));
-  for (int i : linear_order_) {
-    const Transition& t = transitions_[static_cast<std::size_t>(i)];
-    if (t.from_state == kAnyState)
-      any_bucket_.push_back(i);
-    else if (t.from_state >= 0)
-      state_buckets_[static_cast<std::size_t>(t.from_state)].push_back(i);
+  std::uint32_t any = 0;
+  for (const DispatchRow& r : rows_) {
+    if (r.from_state == kAnyState)
+      ++any;
+    else
+      max_state = std::max(max_state, r.from_state);
+  }
+  const auto states = static_cast<std::size_t>(max_state + 1);
+  state_begin_.assign(states + 2, 0);
+  for (const DispatchRow& r : rows_)
+    if (r.from_state >= 0)
+      ++state_begin_[static_cast<std::size_t>(r.from_state) + 1];
+  std::uint32_t start = 0;
+  for (std::size_t s = 0; s <= states; ++s) {
+    const std::uint32_t length = state_begin_[s + 1] + any;
+    state_begin_[s + 1] = start;
+    start += length;
+  }
+  state_rows_.resize(start);
+  for (std::size_t p = 0; p < rows_.size(); ++p) {
+    const auto row = static_cast<std::uint16_t>(p);
+    const int from = rows_[p].from_state;
+    if (from == kAnyState) {
+      for (std::size_t s = 0; s <= states; ++s)
+        state_rows_[state_begin_[s + 1]++] = row;
+    } else if (from >= 0) {
+      state_rows_[state_begin_[static_cast<std::size_t>(from) + 1]++] = row;
+    }
   }
   index_dirty_ = false;
 }
@@ -244,69 +271,83 @@ const Transition* Module::select_fireable(common::SimTime now,
   if (transitions_.empty()) return nullptr;
   if (index_dirty_) rebuild_index();
 
-  if (dispatch_ == DispatchKind::LinearScan) {
-    // Hard-coded if/else chain: all transitions in (priority, decl) order,
-    // first fireable wins; every guard on the way is evaluated.
-    for (int i : linear_order_) {
-      ++scan_effort_;
-      Transition& t = transitions_[static_cast<std::size_t>(i)];
-      if (is_fireable(t, *this, now, probe)) return &t;
+  // A row whose state or head does not match is rejected here, without
+  // touching its Transition; is_fireable() would reject it the same way,
+  // before consulting any guard or the probe. A plain row that matches
+  // fires. Every other row takes is_fireable(), which adds the guard, the
+  // delay clause and the probe.
+  const auto fires = [&](const DispatchRow& r) {
+    if (r.from_state != kAnyState && r.from_state != state_) return false;
+    if (r.ip != nullptr) {
+      const Interaction* head = r.ip->head();
+      if (head == nullptr || (r.kind != kAnyKind && head->kind != r.kind))
+        return false;
     }
-    return nullptr;
-  }
-
-  // StateTable: the current state indexes its bucket directly; only that
-  // bucket and the kAnyState bucket are examined, merged by priority (both
-  // are already priority-sorted).
-  static const std::vector<int> kEmpty;
-  const std::vector<int>& exact =
-      state_ >= 0 && static_cast<std::size_t>(state_) < state_buckets_.size()
-          ? state_buckets_[static_cast<std::size_t>(state_)]
-          : kEmpty;
-  const std::vector<int>& any = any_bucket_;
-  std::size_t ei = 0;
-  std::size_t ai = 0;
-  auto better = [this](int a, int b) {
-    const auto& ta = transitions_[static_cast<std::size_t>(a)];
-    const auto& tb = transitions_[static_cast<std::size_t>(b)];
-    return ta.priority != tb.priority ? ta.priority < tb.priority : a < b;
+    return r.plain ||
+           is_fireable(transitions_[r.transition], *this, now, probe);
   };
-  while (ei < exact.size() || ai < any.size()) {
-    int idx;
-    if (ei < exact.size() &&
-        (ai >= any.size() || better(exact[ei], any[ai])))
-      idx = exact[ei++];
-    else
-      idx = any[ai++];
-    ++scan_effort_;
-    Transition& t = transitions_[static_cast<std::size_t>(idx)];
-    if (is_fireable(t, *this, now, probe)) return &t;
+  const DispatchRow* const rows = rows_.data();
+  const Transition* selected = nullptr;
+  int effort = 0;
+  if (dispatch_ == DispatchKind::LinearScan) {
+    // Hard-coded if/else chain: every row in (priority, declaration) order.
+    for (const DispatchRow* r = rows; r != rows + rows_.size(); ++r) {
+      ++effort;
+      if (fires(*r)) {
+        selected = &transitions_[r->transition];
+        break;
+      }
+    }
+  } else {
+    // StateTable: the current state indexes its merged list directly.
+    const std::size_t states = state_begin_.size() - 2;
+    const std::size_t slot =
+        state_ >= 0 && static_cast<std::size_t>(state_) < states
+            ? static_cast<std::size_t>(state_)
+            : states;
+    const std::uint16_t* const list = state_rows_.data();
+    const std::uint16_t* const end = list + state_begin_[slot + 1];
+    for (const std::uint16_t* i = list + state_begin_[slot]; i != end; ++i) {
+      ++effort;
+      if (fires(rows[*i])) {
+        selected = &transitions_[rows[*i].transition];
+        break;
+      }
+    }
   }
-  return nullptr;
+  scan_effort_ = effort;
+  return selected;
 }
 
 namespace {
 
-// The free-running executor's per-thread mark routing (LocalReadyScopeBinding).
+// The per-thread mark routing (LocalReadyScopeBinding).
 thread_local ReadyScope* t_ready_scope = nullptr;
+thread_local const Specification* t_ready_spec = nullptr;
 thread_local int t_ready_shard = kNoShard;
 
 }  // namespace
 
 LocalReadyScopeBinding::LocalReadyScopeBinding(ReadyScope& scope,
+                                               const Specification& spec,
                                                int shard) noexcept
-    : prev_scope_(t_ready_scope), prev_shard_(t_ready_shard) {
+    : prev_scope_(t_ready_scope),
+      prev_spec_(t_ready_spec),
+      prev_shard_(t_ready_shard) {
   t_ready_scope = &scope;
+  t_ready_spec = &spec;
   t_ready_shard = shard;
 }
 
 LocalReadyScopeBinding::~LocalReadyScopeBinding() {
   t_ready_scope = prev_scope_;
+  t_ready_spec = prev_spec_;
   t_ready_shard = prev_shard_;
 }
 
 void Module::mark_ready() noexcept {
-  if (t_ready_scope != nullptr && shard_ == t_ready_shard) {
+  if (t_ready_scope != nullptr && shard_ == t_ready_shard &&
+      spec_ == t_ready_spec) {
     t_ready_scope->mark(*this);
     return;
   }

@@ -21,6 +21,14 @@
 //
 // Scheduling semantics (parent precedence, process-parallel vs
 // activity-exclusive children) live in sched.hpp.
+//
+// Transition selection is table-driven, as §5.2 argues. A module keeps one
+// compact dispatch row per transition, in (priority, declaration) order —
+// its IP, from-state, kind and whether it is plain (no `provided`, no
+// delay) — and, for the StateTable strategy, one list of row indices per
+// state, merged with the kAnyState rows. A row is rejected on the state or
+// the offered head without reading its Transition; only a guarded or
+// delayed row reaches is_fireable().
 #pragma once
 
 #include <atomic>
@@ -306,26 +314,27 @@ class Module {
   }
 
   [[nodiscard]] DispatchKind dispatch() const noexcept { return dispatch_; }
-  void set_dispatch(DispatchKind k) noexcept {
-    dispatch_ = k;
-    index_dirty_ = true;
-  }
+  void set_dispatch(DispatchKind k) noexcept { dispatch_ = k; }
 
   /// Select the fireable transition of *this module only* (no tree rules),
   /// honoring priority and declaration order. Returns nullptr if none.
-  /// `now` drives delay clauses. Cost of the scan depends on dispatch():
-  /// callers that model selection cost can use scan_effort() afterwards.
+  /// `now` drives delay clauses. Which transitions are examined depends on
+  /// dispatch(): LinearScan walks every dispatch row, StateTable only the
+  /// current state's list; last_scan_effort() counts them afterwards.
   /// `probe` (optional) reports readiness facts to the event-driven
   /// schedulers — see ReadinessProbe.
   [[nodiscard]] const Transition* select_fireable(
       common::SimTime now, ReadinessProbe* probe = nullptr);
 
-  /// Enqueue this module into the specification's ready ledger: something
-  /// that may change its fireability happened. Idempotent, thread-safe,
-  /// no-op before the module joins a specification. Called by the runtime
-  /// hooks (interaction delivery, firing, state changes); user code only
-  /// needs it when mutating fireability inputs the runtime cannot see —
-  /// which a GuardReads::Hooked guard relies on.
+  /// Something that may change this module's fireability happened: queue
+  /// it for re-evaluation. The mark goes straight into the ReadyScope bound
+  /// on the calling thread when that scope drives this module
+  /// (LocalReadyScopeBinding), and into the specification's ready ledger
+  /// otherwise. Idempotent, thread-safe, no-op before the module joins a
+  /// specification. Called by the runtime hooks (interaction delivery,
+  /// firing, state changes); user code only needs it when mutating
+  /// fireability inputs the runtime cannot see — which a GuardReads::Hooked
+  /// guard relies on.
   void mark_ready() noexcept;
 
   /// Number of transition guards examined by the last select_fireable()
@@ -375,6 +384,16 @@ class Module {
   void set_specification(Specification* spec) noexcept;
   void rebuild_index();
 
+  /// One transition as select_fireable() examines it: what rejects it on
+  /// the module's state or the offered head without touching the Transition.
+  struct DispatchRow {
+    InteractionPoint* ip;
+    int from_state;
+    int kind;
+    std::uint16_t transition;  // index into transitions_
+    bool plain;  // no provided, no delay: fires once state and head match
+  };
+
   std::string name_;
   Attribute attribute_;
   Module* parent_ = nullptr;
@@ -386,12 +405,17 @@ class Module {
   int state_ = 0;
   common::SimTime state_entered_at_{};
   DispatchKind dispatch_ = DispatchKind::StateTable;
-  // Precomputed dispatch structures (what the code generator would emit):
-  // the full (priority, declaration)-sorted chain, and per-state buckets
-  // indexed directly by the state number plus one kAnyState bucket.
-  std::vector<int> linear_order_;
-  std::vector<std::vector<int>> state_buckets_;
-  std::vector<int> any_bucket_;
+  // Precomputed dispatch structures (what the code generator would emit),
+  // rebuilt by the first select after a transition is added. rows_ is the
+  // whole chain in (priority, declaration) order, which LinearScan walks.
+  // StateTable walks state s's list, state_rows_[state_begin_[s],
+  // state_begin_[s + 1]): the indices of the rows from s and from
+  // kAnyState, in row order. The trailing slot, s = state_begin_.size() - 2,
+  // lists the kAnyState rows alone, for states below 0 or above the highest
+  // `from` state.
+  std::vector<DispatchRow> rows_;
+  std::vector<std::uint16_t> state_rows_;
+  std::vector<std::uint32_t> state_begin_;
   bool index_dirty_ = true;
   int scan_effort_ = 0;
   bool initialized_ = false;
@@ -474,25 +498,36 @@ class Specification {
   std::atomic<CrossShardWakeSink*> wake_sink_{nullptr};
 };
 
-/// While alive on a thread, Module::mark_ready() calls for modules of
-/// `shard` route straight into `scope` — the ReadyScope owned and driven by
-/// the calling thread — instead of the specification-global ReadyLedger.
-/// This is what makes a free-running shard's dirty tracking lock-free: every
-/// fireability event a shard round produces (firing, state change, pop,
-/// same-shard delivery, drain) targets the shard's own modules, so it lands
-/// in the shard's own ready list with no mutex and no cross-shard routing
-/// pass. Marks for foreign-shard modules (possible only on specifications
-/// ill-formed beyond the Estelle channel contract) still fall through to the
-/// thread-safe global ledger.
+/// While alive on a thread, Module::mark_ready() calls for the modules of
+/// `spec` whose shard() is `shard` route straight into `scope` — the
+/// ReadyScope owned and driven by the calling thread — instead of the
+/// specification-global ReadyLedger: no atomic flag, no mutex, no drain.
+///   * A free-running shard binds its own scope for its whole loop. Every
+///     fireability event a shard round produces (firing, state change, pop,
+///     same-shard delivery, drain) targets the shard's own modules, so it
+///     lands in the shard's own ready list with no cross-shard routing pass.
+///   * Sequential binds its whole-spec scope, with shard kNoShard, for the
+///     firing loop of each round. A module stamped with a shard by an
+///     earlier ConflictAnalysis falls back to the ledger there, as do marks
+///     made outside the loop (the driver, stop predicates); the next collect
+///     drains them.
+/// Marks for other modules (a foreign shard or another specification,
+/// possible only beyond the Estelle channel contract) still fall through to
+/// the thread-safe ledger of the module's own specification. A binding is
+/// only ever installed by the executor that owns the ledger for the
+/// duration (ReadyLedger::acquire), so a hand-off between executors still
+/// reseeds.
 class LocalReadyScopeBinding {
  public:
-  LocalReadyScopeBinding(ReadyScope& scope, int shard) noexcept;
+  LocalReadyScopeBinding(ReadyScope& scope, const Specification& spec,
+                         int shard) noexcept;
   ~LocalReadyScopeBinding();
   LocalReadyScopeBinding(const LocalReadyScopeBinding&) = delete;
   LocalReadyScopeBinding& operator=(const LocalReadyScopeBinding&) = delete;
 
  private:
   ReadyScope* prev_scope_;
+  const Specification* prev_spec_;
   int prev_shard_;
 };
 

@@ -18,12 +18,6 @@ std::atomic<std::uint64_t> g_claim_stamp{0};
 
 }  // namespace
 
-void ReadyScope::mark(Module& m) {
-  if (m.scope_ready_) return;
-  m.scope_ready_ = true;
-  ready_.push_back(&m);
-}
-
 const std::vector<FiringCandidate>& ReadyScope::collect(common::SimTime now) {
   const std::size_t before = footprint();
   round_guards_ = 0;

@@ -8,13 +8,18 @@
 // everything else in the round. Every backend except
 // ParallelSim (whose engine is the scan) collects from this header instead:
 //
-//   * ReadyLedger (module.hpp) — modules enqueue themselves when something
-//     that can change their fireability happens: a delivery creating a new
-//     queue head (InteractionPoint::deliver / drain_transfers), a head
-//     consumed (pop/clear), a state change, any firing (fire() marks one
-//     that neither pops nor changes state), a transition registered, or an
-//     explicit mark_ready() by code that writes what a hooked guard reads.
-//     The executor drains the ledger at round boundaries.
+//   * Marks (Module::mark_ready) — modules enqueue themselves when
+//     something that can change their fireability happens: a delivery
+//     creating a new queue head (InteractionPoint::deliver /
+//     drain_transfers), a head consumed (pop/clear), a state change, any
+//     firing (fire() marks one that neither pops nor changes state), a
+//     transition registered, or an explicit mark_ready() by code that
+//     writes what a hooked guard reads. A mark made while the module's
+//     scope is bound on the calling thread (LocalReadyScopeBinding: a
+//     Sequential round's firing loop, a free-running shard's loop) goes
+//     straight into that scope's ready list. Every other mark lands in the
+//     specification's ReadyLedger (module.hpp), which the executor drains
+//     at round boundaries.
 //   * ReadyScope — one scheduling domain's persistent state: the ready list
 //     (modules to re-evaluate), the fireable cache F (modules whose last
 //     evaluation selected a transition), a min-heap of delay deadlines
@@ -72,7 +77,11 @@ namespace mcam::estelle {
 class ReadyScope {
  public:
   /// Enqueue `m` for re-evaluation at the next collect (idempotent).
-  void mark(Module& m);
+  void mark(Module& m) {
+    if (m.scope_ready_) return;
+    m.scope_ready_ = true;
+    ready_.push_back(&m);
+  }
 
   /// Bring the scope up to date at `now` and return the round's candidates
   /// (document order, tree rules applied). The returned buffer is owned by
@@ -148,6 +157,9 @@ class SpecReadySet {
   /// Candidates at `now` (see ReadyScope::collect). Applies reseeds and
   /// drains the specification's ready ledger first.
   const std::vector<FiringCandidate>& collect(common::SimTime now);
+
+  /// The scope itself, for the firing loop's LocalReadyScopeBinding.
+  [[nodiscard]] ReadyScope& scope() noexcept { return scope_; }
 
   [[nodiscard]] common::SimTime next_wakeup() const noexcept {
     return scope_.next_deadline();

@@ -134,6 +134,9 @@ bool SequentialScheduler::step() {
   now_ += scan_cost;
   stats_.sched_time += scan_cost;
 
+  // Everything fires on this thread, so the firing loop's marks go straight
+  // into the scope; only modules stamped with a shard take the ledger.
+  const LocalReadyScopeBinding direct_marks(ready_.scope(), spec_, kNoShard);
   for (const FiringCandidate& c : candidates) {
     // Revalidate: an earlier firing in this round may have consumed state.
     if (!is_fireable(*c.transition, *c.module, now_)) continue;

@@ -118,7 +118,7 @@ bool ShardedExecutor::barrier_round(std::uint64_t r,
   std::size_t firing = 0;
   for (const int s : ids) {
     LocalReadyScopeBinding binding(shards_[static_cast<std::size_t>(s)].ready,
-                                   s);
+                                   spec_, s);
     if (begin_round(s, r, now_, nullptr)) ++firing;
   }
 
@@ -128,7 +128,7 @@ bool ShardedExecutor::barrier_round(std::uint64_t r,
   for (const int s : ids) {
     ShardState& shard = shards_[static_cast<std::size_t>(s)];
     if (shard.ready.candidates().empty()) continue;
-    LocalReadyScopeBinding binding(shard.ready, s);
+    LocalReadyScopeBinding binding(shard.ready, spec_, s);
     try {
       fire_round(s, r, announce,
                  [&shard](const FiringCandidate& c, SimTime at) {

@@ -36,6 +36,16 @@ void McamServerCore::release(std::uint64_t session) {
   sessions_.erase(it);
 }
 
+void McamServerCore::add_selection(Session& s, std::uint64_t movie) {
+  const auto it = std::lower_bound(s.selected.begin(), s.selected.end(), movie);
+  if (it == s.selected.end() || *it != movie) s.selected.insert(it, movie);
+}
+
+void McamServerCore::drop_selection(Session& s, std::uint64_t movie) {
+  const auto it = std::lower_bound(s.selected.begin(), s.selected.end(), movie);
+  if (it != s.selected.end() && *it == movie) s.selected.erase(it);
+}
+
 McamServerCore::Session* McamServerCore::find(std::uint64_t session) {
   auto it = sessions_.find(session);
   return it == sessions_.end() ? nullptr : &it->second;
@@ -109,7 +119,7 @@ Pdu McamServerCore::handle_in_session(Session& s, const Pdu& request) {
           entry.title = req.title;  // title attr may not override the name
           auto id = dsa_.add(std::move(entry));
           if (!id.ok()) return MovieCreateResp{ResultCode::DuplicateMovie, 0};
-          s.selected.insert(id.value());
+          add_selection(s, id.value());
           return MovieCreateResp{ResultCode::Success, id.value()};
         } else if constexpr (std::is_same_v<T, MovieDeleteReq>) {
           auto movie = dsa_.read(req.movie_id);
@@ -120,7 +130,7 @@ Pdu McamServerCore::handle_in_session(Session& s, const Pdu& request) {
           if (s.playing.contains(req.movie_id))
             return MovieDeleteResp{ResultCode::AlreadyPlaying};
           (void)dsa_.remove(req.movie_id);
-          s.selected.erase(req.movie_id);
+          drop_selection(s, req.movie_id);
           return MovieDeleteResp{ResultCode::Success};
         } else if constexpr (std::is_same_v<T, MovieSelectReq>) {
           auto movie = dsa_.find_by_title(req.title);
@@ -135,7 +145,7 @@ Pdu McamServerCore::handle_in_session(Session& s, const Pdu& request) {
           const MovieEntry& e = movie.value();
           if (e.rights != "public" && e.rights != s.user)
             return MovieSelectResp{ResultCode::AccessDenied, 0, {}};
-          s.selected.insert(e.id);
+          add_selection(s, e.id);
           std::vector<Attr> attrs;
           for (auto& [name, value] : e.attributes())
             attrs.push_back(Attr{name, value});
@@ -198,7 +208,8 @@ Pdu McamServerCore::handle_in_session(Session& s, const Pdu& request) {
           // §6 QoS extension: validate requested bounds before admission.
           if (req.qos_max_delay_ms > 10'000 || req.qos_max_jitter_ms > 1'000)
             return PlayResp{ResultCode::BadAttribute, 0};
-          if (!s.selected.contains(req.movie_id))
+          if (!std::binary_search(s.selected.begin(), s.selected.end(),
+                                  req.movie_id))
             return PlayResp{ResultCode::NotSelected, 0};
           if (s.playing.contains(req.movie_id))
             return PlayResp{ResultCode::AlreadyPlaying, 0};
@@ -255,7 +266,7 @@ Pdu McamServerCore::handle_in_session(Session& s, const Pdu& request) {
             return RecordResp{ResultCode::DuplicateMovie, 0};
           }
           s.recording.emplace(id.value(), net_.now());
-          s.selected.insert(id.value());
+          add_selection(s, id.value());
           return RecordResp{ResultCode::Success, id.value()};
         } else if constexpr (std::is_same_v<T, RecordStopReq>) {
           auto it = s.recording.find(req.movie_id);

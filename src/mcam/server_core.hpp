@@ -10,8 +10,8 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "directory/directory.hpp"
 #include "equipment/equipment.hpp"
@@ -63,12 +63,14 @@ class McamServerCore {
 
   struct Session {
     std::string user;
-    std::set<std::uint64_t> selected;            // movie ids
+    std::vector<std::uint64_t> selected;         // movie ids, sorted
     std::map<std::uint64_t, std::uint16_t> playing;  // movie → stream
     std::map<std::uint64_t, common::SimTime> recording;  // movie → start
     std::map<std::uint64_t, std::uint64_t> reported;  // movie → last frame
   };
 
+  static void add_selection(Session& s, std::uint64_t movie);
+  static void drop_selection(Session& s, std::uint64_t movie);
   Session* find(std::uint64_t session);
   Pdu handle_in_session(Session& s, const Pdu& request);
   [[nodiscard]] mtp::FrameSource source_for(

@@ -307,6 +307,46 @@ TEST(McamIntegration, RecordingFromCamera) {
             std::to_string(stopped.value().frames));
 }
 
+TEST(McamIntegration, SelectionFollowsSelectCreateRecordAndDelete) {
+  // Play admits only a movie its association has selected. MovieSelect,
+  // MovieCreate and Record select; MovieDelete unselects.
+  Testbed bed(Testbed::Config{});
+  const auto cam = bed.server().eca().register_device(
+      equipment::Kind::Camera, "cam", {});
+  const std::uint64_t listed = preload_movie(bed, "metropolis").id;
+  McamClient client = bed.client(0);
+  ASSERT_TRUE(client.associate("alice").ok());
+  bed.make_sua(0, 7000);
+  const auto play = [&](std::uint64_t movie) {
+    return client.play(movie, bed.client_host(0), 7000).value().result;
+  };
+
+  // Selected twice, the movie is held once: one delete unselects it. A
+  // second entry would pass the selection check and fail on the directory
+  // read with NoSuchMovie instead.
+  EXPECT_EQ(client.select_movie("metropolis").value().movie_id, listed);
+  EXPECT_EQ(client.select_movie("metropolis").value().movie_id, listed);
+  EXPECT_EQ(client.delete_movie(listed).value().result, ResultCode::Success);
+  EXPECT_EQ(play(listed), ResultCode::NotSelected);
+
+  // MovieCreate selects the new movie; MovieDelete unselects it.
+  const std::uint64_t created =
+      client.create_movie("nosferatu", {{"duration", "50"}}).value().movie_id;
+  EXPECT_EQ(play(created), ResultCode::Success);
+  EXPECT_EQ(client.stop(created).value().result, ResultCode::Success);
+  EXPECT_EQ(client.delete_movie(created).value().result, ResultCode::Success);
+  EXPECT_EQ(play(created), ResultCode::NotSelected);
+
+  // Record selects the movie it creates.
+  auto rec = client.record("take-1", cam, {});
+  ASSERT_TRUE(rec.ok());
+  ASSERT_EQ(rec.value().result, ResultCode::Success);
+  EXPECT_EQ(play(rec.value().movie_id), ResultCode::Success);
+
+  // An id the association never selected.
+  EXPECT_EQ(play(created + 100), ResultCode::NotSelected);
+}
+
 TEST(McamIntegration, TwoClientsThreeConnectionsFig2) {
   // The Fig. 2 shape: multiple clients, multiple server entities.
   Testbed::Config cfg;

@@ -24,14 +24,22 @@
 //
 // Also pinned here: topology changes (new module) and dynamically registered
 // transitions invalidate the ready state — a reused executor must not skip
-// them — and MetricsObserver carries the hot-path counters.
+// them — and MetricsObserver carries the hot-path counters. One spec handed
+// from Sequential to FreeRunning and back must keep the uninterrupted
+// Sequential trace, since Sequential's firing loop marks straight into its
+// scope, and a mark for another specification's module must still reach
+// that one's ledger. And Module::select_fireable's dispatch rows are
+// checked against the bucket merge they replaced, on seeded random modules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "estelle/executor.hpp"
 #include "estelle/metrics.hpp"
 #include "estelle/module.hpp"
@@ -363,6 +371,269 @@ TEST(ReadySetDifferential, TopologyMutationInvalidatesReadyState) {
     EXPECT_EQ(executor->run().fired, 1u);
     EXPECT_EQ(extra_fired, 1);
   }
+}
+
+TEST(ReadySetDifferential, ExecutorHandOffKeepsTheSequentialTrace) {
+  // Sequential for a few rounds, FreeRunning (threads = 2) for a few, then
+  // Sequential to quiescence, on one spec: the concatenated trace and the
+  // final world equal one uninterrupted Sequential run. Each executor
+  // reseeds when it takes the ledger over, so marks that went straight
+  // into the other one's scope cannot be lost. The FreeRunning leg
+  // free-runs the spec's one shard and stamps the modules with it, so the
+  // last leg marks through the ledger. Only one-shard specs without delay
+  // clauses that run at least three rounds are handed off: each executor
+  // keeps its own virtual clock, and Sequential does not drain cross-shard
+  // transfers a FreeRunning leg left parked.
+  const auto trace_of = [](const TraceRecorder& t) {
+    std::vector<std::string> out;
+    for (const TraceEvent& e : t.events())
+      out.push_back(e.module_path + "/" + e.transition);
+    return out;
+  };
+  const int wanted = std::max(3, spec_count() / 2);
+  int specs = 0;
+  for (std::uint64_t seed = 1; specs < wanted; ++seed) {
+    {
+      const specgen::GeneratedWorld probe = specgen::generate(seed);
+      if (probe.nsys != 1 || probe.has_delay ||
+          make_executor(*probe.spec)->run().steps < 3)
+        continue;
+    }
+    ++specs;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    for (const specgen::GuardDecl guards :
+         {specgen::GuardDecl::Opaque, specgen::GuardDecl::Hooked}) {
+      SCOPED_TRACE(guards == specgen::GuardDecl::Opaque ? "opaque guards"
+                                                        : "hooked guards");
+      specgen::GeneratedWorld whole = specgen::generate(seed, false, guards);
+      TraceRecorder reference;
+      const RunReport ref =
+          make_executor(*whole.spec)->run({.observers = {&reference}});
+      ASSERT_EQ(ref.reason, StopReason::Quiescent);
+      const std::uint64_t leg = ref.steps / 3;
+
+      // verify_ready_set checks every round of every leg against the full
+      // scan, so a leg that trusted a scope filled before it would throw.
+      specgen::GeneratedWorld g = specgen::generate(seed, false, guards);
+      TraceRecorder trace;
+      auto seq = make_executor(*g.spec, {.verify_ready_set = true});
+      auto free = make_executor(*g.spec, {.kind = ExecutorKind::FreeRunning,
+                                          .threads = 2,
+                                          .verify_ready_set = true});
+      const RunReport first = seq->run(
+          {.stop = {StopCondition::max_steps(leg)}, .observers = {&trace}});
+      const RunReport mid = free->run(
+          {.stop = {StopCondition::max_steps(leg)}, .observers = {&trace}});
+      const RunReport last = seq->run({.observers = {&trace}});
+      EXPECT_EQ(first.reason, StopReason::StepLimit);
+      EXPECT_GT(mid.fired, 0u);
+      EXPECT_EQ(last.reason, StopReason::Quiescent);
+      EXPECT_EQ(trace_of(trace), trace_of(reference));
+      EXPECT_EQ(specgen::world_snapshot(*g.spec),
+                specgen::world_snapshot(*whole.spec));
+    }
+  }
+}
+
+TEST(ReadySetDifferential, MarksForAnotherSpecificationTakeItsLedger) {
+  // A channel may join two specifications. A Sequential round's firing loop
+  // marks its own modules straight into its scope; the receiver on the far
+  // side belongs to the other specification, so its mark must land in that
+  // one's ledger and it must fire under that one's executor.
+  Specification a("a");
+  Specification b("b");
+  auto& sender = a.root()
+                     .create_child<Module>("sys", Attribute::SystemProcess)
+                     .create_child<Module>("sender", Attribute::Process);
+  auto& receiver = b.root()
+                       .create_child<Module>("sys", Attribute::SystemProcess)
+                       .create_child<Module>("receiver", Attribute::Process);
+  connect(sender.ip("out"), receiver.ip("in"));
+  sender.trans("send").from(0).to(1).action(
+      [&sender](Module&, const Interaction*) {
+        sender.ip("out").output(Interaction(1));
+      });
+  int received = 0;
+  receiver.trans("recv").when(receiver.ip("in")).action(
+      [&received](Module&, const Interaction*) { ++received; });
+  a.initialize();
+  b.initialize();
+
+  auto run_a = make_executor(a);
+  auto run_b = make_executor(b);
+  EXPECT_EQ(run_b->run().fired, 0u);  // seeded; the next run only drains
+  EXPECT_EQ(run_a->run().fired, 1u);
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(run_b->run().fired, 1u);
+  EXPECT_EQ(received, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch rows against the bucket merge they replaced
+
+struct Selection {
+  const Transition* transition = nullptr;
+  int effort = 0;
+  ReadinessProbe probe;
+};
+
+/// select_fireable() as it was before the dispatch rows: LinearScan walks
+/// the (priority, declaration)-sorted chain; StateTable merges the current
+/// state's bucket with the kAnyState bucket by (priority, declaration).
+/// Buckets exist for states 0 to the highest `from` state; any other state
+/// sees the kAnyState bucket alone, and a `from` below -1 is in no bucket.
+Selection reference_select(Module& m, SimTime now) {
+  Selection out;
+  const std::vector<Transition>& ts = m.transitions();
+  if (ts.empty()) return out;
+  const auto better = [&ts](int a, int b) {
+    const auto& ta = ts[static_cast<std::size_t>(a)];
+    const auto& tb = ts[static_cast<std::size_t>(b)];
+    return ta.priority != tb.priority ? ta.priority < tb.priority : a < b;
+  };
+  std::vector<int> chain(ts.size());
+  std::iota(chain.begin(), chain.end(), 0);
+  std::sort(chain.begin(), chain.end(), better);
+  const auto examine = [&](int i) {
+    ++out.effort;
+    const Transition& t = ts[static_cast<std::size_t>(i)];
+    if (!is_fireable(t, m, now, &out.probe)) return false;
+    out.transition = &t;
+    return true;
+  };
+
+  if (m.dispatch() == DispatchKind::LinearScan) {
+    for (int i : chain)
+      if (examine(i)) break;
+    return out;
+  }
+  std::vector<std::vector<int>> buckets;
+  std::vector<int> any;
+  int max_state = -1;
+  for (const Transition& t : ts)
+    if (t.from_state != kAnyState)
+      max_state = std::max(max_state, t.from_state);
+  buckets.resize(static_cast<std::size_t>(max_state + 1));
+  for (int i : chain) {
+    const int from = ts[static_cast<std::size_t>(i)].from_state;
+    if (from == kAnyState)
+      any.push_back(i);
+    else if (from >= 0)
+      buckets[static_cast<std::size_t>(from)].push_back(i);
+  }
+  const std::vector<int> none;
+  const int state = m.state();
+  const std::vector<int>& exact =
+      state >= 0 && static_cast<std::size_t>(state) < buckets.size()
+          ? buckets[static_cast<std::size_t>(state)]
+          : none;
+  std::size_t ei = 0;
+  std::size_t ai = 0;
+  while (ei < exact.size() || ai < any.size()) {
+    const bool take_exact =
+        ei < exact.size() && (ai >= any.size() || better(exact[ei], any[ai]));
+    if (examine(take_exact ? exact[ei++] : any[ai++])) break;
+  }
+  return out;
+}
+
+/// One seeded random module: up to five states, `from` clauses on a state,
+/// on kAnyState or (rarely) on a state below -1; priorities from a small
+/// range, so ties are common; `when` clauses on three IPs with a kind or
+/// kAnyKind; Opaque and Hooked guards over the state and the head; delay
+/// clauses with and without guards; plain transitions of both kinds.
+void add_random_transition(Module& m, common::Rng& rng, int states,
+                           int serial) {
+  auto b = m.trans("t" + std::to_string(serial));
+  const std::uint64_t from = rng.below(10);
+  if (from < 3)
+    b.from(kAnyState);
+  else if (from == 3)
+    b.from(-2);  // in no StateTable list; LinearScan still examines it
+  else
+    b.from(static_cast<int>(rng.below(static_cast<std::uint64_t>(states))));
+  b.priority(static_cast<int>(rng.below(3)));
+  if (rng.chance(0.6)) {
+    const int kind =
+        rng.chance(0.25) ? kAnyKind : static_cast<int>(rng.below(3));
+    b.when(m.ip("ip" + std::to_string(rng.below(3))), kind);
+  } else if (rng.chance(0.5)) {
+    b.delay(SimTime::from_us(static_cast<std::int64_t>(1 + rng.below(40))));
+  }
+  if (rng.chance(0.4)) {
+    const int salt = static_cast<int>(rng.below(4));
+    b.provided(
+        [salt](Module& mod, const Interaction* head) {
+          const int k = head == nullptr ? 0 : head->kind;
+          return (mod.state() + k + salt) % 3 != 0;
+        },
+        rng.chance(0.5) ? GuardReads::Opaque : GuardReads::Hooked);
+  }
+  b.action([](Module&, const Interaction*) {});
+}
+
+TEST(ReadySetDifferential, DispatchRowsMatchTheBucketMerge) {
+  // Per module: random transitions, then probes that set the state (-1,
+  // every state, states above the highest), the heads of the three IPs and
+  // the delay clock, and compare select_fireable() under both DispatchKinds
+  // with the reference: the same Transition*, scan effort and probe. A
+  // transition added after the first selects must be seen.
+  const int modules = 20 * spec_count();
+  int selected = 0, guarded = 0, deadlines = 0;
+  for (int n = 0; n < modules; ++n) {
+    SCOPED_TRACE("module " + std::to_string(n));
+    common::Rng rng(0x6469737061746368ULL + static_cast<std::uint64_t>(n));
+    Specification spec("rows");
+    auto& m = spec.root()
+                  .create_child<Module>("sys", Attribute::SystemProcess)
+                  .create_child<Module>("m", Attribute::Process);
+    for (int i = 0; i < 3; ++i) (void)m.ip("ip" + std::to_string(i));
+    spec.initialize();
+    const int states = 1 + static_cast<int>(rng.below(5));
+    const int count = static_cast<int>(rng.below(25));
+    int serial = 0;
+    for (; serial < count; ++serial)
+      add_random_transition(m, rng, states, serial);
+
+    for (int round = 0; round < 12; ++round) {
+      if (round == 6) add_random_transition(m, rng, states, serial++);
+      const int state = static_cast<int>(rng.below(
+                            static_cast<std::uint64_t>(states) + 3)) - 1;
+      m.set_state(state);
+      m.note_state_entry(SimTime::from_us(
+          static_cast<std::int64_t>(rng.below(20))));
+      for (const auto& ip : m.ips()) {
+        ip->clear();
+        if (rng.chance(0.6))
+          ip->deliver(Interaction(static_cast<int>(rng.below(4))));
+      }
+      const SimTime now =
+          SimTime::from_us(static_cast<std::int64_t>(rng.below(60)));
+      for (const DispatchKind kind :
+           {DispatchKind::LinearScan, DispatchKind::StateTable}) {
+        SCOPED_TRACE("round " + std::to_string(round) + " state " +
+                     std::to_string(state) +
+                     (kind == DispatchKind::LinearScan ? " LinearScan"
+                                                       : " StateTable"));
+        m.set_dispatch(kind);
+        const Selection want = reference_select(m, now);
+        ReadinessProbe probe;
+        const Transition* got = m.select_fireable(now, &probe);
+        ASSERT_EQ(got, want.transition);
+        EXPECT_EQ(m.last_scan_effort(), want.effort);
+        EXPECT_EQ(probe.next_deadline, want.probe.next_deadline);
+        EXPECT_EQ(probe.guard_invoked, want.probe.guard_invoked);
+        selected += got != nullptr;
+        guarded += probe.guard_invoked;
+        deadlines += probe.next_deadline != kNeverTime;
+      }
+    }
+  }
+  // The sweep reaches every branch: selections, consulted opaque guards and
+  // immature delays all occur.
+  EXPECT_GT(selected, modules);
+  EXPECT_GT(guarded, modules / 2);
+  EXPECT_GT(deadlines, modules / 4);
 }
 
 TEST(ReadySetDifferential, MetricsObserverCarriesHotPathCounters) {
