@@ -21,8 +21,9 @@
 // before, plus batched >= 2x unbatched rounds/sec over Unix sockets,
 // syscalls/round reduced >= 4x by batching, a warmed send()+flush() of a
 // 16-entry TransferBatch performing ZERO heap allocations (global operator
-// new is instrumented below), likewise a warmed idle recv() poll, the
-// session layer (sequencing + replay-ring retention) costing <= 10%
+// new is instrumented below), likewise a warmed idle recv() poll and the
+// same send on a session link whose acknowledgements prune the log, the
+// session layer (sequencing + retention until acknowledged) costing <= 10%
 // rounds/sec on a fault-free volley versus the same run with
 // reconnect_max_attempts = 0, and a warmed single-node run of many local
 // shards keeping its steady-state rounds allocation-free.
@@ -347,25 +348,26 @@ ParAllocProbe probe_parallel_allocations(int lanes, std::uint64_t rounds) {
 
 /// Warmed send()+flush() of a 16-entry TransferBatch over a socketpair,
 /// single-threaded, with the global allocation counter around the measured
-/// window: the pooled encode buffer and the segment chain must make the
+/// window: the recycled record buffers and the outbound log must make the
 /// steady-state send path exactly zero-alloc (the receive side is drained
 /// outside the window — decode hands out owned Interaction state by design).
 /// A second window counts idle recv(…, 0) polls on the drained pair — the
 /// runner's final pump of every round — which must allocate nothing either.
+/// A third drives a two-node Unix mesh with the session on, as a
+/// Distributed run has it: each iteration sends a batch and a RoundDone,
+/// flushes, and pumps the sender so the peer's SessionAcks prune the log —
+/// the records kept until acknowledged must cost no allocation either.
 struct SendAllocProbe {
   bool ok = false;
   unsigned long long allocs = 0;
   unsigned long long iterations = 0;
   unsigned long long idle_allocs = 0;
   unsigned long long idle_iterations = 0;
+  unsigned long long session_allocs = 0;
+  unsigned long long session_iterations = 0;
 };
 
-SendAllocProbe probe_send_allocations() {
-  SendAllocProbe probe;
-  int sv[2] = {-1, -1};
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) return probe;
-  auto sender = estelle::StreamSocketTransport::from_fds({{1, sv[0]}});
-  auto receiver = estelle::StreamSocketTransport::from_fds({{0, sv[1]}});
+estelle::Frame probe_batch() {
   estelle::Frame f;
   f.type = estelle::FrameType::TransferBatch;
   f.round = 1;
@@ -378,6 +380,74 @@ SendAllocProbe probe_send_allocations() {
     e.msg.payload = common::Bytes(32, 0x5a);
     f.entries.push_back(std::move(e));
   }
+  return f;
+}
+
+/// The session window of probe_send_allocations (see there).
+bool probe_session_allocations(SendAllocProbe& probe) {
+  char tmpl[] = "/tmp/mcam_bench_session_XXXXXX";
+  const char* made = ::mkdtemp(tmpl);
+  if (made == nullptr) return false;
+  const std::string dir = made;
+  // Mesh construction blocks on the peer: build the ends on two threads,
+  // then drive both from this one.
+  std::unique_ptr<estelle::StreamSocketTransport> ends[2];
+  {
+    std::vector<std::thread> threads;
+    for (int node = 0; node < 2; ++node)
+      threads.emplace_back([&, node] {
+        auto mesh = estelle::StreamSocketTransport::unix_mesh(node, 2, dir);
+        if (mesh.ok()) ends[node] = std::move(mesh.value());
+      });
+    for (std::thread& t : threads) t.join();
+  }
+  std::filesystem::remove_all(dir);
+  if (!ends[0] || !ends[1]) return false;
+  MailboxTransport::SessionOptions so;
+  so.reconnect_max_attempts = DistOptions{}.reconnect_max_attempts;
+  for (auto& end : ends) end->configure_session(so);
+  estelle::Frame f = probe_batch();
+  estelle::Frame done;
+  done.type = estelle::FrameType::RoundDone;
+  estelle::Frame in;
+  int from = 0;
+  std::string err;
+  const auto iteration = [&](std::uint64_t round) {
+    f.round = round;
+    done.round = round;
+    const bool sent = ends[0]->send(1, f).ok() && ends[0]->send(1, done).ok();
+    ends[0]->flush();
+    (void)ends[0]->recv(&from, &in, 0, &err);  // SessionAcks prune the log
+    return sent;
+  };
+  const auto drain_peer = [&] {
+    while (ends[1]->recv(&from, &in, 0, &err) ==
+           estelle::MailboxTransport::RecvOutcome::kFrame) {
+    }
+  };
+  std::uint64_t round = 0;
+  for (int i = 0; i < 400; ++i) {  // warm buffers, log, spare list, kernel
+    if (!iteration(++round)) return false;
+    drain_peer();
+  }
+  for (int i = 0; i < 1000; ++i) {
+    const unsigned long long before = g_allocs.load(std::memory_order_relaxed);
+    if (!iteration(++round)) return false;
+    probe.session_allocs += g_allocs.load(std::memory_order_relaxed) - before;
+    ++probe.session_iterations;
+    drain_peer();  // off the clock: decode allocates by design
+  }
+  const estelle::TransportStats& stats = ends[0]->stats();
+  return stats.reconnects == 0 && stats.frames_replayed == 0;
+}
+
+SendAllocProbe probe_send_allocations() {
+  SendAllocProbe probe;
+  int sv[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) return probe;
+  auto sender = estelle::StreamSocketTransport::from_fds({{1, sv[0]}});
+  auto receiver = estelle::StreamSocketTransport::from_fds({{0, sv[1]}});
+  estelle::Frame f = probe_batch();
   estelle::Frame in;
   int from = 0;
   std::string err;
@@ -408,7 +478,7 @@ SendAllocProbe probe_send_allocations() {
     ++probe.idle_iterations;
     if (got != estelle::MailboxTransport::RecvOutcome::kIdle) return probe;
   }
-  probe.ok = true;
+  probe.ok = probe_session_allocations(probe);
   return probe;
 }
 
@@ -584,6 +654,7 @@ int main(int argc, char** argv) {
   const SendAllocProbe probe = probe_send_allocations();
   const bool meets_send_alloc = probe.ok && probe.allocs == 0;
   const bool meets_idle_alloc = probe.ok && probe.idle_allocs == 0;
+  const bool meets_session_alloc = probe.ok && probe.session_allocs == 0;
 
   // A node round over many firing shards must stay allocation-free once
   // warm; a probe that fired nothing would prove nothing.
@@ -615,6 +686,11 @@ int main(int argc, char** argv) {
       meets_idle_alloc ? "meets" : "MISSES", probe.idle_allocs,
       probe.idle_iterations);
   std::printf(
+      "acceptance: warmed session batch+RoundDone send()+flush()+ack pump "
+      "%s zero-alloc (%llu allocations / %llu iterations)\n",
+      meets_session_alloc ? "meets" : "MISSES", probe.session_allocs,
+      probe.session_iterations);
+  std::printf(
       "acceptance: session layer %s >= 0.9x no-session rounds/sec on the "
       "fault-free volley (%.2fx; reconnects=%llu replayed=%llu)\n",
       meets_session ? "meets" : "MISSES", session_ratio, session_on.reconnects,
@@ -638,7 +714,9 @@ int main(int argc, char** argv) {
         "  \"pair\": [\n%s  ],\n"
         "  \"batching\": {\"speedup\": %s, \"syscall_reduction\": %s,\n"
         "    \"send_allocs\": %llu, \"send_iterations\": %llu,\n"
-        "    \"idle_recv_allocs\": %llu, \"idle_recv_iterations\": %llu},\n"
+        "    \"idle_recv_allocs\": %llu, \"idle_recv_iterations\": %llu,\n"
+        "    \"session_send_allocs\": %llu, "
+        "\"session_send_iterations\": %llu},\n"
         "  \"session\": {\"ratio\": %s, \"rounds_per_sec_on\": %s,\n"
         "    \"rounds_per_sec_off\": %s, \"reconnects\": %llu, "
         "\"frames_replayed\": %llu},\n"
@@ -649,6 +727,7 @@ int main(int argc, char** argv) {
         "    \"batched_at_least_2x\": %s, "
         "\"syscalls_reduced_at_least_4x\": %s, "
         "\"send_path_zero_alloc\": %s, \"idle_recv_zero_alloc\": %s, "
+        "\"session_send_zero_alloc\": %s, "
         "\"session_overhead_within_10pct\": %s,\n"
         "    \"node_parallel_zero_alloc\": %s}\n}\n",
         kEntities, kActive, static_cast<unsigned long long>(kSingleRounds),
@@ -657,7 +736,8 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(neutral.steady_alloc_rounds),
         json_rows.c_str(), num(speedup).c_str(), num(syscall_cut).c_str(),
         probe.allocs, probe.iterations, probe.idle_allocs,
-        probe.idle_iterations, num(session_ratio).c_str(),
+        probe.idle_iterations, probe.session_allocs, probe.session_iterations,
+        num(session_ratio).c_str(),
         num(session_on.rounds_per_sec).c_str(),
         num(session_off.rounds_per_sec).c_str(), session_on.reconnects,
         session_on.frames_replayed, 2 * kParLanes,
@@ -665,7 +745,9 @@ int main(int argc, char** argv) {
         meets_ratio ? "true" : "false",
         meets_alloc ? "true" : "false", meets_speedup ? "true" : "false",
         meets_syscalls ? "true" : "false", meets_send_alloc ? "true" : "false",
-        meets_idle_alloc ? "true" : "false", meets_session ? "true" : "false",
+        meets_idle_alloc ? "true" : "false",
+        meets_session_alloc ? "true" : "false",
+        meets_session ? "true" : "false",
         meets_par_alloc ? "true" : "false");
     std::fclose(f);
     std::printf("wrote %s\n", json_path);
@@ -674,8 +756,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return meets_ratio && meets_alloc && meets_speedup && meets_syscalls &&
-                 meets_send_alloc && meets_idle_alloc && meets_session &&
-                 meets_par_alloc
+                 meets_send_alloc && meets_idle_alloc && meets_session_alloc &&
+                 meets_session && meets_par_alloc
              ? 0
              : 1;
 }

@@ -268,13 +268,13 @@ struct FreeRunningStats {
 /// TransferBatch frame instead of as their own frame; bytes_per_write is
 /// the largest byte count one write syscall flushed (scatter-gather makes
 /// this the whole backlog, not one frame); encode_pool_reuse counts frame
-/// encodes served entirely by a warmed per-peer buffer (no growth — the
+/// encodes served entirely by a warmed recycled buffer (no growth — the
 /// allocation-free steady state).
 ///
 /// The session counters quantify the PR 9 recovery layer: reconnect_attempts
 /// counts mid-run redials (distinct from dial-time handshake_retries);
 /// reconnects counts completed resume handshakes; frames_replayed counts
-/// replay-ring records retransmitted by a resume; dup_frames_dropped counts
+/// the kept records a resume wrote again; dup_frames_dropped counts
 /// data frames discarded because their sequence number was already
 /// delivered; heartbeats counts liveness RoundDone frames the runner sent
 /// while waiting on a gate; faults_injected counts frames a fault plan
@@ -477,10 +477,6 @@ struct ExecutorConfig {
   /// Round backstop (max_steps of the old sequential scheduler, max_rounds
   /// of the parallel ones).
   std::uint64_t max_steps = 1'000'000;
-
-  // Sequential cost model:
-  SimTime sched_per_transition = SimTime::from_us(3);
-  SimTime scan_per_guard = SimTime::from_us(1);
 
   // Simulated-multiprocessor backend:
   int processors = 4;

@@ -185,6 +185,10 @@ void SpecReadySet::reseed() {
   scope_.clear();
   std::uint32_t preorder = 0;
   spec_.root().for_each([&](Module& m) {
+    // Transfers a shard backend left parked (a run stopped mid-exchange)
+    // are due now: every output is delivered at once here.
+    for (const auto& ip : m.ips())
+      if (ip->has_pending_transfers()) ip->drain_transfers();
     ReadyScope::reset_module(m, preorder++);
     // Seed everything: modules outside system subtrees cannot carry
     // transitions (rule R1), so they evaluate to "nothing" once and drop out.

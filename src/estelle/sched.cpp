@@ -102,8 +102,6 @@ void fire(const FiringCandidate& c, SimTime now, RunObserver* observer) {
 SequentialScheduler::SequentialScheduler(Specification& spec,
                                          const ExecutorConfig& cfg)
     : ExecutorBase(spec, cfg.max_steps),
-      sched_per_transition_(cfg.sched_per_transition),
-      scan_per_guard_(cfg.scan_per_guard),
       ready_(spec),
       verify_(cfg.verify_ready_set) {}
 
@@ -129,7 +127,7 @@ bool SequentialScheduler::step() {
     advance_clock_toward(wake);
     return true;
   }
-  const SimTime scan_cost{scan_per_guard_.ns *
+  const SimTime scan_cost{kScanPerGuard.ns *
                           static_cast<std::int64_t>(ready_.round_guards())};
   now_ += scan_cost;
   stats_.sched_time += scan_cost;
@@ -140,8 +138,8 @@ bool SequentialScheduler::step() {
   for (const FiringCandidate& c : candidates) {
     // Revalidate: an earlier firing in this round may have consumed state.
     if (!is_fireable(*c.transition, *c.module, now_)) continue;
-    now_ += sched_per_transition_;
-    stats_.sched_time += sched_per_transition_;
+    now_ += kSchedPerTransition;
+    stats_.sched_time += kSchedPerTransition;
     now_ += c.transition->cost;
     stats_.busy += c.transition->cost;
     fire(c, now_, observer());

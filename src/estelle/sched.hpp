@@ -40,6 +40,12 @@
 
 namespace mcam::estelle {
 
+/// The sequential cost model, which the barrier rounds also charge on each
+/// shard's clock so virtual speedups compare: scheduling time per fired
+/// transition, and scan time per guard the ready set examined.
+inline constexpr SimTime kSchedPerTransition = SimTime::from_us(3);
+inline constexpr SimTime kScanPerGuard = SimTime::from_us(1);
+
 /// Compute the firing set of one system-module subtree at time `now`,
 /// honoring parent precedence and process/activity semantics. Also returns
 /// (via scan_effort) the number of guards evaluated, which models the
@@ -57,7 +63,7 @@ void fire(const FiringCandidate& c, SimTime now,
 
 /// Single-processor executor with virtual time. Models the classic
 /// centralized Estelle scheduler: each step evaluates the dirty-set ready
-/// modules (cost scan_per_guard per examined guard) and executes one firing
+/// modules (cost kScanPerGuard per examined guard) and executes one firing
 /// set member at a time.
 class SequentialScheduler : public ExecutorBase {
  public:
@@ -74,8 +80,6 @@ class SequentialScheduler : public ExecutorBase {
  private:
   bool step() override;  // one round; returns false when quiescent
 
-  SimTime sched_per_transition_;
-  SimTime scan_per_guard_;
   SpecReadySet ready_;
   bool verify_;
 };

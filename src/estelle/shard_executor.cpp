@@ -10,10 +10,7 @@ namespace mcam::estelle {
 
 ShardedExecutor::ShardedExecutor(Specification& spec,
                                  const ExecutorConfig& cfg)
-    : ExecutorBase(spec, cfg.max_steps),
-      sched_per_transition_(cfg.sched_per_transition),
-      scan_per_guard_(cfg.scan_per_guard),
-      verify_(cfg.verify_ready_set) {}
+    : ExecutorBase(spec, cfg.max_steps), verify_(cfg.verify_ready_set) {}
 
 void ShardedExecutor::ensure_analysis() {
   if (!analysis_) {

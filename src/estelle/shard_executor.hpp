@@ -81,9 +81,9 @@ class ShardedExecutor : public ExecutorBase {
   }
 
  protected:
-  /// Reads sched_per_transition and scan_per_guard (the shard-local cost
-  /// model, same vocabulary as the sequential backend so virtual speedups
-  /// are comparable), verify_ready_set and max_steps.
+  /// Reads verify_ready_set and max_steps. Rounds charge the sequential
+  /// cost model (kSchedPerTransition, kScanPerGuard) on each shard's clock,
+  /// so virtual speedups are comparable.
   ShardedExecutor(Specification& spec, const ExecutorConfig& cfg);
 
   /// One revalidated firing of a shard round, logged while the round runs
@@ -172,8 +172,6 @@ class ShardedExecutor : public ExecutorBase {
   /// round, topology change, or ledger-consumer handoff).
   void reseed_ready();
 
-  SimTime sched_per_transition_;
-  SimTime scan_per_guard_;
   bool verify_;
   std::unique_ptr<ConflictAnalysis> analysis_;
   std::vector<ShardState> shards_;

@@ -59,7 +59,7 @@ void ShardedExecutor::fire_round(int s, std::uint64_t r, bool announce,
   // was raised to the group clock), then per-firing scheduling and
   // execution costs.
   const std::vector<FiringCandidate>& cands = shard.ready.candidates();
-  const SimTime scan_cost{scan_per_guard_.ns *
+  const SimTime scan_cost{kScanPerGuard.ns *
                           static_cast<std::int64_t>(delta.guards)};
   shard.clock += scan_cost;
   delta.sched += scan_cost;
@@ -68,8 +68,8 @@ void ShardedExecutor::fire_round(int s, std::uint64_t r, bool announce,
     // The sequential revalidation discipline: an earlier firing of this
     // round (same shard, same thread) may have consumed the state.
     if (!is_fireable(*c.transition, *c.module, shard.clock)) continue;
-    shard.clock += sched_per_transition_;
-    delta.sched += sched_per_transition_;
+    shard.clock += kSchedPerTransition;
+    delta.sched += kSchedPerTransition;
     shard.clock += c.transition->cost;
     delta.busy += c.transition->cost;
     if (announce) log(c, shard.clock);

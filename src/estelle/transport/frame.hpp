@@ -44,7 +44,7 @@
 //                  the peer replays its unacknowledged records from recv+1.
 //   SessionAck [12]
 //                  recv — cumulative delivery acknowledgement; the peer
-//                  prunes its replay ring through recv. HelloResume and
+//                  prunes its outbound log through recv. HelloResume and
 //                  SessionAck are session-control frames: on a sequenced
 //                  stream they travel with sequence number 0, are consumed
 //                  inside the transport, and never reach the runner.

@@ -26,6 +26,15 @@ using common::Status;
 
 namespace {
 
+/// iovecs one sendmsg gathers, one per record: IOV_MAX on Linux, so a
+/// round of 64 unbatched transfers plus its RoundDone leaves in one call.
+constexpr std::size_t kMaxIov = 1024;
+/// Recycled record buffers kept for reuse, across all peers: room for the
+/// records a session keeps between acknowledgements plus a round's worth
+/// of transient ones (64 unbatched transfers and their RoundDone).
+constexpr std::size_t kMaxSpare =
+    2 * StreamSocketTransport::kAckIntervalFrames;
+
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -184,7 +193,6 @@ StreamSocketTransport::StreamSocketTransport(std::vector<PeerFd> peers)
     Conn c;
     c.node = p.node;
     c.fd = p.fd;
-    c.txq.bind(&pool_);
     conns_.push_back(std::move(c));
     peer_ids_.push_back(p.node);
   }
@@ -323,26 +331,26 @@ Result<std::unique_ptr<StreamSocketTransport>> StreamSocketTransport::tcp_mesh(
 
 StreamSocketTransport::~StreamSocketTransport() {
   // Session linger: a graceful exit must not strand sent-but-unacknowledged
-  // records — the runner's parting Bye may be sitting in a replay ring
-  // behind a mid-reconnect link, and tearing down now would leave the peer
-  // redialing a dead process. Pump the recovery machinery (redials, accepts,
-  // resumes, replays, acks) until every recoverable link has an empty ring
-  // and no reconnect in flight; late data frames are discarded — the runner
-  // is gone, the peer only needs its replays delivered and acknowledged.
-  // Bounded by the session's own retry budget: a genuinely dead peer
-  // exhausts its attempts into a permanent close and the loop exits.
+  // records — the runner's parting Bye may be sitting in the log of a
+  // mid-reconnect link, and tearing down now would leave the peer redialing
+  // a dead process. Pump the recovery machinery (redials, accepts, resumes,
+  // replays, acks) until no recoverable link keeps a record for replay;
+  // late data frames are discarded — the runner is gone, the peer only
+  // needs its replays delivered and acknowledged. Bounded by the session's
+  // own retry budget: a genuinely dead peer exhausts its attempts into a
+  // permanent close and the loop exits.
   if (session_.reconnect_max_attempts > 0) {
-    // Only an unacknowledged ring keeps us here: `waiting`/`resuming` alone
+    // Only unacknowledged records keep us here: `waiting`/`resuming` alone
     // mean the PEER left (usually its own graceful farewell) while we owe it
     // nothing — redialing it would burn the whole backoff budget against a
     // process that is also tearing down.
     const auto needs_linger = [this] {
       for (const Conn& c : conns_)
-        if (!c.closed && recoverable(c) && !c.peer_departed && !c.ring.empty())
+        if (!c.closed && recoverable(c) && !c.peer_departed && c.kept_bytes > 0)
           return true;
       return false;
     };
-    // A parting cumulative ack lets a peer lingering on ITS ring exit
+    // A parting cumulative ack lets a peer lingering on ITS log exit
     // immediately instead of waiting out the idle-ack throttle; re-sent
     // after every pump so replayed records are acknowledged on arrival.
     const auto send_final_acks = [this] {
@@ -507,7 +515,6 @@ void StreamSocketTransport::enter_reconnect(Conn& c, std::string why) {
     ::close(c.fd);
     c.fd = -1;
   }
-  c.txq.clear();
   c.rx.reset();
   c.delayed.clear();
   c.resuming = false;
@@ -532,22 +539,65 @@ void StreamSocketTransport::enter_reconnect(Conn& c, std::string why) {
   if (c.wait_reason.empty()) c.wait_reason = std::move(why);
 }
 
-void StreamSocketTransport::prune_ring(Conn& c, std::uint64_t upto) {
-  bool progress = false;
-  while (!c.ring.empty() && c.ring.front().seq <= upto) {
-    c.ring_bytes -= c.ring.front().wire.size();
-    if (spare_.size() < 64) spare_.push_back(std::move(c.ring.front().wire));
-    c.ring.pop_front();
-    progress = true;
+StreamSocketTransport::Record& StreamSocketTransport::push_record(Conn& c) {
+  if (c.head > 0 && c.log.size() == c.log.capacity()) {
+    std::move(c.log.begin() + static_cast<std::ptrdiff_t>(c.head), c.log.end(),
+              c.log.begin());
+    c.log.resize(c.log.size() - c.head);
+    c.cursor -= c.head;
+    c.head = 0;
   }
-  if (upto > c.acked) c.acked = std::min(upto, c.tx_seq);
-  if (progress) c.oldest_unacked = SteadyClock::now();
+  Record& r = c.log.emplace_back();
+  if (!spare_.empty()) {
+    r.wire = std::move(spare_.back());
+    spare_.pop_back();
+    r.wire.clear();
+  }
+  return r;
+}
+
+void StreamSocketTransport::recycle(common::Bytes b) {
+  if (b.capacity() != 0 && spare_.size() < kMaxSpare)
+    spare_.push_back(std::move(b));
+}
+
+void StreamSocketTransport::advance_cursor(Conn& c, std::size_t n) {
+  c.queued_bytes -= n;
+  while (n > 0) {
+    Record& r = c.log[c.cursor];
+    if (!r.skip) {
+      const std::size_t rest = r.wire.size() - c.cursor_off;
+      if (n < rest) {
+        c.cursor_off += n;
+        return;
+      }
+      n -= rest;
+      c.cursor_off = 0;
+    }
+    if (!r.replay) recycle(std::move(r.wire));
+    ++c.cursor;
+  }
+}
+
+void StreamSocketTransport::trim_log(Conn& c) {
+  for (; c.head < c.cursor; ++c.head) {
+    Record& r = c.log[c.head];
+    if (!r.replay) continue;  // its bytes went back at the write
+    if (r.seq > c.acked) break;
+    c.kept_bytes -= r.wire.size();
+    recycle(std::move(r.wire));
+  }
+  if (c.head == c.log.size()) {
+    c.log.clear();
+    c.head = 0;
+    c.cursor = 0;
+  }
 }
 
 void StreamSocketTransport::queue_control(Conn& c, const Frame& f) {
-  ctrl_buf_.clear();
-  encode_frame_seq_to(f, 0, ctrl_buf_);
-  c.txq.append(ByteSpan{ctrl_buf_.data(), ctrl_buf_.size()});
+  Record& r = push_record(c);
+  encode_frame_seq_to(f, 0, r.wire);
+  c.queued_bytes += r.wire.size();
   ++stats_.frames_sent;
 }
 
@@ -577,34 +627,51 @@ void StreamSocketTransport::complete_resume(Conn& c, const Frame& hr) {
     return;
   }
   if (hr.recv < c.acked) {
-    // The ring never evicts unacknowledged records (send back-pressures
+    // The log never evicts unacknowledged records (send back-pressures
     // instead), so this means the peer lost session state entirely.
-    permanent_close(c, "resume refused: peer needs records beyond the ring");
+    permanent_close(c, "resume refused: peer needs records beyond the log");
     return;
   }
-  prune_ring(c, hr.recv);
+  c.acked = hr.recv;
   c.resuming = false;
   c.waiting = false;
   c.attempt = 0;
   c.wait_reason.clear();
-  // Replay exactly the retained tail the peer has not delivered, in
-  // sequence order — per-peer FIFO survives the reconnect.
-  std::uint64_t replayed = 0;
-  for (const ReplayRec& r : c.ring) {
-    c.txq.append(ByteSpan{r.wire.data(), r.wire.size()});
-    ++replayed;
+  // Rewind onto the fresh stream: drop the transient records and the kept
+  // ones the peer delivered, and write the rest again from the oldest, in
+  // sequence order and clean of wire faults — per-peer FIFO survives the
+  // reconnect, and no record is copied.
+  std::size_t live = c.head;
+  for (std::size_t i = c.head; i < c.log.size(); ++i) {
+    Record& r = c.log[i];
+    if (!r.replay || r.seq <= c.acked) {
+      if (r.replay) c.kept_bytes -= r.wire.size();
+      recycle(std::move(r.wire));
+      continue;
+    }
+    r.skip = false;
+    if (live != i) c.log[live] = std::move(r);
+    ++live;
   }
-  stats_.frames_replayed += replayed;
+  stats_.frames_replayed += live - c.head;
+  c.log.resize(live);
+  c.cursor = c.head;
+  c.cursor_off = 0;
+  c.queued_bytes = c.kept_bytes;
   ++stats_.reconnects;
-  if (!c.ring.empty()) c.oldest_unacked = SteadyClock::now();
+  if (c.kept_bytes > 0) c.oldest_unacked = SteadyClock::now();
   try_flush(c);
 }
 
 void StreamSocketTransport::on_control(Conn& c, Frame& f, bool allow_resume) {
   switch (f.type) {
-    case FrameType::SessionAck:
-      prune_ring(c, f.recv);
+    case FrameType::SessionAck: {
+      if (f.recv > c.acked) c.acked = std::min(f.recv, c.tx_seq);
+      const std::size_t kept = c.kept_bytes;
+      trim_log(c);
+      if (c.kept_bytes != kept) c.oldest_unacked = SteadyClock::now();
       return;
+    }
     case FrameType::HelloResume:
       if (allow_resume && c.resuming) complete_resume(c, f);
       return;
@@ -686,7 +753,7 @@ void StreamSocketTransport::service_reconnects(bool check_rto) {
   bool active = false;
   for (const Conn& c : conns_)
     if (c.waiting || c.resuming ||
-        (check_rto && c.fd >= 0 && !c.closed && !c.ring.empty() &&
+        (check_rto && c.fd >= 0 && !c.closed && c.kept_bytes > 0 &&
          session_.resend_timeout_ms > 0)) {
       active = true;
       break;
@@ -698,7 +765,7 @@ void StreamSocketTransport::service_reconnects(bool check_rto) {
     // Retransmission timeout: unacknowledged records with no ack progress
     // mean the tail may be lost on the wire (a drop with no later traffic
     // to expose the gap) — force a reconnect; the resume replays it.
-    if (c.fd >= 0 && !c.resuming && !c.closed && !c.ring.empty() &&
+    if (c.fd >= 0 && !c.resuming && !c.closed && c.kept_bytes > 0 &&
         session_.resend_timeout_ms > 0 && recoverable(c) &&
         now - c.oldest_unacked >=
             std::chrono::milliseconds(session_.resend_timeout_ms))
@@ -747,20 +814,24 @@ void StreamSocketTransport::service_reconnects(bool check_rto) {
 }
 
 void StreamSocketTransport::release_delayed(Conn& c, bool all) {
-  if (c.delayed.empty()) return;
-  std::size_t kept = 0;
-  for (DelayedRec& d : c.delayed) {
+  std::size_t held = 0;
+  for (std::size_t i = 0; i < c.delayed.size(); ++i) {
+    DelayedRec& d = c.delayed[i];
     if (!all && d.release_at > c.wire_index) {
-      c.delayed[kept++] = std::move(d);
+      // Never self-move: it would empty the held copy.
+      if (held != i) c.delayed[held] = std::move(d);
+      ++held;
       continue;
     }
-    c.txq.append(ByteSpan{d.wire.data(), d.wire.size()});
-    if (spare_.size() < 64) spare_.push_back(std::move(d.wire));
+    Record& r = push_record(c);
+    std::swap(r.wire, d.wire);
+    c.queued_bytes += r.wire.size();
+    recycle(std::move(d.wire));
   }
-  c.delayed.resize(kept);
+  c.delayed.resize(held);
 }
 
-void StreamSocketTransport::append_wire_record(Conn& c) {
+void StreamSocketTransport::apply_wire_faults(Conn& c) {
   FaultKind kind = FaultKind::kNone;
   std::uint32_t delay = 1;
   if (!c.wire_faults.empty()) {
@@ -769,52 +840,64 @@ void StreamSocketTransport::append_wire_record(Conn& c) {
     delay = a.delay_frames;
   }
   ++c.wire_index;
-  const ByteSpan rec{c.encode_buf.data(), c.encode_buf.size()};
+  if (kind != FaultKind::kNone) ++stats_.faults_injected;
   switch (kind) {
     case FaultKind::kNone:
-      c.txq.append(rec);
       release_delayed(c, false);
       return;
-    case FaultKind::kDrop:
-      ++stats_.faults_injected;  // the network ate it; the ring recovers it
+    case FaultKind::kDrop:  // the network ate it; a resume rewrites it
+      c.log.back().skip = true;
+      c.queued_bytes -= c.log.back().wire.size();
       return;
-    case FaultKind::kDuplicate:
-      ++stats_.faults_injected;
-      c.txq.append(rec);
-      c.txq.append(rec);
+    case FaultKind::kDuplicate: {
+      Record& dup = push_record(c);
+      const common::Bytes& wire = c.log[c.log.size() - 2].wire;
+      dup.wire.assign(wire.begin(), wire.end());
+      c.queued_bytes += dup.wire.size();
       release_delayed(c, false);
       return;
+    }
     case FaultKind::kDelay: {
-      ++stats_.faults_injected;
+      Record& r = c.log.back();
+      r.skip = true;
+      c.queued_bytes -= r.wire.size();
       DelayedRec d;
       d.release_at = c.wire_index + delay;
       if (!spare_.empty()) {
         d.wire = std::move(spare_.back());
         spare_.pop_back();
       }
-      d.wire.assign(c.encode_buf.begin(), c.encode_buf.end());
+      d.wire.assign(r.wire.begin(), r.wire.end());
       c.delayed.push_back(std::move(d));
       return;
     }
     case FaultKind::kClose:
-      ++stats_.faults_injected;
-      c.txq.append(rec);
-      // The reset loses the unflushed tail on purpose — the ring replays it.
+      // The reset loses the unwritten tail on purpose — the resume
+      // rewrites it.
       enter_reconnect(c, "fault: injected connection close");
       return;
   }
 }
 
 void StreamSocketTransport::try_flush(Conn& c) {
-  while (!c.closed && c.fd >= 0 && !c.txq.empty()) {
-    iovec iov[BufferChain::kMaxIov];
+  while (!c.closed && tx_backlog(c) > 0) {
+    iovec iov[kMaxIov];
+    std::size_t n = 0;
+    for (std::size_t i = c.cursor; i < c.log.size() && n < kMaxIov; ++i) {
+      Record& r = c.log[i];
+      if (r.skip) continue;
+      const std::size_t off = i == c.cursor ? c.cursor_off : 0;
+      iov[n].iov_base = r.wire.data() + off;
+      iov[n].iov_len = r.wire.size() - off;
+      ++n;
+    }
     msghdr mh{};
     mh.msg_iov = iov;
-    mh.msg_iovlen = c.txq.fill_iov(iov, BufferChain::kMaxIov);
+    mh.msg_iovlen = n;
     const ssize_t w = ::sendmsg(c.fd, &mh, MSG_NOSIGNAL | MSG_DONTWAIT);
     ++stats_.syscalls;
     if (w > 0) {
-      c.txq.consume(static_cast<std::size_t>(w));
+      advance_cursor(c, static_cast<std::size_t>(w));
       stats_.bytes_sent += static_cast<std::uint64_t>(w);
       if (static_cast<std::uint64_t>(w) > stats_.bytes_per_write)
         stats_.bytes_per_write = static_cast<std::uint64_t>(w);
@@ -831,6 +914,7 @@ void StreamSocketTransport::try_flush(Conn& c) {
     }
     break;
   }
+  trim_log(c);
 }
 
 Status StreamSocketTransport::send(int peer, Frame& f) {
@@ -843,41 +927,36 @@ Status StreamSocketTransport::send(int peer, Frame& f) {
     return Error::make(kPeerClosed,
                        "node " + std::to_string(peer) + ": " +
                            c->close_reason);
-  const bool keep_ring = recoverable(*c);
-  // A downed link (redialing or mid-resume) accepts sends into the replay
-  // ring only; the resume pushes them onto the fresh stream.
+  const bool keep = recoverable(*c);
+  // A downed link (redialing or mid-resume) only appends; the resume
+  // writes its log onto the fresh stream.
   const bool down = c->fd < 0 || c->resuming;
-  if (keep_ring && c->ring_bytes >= kMaxReplayBytes)
-    return Error::make(kQueueFull, "replay ring to node " +
+  if (keep && c->kept_bytes >= kMaxReplayBytes)
+    return Error::make(kQueueFull, "replay log to node " +
                                        std::to_string(peer) +
                                        " full (peer not acknowledging)");
   if (!down && tx_backlog(*c) >= kMaxOutboundBytes)
     return Error::make(kQueueFull, "outbound queue to node " +
                                        std::to_string(peer) + " full");
-  // Encode into the per-peer scratch (reused across sends: once its
-  // capacity covers the working set the encode allocates nothing), then
-  // queue the octets on the segment chain. The socket push itself is left
-  // to flush()/recv() so a burst of frames shares one syscall.
-  const std::uint64_t seq = ++c->tx_seq;
-  const std::size_t warmed = c->encode_buf.capacity();
-  c->encode_buf.clear();
-  encode_frame_seq_to(f, seq, c->encode_buf);
-  if (warmed != 0 && c->encode_buf.capacity() == warmed)
+  // Encode straight into the record the log keeps, in a recycled buffer:
+  // once the buffers cover the working set the encode allocates nothing.
+  // The socket push itself is left to flush()/recv() so a burst of frames
+  // shares one syscall.
+  Record& r = push_record(*c);
+  r.seq = ++c->tx_seq;
+  r.replay = keep;
+  const std::size_t warmed = r.wire.capacity();
+  encode_frame_seq_to(f, r.seq, r.wire);
+  if (r.wire.capacity() != warmed)
+    r.wire.shrink_to_fit();  // grown by doubling: keep it near its frame
+  else if (warmed != 0)
     ++stats_.encode_pool_reuse;
-  if (keep_ring) {
-    ReplayRec r;
-    r.seq = seq;
-    if (!spare_.empty()) {
-      r.wire = std::move(spare_.back());
-      spare_.pop_back();
-    }
-    r.wire.assign(c->encode_buf.begin(), c->encode_buf.end());
-    const bool was_empty = c->ring.empty();
-    c->ring_bytes += r.wire.size();
-    c->ring.push_back(std::move(r));
-    if (was_empty) c->oldest_unacked = SteadyClock::now();
+  c->queued_bytes += r.wire.size();
+  if (keep) {
+    if (c->kept_bytes == 0) c->oldest_unacked = SteadyClock::now();
+    c->kept_bytes += r.wire.size();
   }
-  if (!down) append_wire_record(*c);
+  if (!down) apply_wire_faults(*c);
   ++stats_.frames_sent;
   if (f.type == FrameType::TransferBatch)
     stats_.frames_batched += f.entries.size();
@@ -898,7 +977,7 @@ void StreamSocketTransport::flush() {
   for (Conn& c : conns_) {
     if (c.fd < 0 || c.resuming) continue;
     release_delayed(c, true);  // a delayed tail never strands past a flush
-    if (!c.txq.empty()) try_flush(c);
+    try_flush(c);
   }
 }
 
@@ -955,7 +1034,7 @@ MailboxTransport::RecvOutcome StreamSocketTransport::recv(int* from,
     // rest; also flush pending writes opportunistically.
     for (std::size_t i = 0; i < conns_.size(); ++i) {
       Conn& c = conns_[(rr_ + 1 + i) % conns_.size()];
-      if (c.fd >= 0 && !c.resuming && tx_backlog(c) > 0) try_flush(c);
+      if (tx_backlog(c) > 0) try_flush(c);
       for (;;) {
         std::string why;
         const auto r = c.rx.next(out, &why);
@@ -990,7 +1069,7 @@ MailboxTransport::RecvOutcome StreamSocketTransport::recv(int* from,
         if (out->type == FrameType::Bye && session_.reconnect_max_attempts > 0 &&
             !c.closed && recoverable(c)) {
           // A parting Bye is acknowledged at once: the leaver's teardown
-          // lingers only until its ring drains, and the throttled idle ack
+          // lingers only until its log drains, and the throttled idle ack
           // would make every graceful exit pay the throttle interval.
           Frame ack;
           ack.type = FrameType::SessionAck;
@@ -1060,7 +1139,7 @@ MailboxTransport::RecvOutcome StreamSocketTransport::recv(int* from,
     for (const Conn& c : conns_)
       if (!dead(c)) ++live;
     if (live == 0) return RecvOutcome::kIdle;
-    // Idle acknowledgements: small exchanges must prune the peer's ring
+    // Idle acknowledgements: small exchanges must prune the peer's log
     // too, not only kAckIntervalFrames-sized bursts.
     for (Conn& c : conns_) maybe_ack(c, /*idle=*/true);
     const auto now = std::chrono::steady_clock::now();
@@ -1088,7 +1167,7 @@ MailboxTransport::RecvOutcome StreamSocketTransport::recv(int* from,
           if (c.node < self_node_) wait = std::min(wait, until(c.next_attempt));
         } else if (c.resuming) {
           wait = std::min(wait, until(c.give_up));
-        } else if (c.fd >= 0 && !c.closed && !c.ring.empty() &&
+        } else if (c.fd >= 0 && !c.closed && c.kept_bytes > 0 &&
                    session_.resend_timeout_ms > 0 && recoverable(c)) {
           wait = std::min(
               wait, until(c.oldest_unacked + std::chrono::milliseconds(

@@ -4,18 +4,22 @@
 // (frame.hpp: `u32 len | u64 seq | body`) on the wire. The I/O discipline
 // implements the transport contract:
 //
-//   * send() encodes into a pooled per-peer buffer (reused every call — the
-//     encode_pool_reuse counter) and appends the octets to the peer's
-//     BufferChain (buffer_chain.hpp): fixed-size pooled segments, no flat
-//     backlog to erase-compact. The socket push is DEFERRED to flush() / the
-//     recv() pump unless the backlog crossed kEagerFlushBytes, so a round's
-//     worth of frames leaves in one scatter-gather syscall. kQueueFull is
-//     returned once the backlog reaches kMaxOutboundBytes — the runner's
-//     back-pressure park — with the frame left intact for the retry.
-//   * flush() drains every connection's chain with sendmsg(iovec[]) until
-//     EAGAIN/empty: one data syscall per peer per round in the steady
-//     state, whatever the transfer count (the syscalls counter, gated by
-//     bench_transport).
+//   * every peer has ONE outbound log: the encoded records still owed to
+//     the stream or kept for replay, in wire order. send() encodes the
+//     frame straight into a record's buffer, recycled from earlier records
+//     (a warmed send allocates nothing — the encode_pool_reuse counter),
+//     and the record is never copied after that. The socket push is
+//     DEFERRED to flush() / the recv() pump unless the backlog crossed
+//     kEagerFlushBytes, so a round's worth of frames leaves in one
+//     scatter-gather syscall. kQueueFull is returned once the backlog
+//     reaches kMaxOutboundBytes — the runner's back-pressure park — with
+//     the frame left intact for the retry.
+//   * flush() writes every connection's log from its write cursor with
+//     sendmsg(iovec[]), one iovec per record, until EAGAIN/empty: one data
+//     syscall per peer per round in the steady state, whatever the transfer
+//     count (the syscalls counter, gated by bench_transport). A partial
+//     write leaves the cursor inside a record. A written record leaves the
+//     log at once unless the session keeps it for replay.
 //   * reads go through one reusable per-connection receive buffer
 //     (FrameReassembler): poll(), read into a fixed stack chunk, feed, and
 //     decode in place. Steady-state receive performs no per-frame
@@ -27,11 +31,12 @@
 //     our own final frames still in flight to the peer.
 //
 // Session layer (PR 9). Every data frame to a peer carries a monotonic
-// sequence number; a bounded replay ring keeps the encoded record until the
-// peer's cumulative SessionAck covers it. configure_session() with
-// reconnect_max_attempts > 0 turns a mid-run connection loss (reset, EOF,
-// injected fault, sequence gap from wire loss, retransmission timeout) into
-// a transparent recovery instead of a kClosed report:
+// sequence number; its record stays in the outbound log, already written,
+// until the peer's cumulative SessionAck covers it (bounded by
+// kMaxReplayBytes). configure_session() with reconnect_max_attempts > 0
+// turns a mid-run connection loss (reset, EOF, injected fault, sequence gap
+// from wire loss, retransmission timeout) into a transparent recovery
+// instead of a kClosed report:
 //
 //   * the original dialer redials with capped exponential backoff plus
 //     deterministic jitter; the original acceptor keeps its mesh listener
@@ -39,10 +44,12 @@
 //   * both sides open the new stream with HelloResume{fingerprint, epoch,
 //     last-delivered seq}; a fingerprint mismatch refuses the resume (the
 //     peer is running a different specification) and surfaces the usual
-//     structured kClosed. Otherwise each side replays exactly the ring
-//     records the other has not delivered — per-peer FIFO order (and with
-//     it transfer-before-RoundDone) is preserved, and the receiver discards
-//     anything it already delivered by sequence number.
+//     structured kClosed. Otherwise each side drops the log records the
+//     other has delivered and rewinds its write cursor to the oldest one
+//     left, so exactly the undelivered tail is written again, nothing
+//     copied — per-peer FIFO order (and with it transfer-before-RoundDone)
+//     is preserved, and the receiver discards anything it already delivered
+//     by sequence number.
 //   * frames already received but not yet handed out when a connection
 //     breaks are salvaged across the reconnect (a peer's parting Bye is
 //     never lost to a racing send failure).
@@ -51,11 +58,14 @@
 //     failure stays a value, never a hang.
 //
 // set_wire_faults() installs a deterministic FaultPlan at the wire-record
-// level, *below* the sequence numbers: a dropped record is exactly the kind
-// of loss the session layer recovers (gap detection → reconnect → replay),
-// a duplicated record exercises the sequence-number discard, an injected
-// close is a mid-run reset. The differential sweep drives recovery through
-// this hook.
+// level, *below* the sequence numbers, decided when a record is queued: a
+// dropped record stays in the log but the first pass does not write it —
+// exactly the kind of loss the session layer recovers (gap detection →
+// reconnect → replay); a duplicated record is written twice (the second
+// copy is transient) and exercises the sequence-number discard; a delayed
+// one is written later as a transient copy; an injected close is a mid-run
+// reset. Replays travel clean. The differential sweep drives recovery
+// through this hook.
 //
 // Mesh construction (node i of n):
 //   * unix_mesh: node j binds <dir>/node<j>.sock; i connects to every j < i
@@ -77,14 +87,12 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/result.hpp"
-#include "estelle/transport/buffer_chain.hpp"
 #include "estelle/transport/fault_transport.hpp"
 #include "estelle/transport/transport.hpp"
 
@@ -97,9 +105,10 @@ class StreamSocketTransport final : public MailboxTransport {
   /// Backlog at which send() flushes on its own instead of deferring to the
   /// runner's round boundary — bounds kernel-buffer latecomers under burst.
   static constexpr std::size_t kEagerFlushBytes = 256u << 10;
-  /// Replay-ring bound per peer (encoded bytes of sent-but-unacknowledged
-  /// records). A full ring back-pressures send() with kQueueFull — records
-  /// are never evicted unacknowledged, so a resume can always replay.
+  /// Replay bound per peer (encoded bytes of the records the log keeps until
+  /// the peer acknowledges them). Reaching it back-pressures send() with
+  /// kQueueFull — records are never evicted unacknowledged, so a resume can
+  /// always replay.
   static constexpr std::size_t kMaxReplayBytes = 4u << 20;
   /// Delivered data frames per cumulative SessionAck; an idle pump also
   /// acknowledges (throttled), so small exchanges prune promptly too.
@@ -150,11 +159,12 @@ class StreamSocketTransport final : public MailboxTransport {
  private:
   using SteadyClock = std::chrono::steady_clock;
 
-  /// One sent-but-unacknowledged wire record (length | seq | body octets,
-  /// ready to re-append verbatim on resume).
-  struct ReplayRec {
-    std::uint64_t seq = 0;
+  /// One encoded wire record (length | seq | body) on a peer's log.
+  struct Record {
+    std::uint64_t seq = 0;  // 0: session-control frame
     common::Bytes wire;
+    bool replay = false;  // kept until acknowledged; a resume rewrites it
+    bool skip = false;    // dropped or delayed: the first pass skips it
   };
   struct DelayedRec {
     std::uint64_t release_at = 0;  // wire index that frees it
@@ -165,8 +175,17 @@ class StreamSocketTransport final : public MailboxTransport {
     int node = 0;
     int fd = -1;
     FrameReassembler rx = FrameReassembler{true};
-    BufferChain txq;          // encoded, not yet accepted by the socket
-    common::Bytes encode_buf; // pooled per-peer frame-encode scratch
+    // Outbound log, in wire order. log[head, cursor) is written (or
+    // skipped) on the current stream, and only its records kept for replay
+    // still hold bytes; log[cursor] has cursor_off bytes written; the rest
+    // is queued. A resume rewinds the cursor to head. Compacted by moves,
+    // never shrunk, so a warmed log allocates nothing.
+    std::vector<Record> log;
+    std::size_t head = 0;
+    std::size_t cursor = 0;
+    std::size_t cursor_off = 0;
+    std::size_t queued_bytes = 0;  // not yet written on the current stream
+    std::size_t kept_bytes = 0;    // records kept for replay
     bool closed = false;      // outbound half dead; no further sends
     bool rx_eof = false;      // inbound half exhausted (EOF / read error)
     bool close_reported = false;
@@ -174,10 +193,8 @@ class StreamSocketTransport final : public MailboxTransport {
     // Session state.
     std::uint64_t tx_seq = 0;  // last data sequence number assigned
     std::uint64_t rx_seq = 0;  // last in-order data sequence delivered
-    std::uint64_t acked = 0;   // ring pruned through this sequence
+    std::uint64_t acked = 0;   // log pruned through this sequence
     std::uint32_t rx_since_ack = 0;
-    std::deque<ReplayRec> ring;
-    std::size_t ring_bytes = 0;
     /// Frames salvaged from the receive buffer across a reconnect — served
     /// before anything from the new stream.
     std::vector<Frame> pending_rx;
@@ -206,11 +223,13 @@ class StreamSocketTransport final : public MailboxTransport {
 
   explicit StreamSocketTransport(std::vector<PeerFd> peers);
 
-  /// Drain c's chain into the socket with sendmsg until EAGAIN/empty; a
-  /// hard error enters recovery (or marks the conn dead when unrecoverable).
+  /// Write c's log from the cursor with sendmsg until EAGAIN/empty; a hard
+  /// error enters recovery (or marks the conn dead when unrecoverable).
   void try_flush(Conn& c);
+  /// Bytes the current stream still owes the peer: none while the link is
+  /// down or resuming (the log is rewound only when the resume completes).
   [[nodiscard]] std::size_t tx_backlog(const Conn& c) const noexcept {
-    return c.txq.size();
+    return c.fd < 0 || c.resuming ? 0 : c.queued_bytes;
   }
   Conn* conn_of(int node) noexcept;
 
@@ -238,19 +257,24 @@ class StreamSocketTransport final : public MailboxTransport {
   /// Session-control dispatch (seq 0 frames). allow_resume gates
   /// HelloResume handling (off while salvaging a dead stream).
   void on_control(Conn& c, Frame& f, bool allow_resume);
-  void prune_ring(Conn& c, std::uint64_t upto);
+  /// Append a record holding a recycled buffer, sliding the live records
+  /// down before the log would grow; valid until the next push.
+  Record& push_record(Conn& c);
+  void recycle(common::Bytes b);
+  /// Move the cursor over `n` bytes the socket accepted.
+  void advance_cursor(Conn& c, std::size_t n);
+  /// Pop written records off the log's front, kept ones once acknowledged.
+  void trim_log(Conn& c);
   void queue_control(Conn& c, const Frame& f);
   void maybe_ack(Conn& c, bool idle);
   /// Accept every queued reconnect on the retained mesh listener.
   void accept_pending();
-  /// Push the freshly encoded record in c.encode_buf onto the wire backlog,
-  /// applying the conn's wire fault plan.
-  void append_wire_record(Conn& c);
+  /// Apply the conn's wire fault plan to the record just queued.
+  void apply_wire_faults(Conn& c);
   void release_delayed(Conn& c, bool all);
   [[nodiscard]] long total_backoff_budget_ms() const noexcept;
   [[nodiscard]] bool any_pending() const noexcept;
 
-  SegmentPool pool_;  // declared before conns_: chains must die first
   std::vector<Conn> conns_;
   std::vector<int> peer_ids_;
   std::size_t rr_ = 0;  // round-robin start for fair frame extraction
@@ -258,8 +282,8 @@ class StreamSocketTransport final : public MailboxTransport {
   int self_node_ = -1;    // known only for mesh-built transports
   int listener_fd_ = -1;  // retained mesh listener (reconnect accepts)
   std::function<int(int peer)> dial_;  // mesh redial; empty for from_fds
-  common::Bytes ctrl_buf_;             // control-frame encode scratch
-  std::vector<common::Bytes> spare_;   // recycled replay-ring buffers
+  common::Bytes ctrl_buf_;             // HelloResume encode scratch
+  std::vector<common::Bytes> spare_;   // recycled record buffers
   std::vector<pollfd> pfds_;  // recv()'s poll set: every conn + listener
 };
 
