@@ -33,58 +33,17 @@
 #include "estelle/executor.hpp"
 #include "estelle/module.hpp"
 #include "estelle/sched.hpp"
+#include "sparse_world.hpp"
 
 using namespace mcam;
 using common::SimTime;
-using estelle::Attribute;
 using estelle::FiringCandidate;
-using estelle::Interaction;
 using estelle::Module;
 using estelle::RunReport;
 using estelle::StopCondition;
+using bench::SparseWorld;
 
 namespace {
-
-/// N-K idle consumers + K active modules (K/2 ping-pong pairs), one system
-/// module. Never quiesces; runs are bounded by a round budget.
-struct SparseWorld {
-  std::unique_ptr<estelle::Specification> spec;
-  std::vector<Module*> pongs;
-
-  SparseWorld(int entities, int active) {
-    spec = std::make_unique<estelle::Specification>("hotpath");
-    auto& sys =
-        spec->root().create_child<Module>("pool", Attribute::SystemProcess);
-    auto& mute = sys.create_child<Module>("mute", Attribute::Process);
-    const int idle = entities - active;
-    for (int i = 0; i < idle; ++i) {
-      auto& m = sys.create_child<Module>("idle" + std::to_string(i),
-                                         Attribute::Process);
-      estelle::connect(mute.ip("o" + std::to_string(i)), m.ip("in"));
-      m.trans("never").when(m.ip("in")).action(
-          [](Module&, const Interaction*) {});
-    }
-    for (int p = 0; p < active / 2; ++p) {
-      auto& a = sys.create_child<Module>("ping" + std::to_string(p),
-                                         Attribute::Process);
-      auto& b = sys.create_child<Module>("pong" + std::to_string(p),
-                                         Attribute::Process);
-      estelle::connect(a.ip("out"), b.ip("in"));
-      estelle::connect(b.ip("out"), a.ip("in"));
-      for (Module* m : {&a, &b}) {
-        m->trans("hit")
-            .when(m->ip("in"))
-            .cost(SimTime::from_us(5))
-            .action([m](Module&, const Interaction*) {
-              m->ip("out").output(Interaction(1));
-            });
-      }
-      pongs.push_back(&b);
-    }
-    spec->initialize();
-    for (Module* b : pongs) b->ip("out").output(Interaction(1));
-  }
-};
 
 struct Measurement {
   double wall_ms = 0;

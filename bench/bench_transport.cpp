@@ -49,6 +49,7 @@
 #include "estelle/transport/frame.hpp"
 #include "estelle/transport/socket_transport.hpp"
 #include "estelle/transport/transport.hpp"
+#include "sparse_world.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter: every operator new bumps it, so a code path
@@ -80,49 +81,9 @@ using estelle::MailboxTransport;
 using estelle::Module;
 using estelle::RunReport;
 using estelle::StopCondition;
+using bench::SparseWorld;
 
 namespace {
-
-/// bench_free_running's sparse fixture: N-K idle consumers + K/2 ping-pong
-/// pairs in ONE system module. Never quiesces; bounded by a round budget.
-struct SparseWorld {
-  std::unique_ptr<estelle::Specification> spec;
-
-  SparseWorld(int entities, int active) {
-    spec = std::make_unique<estelle::Specification>("dist_sparse");
-    auto& sys =
-        spec->root().create_child<Module>("pool", Attribute::SystemProcess);
-    auto& mute = sys.create_child<Module>("mute", Attribute::Process);
-    const int idle = entities - active;
-    for (int i = 0; i < idle; ++i) {
-      auto& m = sys.create_child<Module>("idle" + std::to_string(i),
-                                         Attribute::Process);
-      estelle::connect(mute.ip("o" + std::to_string(i)), m.ip("in"));
-      m.trans("never").when(m.ip("in")).action(
-          [](Module&, const Interaction*) {});
-    }
-    std::vector<Module*> pongs;
-    for (int p = 0; p < active / 2; ++p) {
-      auto& a = sys.create_child<Module>("ping" + std::to_string(p),
-                                         Attribute::Process);
-      auto& b = sys.create_child<Module>("pong" + std::to_string(p),
-                                         Attribute::Process);
-      estelle::connect(a.ip("out"), b.ip("in"));
-      estelle::connect(b.ip("out"), a.ip("in"));
-      for (Module* m : {&a, &b}) {
-        m->trans("hit")
-            .when(m->ip("in"))
-            .cost(SimTime::from_us(5))
-            .action([m](Module&, const Interaction*) {
-              m->ip("out").output(Interaction(1));
-            });
-      }
-      pongs.push_back(&b);
-    }
-    spec->initialize();
-    for (Module* b : pongs) b->ip("out").output(Interaction(1));
-  }
-};
 
 /// `lanes` independent ping-pong pairs split across two system modules, one
 /// ball in flight per lane per direction: every round each node fires all of

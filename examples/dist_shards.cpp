@@ -126,7 +126,6 @@ int run_node(const Args& args, int node,
   opts.node = node;
   opts.nodes = args.nodes;
   opts.transport = std::move(transport);
-  opts.peer_hosts = args.hosts;
   if (args.reconnect_attempts >= 0)
     opts.reconnect_max_attempts = args.reconnect_attempts;
   if (args.backoff_initial_ms >= 0)

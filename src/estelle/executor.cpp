@@ -219,9 +219,13 @@ RunReport ExecutorBase::run(const RunOptions& opts) {
   } deadline_scope{*this, prev_deadline, prev_step_limit, prev_run_steps,
                    prev_has_predicate};
 
+  // Another executor may have run this specification further.
+  if (spec_.reached_time() > now_) now_ = spec_.reached_time();
+
   const auto make_report = [&](StopReason reason, std::uint64_t steps) {
     finalize_stats();
     stats_.time = now_;
+    spec_.note_reached_time(now_);
     RunReport report;
     report.kind = kind();
     report.reason = reason;

@@ -264,8 +264,8 @@ struct FreeRunningStats {
 /// The batching counters quantify the PR 7 hot path: syscalls counts data
 /// I/O system calls issued (sendmsg/read — polls excluded, they are
 /// symmetric across modes and would dilute the per-round comparison);
-/// frames_batched counts individual transfers that traveled inside a
-/// TransferBatch frame instead of as their own frame; bytes_per_write is
+/// frames_batched counts the transfers TransferBatch frames carried (every
+/// transfer travels in one; with batching off, one each); bytes_per_write is
 /// the largest byte count one write syscall flushed (scatter-gather makes
 /// this the whole backlog, not one frame); encode_pool_reuse counts frame
 /// encodes served entirely by a warmed recycled buffer (no growth — the

@@ -178,11 +178,12 @@ class InteractionPoint {
   /// mailbox. The distributed runner calls this on the local replica IP of a
   /// remote module after each round: locally-fired outputs to that module
   /// parked here via deliver()'s cross-shard path, and this is how they
-  /// leave for the owning process as Transfer frames. Same single-consumer
-  /// rule as the drains. Returns the number of transfers moved.
+  /// leave for the owning process, as TransferBatch entries. Same
+  /// single-consumer rule as the drains. Returns the number of transfers
+  /// moved.
   std::size_t take_transfers(std::vector<Transfer>& out);
   /// Park one arrival in the transfer mailbox with explicit stamps — the
-  /// receive half of the bridge: a Transfer frame from the sender process is
+  /// receive half of the bridge: a batch entry from the sender process is
   /// re-parked here exactly as deliver() would have parked it in-process, so
   /// drain_transfers_until() and the round-visibility rule treat remote and
   /// local senders identically. Fires the cross-shard wake sink.

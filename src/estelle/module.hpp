@@ -475,6 +475,17 @@ class Specification {
   /// The dirty-module queue feeding event-driven scheduling (ready_set.hpp).
   [[nodiscard]] ReadyLedger& ready_ledger() noexcept { return ready_ledger_; }
 
+  /// The latest virtual time any run of this specification reached, on any
+  /// executor. Each executor keeps its own clock; every run starts from
+  /// this, so handing the specification to another executor never moves
+  /// time backwards under its delay clauses.
+  [[nodiscard]] common::SimTime reached_time() const noexcept {
+    return reached_time_;
+  }
+  void note_reached_time(common::SimTime t) noexcept {
+    if (t > reached_time_) reached_time_ = t;
+  }
+
   /// Cross-shard delivery wake signal (interaction.hpp). The free-running
   /// executor registers itself here for the duration of a session so a
   /// passive shard is unparked the moment a foreign shard sends to it;
@@ -494,6 +505,7 @@ class Specification {
   ReadyLedger ready_ledger_;
   std::unique_ptr<Module> root_;
   bool initialized_ = false;
+  common::SimTime reached_time_{};
   std::atomic<std::uint64_t> topology_version_{0};
   std::atomic<CrossShardWakeSink*> wake_sink_{nullptr};
 };

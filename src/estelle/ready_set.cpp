@@ -201,8 +201,7 @@ void SpecReadySet::reseed() {
 
 void verify_against_full_scan(const std::vector<Module*>& system_modules,
                               common::SimTime now,
-                              const std::vector<FiringCandidate>& got,
-                              std::size_t offset) {
+                              const std::vector<FiringCandidate>& got) {
   std::vector<FiringCandidate> ref;
   for (Module* sm : system_modules) {
     const std::vector<FiringCandidate> part = collect_firing_set(*sm, now);
@@ -216,16 +215,15 @@ void verify_against_full_scan(const std::vector<Module*>& system_modules,
     std::string msg = "verify_ready_set: " + what + "; full scan has " +
                       std::to_string(ref.size()) + " candidate(s)";
     for (const FiringCandidate& c : ref) msg += " [" + describe(c) + "]";
-    msg += ", ready set produced " +
-           std::to_string(got.size() - offset) + " candidate(s)";
-    for (std::size_t i = offset; i < got.size(); ++i)
-      msg += " [" + describe(got[i]) + "]";
+    msg += ", ready set produced " + std::to_string(got.size()) +
+           " candidate(s)";
+    for (const FiringCandidate& c : got) msg += " [" + describe(c) + "]";
     throw std::logic_error(msg);
   };
-  if (got.size() - offset != ref.size()) fail("candidate count diverged");
+  if (got.size() != ref.size()) fail("candidate count diverged");
   for (std::size_t i = 0; i < ref.size(); ++i) {
     const FiringCandidate& a = ref[i];
-    const FiringCandidate& b = got[offset + i];
+    const FiringCandidate& b = got[i];
     if (a.module != b.module || a.transition != b.transition)
       fail("candidate " + std::to_string(i) + " diverged");
   }

@@ -184,12 +184,10 @@ class SpecReadySet {
 
 /// Reference cross-check for ExecutorConfig::verify_ready_set: recompute the
 /// firing set of `system_modules` at `now` with the full tree scan
-/// and throw std::logic_error if it differs from `got` (starting at
-/// `got[offset]`, consuming exactly the reference's length unless the sizes
-/// already disagree). Debug-only path; allocates freely.
+/// and throw std::logic_error if it differs from `got`. Debug-only path;
+/// allocates freely.
 void verify_against_full_scan(const std::vector<Module*>& system_modules,
                               common::SimTime now,
-                              const std::vector<FiringCandidate>& got,
-                              std::size_t offset = 0);
+                              const std::vector<FiringCandidate>& got);
 
 }  // namespace mcam::estelle

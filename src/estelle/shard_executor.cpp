@@ -33,6 +33,13 @@ void ShardedExecutor::route_ready_ledger() {
   // cannot diverge between them.
   ReadyLedger& ledger = spec_.ready_ledger();
   const bool owner_changed = ledger.acquire(this);
+  if (owner_changed) {
+    // Taken over from another executor: no shard clock may lag the time
+    // that one reached. A topology reseed leaves the clocks alone.
+    const SimTime reached = spec_.reached_time();
+    for (ShardState& shard : shards_)
+      if (shard.clock < reached) shard.clock = reached;
+  }
   if (!seeded_ || owner_changed || seen_version_ != spec_.topology_version()) {
     reseed_ready();
   } else {

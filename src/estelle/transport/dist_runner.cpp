@@ -175,7 +175,7 @@ void DistributedRunner::build_tables() {
     if (a_local) {
       wc.local_ep = cc.a;
       wc.remote_ep = cc.b;
-      wc.dir_to_remote = 1;  // Frame::dir 1 delivers into endpoint b
+      wc.dir_to_remote = 1;  // TransferEntry::dir 1 delivers into endpoint b
       wc.dir_to_local = 0;
       wc.peer_node = assignment_[static_cast<std::size_t>(cc.shard_b)];
     } else {
@@ -288,26 +288,10 @@ void DistributedRunner::on_frame(int from, Frame& f) {
         fail("distributed: node " + std::to_string(from) +
              " refused the handshake: " + f.reason);
       return;
-    case FrameType::Transfer:
-      (void)accept_transfer(from, f.channel, f.dir, std::move(f.msg),
-                            f.sent_at_ns, f.round);
-      return;
-    case FrameType::TransferBatch: {
-      if (f.rejected_entries != 0) {
-        // The frame decoded but entries inside it did not: their transfers
-        // are lost, which would silently break the ≡ Sequential guarantee.
-        // Fail loudly instead.
-        fail("distributed: node " + std::to_string(from) +
-             " sent a transfer batch with " +
-             std::to_string(f.rejected_entries) + " undecodable entries");
-        return;
-      }
+    case FrameType::TransferBatch:
       for (TransferEntry& e : f.entries)
-        if (!accept_transfer(from, e.channel, e.dir, std::move(e.msg),
-                             e.sent_at_ns, f.round))
-          return;
+        if (!accept_transfer(from, e, f.round)) return;
       return;
-    }
     case FrameType::RoundDone: {
       // A re-sent copy (a heartbeat) never overwrites a later round. The
       // first copy of a quiescent round is the protocol's null message.
@@ -395,25 +379,23 @@ bool DistributedRunner::send_frame(int peer, Frame& f) {
   }
 }
 
-bool DistributedRunner::accept_transfer(int from, std::uint32_t channel,
-                                        std::uint8_t dir, Interaction&& msg,
-                                        std::int64_t sent_at_ns,
+bool DistributedRunner::accept_transfer(int from, TransferEntry& e,
                                         std::uint64_t round) {
   const int pos =
-      channel < wire_by_index_.size() ? wire_by_index_[channel] : -1;
+      e.channel < wire_by_index_.size() ? wire_by_index_[e.channel] : -1;
   if (pos < 0) {
     fail("distributed: node " + std::to_string(from) +
-         " sent a transfer on unknown channel " + std::to_string(channel));
+         " sent a transfer on unknown channel " + std::to_string(e.channel));
     return false;
   }
   const WireChannel& wc = wire_channels_[static_cast<std::size_t>(pos)];
-  if (dir != wc.dir_to_local) {
+  if (e.dir != wc.dir_to_local) {
     fail("distributed: node " + std::to_string(from) +
          " sent a transfer for an endpoint it owns (channel " +
-         std::to_string(channel) + ")");
+         std::to_string(e.channel) + ")");
     return false;
   }
-  wc.local_ep->inject_transfer(std::move(msg), SimTime{sent_at_ns}, round);
+  wc.local_ep->inject_transfer(std::move(e.msg), SimTime{e.sent_at_ns}, round);
   return true;
 }
 
@@ -424,59 +406,38 @@ bool DistributedRunner::export_transfers(std::uint64_t r) {
   // Coalesce this round's transfers into one TransferBatch per peer: they
   // still precede the round's RoundDone on the same FIFO stream, so gate
   // release continues to imply transfer arrival. barrier_round(r) stamps
-  // everything it sends r, so every transfer normally batches; one stamped
-  // otherwise (none is known to reach here) still leaves, on a Transfer
-  // frame of its own that carries its stamp.
-  bool any_batched = false;
+  // everything it parks r, and this runs after every round, so a transfer
+  // stamped otherwise is a broken invariant, not traffic.
   for (const WireChannel& wc : wire_channels_) {
     if (!wc.remote_ep->has_pending_transfers()) continue;
     export_scratch_.clear();
     wc.remote_ep->take_transfers(export_scratch_);
+    PeerBatch& batch = *std::find_if(
+        peer_batches_.begin(), peer_batches_.end(),
+        [&wc](const PeerBatch& b) { return b.peer == wc.peer_node; });
     for (InteractionPoint::Transfer& t : export_scratch_) {
-      if (opts_.batch_transfers && t.round == r) {
-        for (PeerBatch& b : peer_batches_) {
-          if (b.peer != wc.peer_node) continue;
-          b.frame.entries.push_back(TransferEntry{
-              wc.index, wc.dir_to_remote, t.sent_at.ns, std::move(t.msg)});
-          any_batched = true;
-          break;
-        }
-      } else {
-        Frame f;
-        f.type = FrameType::Transfer;
-        f.channel = wc.index;
-        f.dir = wc.dir_to_remote;
-        f.round = t.round;
-        f.sent_at_ns = t.sent_at.ns;
-        f.msg = std::move(t.msg);
-        if (!send_frame(wc.peer_node, f)) return false;
-        if (!opts_.batch_transfers && transport_ != nullptr)
-          transport_->flush();  // baseline mode: one syscall per frame
+      if (t.round != r) {
+        fail("distributed: a transfer on channel " + std::to_string(wc.index) +
+             " is stamped round " + std::to_string(t.round) +
+             ", exported after round " + std::to_string(r));
+        return false;
       }
+      batch.frame.entries.push_back(TransferEntry{
+          wc.index, wc.dir_to_remote, t.sent_at.ns, std::move(t.msg)});
+      // Unbatched: a one-entry batch per transfer, one syscall each.
+      if (!opts_.batch_transfers && !send_batch(batch, r)) return false;
     }
   }
-  if (!any_batched) return true;
-  for (PeerBatch& b : peer_batches_) {
-    if (b.frame.entries.empty()) continue;
-    if (b.frame.entries.size() == 1) {
-      // Single-transfer round: the small Transfer frame costs fewer wire
-      // bytes than a one-entry batch.
-      TransferEntry& e = b.frame.entries.front();
-      Frame f;
-      f.type = FrameType::Transfer;
-      f.channel = e.channel;
-      f.dir = e.dir;
-      f.round = r;
-      f.sent_at_ns = e.sent_at_ns;
-      f.msg = std::move(e.msg);
-      if (!send_frame(b.peer, f)) return false;
-    } else {
-      b.frame.type = FrameType::TransferBatch;
-      b.frame.round = r;
-      if (!send_frame(b.peer, b.frame)) return false;
-    }
-    b.frame.entries.clear();
-  }
+  for (PeerBatch& b : peer_batches_)
+    if (!b.frame.entries.empty() && !send_batch(b, r)) return false;
+  return true;
+}
+
+bool DistributedRunner::send_batch(PeerBatch& b, std::uint64_t r) {
+  b.frame.round = r;
+  if (!send_frame(b.peer, b.frame)) return false;
+  b.frame.entries.clear();
+  if (!opts_.batch_transfers && transport_ != nullptr) transport_->flush();
   return true;
 }
 

@@ -24,8 +24,8 @@
 //
 //   * exports — outputs a local firing addressed to a remote shard park in
 //               the replica endpoint's mailbox (deliver()'s cross-shard
-//               path); they leave as Transfer / TransferBatch frames,
-//               stamps intact;
+//               path); they leave as one TransferBatch per peer, stamps
+//               intact;
 //   * reports — sends RoundDone{node, r, quiescent} to every live peer,
 //               behind those transfers on the same FIFO stream, and flushes;
 //   * gates   — services the transport until every peer's RoundDone(r) is
@@ -127,19 +127,15 @@ struct DistOptions {
   /// Coalesce a round's transfers to each peer into one TransferBatch frame
   /// (sent strictly before that round's RoundDone, so the FIFO
   /// transfer-before-RoundDone ordering — and the merged-trace ≡ Sequential
-  /// guarantee — is unchanged). Single-transfer rounds keep the small
-  /// Transfer frame. Off reproduces the one-frame-one-syscall baseline the
-  /// bench and the differential sweep compare against.
+  /// guarantee — is unchanged). Off sends every transfer as a one-entry
+  /// TransferBatch and flushes it alone: the one-frame-one-syscall baseline
+  /// the bench and the differential sweep compare against.
   bool batch_transfers = true;
   /// Inert: node rounds always run on the run thread, whatever the value.
   /// Kept only because the end-to-end benchmark still sets it; the next
   /// change allowed to touch that benchmark deletes the field and that
   /// assignment.
   int worker_count = 0;
-  /// Per-node "host" / "host:port" list for multi-machine TCP meshes,
-  /// carried here so one options object fully describes a run. Consumed by
-  /// StreamSocketTransport::tcp_mesh (the runner itself never dials).
-  std::vector<std::string> peer_hosts;
   /// Per-firing tap with the (round, shard) coordinates the cross-node
   /// trace merge needs (RunObserver::on_fire does not carry them). Replayed
   /// on the run thread after the round executed, in shard id order then
@@ -181,9 +177,17 @@ class DistributedRunner final : public ShardedExecutor {
     std::uint32_t index = 0;          // position in cross_shard_channels()
     InteractionPoint* local_ep = nullptr;   // inbound injects land here
     InteractionPoint* remote_ep = nullptr;  // outbound transfers park here
-    std::uint8_t dir_to_remote = 0;   // Frame::dir that targets remote_ep
-    std::uint8_t dir_to_local = 0;    // Frame::dir that targets local_ep
+    std::uint8_t dir_to_remote = 0;   // TransferEntry::dir into remote_ep
+    std::uint8_t dir_to_local = 0;    // TransferEntry::dir into local_ep
     int peer_node = 0;                // owner of the remote endpoint's shard
+  };
+
+  /// The persistent TransferBatch frame a round's outbound transfers to
+  /// `peer` coalesce into (entries cleared after each send, capacity
+  /// retained — wire sends leave the frame intact).
+  struct PeerBatch {
+    int peer = 0;
+    Frame frame;
   };
 
   struct PeerState {
@@ -221,20 +225,22 @@ class DistributedRunner final : public ShardedExecutor {
   void on_frame(int from, Frame& f);
   void on_hello(int from, const Frame& f);
 
-  /// Ship every transfer parked on remote replica endpoints: coalesced into
-  /// one TransferBatch per peer (batch_transfers, the default) or as one
-  /// Transfer frame each; pumps through transport back-pressure.
+  /// Ship every transfer parked on remote replica endpoints, all stamped r:
+  /// coalesced into one TransferBatch per peer (batch_transfers, the
+  /// default) or as a one-entry TransferBatch each; pumps through transport
+  /// back-pressure. A transfer stamped otherwise sets error_.
   bool export_transfers(std::uint64_t r);
+  /// Send `b` stamped r and clear its entries; unbatched, flush it alone.
+  bool send_batch(PeerBatch& b, std::uint64_t r);
   /// Send RoundDone(r) to every live peer, then flush the round's backlog.
   bool send_round_done(std::uint64_t r, bool quiescent);
   /// send with kQueueFull back-pressure handling (pump + retry under the
   /// watchdog) — the contract keeps `f` intact across retries, so the loop
   /// never copies it. False ⇒ error_ set.
   bool send_frame(int peer, Frame& f);
-  /// Inject one received transfer; false ⇒ error_ set (bad channel/dir).
-  bool accept_transfer(int from, std::uint32_t channel, std::uint8_t dir,
-                       Interaction&& msg, std::int64_t sent_at_ns,
-                       std::uint64_t round);
+  /// Inject one received batch entry (its msg is moved out); false ⇒
+  /// error_ set (bad channel/dir).
+  bool accept_transfer(int from, TransferEntry& e, std::uint64_t round);
 
   /// Re-send the last RoundDone to live peers every heartbeat interval
   /// (called from the gate's wait — where a node idles while peers may be
@@ -266,13 +272,7 @@ class DistributedRunner final : public ShardedExecutor {
   std::uint64_t id_assign_hash_ = 0;
 
   std::vector<InteractionPoint::Transfer> export_scratch_;
-  /// Per channel-neighbor peer: the persistent TransferBatch frame a round's
-  /// outbound transfers coalesce into (entries cleared after each flush,
-  /// capacity retained — wire sends leave the frame intact).
-  struct PeerBatch {
-    int peer = 0;
-    Frame frame;
-  };
+  /// One per channel-neighbor peer.
   std::vector<PeerBatch> peer_batches_;
 };
 

@@ -14,20 +14,20 @@ using common::ByteSpan;
 using common::Bytes;
 using common::Error;
 using common::Result;
+using common::Status;
 
 namespace {
 
 // ---------------------------------------------------------------------------
 // Encode: the direct writer.
 //
-// Transfer and TransferBatch are the only frames sent per message rather
-// than per round, so their lengths are computed arithmetically and the TLVs
-// written straight into the caller's buffer: with the buffer warmed to
-// capacity the encode allocates nothing, and no entry is moved after it is
-// written. The per-round and per-run frames are small, so the writer's
-// open()/close() patches their envelope length in place.
+// TransferBatch is the only frame whose size grows with the traffic, so its
+// lengths are computed arithmetically and the TLVs written straight into the
+// caller's buffer: with the buffer warmed to capacity the encode allocates
+// nothing, and no entry is moved after it is written. The per-round and
+// per-run frames are small, so the writer's open()/close() patches their
+// envelope length in place.
 
-constexpr auto kTransferTag = static_cast<std::uint32_t>(FrameType::Transfer);
 constexpr auto kBatchTag = static_cast<std::uint32_t>(FrameType::TransferBatch);
 constexpr auto kOctets =
     static_cast<std::uint32_t>(asn1::UniversalTag::OctetString);
@@ -51,13 +51,6 @@ void put_msg_fields(Writer& w, const Interaction& msg) {
              Writer::int_tlv_len(msg.value));
     w.integer(msg.value);
   }
-}
-
-std::size_t transfer_body_len(const Frame& f) {
-  return Writer::int_tlv_len(static_cast<std::int64_t>(f.channel)) +
-         Writer::int_tlv_len(f.dir) +
-         Writer::int_tlv_len(static_cast<std::int64_t>(f.round)) +
-         Writer::int_tlv_len(f.sent_at_ns) + msg_fields_len(f.msg);
 }
 
 std::size_t entry_content_len(const TransferEntry& e) {
@@ -113,9 +106,8 @@ void put_control_fields(Writer& w, const Frame& f) {
     case FrameType::SessionAck:
       u64(f.recv);
       break;
-    case FrameType::Transfer:
     case FrameType::TransferBatch:
-      break;  // emit_frame writes them with precomputed lengths
+      break;  // emit_frame writes it with precomputed lengths
   }
 }
 
@@ -128,8 +120,8 @@ void put_control_fields(Writer& w, const Frame& f) {
 
 /// Sequential reader over a frame's (or batch entry's) field list. Each read
 /// returns false when the field is missing or malformed; error() then gives
-/// what the tree path reports (errors name the field's index). Batch
-/// entries never ask, so the success path builds no Error.
+/// what the tree path reports (errors name the field's index). Only a
+/// failed read builds an Error.
 template <typename N>
 class FrameFields {
  public:
@@ -236,40 +228,45 @@ Result<std::int64_t> value_of(const N& field) {
   return inner.value().as_int();
 }
 
-/// One batch entry. Returns false on any structural defect — the caller
-/// skips the entry (and counts it) instead of failing the whole frame: the
-/// length prefix already guaranteed framing, so one corrupt entry must not
-/// take down its siblings.
-template <typename N>
-bool entry_from(const N& ev, TransferEntry& e) {
-  if (!ev.is_universal(asn1::UniversalTag::Sequence) || !ev.constructed())
-    return false;
-  FrameFields<N> in(ev);
-  std::uint32_t dir = 0;
-  std::uint64_t sent_at = 0;
-  std::uint32_t kind = 0;
-  if (!in.u32(e.channel) || !in.u32(dir) || dir > 1 || !in.u64(sent_at) ||
-      !in.u32(kind) || !in.more())
-    return false;
-  e.dir = static_cast<std::uint8_t>(dir);
-  e.sent_at_ns = static_cast<std::int64_t>(sent_at);
-  e.msg.kind = static_cast<int>(kind);
-  Result<Bytes> payload = in.peek().as_octets();
-  if (!payload.ok()) return false;
-  e.msg.payload = std::move(payload).take();
-  if (const auto at = in.first_context0()) {
-    Result<std::int64_t> value = value_of(ev.child(*at));
-    if (!value.ok()) return false;
-    e.msg.value = value.value();
-  }
-  return true;
-}
-
 /// Read one field with `read`, or return the reader's error.
 #define TRY_FIELD(read)                  \
   do {                                   \
     if (!(read)) return in.error();      \
   } while (0)
+
+/// One batch entry. A defect fails the whole frame, as a bad field of any
+/// other frame does.
+template <typename N>
+Status entry_from(const N& ev, TransferEntry& e) {
+  if (!ev.is_universal(asn1::UniversalTag::Sequence) || !ev.constructed())
+    return Error::make(asn1::kWrongType,
+                       "transfer-batch: entry is not a SEQUENCE");
+  FrameFields<N> in(ev);
+  TRY_FIELD(in.u32(e.channel));
+  std::uint32_t dir = 0;
+  TRY_FIELD(in.u32(dir));
+  if (dir > 1)
+    return Error::make(asn1::kWrongType, "transfer-batch: dir not 0/1");
+  e.dir = static_cast<std::uint8_t>(dir);
+  std::uint64_t sent_at = 0;
+  TRY_FIELD(in.u64(sent_at));
+  e.sent_at_ns = static_cast<std::int64_t>(sent_at);
+  std::uint32_t kind = 0;
+  TRY_FIELD(in.u32(kind));
+  e.msg.kind = static_cast<int>(kind);
+  if (!in.more())
+    return Error::make(asn1::kTruncated,
+                       "transfer-batch: entry has no payload");
+  Result<Bytes> payload = in.peek().as_octets();
+  if (!payload.ok()) return payload.error();
+  e.msg.payload = std::move(payload).take();
+  if (const auto at = in.first_context0()) {
+    Result<std::int64_t> value = value_of(ev.child(*at));
+    if (!value.ok()) return value.error();
+    e.msg.value = value.value();
+  }
+  return {};
+}
 
 template <typename N>
 Result<Frame> frame_from(const N& v) {
@@ -292,32 +289,6 @@ Result<Frame> frame_from(const N& v) {
       TRY_FIELD(in.boolean(f.accept));
       TRY_FIELD(in.text(f.reason));
       break;
-    case FrameType::Transfer: {
-      TRY_FIELD(in.u32(f.channel));
-      std::uint32_t dir = 0;
-      TRY_FIELD(in.u32(dir));
-      if (dir > 1)
-        return Error::make(asn1::kWrongType, "transfer: dir not 0/1");
-      f.dir = static_cast<std::uint8_t>(dir);
-      TRY_FIELD(in.u64(f.round));
-      std::uint64_t sent_at = 0;
-      TRY_FIELD(in.u64(sent_at));
-      f.sent_at_ns = static_cast<std::int64_t>(sent_at);
-      std::uint32_t kind = 0;
-      TRY_FIELD(in.u32(kind));
-      f.msg.kind = static_cast<int>(kind);
-      if (!in.more())
-        return Error::make(asn1::kTruncated, "transfer: no payload");
-      Result<Bytes> payload = in.peek().as_octets();
-      if (!payload.ok()) return payload.error();
-      f.msg.payload = std::move(payload).take();
-      if (const auto at = in.first_context0()) {
-        Result<std::int64_t> value = value_of(v.child(*at));
-        if (!value.ok()) return value.error();
-        f.msg.value = value.value();
-      }
-      break;
-    }
     case FrameType::RoundDone:
       TRY_FIELD(in.u32(f.node));
       TRY_FIELD(in.u64(f.round));
@@ -346,10 +317,8 @@ Result<Frame> frame_from(const N& v) {
                            "transfer-batch: entries are not a SEQUENCE");
       f.entries.reserve(list.size());
       for (const N& ev : list.children()) {
-        if (!entry_from(ev, f.entries.emplace_back())) {
-          f.entries.pop_back();
-          ++f.rejected_entries;
-        }
+        Status entry = entry_from(ev, f.entries.emplace_back());
+        if (!entry.ok()) return entry.error();
       }
       break;
     }
@@ -370,8 +339,6 @@ const char* frame_type_name(FrameType t) noexcept {
       return "hello";
     case FrameType::Welcome:
       return "welcome";
-    case FrameType::Transfer:
-      return "transfer";
     case FrameType::RoundDone:
       return "round-done";
     case FrameType::Bye:
@@ -398,14 +365,7 @@ void emit_frame(const Frame& f, const std::uint64_t* seq, Bytes& out) {
       out.push_back(static_cast<std::uint8_t>(*seq >> (8 * i)));
   const std::size_t body = out.size();
   Writer w(out);
-  if (f.type == FrameType::Transfer) {
-    w.header(TagClass::Application, true, kTransferTag, transfer_body_len(f));
-    w.integer(static_cast<std::int64_t>(f.channel));
-    w.integer(f.dir);
-    w.integer(static_cast<std::int64_t>(f.round));
-    w.integer(f.sent_at_ns);
-    put_msg_fields(w, f.msg);
-  } else if (f.type == FrameType::TransferBatch) {
+  if (f.type == FrameType::TransferBatch) {
     std::size_t entries_content = 0;
     const std::size_t content = batch_body_len(f, &entries_content);
     w.header(TagClass::Application, true, kBatchTag, content);

@@ -14,26 +14,30 @@
 //
 //   u32 big-endian body length | BER body ([APPLICATION n] SEQUENCE)
 //
-// Frame catalogue (APPLICATION tag in brackets; tags 4, 5, 7 and 8 are
+// Frame catalogue (APPLICATION tag in brackets; tags 3, 4, 5, 7 and 8 are
 // retired and fail to decode):
 //   Hello [1]      node, nodes, shards, spec_hash, topology_version,
 //                  assign_hash — membership handshake; a peer whose own
 //                  values differ answers Welcome{accept=false}.
 //   Welcome [2]    node, accept, reason.
-//   Transfer [3]   channel (index into ConflictAnalysis::
-//                  cross_shard_channels(), deterministic on every node),
-//                  dir (0 ⇒ deliver into endpoint a, 1 ⇒ into b), round and
-//                  sent_at_ns (the sender shard's stamps, preserved
-//                  bit-exactly so drain_transfers_until applies the same
-//                  visibility rule as in-process), then the Interaction:
-//                  kind, payload octets and, unless the value is 0 (none),
-//                  the value as [0] EXPLICIT INTEGER.
 //   RoundDone [6]  node, round, quiescent — the node finished round
 //                  `round`, after its transfers of that round; every peer
 //                  waits for it before starting round+1. quiescent says the
 //                  round fired nothing and leapt to no deadline: a round in
 //                  which every node says so ends the run.
 //   Bye [9]        node — the node left its run; sent once at run end.
+//   TransferBatch [10]
+//                  round, then SEQUENCE OF entry — the only frame that
+//                  carries transfers: a round's transfers to one peer under
+//                  one shared round stamp. Each entry is {channel, dir,
+//                  sent_at_ns, kind, payload, [0] value unless 0}. channel
+//                  indexes ConflictAnalysis::cross_shard_channels()
+//                  (deterministic on every node); dir 0 delivers into
+//                  endpoint a, 1 into b; round and sent_at_ns are the sender
+//                  shard's stamps, preserved bit-exactly so
+//                  drain_transfers_until applies the same visibility rule as
+//                  in-process. A bad entry fails the frame, like a bad field
+//                  of any other frame.
 //   HelloResume [11]
 //                  node, spec_hash, epoch, recv — the session resume
 //                  handshake. Sent as the first frame on a reconnected
@@ -48,23 +52,13 @@
 //                  SessionAck are session-control frames: on a sequenced
 //                  stream they travel with sequence number 0, are consumed
 //                  inside the transport, and never reach the runner.
-//   TransferBatch [10]
-//                  round, then SEQUENCE OF entry — all of one round's
-//                  transfers to one peer under a single shared round stamp.
-//                  Each entry is {channel, dir, sent_at_ns, kind, payload,
-//                  [0] value unless 0}: a Transfer minus the round field.
-//                  A structurally bad entry is *rejected individually*
-//                  (counted in Frame::rejected_entries) instead of killing
-//                  the frame — the length prefix already bounds the body, so
-//                  per-entry garbage can never misframe the stream.
 //
-// No frame builds a Value tree. The writer computes Transfer and
-// TransferBatch lengths up front, so a warmed send encodes without
-// allocating; the per-round frames are small, so their envelope length is
-// patched in once their fields are written. The reader (asn1::Node)
-// validates a body exactly as the tree decoder would: same accept/reject,
-// same errors. frame_from_value runs the same field extraction over a tree,
-// as the tests' reference.
+// No frame builds a Value tree. The writer computes TransferBatch lengths
+// up front, so a warmed send encodes without allocating; the per-round
+// frames are small, so their envelope length is patched in once their
+// fields are written. The reader (asn1::Node) validates a body exactly as
+// the tree decoder would: same accept/reject, same errors. frame_from_value
+// runs the same field extraction over a tree, as the tests' reference.
 //
 // FrameReassembler turns an arbitrary split of the byte stream back into
 // frames: feed() whatever read() returned, next() yields complete frames.
@@ -92,7 +86,6 @@ namespace mcam::estelle {
 enum class FrameType : std::uint32_t {
   Hello = 1,
   Welcome = 2,
-  Transfer = 3,
   RoundDone = 6,
   Bye = 9,
   TransferBatch = 10,
@@ -102,8 +95,8 @@ enum class FrameType : std::uint32_t {
 
 [[nodiscard]] const char* frame_type_name(FrameType t) noexcept;
 
-/// One transfer inside a TransferBatch: a Transfer minus the round stamp,
-/// which the batch carries once for all of them.
+/// One transfer inside a TransferBatch. Its round stamp is the batch's,
+/// carried once for all of its entries.
 struct TransferEntry {
   std::uint32_t channel = 0;
   std::uint8_t dir = 0;  // 0 ⇒ deliver into endpoint a, 1 ⇒ into b
@@ -128,13 +121,7 @@ struct Frame {
   bool accept = false;
   std::string reason;
 
-  // Transfer
-  std::uint32_t channel = 0;
-  std::uint8_t dir = 0;  // 0 ⇒ deliver into endpoint a, 1 ⇒ into b
-  std::int64_t sent_at_ns = 0;
-  Interaction msg;
-
-  // Transfer / TransferBatch / RoundDone
+  // TransferBatch / RoundDone
   std::uint64_t round = 0;
   // RoundDone
   bool quiescent = false;
@@ -143,11 +130,8 @@ struct Frame {
   std::uint64_t epoch = 0;
   std::uint64_t recv = 0;
 
-  // TransferBatch (round is shared by every entry). A receiver must treat
-  // rejected_entries != 0 as a protocol failure: the frame decoded, but some
-  // entries were structurally bad and their transfers are lost.
+  // TransferBatch (round is shared by every entry)
   std::vector<TransferEntry> entries;
-  std::uint32_t rejected_entries = 0;
 };
 
 /// Frames larger than this are rejected by the reassembler — a garbage
@@ -156,8 +140,7 @@ inline constexpr std::size_t kMaxFrameBytes = 1u << 24;
 
 /// Append the length-prefixed encoding of `f` to `out` (the send path —
 /// appending lets one outbound buffer batch many frames per write()). With
-/// `out` warmed to capacity a Transfer or TransferBatch performs no
-/// allocation.
+/// `out` warmed to capacity a TransferBatch performs no allocation.
 void encode_frame_to(const Frame& f, common::Bytes& out);
 /// The length-prefixed encoding of `f` as a fresh buffer (tests).
 [[nodiscard]] common::Bytes encode_frame(const Frame& f);

@@ -23,7 +23,7 @@
 //   * reads go through one reusable per-connection receive buffer
 //     (FrameReassembler): poll(), read into a fixed stack chunk, feed, and
 //     decode in place. Steady-state receive performs no per-frame
-//     allocation (Transfer payload octets excepted — they leave the buffer
+//     allocation (transfer payload octets excepted — they leave the buffer
 //     as owned Interaction state, exactly like an in-process delivery).
 //   * destruction is a graceful close: flush the outbound backlog,
 //     shutdown(SHUT_WR), then drain inbound to EOF (bounded) before

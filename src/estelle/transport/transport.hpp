@@ -22,9 +22,9 @@
 //     once per peer — the runner turns it into a structured RunReport error
 //     instead of hanging on the RoundDone gate.
 //   * per-peer FIFO order is guaranteed (stream sockets / in-order queues).
-//     The round-composition argument leans on it: a Transfer sent during
-//     round k precedes the sender's round-k completion frames, so a gate
-//     release implies every earlier-round transfer already arrived.
+//     The round-composition argument leans on it: a TransferBatch sent
+//     during round k precedes the sender's round-k completion frames, so
+//     a gate release implies every earlier-round transfer already arrived.
 //
 // Implementations:
 //   LoopbackTransport (here)            — in-process, zero-copy Frame moves,

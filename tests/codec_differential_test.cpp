@@ -389,11 +389,8 @@ bool same_frame(const estelle::Frame& a, const estelle::Frame& b) {
       a.shards != b.shards || a.spec_hash != b.spec_hash ||
       a.topology_version != b.topology_version ||
       a.assign_hash != b.assign_hash || a.accept != b.accept ||
-      a.reason != b.reason || a.channel != b.channel || a.dir != b.dir ||
-      a.sent_at_ns != b.sent_at_ns || !same_msg(a.msg, b.msg) ||
-      a.round != b.round || a.quiescent != b.quiescent ||
-      a.epoch != b.epoch || a.recv != b.recv ||
-      a.rejected_entries != b.rejected_entries ||
+      a.reason != b.reason || a.round != b.round ||
+      a.quiescent != b.quiescent || a.epoch != b.epoch || a.recv != b.recv ||
       a.entries.size() != b.entries.size())
     return false;
   for (std::size_t i = 0; i < a.entries.size(); ++i) {

@@ -236,7 +236,7 @@ std::vector<NodeOutcome> run_loopback_group(std::uint64_t seed, int nodes) {
 
 /// A deterministic producer->consumer pipeline across two system modules:
 /// shard 0 streams `budget` tokens into shard 1. The minimal spec where the
-/// two nodes genuinely exchange Transfer frames and gate on each other.
+/// two nodes genuinely exchange TransferBatch frames and gate on each other.
 struct PipeWorld {
   Specification spec{"pipe"};
   std::shared_ptr<int> sent = std::make_shared<int>(0);
@@ -393,7 +393,7 @@ TEST(DistRunner, TwoNodeLoopbackMergedTraceMatchesSequential) {
   if (n >= 50) {
     // Diversity floor: the sweep is vacuous unless it really covers
     // multi-shard conflict-free specs, and at least some of them must move
-    // actual Transfer/RoundDone traffic between the two nodes.
+    // actual TransferBatch/RoundDone traffic between the two nodes.
     EXPECT_GE(swept, 10);
     EXPECT_GT(frames_seen, 0u);
   }
@@ -661,8 +661,13 @@ class CountingTransport final : public MailboxTransport {
   }
   common::Status send(int peer, Frame& f) override {
     const FrameType type = f.type;  // a successful send may move `f`
+    const std::size_t entries = f.entries.size();
     common::Status st = inner_->send(peer, f);
-    if (st.ok()) ++sent_[static_cast<std::size_t>(type)];
+    if (st.ok()) {
+      ++sent_[static_cast<std::size_t>(type)];
+      if (type == FrameType::TransferBatch)
+        largest_batch_ = std::max(largest_batch_, entries);
+    }
     return st;
   }
   void flush() override { inner_->flush(); }
@@ -687,11 +692,19 @@ class CountingTransport final : public MailboxTransport {
     return idle_waits_;
   }
   [[nodiscard]] const FrameCounts& sent() const noexcept { return sent_; }
+  [[nodiscard]] std::uint64_t batches_sent() const noexcept {
+    return sent_[static_cast<std::size_t>(FrameType::TransferBatch)];
+  }
+  /// The most entries any TransferBatch sent through here carried.
+  [[nodiscard]] std::size_t largest_batch() const noexcept {
+    return largest_batch_;
+  }
 
  private:
   std::shared_ptr<MailboxTransport> inner_;
   std::uint64_t idle_waits_ = 0;
   FrameCounts sent_{};
+  std::size_t largest_batch_ = 0;
 };
 
 /// kLanes ping-pong lanes with every endpoint in its own system module:
@@ -861,9 +874,12 @@ TEST(DistRunner, BatchedAndUnbatchedTransfersMatchSequential) {
           for (std::size_t type = 0; type < t->sent().size(); ++type)
             sent[batch ? 1 : 0][type] += t->sent()[type];
         if (!batch) {
-          for (const NodeOutcome& node : nodes)
-            EXPECT_EQ(node.report.transport.frames_batched, 0u)
-                << "unbatched mode must not emit TransferBatch frames";
+          // Unbatched, every transfer leaves alone, in a one-entry batch.
+          for (std::size_t node = 0; node < 2; ++node) {
+            EXPECT_LE(transports[node]->largest_batch(), 1u);
+            EXPECT_EQ(nodes[node].report.transport.frames_batched,
+                      transports[node]->batches_sent());
+          }
         }
       }
       {
@@ -902,8 +918,7 @@ TEST(DistRunner, BatchedAndUnbatchedTransfersMatchSequential) {
   // rounds fix how many there are, while the count of heartbeat RoundDones
   // depends on wall-clock timing.
   const auto transfer_frames = [](const CountingTransport::FrameCounts& c) {
-    return c[static_cast<std::size_t>(FrameType::Transfer)] +
-           c[static_cast<std::size_t>(FrameType::TransferBatch)];
+    return c[static_cast<std::size_t>(FrameType::TransferBatch)];
   };
   const auto totals = [&sent] {
     std::string out;
@@ -928,11 +943,15 @@ TEST(DistRunner, BatchingCoalescesFanOutRounds) {
   struct PairOutcome {
     RunReport r0, r1;
     int got = 0;
+    std::uint64_t batches0 = 0;  // TransferBatch frames the producer sent
+    std::size_t largest_batch0 = 0;
   };
   auto run_pair = [&](bool batch) {
     PairOutcome o;
     LoopbackHub hub(2);
-    auto t0 = std::shared_ptr<MailboxTransport>(hub.endpoint(0));
+    auto counting0 = std::make_shared<CountingTransport>(
+        std::shared_ptr<MailboxTransport>(hub.endpoint(0)));
+    auto t0 = std::shared_ptr<MailboxTransport>(counting0);
     auto t1 = std::shared_ptr<MailboxTransport>(hub.endpoint(1));
     auto run_node = [&](int node, std::shared_ptr<MailboxTransport> t,
                         RunReport* r, int* got) {
@@ -953,6 +972,8 @@ TEST(DistRunner, BatchingCoalescesFanOutRounds) {
     std::thread consumer([&] { run_node(1, t1, &o.r1, &o.got); });
     producer.join();
     consumer.join();
+    o.batches0 = counting0->batches_sent();
+    o.largest_batch0 = counting0->largest_batch();
     return o;
   };
   const PairOutcome batched = run_pair(true);
@@ -964,9 +985,14 @@ TEST(DistRunner, BatchingCoalescesFanOutRounds) {
   }
   EXPECT_EQ(batched.r0.fired + batched.r1.fired,
             unbatched.r0.fired + unbatched.r1.fired);
-  // The producer's transfer traffic collapsed into batches...
+  // The producer's transfer traffic collapsed into batches; unbatched, each
+  // transfer left alone, in a one-entry batch...
   EXPECT_GT(batched.r0.transport.frames_batched, 0u);
-  EXPECT_EQ(unbatched.r0.transport.frames_batched, 0u);
+  EXPECT_GT(batched.largest_batch0, 1u);
+  EXPECT_EQ(unbatched.largest_batch0, 1u);
+  EXPECT_EQ(unbatched.batches0,
+            static_cast<std::uint64_t>(FanWorld::kLanes * kBudget));
+  EXPECT_EQ(unbatched.r0.transport.frames_batched, unbatched.batches0);
   // ...so it sent fewer frames for the same tokens.
   EXPECT_LT(batched.r0.transport.frames_sent,
             unbatched.r0.transport.frames_sent);
@@ -1571,10 +1597,10 @@ TEST(DistRunner, TcpPipelineDeliversAndServicesNullRounds) {
 }
 
 TEST(DistRunner, TcpMeshAcceptsExplicitHostList) {
-  // Satellite of the batching PR: a per-peer host list ("host" and
-  // "host:port" forms both resolved) replaces the loopback default, carried
-  // through DistOptions::peer_hosts. On one machine the list still names
-  // loopback — what the test pins is the resolution and dial path.
+  // A per-peer host list ("host" and "host:port" forms both resolved),
+  // passed to tcp_mesh, replaces the loopback default. On one machine the
+  // list still names loopback — what the test pins is the resolution and
+  // dial path.
   static constexpr int kBudget = 10;
   static constexpr std::uint16_t kBasePort = 44217;
   const std::vector<std::string> hosts = {
@@ -1620,7 +1646,6 @@ TEST(DistRunner, TcpMeshAcceptsExplicitHostList) {
     DistOptions opts;
     opts.node = 0;
     opts.nodes = 2;
-    opts.peer_hosts = hosts;
     opts.transport =
         std::shared_ptr<MailboxTransport>(std::move(mesh.value()));
     r0 = make_pipe_executor(world, std::move(opts))->run();
@@ -1635,7 +1660,6 @@ TEST(DistRunner, TcpMeshAcceptsExplicitHostList) {
     DistOptions opts;
     opts.node = 1;
     opts.nodes = 2;
-    opts.peer_hosts = hosts;
     opts.transport =
         std::shared_ptr<MailboxTransport>(std::move(mesh.value()));
     r1 = make_pipe_executor(world, std::move(opts))->run();

@@ -34,24 +34,32 @@ inline std::vector<Frame> catalogue() {
   welcome.reason = "specification fingerprint mismatch — Ω≠ω";  // UTF-8
   all.push_back(welcome);
 
-  Frame transfer;
-  transfer.type = FrameType::Transfer;
-  transfer.channel = 11;
-  transfer.dir = 1;
+  Frame transfer;  // one transfer, as an unbatched run sends it
+  transfer.type = FrameType::TransferBatch;
   transfer.round = std::numeric_limits<std::uint64_t>::max() - 1;
-  transfer.sent_at_ns = -42;  // negative virtual stamps must survive
-  transfer.msg.kind = 104;
-  transfer.msg.payload = common::Bytes{0x00, 0xff, 0x80, 0x7f};
-  transfer.msg.value = -7;
+  {
+    TransferEntry e;
+    e.channel = 11;
+    e.dir = 1;
+    e.sent_at_ns = -42;  // negative virtual stamps must survive
+    e.msg.kind = 104;
+    e.msg.payload = common::Bytes{0x00, 0xff, 0x80, 0x7f};
+    e.msg.value = -7;
+    transfer.entries.push_back(std::move(e));
+  }
   all.push_back(transfer);
 
   Frame bare_transfer;  // value 0 ("none") — the [0] wrapper is absent
-  bare_transfer.type = FrameType::Transfer;
-  bare_transfer.channel = 0;
-  bare_transfer.dir = 0;
+  bare_transfer.type = FrameType::TransferBatch;
   bare_transfer.round = 1;
-  bare_transfer.sent_at_ns = std::numeric_limits<std::int64_t>::max();
-  bare_transfer.msg.kind = 0;
+  {
+    TransferEntry e;
+    e.channel = 0;
+    e.dir = 0;
+    e.sent_at_ns = std::numeric_limits<std::int64_t>::max();
+    e.msg.kind = 0;
+    bare_transfer.entries.push_back(std::move(e));
+  }
   all.push_back(bare_transfer);
 
   Frame done;

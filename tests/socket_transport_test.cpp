@@ -70,14 +70,17 @@ Frame random_frame(std::mt19937_64& rng) {
       f = welcome(below(2) == 0 ? below(64) : 40000 + below(60000),
                   static_cast<char>('a' + below(26)));
       break;
-    case 3:
-      f.type = FrameType::Transfer;
-      f.channel = static_cast<std::uint32_t>(below(64));
+    case 3: {  // one transfer, as an unbatched run sends it
+      f.type = FrameType::TransferBatch;
+      TransferEntry e;
+      e.channel = static_cast<std::uint32_t>(below(64));
       f.round = below(1u << 20);
-      f.sent_at_ns = static_cast<std::int64_t>(below(1u << 30));
-      f.msg.kind = static_cast<int>(below(200));
-      f.msg.payload = Bytes(below(2000), static_cast<std::uint8_t>(below(256)));
+      e.sent_at_ns = static_cast<std::int64_t>(below(1u << 30));
+      e.msg.kind = static_cast<int>(below(200));
+      e.msg.payload = Bytes(below(2000), static_cast<std::uint8_t>(below(256)));
+      f.entries.push_back(std::move(e));
       break;
+    }
     default: {
       f.type = FrameType::TransferBatch;
       f.round = below(1u << 20);

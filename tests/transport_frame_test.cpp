@@ -37,17 +37,10 @@ void expect_equal(const Frame& got, const Frame& want, const char* where) {
   EXPECT_EQ(got.assign_hash, want.assign_hash);
   EXPECT_EQ(got.accept, want.accept);
   EXPECT_EQ(got.reason, want.reason);
-  EXPECT_EQ(got.channel, want.channel);
-  EXPECT_EQ(got.dir, want.dir);
-  EXPECT_EQ(got.sent_at_ns, want.sent_at_ns);
-  EXPECT_EQ(got.msg.kind, want.msg.kind);
-  EXPECT_EQ(got.msg.payload, want.msg.payload);
-  EXPECT_EQ(got.msg.value, want.msg.value);
   EXPECT_EQ(got.round, want.round);
   EXPECT_EQ(got.epoch, want.epoch);
   EXPECT_EQ(got.quiescent, want.quiescent);
   EXPECT_EQ(got.recv, want.recv);
-  EXPECT_EQ(got.rejected_entries, want.rejected_entries);
   ASSERT_EQ(got.entries.size(), want.entries.size());
   for (std::size_t i = 0; i < want.entries.size(); ++i) {
     SCOPED_TRACE("entry " + std::to_string(i));
@@ -133,7 +126,8 @@ TEST(TransportFrame, ByteAtATimeFeedReassemblesAndReusesItsBuffer) {
 }
 
 TEST(TransportFrame, TruncationIsNeedMoreNeverError) {
-  const Bytes wire = encode_frame(catalogue()[2]);  // the fat Transfer
+  // The one-entry batch whose entry carries a [0] value.
+  const Bytes wire = encode_frame(catalogue()[2]);
   for (std::size_t len = 0; len < wire.size(); ++len) {
     FrameReassembler rx;
     rx.feed(ByteSpan{wire.data(), len});
@@ -172,10 +166,11 @@ TEST(TransportFrame, WrongEnvelopeAndBadFieldsAreDecodeErrors) {
   asn1::encode_to(asn1::Value::sequence({asn1::Value::integer(1)}), body);
   EXPECT_FALSE(decode_frame(ByteSpan{body.data(), body.size()}).ok());
 
-  // APPLICATION tags outside the catalogue: the retired Advertise (4),
-  // NullRound (5), Probe (7) and ProbeAck (8) tags, and one never assigned.
-  // Each body carries enough integer fields for any retired layout.
-  for (const std::uint32_t tag : {4u, 5u, 7u, 8u, 99u}) {
+  // APPLICATION tags outside the catalogue: the retired Transfer (3),
+  // Advertise (4), NullRound (5), Probe (7) and ProbeAck (8) tags, and one
+  // never assigned. Each body carries enough integer fields for any retired
+  // layout.
+  for (const std::uint32_t tag : {3u, 4u, 5u, 7u, 8u, 99u}) {
     SCOPED_TRACE("APPLICATION " + std::to_string(tag));
     body.clear();
     asn1::encode_to(
@@ -198,28 +193,30 @@ TEST(TransportFrame, WrongEnvelopeAndBadFieldsAreDecodeErrors) {
                   body);
   EXPECT_FALSE(decode_frame(ByteSpan{body.data(), body.size()}).ok());
 
-  // Transfer with dir outside 0/1.
-  body.clear();
-  asn1::encode_to(
-      asn1::Value::application(
-          static_cast<std::uint32_t>(FrameType::Transfer),
-          {asn1::Value::integer(0), asn1::Value::integer(2),
-           asn1::Value::integer(1), asn1::Value::integer(0),
-           asn1::Value::integer(0), asn1::Value::octet_string({})}),
-      body);
-  EXPECT_FALSE(decode_frame(ByteSpan{body.data(), body.size()}).ok());
+  // One-entry batches whose entry is bad: dir outside 0/1, and a [0]
+  // interaction value that is not an INTEGER.
+  const auto one_entry_batch = [&body](std::vector<asn1::Value> entry) {
+    body.clear();
+    asn1::encode_to(
+        asn1::Value::application(
+            static_cast<std::uint32_t>(FrameType::TransferBatch),
+            {asn1::Value::integer(1),
+             asn1::Value::sequence({asn1::Value::sequence(std::move(entry))})}),
+        body);
+    return decode_frame(ByteSpan{body.data(), body.size()});
+  };
+  const auto bad_dir = one_entry_batch(
+      {asn1::Value::integer(0), asn1::Value::integer(2),
+       asn1::Value::integer(0), asn1::Value::integer(0),
+       asn1::Value::octet_string({})});
+  ASSERT_FALSE(bad_dir.ok());
+  EXPECT_EQ(bad_dir.error().code, asn1::kWrongType);
 
-  // Transfer whose [0] interaction value is not an INTEGER.
-  body.clear();
-  asn1::encode_to(
-      asn1::Value::application(
-          static_cast<std::uint32_t>(FrameType::Transfer),
-          {asn1::Value::integer(0), asn1::Value::integer(1),
-           asn1::Value::integer(1), asn1::Value::integer(0),
-           asn1::Value::integer(0), asn1::Value::octet_string({}),
-           asn1::Value::context(0, asn1::Value::boolean(true))}),
-      body);
-  const auto not_int = decode_frame(ByteSpan{body.data(), body.size()});
+  const auto not_int = one_entry_batch(
+      {asn1::Value::integer(0), asn1::Value::integer(1),
+       asn1::Value::integer(0), asn1::Value::integer(0),
+       asn1::Value::octet_string({}),
+       asn1::Value::context(0, asn1::Value::boolean(true))});
   ASSERT_FALSE(not_int.ok());
   EXPECT_EQ(not_int.error().code, asn1::kWrongType);
 }
@@ -251,11 +248,6 @@ asn1::Value frame_value(const Frame& f) {
     case FrameType::Welcome:
       body = {u64v(f.node), Value::boolean(f.accept),
               Value::utf8string(f.reason)};
-      break;
-    case FrameType::Transfer:
-      body = {u64v(f.channel), Value::integer(f.dir), u64v(f.round),
-              Value::integer(f.sent_at_ns)};
-      add_msg(body, f.msg);
       break;
     case FrameType::RoundDone:
       body = {u64v(f.node), u64v(f.round), Value::boolean(f.quiescent)};
@@ -303,41 +295,67 @@ TEST(TransportFrame, DirectWriterMatchesTheValueTreeEncoder) {
   }
 }
 
-TEST(TransportFrame, CorruptBatchEntriesAreSkippedNotFatal) {
-  // The length prefix already guaranteed framing, so one undecodable entry
-  // degrades to a per-entry rejection: siblings survive, the counter says
-  // how many were dropped, and the stream is NOT desynchronized.
+TEST(TransportFrame, ABadBatchEntryFailsTheWholeFrame) {
+  // A batch entry is a frame field like any other: one bad entry among good
+  // ones fails the decode with that entry's error, on the direct reader and
+  // on the tree reference alike, and the reassembler then treats the stream
+  // as corrupt.
   using asn1::Value;
   auto good = [](int i) {
     return Value::sequence({Value::integer(i), Value::integer(0),
                             Value::integer(100 + i), Value::integer(1),
                             Value::octet_string({0x01})});
   };
-  std::vector<Value> entries = {
-      good(0),
-      Value::sequence({Value::integer(1)}),  // missing fields
-      good(1),
-      Value::sequence({Value::integer(7), Value::integer(2),  // dir not 0/1
-                       Value::integer(0), Value::integer(0),
-                       Value::octet_string({})}),
-      Value::integer(9),  // not a SEQUENCE at all
-      // [0] holding a string, not an INTEGER
-      Value::sequence({Value::integer(8), Value::integer(0), Value::integer(0),
-                       Value::integer(0), Value::octet_string({}),
-                       Value::context(0, Value::utf8string("v"))}),
-      good(2)};
-  Bytes body;
-  asn1::encode_to(
-      Value::application(static_cast<std::uint32_t>(FrameType::TransferBatch),
-                         {Value::integer(5), Value::sequence(std::move(entries))}),
-      body);
-  const auto got = decode_frame(ByteSpan{body.data(), body.size()});
-  ASSERT_TRUE(got.ok()) << got.error().message;
-  EXPECT_EQ(got.value().round, 5u);
-  EXPECT_EQ(got.value().rejected_entries, 4u);
-  ASSERT_EQ(got.value().entries.size(), 3u);
-  for (std::uint32_t i = 0; i < 3; ++i)
-    EXPECT_EQ(got.value().entries[i].channel, i);
+  struct Bad {
+    const char* what;
+    Value entry;
+    int code;
+  };
+  const Bad bad[] = {
+      {"missing fields", Value::sequence({Value::integer(1)}),
+       asn1::kTruncated},
+      {"dir not 0/1",
+       Value::sequence({Value::integer(7), Value::integer(2),
+                        Value::integer(0), Value::integer(0),
+                        Value::octet_string({})}),
+       asn1::kWrongType},
+      {"not a SEQUENCE", Value::integer(9), asn1::kWrongType},
+      {"[0] holding a string",
+       Value::sequence({Value::integer(8), Value::integer(0),
+                        Value::integer(0), Value::integer(0),
+                        Value::octet_string({}),
+                        Value::context(0, Value::utf8string("v"))}),
+       asn1::kWrongType},
+  };
+  for (const Bad& b : bad) {
+    SCOPED_TRACE(b.what);
+    Bytes body;
+    asn1::encode_to(
+        Value::application(
+            static_cast<std::uint32_t>(FrameType::TransferBatch),
+            {Value::integer(5),
+             Value::sequence({good(0), good(1), b.entry, good(2)})}),
+        body);
+    const auto direct = decode_frame(ByteSpan{body.data(), body.size()});
+    ASSERT_FALSE(direct.ok());
+    EXPECT_EQ(direct.error().code, b.code) << direct.error().message;
+
+    const auto tree = asn1::decode(ByteSpan{body.data(), body.size()});
+    ASSERT_TRUE(tree.ok()) << tree.error().message;
+    const auto oracle = frame_from_value(tree.value());
+    ASSERT_FALSE(oracle.ok());
+    EXPECT_EQ(oracle.error().code, direct.error().code);
+    EXPECT_EQ(oracle.error().message, direct.error().message);
+
+    ASSERT_LT(body.size(), 256u);
+    Bytes wire = {0, 0, 0, static_cast<std::uint8_t>(body.size())};
+    wire.insert(wire.end(), body.begin(), body.end());
+    FrameReassembler rx;
+    rx.feed(ByteSpan{wire.data(), wire.size()});
+    Frame out;
+    std::string err;
+    EXPECT_EQ(rx.next(&out, &err), FrameReassembler::Next::kError);
+  }
 }
 
 TEST(TransportFrame, BatchReaderAcceptsExactlyWhatTheTreeAccepts) {
@@ -346,21 +364,19 @@ TEST(TransportFrame, BatchReaderAcceptsExactlyWhatTheTreeAccepts) {
   // codec_differential_test's mutator).
   //
   // An entry whose sent_at_ns is a [2] IMPLICIT primitive: as_int() takes a
-  // context-tagged primitive, so the entry is good, not rejected.
+  // context-tagged primitive, so the entry, and the frame, are good.
   const Bytes context_int = {0x6a, 0x15, 0x02, 0x01, 0x05, 0x30, 0x10, 0x30,
                              0x0e, 0x02, 0x01, 0x01, 0x02, 0x01, 0x00, 0x82,
                              0x01, 0x07, 0x02, 0x01, 0x09, 0x04, 0x00};
   const auto got = decode_frame(ByteSpan{context_int});
   ASSERT_TRUE(got.ok()) << got.error().message;
-  EXPECT_EQ(got.value().rejected_entries, 0u);
   ASSERT_EQ(got.value().entries.size(), 1u);
   EXPECT_EQ(got.value().entries[0].channel, 1u);
   EXPECT_EQ(got.value().entries[0].sent_at_ns, 7);
   EXPECT_EQ(got.value().entries[0].msg.kind, 9);
 
   // An entry whose second INTEGER claims five content octets it does not
-  // have: the body is not valid BER, so the frame fails as the tree fails,
-  // instead of decoding with the entry counted as rejected.
+  // have: the body is not valid BER, so the frame fails as the tree fails.
   const Bytes broken = {0x6a, 0x0c, 0x02, 0x01, 0x01, 0x30, 0x07,
                         0x30, 0x05, 0x02, 0x01, 0x00, 0x02, 0x05};
   const auto failed = decode_frame(ByteSpan{broken});
@@ -423,8 +439,8 @@ TEST(TransportFrame, BitFlipFuzzNeverCrashesOrMisframes) {
   // Flip every single byte of a valid frame to 64 random values: decode
   // must either fail cleanly or produce *some* frame — never crash. (The
   // length prefix is kept intact so the flip lands in the BER body.) The
-  // fat Transfer and the fat TransferBatch are the two frames with real
-  // structure to corrupt.
+  // one-entry batch with a value and the fat batch are the two frames with
+  // real structure to corrupt.
   const std::vector<Frame> all = catalogue();
   common::Rng rng(0x7ea7);
   Frame out;
