@@ -84,10 +84,6 @@ Value Value::context(std::uint32_t tag, Value inner) {
   return raw(TagClass::ContextSpecific, tag, true, {}, std::move(children));
 }
 
-Value Value::context_primitive(std::uint32_t tag, Bytes content) {
-  return raw(TagClass::ContextSpecific, tag, false, std::move(content), {});
-}
-
 Value Value::application(std::uint32_t tag, std::vector<Value> children) {
   return raw(TagClass::Application, tag, true, {}, std::move(children));
 }

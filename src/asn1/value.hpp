@@ -73,8 +73,6 @@ class Value {
   static Value set(std::vector<Value> children);
   /// [n] EXPLICIT wrapper (constructed context tag around one child).
   static Value context(std::uint32_t tag, Value inner);
-  /// [n] IMPLICIT primitive (context tag directly carrying content octets).
-  static Value context_primitive(std::uint32_t tag, Bytes content);
   /// APPLICATION-class constructed tag — used for MCAM PDU outer tags.
   static Value application(std::uint32_t tag, std::vector<Value> children);
 

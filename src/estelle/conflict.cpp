@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/strf.hpp"
+#include "estelle/ready_set.hpp"
 
 namespace mcam::estelle {
 
@@ -38,19 +39,18 @@ void ConflictAnalysis::rebuild() {
   cross_channels_.clear();
   conflicts_.clear();
 
-  // Shard assignment: one shard per system module, document order. Stamp the
-  // id on every module of the subtree (including modules outside any system
-  // subtree, which get kNoShard via the initial sweep below).
-  spec_.root().for_each([](Module& m) { m.set_shard(kNoShard); });
-  for (Module* sys : spec_.system_modules()) {
+  // Shard assignment: one shard per system module, document order — the
+  // scopes of the specification's ready set, whose seeding stamps the ids
+  // on the modules (Module::shard).
+  SpecReadySet& ready = spec_.ready_set();
+  ready.refresh();
+  for (int s = 0; s < ready.size(); ++s) {
     ShardInfo shard;
-    shard.id = static_cast<int>(shards_.size());
-    shard.system_module = sys;
-    shard.uniprocessor_host = sys->uniprocessor_host();
-    sys->for_each([&](Module& m) {
-      m.set_shard(shard.id);
-      shard.modules.push_back(&m);
-    });
+    shard.id = s;
+    shard.system_module = &ready.system_module(s);
+    shard.uniprocessor_host = shard.system_module->uniprocessor_host();
+    shard.system_module->for_each(
+        [&shard](Module& m) { shard.modules.push_back(&m); });
     shards_.push_back(std::move(shard));
   }
 
@@ -94,6 +94,11 @@ void ConflictAnalysis::rebuild() {
       }
     }
   });
+
+  for (const CrossShardChannel& ch : cross_channels_) {
+    shards_[static_cast<std::size_t>(ch.shard_a)].boundary.push_back(ch.a);
+    shards_[static_cast<std::size_t>(ch.shard_b)].boundary.push_back(ch.b);
+  }
 
   // Shared loss Rng across shards: the sender mutates the Rng at output()
   // time, outside any commit phase.

@@ -50,6 +50,9 @@ struct ShardInfo {
   /// Every module of the subtree, depth-first (recomputed on refresh; the
   /// subtree population may change dynamically, the root may not — R6).
   std::vector<Module*> modules;
+  /// The shard's endpoints of cross-shard channels: the only interaction
+  /// points a transfer can park on.
+  std::vector<InteractionPoint*> boundary;
   bool uniprocessor_host = false;
 };
 
@@ -87,10 +90,12 @@ class ConflictAnalysis {
  public:
   explicit ConflictAnalysis(Specification& spec);
 
-  /// Rebuild if the topology changed since the last build; also re-stamps
-  /// shard ids onto every module (Module::set_shard), which is what arms
-  /// the cross-shard routing in InteractionPoint::deliver. Cheap when
-  /// nothing changed (one integer compare).
+  /// Rebuild if the topology changed since the last build. The shards are
+  /// the scopes of the specification's ready set (SpecReadySet), which a
+  /// rebuild brings up to date; its seeding stamps the shard ids onto every
+  /// module (Module::shard), which is what arms the cross-shard routing in
+  /// InteractionPoint::deliver. Cheap when nothing changed (one integer
+  /// compare).
   void refresh();
 
   [[nodiscard]] Specification& specification() const noexcept { return spec_; }

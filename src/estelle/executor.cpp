@@ -1,13 +1,12 @@
 #include "estelle/executor.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <limits>
 #include <optional>
 #include <stdexcept>
-#include <utility>
-
-#include <algorithm>
-
 #include <thread>
+#include <utility>
 
 #include "estelle/free_executor.hpp"
 #include "estelle/module.hpp"
@@ -118,6 +117,22 @@ void Executor::remove_run_observer(RunObserver* observer) noexcept {
 // ---------------------------------------------------------------------------
 // ExecutorBase
 
+namespace {
+std::atomic<std::uint64_t> g_next_executor_id{1};
+}  // namespace
+
+ExecutorBase::ExecutorBase(Specification& spec, std::uint64_t step_limit)
+    : spec_(spec),
+      step_limit_(step_limit),
+      id_(g_next_executor_id.fetch_add(1, std::memory_order_relaxed)) {}
+
+void ExecutorBase::take_over() {
+  spec_.root().for_each([](Module& m) {
+    for (const auto& ip : m.ips())
+      if (ip->has_pending_transfers()) ip->drain_transfers();
+  });
+}
+
 /// Fans one notification out to the executor's persistent run_observers()
 /// followed by the run's RunOptions::observers. An observer present in both
 /// lists is notified once, not twice.
@@ -219,8 +234,10 @@ RunReport ExecutorBase::run(const RunOptions& opts) {
   } deadline_scope{*this, prev_deadline, prev_step_limit, prev_run_steps,
                    prev_has_predicate};
 
-  // Another executor may have run this specification further.
+  // Another executor may have run this specification further: start from
+  // the time it reached, and pick up what it left.
   if (spec_.reached_time() > now_) now_ = spec_.reached_time();
+  if (spec_.claim(id_)) take_over();
 
   const auto make_report = [&](StopReason reason, std::uint64_t steps) {
     finalize_stats();

@@ -403,8 +403,7 @@ class ExecutorBase : public Executor {
   }
 
  protected:
-  ExecutorBase(Specification& spec, std::uint64_t step_limit)
-      : spec_(spec), step_limit_(step_limit) {}
+  ExecutorBase(Specification& spec, std::uint64_t step_limit);
 
   /// One scheduling round; returns false when the world is quiescent.
   virtual bool step() = 0;
@@ -415,6 +414,13 @@ class ExecutorBase : public Executor {
   /// RunReport::shards). Runs after the common fields are assembled, before
   /// observers see the report.
   virtual void decorate_report(RunReport& /*report*/) {}
+  /// Called by run() when this executor takes the specification over from
+  /// another one (Specification::claim), after the clock was raised to the
+  /// time the specification reached. The dirty set is the specification's
+  /// and needs nothing. This default serves the backends that deliver every
+  /// output at once (Sequential, ParallelSim): it delivers the cross-shard
+  /// transfers a shard backend left parked when it stopped mid-exchange.
+  virtual void take_over();
 
   /// Clamped idle-wakeup jump shared by every backend: advance the clock to
   /// min(wake, the active run's deadline), never backwards. A wake at or
@@ -440,12 +446,11 @@ class ExecutorBase : public Executor {
   SimTime run_deadline_{std::numeric_limits<std::int64_t>::max()};
   /// Global rounds the last step() call completed, consumed (and reset to 1)
   /// by the run loop: `steps += last_step_rounds_`. Every round-based
-  /// backend leaves it at 1; the burst-running ones (FreeRunning's free
-  /// sessions, single-node Distributed) execute whole bursts of rounds
-  /// inside one step() and report the burst size here so RunReport::steps
-  /// and the StepLimit accounting keep meaning "global rounds", whatever the
-  /// dispatch style. A step() that throws counts last_step_rounds_ - 1
-  /// rounds, so a burst raises it ahead of each further round.
+  /// backend leaves it at 1; FreeRunning's free sessions execute whole
+  /// bursts of rounds inside one step() and report the burst size here so
+  /// RunReport::steps and the StepLimit accounting keep meaning "global
+  /// rounds", whatever the dispatch style. A step() that throws counts
+  /// last_step_rounds_ - 1 rounds.
   std::uint64_t last_step_rounds_ = 1;
   /// Tightest StopCondition::max_steps() budget of the active run (max u64
   /// when none) and the rounds completed so far in it — a burst-running
@@ -461,6 +466,7 @@ class ExecutorBase : public Executor {
 
  private:
   class Chain;
+  const std::uint64_t id_;  // this instance's Specification::claim
   RunObserver* chain_ = nullptr;
   /// Firings contributed by reentrant inner run() calls during the active
   /// run — subtracted so RunReport::fired stays "fired in THIS run".

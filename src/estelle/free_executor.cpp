@@ -43,15 +43,18 @@ void FreeRunningExecutor::start_session() {
   // once, hosts every session.
   if (!pool_) pool_ = std::make_unique<WorkerPool>(static_cast<int>(nshards));
 
-  // Same reseed / ledger-ownership / routing policy as the barrier path.
-  route_ready_ledger();
+  // The same dirty set, brought up to date the same way as by the barrier
+  // path.
+  const bool ledger_grew = spec_.ready_set().refresh();
 
   // Absorb transfers left parked by a stopped previous run: their round
   // stamps belong to a dead numbering, and this session starts from a clean
   // mailbox state (the watermark rule still raises the receiving clock).
-  for (ShardState& shard : shards_) {
+  for (std::size_t s = 0; s < nshards; ++s) {
+    ShardState& shard = shards_[s];
     SimTime wm = shard.clock;
-    for (InteractionPoint* ip : shard.boundary) ip->drain_transfers(&wm);
+    for (InteractionPoint* ip : analysis_->shards()[s].boundary)
+      ip->drain_transfers(&wm);
     if (wm > shard.clock) shard.clock = wm;
   }
 
@@ -87,11 +90,9 @@ void FreeRunningExecutor::start_session() {
         b.neighbors.end())
       b.neighbors.push_back(ch.shard_a);
   }
-  for (std::size_t s = 0; s < nshards; ++s) {
-    footprint += slots_[s]->log.capacity() + slots_[s]->neighbors.capacity() +
-                 shards_[s].boundary.capacity();
-  }
-  if (footprint != slot_footprint_seen_) {
+  for (std::size_t s = 0; s < nshards; ++s)
+    footprint += slots_[s]->log.capacity() + slots_[s]->neighbors.capacity();
+  if (footprint != slot_footprint_seen_ || ledger_grew) {
     slot_footprint_seen_ = footprint;
     ++stats_.rounds_with_allocation;
   }
@@ -161,19 +162,15 @@ void FreeRunningExecutor::route_ledger_locked() {
     slot.wake_pending = true;
     slot.cv.notify_all();
   };
-  spec_.ready_ledger().drain([this, &wake_at_watermark](Module& m) {
-    const int s = m.shard();
-    if (s < 0 || s >= static_cast<int>(shards_.size())) return;
-    shards_[static_cast<std::size_t>(s)].ready.mark(m);
-    wake_at_watermark(*slots_[static_cast<std::size_t>(s)]);
-  });
-  // Re-examine parked shards that still hold sticky-guard modules in their
-  // ready lists: an opaque guard may read state a between-burst hook (stop
-  // predicate, observer) just changed, and only a re-evaluation can see it —
-  // the same conservative rule that keeps dirty-set scheduling exact.
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    if (shards_[s].ready.has_ready()) wake_at_watermark(*slots_[s]);
-  }
+  if (spec_.ready_set().refresh()) ++stats_.rounds_with_allocation;
+  // Wake every parked shard with modules to re-examine: the ones the drain
+  // just marked, and sticky-guard modules, since an opaque guard may read
+  // state a between-burst hook (stop predicate, observer) just changed and
+  // only a re-evaluation can see it — the same conservative rule that keeps
+  // dirty-set scheduling exact.
+  for (std::size_t s = 0; s < slots_.size(); ++s)
+    if (spec_.ready_set().scope(static_cast<int>(s)).has_ready())
+      wake_at_watermark(*slots_[s]);
 }
 
 bool FreeRunningExecutor::all_blocked_locked() const {
@@ -561,7 +558,7 @@ bool FreeRunningExecutor::park_until(Slot& slot, SlotState why, Pred ready) {
   return !stop_;
 }
 
-bool FreeRunningExecutor::passive_park(Slot& slot, const ShardState& shard) {
+bool FreeRunningExecutor::passive_park(Slot& slot, int s) {
   std::unique_lock<std::mutex> lock(smu_);
   if (stop_) return false;
   if (slot.wake_pending) {
@@ -571,7 +568,8 @@ bool FreeRunningExecutor::passive_park(Slot& slot, const ShardState& shard) {
   // Last-instant recheck under the session lock: a delivery that raced the
   // drain has already published its mailbox count (the hook runs after the
   // store), so an empty check here really means nothing is pending.
-  for (InteractionPoint* ip : shard.boundary)
+  for (InteractionPoint* ip :
+       analysis_->shards()[static_cast<std::size_t>(s)].boundary)
     if (ip->has_pending_transfers()) return true;
   slot.state = SlotState::Passive;
   ++slot.parks;
@@ -639,7 +637,7 @@ bool FreeRunningExecutor::continuation_round(int s, Slot& slot,
   // scheduler's idle round. No deadline, or one the clamp truncates to the
   // current clock (the shard is pinned at the run deadline), means there is
   // nothing to do.
-  const SimTime wake = shard.ready.next_deadline();
+  const SimTime wake = spec_.ready_set().scope(s).next_deadline();
   if (wake == kNeverTime) return false;
   const SimTime cap{session_deadline_ns_.load(std::memory_order_relaxed)};
   const SimTime target = std::min(wake, cap);
@@ -719,7 +717,7 @@ void FreeRunningExecutor::shard_loop(int s, Slot& slot, ShardState& shard) {
             jump, slots_[static_cast<std::size_t>(nb)]->advertised.load() + 1);
       if (jump > slot.completed) complete_round(slot, jump);
       continue;
-    } else if (!passive_park(slot, shard)) {
+    } else if (!passive_park(slot, s)) {
       return;
     }
 
@@ -742,7 +740,7 @@ void FreeRunningExecutor::shard_main(int s) {
   ShardState& shard = shards_[static_cast<std::size_t>(s)];
   // Route every dirty mark this thread produces straight into the shard's
   // own ready scope — the lock-free dirty tracking of the round hot path.
-  LocalReadyScopeBinding binding(shard.ready, spec_, s);
+  LocalReadyScopeBinding binding(spec_, s);
   try {
     shard_loop(s, slot, shard);
   } catch (...) {

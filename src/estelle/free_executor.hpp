@@ -108,11 +108,6 @@ class FreeRunningExecutor final : public ShardedExecutor,
   /// The continuation pool (null until the first session).
   [[nodiscard]] const WorkerPool* pool() const noexcept { return pool_.get(); }
 
-  /// Lifetime continuation-dispatch counters (also published through
-  /// RunReport::free_running).
-  [[nodiscard]] const FreeRunningStats& free_running_stats() const noexcept {
-    return free_stats_;
-  }
   /// True while shard continuation tasks are live on the pool (between the
   /// first burst of a run and that run's end).
   [[nodiscard]] bool session_active() const noexcept { return session_active_; }
@@ -225,7 +220,7 @@ class FreeRunningExecutor final : public ShardedExecutor,
   void complete_round(Slot& slot, std::uint64_t round);
   void log_push(Slot& slot, const FiredEntry& entry);
   bool gate_wait(Slot& slot, Slot& target, int target_id, std::uint64_t need);
-  bool passive_park(Slot& slot, const ShardState& shard);
+  bool passive_park(Slot& slot, int s);
   template <typename Pred>
   bool park_until(Slot& slot, SlotState why, Pred ready);
 

@@ -45,7 +45,10 @@ inline constexpr int kAnyKind = -1;
 /// Matches any FSM state in a `from` clause.
 inline constexpr int kAnyState = -1;
 
-/// Shard id meaning "not assigned to any shard" (unsharded execution).
+/// Shard id of a module outside every system subtree, or of any module
+/// before its specification's ready set first seeds (Module::shard); also
+/// what ShardExecutionScope::current_shard() reports on a thread that runs
+/// no shard round.
 inline constexpr int kNoShard = -1;
 
 /// One Estelle interaction: a kind (the interaction name in the channel

@@ -141,7 +141,7 @@ void Module::adopt(std::unique_ptr<Module> child) {
   child->parent_ = this;
   child->set_specification(spec_);
   // Inherit the shard immediately: a module created by a firing action must
-  // be routable before the next ConflictAnalysis refresh.
+  // be routable before the next reseed of the ready set.
   child->for_each([this](Module& m) { m.shard_ = shard_; });
   Module& ref = *child;
   children_.push_back(std::move(child));
@@ -321,37 +321,38 @@ const Transition* Module::select_fireable(common::SimTime now,
 
 namespace {
 
-// The per-thread mark routing (LocalReadyScopeBinding).
-thread_local ReadyScope* t_ready_scope = nullptr;
+// The per-thread mark routing (LocalReadyScopeBinding): the bound
+// specification's scopes, and the bound shard (kNoShard: every shard).
+thread_local ReadyScope* t_ready_scopes = nullptr;
 thread_local const Specification* t_ready_spec = nullptr;
 thread_local int t_ready_shard = kNoShard;
 
 }  // namespace
 
-LocalReadyScopeBinding::LocalReadyScopeBinding(ReadyScope& scope,
-                                               const Specification& spec,
+LocalReadyScopeBinding::LocalReadyScopeBinding(Specification& spec,
                                                int shard) noexcept
-    : prev_scope_(t_ready_scope),
+    : prev_scopes_(t_ready_scopes),
       prev_spec_(t_ready_spec),
       prev_shard_(t_ready_shard) {
-  t_ready_scope = &scope;
+  t_ready_scopes = spec.ready_set().scopes_.data();
   t_ready_spec = &spec;
   t_ready_shard = shard;
 }
 
 LocalReadyScopeBinding::~LocalReadyScopeBinding() {
-  t_ready_scope = prev_scope_;
+  t_ready_scopes = prev_scopes_;
   t_ready_spec = prev_spec_;
   t_ready_shard = prev_shard_;
 }
 
 void Module::mark_ready() noexcept {
-  if (t_ready_scope != nullptr && shard_ == t_ready_shard &&
-      spec_ == t_ready_spec) {
-    t_ready_scope->mark(*this);
+  if (spec_ == nullptr) return;
+  if (spec_ == t_ready_spec && shard_ != kNoShard &&
+      (t_ready_shard == kNoShard || shard_ == t_ready_shard)) {
+    t_ready_scopes[shard_].mark(*this);
     return;
   }
-  if (spec_ != nullptr) spec_->ready_ledger().mark(*this);
+  spec_->ready_ledger().mark(*this);
 }
 
 // ---------------------------------------------------------------------------
@@ -392,9 +393,12 @@ void Module::set_specification(Specification* spec) noexcept {
 
 Specification::Specification(std::string name)
     : name_(std::move(name)),
+      ready_set_(std::make_unique<SpecReadySet>(*this)),
       root_(std::make_unique<Module>("spec:" + name_, Attribute::Inactive)) {
   root_->set_specification(this);
 }
+
+Specification::~Specification() = default;
 
 void Specification::initialize() {
   if (initialized_)

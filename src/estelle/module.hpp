@@ -39,6 +39,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -169,6 +170,7 @@ enum class DispatchKind { LinearScan, StateTable };
 
 class Specification;
 class ReadyScope;
+class SpecReadySet;
 
 /// Side-channel of one fireability evaluation, filled by is_fireable() /
 /// select_fireable() when the caller passes one. The event-driven schedulers
@@ -193,9 +195,11 @@ struct ReadinessProbe {
 
 /// Specification-owned queue of modules whose fireability may have changed
 /// since a scheduler last examined them. Producers are the dirty hooks
-/// (interaction delivery, state changes, firing, transition registration);
-/// the consumer is whichever executor is driving the specification, which
-/// drains the queue at round boundaries into its own ready sets.
+/// (interaction delivery, state changes, firing, transition registration)
+/// whose mark no bound scope takes (LocalReadyScopeBinding); the one
+/// consumer is SpecReadySet::refresh (ready_set.hpp), which whichever
+/// executor drives the specification calls at round boundaries, and which
+/// routes each module to its own system module's scope.
 ///
 /// mark() is thread-safe (worker threads firing independent candidates or
 /// whole shards mark concurrently); drain()/clear() are boundary operations
@@ -222,16 +226,6 @@ class ReadyLedger {
   /// the surviving modules' flags via a tree walk.
   void clear_unsafe() noexcept { entries_.clear(); }
 
-  /// Claim the consumer role. Returns true when `owner` differs from the
-  /// previous consumer — the new consumer must then seed itself with a full
-  /// scan, because earlier events were drained by someone else.
-  bool acquire(const void* owner) noexcept {
-    const bool changed = owner_ != owner;
-    owner_ = owner;
-    return changed;
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
   [[nodiscard]] std::size_t capacity() const noexcept {
     return entries_.capacity();
   }
@@ -241,7 +235,6 @@ class ReadyLedger {
 
   std::mutex mu_;  // guards entries_ growth from concurrent markers
   std::vector<Module*> entries_;
-  const void* owner_ = nullptr;
 };
 
 /// Base class for all Estelle modules. Subclasses declare IPs and
@@ -361,15 +354,16 @@ class Module {
   /// Nearest ancestor (or self) that is a system module; nullptr if none.
   [[nodiscard]] Module* owning_system_module() noexcept;
 
-  /// Shard this module executes on (kNoShard until a ConflictAnalysis has
-  /// bound shards). One shard per system-module subtree: the id is stamped
-  /// on every module of the subtree, and interaction delivery uses it to
+  /// Shard this module executes on: the document-order index of its system
+  /// module, stamped on every module of the subtree when the
+  /// specification's ready set seeds (SpecReadySet, on its first use —
+  /// a first round or a ConflictAnalysis — and after every topology
+  /// change). kNoShard before that and outside every system subtree. It
+  /// picks the module's ReadyScope, and interaction delivery uses it to
   /// route cross-shard messages through the transfer mailboxes. Children
   /// created dynamically inherit the parent's shard immediately (adopt()),
-  /// so mid-run creations stay correctly routed until the next analysis
-  /// refresh.
+  /// so mid-run creations stay correctly routed until the next reseed.
   [[nodiscard]] int shard() const noexcept { return shard_; }
-  void set_shard(int shard) noexcept { shard_ = shard; }
 
   /// Walk the subtree, depth-first, calling f on every module.
   void for_each(const std::function<void(Module&)>& f);
@@ -378,6 +372,7 @@ class Module {
   friend class Specification;
   friend class ReadyLedger;
   friend class ReadyScope;
+  friend class SpecReadySet;
 
   void adopt(std::unique_ptr<Module> child);
   void check_child_rules(const Module& child) const;
@@ -423,9 +418,9 @@ class Module {
   int shard_ = -1;  // kNoShard; see shard()
 
   // ---- event-driven scheduling state (see ready_set.hpp) -----------------
-  // Owned logically by the one ReadyScope currently driving this module
-  // (whole-spec scope under Sequential, the module's shard scope under the
-  // shard-based backends); scope handoffs reset everything via a full reseed.
+  // Owned by the module's one ReadyScope, its system module's scope in the
+  // specification's SpecReadySet, whichever executor drives it; a reseed
+  // (first use, topology change) resets everything.
   std::atomic<bool> ledger_marked_{false};  // queued in the spec ReadyLedger
   bool scope_ready_ = false;                // member of a scope's ready list
   const Transition* cached_fireable_ = nullptr;  // last evaluation's result
@@ -449,6 +444,7 @@ class Module {
 class Specification {
  public:
   explicit Specification(std::string name);
+  ~Specification();
 
   [[nodiscard]] Module& root() noexcept { return *root_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -461,10 +457,11 @@ class Specification {
   [[nodiscard]] std::vector<Module*> system_modules();
 
   /// Monotone counter bumped on every structural change (module adopted or
-  /// released, channel connected or disconnected). ConflictAnalysis caches
-  /// the version it was computed at and rebuilds only when it moved, so
-  /// per-round freshness checks are one integer compare. Atomic because
-  /// firing actions may adopt/connect concurrently on worker threads.
+  /// released, channel connected or disconnected). ConflictAnalysis and the
+  /// ready set cache the version they were built at and rebuild only when
+  /// it moved, so per-round freshness checks are one integer compare.
+  /// Atomic because firing actions may adopt/connect concurrently on worker
+  /// threads.
   [[nodiscard]] std::uint64_t topology_version() const noexcept {
     return topology_version_.load(std::memory_order_acquire);
   }
@@ -475,6 +472,10 @@ class Specification {
   /// The dirty-module queue feeding event-driven scheduling (ready_set.hpp).
   [[nodiscard]] ReadyLedger& ready_ledger() noexcept { return ready_ledger_; }
 
+  /// The dirty set itself: one ReadyScope per system module, shared by
+  /// every executor that runs this specification (ready_set.hpp).
+  [[nodiscard]] SpecReadySet& ready_set() noexcept { return *ready_set_; }
+
   /// The latest virtual time any run of this specification reached, on any
   /// executor. Each executor keeps its own clock; every run starts from
   /// this, so handing the specification to another executor never moves
@@ -484,6 +485,14 @@ class Specification {
   }
   void note_reached_time(common::SimTime t) noexcept {
     if (t > reached_time_) reached_time_ = t;
+  }
+
+  /// Record that executor `id` (ExecutorBase numbers its instances) runs
+  /// this specification; true when another executor ran it last. The
+  /// dirty set lives here, so a hand-off keeps it; the new executor only
+  /// does its takeover chores (ExecutorBase::take_over).
+  bool claim(std::uint64_t id) noexcept {
+    return std::exchange(runner_, id) != id;
   }
 
   /// Cross-shard delivery wake signal (interaction.hpp). The free-running
@@ -500,45 +509,44 @@ class Specification {
 
  private:
   std::string name_;
-  /// Declared before root_ so it outlives every module's destructor (a
+  /// Declared before root_ so they outlive every module's destructor (a
   /// teardown hook may still reach the ledger through spec_).
   ReadyLedger ready_ledger_;
+  std::unique_ptr<SpecReadySet> ready_set_;
   std::unique_ptr<Module> root_;
   bool initialized_ = false;
   common::SimTime reached_time_{};
+  std::uint64_t runner_ = 0;  // the claim of the last executor; 0 = none
   std::atomic<std::uint64_t> topology_version_{0};
   std::atomic<CrossShardWakeSink*> wake_sink_{nullptr};
 };
 
 /// While alive on a thread, Module::mark_ready() calls for the modules of
-/// `spec` whose shard() is `shard` route straight into `scope` — the
-/// ReadyScope owned and driven by the calling thread — instead of the
-/// specification-global ReadyLedger: no atomic flag, no mutex, no drain.
-///   * A free-running shard binds its own scope for its whole loop. Every
+/// `spec` in shard `shard` (in every shard when it is kNoShard) go straight
+/// into their scopes of the specification's SpecReadySet instead of its
+/// ReadyLedger: no atomic flag, no mutex, no drain. Only the thread that
+/// drives those scopes may bind them.
+///   * A free-running shard binds its own shard for its whole loop. Every
 ///     fireability event a shard round produces (firing, state change, pop,
-///     same-shard delivery, drain) targets the shard's own modules, so it
-///     lands in the shard's own ready list with no cross-shard routing pass.
-///   * Sequential binds its whole-spec scope, with shard kNoShard, for the
-///     firing loop of each round. A module stamped with a shard by an
-///     earlier ConflictAnalysis falls back to the ledger there, as do marks
-///     made outside the loop (the driver, stop predicates); the next collect
-///     drains them.
-/// Marks for other modules (a foreign shard or another specification,
-/// possible only beyond the Estelle channel contract) still fall through to
-/// the thread-safe ledger of the module's own specification. A binding is
-/// only ever installed by the executor that owns the ledger for the
-/// duration (ReadyLedger::acquire), so a hand-off between executors still
-/// reseeds.
+///     same-shard delivery, drain) targets the shard's own modules.
+///   * A barrier round binds each shard while it drains, collects and fires
+///     it.
+///   * Sequential binds every shard for the firing loop of each round.
+/// Every other mark takes the thread-safe ledger of the module's own
+/// specification, which the next refresh drains: marks made outside a
+/// binding (by the caller between runs, stop predicates, ParallelSim's
+/// firings), and marks for a module outside every system subtree or of
+/// another shard or specification (possible only beyond the Estelle channel
+/// contract).
 class LocalReadyScopeBinding {
  public:
-  LocalReadyScopeBinding(ReadyScope& scope, const Specification& spec,
-                         int shard) noexcept;
+  LocalReadyScopeBinding(Specification& spec, int shard) noexcept;
   ~LocalReadyScopeBinding();
   LocalReadyScopeBinding(const LocalReadyScopeBinding&) = delete;
   LocalReadyScopeBinding& operator=(const LocalReadyScopeBinding&) = delete;
 
  private:
-  ReadyScope* prev_scope_;
+  ReadyScope* prev_scopes_;
   const Specification* prev_spec_;
   int prev_shard_;
 };

@@ -147,66 +147,61 @@ void ReadyScope::clear() noexcept {
   round_allocated_ = false;
 }
 
-void ReadyScope::reset_module(Module& m, std::uint32_t preorder) noexcept {
-  m.ledger_marked_.store(false, std::memory_order_relaxed);
-  m.scope_ready_ = false;
-  m.cached_fireable_ = nullptr;
-  m.fireable_slot_ = -1;
-  m.preorder_ = preorder;
-  m.claim_stamp_ = 0;
-  m.queued_deadline_ = kNeverTime;
-}
-
 // ---------------------------------------------------------------------------
 // SpecReadySet
 
-const std::vector<FiringCandidate>& SpecReadySet::collect(common::SimTime now) {
+bool SpecReadySet::refresh() {
   ReadyLedger& ledger = spec_.ready_ledger();
-  // Ledger growth since we last looked counts as this round's allocation
-  // (the marks that grew it happened while the previous round fired).
-  ledger_grew_ = ledger.capacity() != ledger_capacity_seen_;
-  ledger_capacity_seen_ = ledger.capacity();
-  const bool owner_changed = ledger.acquire(this);
-  if (!seeded_ || owner_changed ||
-      seen_version_ != spec_.topology_version()) {
+  if (seen_version_ != spec_.topology_version()) {
     reseed();
   } else {
-    ledger.drain([this](Module& m) { scope_.mark(m); });
+    ledger.drain([this](Module& m) {
+      if (m.shard_ != kNoShard)
+        scopes_[static_cast<std::size_t>(m.shard_)].mark(m);
+    });
   }
-  return scope_.collect(now);
+  const bool grew = ledger.capacity() != ledger_capacity_seen_;
+  ledger_capacity_seen_ = ledger.capacity();
+  return grew;
 }
 
 void SpecReadySet::reseed() {
-  seeded_ = true;
   seen_version_ = spec_.topology_version();
   // Queued entries may point at destroyed modules; forget them without
-  // looking. The tree walk below resets every survivor's intrusive state.
+  // looking. The walks below reset every survivor's intrusive state.
   spec_.ready_ledger().clear_unsafe();
-  scope_.clear();
   std::uint32_t preorder = 0;
-  spec_.root().for_each([&](Module& m) {
-    // Transfers a shard backend left parked (a run stopped mid-exchange)
-    // are due now: every output is delivered at once here.
-    for (const auto& ip : m.ips())
-      if (ip->has_pending_transfers()) ip->drain_transfers();
-    ReadyScope::reset_module(m, preorder++);
-    // Seed everything: modules outside system subtrees cannot carry
-    // transitions (rule R1), so they evaluate to "nothing" once and drop out.
-    scope_.mark(m);
+  spec_.root().for_each([&preorder](Module& m) {
+    m.ledger_marked_.store(false, std::memory_order_relaxed);
+    m.scope_ready_ = false;
+    m.cached_fireable_ = nullptr;
+    m.fireable_slot_ = -1;
+    m.preorder_ = preorder++;
+    m.claim_stamp_ = 0;
+    m.queued_deadline_ = kNeverTime;
+    m.shard_ = kNoShard;
   });
+  systems_ = spec_.system_modules();
+  scopes_.resize(systems_.size());
+  for (std::size_t s = 0; s < systems_.size(); ++s) {
+    ReadyScope& scope = scopes_[s];
+    scope.clear();
+    // Seed every module of the subtree. Modules outside the system subtrees
+    // carry no transitions (rule R1), so they need no scope.
+    systems_[s]->for_each([&scope, s](Module& m) {
+      m.shard_ = static_cast<int>(s);
+      scope.mark(m);
+    });
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Verification
 
-void verify_against_full_scan(const std::vector<Module*>& system_modules,
-                              common::SimTime now,
+void verify_against_full_scan(Module& system_module, common::SimTime now,
                               const std::vector<FiringCandidate>& got) {
-  std::vector<FiringCandidate> ref;
-  for (Module* sm : system_modules) {
-    const std::vector<FiringCandidate> part = collect_firing_set(*sm, now);
-    ref.insert(ref.end(), part.begin(), part.end());
-  }
+  const std::vector<FiringCandidate> ref =
+      collect_firing_set(system_module, now);
   const auto describe = [](const FiringCandidate& c) {
     return c.module->path() + "/" +
            (c.transition->name.empty() ? "?" : c.transition->name);

@@ -16,17 +16,20 @@
 //     transition registered, or an explicit mark_ready() by code that
 //     writes what a hooked guard reads. A mark made while the module's
 //     scope is bound on the calling thread (LocalReadyScopeBinding: a
-//     Sequential round's firing loop, a free-running shard's loop) goes
-//     straight into that scope's ready list. Every other mark lands in the
-//     specification's ReadyLedger (module.hpp), which the executor drains
-//     at round boundaries.
-//   * ReadyScope — one scheduling domain's persistent state: the ready list
+//     Sequential round's firing loop, a barrier round's shard, a
+//     free-running shard's loop) goes straight into that scope's ready
+//     list. Every other mark lands in the specification's ReadyLedger
+//     (module.hpp), which SpecReadySet::refresh drains at round boundaries,
+//     each module into its own scope.
+//   * ReadyScope — one system module's persistent state: the ready list
 //     (modules to re-evaluate), the fireable cache F (modules whose last
 //     evaluation selected a transition), a min-heap of delay deadlines
-//     (state_entered_at + delay), and the reusable candidate buffer. One
-//     scope spans the whole specification under Sequential; the shard-based
-//     backends keep one per shard (ready sets and heaps live in
-//     ShardState).
+//     (state_entered_at + delay), and the reusable candidate buffer. The
+//     specification keeps one per system module (SpecReadySet), and every
+//     executor drives those: Sequential collects them all each round, a
+//     barrier round the scopes of its shards, a free-running shard its own.
+//     So the dirty set exists once, and handing a specification to another
+//     executor keeps it.
 //   * collect(now) — pops matured deadlines, re-evaluates exactly the ready
 //     modules, then rebuilds the round's candidates from F alone: sort by
 //     document-order DFS index, drop candidates with a fireable ancestor
@@ -70,10 +73,9 @@
 
 namespace mcam::estelle {
 
-/// Persistent per-domain scheduling state; see the header comment. Not
-/// thread-safe: one thread drives a scope at a time (the run thread under
-/// Sequential; under the shard-based backends, whichever thread currently
-/// runs the shard).
+/// One system module's persistent scheduling state; see the header comment.
+/// Not thread-safe: one thread drives a scope at a time (the run thread,
+/// or the thread that runs the scope's shard in a free session).
 class ReadyScope {
  public:
   /// Enqueue `m` for re-evaluation at the next collect (idempotent).
@@ -114,13 +116,9 @@ class ReadyScope {
   }
 
   /// Drop all state without dereferencing stored module pointers (a
-  /// topology change may have destroyed some). The caller resets the
-  /// surviving modules' intrusive fields via reset_module.
+  /// topology change may have destroyed some). The reseed resets the
+  /// surviving modules' intrusive fields.
   void clear() noexcept;
-
-  /// Reset `m`'s intrusive scheduling fields and stamp its document-order
-  /// DFS index — the per-module half of a reseed.
-  static void reset_module(Module& m, std::uint32_t preorder) noexcept;
 
  private:
   struct Deadline {
@@ -144,50 +142,57 @@ class ReadyScope {
   bool round_allocated_ = false;
 };
 
-/// Whole-specification ready-set driver of the Sequential backend: one scope
-/// spanning every system module, plus the reseed policy — the scope is
-/// rebuilt from a full tree walk whenever the topology version moved
-/// (modules or channels added/removed: new transitions must not be skipped,
-/// destroyed modules must not be touched) or another consumer drained the
-/// ledger since we last did.
+/// The specification's dirty set (Specification::ready_set()): one
+/// ReadyScope per system module, in document order — exactly the shards
+/// ConflictAnalysis reports — shared by every executor that runs the
+/// specification. Sequential fires the concatenation of every scope's
+/// candidates, which is document order: system subtrees are disjoint and
+/// nothing above them carries a transition (rule R1).
+///
+/// refresh() is the one place the scopes are reseeded: on first use and
+/// whenever the topology version moved (modules or channels added or
+/// removed: new transitions must not be skipped, destroyed modules must not
+/// be touched). A reseed stamps every module with its document-order index
+/// and its system module's index (Module::shard) and marks every module of
+/// every system subtree. A hand-off between executors changes nothing here.
 class SpecReadySet {
  public:
   explicit SpecReadySet(Specification& spec) : spec_(spec) {}
 
-  /// Candidates at `now` (see ReadyScope::collect). Applies reseeds and
-  /// drains the specification's ready ledger first.
-  const std::vector<FiringCandidate>& collect(common::SimTime now);
+  /// Bring every scope up to date at a round boundary: reseed when due,
+  /// else drain the specification's ledger, each module into its own
+  /// scope. Returns true when the ledger grew since the last refresh (the
+  /// marks that grew it allocated while the previous round fired).
+  bool refresh();
 
-  /// The scope itself, for the firing loop's LocalReadyScopeBinding.
-  [[nodiscard]] ReadyScope& scope() noexcept { return scope_; }
-
-  [[nodiscard]] common::SimTime next_wakeup() const noexcept {
-    return scope_.next_deadline();
+  [[nodiscard]] int size() const noexcept {
+    return static_cast<int>(scopes_.size());
   }
-  [[nodiscard]] std::uint64_t round_guards() const noexcept {
-    return scope_.round_guards();
+  [[nodiscard]] ReadyScope& scope(int s) noexcept {
+    return scopes_[static_cast<std::size_t>(s)];
   }
-  [[nodiscard]] bool round_allocated() const noexcept {
-    return scope_.round_allocated() || ledger_grew_;
+  /// The system module whose subtree scope `s` drives.
+  [[nodiscard]] Module& system_module(int s) const noexcept {
+    return *systems_[static_cast<std::size_t>(s)];
   }
 
  private:
+  friend class LocalReadyScopeBinding;
+
   void reseed();
 
   Specification& spec_;
-  ReadyScope scope_;
-  std::uint64_t seen_version_ = ~0ull;
-  bool seeded_ = false;
+  std::vector<ReadyScope> scopes_;
+  std::vector<Module*> systems_;
+  std::uint64_t seen_version_ = ~0ull;  // ~0: never seeded
   std::size_t ledger_capacity_seen_ = 0;
-  bool ledger_grew_ = false;
 };
 
 /// Reference cross-check for ExecutorConfig::verify_ready_set: recompute the
-/// firing set of `system_modules` at `now` with the full tree scan
+/// firing set of `system_module`'s subtree at `now` with the full tree scan
 /// and throw std::logic_error if it differs from `got`. Debug-only path;
 /// allocates freely.
-void verify_against_full_scan(const std::vector<Module*>& system_modules,
-                              common::SimTime now,
+void verify_against_full_scan(Module& system_module, common::SimTime now,
                               const std::vector<FiringCandidate>& got);
 
 }  // namespace mcam::estelle

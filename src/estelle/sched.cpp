@@ -101,41 +101,54 @@ void fire(const FiringCandidate& c, SimTime now, RunObserver* observer) {
 
 SequentialScheduler::SequentialScheduler(Specification& spec,
                                          const ExecutorConfig& cfg)
-    : ExecutorBase(spec, cfg.max_steps),
-      ready_(spec),
-      verify_(cfg.verify_ready_set) {}
+    : ExecutorBase(spec, cfg.max_steps), verify_(cfg.verify_ready_set) {}
 
 bool SequentialScheduler::step() {
-  // Candidate collection from the event-driven ready set: guards are
-  // examined only for modules something happened to. The virtual scan cost
-  // charges whatever was actually examined, so dirty-set scheduling shrinks
-  // modelled scheduler overhead exactly like it shrinks real overhead.
-  const std::vector<FiringCandidate>& candidates = ready_.collect(now_);
-  if (verify_)
-    verify_against_full_scan(spec_.system_modules(), now_, candidates);
-  stats_.guards_examined += ready_.round_guards();
-  stats_.candidates_considered += candidates.size();
-  if (ready_.round_allocated()) ++stats_.rounds_with_allocation;
-  if (candidates.empty()) {
+  // Candidate collection from the specification's dirty set, every system
+  // module's scope before anything fires: guards are examined only for
+  // modules something happened to. The virtual scan cost charges whatever
+  // was actually examined, so dirty-set scheduling shrinks modelled
+  // scheduler overhead exactly like it shrinks real overhead. The round's
+  // firing set is the scopes' candidates one after the other, which is
+  // document order.
+  SpecReadySet& ready = spec_.ready_set();
+  bool allocated = ready.refresh();
+  const std::size_t capacity = firing_.capacity();
+  firing_.clear();
+  std::uint64_t guards = 0;
+  for (int s = 0; s < ready.size(); ++s) {
+    ReadyScope& scope = ready.scope(s);
+    const std::vector<FiringCandidate>& got = scope.collect(now_);
+    if (verify_) verify_against_full_scan(ready.system_module(s), now_, got);
+    firing_.insert(firing_.end(), got.begin(), got.end());
+    guards += scope.round_guards();
+    allocated = allocated || scope.round_allocated();
+  }
+  stats_.guards_examined += guards;
+  stats_.candidates_considered += firing_.size();
+  if (allocated || firing_.capacity() != capacity)
+    ++stats_.rounds_with_allocation;
+  if (firing_.empty()) {
     // Empty rounds charge no scan cost — empty barrier rounds don't
     // either, and firing-trace identity on delay specs needs both
     // clocks to leap to the same absolute deadlines. O(log n) wakeup:
     // straight to the earliest queued delay deadline, clamped by the run's
     // deadline, never backwards.
-    const SimTime wake = ready_.next_wakeup();
+    SimTime wake = kNeverTime;
+    for (int s = 0; s < ready.size(); ++s)
+      wake = std::min(wake, ready.scope(s).next_deadline());
     if (wake == kNeverTime) return false;
     advance_clock_toward(wake);
     return true;
   }
-  const SimTime scan_cost{kScanPerGuard.ns *
-                          static_cast<std::int64_t>(ready_.round_guards())};
+  const SimTime scan_cost{kScanPerGuard.ns * static_cast<std::int64_t>(guards)};
   now_ += scan_cost;
   stats_.sched_time += scan_cost;
 
   // Everything fires on this thread, so the firing loop's marks go straight
-  // into the scope; only modules stamped with a shard take the ledger.
-  const LocalReadyScopeBinding direct_marks(ready_.scope(), spec_, kNoShard);
-  for (const FiringCandidate& c : candidates) {
+  // into their modules' scopes.
+  const LocalReadyScopeBinding direct_marks(spec_, kNoShard);
+  for (const FiringCandidate& c : firing_) {
     // Revalidate: an earlier firing in this round may have consumed state.
     if (!is_fireable(*c.transition, *c.module, now_)) continue;
     now_ += kSchedPerTransition;

@@ -63,8 +63,8 @@ void fire(const FiringCandidate& c, SimTime now,
 
 /// Single-processor executor with virtual time. Models the classic
 /// centralized Estelle scheduler: each step evaluates the dirty-set ready
-/// modules (cost kScanPerGuard per examined guard) and executes one firing
-/// set member at a time.
+/// modules of every system module's scope (cost kScanPerGuard per examined
+/// guard) and executes one firing set member at a time.
 class SequentialScheduler : public ExecutorBase {
  public:
   /// Backends configure themselves straight from ExecutorConfig (the single
@@ -80,7 +80,7 @@ class SequentialScheduler : public ExecutorBase {
  private:
   bool step() override;  // one round; returns false when quiescent
 
-  SpecReadySet ready_;
+  std::vector<FiringCandidate> firing_;  // the round's firing set
   bool verify_;
 };
 

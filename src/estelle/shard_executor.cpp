@@ -16,82 +16,48 @@ void ShardedExecutor::ensure_analysis() {
   if (!analysis_) {
     analysis_ = std::make_unique<ConflictAnalysis>(spec_);
     // The system-module population is frozen (R6), so the shard vector is
-    // sized exactly once; refreshes change subtree membership only.
+    // sized exactly once; refreshes change subtree membership only. Every
+    // shard starts from the executor's clock, which a run raises to the
+    // time the specification reached.
     shards_.resize(static_cast<std::size_t>(analysis_->shard_count()));
-    for (std::size_t s = 0; s < shards_.size(); ++s)
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      shards_[s].clock = now_;
       shard_ids_.push_back(static_cast<int>(s));
+    }
   } else {
     analysis_->refresh();
   }
 }
 
-void ShardedExecutor::route_ready_ledger() {
-  // Route dirty modules to their shards' ready sets, reseeding wholesale
-  // when the topology moved, another consumer drained the ledger before us,
-  // or this is the first use. Shared by the barrier round (every round) and
-  // the free-running path (every session start), so the invalidation rules
-  // cannot diverge between them.
-  ReadyLedger& ledger = spec_.ready_ledger();
-  const bool owner_changed = ledger.acquire(this);
-  if (owner_changed) {
-    // Taken over from another executor: no shard clock may lag the time
-    // that one reached. A topology reseed leaves the clocks alone.
-    const SimTime reached = spec_.reached_time();
-    for (ShardState& shard : shards_)
-      if (shard.clock < reached) shard.clock = reached;
-  }
-  if (!seeded_ || owner_changed || seen_version_ != spec_.topology_version()) {
-    reseed_ready();
-  } else {
-    ledger.drain([this](Module& m) {
-      const int s = m.shard();
-      if (s >= 0 && s < static_cast<int>(shards_.size()))
-        shards_[static_cast<std::size_t>(s)].ready.mark(m);
-    });
-  }
-}
-
-void ShardedExecutor::reseed_ready() {
-  seeded_ = true;
-  seen_version_ = spec_.topology_version();
-  // Queued ledger entries may point at destroyed modules; forget them
-  // without looking, then rebuild from the live tree.
-  spec_.ready_ledger().clear_unsafe();
-  std::uint32_t preorder = 0;
-  spec_.root().for_each(
-      [&](Module& m) { ReadyScope::reset_module(m, preorder++); });
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].ready.clear();
-    shards_[s].boundary.clear();
-    for (Module* m : analysis_->shards()[s].modules) shards_[s].ready.mark(*m);
-  }
-  for (const CrossShardChannel& ch : analysis_->cross_shard_channels()) {
-    shards_[static_cast<std::size_t>(ch.shard_a)].boundary.push_back(ch.a);
-    shards_[static_cast<std::size_t>(ch.shard_b)].boundary.push_back(ch.b);
-  }
+void ShardedExecutor::take_over() {
+  const SimTime reached = spec_.reached_time();
+  for (ShardState& shard : shards_)
+    if (shard.clock < reached) shard.clock = reached;
 }
 
 bool ShardedExecutor::begin_round(int s, std::uint64_t r, SimTime floor,
                                   std::uint64_t* min_future) {
   ShardState& shard = shards_[static_cast<std::size_t>(s)];
+  const ShardInfo& info = analysis_->shards()[static_cast<std::size_t>(s)];
+  ReadyScope& ready = spec_.ready_set().scope(s);
   shard.delta = RoundDelta{};
   shard.fired_log.clear();
   // Accept everything sent before this round; later-stamped arrivals stay
   // parked. A message sent at sender-time t is never processed at
   // receiver-time < t: the watermark raises the clock first.
   SimTime wm = shard.clock;
-  for (InteractionPoint* ip : shard.boundary)
+  for (InteractionPoint* ip : info.boundary)
     ip->drain_transfers_until(r - 1, &wm, min_future);
   if (wm > shard.clock) shard.clock = wm;
 
   bool allocated = false;
   const auto collect = [&] {
-    shard.ready.collect(shard.clock);
-    shard.delta.guards += shard.ready.round_guards();
-    allocated = allocated || shard.ready.round_allocated();
+    ready.collect(shard.clock);
+    shard.delta.guards += ready.round_guards();
+    allocated = allocated || ready.round_allocated();
   };
   collect();
-  if (shard.ready.candidates().empty() && shard.clock < floor) {
+  if (ready.candidates().empty() && shard.clock < floor) {
     // An idle shard follows the group clock (system modules are
     // asynchronous, so advancing an idle one is always legal); collecting
     // again pops the delay deadlines the raise matured.
@@ -99,30 +65,24 @@ bool ShardedExecutor::begin_round(int s, std::uint64_t r, SimTime floor,
     collect();
   }
   if (allocated) ++shard.delta.alloc_rounds;
-  const std::vector<FiringCandidate>& cands = shard.ready.candidates();
+  const std::vector<FiringCandidate>& cands = ready.candidates();
   if (verify_)
-    verify_against_full_scan(
-        {analysis_->shards()[static_cast<std::size_t>(s)].system_module},
-        shard.clock, cands);
+    verify_against_full_scan(*info.system_module, shard.clock, cands);
   return !cands.empty();
 }
 
 bool ShardedExecutor::barrier_round(std::uint64_t r,
                                     const std::vector<int>& ids,
                                     const FiringTap& tap) {
-  route_ready_ledger();
+  bool allocated = spec_.ready_set().refresh();
   RunObserver* const obs = observer();
   const bool announce = obs != nullptr || static_cast<bool>(tap);
-  ReadyLedger& ledger = spec_.ready_ledger();
-  bool allocated = ledger.capacity() != ledger_capacity_seen_;
-  ledger_capacity_seen_ = ledger.capacity();
 
   // Every shard drains and collects before any fires, with the group clock
   // as the idle shards' floor.
   std::size_t firing = 0;
   for (const int s : ids) {
-    LocalReadyScopeBinding binding(shards_[static_cast<std::size_t>(s)].ready,
-                                   spec_, s);
+    LocalReadyScopeBinding binding(spec_, s);
     if (begin_round(s, r, now_, nullptr)) ++firing;
   }
 
@@ -131,8 +91,8 @@ bool ShardedExecutor::barrier_round(std::uint64_t r,
   std::exception_ptr error;
   for (const int s : ids) {
     ShardState& shard = shards_[static_cast<std::size_t>(s)];
-    if (shard.ready.candidates().empty()) continue;
-    LocalReadyScopeBinding binding(shard.ready, spec_, s);
+    if (spec_.ready_set().scope(s).candidates().empty()) continue;
+    LocalReadyScopeBinding binding(spec_, s);
     try {
       fire_round(s, r, announce,
                  [&shard](const FiringCandidate& c, SimTime at) {
@@ -179,8 +139,7 @@ bool ShardedExecutor::barrier_round(std::uint64_t r,
   // never runs ahead to one of its own while another shard is busy.
   SimTime wake = kNeverTime;
   for (const int s : ids)
-    wake = std::min(
-        wake, shards_[static_cast<std::size_t>(s)].ready.next_deadline());
+    wake = std::min(wake, spec_.ready_set().scope(s).next_deadline());
   if (wake == kNeverTime) return false;  // quiescent
   advance_clock_toward(wake);
   for (const int s : ids) {

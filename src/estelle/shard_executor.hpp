@@ -108,16 +108,13 @@ class ShardedExecutor : public ExecutorBase {
     SimTime sched{};
   };
 
+  /// A shard's clock and counters. Its dirty set is the specification's
+  /// scope of the same index (SpecReadySet::scope), its cross-shard
+  /// endpoints the analysis's ShardInfo::boundary.
   struct ShardState {
     SimTime clock{};
     std::uint64_t fired = 0;
     std::uint64_t rounds = 0;
-    /// The shard's event-driven scheduling state — persistent ready set,
-    /// fireable cache, delay-deadline heap, candidate buffer.
-    ReadyScope ready;
-    /// The shard's endpoints of cross-shard channels: the only interaction
-    /// points a transfer can park on. Rebuilt with every reseed.
-    std::vector<InteractionPoint*> boundary;
     // Per-round scratch, written by whichever thread runs the round:
     RoundDelta delta;
     std::vector<FiredEvent> fired_log;
@@ -131,12 +128,12 @@ class ShardedExecutor : public ExecutorBase {
 
   /// First half of shard `s`'s round r: drain the boundary mailboxes up to
   /// round r-1 (watermark rule; `min_future`, when non-null, is lowered to
-  /// the earliest later-stamped arrival left parked) and collect. When
-  /// nothing fires and the clock is below `floor`, raise it to `floor` and
-  /// collect again. Resets and fills shard.delta; returns true when the
-  /// collected firing set is non-empty. The caller owns the shard and should
-  /// hold a LocalReadyScopeBinding for it, so the drain's marks reach its
-  /// scope.
+  /// the earliest later-stamped arrival left parked) and collect the
+  /// shard's scope. When nothing fires and the clock is below `floor`,
+  /// raise it to `floor` and collect again. Resets and fills shard.delta;
+  /// returns true when the collected firing set is non-empty. The caller
+  /// owns the shard and should hold a LocalReadyScopeBinding for it, so the
+  /// drain's marks reach its scope.
   bool begin_round(int s, std::uint64_t r, SimTime floor,
                    std::uint64_t* min_future);
   /// Second half: execute the collected firing set under a
@@ -161,16 +158,11 @@ class ShardedExecutor : public ExecutorBase {
                      const FiringTap& tap);
 
   void decorate_report(RunReport& report) override;
+  /// Taking a specification over: no shard clock may lag the time another
+  /// executor reached.
+  void take_over() override;
 
   void ensure_analysis();
-  /// Claim the ready ledger and bring every shard's scope up to date:
-  /// reseed wholesale when invalidated, else route queued marks to their
-  /// shards (the single statement of the invalidation rules, shared by the
-  /// barrier and free-running paths).
-  void route_ready_ledger();
-  /// Full reseed of every shard's ready scope and boundary list (first
-  /// round, topology change, or ledger-consumer handoff).
-  void reseed_ready();
 
   bool verify_;
   std::unique_ptr<ConflictAnalysis> analysis_;
@@ -180,9 +172,6 @@ class ShardedExecutor : public ExecutorBase {
   /// session lifts it past the session's rounds, so transfers the session
   /// left parked drain in the next barrier round.
   std::uint64_t barrier_rounds_ = 0;
-  std::uint64_t seen_version_ = ~0ull;
-  bool seeded_ = false;
-  std::size_t ledger_capacity_seen_ = 0;  // allocation accounting
 };
 
 }  // namespace mcam::estelle

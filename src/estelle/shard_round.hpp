@@ -4,8 +4,8 @@
 // (ShardedExecutor, shard_executor.hpp):
 //   * begin_round: accept every transfer stamped <= r-1 (raising the clock
 //     to the arrival watermark) and collect the firing set from the
-//     persistent ReadyScope; an idle shard below a given floor is raised to
-//     it and collects again;
+//     shard's ReadyScope, the specification's scope of the same index; an
+//     idle shard below a given floor is raised to it and collects again;
 //   * fire_round (here): run the revalidated firing set under a
 //     round-stamped ShardExecutionScope with the sequential cost arithmetic.
 // barrier_round runs both halves for a group of shards under one barrier —
@@ -58,7 +58,8 @@ void ShardedExecutor::fire_round(int s, std::uint64_t r, bool announce,
   // every guard this round's collects examined (both of them when the shard
   // was raised to the group clock), then per-firing scheduling and
   // execution costs.
-  const std::vector<FiringCandidate>& cands = shard.ready.candidates();
+  const std::vector<FiringCandidate>& cands =
+      spec_.ready_set().scope(s).candidates();
   const SimTime scan_cost{kScanPerGuard.ns *
                           static_cast<std::int64_t>(delta.guards)};
   shard.clock += scan_cost;

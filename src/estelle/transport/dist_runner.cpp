@@ -459,6 +459,9 @@ bool DistributedRunner::send_round_done(std::uint64_t r, bool quiescent) {
 }
 
 bool DistributedRunner::gate(std::uint64_t r) {
+  // A single node waits for no one; without peers, not even the watchdog
+  // clock is read, which a one-round step() would pay every round.
+  if (peers_.empty()) return true;
   const auto watchdog = std::chrono::milliseconds(opts_.gate_timeout_ms);
   auto deadline = SteadyClock::now() + watchdog;
   for (;;) {
@@ -546,27 +549,6 @@ bool DistributedRunner::step() {
       if (!p.done[r % 2].quiescent) return true;
     return false;
   }
-  std::uint64_t burst = 1;
-  if (peers_.empty() && transport_ == nullptr &&
-      run_deadline_ == kNeverTime && !run_has_predicate_) {
-    // Single-node group: nothing to gate on, pump, or report to — burst
-    // rounds like the free-running backend, bounded to the run's exact step
-    // budget so the StepLimit cutoff stays precise. Deadline and predicate
-    // stops are evaluated between steps, so they suppress the burst rather
-    // than being skipped inside one.
-    const std::uint64_t cap = std::min(run_step_limit_, step_limit_);
-    while (run_steps_ + burst < cap) {
-      // An action that throws in this round leaves the `burst` rounds
-      // before it counted (see ExecutorBase::last_step_rounds_).
-      last_step_rounds_ = burst + 1;
-      // Quiescence discovered inside the burst: the empty round stays
-      // uncounted, and the next step re-runs it and ends the run.
-      if (!barrier_round(round_ + 1, local_shards_, opts_.trace_hook)) break;
-      ++round_;
-      ++burst;
-    }
-  }
-  last_step_rounds_ = burst;
   return true;
 }
 

@@ -141,7 +141,6 @@ class StreamSender {
   void seek(std::uint64_t frame) noexcept { source_.seek(frame); }
 
   [[nodiscard]] const SenderStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] SimTime next_due() const noexcept { return next_tick_; }
   [[nodiscard]] const FrameSource& source() const noexcept { return source_; }
 
  private:

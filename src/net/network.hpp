@@ -87,7 +87,6 @@ class Socket {
 
   /// Pop the next delivered datagram, if any.
   std::optional<Datagram> receive();
-  [[nodiscard]] bool has_data() const noexcept { return !rx_.empty(); }
   [[nodiscard]] std::size_t pending() const noexcept { return rx_.size(); }
 
  private:

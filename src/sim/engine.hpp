@@ -103,9 +103,6 @@ class Engine {
   [[nodiscard]] int task_count() const noexcept {
     return static_cast<int>(tasks_.size());
   }
-  [[nodiscard]] int processor_of(int task) const {
-    return tasks_.at(static_cast<std::size_t>(task)).processor;
-  }
 
   /// Post initial work from outside any task (no message cost charged).
   void post_external(int task, SimTime cost, std::function<void(Context&)> fn,

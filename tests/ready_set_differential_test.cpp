@@ -25,14 +25,16 @@
 // Also pinned here: topology changes (new module) and dynamically registered
 // transitions invalidate the ready state — a reused executor must not skip
 // them — and MetricsObserver carries the hot-path counters. One spec handed
-// from Sequential to FreeRunning and back must keep the uninterrupted
-// Sequential trace, since Sequential's firing loop marks straight into its
-// scope, and a mark for another specification's module must still reach
-// that one's ledger. And Module::select_fireable's dispatch rows are
-// checked against the bucket merge they replaced, on seeded random modules.
+// from Sequential to another executor and back must keep the uninterrupted
+// Sequential trace, firing times included on timed one-shard specs, since
+// every executor drives the specification's one dirty set; and a mark for
+// another specification's module must still reach that one's ledger. And
+// Module::select_fireable's dispatch rows are checked against the bucket
+// merge they replaced, on seeded random modules.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <string>
@@ -375,38 +377,47 @@ TEST(ReadySetDifferential, TopologyMutationInvalidatesReadyState) {
 }
 
 TEST(ReadySetDifferential, ExecutorHandOffKeepsTheSequentialTrace) {
-  // Sequential for a few rounds, FreeRunning (threads = 2) for a few, then
-  // Sequential to quiescence, on one spec. Each executor reseeds when it
-  // takes the ledger over, so marks that went straight into the other one's
-  // scope cannot be lost, and its reseed delivers the cross-shard transfers
-  // the FreeRunning leg left parked when it stopped mid-exchange. The
-  // FreeRunning leg stamps the modules with their shards, so the last leg
-  // marks through the ledger. Each leg starts from the latest virtual time
-  // the specification reached, so no leg fires before the previous one
-  // ended.
+  // Sequential for a few rounds, another executor for a few, then
+  // Sequential to quiescence, on one spec, against one uninterrupted
+  // Sequential run. Every executor drives the specification's own dirty set,
+  // so a hand-off neither loses the marks a firing loop put straight into
+  // the scopes nor re-examines, and charges the scan of, modules nothing
+  // happened to. The last leg delivers the cross-shard transfers a shard
+  // backend left parked when it stopped mid-exchange, and each leg starts
+  // from the latest virtual time the specification reached, so no leg fires
+  // before the previous one ended.
   //
   // Specs without delay clauses that run at least three rounds, multi-shard
-  // ones included: the concatenated trace and the final world equal one
-  // uninterrupted Sequential run.
+  // ones included, hand off to FreeRunning (threads = 2), to ParallelSim and,
+  // on the conflict-free ones, to single-node Distributed: the transition
+  // names and the final world equal the uninterrupted run's. ParallelSim
+  // drives no scope, so the last leg sees its firings only through ledger
+  // marks; its own leg fires the same transitions in the order its
+  // simulated processors run them, so that leg is compared as a multiset,
+  // and only on the specs the differential suite runs it on
+  // (parallelsim_ok).
   //
-  // As many one-shard specs with delay clauses: the final world equals the
-  // uninterrupted run's, and the transitions equal those of the same
-  // hand-off with a second Sequential executor as its middle leg. They need
-  // not equal the uninterrupted run's: a takeover round reseeds, so it
-  // examines, and charges the scan of, every module where the uninterrupted
-  // run examined only the dirty ones (ROADMAP item 12), and a later delay
-  // clause may then mature in another order. Timed multi-shard specs are
-  // left out: their shard clocks answer to no common clock (ROADMAP item 1).
-  const auto trace_of = [](const TraceRecorder& t) {
+  // As many one-shard specs with delay clauses hand off to FreeRunning
+  // (threads = 2) and to a second Sequential executor: the transition names
+  // and their firing times equal the uninterrupted run's too. Timed
+  // multi-shard specs are left out: their shard clocks answer to no common
+  // clock (ROADMAP item 1).
+  const auto names_of = [](const TraceRecorder& t) {
     std::vector<std::string> out;
     for (const TraceEvent& e : t.events())
       out.push_back(e.module_path + "/" + e.transition);
     return out;
   };
+  const auto times_of = [](const TraceRecorder& t) {
+    std::vector<std::int64_t> out;
+    for (const TraceEvent& e : t.events()) out.push_back(e.when.ns);
+    return out;
+  };
   // Sequential for `leg` rounds, `middle` for `leg` rounds, then Sequential
   // to quiescence, on `g`. verify_ready_set checks every round of every leg
-  // against the full scan, so a leg that trusted a scope filled before it
-  // would throw.
+  // that reads the dirty set against the full scan, so a leg that trusted a
+  // stale scope would throw. Returns where the middle leg's firings begin
+  // and end in `trace`.
   const auto hand_off = [](specgen::GeneratedWorld& g, std::uint64_t leg,
                            ExecutorConfig middle, TraceRecorder& trace) {
     middle.verify_ready_set = true;
@@ -423,26 +434,43 @@ TEST(ReadySetDifferential, ExecutorHandOffKeepsTheSequentialTrace) {
     EXPECT_EQ(first.reason, StopReason::StepLimit);
     EXPECT_GT(second.fired, 0u);
     EXPECT_EQ(last.reason, StopReason::Quiescent);
-    if (second_events > first_events)
+    if (second_events > first_events) {
       EXPECT_GE(events[first_events].when.ns, first.time.ns)
           << "the middle leg fired before the first leg's time";
-    if (events.size() > second_events)
+    }
+    if (events.size() > second_events) {
       EXPECT_GE(events[second_events].when.ns, second.time.ns)
           << "the last leg fired before the middle leg's time";
+    }
+    return std::pair{first_events, second_events};
   };
   const int wanted = std::max(3, spec_count() / 2);
   int untimed = 0;
   int timed = 0;
   for (std::uint64_t seed = 1; untimed < wanted || timed < wanted; ++seed) {
     bool has_delay = false;
+    bool parallelsim_ok = false;
+    bool conflict_free = false;
     {
       const specgen::GeneratedWorld probe = specgen::generate(seed);
       has_delay = probe.has_delay;
+      parallelsim_ok = probe.parallelsim_ok;
       int& specs = has_delay ? timed : untimed;
-      if (specs >= wanted || make_executor(*probe.spec)->run().steps < 3 ||
-          (has_delay && ConflictAnalysis(*probe.spec).shard_count() > 1))
+      if (specs >= wanted || make_executor(*probe.spec)->run().steps < 3)
         continue;
+      const ConflictAnalysis analysis(*probe.spec);
+      if (has_delay && analysis.shard_count() > 1) continue;
+      conflict_free = analysis.conflict_free();
       ++specs;
+    }
+    std::vector<ExecutorConfig> middles = {
+        {.kind = ExecutorKind::FreeRunning, .threads = 2}};
+    if (has_delay) {
+      middles.push_back({});
+    } else {
+      if (parallelsim_ok)
+        middles.push_back({.kind = ExecutorKind::ParallelSim});
+      if (conflict_free) middles.push_back({.kind = ExecutorKind::Distributed});
     }
     SCOPED_TRACE("seed " + std::to_string(seed));
     for (const specgen::GuardDecl guards :
@@ -455,22 +483,32 @@ TEST(ReadySetDifferential, ExecutorHandOffKeepsTheSequentialTrace) {
           make_executor(*whole.spec)->run({.observers = {&reference}});
       ASSERT_EQ(ref.reason, StopReason::Quiescent);
       const std::uint64_t leg = ref.steps / 3;
+      const std::vector<std::string> want = names_of(reference);
 
-      specgen::GeneratedWorld g = specgen::generate(seed, false, guards);
-      TraceRecorder trace;
-      hand_off(g, leg, {.kind = ExecutorKind::FreeRunning, .threads = 2},
-               trace);
-      EXPECT_EQ(specgen::world_snapshot(*g.spec),
-                specgen::world_snapshot(*whole.spec));
-      if (!has_delay) {
-        EXPECT_EQ(trace_of(trace), trace_of(reference));
-        continue;
+      for (const ExecutorConfig& middle : middles) {
+        SCOPED_TRACE(std::string("middle leg ") +
+                     executor_kind_name(middle.kind));
+        specgen::GeneratedWorld g = specgen::generate(seed, false, guards);
+        TraceRecorder trace;
+        const auto [begin, end] = hand_off(g, leg, middle, trace);
+        EXPECT_EQ(specgen::world_snapshot(*g.spec),
+                  specgen::world_snapshot(*whole.spec));
+        std::vector<std::string> got = names_of(trace);
+        std::vector<std::string> expected = want;
+        if (middle.kind == ExecutorKind::ParallelSim && got.size() >= end &&
+            expected.size() >= end) {
+          const auto slice = [begin = begin, end = end](auto& v) {
+            std::sort(v.begin() + static_cast<std::ptrdiff_t>(begin),
+                      v.begin() + static_cast<std::ptrdiff_t>(end));
+          };
+          slice(got);
+          slice(expected);
+        }
+        EXPECT_EQ(got, expected);
+        if (has_delay) {
+          EXPECT_EQ(times_of(trace), times_of(reference));
+        }
       }
-      specgen::GeneratedWorld sequential =
-          specgen::generate(seed, false, guards);
-      TraceRecorder sequential_trace;
-      hand_off(sequential, leg, {}, sequential_trace);
-      EXPECT_EQ(trace_of(trace), trace_of(sequential_trace));
     }
   }
 }
