@@ -10,6 +10,7 @@
 
 #include "estelle/free_executor.hpp"
 #include "estelle/module.hpp"
+#include "estelle/ready_set.hpp"
 #include "estelle/sched.hpp"
 #include "estelle/transport/dist_runner.hpp"
 
@@ -121,17 +122,12 @@ namespace {
 std::atomic<std::uint64_t> g_next_executor_id{1};
 }  // namespace
 
-ExecutorBase::ExecutorBase(Specification& spec, std::uint64_t step_limit)
+ExecutorBase::ExecutorBase(Specification& spec, std::uint64_t step_limit,
+                           bool one_clock)
     : spec_(spec),
       step_limit_(step_limit),
-      id_(g_next_executor_id.fetch_add(1, std::memory_order_relaxed)) {}
-
-void ExecutorBase::take_over() {
-  spec_.root().for_each([](Module& m) {
-    for (const auto& ip : m.ips())
-      if (ip->has_pending_transfers()) ip->drain_transfers();
-  });
-}
+      id_(g_next_executor_id.fetch_add(1, std::memory_order_relaxed)),
+      one_clock_(one_clock) {}
 
 /// Fans one notification out to the executor's persistent run_observers()
 /// followed by the run's RunOptions::observers. An observer present in both
@@ -235,14 +231,20 @@ RunReport ExecutorBase::run(const RunOptions& opts) {
                    prev_has_predicate};
 
   // Another executor may have run this specification further: start from
-  // the time it reached, and pick up what it left.
-  if (spec_.reached_time() > now_) now_ = spec_.reached_time();
-  if (spec_.claim(id_)) take_over();
+  // the time it reached, and pick up what it left (see the constructor).
+  SpecReadySet& time_line = spec_.ready_set();
+  now_ = std::max(now_, time_line.reached_time());
+  if (spec_.claim(id_) && one_clock_) {
+    spec_.root().for_each([](Module& m) {
+      for (const auto& ip : m.ips())
+        if (ip->has_pending_transfers()) ip->drain_transfers();
+    });
+  }
 
   const auto make_report = [&](StopReason reason, std::uint64_t steps) {
     finalize_stats();
     stats_.time = now_;
-    spec_.note_reached_time(now_);
+    if (one_clock_) time_line.raise_clocks(now_);
     RunReport report;
     report.kind = kind();
     report.reason = reason;

@@ -403,7 +403,13 @@ class ExecutorBase : public Executor {
   }
 
  protected:
-  ExecutorBase(Specification& spec, std::uint64_t step_limit);
+  /// run() starts every backend from the latest clock on the
+  /// specification's time line (ready_set.hpp). A `one_clock` backend
+  /// (Sequential, ParallelSim) then runs its own clock: it leaves every
+  /// system-module clock at it when a run ends, and on a take-over
+  /// (Specification::claim) delivers the transfers a shard backend left
+  /// parked, as it delivers every output at once.
+  ExecutorBase(Specification& spec, std::uint64_t step_limit, bool one_clock);
 
   /// One scheduling round; returns false when the world is quiescent.
   virtual bool step() = 0;
@@ -414,13 +420,6 @@ class ExecutorBase : public Executor {
   /// RunReport::shards). Runs after the common fields are assembled, before
   /// observers see the report.
   virtual void decorate_report(RunReport& /*report*/) {}
-  /// Called by run() when this executor takes the specification over from
-  /// another one (Specification::claim), after the clock was raised to the
-  /// time the specification reached. The dirty set is the specification's
-  /// and needs nothing. This default serves the backends that deliver every
-  /// output at once (Sequential, ParallelSim): it delivers the cross-shard
-  /// transfers a shard backend left parked when it stopped mid-exchange.
-  virtual void take_over();
 
   /// Clamped idle-wakeup jump shared by every backend: advance the clock to
   /// min(wake, the active run's deadline), never backwards. A wake at or
@@ -467,6 +466,7 @@ class ExecutorBase : public Executor {
  private:
   class Chain;
   const std::uint64_t id_;  // this instance's Specification::claim
+  const bool one_clock_;
   RunObserver* chain_ = nullptr;
   /// Firings contributed by reentrant inner run() calls during the active
   /// run — subtracted so RunReport::fired stays "fired in THIS run".

@@ -1,6 +1,7 @@
 #include "estelle/free_executor.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "estelle/ready_set.hpp"
 #include "estelle/sched.hpp"
@@ -45,27 +46,20 @@ void FreeRunningExecutor::start_session() {
 
   // The same dirty set, brought up to date the same way as by the barrier
   // path.
-  const bool ledger_grew = spec_.ready_set().refresh();
-
-  // Absorb transfers left parked by a stopped previous run: their round
-  // stamps belong to a dead numbering, and this session starts from a clean
-  // mailbox state (the watermark rule still raises the receiving clock).
-  for (std::size_t s = 0; s < nshards; ++s) {
-    ShardState& shard = shards_[s];
-    SimTime wm = shard.clock;
-    for (InteractionPoint* ip : analysis_->shards()[s].boundary)
-      ip->drain_transfers(&wm);
-    if (wm > shard.clock) shard.clock = wm;
-  }
+  SpecReadySet& ready = spec_.ready_set();
+  const bool ledger_grew = ready.refresh();
 
   // (Re)wire the persistent slots; everything here is high-water sized so a
-  // warmed executor restarts sessions without allocating.
+  // warmed executor restarts sessions without allocating. Every shard
+  // starts at the round line, which every transfer an earlier run left
+  // parked is stamped at or below, so its first round drains them.
+  const std::uint64_t line = ready.round_line();
   while (slots_.size() < nshards) slots_.push_back(std::make_unique<Slot>());
   std::size_t footprint = slots_.capacity();
   for (std::size_t s = 0; s < nshards; ++s) {
     Slot& slot = *slots_[s];
-    slot.advertised.store(0, std::memory_order_relaxed);
-    slot.completed = 0;
+    slot.advertised.store(line, std::memory_order_relaxed);
+    slot.completed = line;
     slot.log_head.store(0, std::memory_order_relaxed);
     slot.log_tail.store(0, std::memory_order_relaxed);
     slot.state = SlotState::Running;
@@ -98,11 +92,10 @@ void FreeRunningExecutor::start_session() {
   }
 
   session_topology_version_ = spec_.topology_version();
-  session_base_rounds_ = 0;
+  session_base_rounds_ = line;
   burst_all_passive_ = false;
   stop_ = false;
   stop_flag_.store(false, std::memory_order_release);
-  topology_dirty_.store(false, std::memory_order_release);
   round_limit_.store(0, std::memory_order_release);
   session_deadline_ns_.store(run_deadline_.ns, std::memory_order_release);
   free_announce_.store(observer() != nullptr, std::memory_order_release);
@@ -130,10 +123,9 @@ std::uint64_t FreeRunningExecutor::end_session() {
     merge_logs(lock, /*session_end=*/true);
     progressed = fold_locked();
   }
-  // Transfers still parked carry session round stamps, at most the highest
-  // round a shard completed: a later barrier round must drain all of them
-  // at once, ahead of anything it sends itself.
-  barrier_rounds_ = std::max(barrier_rounds_, session_base_rounds_);
+  // The next shard round, on whichever executor, follows the highest one a
+  // shard completed.
+  spec_.ready_set().set_round_line(session_base_rounds_);
   session_active_ = false;
   stop_ = false;
   stop_flag_.store(false, std::memory_order_release);
@@ -199,7 +191,9 @@ bool FreeRunningExecutor::all_blocked_locked() const {
         if (limit >= slot.completed + 1) return false;
         break;
       case SlotState::DeadlineParked:
-        if (shards_[s].clock.ns < deadline) return false;
+        if (spec_.ready_set().scope(static_cast<int>(s)).clock().ns <
+            deadline)
+          return false;
         break;
       case SlotState::Passive:
         if (slot.wake_pending) return false;
@@ -374,6 +368,7 @@ bool FreeRunningExecutor::wake_unfilled_logs_locked() {
 }
 
 std::uint64_t FreeRunningExecutor::fold_locked() {
+  SpecReadySet& ready = spec_.ready_set();
   std::uint64_t max_completed = session_base_rounds_;
   for (std::size_t s = 0; s < slots_.size(); ++s) {
     Slot& slot = *slots_[s];
@@ -398,7 +393,7 @@ std::uint64_t FreeRunningExecutor::fold_locked() {
     slot.parks = 0;
     slot.wakes = 0;
     max_completed = std::max(max_completed, slot.completed);
-    if (shards_[s].clock > now_) now_ = shards_[s].clock;
+    now_ = std::max(now_, ready.scope(static_cast<int>(s)).clock());
   }
   burst_all_passive_ = all_passive_locked();
   const std::uint64_t progressed = max_completed - session_base_rounds_;
@@ -430,22 +425,13 @@ std::uint64_t FreeRunningExecutor::run_burst(std::uint64_t limit) {
 }
 
 bool FreeRunningExecutor::step() {
-  // A topology change invalidates shard assignment and round numbering;
-  // rebuild from a clean session.
+  // A topology change between bursts (made by a stop predicate or an
+  // observer) invalidates the shard assignment and the conflict proof: the
+  // next session starts from a fresh analysis. Every shard is parked and
+  // folded, so ending the session runs nothing.
   if (session_active_ &&
-      (topology_dirty_.load(std::memory_order_acquire) ||
-       spec_.topology_version() != session_topology_version_)) {
-    const std::uint64_t progressed = end_session();
-    if (session_error_) {
-      auto error = session_error_;
-      session_error_ = nullptr;
-      std::rethrow_exception(error);
-    }
-    if (progressed > 0) {
-      last_step_rounds_ = progressed;
-      return true;  // account what ran; the next step() restarts fresh
-    }
-  }
+      spec_.topology_version() != session_topology_version_)
+    end_session();
 
   ensure_analysis();
 
@@ -453,7 +439,7 @@ bool FreeRunningExecutor::step() {
     end_session();
     // Counted only when it ran: the quiescent round that ends a run is no
     // more a fallback round than it is a step.
-    if (!barrier_round(++barrier_rounds_, shard_ids_, {})) return false;
+    if (!barrier_round(shard_ids_, {})) return false;
     ++free_stats_.fallback_rounds;
     return true;
   }
@@ -463,20 +449,22 @@ bool FreeRunningExecutor::step() {
   // Exact-cutoff pacing: shards may run ahead only to the round the tightest
   // step budget allows; a predicate stop tightens the burst to one round so
   // it is evaluated between rounds on a quiesced world.
+  const std::uint64_t base = session_base_rounds_;
   const std::uint64_t per_run = std::min(run_step_limit_, step_limit_);
   std::uint64_t headroom =
-      per_run == ~0ull ? ~0ull - session_base_rounds_ - 1 : per_run - run_steps_;
+      per_run == ~0ull ? ~0ull - base - 1 : per_run - run_steps_;
   if (run_has_predicate_) headroom = std::min<std::uint64_t>(headroom, 1);
-  const std::uint64_t limit = session_base_rounds_ + headroom;
 
-  std::uint64_t progressed = run_burst(limit);
+  std::uint64_t progressed = run_burst(base + headroom);
   const bool aborted = stop_flag_.load(std::memory_order_acquire);
   if (aborted) {
     progressed += end_session();
     if (session_error_) {
-      auto error = session_error_;
-      session_error_ = nullptr;
-      std::rethrow_exception(error);
+      // Count the burst's rounds before the one that threw: a throwing
+      // step() counts last_step_rounds_ - 1.
+      const std::uint64_t threw = session_error_at_.first;
+      last_step_rounds_ = threw > base ? threw - base : 1;
+      std::rethrow_exception(std::exchange(session_error_, nullptr));
     }
     // Topology restart: report the rounds that ran; the next step() rebuilds.
     last_step_rounds_ = std::max<std::uint64_t>(progressed, 1);
@@ -624,8 +612,8 @@ void FreeRunningExecutor::log_push(Slot& slot, const FiredEntry& entry) {
 bool FreeRunningExecutor::continuation_round(int s, Slot& slot,
                                              std::uint64_t r,
                                              std::uint64_t* min_future) {
-  ShardState& shard = shards_[static_cast<std::size_t>(s)];
-  if (begin_round(s, r, shard.clock, min_future)) {
+  SimTime& clock = spec_.ready_set().scope(s).clock();
+  if (begin_round(s, r, clock, min_future)) {
     fire_round(s, r, free_announce_.load(std::memory_order_relaxed),
                [this, &slot, r](const FiringCandidate& c, SimTime at) {
                  log_push(slot, {c, at, r});
@@ -641,12 +629,13 @@ bool FreeRunningExecutor::continuation_round(int s, Slot& slot,
   if (wake == kNeverTime) return false;
   const SimTime cap{session_deadline_ns_.load(std::memory_order_relaxed)};
   const SimTime target = std::min(wake, cap);
-  if (target <= shard.clock) return false;
-  shard.clock = target;
+  if (target <= clock) return false;
+  clock = target;
   return true;
 }
 
 void FreeRunningExecutor::shard_loop(int s, Slot& slot, ShardState& shard) {
+  const SimTime& clock = spec_.ready_set().scope(s).clock();
   for (;;) {
     if (stop_flag_.load(std::memory_order_acquire)) return;
     const std::uint64_t r = slot.completed + 1;
@@ -660,10 +649,9 @@ void FreeRunningExecutor::shard_loop(int s, Slot& slot, ShardState& shard) {
         return;
       continue;  // completed may have moved (wake hook) — recompute r
     }
-    if (shard.clock.ns >=
-        session_deadline_ns_.load(std::memory_order_relaxed)) {
+    if (clock.ns >= session_deadline_ns_.load(std::memory_order_relaxed)) {
       if (!park_until(slot, SlotState::DeadlineParked, [&] {
-            return shard.clock.ns <
+            return clock.ns <
                    session_deadline_ns_.load(std::memory_order_relaxed);
           }))
         return;
@@ -728,7 +716,6 @@ void FreeRunningExecutor::shard_loop(int s, Slot& slot, ShardState& shard) {
       std::lock_guard<std::mutex> lock(smu_);
       stop_ = true;
       stop_flag_.store(true, std::memory_order_release);
-      topology_dirty_.store(true, std::memory_order_release);
       wake_everyone_locked();
       return;
     }
@@ -746,8 +733,14 @@ void FreeRunningExecutor::shard_main(int s) {
   } catch (...) {
     // Surface worker-side failures (verify_ready_set divergence, a throwing
     // action) through the run thread instead of terminating the process.
+    // The earliest round that threw wins, the lowest shard on a tie: the
+    // failure a barrier round would have met first.
+    const std::pair<std::uint64_t, int> at{slot.completed + 1, s};
     std::lock_guard<std::mutex> lock(smu_);
-    if (!session_error_) session_error_ = std::current_exception();
+    if (!session_error_ || at < session_error_at_) {
+      session_error_ = std::current_exception();
+      session_error_at_ = at;
+    }
     stop_ = true;
     stop_flag_.store(true, std::memory_order_release);
     wake_everyone_locked();

@@ -67,9 +67,10 @@
 // fallback_rounds. So at threads = 1 every specification runs barrier
 // rounds, and on one shard both dispatch styles fire exactly what
 // Sequential fires. A fallback round first ends any live session (the
-// continuations return to their parked workers). Ending a session lifts the
-// barrier round counter past the session's rounds, so the transfers it left
-// parked drain in the first barrier round, in their send order.
+// continuations return to their parked workers). A session starts every
+// shard at the specification's round line and writes back the highest
+// round it completed (SpecReadySet), so the transfers it left parked drain
+// in the first barrier round, in their send order.
 //
 // Known gap: an idle free-running shard leaps to its OWN next delay
 // deadline, while the barrier round only leaps the whole group when no
@@ -84,6 +85,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "estelle/interaction.hpp"
@@ -255,7 +257,6 @@ class FreeRunningExecutor final : public ShardedExecutor,
                                       // mirrored by the atomic for lock-free
                                       // reads in wait predicates)
   std::atomic<bool> stop_flag_{false};
-  std::atomic<bool> topology_dirty_{false};
   std::atomic<std::uint64_t> round_limit_{0};
   std::atomic<std::int64_t> session_deadline_ns_{0};
   std::atomic<bool> free_announce_{false};
@@ -263,6 +264,7 @@ class FreeRunningExecutor final : public ShardedExecutor,
   std::uint64_t session_base_rounds_ = 0;  // max completed already folded
   bool burst_all_passive_ = false;
   std::exception_ptr session_error_;
+  std::pair<std::uint64_t, int> session_error_at_;  // (round, shard) that threw
   FreeRunningStats free_stats_;
   std::size_t slot_footprint_seen_ = 0;  // allocation accounting
   // Persistent scratch of the null-message service and the announcement

@@ -472,25 +472,16 @@ class Specification {
   /// The dirty-module queue feeding event-driven scheduling (ready_set.hpp).
   [[nodiscard]] ReadyLedger& ready_ledger() noexcept { return ready_ledger_; }
 
-  /// The dirty set itself: one ReadyScope per system module, shared by
-  /// every executor that runs this specification (ready_set.hpp).
+  /// The dirty set and the time line (one ReadyScope and one clock per
+  /// system module, and the round line), shared by every executor that runs
+  /// this specification (ready_set.hpp).
   [[nodiscard]] SpecReadySet& ready_set() noexcept { return *ready_set_; }
 
-  /// The latest virtual time any run of this specification reached, on any
-  /// executor. Each executor keeps its own clock; every run starts from
-  /// this, so handing the specification to another executor never moves
-  /// time backwards under its delay clauses.
-  [[nodiscard]] common::SimTime reached_time() const noexcept {
-    return reached_time_;
-  }
-  void note_reached_time(common::SimTime t) noexcept {
-    if (t > reached_time_) reached_time_ = t;
-  }
-
   /// Record that executor `id` (ExecutorBase numbers its instances) runs
-  /// this specification; true when another executor ran it last. The
-  /// dirty set lives here, so a hand-off keeps it; the new executor only
-  /// does its takeover chores (ExecutorBase::take_over).
+  /// this specification; true when another executor ran it last. Dirty set
+  /// and time line live here, so a hand-off keeps both; the one chore left
+  /// is a one-clock backend's: it delivers the transfers a shard backend
+  /// left parked (ExecutorBase::run).
   bool claim(std::uint64_t id) noexcept {
     return std::exchange(runner_, id) != id;
   }
@@ -515,7 +506,6 @@ class Specification {
   std::unique_ptr<SpecReadySet> ready_set_;
   std::unique_ptr<Module> root_;
   bool initialized_ = false;
-  common::SimTime reached_time_{};
   std::uint64_t runner_ = 0;  // the claim of the last executor; 0 = none
   std::atomic<std::uint64_t> topology_version_{0};
   std::atomic<CrossShardWakeSink*> wake_sink_{nullptr};

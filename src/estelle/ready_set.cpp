@@ -165,6 +165,19 @@ bool SpecReadySet::refresh() {
   return grew;
 }
 
+SimTime SpecReadySet::reached_time() const noexcept {
+  SimTime reached{};
+  for (const ReadyScope& scope : scopes_)
+    reached = std::max(reached, scope.clock());
+  return reached;
+}
+
+void SpecReadySet::raise_clocks(SimTime t) {
+  if (seen_version_ == ~0ull) reseed();
+  for (ReadyScope& scope : scopes_)
+    scope.clock() = std::max(scope.clock(), t);
+}
+
 void SpecReadySet::reseed() {
   seen_version_ = spec_.topology_version();
   // Queued entries may point at destroyed modules; forget them without
@@ -182,7 +195,13 @@ void SpecReadySet::reseed() {
     m.shard_ = kNoShard;
   });
   systems_ = spec_.system_modules();
+  // System modules join only before initialize(), when no shard backend can
+  // have run: a new one starts at the time the others reached.
+  const std::size_t clocked = scopes_.size();
+  const SimTime reached = reached_time();
   scopes_.resize(systems_.size());
+  for (std::size_t s = clocked; s < scopes_.size(); ++s)
+    scopes_[s].clock() = reached;
   for (std::size_t s = 0; s < systems_.size(); ++s) {
     ReadyScope& scope = scopes_[s];
     scope.clear();

@@ -115,9 +115,15 @@ class ReadyScope {
     return round_allocated_;
   }
 
-  /// Drop all state without dereferencing stored module pointers (a
-  /// topology change may have destroyed some). The reseed resets the
-  /// surviving modules' intrusive fields.
+  /// The system module's virtual clock. The shard backends run its rounds
+  /// on it in place; a one-clock backend leaves it at its own clock when a
+  /// run ends (SpecReadySet::raise_clocks).
+  [[nodiscard]] SimTime& clock() noexcept { return clock_; }
+  [[nodiscard]] SimTime clock() const noexcept { return clock_; }
+
+  /// Drop all scheduling state without dereferencing stored module pointers
+  /// (a topology change may have destroyed some); the clock stays. The
+  /// reseed resets the surviving modules' intrusive fields.
   void clear() noexcept;
 
  private:
@@ -140,6 +146,7 @@ class ReadyScope {
   std::vector<FiringCandidate> candidates_;
   std::uint64_t round_guards_ = 0;
   bool round_allocated_ = false;
+  SimTime clock_{};
 };
 
 /// The specification's dirty set (Specification::ready_set()): one
@@ -155,6 +162,15 @@ class ReadyScope {
 /// be touched). A reseed stamps every module with its document-order index
 /// and its system module's index (Module::shard) and marks every module of
 /// every system subtree. A hand-off between executors changes nothing here.
+///
+/// The set also holds the specification's time line, which no reseed
+/// moves: one clock per system module (ReadyScope::clock) and the round
+/// line, the number of the last shard round run on the specification.
+/// Barrier rounds and node rounds take the next number; a free session
+/// starts every shard at the line and writes back the highest round it
+/// completed. Every parked transfer is therefore stamped at or below the
+/// line, and the next shard round, on whichever shard backend, drains it
+/// where an uninterrupted run would.
 class SpecReadySet {
  public:
   explicit SpecReadySet(Specification& spec) : spec_(spec) {}
@@ -164,6 +180,18 @@ class SpecReadySet {
   /// scope. Returns true when the ledger grew since the last refresh (the
   /// marks that grew it allocated while the previous round fired).
   bool refresh();
+
+  [[nodiscard]] std::uint64_t round_line() const noexcept {
+    return round_line_;
+  }
+  void set_round_line(std::uint64_t r) noexcept { round_line_ = r; }
+  /// The latest system-module clock: the time the specification reached,
+  /// on any executor.
+  [[nodiscard]] SimTime reached_time() const noexcept;
+  /// Raise every system-module clock to `t`: how a one-clock backend
+  /// (Sequential, ParallelSim) leaves the time line when a run ends. Seeds
+  /// the scopes if nothing has yet, so the clocks exist.
+  void raise_clocks(SimTime t);
 
   [[nodiscard]] int size() const noexcept {
     return static_cast<int>(scopes_.size());
@@ -186,6 +214,7 @@ class SpecReadySet {
   std::vector<Module*> systems_;
   std::uint64_t seen_version_ = ~0ull;  // ~0: never seeded
   std::size_t ledger_capacity_seen_ = 0;
+  std::uint64_t round_line_ = 0;
 };
 
 /// Reference cross-check for ExecutorConfig::verify_ready_set: recompute the

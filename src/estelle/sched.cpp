@@ -101,7 +101,8 @@ void fire(const FiringCandidate& c, SimTime now, RunObserver* observer) {
 
 SequentialScheduler::SequentialScheduler(Specification& spec,
                                          const ExecutorConfig& cfg)
-    : ExecutorBase(spec, cfg.max_steps), verify_(cfg.verify_ready_set) {}
+    : ExecutorBase(spec, cfg.max_steps, true),
+      verify_(cfg.verify_ready_set) {}
 
 bool SequentialScheduler::step() {
   // Candidate collection from the specification's dirty set, every system
@@ -167,7 +168,7 @@ bool SequentialScheduler::step() {
 
 ParallelSimScheduler::ParallelSimScheduler(Specification& spec,
                                            const ExecutorConfig& cfg)
-    : ExecutorBase(spec, cfg.max_steps),
+    : ExecutorBase(spec, cfg.max_steps, true),
       processors_(cfg.processors),
       mapping_(cfg.mapping),
       engine_(cfg.processors, cfg.costs) {

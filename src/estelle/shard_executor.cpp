@@ -10,29 +10,20 @@ namespace mcam::estelle {
 
 ShardedExecutor::ShardedExecutor(Specification& spec,
                                  const ExecutorConfig& cfg)
-    : ExecutorBase(spec, cfg.max_steps), verify_(cfg.verify_ready_set) {}
+    : ExecutorBase(spec, cfg.max_steps, false),
+      verify_(cfg.verify_ready_set) {}
 
 void ShardedExecutor::ensure_analysis() {
   if (!analysis_) {
     analysis_ = std::make_unique<ConflictAnalysis>(spec_);
     // The system-module population is frozen (R6), so the shard vector is
-    // sized exactly once; refreshes change subtree membership only. Every
-    // shard starts from the executor's clock, which a run raises to the
-    // time the specification reached.
+    // sized exactly once; refreshes change subtree membership only.
     shards_.resize(static_cast<std::size_t>(analysis_->shard_count()));
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      shards_[s].clock = now_;
+    for (std::size_t s = 0; s < shards_.size(); ++s)
       shard_ids_.push_back(static_cast<int>(s));
-    }
   } else {
     analysis_->refresh();
   }
-}
-
-void ShardedExecutor::take_over() {
-  const SimTime reached = spec_.reached_time();
-  for (ShardState& shard : shards_)
-    if (shard.clock < reached) shard.clock = reached;
 }
 
 bool ShardedExecutor::begin_round(int s, std::uint64_t r, SimTime floor,
@@ -40,41 +31,43 @@ bool ShardedExecutor::begin_round(int s, std::uint64_t r, SimTime floor,
   ShardState& shard = shards_[static_cast<std::size_t>(s)];
   const ShardInfo& info = analysis_->shards()[static_cast<std::size_t>(s)];
   ReadyScope& ready = spec_.ready_set().scope(s);
+  SimTime& clock = ready.clock();
   shard.delta = RoundDelta{};
   shard.fired_log.clear();
   // Accept everything sent before this round; later-stamped arrivals stay
   // parked. A message sent at sender-time t is never processed at
   // receiver-time < t: the watermark raises the clock first.
-  SimTime wm = shard.clock;
+  SimTime wm = clock;
   for (InteractionPoint* ip : info.boundary)
     ip->drain_transfers_until(r - 1, &wm, min_future);
-  if (wm > shard.clock) shard.clock = wm;
+  if (wm > clock) clock = wm;
 
   bool allocated = false;
   const auto collect = [&] {
-    ready.collect(shard.clock);
+    ready.collect(clock);
     shard.delta.guards += ready.round_guards();
     allocated = allocated || ready.round_allocated();
   };
   collect();
-  if (ready.candidates().empty() && shard.clock < floor) {
+  if (ready.candidates().empty() && clock < floor) {
     // An idle shard follows the group clock (system modules are
     // asynchronous, so advancing an idle one is always legal); collecting
     // again pops the delay deadlines the raise matured.
-    shard.clock = floor;
+    clock = floor;
     collect();
   }
   if (allocated) ++shard.delta.alloc_rounds;
   const std::vector<FiringCandidate>& cands = ready.candidates();
-  if (verify_)
-    verify_against_full_scan(*info.system_module, shard.clock, cands);
+  if (verify_) verify_against_full_scan(*info.system_module, clock, cands);
   return !cands.empty();
 }
 
-bool ShardedExecutor::barrier_round(std::uint64_t r,
-                                    const std::vector<int>& ids,
+bool ShardedExecutor::barrier_round(const std::vector<int>& ids,
                                     const FiringTap& tap) {
-  bool allocated = spec_.ready_set().refresh();
+  SpecReadySet& ready = spec_.ready_set();
+  bool allocated = ready.refresh();
+  const std::uint64_t r = ready.round_line() + 1;
+  ready.set_round_line(r);
   RunObserver* const obs = observer();
   const bool announce = obs != nullptr || static_cast<bool>(tap);
 
@@ -91,7 +84,7 @@ bool ShardedExecutor::barrier_round(std::uint64_t r,
   std::exception_ptr error;
   for (const int s : ids) {
     ShardState& shard = shards_[static_cast<std::size_t>(s)];
-    if (spec_.ready_set().scope(s).candidates().empty()) continue;
+    if (ready.scope(s).candidates().empty()) continue;
     LocalReadyScopeBinding binding(spec_, s);
     try {
       fire_round(s, r, announce,
@@ -124,7 +117,7 @@ bool ShardedExecutor::barrier_round(std::uint64_t r,
     stats_.busy += d.busy;
     stats_.sched_time += d.sched;
     allocated = allocated || d.alloc_rounds != 0;
-    if (shard.clock > now_) now_ = shard.clock;
+    now_ = std::max(now_, ready.scope(s).clock());
   }
   if (allocated) ++stats_.rounds_with_allocation;
   if (error) std::rethrow_exception(error);
@@ -138,13 +131,12 @@ bool ShardedExecutor::barrier_round(std::uint64_t r,
   // the jump matured. This is the only leap to a deadline: an idle shard
   // never runs ahead to one of its own while another shard is busy.
   SimTime wake = kNeverTime;
-  for (const int s : ids)
-    wake = std::min(wake, spec_.ready_set().scope(s).next_deadline());
+  for (const int s : ids) wake = std::min(wake, ready.scope(s).next_deadline());
   if (wake == kNeverTime) return false;  // quiescent
   advance_clock_toward(wake);
   for (const int s : ids) {
-    ShardState& shard = shards_[static_cast<std::size_t>(s)];
-    if (shard.clock < now_) shard.clock = now_;
+    SimTime& clock = ready.scope(s).clock();
+    clock = std::max(clock, now_);
   }
   return true;
 }
@@ -160,7 +152,7 @@ void ShardedExecutor::decorate_report(RunReport& report) {
     out.uniprocessor_host = info.uniprocessor_host;
     out.fired = shards_[s].fired;
     out.rounds = shards_[s].rounds;
-    out.clock = shards_[s].clock;
+    out.clock = spec_.ready_set().scope(info.id).clock();
     report.shards.push_back(std::move(out));
   }
 }

@@ -8,7 +8,7 @@
 // multiprocessor because its *system modules* are mutually independent and
 // asynchronous (§4). This engine makes that structural: ConflictAnalysis
 // assigns one shard per system-module subtree, and each shard executes its
-// own rounds with its own virtual clock, synchronizing with other shards
+// own rounds on its system module's clock, synchronizing with other shards
 // only through the two-phase transfer mailboxes (interaction.hpp). The
 // per-round barrier keeps observer announcements and stop-condition checks
 // in one place and gives idle shards a group clock to follow. Real threads
@@ -16,9 +16,10 @@
 // same shards without the barrier, and processes from Distributed
 // (transport/dist_runner.hpp).
 //
-// One *barrier round* r (barrier_round; the round counter is monotone
-// across runs, so a transfer's stamp always names the round that sent it)
-// runs on the calling thread:
+// The shard clocks and the round numbers are the specification's time line
+// (SpecReadySet), so one executor continues where another stopped.
+//
+// One *barrier round* r (barrier_round) runs on the calling thread:
 //   1. every shard drains its cross-shard mailboxes up to round r-1
 //      (raising its clock to the arrival watermark: a message sent at
 //      sender-time t is never processed at receiver-time < t) and collects
@@ -74,12 +75,6 @@
 namespace mcam::estelle {
 
 class ShardedExecutor : public ExecutorBase {
- public:
-  /// The analysis driving shard assignment (built on first use).
-  [[nodiscard]] const ConflictAnalysis* analysis() const noexcept {
-    return analysis_.get();
-  }
-
  protected:
   /// Reads verify_ready_set and max_steps. Rounds charge the sequential
   /// cost model (kSchedPerTransition, kScanPerGuard) on each shard's clock,
@@ -108,11 +103,10 @@ class ShardedExecutor : public ExecutorBase {
     SimTime sched{};
   };
 
-  /// A shard's clock and counters. Its dirty set is the specification's
-  /// scope of the same index (SpecReadySet::scope), its cross-shard
-  /// endpoints the analysis's ShardInfo::boundary.
+  /// A shard's counters. Its dirty set and its clock are the
+  /// specification's scope of the same index (SpecReadySet::scope), its
+  /// cross-shard endpoints the analysis's ShardInfo::boundary.
   struct ShardState {
-    SimTime clock{};
     std::uint64_t fired = 0;
     std::uint64_t rounds = 0;
     // Per-round scratch, written by whichever thread runs the round:
@@ -146,21 +140,18 @@ class ShardedExecutor : public ExecutorBase {
   /// shard_round.hpp.
   template <typename LogFn>
   void fire_round(int s, std::uint64_t r, bool announce, LogFn&& log);
-  /// One barrier round r over the shards `ids` (ascending), on this thread:
-  /// begin_round for each with the group clock as floor, then fire_round
-  /// for those that fire, in id order; the firings replay in shard id order
-  /// to `tap` and the run's observers, and the deltas fold into stats_. When
-  /// nothing fires, the group leaps to its earliest delay deadline. Returns
-  /// false when quiescent: nothing fired and no deadline is queued. An
-  /// action that throws stops the firing; what ran is replayed and folded
-  /// before the exception propagates.
-  bool barrier_round(std::uint64_t r, const std::vector<int>& ids,
-                     const FiringTap& tap);
+  /// One barrier round over the shards `ids` (ascending), on this thread,
+  /// numbered r = the specification's round line + 1, which it moves the
+  /// line to before anything fires: begin_round for each with the group
+  /// clock as floor, then fire_round for those that fire, in id order; the
+  /// firings replay in shard id order to `tap` and the run's observers, and
+  /// the deltas fold into stats_. When nothing fires, the group leaps to its
+  /// earliest delay deadline. Returns false when quiescent: nothing fired
+  /// and no deadline is queued. An action that throws stops the firing;
+  /// what ran is replayed and folded before the exception propagates.
+  bool barrier_round(const std::vector<int>& ids, const FiringTap& tap);
 
   void decorate_report(RunReport& report) override;
-  /// Taking a specification over: no shard clock may lag the time another
-  /// executor reached.
-  void take_over() override;
 
   void ensure_analysis();
 
@@ -168,10 +159,6 @@ class ShardedExecutor : public ExecutorBase {
   std::unique_ptr<ConflictAnalysis> analysis_;
   std::vector<ShardState> shards_;
   std::vector<int> shard_ids_;  // 0..n-1: every shard, in id order
-  /// Last barrier round FreeRunning ran over shard_ids_. Ending a free
-  /// session lifts it past the session's rounds, so transfers the session
-  /// left parked drain in the next barrier round.
-  std::uint64_t barrier_rounds_ = 0;
 };
 
 }  // namespace mcam::estelle

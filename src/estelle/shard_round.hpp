@@ -49,32 +49,32 @@ namespace mcam::estelle {
 template <typename LogFn>
 void ShardedExecutor::fire_round(int s, std::uint64_t r, bool announce,
                                  LogFn&& log) {
-  ShardState& shard = shards_[static_cast<std::size_t>(s)];
-  RoundDelta& delta = shard.delta;
+  RoundDelta& delta = shards_[static_cast<std::size_t>(s)].delta;
+  ReadyScope& ready = spec_.ready_set().scope(s);
+  SimTime& clock = ready.clock();
   // Outputs to foreign shards detour into their mailboxes, stamped with
   // this round's number and start clock.
-  ShardExecutionScope scope(s, shard.clock, r);
+  ShardExecutionScope scope(s, clock, r);
   // Same virtual-cost arithmetic as the sequential scheduler: scan cost for
   // every guard this round's collects examined (both of them when the shard
   // was raised to the group clock), then per-firing scheduling and
   // execution costs.
-  const std::vector<FiringCandidate>& cands =
-      spec_.ready_set().scope(s).candidates();
+  const std::vector<FiringCandidate>& cands = ready.candidates();
   const SimTime scan_cost{kScanPerGuard.ns *
                           static_cast<std::int64_t>(delta.guards)};
-  shard.clock += scan_cost;
+  clock += scan_cost;
   delta.sched += scan_cost;
   delta.cands += cands.size();
   for (const FiringCandidate& c : cands) {
     // The sequential revalidation discipline: an earlier firing of this
     // round (same shard, same thread) may have consumed the state.
-    if (!is_fireable(*c.transition, *c.module, shard.clock)) continue;
-    shard.clock += kSchedPerTransition;
+    if (!is_fireable(*c.transition, *c.module, clock)) continue;
+    clock += kSchedPerTransition;
     delta.sched += kSchedPerTransition;
-    shard.clock += c.transition->cost;
+    clock += c.transition->cost;
     delta.busy += c.transition->cost;
-    if (announce) log(c, shard.clock);
-    fire(c, shard.clock, nullptr);
+    if (announce) log(c, clock);
+    fire(c, clock, nullptr);
     ++delta.fired;
   }
   delta.rounds = 1;

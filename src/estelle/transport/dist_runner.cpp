@@ -529,18 +529,17 @@ bool DistributedRunner::step() {
   }
   if (spec_.topology_version() != wired_version_) {
     fail("distributed: topology changed after round " +
-         std::to_string(round_) +
+         std::to_string(spec_.ready_set().round_line()) +
          "; dynamic module creation does not span processes");
     return false;
   }
-  // Every announcement carries round r, so the barrier's shard-id-order
-  // replay is exactly the (round, shard) order the cross-node trace merge
-  // sorts by.
-  const std::uint64_t r = round_ + 1;
-  const bool worked = barrier_round(r, local_shards_, opts_.trace_hook);
+  // The barrier round takes the next number r on the round line, and every
+  // announcement carries it, so the barrier's shard-id-order replay is
+  // exactly the (round, shard) order the cross-node trace merge sorts by.
+  const bool worked = barrier_round(local_shards_, opts_.trace_hook);
+  const std::uint64_t r = spec_.ready_set().round_line();
   if (!export_transfers(r) || !send_round_done(r, !worked) || !gate(r))
     return false;
-  round_ = r;
   if (!worked) {
     // A round in which every node was quiescent ends the run and is not
     // counted, like a quiescent barrier round under FreeRunning. Every node

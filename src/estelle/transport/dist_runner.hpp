@@ -10,8 +10,8 @@
 // exist locally as never-fired replicas whose interaction points serve as
 // the wire bridge (InteractionPoint::take_transfers / inject_transfer).
 //
-// Round protocol. Every node advances its round cursor r in lockstep with
-// every peer. Node round r is one barrier round
+// Round protocol. Every node advances its specification's round line r in
+// lockstep with every peer. Node round r is one barrier round
 // (ShardedExecutor::barrier_round) over the node's local shards, on the
 // node's run thread: every local shard drains and collects, an idle one
 // following the node's group clock, then the shards that fire run in shard
@@ -71,6 +71,11 @@
 //     with a structured error.
 //   * one run() per process group: run end broadcasts Bye, so a later run()
 //     of a multi-node group aborts at its first gate.
+//   * every node's specification must start on the same round line, since
+//     node rounds take its numbers. A fresh specification always does (no
+//     caller runs a shard backend on a node's specification first);
+//     otherwise the gates wait for RoundDones no peer sends, and the gate
+//     watchdog ends the run Aborted.
 #pragma once
 
 #include <array>
@@ -158,10 +163,6 @@ class DistributedRunner final : public ShardedExecutor {
   }
 
   [[nodiscard]] const DistOptions& options() const noexcept { return opts_; }
-  /// Completed node rounds (the round cursor).
-  [[nodiscard]] std::uint64_t completed_rounds() const noexcept {
-    return round_;
-  }
   /// Structural fingerprint the handshake compares (FNV-1a over module
   /// paths, interaction points and channel wiring). Exposed for tests.
   [[nodiscard]] std::uint64_t spec_fingerprint();
@@ -256,7 +257,6 @@ class DistributedRunner final : public ShardedExecutor {
   std::shared_ptr<MailboxTransport> transport_;
   bool wired_ = false;
   std::uint64_t wired_version_ = 0;
-  std::uint64_t round_ = 0;
   bool bye_sent_ = false;
   /// The last RoundDone sent: what a heartbeat re-sends.
   Frame round_done_;

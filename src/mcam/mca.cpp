@@ -56,7 +56,6 @@ void McaClientModule::define_transitions() {
       .to(kOpen)
       .cost(kMcaCost)
       .action([this](Module&, const Interaction* msg) {
-        ++responses_;
         app().output(Interaction(static_cast<int>(Op::AssociateResp),
                                  msg->payload));
       });
@@ -66,7 +65,6 @@ void McaClientModule::define_transitions() {
       .to(kClosed)
       .cost(kMcaCost)
       .action([this](Module&, const Interaction* msg) {
-        ++responses_;
         // The refusal user data carries an AssociateResp explaining why.
         app().output(Interaction(static_cast<int>(Op::AssociateResp),
                                  msg->payload));
@@ -88,7 +86,6 @@ void McaClientModule::define_transitions() {
       .to(kClosed)
       .cost(kMcaCost)
       .action([this](Module&, const Interaction*) {
-        ++responses_;
         deliver(app(), Pdu{ReleaseResp{}});
       });
 
@@ -99,7 +96,6 @@ void McaClientModule::define_transitions() {
       .priority(5)
       .cost(kMcaCost)
       .action([this](Module&, const Interaction* msg) {
-        ++requests_;
         service().output(Interaction(kPDatReq, msg->payload));
       });
 
@@ -110,7 +106,6 @@ void McaClientModule::define_transitions() {
       .cost(kMcaCost)
       .action([this](Module&, const Interaction* msg) {
         auto op = peek_op(msg->payload);
-        ++responses_;
         app().output(Interaction(
             op.ok() ? static_cast<int>(op.value())
                     : static_cast<int>(Op::ErrorResp),
@@ -206,7 +201,6 @@ void McaServerModule::define_transitions() {
       .when(d, kPDatInd)
       .cost(kMcaCost)
       .action([this](Module&, const Interaction* msg) {
-        ++handled_;
         auto request = decode(msg->payload);
         Pdu response =
             request.ok()

@@ -40,19 +40,10 @@ class McaClientModule : public estelle::Module {
   /// service IP).
   estelle::InteractionPoint& service() { return service_; }
 
-  [[nodiscard]] std::uint64_t requests_forwarded() const noexcept {
-    return requests_;
-  }
-  [[nodiscard]] std::uint64_t responses_delivered() const noexcept {
-    return responses_;
-  }
-
  private:
   void define_transitions();
   estelle::InteractionPoint& app_;
   estelle::InteractionPoint& service_;
-  std::uint64_t requests_ = 0;
-  std::uint64_t responses_ = 0;
 };
 
 class McaServerModule : public estelle::Module {
@@ -64,9 +55,6 @@ class McaServerModule : public estelle::Module {
   estelle::InteractionPoint& service() { return service_; }
 
   [[nodiscard]] std::uint64_t session_id() const noexcept { return session_; }
-  [[nodiscard]] std::uint64_t requests_handled() const noexcept {
-    return handled_;
-  }
 
  private:
   void define_transitions();
@@ -74,7 +62,6 @@ class McaServerModule : public estelle::Module {
   estelle::InteractionPoint& service_;
   McamServerCore& core_;
   std::uint64_t session_ = 0;
-  std::uint64_t handled_ = 0;
 };
 
 }  // namespace mcam::core

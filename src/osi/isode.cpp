@@ -20,7 +20,6 @@ void IsodeEntity::indicate(Event e, Bytes user_data) {
 
 void IsodeEntity::send_spdu(Spdu type, const Bytes& ppdu) {
   if (peer_ == nullptr) throw std::logic_error("IsodeEntity not linked");
-  ++pdus_processed_;
   peer_->receive_tsdu(build_spdu(type, ppdu));
 }
 
@@ -75,7 +74,6 @@ std::optional<Indication> IsodeEntity::next_indication() {
 }
 
 void IsodeEntity::receive_tsdu(const Bytes& tsdu) {
-  ++pdus_processed_;
   auto parsed = parse_spdu(tsdu);
   if (!parsed.ok()) return;  // malformed: dropped
   SpduView& spdu = parsed.value();

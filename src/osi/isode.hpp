@@ -62,9 +62,6 @@ class IsodeEntity {
     return !inbox_.empty();
   }
   [[nodiscard]] State state() const noexcept { return state_; }
-  [[nodiscard]] std::uint64_t pdus_processed() const noexcept {
-    return pdus_processed_;
-  }
 
  private:
   friend void link(IsodeEntity& a, IsodeEntity& b);
@@ -76,7 +73,6 @@ class IsodeEntity {
   IsodeEntity* peer_ = nullptr;
   State state_ = State::kIdle;
   std::deque<Indication> inbox_;
-  std::uint64_t pdus_processed_ = 0;
 };
 
 /// Join two entities back-to-back.

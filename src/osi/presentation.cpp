@@ -182,7 +182,6 @@ void PresentationModule::define_transitions() {
       .to(kWaitConf)
       .cost(cost)
       .action([this](Module&, const Interaction* msg) {
-        ++sent_;
         lower().output(Interaction(
             kSConReq, build_cp(cfg_.context_id, msg->payload)));
       });
@@ -240,7 +239,6 @@ void PresentationModule::define_transitions() {
       .cost(cost)
       .action([this](Module& m, const Interaction* msg) {
         const bool accept = msg->value != 0;
-        ++sent_;
         Interaction out(kSConResp, accept ? 1 : 0,
                         accept ? build_cpa(cfg_.context_id, msg->payload)
                                : build_cpr(/*reason=*/2, msg->payload));
@@ -255,7 +253,6 @@ void PresentationModule::define_transitions() {
       .when(u, kPDatReq)
       .cost(cost)
       .action([this](Module&, const Interaction* msg) {
-        ++sent_;
         lower().output(
             Interaction(kSDatReq, build_td(cfg_.context_id, msg->payload)));
       });

@@ -58,7 +58,6 @@ class PresentationModule : public estelle::Module {
   /// Lower interface: connect to SessionModule::upper().
   estelle::InteractionPoint& lower() { return lower_; }
 
-  [[nodiscard]] std::uint64_t ppdus_sent() const noexcept { return sent_; }
   /// Negotiated transfer syntax of the accepted context (empty until open).
   [[nodiscard]] const std::vector<std::uint32_t>& transfer_syntax()
       const noexcept {
@@ -71,7 +70,6 @@ class PresentationModule : public estelle::Module {
   estelle::InteractionPoint& upper_;
   estelle::InteractionPoint& lower_;
   Config cfg_;
-  std::uint64_t sent_ = 0;
   std::vector<std::uint32_t> transfer_syntax_;
 };
 

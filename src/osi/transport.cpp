@@ -66,11 +66,10 @@ void TransportModule::on_data(const Interaction& msg) {
   auto parsed = parse_tpdu(msg.payload);
   if (!parsed.ok()) return;  // malformed: dropped, like any lost DT
   TpduView& v = parsed.value();
+  // Out of order under go-back-N: dropped; either way, re-ack.
   if (v.seq == expected_) {
     ++expected_;
     upper().output(Interaction(kTDatInd, std::move(v.payload)));
-  } else {
-    ++dups_dropped_;  // out-of-order under go-back-N: drop, re-ack
   }
   send_pdu(Tpdu::AK, expected_, {});
 }

@@ -61,9 +61,6 @@ class TransportModule : public Module {
   [[nodiscard]] std::uint64_t data_pdus_sent() const noexcept {
     return data_sent_;
   }
-  [[nodiscard]] std::uint64_t duplicates_dropped() const noexcept {
-    return dups_dropped_;
-  }
 
  private:
   void define_transitions();
@@ -84,7 +81,6 @@ class TransportModule : public Module {
   std::deque<common::Bytes> pending_;  // not yet in window
   std::uint64_t retransmissions_ = 0;
   std::uint64_t data_sent_ = 0;
-  std::uint64_t dups_dropped_ = 0;
   int retransmit_rounds_ = 0;
 };
 

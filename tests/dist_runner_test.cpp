@@ -535,8 +535,9 @@ TEST(DistRunner, ThrowingActionEndsTheBarrierRoundLikeSequential) {
   // replay and fold what ran before the exception leaves run() — under
   // FreeRunning's barrier rounds and a single-node Distributed round, with
   // the per-shard fired counters summing to the executor's. The Aborted
-  // report counts the rounds completed before the throw, also when the
-  // single-node burst loop ran them inside one step().
+  // report counts the rounds completed before the throw, also when a free
+  // session (threads = 3) ran them inside one step(); its trace and fired
+  // count still depend on how far the other shards got (ROADMAP item 9).
   struct ReportKeeper final : RunObserver {
     RunReport report;
     void on_run_end(Executor&, const RunReport& r) override { report = r; }
@@ -598,6 +599,10 @@ TEST(DistRunner, ThrowingActionEndsTheBarrierRoundLikeSequential) {
     EXPECT_EQ(o.report.shards.size(), 3u);
     EXPECT_EQ(shard_fired, o.report.stats.fired);
   }
+  const Outcome session =
+      run({.kind = ExecutorKind::FreeRunning, .threads = 3});
+  EXPECT_EQ(session.report.reason, StopReason::Aborted);
+  EXPECT_EQ(session.report.steps, seq.report.steps);
 }
 
 // ---------------------------------------------------------------------------

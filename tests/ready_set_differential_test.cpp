@@ -25,10 +25,13 @@
 // Also pinned here: topology changes (new module) and dynamically registered
 // transitions invalidate the ready state — a reused executor must not skip
 // them — and MetricsObserver carries the hot-path counters. One spec handed
-// from Sequential to another executor and back must keep the uninterrupted
-// Sequential trace, firing times included on timed one-shard specs, since
-// every executor drives the specification's one dirty set; and a mark for
-// another specification's module must still reach that one's ledger. And
+// from one executor to another and back must keep the trace of one
+// uninterrupted run of the first, since every executor drives the
+// specification's one dirty set and time line: from Sequential, firing
+// times included on timed one-shard specs; from FreeRunning's barrier rounds
+// or free sessions, firing times included on multi-shard specs, timed ones
+// too. A mark for another specification's module must still reach that
+// one's ledger. And
 // Module::select_fireable's dispatch rows are checked against the bucket
 // merge they replaced, on seeded random modules.
 #include <gtest/gtest.h>
@@ -376,32 +379,43 @@ TEST(ReadySetDifferential, TopologyMutationInvalidatesReadyState) {
   }
 }
 
-TEST(ReadySetDifferential, ExecutorHandOffKeepsTheSequentialTrace) {
-  // Sequential for a few rounds, another executor for a few, then
-  // Sequential to quiescence, on one spec, against one uninterrupted
-  // Sequential run. Every executor drives the specification's own dirty set,
-  // so a hand-off neither loses the marks a firing loop put straight into
-  // the scopes nor re-examines, and charges the scan of, modules nothing
-  // happened to. The last leg delivers the cross-shard transfers a shard
-  // backend left parked when it stopped mid-exchange, and each leg starts
-  // from the latest virtual time the specification reached, so no leg fires
-  // before the previous one ended.
+TEST(ReadySetDifferential, ExecutorHandOffKeepsTheUninterruptedTrace) {
+  // One backend (the outer one) for a third of a spec's rounds, another (the
+  // middle one) for as many, then the outer one to quiescence, on one spec,
+  // against one uninterrupted run of the outer backend. Every executor
+  // drives the specification's own dirty set and time line, so a hand-off
+  // neither loses the marks a firing loop put straight into the scopes nor
+  // re-examines, and charges the scan of, modules nothing happened to. A
+  // one-clock backend delivers the cross-shard transfers a shard backend
+  // left parked; a shard backend drains them in its next round, which the
+  // round line numbers past their stamps, on the system-module clocks the
+  // previous executor left.
   //
-  // Specs without delay clauses that run at least three rounds, multi-shard
-  // ones included, hand off to FreeRunning (threads = 2), to ParallelSim and,
-  // on the conflict-free ones, to single-node Distributed: the transition
-  // names and the final world equal the uninterrupted run's. ParallelSim
-  // drives no scope, so the last leg sees its firings only through ledger
-  // marks; its own leg fires the same transitions in the order its
-  // simulated processors run them, so that leg is compared as a multiset,
-  // and only on the specs the differential suite runs it on
-  // (parallelsim_ok).
+  // Sequential outside. Specs without delay clauses that run at least three
+  // rounds, multi-shard ones included, hand off to FreeRunning (threads =
+  // 2), to ParallelSim and, on the conflict-free ones, to single-node
+  // Distributed: the transition names and the final world equal the
+  // uninterrupted run's. ParallelSim drives no scope, so the last leg sees
+  // its firings only through ledger marks; its own leg fires the same
+  // transitions in the order its simulated processors run them, so that leg
+  // is compared as a multiset, and only on the specs the differential suite
+  // runs it on (parallelsim_ok). As many one-shard specs with delay clauses
+  // hand off to FreeRunning (threads = 2) and to a second Sequential
+  // executor: the firing times equal the uninterrupted run's too. Each leg
+  // starts from the latest virtual time the specification reached, so no
+  // leg fires before the previous one ended.
   //
-  // As many one-shard specs with delay clauses hand off to FreeRunning
-  // (threads = 2) and to a second Sequential executor: the transition names
-  // and their firing times equal the uninterrupted run's too. Timed
-  // multi-shard specs are left out: their shard clocks answer to no common
-  // clock (ROADMAP item 1).
+  // A shard backend outside. As many multi-shard specs that run at least
+  // three rounds without delay clauses, and as many with them (the
+  // generator's timed_shards flavor), hand off from FreeRunning at threads
+  // = 1 (barrier rounds) to a second such executor and, on conflict-free
+  // specs, to single-node Distributed, and from FreeRunning at threads = 2
+  // (free sessions on conflict-free specs of two shards) to a second such
+  // executor: transition names, firing times and final world equal the
+  // uninterrupted outer run's. On delay-free conflict-free specs the
+  // barrier rounds also hand off to threads = 2. Not on timed ones: free
+  // and barrier dispatch fire timers differently (ROADMAP item 1; timed
+  // seed 147 fires other transitions).
   const auto names_of = [](const TraceRecorder& t) {
     std::vector<std::string> out;
     for (const TraceEvent& e : t.events())
@@ -413,37 +427,101 @@ TEST(ReadySetDifferential, ExecutorHandOffKeepsTheSequentialTrace) {
     for (const TraceEvent& e : t.events()) out.push_back(e.when.ns);
     return out;
   };
-  // Sequential for `leg` rounds, `middle` for `leg` rounds, then Sequential
-  // to quiescence, on `g`. verify_ready_set checks every round of every leg
+  const auto leg_name = [](const ExecutorConfig& cfg) {
+    return std::string(executor_kind_name(cfg.kind)) +
+           (cfg.kind == ExecutorKind::FreeRunning
+                ? " threads " + std::to_string(cfg.threads)
+                : "");
+  };
+  // `outer` for `leg` rounds, `middle` for `leg` rounds, then `outer` to
+  // quiescence, on `g`. verify_ready_set checks every round of every leg
   // that reads the dirty set against the full scan, so a leg that trusted a
   // stale scope would throw. Returns where the middle leg's firings begin
   // and end in `trace`.
   const auto hand_off = [](specgen::GeneratedWorld& g, std::uint64_t leg,
-                           ExecutorConfig middle, TraceRecorder& trace) {
+                           ExecutorConfig outer, ExecutorConfig middle,
+                           TraceRecorder& trace) {
+    outer.verify_ready_set = true;
     middle.verify_ready_set = true;
-    auto seq = make_executor(*g.spec, {.verify_ready_set = true});
+    auto out = make_executor(*g.spec, outer);
     auto mid = make_executor(*g.spec, middle);
     const auto& events = trace.events();
-    const RunReport first = seq->run(
+    const RunReport first = out->run(
         {.stop = {StopCondition::max_steps(leg)}, .observers = {&trace}});
     const std::size_t first_events = events.size();
     const RunReport second = mid->run(
         {.stop = {StopCondition::max_steps(leg)}, .observers = {&trace}});
     const std::size_t second_events = events.size();
-    const RunReport last = seq->run({.observers = {&trace}});
+    const RunReport last = out->run({.observers = {&trace}});
     EXPECT_EQ(first.reason, StopReason::StepLimit);
+    EXPECT_EQ(second.reason, StopReason::StepLimit);
     EXPECT_GT(second.fired, 0u);
     EXPECT_EQ(last.reason, StopReason::Quiescent);
-    if (second_events > first_events) {
-      EXPECT_GE(events[first_events].when.ns, first.time.ns)
-          << "the middle leg fired before the first leg's time";
-    }
-    if (events.size() > second_events) {
-      EXPECT_GE(events[second_events].when.ns, second.time.ns)
-          << "the last leg fired before the middle leg's time";
+    // One clock on either side of the middle leg: it starts at or after the
+    // time the first leg reached, and the last leg at or after its own.
+    if (outer.kind == ExecutorKind::Sequential) {
+      if (second_events > first_events) {
+        EXPECT_GE(events[first_events].when.ns, first.time.ns)
+            << "the middle leg fired before the first leg's time";
+      }
+      if (events.size() > second_events) {
+        EXPECT_GE(events[second_events].when.ns, second.time.ns)
+            << "the last leg fired before the middle leg's time";
+      }
     }
     return std::pair{first_events, second_events};
   };
+  struct Middle {
+    ExecutorConfig cfg;
+    bool times = true;  // compare firing times too
+  };
+  // Runs `seed`'s spec (timed_shards flavor as given) uninterrupted on
+  // `outer` and handed off to each middle leg, under both guard flavors.
+  const auto check = [&](std::uint64_t seed, bool timed_shards,
+                         const ExecutorConfig& outer,
+                         const std::vector<Middle>& middles) {
+    SCOPED_TRACE("outer leg " + leg_name(outer));
+    for (const specgen::GuardDecl guards :
+         {specgen::GuardDecl::Opaque, specgen::GuardDecl::Hooked}) {
+      SCOPED_TRACE(guards == specgen::GuardDecl::Opaque ? "opaque guards"
+                                                        : "hooked guards");
+      specgen::GeneratedWorld whole =
+          specgen::generate(seed, timed_shards, guards);
+      TraceRecorder reference;
+      const RunReport ref =
+          make_executor(*whole.spec, outer)->run({.observers = {&reference}});
+      ASSERT_EQ(ref.reason, StopReason::Quiescent);
+      const std::uint64_t leg = ref.steps / 3;
+      ASSERT_GT(leg, 0u);
+      const std::vector<std::string> want = names_of(reference);
+
+      for (const Middle& middle : middles) {
+        SCOPED_TRACE("middle leg " + leg_name(middle.cfg));
+        specgen::GeneratedWorld g =
+            specgen::generate(seed, timed_shards, guards);
+        TraceRecorder trace;
+        const auto [begin, end] = hand_off(g, leg, outer, middle.cfg, trace);
+        EXPECT_EQ(specgen::world_snapshot(*g.spec),
+                  specgen::world_snapshot(*whole.spec));
+        std::vector<std::string> got = names_of(trace);
+        std::vector<std::string> expected = want;
+        if (middle.cfg.kind == ExecutorKind::ParallelSim &&
+            got.size() >= end && expected.size() >= end) {
+          const auto slice = [begin = begin, end = end](auto& v) {
+            std::sort(v.begin() + static_cast<std::ptrdiff_t>(begin),
+                      v.begin() + static_cast<std::ptrdiff_t>(end));
+          };
+          slice(got);
+          slice(expected);
+        }
+        EXPECT_EQ(got, expected);
+        if (middle.times) {
+          EXPECT_EQ(times_of(trace), times_of(reference));
+        }
+      }
+    }
+  };
+
   const int wanted = std::max(3, spec_count() / 2);
   int untimed = 0;
   int timed = 0;
@@ -463,52 +541,48 @@ TEST(ReadySetDifferential, ExecutorHandOffKeepsTheSequentialTrace) {
       conflict_free = analysis.conflict_free();
       ++specs;
     }
-    std::vector<ExecutorConfig> middles = {
-        {.kind = ExecutorKind::FreeRunning, .threads = 2}};
+    std::vector<Middle> middles = {
+        {{.kind = ExecutorKind::FreeRunning, .threads = 2}, has_delay}};
     if (has_delay) {
-      middles.push_back({});
+      middles.push_back({{}, true});
     } else {
       if (parallelsim_ok)
-        middles.push_back({.kind = ExecutorKind::ParallelSim});
-      if (conflict_free) middles.push_back({.kind = ExecutorKind::Distributed});
+        middles.push_back({{.kind = ExecutorKind::ParallelSim}, false});
+      if (conflict_free)
+        middles.push_back({{.kind = ExecutorKind::Distributed}, false});
     }
     SCOPED_TRACE("seed " + std::to_string(seed));
-    for (const specgen::GuardDecl guards :
-         {specgen::GuardDecl::Opaque, specgen::GuardDecl::Hooked}) {
-      SCOPED_TRACE(guards == specgen::GuardDecl::Opaque ? "opaque guards"
-                                                        : "hooked guards");
-      specgen::GeneratedWorld whole = specgen::generate(seed, false, guards);
-      TraceRecorder reference;
-      const RunReport ref =
-          make_executor(*whole.spec)->run({.observers = {&reference}});
-      ASSERT_EQ(ref.reason, StopReason::Quiescent);
-      const std::uint64_t leg = ref.steps / 3;
-      const std::vector<std::string> want = names_of(reference);
+    check(seed, false, {}, middles);
+  }
 
-      for (const ExecutorConfig& middle : middles) {
-        SCOPED_TRACE(std::string("middle leg ") +
-                     executor_kind_name(middle.kind));
-        specgen::GeneratedWorld g = specgen::generate(seed, false, guards);
-        TraceRecorder trace;
-        const auto [begin, end] = hand_off(g, leg, middle, trace);
-        EXPECT_EQ(specgen::world_snapshot(*g.spec),
-                  specgen::world_snapshot(*whole.spec));
-        std::vector<std::string> got = names_of(trace);
-        std::vector<std::string> expected = want;
-        if (middle.kind == ExecutorKind::ParallelSim && got.size() >= end &&
-            expected.size() >= end) {
-          const auto slice = [begin = begin, end = end](auto& v) {
-            std::sort(v.begin() + static_cast<std::ptrdiff_t>(begin),
-                      v.begin() + static_cast<std::ptrdiff_t>(end));
-          };
-          slice(got);
-          slice(expected);
-        }
-        EXPECT_EQ(got, expected);
-        if (has_delay) {
-          EXPECT_EQ(times_of(trace), times_of(reference));
-        }
+  const ExecutorConfig barrier{.kind = ExecutorKind::FreeRunning,
+                               .threads = 1};
+  const ExecutorConfig session{.kind = ExecutorKind::FreeRunning,
+                               .threads = 2};
+  for (const bool timed_shards : {false, true}) {
+    int specs = 0;
+    for (std::uint64_t seed = 1; specs < wanted; ++seed) {
+      bool conflict_free = false;
+      {
+        const specgen::GeneratedWorld probe =
+            specgen::generate(seed, timed_shards);
+        if (probe.has_delay != timed_shards) continue;
+        const ConflictAnalysis analysis(*probe.spec);
+        if (analysis.shard_count() < 2 ||
+            make_executor(*probe.spec, barrier)->run().steps < 3)
+          continue;
+        conflict_free = analysis.conflict_free();
+        ++specs;
       }
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (timed_shards ? " (timed shards)" : ""));
+      std::vector<Middle> middles = {{barrier, true}};
+      if (conflict_free) {
+        middles.push_back({{.kind = ExecutorKind::Distributed}, true});
+        if (!timed_shards) middles.push_back({session, true});
+      }
+      check(seed, timed_shards, barrier, middles);
+      if (conflict_free) check(seed, timed_shards, session, {{session, true}});
     }
   }
 }
