@@ -139,9 +139,17 @@ class Writer {
   common::Bytes& out_;
 };
 
-/// Runs `emit(Writer&)` against a per-thread scratch buffer and returns an
-/// exactly-sized copy: one allocation per message however deeply it nests,
-/// with every close() patching in place. `emit` must not call write_exact.
+/// Spare capacity write_exact leaves behind every message it returns. A
+/// message the MCA or ACSE encodes is an SDU of the OSI layers below, which
+/// prepend their headers to it in place (a TD, an SPDU and a DT TPDU:
+/// osi/presentation.cpp checks that their longest headers fit), so an SDU
+/// crosses the whole stack in the buffer it was encoded into.
+inline constexpr std::size_t kSduHeadroom = 36;
+
+/// Runs `emit(Writer&)` against a per-thread scratch buffer and returns a
+/// copy of exactly the message's size with kSduHeadroom octets of spare
+/// capacity: one allocation per message however deeply it nests, with every
+/// close() patching in place. `emit` must not call write_exact.
 common::Bytes& write_scratch() noexcept;
 template <typename Emit>
 common::Bytes write_exact(Emit&& emit) {
@@ -149,7 +157,9 @@ common::Bytes write_exact(Emit&& emit) {
   scratch.clear();
   Writer w(scratch);
   emit(w);
-  common::Bytes out(scratch.begin(), scratch.end());
+  common::Bytes out;
+  out.reserve(scratch.size() + kSduHeadroom);
+  out.assign(scratch.begin(), scratch.end());
   // One rare huge message must not pin its buffer for the thread's life.
   if (scratch.capacity() > (std::size_t{1} << 16)) common::Bytes().swap(scratch);
   return out;

@@ -62,7 +62,7 @@ common::Result<MachineSpec> parse(std::string_view text);
 
 /// Action bindings by transition name (the "hand-coded parts" of §4.3).
 using ActionMap =
-    std::map<std::string, std::function<void(Module&, const Interaction*)>>;
+    std::map<std::string, std::function<void(Module&, Interaction*)>>;
 
 /// Materialize the machine onto `target`: declares IPs, sets the initial
 /// state, and registers every transition (table-driven dispatch). Actions

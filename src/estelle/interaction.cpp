@@ -151,8 +151,7 @@ bool InteractionPoint::output(Interaction msg) {
 Interaction InteractionPoint::pop() {
   if (inbox_.empty())
     throw std::logic_error("pop on empty interaction point '" + name_ + "'");
-  Interaction msg = std::move(inbox_.front());
-  inbox_.pop_front();
+  Interaction msg = inbox_.pop_front();
   // The next interaction (or none) is now the offered head; whichever of the
   // owner's when-clauses match has to be reconsidered.
   owner_.mark_ready();

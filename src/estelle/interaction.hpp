@@ -16,14 +16,18 @@
 //      active on the calling thread and the destination belongs to a
 //      different shard (two-phase commit per shard round — the free-running
 //      and distributed executors' mechanism), or
-//   2. the plain inbox deque (same-shard / unsharded / main-thread case).
+//   2. the plain inbox (same-shard / unsharded / main-thread case).
 // Because every backend funnels through the same routing point, race-free
 // commit semantics are a property of the channel, not of any one scheduler.
+//
+// The inbox is a common::Ring: building an IP allocates nothing for it, and
+// it keeps its storage, so a warmed inbox delivers and pops without
+// allocating. Interactions move through it; their payload buffers are never
+// copied on the way.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <initializer_list>
 #include <limits>
 #include <optional>
@@ -33,6 +37,7 @@
 
 #include "common/bytes.hpp"
 #include "common/clock.hpp"
+#include "common/ring.hpp"
 #include "common/rng.hpp"
 
 namespace mcam::estelle {
@@ -115,9 +120,12 @@ class InteractionPoint {
 
   // ---- receive side ----
   [[nodiscard]] bool has_input() const noexcept { return !inbox_.empty(); }
+  /// The offered head, nullptr when the inbox is empty. The pointer stays
+  /// valid until this IP's next delivery (which may grow the inbox) or pop.
   [[nodiscard]] const Interaction* head() const noexcept {
     return inbox_.empty() ? nullptr : &inbox_.front();
   }
+  /// Move the head out of the inbox; the caller owns it.
   Interaction pop();
   [[nodiscard]] std::size_t queue_length() const noexcept {
     return inbox_.size();
@@ -207,7 +215,7 @@ class InteractionPoint {
   Module& owner_;
   std::string name_;
   InteractionPoint* peer_ = nullptr;
-  std::deque<Interaction> inbox_;
+  common::Ring<Interaction> inbox_;
   /// Cross-shard arrivals parked until the owning shard's next round drains
   /// them, stamped with the sender shard's clock and round. Guarded by a
   /// striped mutex pool (see interaction.cpp), not a per-IP mutex, so idle

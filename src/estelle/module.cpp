@@ -74,7 +74,7 @@ TransitionBuilder::TransitionBuilder(Module& module, std::string name)
 }
 
 void TransitionBuilder::action(
-    std::function<void(Module&, const Interaction*)> a) {
+    std::function<void(Module&, Interaction*)> a) {
   t_.action = std::move(a);
   module_.add_transition(std::move(t_));
 }

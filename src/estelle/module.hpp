@@ -102,6 +102,12 @@ enum class GuardReads { Opaque, Hooked };
 ///   ∧ provided(head)  ∧  (spontaneous ⇒ delay elapsed since state entry).
 /// Among fireable transitions of one module, the lowest `priority` value
 /// wins; declaration order breaks ties.
+///
+/// The action receives the interaction fire() popped (nullptr for a
+/// spontaneous transition) and owns it: it may move the payload out, which
+/// is how a layer hands an SDU on without copying it. A guard sees the
+/// offered head read-only. An action written with `const Interaction*`
+/// binds too.
 struct Transition {
   std::string name;
   int from_state = kAnyState;
@@ -113,7 +119,7 @@ struct Transition {
   int priority = 0;
   common::SimTime delay{};  // spontaneous transitions only
   common::SimTime cost = common::SimTime::from_us(10);  // simulated exec time
-  std::function<void(Module&, const Interaction*)> action;  // required
+  std::function<void(Module&, Interaction*)> action;  // required
 };
 
 /// Fluent builder; `.action(...)` finalizes and registers the transition.
@@ -155,7 +161,7 @@ class TransitionBuilder {
     t_.cost = c;
     return *this;
   }
-  void action(std::function<void(Module&, const Interaction*)> a);
+  void action(std::function<void(Module&, Interaction*)> a);
 
  private:
   Module& module_;

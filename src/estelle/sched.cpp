@@ -1,7 +1,6 @@
 #include "estelle/sched.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "estelle/ready_set.hpp"
 
@@ -79,13 +78,14 @@ void fire(const FiringCandidate& c, SimTime now, RunObserver* observer) {
   Module& m = *c.module;
   const Transition& t = *c.transition;
   if (observer != nullptr) observer->on_fire(m, t, now);
-  std::optional<Interaction> msg;
-  const Interaction* head = nullptr;
+  // The popped interaction belongs to the action, which may move its
+  // payload on.
   if (t.ip != nullptr) {
-    msg = t.ip->pop();
-    head = &*msg;
+    Interaction msg = t.ip->pop();
+    t.action(m, &msg);
+  } else {
+    t.action(m, nullptr);
   }
-  t.action(m, head);
   if (t.to_state != kAnyState) {
     m.set_state(t.to_state);
     m.note_state_entry(now);

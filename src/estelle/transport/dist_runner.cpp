@@ -31,7 +31,44 @@ struct Fnv {
     for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
     byte(0xfe);
   }
+  /// str(m.path()), without building the path.
+  void path(const Module& m) noexcept {
+    path_octets(m);
+    byte(0xff);
+  }
+
+ private:
+  void path_octets(const Module& m) noexcept {
+    if (m.parent() != nullptr) {
+      path_octets(*m.parent());
+      byte('.');
+    }
+    for (const char c : m.name()) byte(static_cast<std::uint8_t>(c));
+  }
 };
+
+/// Hash `m` and its subtree, depth-first. `path` is the path of m's parent
+/// (empty for the root) on entry and again on return; the walk extends and
+/// truncates it instead of building every module's path anew.
+void hash_subtree(Fnv& f, const Module& m, std::string& path) {
+  const std::size_t parent_len = path.size();
+  if (m.parent() != nullptr) path += '.';
+  path += m.name();
+  f.str(path);
+  f.u64(m.transitions().size());
+  for (const Transition& t : m.transitions()) f.str(t.name);
+  for (const auto& ip : m.ips()) {
+    f.str(ip->name());
+    if (ip->peer() != nullptr) {
+      f.path(ip->peer()->owner());
+      f.str(ip->peer()->name());
+    } else {
+      f.byte(0xfd);
+    }
+  }
+  for (const auto& child : m.children()) hash_subtree(f, *child, path);
+  path.resize(parent_len);
+}
 
 }  // namespace
 
@@ -51,20 +88,8 @@ std::uint64_t DistributedRunner::spec_fingerprint() {
   // silently wrong merged trace.
   Fnv f;
   f.str(spec_.name());
-  spec_.root().for_each([&f](Module& m) {
-    f.str(m.path());
-    f.u64(m.transitions().size());
-    for (const Transition& t : m.transitions()) f.str(t.name);
-    for (const auto& ip : m.ips()) {
-      f.str(ip->name());
-      if (ip->peer() != nullptr) {
-        f.str(ip->peer()->owner().path());
-        f.str(ip->peer()->name());
-      } else {
-        f.byte(0xfd);
-      }
-    }
-  });
+  std::string path;
+  hash_subtree(f, spec_.root(), path);
   return f.h;
 }
 
@@ -141,18 +166,19 @@ void DistributedRunner::wire() {
          " peers, need " + std::to_string(opts_.nodes - 1));
     return;
   }
-  if (transport_ != nullptr && !peers_.empty()) {
-    // Session/recovery configuration must be in place before the first
-    // frame: the fingerprint seals resume handshakes to this specification.
-    MailboxTransport::SessionOptions so;
-    so.reconnect_max_attempts = opts_.reconnect_max_attempts;
-    so.backoff_initial_ms = opts_.backoff_initial_ms;
-    so.backoff_cap_ms = opts_.backoff_cap_ms;
-    so.resend_timeout_ms = opts_.resend_timeout_ms;
-    so.fingerprint = spec_fingerprint();
-    transport_->configure_session(so);
-  }
-  if (!peers_.empty()) (void)handshake();
+  if (peers_.empty()) return;
+  // Session/recovery configuration must be in place before the first
+  // frame: the fingerprint, computed once per wiring, seals resume
+  // handshakes to this specification, and the Hello carries it too.
+  id_spec_hash_ = spec_fingerprint();
+  MailboxTransport::SessionOptions so;
+  so.reconnect_max_attempts = opts_.reconnect_max_attempts;
+  so.backoff_initial_ms = opts_.backoff_initial_ms;
+  so.backoff_cap_ms = opts_.backoff_cap_ms;
+  so.resend_timeout_ms = opts_.resend_timeout_ms;
+  so.fingerprint = id_spec_hash_;
+  transport_->configure_session(so);
+  (void)handshake();
 }
 
 void DistributedRunner::build_tables() {
@@ -203,7 +229,6 @@ void DistributedRunner::build_tables() {
 }
 
 bool DistributedRunner::handshake() {
-  id_spec_hash_ = spec_fingerprint();
   {
     Fnv f;
     for (const int owner : assignment_)

@@ -47,27 +47,27 @@ void McaClientModule::define_transitions() {
       .when(a, static_cast<int>(Op::AssociateReq))
       .to(kConnecting)
       .cost(kMcaCost)
-      .action([this](Module&, const Interaction* msg) {
-        service().output(Interaction(kPConReq, msg->payload));
+      .action([this](Module&, Interaction* msg) {
+        service().output(Interaction(kPConReq, std::move(msg->payload)));
       });
   trans("m-assoc-conf")
       .from(kConnecting)
       .when(d, kPConConf)
       .to(kOpen)
       .cost(kMcaCost)
-      .action([this](Module&, const Interaction* msg) {
+      .action([this](Module&, Interaction* msg) {
         app().output(Interaction(static_cast<int>(Op::AssociateResp),
-                                 msg->payload));
+                                 std::move(msg->payload)));
       });
   trans("m-assoc-refused")
       .from(kConnecting)
       .when(d, kPConRefuse)
       .to(kClosed)
       .cost(kMcaCost)
-      .action([this](Module&, const Interaction* msg) {
+      .action([this](Module&, Interaction* msg) {
         // The refusal user data carries an AssociateResp explaining why.
         app().output(Interaction(static_cast<int>(Op::AssociateResp),
-                                 msg->payload));
+                                 std::move(msg->payload)));
       });
 
   // Release: ReleaseReq rides P-RELEASE.
@@ -77,8 +77,8 @@ void McaClientModule::define_transitions() {
       .to(kReleasing)
       .priority(1)
       .cost(kMcaCost)
-      .action([this](Module&, const Interaction* msg) {
-        service().output(Interaction(kPRelReq, msg->payload));
+      .action([this](Module&, Interaction* msg) {
+        service().output(Interaction(kPRelReq, std::move(msg->payload)));
       });
   trans("m-release-conf")
       .from(kReleasing)
@@ -95,8 +95,8 @@ void McaClientModule::define_transitions() {
       .when(a)
       .priority(5)
       .cost(kMcaCost)
-      .action([this](Module&, const Interaction* msg) {
-        service().output(Interaction(kPDatReq, msg->payload));
+      .action([this](Module&, Interaction* msg) {
+        service().output(Interaction(kPDatReq, std::move(msg->payload)));
       });
 
   // Responses / indications from the server.
@@ -104,12 +104,12 @@ void McaClientModule::define_transitions() {
       .from(kOpen)
       .when(d, kPDatInd)
       .cost(kMcaCost)
-      .action([this](Module&, const Interaction* msg) {
+      .action([this](Module&, Interaction* msg) {
         auto op = peek_op(msg->payload);
         app().output(Interaction(
             op.ok() ? static_cast<int>(op.value())
                     : static_cast<int>(Op::ErrorResp),
-            msg->payload));
+            std::move(msg->payload)));
       });
 
   // User abort: tear the association down immediately (A-ABORT downwards).

@@ -14,7 +14,10 @@
 //   decodes request PDUs and delegates to the shared McamServerCore.
 //
 // Application-side channel contract: interactions carry kind =
-// static_cast<int>(Op) and payload = the encoded PDU.
+// static_cast<int>(Op) and payload = the encoded PDU. The client MCA moves
+// that buffer between the application and the service channel both ways;
+// a PDU encoded with core::encode leaves room for the lower layers'
+// headers, so it crosses the whole stack without being copied above TP.
 #pragma once
 
 #include "estelle/module.hpp"

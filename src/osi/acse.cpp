@@ -234,15 +234,15 @@ void AcseModule::define_transitions() {
       .from(kOpen)
       .when(u, kPDatReq)
       .cost(cost)
-      .action([this](Module&, const Interaction* msg) {
-        lower().output(Interaction(kPDatReq, msg->payload));
+      .action([this](Module&, Interaction* msg) {
+        lower().output(Interaction(kPDatReq, std::move(msg->payload)));
       });
   trans("a-dat-ind")
       .from(kOpen)
       .when(d, kPDatInd)
       .cost(cost)
-      .action([this](Module&, const Interaction* msg) {
-        upper().output(Interaction(kPDatInd, msg->payload));
+      .action([this](Module&, Interaction* msg) {
+        upper().output(Interaction(kPDatInd, std::move(msg->payload)));
       });
 
   // --- release (A-RELEASE wraps RLRQ/RLRE) ---

@@ -19,6 +19,11 @@
 //   RLRE ::= [APPLICATION 3] SEQUENCE { reason INTEGER,
 //            user-information [30] OCTET STRING }
 //   ABRT ::= [APPLICATION 4] SEQUENCE { source ENUMERATED }
+//
+// Buffers: P-DATA passes through untouched, its payload moved in both
+// directions. Connect and release user data are wrapped into (and read out
+// of) an APDU, a copy made only while an association opens or closes; the
+// APDU leaves write_exact with the headroom the layers below prepend into.
 #pragma once
 
 #include <vector>

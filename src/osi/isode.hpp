@@ -7,7 +7,10 @@
 // presentation-service interface: plain function calls, no Estelle modules,
 // no scheduler. It performs the *same* PPDU/SPDU encode/decode work as the
 // generated stack, so benchmark differences isolate the runtime overhead —
-// the quantity the paper's comparison targets.
+// the quantity the paper's comparison targets. It runs the copying codec
+// wrappers (build_spdu, build_td, parse_spdu, parse_ppdu), which share
+// their header writers and readers with the in-place forms the Estelle
+// entities use.
 //
 // IsodeInterfaceModule is the §4.3 "external body" Estelle module: it maps
 // interactions arriving on its Estelle interaction point onto ISODE library

@@ -15,6 +15,11 @@
 //             user-data [0] OCTET STRING }
 //   CPR ::= SEQUENCE { reason ENUMERATED, user-data [0] OCTET STRING }
 //   TD  ::= SEQUENCE { ctx-id INTEGER, data OCTET STRING }   -- P-DATA
+//
+// Buffers: on P-DATA the entity prepends the TD header in place on the SDU
+// it was handed (moved from the MCA or ACSE) and moves it down; on the way
+// up it strips every PPDU in place to its user data and moves that up.
+// Release user data passes through untouched, moved.
 #pragma once
 
 #include <vector>
@@ -73,11 +78,20 @@ class PresentationModule : public estelle::Module {
   std::vector<std::uint32_t> transfer_syntax_;
 };
 
+/// Octets of the longest TD header: four TLV headers of at most six octets
+/// (user data under 4 GiB, the SPDU's limit), one holding an INTEGER of at
+/// most four content octets.
+inline constexpr std::size_t kTdMaxHeader = 24;
+
 // PPDU codec helpers (exposed for tests and the hand-coded ISODE stack).
 common::Bytes build_cp(int context_id, const common::Bytes& user_data);
 common::Bytes build_cpa(int context_id, const common::Bytes& user_data);
 common::Bytes build_cpr(int reason, const common::Bytes& user_data);
+/// The copying wrapper of prepend_td: the same header writer.
 common::Bytes build_td(int context_id, const common::Bytes& user_data);
+/// Turn `user_data` into build_td(context_id, user_data) in place. Does not
+/// reallocate when it has kTdMaxHeader octets of spare capacity.
+void prepend_td(int context_id, common::Bytes& user_data);
 
 struct PpduView {
   enum class Type { CP, CPA, CPR, TD } type;
@@ -86,8 +100,15 @@ struct PpduView {
   common::Bytes user_data;
 };
 /// Decode any of the four PPDUs. The outer wrapper distinguishes them with
-/// a context tag: [1] CP, [2] CPA, [3] CPR, [4] TD.
+/// a context tag: [1] CP, [2] CPA, [3] CPR, [4] TD. A CP, CPA or CPR
+/// without a one-field [0], or a TD with fewer than two fields, carries
+/// empty user data; so does a constructed user-data field (a primitive one
+/// of any tag carries its content octets).
 common::Result<PpduView> parse_ppdu(const common::Bytes& raw);
+/// parse_ppdu in place: on success `ppdu` holds the user data parse_ppdu
+/// would return (the result's user_data stays empty); on error `ppdu` is
+/// left as it was. parse_ppdu is its copying wrapper: one field reader.
+common::Result<PpduView> strip_ppdu(common::Bytes& ppdu);
 /// parse_ppdu's field extraction over a decoded value tree (the reference
 /// the direct reader is tested against).
 common::Result<PpduView> ppdu_from_value(const asn1::Value& v);

@@ -1,7 +1,5 @@
 #include "osi/session.hpp"
 
-#include <optional>
-
 namespace mcam::osi {
 
 using common::Bytes;
@@ -10,64 +8,47 @@ using estelle::kAnyState;
 
 namespace {
 constexpr std::size_t kSpduHeader = 3;      // si:1 length:2
-constexpr std::size_t kSpduLongHeader = 7;  // si:1 FF FF length:4
+constexpr std::size_t kSpduLongHeader = kSpduMaxHeader;  // si:1 FF FF length:4
 /// User data of this many octets or more takes the long form: the two
 /// length octets read FF FF and a 4-octet length follows.
 constexpr std::size_t kSpduLongForm = 0xFFFF;
+
+std::size_t spdu_header_len(std::size_t user_len) {
+  return user_len >= kSpduLongForm ? kSpduLongHeader : kSpduHeader;
+}
+
+/// Write the header of an SPDU announcing `user_len` octets into the
+/// spdu_header_len(user_len) octets at `at`.
+void put_spdu_header(std::uint8_t* at, Spdu type, std::size_t user_len) {
+  at[0] = static_cast<std::uint8_t>(type);
+  if (user_len >= kSpduLongForm) {
+    at[1] = 0xFF;
+    at[2] = 0xFF;
+    for (int i = 0; i < 4; ++i)
+      at[3 + i] = static_cast<std::uint8_t>(user_len >> (8 * (3 - i)));
+  } else {
+    at[1] = static_cast<std::uint8_t>(user_len >> 8);
+    at[2] = static_cast<std::uint8_t>(user_len);
+  }
+}
 
 struct SpduHeader {
   std::size_t size = 0;      // octets before the user data
   std::size_t user_len = 0;  // the user-data length it announces
 };
 
-/// The header of `raw`; nullopt when `raw` is shorter than the header.
-std::optional<SpduHeader> read_spdu_header(const Bytes& raw) {
-  if (raw.size() < kSpduHeader) return std::nullopt;
-  if (raw[1] != 0xFF || raw[2] != 0xFF)
-    return SpduHeader{kSpduHeader, std::size_t{raw[1]} << 8 | raw[2]};
-  if (raw.size() < kSpduLongHeader) return std::nullopt;
-  std::size_t len = 0;
-  for (std::size_t i = 3; i < kSpduLongHeader; ++i) len = len << 8 | raw[i];
-  return SpduHeader{kSpduLongHeader, len};
-}
-
-/// The user-data length a well-formed SPDU announces; nullopt when `raw` is
-/// shorter than its header or than its length field says.
-std::optional<std::size_t> spdu_user_len(const Bytes& raw) {
-  const std::optional<SpduHeader> h = read_spdu_header(raw);
-  if (!h || h->user_len > raw.size() - h->size) return std::nullopt;
-  return h->user_len;
-}
-
-/// User data of an SPDU that spdu_is() admitted.
-Bytes user_data_of(const Interaction& msg) {
-  auto spdu = parse_spdu(msg.payload);
-  return spdu.ok() ? std::move(spdu.value().user_data) : Bytes{};
-}
-}  // namespace
-
-Bytes build_spdu(Spdu type, const Bytes& user_data) {
-  const std::size_t len = user_data.size();
-  const bool long_form = len >= kSpduLongForm;
-  Bytes out;
-  out.reserve((long_form ? kSpduLongHeader : kSpduHeader) + len);
-  out.push_back(static_cast<std::uint8_t>(type));
-  if (long_form) {
-    out.push_back(0xFF);
-    out.push_back(0xFF);
-    for (int shift = 24; shift >= 0; shift -= 8)
-      out.push_back(static_cast<std::uint8_t>(len >> shift));
+/// The header of a well-formed SPDU, or parse_spdu's error: `raw` is
+/// shorter than its header or than the user data its length field
+/// announces.
+common::Result<SpduHeader> check_spdu(const Bytes& raw) {
+  SpduHeader h;
+  if (raw.size() >= kSpduHeader && (raw[1] != 0xFF || raw[2] != 0xFF)) {
+    h = {kSpduHeader, std::size_t{raw[1]} << 8 | raw[2]};
+  } else if (raw.size() >= kSpduLongHeader) {
+    for (std::size_t i = 3; i < kSpduLongHeader; ++i)
+      h.user_len = h.user_len << 8 | raw[i];
+    h.size = kSpduLongHeader;
   } else {
-    out.push_back(static_cast<std::uint8_t>(len >> 8));
-    out.push_back(static_cast<std::uint8_t>(len));
-  }
-  out.insert(out.end(), user_data.begin(), user_data.end());
-  return out;
-}
-
-common::Result<SpduView> parse_spdu(const Bytes& raw) {
-  const std::optional<SpduHeader> h = read_spdu_header(raw);
-  if (!h) {
     const std::size_t need =
         raw.size() < kSpduHeader ? kSpduHeader : kSpduLongHeader;
     return common::Error::make(
@@ -75,16 +56,54 @@ common::Result<SpduView> parse_spdu(const Bytes& raw) {
                         " bytes is shorter than its " + std::to_string(need) +
                         "-byte header");
   }
-  if (h->user_len > raw.size() - h->size)
+  if (h.user_len > raw.size() - h.size)
     return common::Error::make(
-        kShortSpdu, "SPDU length field claims " + std::to_string(h->user_len) +
+        kShortSpdu, "SPDU length field claims " + std::to_string(h.user_len) +
                         " bytes of user data, " +
-                        std::to_string(raw.size() - h->size) + " present");
-  SpduView v;
-  v.type = static_cast<Spdu>(raw[0]);
-  const auto first = raw.begin() + static_cast<std::ptrdiff_t>(h->size);
-  v.user_data.assign(first, first + static_cast<std::ptrdiff_t>(h->user_len));
-  return v;
+                        std::to_string(raw.size() - h.size) + " present");
+  return h;
+}
+
+/// User data of an SPDU that spdu_is() admitted, stripped in place.
+Bytes user_data_of(Interaction& msg) {
+  if (!strip_spdu(msg.payload).ok()) return {};
+  return std::move(msg.payload);
+}
+}  // namespace
+
+Bytes build_spdu(Spdu type, const Bytes& user_data) {
+  const std::size_t header = spdu_header_len(user_data.size());
+  Bytes out;
+  out.reserve(header + user_data.size());
+  out.resize(header);
+  put_spdu_header(out.data(), type, user_data.size());
+  out.insert(out.end(), user_data.begin(), user_data.end());
+  return out;
+}
+
+void prepend_spdu(Spdu type, Bytes& user_data) {
+  const std::size_t len = user_data.size();
+  user_data.insert(user_data.begin(), spdu_header_len(len), 0);
+  put_spdu_header(user_data.data(), type, len);
+}
+
+common::Result<SpduView> parse_spdu(const Bytes& raw) {
+  auto h = check_spdu(raw);
+  if (!h.ok()) return h.error();
+  const auto first = raw.begin() + static_cast<std::ptrdiff_t>(h.value().size);
+  return SpduView{
+      static_cast<Spdu>(raw[0]),
+      Bytes(first, first + static_cast<std::ptrdiff_t>(h.value().user_len))};
+}
+
+common::Result<Spdu> strip_spdu(Bytes& spdu) {
+  auto h = check_spdu(spdu);
+  if (!h.ok()) return h.error();
+  const auto type = static_cast<Spdu>(spdu[0]);
+  spdu.resize(h.value().size + h.value().user_len);
+  spdu.erase(spdu.begin(),
+             spdu.begin() + static_cast<std::ptrdiff_t>(h.value().size));
+  return type;
 }
 
 SessionModule::SessionModule(std::string name)
@@ -98,9 +117,10 @@ SessionModule::SessionModule(std::string name, Config cfg)
   define_transitions();
 }
 
-void SessionModule::send_spdu(Spdu type, const Bytes& user_data) {
+void SessionModule::send_spdu(Spdu type, Bytes user_data) {
   ++sent_;
-  lower().output(Interaction(kTDatReq, build_spdu(type, user_data)));
+  prepend_spdu(type, user_data);
+  lower().output(Interaction(kTDatReq, std::move(user_data)));
 }
 
 void SessionModule::define_transitions() {
@@ -113,7 +133,7 @@ void SessionModule::define_transitions() {
   // reads only the offered head, so it is declared Hooked.
   auto spdu_is = [](Spdu want) {
     return [want](Module&, const Interaction* msg) {
-      return msg != nullptr && spdu_user_len(msg->payload).has_value() &&
+      return msg != nullptr && check_spdu(msg->payload).ok() &&
              static_cast<Spdu>(msg->payload[0]) == want;
     };
   };
@@ -124,8 +144,8 @@ void SessionModule::define_transitions() {
       .when(u, kSConReq)
       .to(kWaitTCon)
       .cost(cost)
-      .action([this](Module&, const Interaction* msg) {
-        pending_connect_ = msg->payload;
+      .action([this](Module&, Interaction* msg) {
+        pending_connect_ = std::move(msg->payload);
         lower().output(Interaction(kTConReq));
       });
   trans("s-tcon-conf")
@@ -134,7 +154,7 @@ void SessionModule::define_transitions() {
       .to(kWaitAC)
       .cost(cost)
       .action([this](Module&, const Interaction*) {
-        send_spdu(Spdu::CN, pending_connect_);
+        send_spdu(Spdu::CN, std::move(pending_connect_));
       });
   trans("s-ac-recv")
       .from(kWaitAC)
@@ -142,9 +162,8 @@ void SessionModule::define_transitions() {
       .provided(spdu_is(Spdu::AC), estelle::GuardReads::Hooked)
       .to(kOpen)
       .cost(cost)
-      .action([this](Module&, const Interaction* msg) {
-        upper().output(
-            Interaction(kSConConf, user_data_of(*msg)));
+      .action([this](Module&, Interaction* msg) {
+        upper().output(Interaction(kSConConf, user_data_of(*msg)));
       });
   trans("s-rf-recv")
       .from(kWaitAC)
@@ -152,9 +171,8 @@ void SessionModule::define_transitions() {
       .provided(spdu_is(Spdu::RF), estelle::GuardReads::Hooked)
       .to(kIdle)
       .cost(cost)
-      .action([this](Module&, const Interaction* msg) {
-        upper().output(
-            Interaction(kSConRefuse, user_data_of(*msg)));
+      .action([this](Module&, Interaction* msg) {
+        upper().output(Interaction(kSConRefuse, user_data_of(*msg)));
         lower().output(Interaction(kTDisReq));
       });
 
@@ -165,17 +183,16 @@ void SessionModule::define_transitions() {
       .provided(spdu_is(Spdu::CN), estelle::GuardReads::Hooked)
       .to(kConnInd)
       .cost(cost)
-      .action([this](Module&, const Interaction* msg) {
-        upper().output(
-            Interaction(kSConInd, user_data_of(*msg)));
+      .action([this](Module&, Interaction* msg) {
+        upper().output(Interaction(kSConInd, user_data_of(*msg)));
       });
   trans("s-con-resp")
       .from(kConnInd)
       .when(u, kSConResp)
       .cost(cost)
-      .action([this](Module& m, const Interaction* msg) {
+      .action([this](Module& m, Interaction* msg) {
         const bool accept = msg->value != 0;
-        send_spdu(accept ? Spdu::AC : Spdu::RF, msg->payload);
+        send_spdu(accept ? Spdu::AC : Spdu::RF, std::move(msg->payload));
         m.set_state(accept ? kOpen : kIdle);
       });
 
@@ -184,17 +201,16 @@ void SessionModule::define_transitions() {
       .from(kOpen)
       .when(u, kSDatReq)
       .cost(cost)
-      .action([this](Module&, const Interaction* msg) {
-        send_spdu(Spdu::DT, msg->payload);
+      .action([this](Module&, Interaction* msg) {
+        send_spdu(Spdu::DT, std::move(msg->payload));
       });
   trans("s-dt-recv")
       .from(kOpen)
       .when(d, kTDatInd)
       .provided(spdu_is(Spdu::DT), estelle::GuardReads::Hooked)
       .cost(cost)
-      .action([this](Module&, const Interaction* msg) {
-        upper().output(
-            Interaction(kSDatInd, user_data_of(*msg)));
+      .action([this](Module&, Interaction* msg) {
+        upper().output(Interaction(kSDatInd, user_data_of(*msg)));
       });
 
   // --- orderly release (FN/DN) ---
@@ -203,8 +219,8 @@ void SessionModule::define_transitions() {
       .when(u, kSRelReq)
       .to(kRelSent)
       .cost(cost)
-      .action([this](Module&, const Interaction* msg) {
-        send_spdu(Spdu::FN, msg->payload);
+      .action([this](Module&, Interaction* msg) {
+        send_spdu(Spdu::FN, std::move(msg->payload));
       });
   trans("s-fn-recv")
       .from(kOpen)
@@ -212,17 +228,16 @@ void SessionModule::define_transitions() {
       .provided(spdu_is(Spdu::FN), estelle::GuardReads::Hooked)
       .to(kRelInd)
       .cost(cost)
-      .action([this](Module&, const Interaction* msg) {
-        upper().output(
-            Interaction(kSRelInd, user_data_of(*msg)));
+      .action([this](Module&, Interaction* msg) {
+        upper().output(Interaction(kSRelInd, user_data_of(*msg)));
       });
   trans("s-rel-resp")
       .from(kRelInd)
       .when(u, kSRelResp)
       .to(kIdle)
       .cost(cost)
-      .action([this](Module&, const Interaction* msg) {
-        send_spdu(Spdu::DN, msg->payload);
+      .action([this](Module&, Interaction* msg) {
+        send_spdu(Spdu::DN, std::move(msg->payload));
       });
   trans("s-dn-recv")
       .from(kRelSent)
@@ -230,9 +245,8 @@ void SessionModule::define_transitions() {
       .provided(spdu_is(Spdu::DN), estelle::GuardReads::Hooked)
       .to(kIdle)
       .cost(cost)
-      .action([this](Module&, const Interaction* msg) {
-        upper().output(
-            Interaction(kSRelConf, user_data_of(*msg)));
+      .action([this](Module&, Interaction* msg) {
+        upper().output(Interaction(kSRelConf, user_data_of(*msg)));
         lower().output(Interaction(kTDisReq));
       });
 

@@ -13,6 +13,10 @@
 // length octets read FF FF and a 4-octet length follows,
 //   [ si:1 ][ FF FF ][ length:4 ][ user-information... ]
 // Every shorter SPDU keeps the 3-octet header.
+//
+// Buffers: the entity prepends the SPDU header in place on the SSDU it was
+// handed (moved from the presentation entity) and moves the SPDU down; on
+// the way up it strips the header in place and moves the user data up.
 #pragma once
 
 #include "common/result.hpp"
@@ -60,7 +64,7 @@ class SessionModule : public estelle::Module {
 
  private:
   void define_transitions();
-  void send_spdu(Spdu type, const common::Bytes& user_data);
+  void send_spdu(Spdu type, common::Bytes user_data);
 
   estelle::InteractionPoint& upper_;
   estelle::InteractionPoint& lower_;
@@ -69,6 +73,12 @@ class SessionModule : public estelle::Module {
   common::Bytes pending_connect_;  // user data held until transport is up
 };
 
+/// Octets of the longest SPDU header (the long form).
+inline constexpr std::size_t kSpduMaxHeader = 7;
+
+/// SPDU codec. The in-place pair (prepend_spdu, strip_spdu) is what the
+/// entity runs; build_spdu and parse_spdu are copying wrappers over the
+/// same header writer and reader.
 common::Bytes build_spdu(Spdu type, const common::Bytes& user_data);
 struct SpduView {
   Spdu type;
@@ -79,5 +89,12 @@ struct SpduView {
 /// exception: the bytes come from the peer. Octets after the announced user
 /// data are ignored.
 common::Result<SpduView> parse_spdu(const common::Bytes& raw);
+/// Turn `user_data` into build_spdu(type, user_data) in place. Does not
+/// reallocate when it has kSpduMaxHeader octets of spare capacity.
+void prepend_spdu(Spdu type, common::Bytes& user_data);
+/// Check the SPDU in `spdu` as parse_spdu does and strip it in place to the
+/// user data parse_spdu would return; returns its type. On error `spdu` is
+/// left as it was.
+common::Result<Spdu> strip_spdu(common::Bytes& spdu);
 
 }  // namespace mcam::osi

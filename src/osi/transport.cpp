@@ -6,31 +6,52 @@ using common::Bytes;
 using estelle::kAnyState;
 
 namespace {
-constexpr std::size_t kTpduHeader = 5;  // type:1 seq:4
+
+/// Write the header (type:1 seq:4) into the kTpduHeader octets at `at`.
+void put_tpdu_header(std::uint8_t* at, Tpdu type, std::uint32_t seq) {
+  at[0] = static_cast<std::uint8_t>(type);
+  for (int i = 1; i <= 4; ++i)
+    at[i] = static_cast<std::uint8_t>(seq >> (8 * (4 - i)));
+}
+
+common::Result<TpduHeader> read_tpdu_header(const Bytes& raw) {
+  if (raw.size() < kTpduHeader)
+    return common::Error::make(
+        kShortTpdu, "TPDU of " + std::to_string(raw.size()) +
+                        " bytes is shorter than its 5-byte header");
+  return TpduHeader{static_cast<Tpdu>(raw[0]),
+                    (static_cast<std::uint32_t>(raw[1]) << 24) |
+                        (static_cast<std::uint32_t>(raw[2]) << 16) |
+                        (static_cast<std::uint32_t>(raw[3]) << 8) | raw[4]};
+}
+
 }  // namespace
 
 Bytes build_tpdu(Tpdu type, std::uint32_t seq, const Bytes& payload) {
   Bytes out;
   out.reserve(kTpduHeader + payload.size());
-  out.push_back(static_cast<std::uint8_t>(type));
-  for (int shift = 24; shift >= 0; shift -= 8)
-    out.push_back(static_cast<std::uint8_t>(seq >> shift));
+  out.resize(kTpduHeader);
+  put_tpdu_header(out.data(), type, seq);
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
 
+void prepend_tpdu(Tpdu type, std::uint32_t seq, Bytes& sdu) {
+  sdu.insert(sdu.begin(), kTpduHeader, 0);
+  put_tpdu_header(sdu.data(), type, seq);
+}
+
 common::Result<TpduView> parse_tpdu(const Bytes& raw) {
-  if (raw.size() < kTpduHeader)
-    return common::Error::make(
-        kShortTpdu, "TPDU of " + std::to_string(raw.size()) +
-                        " bytes is shorter than its 5-byte header");
-  TpduView v;
-  v.type = static_cast<Tpdu>(raw[0]);
-  v.seq = (static_cast<std::uint32_t>(raw[1]) << 24) |
-          (static_cast<std::uint32_t>(raw[2]) << 16) |
-          (static_cast<std::uint32_t>(raw[3]) << 8) | raw[4];
-  v.payload.assign(raw.begin() + kTpduHeader, raw.end());
-  return v;
+  auto h = read_tpdu_header(raw);
+  if (!h.ok()) return h.error();
+  return TpduView{h.value().type, h.value().seq,
+                  Bytes(raw.begin() + kTpduHeader, raw.end())};
+}
+
+common::Result<TpduHeader> strip_tpdu(Bytes& tpdu) {
+  auto h = read_tpdu_header(tpdu);
+  if (h.ok()) tpdu.erase(tpdu.begin(), tpdu.begin() + kTpduHeader);
+  return h;
 }
 
 TransportModule::TransportModule(std::string name)
@@ -53,23 +74,22 @@ void TransportModule::send_pdu(Tpdu type, std::uint32_t seq,
 void TransportModule::pump_window() {
   while (!pending_.empty() &&
          next_seq_ - base_ < static_cast<std::uint32_t>(cfg_.window)) {
-    Bytes payload = std::move(pending_.front());
-    pending_.pop_front();
-    send_pdu(Tpdu::DT, next_seq_, payload);
+    Bytes tpdu = pending_.pop_front();
+    prepend_tpdu(Tpdu::DT, next_seq_, tpdu);
+    net().output(Interaction(static_cast<int>(Tpdu::DT), tpdu));
     ++data_sent_;
-    unacked_.push_back(std::move(payload));
+    unacked_.push_back(std::move(tpdu));
     ++next_seq_;
   }
 }
 
-void TransportModule::on_data(const Interaction& msg) {
-  auto parsed = parse_tpdu(msg.payload);
-  if (!parsed.ok()) return;  // malformed: dropped, like any lost DT
-  TpduView& v = parsed.value();
+void TransportModule::on_data(Interaction& msg) {
+  auto header = strip_tpdu(msg.payload);
+  if (!header.ok()) return;  // malformed: dropped, like any lost DT
   // Out of order under go-back-N: dropped; either way, re-ack.
-  if (v.seq == expected_) {
+  if (header.value().seq == expected_) {
     ++expected_;
-    upper().output(Interaction(kTDatInd, std::move(v.payload)));
+    upper().output(Interaction(kTDatInd, std::move(msg.payload)));
   }
   send_pdu(Tpdu::AK, expected_, {});
 }
@@ -85,11 +105,9 @@ void TransportModule::on_ack(std::uint32_t next_expected) {
 
 void TransportModule::retransmit_all() {
   ++retransmit_rounds_;
-  std::uint32_t seq = base_;
-  for (const Bytes& payload : unacked_) {
-    send_pdu(Tpdu::DT, seq, payload);
+  for (std::size_t i = 0; i < unacked_.size(); ++i) {
+    net().output(Interaction(static_cast<int>(Tpdu::DT), unacked_[i]));
     ++retransmissions_;
-    ++seq;
   }
 }
 
@@ -143,8 +161,8 @@ void TransportModule::define_transitions() {
       .when(u, kTDatReq)
       .to(kCrSent)
       .cost(cost)
-      .action([this](Module&, const Interaction* msg) {
-        pending_.push_back(msg->payload);
+      .action([this](Module&, Interaction* msg) {
+        pending_.push_back(std::move(msg->payload));
       });
 
   // --- data transfer ---
@@ -153,8 +171,8 @@ void TransportModule::define_transitions() {
       .when(u, kTDatReq)
       .to(kOpen)  // re-enter: re-arms the retransmission delay clock
       .cost(cost)
-      .action([this](Module&, const Interaction* msg) {
-        pending_.push_back(msg->payload);
+      .action([this](Module&, Interaction* msg) {
+        pending_.push_back(std::move(msg->payload));
         pump_window();
       });
   trans("t-dt-recv")
@@ -162,14 +180,14 @@ void TransportModule::define_transitions() {
       .when(n, static_cast<int>(Tpdu::DT))
       .to(kOpen)
       .cost(cost)
-      .action([this](Module&, const Interaction* msg) { on_data(*msg); });
+      .action([this](Module&, Interaction* msg) { on_data(*msg); });
   trans("t-ak-recv")
       .from(kOpen)
       .when(n, static_cast<int>(Tpdu::AK))
       .to(kOpen)
       .cost(cost)
-      .action([this](Module&, const Interaction* msg) {
-        auto ak = parse_tpdu(msg->payload);
+      .action([this](Module&, Interaction* msg) {
+        auto ak = strip_tpdu(msg->payload);
         if (ak.ok()) on_ack(ak.value().seq);  // a malformed AK is dropped
       });
 

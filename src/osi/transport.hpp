@@ -9,12 +9,19 @@
 //
 // TPDU format (big-endian):
 //   [ type:1 ][ seq:4 ][ payload... ]
+//
+// Buffers: a TS-DATA request's SDU is moved into the send queue; when it
+// enters the window its DT header is prepended in place and the entity
+// keeps that TPDU for go-back-N until it is acked. Each DT sent (first
+// transmission or retransmission) is a copy of it, the one copy an SDU
+// takes on its way through the stack. A DT received has its header
+// stripped in place and its payload moved up.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "common/result.hpp"
+#include "common/ring.hpp"
 #include "estelle/module.hpp"
 #include "osi/service.hpp"
 
@@ -67,7 +74,7 @@ class TransportModule : public Module {
 
   void send_pdu(Tpdu type, std::uint32_t seq, const common::Bytes& payload);
   void pump_window();
-  void on_data(const Interaction& msg);
+  void on_data(Interaction& msg);
   void on_ack(std::uint32_t next_expected);
   void retransmit_all();
 
@@ -77,14 +84,23 @@ class TransportModule : public Module {
   std::uint32_t next_seq_ = 0;      // next new DT sequence number
   std::uint32_t base_ = 0;          // oldest unacked
   std::uint32_t expected_ = 0;      // receive side: next in-order seq
-  std::deque<common::Bytes> unacked_;  // payloads [base_, next_seq_)
-  std::deque<common::Bytes> pending_;  // not yet in window
+  common::Ring<common::Bytes> unacked_;  // DT TPDUs [base_, next_seq_)
+  common::Ring<common::Bytes> pending_;  // SDUs not yet in the window
   std::uint64_t retransmissions_ = 0;
   std::uint64_t data_sent_ = 0;
   int retransmit_rounds_ = 0;
 };
 
-/// Parse helpers shared with tests.
+/// Octets of the TPDU header.
+inline constexpr std::size_t kTpduHeader = 5;
+
+/// TPDU codec. The in-place pair (prepend_tpdu, strip_tpdu) is what the
+/// entity runs; build_tpdu and parse_tpdu are copying wrappers over the
+/// same header writer and reader.
+struct TpduHeader {
+  Tpdu type;
+  std::uint32_t seq;
+};
 struct TpduView {
   Tpdu type;
   std::uint32_t seq;
@@ -95,5 +111,11 @@ struct TpduView {
 common::Result<TpduView> parse_tpdu(const common::Bytes& raw);
 common::Bytes build_tpdu(Tpdu type, std::uint32_t seq,
                          const common::Bytes& payload);
+/// Turn `sdu` into build_tpdu(type, seq, sdu) in place. Does not reallocate
+/// when `sdu` has kTpduHeader octets of spare capacity.
+void prepend_tpdu(Tpdu type, std::uint32_t seq, common::Bytes& sdu);
+/// Read the header of the TPDU in `tpdu` and strip it in place, leaving the
+/// payload parse_tpdu would return. On error `tpdu` is left as it was.
+common::Result<TpduHeader> strip_tpdu(common::Bytes& tpdu);
 
 }  // namespace mcam::osi

@@ -14,7 +14,11 @@
 //     (asn1::decode, then the same field extraction run over the Value)
 //     must agree: same accept or reject, same error code and message, same
 //     decoded fields. parse_tpdu and parse_spdu see every input too and
-//     must reject short or inconsistent headers without throwing.
+//     must reject short or inconsistent headers without throwing. The
+//     in-place strips the OSI entities run (strip_tpdu, strip_spdu,
+//     strip_ppdu) see every input as well and must give their copying
+//     parser's verdict, error and user data, leaving a refused input as it
+//     was.
 //
 // 20,000 mutated inputs by default; MCAM_SOAK_SPECS scales the count (400
 // inputs per spec, as the other differential suites scale their specs).
@@ -452,6 +456,60 @@ void check_tpdu_spdu(const Bytes& in, Tally& t) {
   }
 }
 
+/// Same accept or reject for an in-place strip and its copying parser and,
+/// on reject, the same code and message with the input left untouched.
+/// Returns whether both accepted (the caller then compares user data).
+template <typename A, typename B>
+bool same_verdict(const char* codec, const Result<A>& strip,
+                  const Result<B>& parse, const Bytes& stripped,
+                  const Bytes& in, Tally& t) {
+  if (strip.ok() != parse.ok() ||
+      (!strip.ok() && (strip.error().code != parse.error().code ||
+                       strip.error().message != parse.error().message))) {
+    t.disagree(std::string(codec) + ": strip " + describe(strip) +
+                   ", parse " + describe(parse),
+               in);
+    return false;
+  }
+  if (!strip.ok() && stripped != in)
+    t.disagree(std::string(codec) + ": a refused strip changed its input",
+               in);
+  return strip.ok();
+}
+
+/// The in-place strips the entities run (strip_tpdu, strip_spdu,
+/// strip_ppdu) against the copying parsers: same verdict, same header
+/// fields, and the stripped buffer holds exactly the parser's user data.
+void compare_strips(const Bytes& in, Tally& t) {
+  Bytes tpdu = in;
+  const auto tpdu_header = osi::strip_tpdu(tpdu);
+  const auto tpdu_parsed = osi::parse_tpdu(in);
+  if (same_verdict("osi::strip_tpdu", tpdu_header, tpdu_parsed, tpdu, in, t) &&
+      (tpdu_header.value().type != tpdu_parsed.value().type ||
+       tpdu_header.value().seq != tpdu_parsed.value().seq ||
+       tpdu != tpdu_parsed.value().payload))
+    t.disagree("osi::strip_tpdu: fields differ", in);
+
+  Bytes spdu = in;
+  const auto spdu_type = osi::strip_spdu(spdu);
+  const auto spdu_parsed = osi::parse_spdu(in);
+  if (same_verdict("osi::strip_spdu", spdu_type, spdu_parsed, spdu, in, t) &&
+      (spdu_type.value() != spdu_parsed.value().type ||
+       spdu != spdu_parsed.value().user_data))
+    t.disagree("osi::strip_spdu: fields differ", in);
+
+  Bytes ppdu = in;
+  const auto ppdu_view = osi::strip_ppdu(ppdu);
+  const auto ppdu_parsed = osi::parse_ppdu(in);
+  if (same_verdict("osi::strip_ppdu", ppdu_view, ppdu_parsed, ppdu, in, t)) {
+    const osi::PpduView& a = ppdu_view.value();
+    const osi::PpduView& b = ppdu_parsed.value();
+    if (a.type != b.type || a.context_id != b.context_id ||
+        a.reason != b.reason || ppdu != b.user_data)
+      t.disagree("osi::strip_ppdu: fields differ", in);
+  }
+}
+
 /// Offsets of every TLV header in a valid BER value (depth-first), so the
 /// mutator can aim at tag and length octets.
 struct Tlv {
@@ -636,6 +694,7 @@ TEST(CodecDifferential, DirectDecodersAgreeWithTheTreeOnMutatedInput) {
     compare_ppdu(s.bytes, t);
     compare_acse(s.bytes, t);
     compare_frame(s.bytes, t);
+    compare_strips(s.bytes, t);
     check_tpdu_spdu(s.bytes, t);
   }
   for (int i = 0; i < n; ++i) {
@@ -646,6 +705,7 @@ TEST(CodecDifferential, DirectDecodersAgreeWithTheTreeOnMutatedInput) {
       compare_ppdu(input, t);
       compare_acse(input, t);
       compare_frame(input, t);
+      compare_strips(input, t);
     } catch (const std::exception& e) {
       t.disagree(std::string("a decoder threw: ") + e.what(), input);
     }

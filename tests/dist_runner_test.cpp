@@ -51,6 +51,7 @@
 #include "estelle/transport/fault_transport.hpp"
 #include "estelle/transport/socket_transport.hpp"
 #include "estelle/transport/transport.hpp"
+#include "mcam/testbed.hpp"
 #include "random_spec_gen.hpp"
 
 // fork() and ThreadSanitizer do not mix; the in-process transports cover the
@@ -1509,7 +1510,8 @@ TEST(DistRunner, EarlyLeaverAbortsGatedPeerWithByeNotTimeout) {
 }
 
 // ---------------------------------------------------------------------------
-// Handshake: divergent specifications refuse each other
+// Handshake: divergent specifications refuse each other; the fingerprint
+// that tells them apart
 
 TEST(DistRunner, MismatchedSpecificationsRefuseTheHandshake) {
   LoopbackHub hub(2);
@@ -1541,6 +1543,57 @@ TEST(DistRunner, MismatchedSpecificationsRefuseTheHandshake) {
                 r->error.find("mismatch") != std::string::npos)
         << r->error;
     EXPECT_EQ(r->fired, 0u) << "no round may run after a refused handshake";
+  }
+}
+
+/// The handshake fingerprint computed the plain way, FNV-1a over every
+/// module's Module::path(): the octets spec_fingerprint() must keep
+/// hashing, so nodes of different builds still agree.
+std::uint64_t reference_fingerprint(Specification& spec) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto byte = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 1099511628211ull;
+  };
+  const auto str = [&byte](const std::string& s) {
+    for (const char c : s) byte(static_cast<std::uint8_t>(c));
+    byte(0xff);
+  };
+  str(spec.name());
+  spec.root().for_each([&](Module& m) {
+    str(m.path());
+    for (int i = 0; i < 8; ++i)
+      byte(static_cast<std::uint8_t>(m.transitions().size() >> (8 * i)));
+    byte(0xfe);
+    for (const Transition& t : m.transitions()) str(t.name);
+    for (const auto& ip : m.ips()) {
+      str(ip->name());
+      if (ip->peer() != nullptr) {
+        str(ip->peer()->owner().path());
+        str(ip->peer()->name());
+      } else {
+        byte(0xfd);
+      }
+    }
+  });
+  return h;
+}
+
+TEST(DistRunner, FingerprintHashesEveryModulePath) {
+  {
+    core::Testbed::Config cfg;
+    cfg.clients = 2;
+    cfg.connections_per_client = 15;
+    cfg.use_acse = true;
+    core::Testbed bed(cfg);
+    DistributedRunner runner(bed.spec());
+    EXPECT_EQ(runner.spec_fingerprint(), reference_fingerprint(bed.spec()));
+  }
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    specgen::GeneratedWorld g = specgen::generate(seed);
+    DistributedRunner runner(*g.spec);
+    EXPECT_EQ(runner.spec_fingerprint(), reference_fingerprint(*g.spec))
+        << "seed " << seed;
   }
 }
 

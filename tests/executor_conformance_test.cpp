@@ -8,7 +8,10 @@
 // virtual time, correct stop reasons, quiescence idempotence. Distributed
 // is not a leg: it needs transport::DistOptions to be more than a
 // single-node runner, and it refuses specifications ConflictAnalysis cannot
-// prove conflict-free (dist_runner_test covers it).
+// prove conflict-free (dist_runner_test covers it). One case adds it: an
+// action owns the interaction it fires on and may move the payload out,
+// which every backend, single- and two-node Distributed included, must
+// carry as Sequential does.
 //
 // The identical-trace contract is stated for conflict-free specifications
 // (see estelle/conflict.hpp). Ill-formed (conflicting) specs are exercised
@@ -17,18 +20,24 @@
 // diverge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "estelle/executor.hpp"
 #include "estelle/module.hpp"
 #include "estelle/trace.hpp"
+#include "estelle/transport/dist_runner.hpp"
+#include "estelle/transport/transport.hpp"
 
 namespace mcam::estelle {
 namespace {
 
+using common::Bytes;
 using common::SimTime;
 
 /// One station of a token ring. Exactly one station holds the token at any
@@ -364,6 +373,154 @@ TEST(ExecutorConformance, CrossShardSpecTraceEquivalence) {
   ASSERT_EQ(seq.size(), 12u);  // 6 sends + 6 echoes
   EXPECT_EQ(run_kind(config_for(ExecutorKind::FreeRunning, 1)), seq);
   EXPECT_EQ(run_kind(config_for(ExecutorKind::FreeRunning, 4)), seq);
+}
+
+/// A pinger (shard 0) and an echoer (shard 1) over one channel. The pinger
+/// sends a payload only when the previous one came back, so every round has
+/// one candidate and even ParallelSim's announce order is fixed. The echo
+/// action owns the interaction fire() popped: it moves the payload out,
+/// appends to it and sends that same buffer back.
+struct EchoWorld {
+  static constexpr int kPings = 12;
+  Specification spec{"echo"};
+  std::vector<Bytes> got;  // what came back to the pinger, in order
+
+  EchoWorld() {
+    auto& ping_sys =
+        spec.root().create_child<Module>("ping", Attribute::SystemProcess);
+    auto& echo_sys =
+        spec.root().create_child<Module>("echo", Attribute::SystemProcess);
+    auto& pinger = ping_sys.create_child<Module>("pinger", Attribute::Process);
+    auto& echoer = echo_sys.create_child<Module>("echoer", Attribute::Process);
+    InteractionPoint& out = pinger.ip("link");
+    InteractionPoint& back = echoer.ip("link");
+    connect(out, back);
+    pinger.trans("send")
+        .cost(SimTime::from_us(4))
+        .provided(
+            [this](Module&, const Interaction*) {
+              return !waiting_ && sent_ < kPings;
+            },
+            GuardReads::Hooked)
+        .action([this, &out](Module&, Interaction*) {
+          Bytes payload(static_cast<std::size_t>(sent_ * 37 % 200));
+          for (std::size_t i = 0; i < payload.size(); ++i)
+            payload[i] = static_cast<std::uint8_t>(sent_ + i);
+          out.output(Interaction(1, std::move(payload)));
+          ++sent_;
+          waiting_ = true;
+        });
+    pinger.trans("back").when(out).cost(SimTime::from_us(3)).action(
+        [this](Module&, Interaction* msg) {
+          got.push_back(std::move(msg->payload));
+          waiting_ = false;
+        });
+    echoer.trans("echo").when(back).cost(SimTime::from_us(5)).action(
+        [&back](Module&, Interaction* msg) {
+          Bytes payload = std::move(msg->payload);
+          payload.push_back(0xec);
+          back.output(Interaction(msg->kind + 1, std::move(payload)));
+        });
+    spec.initialize();
+  }
+
+ private:
+  int sent_ = 0;
+  bool waiting_ = false;
+};
+
+struct EchoRun {
+  std::vector<std::string> trace;
+  std::vector<Bytes> got;
+};
+
+EchoRun run_echo(const ExecutorConfig& cfg) {
+  EchoWorld world;
+  TraceRecorder trace;
+  RunOptions opts;
+  opts.observers = {&trace};
+  const RunReport r = make_executor(world.spec, cfg)->run(opts);
+  EXPECT_EQ(r.reason, StopReason::Quiescent) << r.error;
+  return {trace.transition_names(), std::move(world.got)};
+}
+
+/// Two Distributed nodes over loopback, one thread each: shard 0 (the
+/// pinger) on node 0, shard 1 on node 1. The trace merges the nodes'
+/// (round, shard)-stamped announcements; the payloads are node 0's.
+EchoRun run_echo_two_nodes() {
+  LoopbackHub hub(2);
+  std::shared_ptr<MailboxTransport> transports[2] = {hub.endpoint(0),
+                                                     hub.endpoint(1)};
+  struct Stamped {
+    std::uint64_t round;
+    int shard;
+    std::string name;
+  };
+  std::vector<Stamped> events[2];
+  EchoRun out;
+  std::vector<std::thread> nodes;
+  for (int node = 0; node < 2; ++node)
+    nodes.emplace_back([&, node] {
+      EchoWorld world;
+      DistOptions opts;
+      opts.node = node;
+      opts.nodes = 2;
+      opts.transport = transports[node];
+      opts.trace_hook = [&events, node](std::uint64_t round, int shard,
+                                        Module&, const Transition& t,
+                                        SimTime) {
+        events[node].push_back({round, shard, t.name});
+      };
+      ExecutorConfig cfg;
+      cfg.kind = ExecutorKind::Distributed;
+      cfg.backend_options = std::move(opts);
+      const RunReport r = make_executor(world.spec, cfg)->run();
+      EXPECT_EQ(r.reason, StopReason::Quiescent) << r.error;
+      if (node == 0) out.got = std::move(world.got);
+    });
+  for (std::thread& t : nodes) t.join();
+  std::vector<Stamped> all = events[0];
+  all.insert(all.end(), events[1].begin(), events[1].end());
+  std::stable_sort(all.begin(), all.end(),
+                   [](const Stamped& a, const Stamped& b) {
+                     return a.round != b.round ? a.round < b.round
+                                               : a.shard < b.shard;
+                   });
+  for (const Stamped& e : all) out.trace.push_back(e.name);
+  return out;
+}
+
+TEST(ExecutorConformance, ActionsMayMoveThePoppedPayloadOnEveryBackend) {
+  const EchoRun seq = run_echo(config_for(ExecutorKind::Sequential));
+  ASSERT_EQ(seq.trace.size(), 3u * EchoWorld::kPings);
+  ASSERT_EQ(seq.got.size(), static_cast<std::size_t>(EchoWorld::kPings));
+  for (int k = 0; k < EchoWorld::kPings; ++k) {
+    const Bytes& b = seq.got[static_cast<std::size_t>(k)];
+    ASSERT_EQ(b.size(), static_cast<std::size_t>(k * 37 % 200) + 1);
+    EXPECT_EQ(b.back(), 0xec);
+    if (b.size() > 1) {
+      EXPECT_EQ(b.front(), static_cast<std::uint8_t>(k));
+    }
+  }
+  for (const Leg& leg : legs()) {
+    if (leg.cfg.kind == ExecutorKind::Sequential) continue;
+    SCOPED_TRACE(leg.name);
+    const EchoRun other = run_echo(leg.cfg);
+    EXPECT_EQ(other.trace, seq.trace);
+    EXPECT_EQ(other.got, seq.got);
+  }
+  {
+    SCOPED_TRACE("distributed, one node");
+    const EchoRun one = run_echo(config_for(ExecutorKind::Distributed));
+    EXPECT_EQ(one.trace, seq.trace);
+    EXPECT_EQ(one.got, seq.got);
+  }
+  {
+    SCOPED_TRACE("distributed, two loopback nodes");
+    const EchoRun two = run_echo_two_nodes();
+    EXPECT_EQ(two.trace, seq.trace);
+    EXPECT_EQ(two.got, seq.got);
+  }
 }
 
 TEST(ExecutorConformance, ShardedReportCarriesPerShardStats) {

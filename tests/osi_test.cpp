@@ -1,8 +1,10 @@
-// OSI stack tests: transport ARQ (incl. loss recovery), session kernel,
-// presentation kernel with BER PPDUs, full three-layer stacks back to back,
-// and the hand-coded ISODE comparator.
+// OSI stack tests: the TPDU/SPDU/PPDU codecs (copying and in place),
+// transport ARQ (incl. loss recovery), session kernel, presentation kernel
+// with BER PPDUs, full three-layer stacks back to back, and the hand-coded
+// ISODE comparator.
 #include <gtest/gtest.h>
 
+#include "asn1/direct.hpp"
 #include "estelle/executor.hpp"
 #include "osi/isode.hpp"
 #include "osi/presentation.hpp"
@@ -100,6 +102,159 @@ TEST(PpduCodec, CpaCprTdRoundTrip) {
 TEST(PpduCodec, RejectsGarbage) {
   EXPECT_FALSE(parse_ppdu(common::to_bytes("not ber")).ok());
   EXPECT_FALSE(parse_ppdu({}).ok());
+}
+
+// ---------------------------------------------------------------------------
+// In-place headers: the entities prepend and strip their headers on the SDU
+// they were handed. Each in-place step must give the octets of the copying
+// builder and the user data (or the refusal) of the copying parser.
+
+Bytes pattern(std::size_t n) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i)
+    b[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  return b;
+}
+
+TEST(InPlaceCodec, TpduDtAgreesWithBuildAndParse) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{127}, std::size_t{128},
+                              std::size_t{70000}}) {
+    SCOPED_TRACE(n);
+    const Bytes sdu = pattern(n);
+    Bytes tpdu = sdu;
+    prepend_tpdu(Tpdu::DT, 0x01020304u, tpdu);
+    const Bytes built = build_tpdu(Tpdu::DT, 0x01020304u, sdu);
+    EXPECT_EQ(tpdu, built);
+    const auto header = strip_tpdu(tpdu);
+    ASSERT_TRUE(header.ok());
+    const TpduView parsed = parse_tpdu(built).value();
+    EXPECT_EQ(header.value().type, parsed.type);
+    EXPECT_EQ(header.value().seq, parsed.seq);
+    EXPECT_EQ(tpdu, parsed.payload);
+  }
+  Bytes shorter = {0xf0, 0, 0, 1};
+  const auto refused = strip_tpdu(shorter);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().message, parse_tpdu(shorter).error().message);
+  EXPECT_EQ(shorter, (Bytes{0xf0, 0, 0, 1})) << "a refused strip changed it";
+}
+
+TEST(InPlaceCodec, SpduBothLengthFormsAgreeWithBuildAndParse) {
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{65534},
+        std::size_t{65535}, std::size_t{65536}}) {
+    SCOPED_TRACE(n);
+    const Bytes user = pattern(n);
+    Bytes spdu = user;
+    prepend_spdu(Spdu::DT, spdu);
+    const Bytes built = build_spdu(Spdu::DT, user);
+    EXPECT_EQ(spdu, built);
+    // Octets after the announced user data are ignored by both.
+    spdu.push_back(0xee);
+    Bytes trailing = built;
+    trailing.push_back(0xee);
+    const auto type = strip_spdu(spdu);
+    ASSERT_TRUE(type.ok());
+    const SpduView parsed = parse_spdu(trailing).value();
+    EXPECT_EQ(type.value(), parsed.type);
+    EXPECT_EQ(spdu, parsed.user_data);
+  }
+  for (Bytes bad : {Bytes{0x01, 0x00}, Bytes{0x01, 0x00, 0x02, 'x'},
+                    Bytes{0x01, 0xFF, 0xFF, 0x00}}) {
+    const Bytes before = bad;
+    const auto refused = strip_spdu(bad);
+    ASSERT_FALSE(refused.ok());
+    const auto parsed = parse_spdu(before);
+    EXPECT_EQ(refused.error().code, parsed.error().code);
+    EXPECT_EQ(refused.error().message, parsed.error().message);
+    EXPECT_EQ(bad, before) << "a refused strip changed it";
+  }
+}
+
+TEST(InPlaceCodec, TdAtBerLengthBoundariesAgreesWithBuildAndParse) {
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{127}, std::size_t{128}, std::size_t{255},
+        std::size_t{256}, std::size_t{65535}, std::size_t{65536}}) {
+    SCOPED_TRACE(n);
+    const Bytes user = pattern(n);
+    Bytes td = user;
+    prepend_td(7, td);
+    const Bytes built = build_td(7, user);
+    EXPECT_EQ(td, built);
+    const auto stripped = strip_ppdu(td);
+    ASSERT_TRUE(stripped.ok());
+    const PpduView parsed = parse_ppdu(built).value();
+    EXPECT_EQ(stripped.value().type, PpduView::Type::TD);
+    EXPECT_EQ(stripped.value().context_id, parsed.context_id);
+    EXPECT_EQ(td, parsed.user_data);
+  }
+}
+
+TEST(InPlaceCodec, ConnectPpdusStripToTheirUserData) {
+  const Bytes user = common::to_bytes("associate-req");
+  for (Bytes ppdu : {build_cp(3, user), build_cpa(3, user),
+                     build_cpr(2, user), build_cpr(2, {})}) {
+    const PpduView parsed = parse_ppdu(ppdu).value();
+    const auto stripped = strip_ppdu(ppdu);
+    ASSERT_TRUE(stripped.ok());
+    EXPECT_EQ(stripped.value().type, parsed.type);
+    EXPECT_EQ(stripped.value().context_id, parsed.context_id);
+    EXPECT_EQ(stripped.value().reason, parsed.reason);
+    EXPECT_EQ(ppdu, parsed.user_data);
+  }
+}
+
+TEST(InPlaceCodec, TdQuirksForwardWhatParsePpduForwards) {
+  // [4] { SEQUENCE { INTEGER 1 } }: fewer than two fields, empty SDU.
+  const Bytes one_field = {0xA4, 0x05, 0x30, 0x03, 0x02, 0x01, 0x01};
+  // [4] { SEQUENCE { INTEGER 1, SEQUENCE { OCTET STRING "x" } } }: a
+  // constructed second field, empty SDU.
+  const Bytes constructed = {0xA4, 0x0A, 0x30, 0x08, 0x02, 0x01, 0x01,
+                             0x30, 0x03, 0x04, 0x01, 'x'};
+  // [4] { SEQUENCE { INTEGER 1, INTEGER 7 } }: a primitive second field of
+  // another tag forwards its content octets, as as_octets() reads them.
+  const Bytes integer = {0xA4, 0x08, 0x30, 0x06, 0x02,
+                         0x01, 0x01, 0x02, 0x01, 0x07};
+  for (const Bytes& raw : {one_field, constructed, integer}) {
+    const PpduView parsed = parse_ppdu(raw).value();
+    Bytes in_place = raw;
+    const auto stripped = strip_ppdu(in_place);
+    ASSERT_TRUE(stripped.ok());
+    EXPECT_EQ(stripped.value().type, PpduView::Type::TD);
+    EXPECT_EQ(stripped.value().context_id, parsed.context_id);
+    EXPECT_EQ(in_place, parsed.user_data);
+  }
+  EXPECT_TRUE(parse_ppdu(one_field).value().user_data.empty());
+  EXPECT_TRUE(parse_ppdu(constructed).value().user_data.empty());
+  EXPECT_EQ(parse_ppdu(integer).value().user_data, Bytes{0x07});
+
+  Bytes garbage = common::to_bytes("not ber");
+  const auto refused = strip_ppdu(garbage);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().message,
+            parse_ppdu(common::to_bytes("not ber")).error().message);
+  EXPECT_EQ(garbage, common::to_bytes("not ber"));
+}
+
+TEST(InPlaceCodec, AnEncodedSduTakesEveryHeaderWithoutReallocating) {
+  // write_exact leaves kSduHeadroom octets behind each message, enough for
+  // the longest TD, SPDU and DT TPDU headers together.
+  for (const std::size_t n : {std::size_t{0}, std::size_t{200},
+                              std::size_t{65536}, std::size_t{200000}}) {
+    SCOPED_TRACE(n);
+    Bytes sdu = asn1::write_exact(
+        [n](asn1::Writer& w) { w.octet_string(pattern(n)); });
+    EXPECT_GE(sdu.capacity(), sdu.size() + asn1::kSduHeadroom);
+    const Bytes original = sdu;
+    const std::uint8_t* const buffer = sdu.data();
+    prepend_td(1, sdu);
+    prepend_spdu(Spdu::DT, sdu);
+    prepend_tpdu(Tpdu::DT, 9, sdu);
+    EXPECT_EQ(sdu.data(), buffer) << "a prepend reallocated";
+    EXPECT_EQ(sdu, build_tpdu(Tpdu::DT, 9,
+                              build_spdu(Spdu::DT, build_td(1, original))));
+  }
 }
 
 // ---------------------------------------------------------------------------
